@@ -22,13 +22,13 @@
 //! - default: run the suite and append a record to `BENCH_ovcomm.json`.
 //! - `--smoke`: fewer iterations (the CI configuration).
 //! - `--check`: compare against the most recent committed rt-micro
-//!   record with the same smoke flag *and* mailbox backend and **exit
-//!   nonzero** when any case regresses by more than `--threshold`
+//!   record with the same smoke flag (and `mailbox: "lockfree"`) and
+//!   **exit nonzero** when any case regresses by more than `--threshold`
 //!   (default 30%); the file is not rewritten.
-//! - `--mailbox locked|lockfree`: transport under test (default
-//!   lockfree). Appending one record per backend makes the speedup
-//!   visible in the committed history; the run prints the ratio table
-//!   whenever a matching locked record exists.
+//!
+//! The retired locked transport's numbers remain on record in
+//! `BENCH_ovcomm.json` (`mailbox: "locked"`); the run prints the ratio
+//! table against the most recent one.
 //! - `--label <s>`: tag the appended record.
 //!
 //! Every run also writes the current record to `results/rt_micro.json`
@@ -41,7 +41,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use ovcomm_bench::{canonical_json, Table};
-use ovcomm_rt::{MailboxBackend, RtConfig, RtRankCtx};
+use ovcomm_rt::{RtConfig, RtRankCtx};
 use ovcomm_simmpi::{Payload, VerifyMode};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
@@ -106,10 +106,9 @@ fn iters(case: &str, smoke: bool) -> (usize, usize) {
 /// Measurement config: verification off (its cost is Θ(messages) and
 /// would dominate µs-scale measurements) and no sampler thread — the
 /// box running this may well be a single hardware thread.
-fn bench_cfg(nranks: usize, backend: MailboxBackend) -> RtConfig {
+fn bench_cfg(nranks: usize) -> RtConfig {
     RtConfig::natural(nranks, 1, MachineProfile::test_profile())
         .with_verify(VerifyMode::Off)
-        .with_mailbox_backend(backend)
         .with_deadlock_timeout(Duration::from_secs(20))
         .without_sampler()
 }
@@ -117,19 +116,18 @@ fn bench_cfg(nranks: usize, backend: MailboxBackend) -> RtConfig {
 /// Max of the per-rank phase seconds — the slowest rank defines the
 /// measured interval, exactly as a real MPI benchmark would report it.
 fn run_seconds(
-    backend: MailboxBackend,
     nranks: usize,
     f: impl Fn(&RtRankCtx) -> f64 + Send + Sync + Clone + 'static,
 ) -> f64 {
-    let out = ovcomm_rt::run(bench_cfg(nranks, backend), move |rc: RtRankCtx| f(&rc))
+    let out = ovcomm_rt::run(bench_cfg(nranks), move |rc: RtRankCtx| f(&rc))
         .unwrap_or_else(|e| panic!("rt_micro run failed: {e}"));
     out.results.iter().cloned().fold(0.0, f64::max)
 }
 
 /// 2-rank ping-pong: rank 0 sends, waits for the echo; µs per roundtrip.
-fn p2p_latency(backend: MailboxBackend, smoke: bool) -> MicroCase {
+fn p2p_latency(smoke: bool) -> MicroCase {
     let (warmup, measured) = iters("p2p_latency_small", smoke);
-    let secs = run_seconds(backend, 2, move |rc| {
+    let secs = run_seconds(2, move |rc| {
         let w = rc.world();
         let me = rc.rank();
         let peer = 1 - me;
@@ -161,10 +159,10 @@ fn p2p_latency(backend: MailboxBackend, smoke: bool) -> MicroCase {
 }
 
 /// 2-rank 1 MiB stream (rendezvous protocol), MB/s delivered.
-fn p2p_bandwidth(backend: MailboxBackend, smoke: bool) -> MicroCase {
+fn p2p_bandwidth(smoke: bool) -> MicroCase {
     const BYTES: usize = 1 << 20;
     let (warmup, measured) = iters("p2p_bandwidth_large", smoke);
-    let secs = run_seconds(backend, 2, move |rc| {
+    let secs = run_seconds(2, move |rc| {
         let w = rc.world();
         let me = rc.rank();
         let xfer = |tag: u32, n: usize| {
@@ -197,7 +195,7 @@ fn p2p_bandwidth(backend: MailboxBackend, smoke: bool) -> MicroCase {
 /// N_DUP=4 nonblocking collective rounds on 4 ranks: each round posts
 /// one op per dup communicator, then waits for all four — the paper's
 /// overlap shape, with every dup's plan on a distinct progress shard.
-fn ndup_collective(backend: MailboxBackend, smoke: bool, case: &'static str) -> MicroCase {
+fn ndup_collective(smoke: bool, case: &'static str) -> MicroCase {
     const NDUP: usize = 4;
     let bytes: usize = match case {
         "iallreduce_small_ndup4" | "ibcast_small_ndup4" => 1 << 10,
@@ -205,7 +203,7 @@ fn ndup_collective(backend: MailboxBackend, smoke: bool, case: &'static str) -> 
         other => panic!("unknown ndup case {other}"),
     };
     let (warmup, measured) = iters(case, smoke);
-    let secs = run_seconds(backend, 4, move |rc| {
+    let secs = run_seconds(4, move |rc| {
         let w = rc.world();
         let comms = w.dup_n(NDUP);
         let round = |n: usize| {
@@ -245,24 +243,18 @@ fn ndup_collective(backend: MailboxBackend, smoke: bool, case: &'static str) -> 
     }
 }
 
-fn backend_name(b: MailboxBackend) -> &'static str {
-    match b {
-        MailboxBackend::LockFree => "lockfree",
-        MailboxBackend::Locked => "locked",
-    }
-}
+/// The transport name records carry (the one transport there is; the
+/// field keeps new records comparable with the committed history).
+const MAILBOX: &str = "lockfree";
 
-/// The resolved per-backend defaults of [`RtConfig`]'s `None`/`0` knobs,
-/// recorded so a committed number is reproducible from its record alone.
-fn resolved_config(backend: MailboxBackend) -> MicroConfig {
-    let (progress_shards, spin_budget_us) = match backend {
-        MailboxBackend::LockFree => (8, 50),
-        MailboxBackend::Locked => (1, 20),
-    };
+/// [`RtConfig`]'s knob defaults, recorded so a committed number is
+/// reproducible from its record alone.
+fn resolved_config() -> MicroConfig {
+    let cfg = bench_cfg(1);
     MicroConfig {
-        mailbox: backend_name(backend).into(),
-        progress_shards,
-        spin_budget_us,
+        mailbox: MAILBOX.into(),
+        progress_shards: cfg.progress_shards,
+        spin_budget_us: cfg.spin_budget.as_micros() as u64,
     }
 }
 
@@ -391,25 +383,19 @@ fn main() {
     let check = flag("--check");
     let label = opt("--label").unwrap_or_else(|| "dev".to_string());
     let thr: f64 = opt("--threshold").map_or(0.30, |s| s.parse().expect("--threshold"));
-    let backend = match opt("--mailbox").as_deref() {
-        None | Some("lockfree") => MailboxBackend::LockFree,
-        Some("locked") => MailboxBackend::Locked,
-        Some(other) => panic!("--mailbox must be locked or lockfree, got {other}"),
-    };
     let out_path = opt("--out").unwrap_or_else(|| "BENCH_ovcomm.json".to_string());
     let out_path = Path::new(&out_path);
 
     println!(
-        "rt_micro: {} transport, {} iterations\n",
-        backend_name(backend),
+        "rt_micro: {MAILBOX} transport, {} iterations\n",
         if smoke { "smoke" } else { "full" }
     );
     let cases = vec![
-        p2p_latency(backend, smoke),
-        p2p_bandwidth(backend, smoke),
-        ndup_collective(backend, smoke, "iallreduce_small_ndup4"),
-        ndup_collective(backend, smoke, "iallreduce_large_ndup4"),
-        ndup_collective(backend, smoke, "ibcast_small_ndup4"),
+        p2p_latency(smoke),
+        p2p_bandwidth(smoke),
+        ndup_collective(smoke, "iallreduce_small_ndup4"),
+        ndup_collective(smoke, "iallreduce_large_ndup4"),
+        ndup_collective(smoke, "ibcast_small_ndup4"),
     ];
     let mut table = Table::new(&["case", "value", "unit", "better"]);
     for c in &cases {
@@ -427,7 +413,7 @@ fn main() {
         schema: MICRO_SCHEMA,
         label,
         smoke,
-        config: resolved_config(backend),
+        config: resolved_config(),
         cases,
     };
     let mut records = load_records(out_path);

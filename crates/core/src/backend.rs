@@ -13,11 +13,18 @@
 //! Two backends implement them:
 //!
 //! * the **virtual-time simulator** (`ovcomm-simmpi`) — deterministic,
-//!   models time analytically, implemented in this module for
-//!   [`ovcomm_simmpi::Comm`] / [`ovcomm_simmpi::RankCtx`];
+//!   models time analytically: [`ovcomm_simmpi::Comm`] /
+//!   [`ovcomm_simmpi::RankCtx`];
 //! * the **wall-clock runtime** (`ovcomm-rt`) — ranks are real OS threads
-//!   moving real payloads through shared memory; it implements the same
-//!   traits in its own crate.
+//!   moving real payloads through shared memory: `ovcomm_rt::RtComm` /
+//!   `ovcomm_rt::RtRankCtx`.
+//!
+//! Both communicator types are one generic front end,
+//! `ovcomm_simmpi::comm::Comm<T>`, over the backend's
+//! [`Transport`]; the single blanket [`Communicator`] impl below covers
+//! them, so the trait surface cannot drift between backends. Each backend
+//! implements [`RankHandle`] and [`Window`] for its own context and
+//! window types.
 //!
 //! Both backends share the *concrete* [`Payload`] and [`Request`] types
 //! (a request is backend-agnostic: a completion flag, a value slot, and
@@ -26,7 +33,9 @@
 //! Default type parameters (`NDupComms<C = Comm>`, `Mesh3D<C = Comm>`)
 //! keep existing simulator call sites source-compatible.
 
-use ovcomm_simmpi::{Comm, Payload, RankCtx, Request};
+use ovcomm_simmpi::comm::Comm;
+use ovcomm_simmpi::transport::Transport;
+use ovcomm_simmpi::{Payload, RankCtx, Request};
 use ovcomm_simnet::{MachineProfile, NodeMap, SimDur, SimTime, SpanKind};
 
 /// An MPI-like communicator handle, generic over the runtime backend.
@@ -248,10 +257,13 @@ pub trait RankHandle {
 }
 
 // ---------------------------------------------------------------------
-// Virtual-time simulator backend
+// The communicator front end, on any backend
 // ---------------------------------------------------------------------
 
-impl Communicator for Comm {
+impl<T: Transport> Communicator for Comm<T>
+where
+    T::Win: Window,
+{
     fn size(&self) -> usize {
         Comm::size(self)
     }
@@ -285,22 +297,22 @@ impl Communicator for Comm {
     fn sendrecv(&self, dst: usize, src: usize, tag: u32, payload: Payload) -> Payload {
         Comm::sendrecv(self, dst, src, tag, payload)
     }
-    fn wait<T>(&self, req: &Request<T>) -> T {
+    fn wait<V>(&self, req: &Request<V>) -> V {
         Comm::wait(self, req)
     }
-    fn wait_traced<T>(&self, req: &Request<T>, label: &str) -> T {
+    fn wait_traced<V>(&self, req: &Request<V>, label: &str) -> V {
         Comm::wait_traced(self, req, label)
     }
-    fn wait_traced_chunk<T>(&self, req: &Request<T>, label: &str, chunk: u32) -> T {
+    fn wait_traced_chunk<V>(&self, req: &Request<V>, label: &str, chunk: u32) -> V {
         Comm::wait_traced_chunk(self, req, label, chunk)
     }
-    fn test<T>(&self, req: &Request<T>) -> bool {
+    fn test<V>(&self, req: &Request<V>) -> bool {
         Comm::test(self, req)
     }
     fn wait_all(&self, reqs: &[Request<()>]) {
         Comm::wait_all(self, reqs)
     }
-    fn wait_all_payloads<T>(&self, reqs: &[Request<T>]) -> Vec<T> {
+    fn wait_all_payloads<V>(&self, reqs: &[Request<V>]) -> Vec<V> {
         Comm::wait_all_payloads(self, reqs)
     }
     fn bcast(&self, root: usize, data: Option<Payload>, len: usize) -> Payload {
@@ -336,11 +348,15 @@ impl Communicator for Comm {
     fn ibarrier(&self) -> Request<()> {
         Comm::ibarrier(self)
     }
-    type Win = ovcomm_simmpi::SimWin;
-    fn win_create(&self, local: Payload) -> ovcomm_simmpi::SimWin {
+    type Win = T::Win;
+    fn win_create(&self, local: Payload) -> T::Win {
         Comm::win_create(self, local)
     }
 }
+
+// ---------------------------------------------------------------------
+// Virtual-time simulator backend
+// ---------------------------------------------------------------------
 
 impl Window for ovcomm_simmpi::SimWin {
     fn size(&self) -> usize {
@@ -382,7 +398,7 @@ impl Window for ovcomm_simmpi::SimWin {
 }
 
 impl RankHandle for RankCtx {
-    type Comm = Comm;
+    type Comm = ovcomm_simmpi::Comm;
 
     fn rank(&self) -> usize {
         RankCtx::rank(self)
@@ -402,7 +418,7 @@ impl RankHandle for RankCtx {
     fn set_active_ppn(&self, active: usize) {
         RankCtx::set_active_ppn(self, active)
     }
-    fn world(&self) -> Comm {
+    fn world(&self) -> ovcomm_simmpi::Comm {
         RankCtx::world(self)
     }
     fn now(&self) -> SimTime {

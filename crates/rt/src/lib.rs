@@ -13,11 +13,20 @@
 //! What is shared with the simulator (by construction, not by parallel
 //! implementation):
 //!
+//! * the whole communicator front end: [`RtComm`] is
+//!   `ovcomm_simmpi::comm::Comm<T>` — dup/split, point-to-point,
+//!   wait/test, all 11 collectives, argument checks, tag namespacing,
+//!   verify events, metrics, spans — instantiated over this crate's
+//!   [`RtTransport`]. The backend plugs in behind the narrow
+//!   `ovcomm_simmpi::transport::Transport` seam (clock, modeled charges,
+//!   raw envelope post, wait/complete, span/edge recording, op-agent
+//!   spawn, window open — the `comm` module's docs list each method
+//!   and why the runtime needs its own);
 //! * the [`Request`](ovcomm_simmpi::Request) type and wait/test semantics;
 //! * collective compilation — `compile_plans` (selector + static lint
-//!   wall) and the `execute_plan` interpreter; only the I/O surface
-//!   differs;
+//!   wall) and the plan interpreter;
 //! * eager/rendezvous point-to-point protocols and FIFO envelope matching;
+//! * the one-sided staging types (`Seg`, `StagedOp`, `apply_op`);
 //! * the verification event model (`ovcomm-verify`) — the runtime records
 //!   the same per-rank event log, so the same analyzer checks both
 //!   backends;
@@ -52,18 +61,16 @@ use std::time::{Duration, Instant};
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
 use ovcomm_obs::MetricsSnapshot;
-use ovcomm_simmpi::{actor_name, CollSelector, SimMetrics};
+use ovcomm_simmpi::transport::CommEnv;
+use ovcomm_simmpi::{actor_name, CollSelector};
 use ovcomm_simnet::{MachineProfile, NodeMap, ParkCell, SimTime, Trace};
-use ovcomm_verify::{DeadlockReport, Finding, Severity, Verifier, VerifyMode, VerifyReport};
+use ovcomm_verify::{DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
 
-pub use comm::{RtComm, RtRankCtx};
+pub use comm::{RtComm, RtRankCtx, RtTransport};
 pub use window::RtWin;
 
 use crate::comm::RtAgent;
-use crate::shared::{RtShared, RtState};
-
-/// Context id of the world communicator (same as the simulator's).
-pub(crate) const WORLD_CTX: u32 = 0;
+use crate::shared::{RtShared, RtState, RING_CAPACITY};
 
 /// How the runtime treats *modeled* compute charges
 /// (`RankHandle::advance`/`compute_flops`) and sleeps.
@@ -77,22 +84,6 @@ pub enum ComputeMode {
     /// Really sleep for every modeled duration — wall timelines then
     /// resemble the simulator's virtual ones, at the cost of real seconds.
     Emulate,
-}
-
-/// Which envelope-matching transport the runtime uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MailboxBackend {
-    /// The lock-free fast path (default): per-rank SPSC rings and an MPSC
-    /// injector in front of the sequential matching tables, drained by
-    /// whichever poster holds the drain baton. Waits busy-poll with
-    /// `yield` before parking.
-    #[default]
-    LockFree,
-    /// The historical transport: one global mutex around the matching
-    /// tables, pure-spin-then-park waits. Kept selectable so
-    /// microbenchmarks can measure against the pre-fast-path baseline and
-    /// semantics suites can run against both backends.
-    Locked,
 }
 
 /// Configuration of a runtime run — the analogue of the simulator's
@@ -125,17 +116,11 @@ pub struct RtConfig {
     /// Defaults to 1 ms — coarse enough to stay out of the ranks' way,
     /// fine enough to populate occupancy histograms on millisecond runs.
     pub sample_interval: Option<Duration>,
-    /// Envelope-matching transport (default [`MailboxBackend::LockFree`]).
-    pub mailbox: MailboxBackend,
-    /// Busy-poll budget of a wait before it falls back to condvar parking.
-    /// [`None`] (default) resolves per backend: 20 µs of pure spinning on
-    /// [`MailboxBackend::Locked`] (the historical constant), 50 µs of
-    /// yield-polling on [`MailboxBackend::LockFree`].
-    pub spin_budget: Option<Duration>,
+    /// Yield-poll budget of a wait before it falls back to condvar
+    /// parking (default 50 µs).
+    pub spin_budget: Duration,
     /// Progress-engine shards (nonblocking-collective jobs route by
-    /// `ctx % shards`). `0` (default) resolves per backend: 1 on
-    /// [`MailboxBackend::Locked`] (the historical single pool), 8 on
-    /// [`MailboxBackend::LockFree`].
+    /// `ctx % shards`; default 8).
     pub progress_shards: usize,
 }
 
@@ -157,25 +142,18 @@ impl RtConfig {
             trace_out: None,
             deadlock_timeout: Duration::from_secs(2),
             sample_interval: Some(Duration::from_millis(1)),
-            mailbox: MailboxBackend::default(),
-            spin_budget: None,
-            progress_shards: 0,
+            spin_budget: Duration::from_micros(50),
+            progress_shards: 8,
         }
-    }
-
-    /// Select the envelope-matching transport.
-    pub fn with_mailbox_backend(mut self, backend: MailboxBackend) -> RtConfig {
-        self.mailbox = backend;
-        self
     }
 
     /// Set the busy-poll budget of waits before they park.
     pub fn with_spin_budget(mut self, d: Duration) -> RtConfig {
-        self.spin_budget = Some(d);
+        self.spin_budget = d;
         self
     }
 
-    /// Set the number of progress-engine shards (`0` = per-backend auto).
+    /// Set the number of progress-engine shards.
     pub fn with_progress_shards(mut self, n: usize) -> RtConfig {
         self.progress_shards = n;
         self
@@ -352,48 +330,31 @@ where
     F: Fn(RtRankCtx) -> T + Send + Sync + 'static,
 {
     let nranks = cfg.nodemap.nranks();
-    let metrics = SimMetrics::new(nranks);
-    let prof = crate::shared::RtProf::new(&metrics, nranks);
-    // Per-backend defaults: the locked baseline keeps its historical 20 µs
-    // pure spin and single pool; the lock-free path yield-polls for 50 µs
-    // and shards the progress engine.
-    let spin_budget = cfg.spin_budget.unwrap_or(match cfg.mailbox {
-        MailboxBackend::Locked => Duration::from_micros(20),
-        MailboxBackend::LockFree => Duration::from_micros(50),
-    });
-    let nshards = match (cfg.progress_shards, cfg.mailbox) {
-        (0, MailboxBackend::Locked) => 1,
-        (0, MailboxBackend::LockFree) => 8,
-        (n, _) => n,
-    };
+    let env = CommEnv::new(
+        nranks,
+        cfg.verify,
+        cfg.coll_select.clone(),
+        cfg.profile.clone(),
+    );
+    let prof = crate::shared::RtProf::new(&env.metrics, nranks);
     let shared = Arc::new(RtShared {
         epoch: Instant::now(),
-        profile: cfg.profile.clone(),
+        env,
         nodemap: cfg.nodemap.clone(),
         state: Mutex::new(RtState {
-            next_ctx: WORLD_CTX + 1,
             rank_end_times: vec![SimTime::ZERO; nranks],
             ..RtState::default()
         }),
-        transport: RtShared::make_transport(cfg.mailbox, nranks),
-        progress: crate::progress::ProgressShards::new(nshards),
-        spin_budget_ns: spin_budget.as_nanos() as u64,
-        poll_yield: cfg.mailbox == MailboxBackend::LockFree,
+        mailbox: crate::mailbox::LockFreeMailbox::new(nranks, RING_CAPACITY),
+        progress: crate::progress::ProgressShards::new(cfg.progress_shards),
+        spin_budget_ns: cfg.spin_budget.as_nanos() as u64,
         inter_bytes: AtomicU64::new(0),
         intra_bytes: AtomicU64::new(0),
         messages: AtomicU64::new(0),
-        metrics,
         prof,
         compute: cfg.compute,
         tracing: cfg.trace,
         trace: Mutex::new(Trace::new()),
-        verify: match cfg.verify {
-            VerifyMode::Off => None,
-            VerifyMode::Warn | VerifyMode::Strict => Some(Arc::new(Verifier::new())),
-        },
-        verify_mode: cfg.verify,
-        coll_select: cfg.coll_select.clone(),
-        plan_cache: parking_lot::Mutex::new(std::collections::BTreeMap::new()),
         op_panics: Mutex::new(Vec::new()),
         live: AtomicUsize::new(nranks),
         blocked: AtomicUsize::new(0),
@@ -526,7 +487,7 @@ where
     }
     if shared.aborted.load(Ordering::SeqCst) {
         let blocked = shared.deadlock_blocked.lock().clone();
-        let report = match shared.verify.as_ref() {
+        let report = match shared.env.verify.as_ref() {
             Some(v) => v.deadlock_report(&blocked),
             None => DeadlockReport::unknown(&blocked),
         };
@@ -539,30 +500,10 @@ where
     // Analyze the communication log with the same analyzer as the
     // simulator, minus the findings real nondeterminism legitimately
     // produces.
-    let verify_report = match shared.verify.as_ref() {
-        Some(v) => {
-            let mut findings = v.analyze();
-            findings.retain(|x| !expected_on_rt(x));
-            match cfg.verify {
-                VerifyMode::Warn => {
-                    for x in &findings {
-                        eprintln!("ovcomm-verify: {x}");
-                    }
-                }
-                VerifyMode::Strict => {
-                    if findings.iter().any(|x| x.severity == Severity::Error) {
-                        return Err(RtError::Verification { findings });
-                    }
-                }
-                VerifyMode::Off => {}
-            }
-            let (dropped_incomplete, dropped_untaken) = v.drop_counters();
-            VerifyReport {
-                findings,
-                dropped_incomplete,
-                dropped_untaken,
-            }
-        }
+    let verify_report = match shared.env.verify.as_ref() {
+        Some(v) => v
+            .report(cfg.verify, |x| !expected_on_rt(x))
+            .map_err(|findings| RtError::Verification { findings })?,
         None => VerifyReport::default(),
     };
 
@@ -574,6 +515,7 @@ where
     );
     let makespan = end_times.iter().copied().max().unwrap_or(SimTime::ZERO);
     shared
+        .env
         .metrics
         .pool_spawned
         .set(shared.progress.spawned() as u64);
@@ -583,7 +525,7 @@ where
         None
     };
     let clamped_spans = trace.as_ref().map_or(0, |t| t.clamped());
-    shared.metrics.spans_clamped(clamped_spans as u64);
+    shared.env.metrics.spans_clamped(clamped_spans as u64);
     if let Some(path) = &cfg.trace_out {
         let spans: &[ovcomm_simnet::TraceSpan] = trace.as_ref().map_or(&[], |t| t.spans());
         if let Err(e) = ovcomm_obs::write_trace(path, spans, actor_name) {
@@ -601,7 +543,7 @@ where
         intra_node_bytes: intra,
         messages,
         trace,
-        metrics: shared.metrics.snapshot(),
+        metrics: shared.env.metrics.snapshot(),
         clamped_spans,
         verify: verify_report,
     })

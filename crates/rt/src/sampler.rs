@@ -19,11 +19,10 @@
 //! All samples land in *histograms*: wall-clock sampling is inherently
 //! nondeterministic, and histograms-of-samples keep the full occupancy
 //! distribution (median queue depth vs. spikes) rather than one final
-//! value. On the lock-free transport every gauge reads matcher-maintained
-//! atomics; on the locked baseline the mailbox gauges briefly take the
-//! mailbox mutex. Either way the sampler touches nothing on the rank
-//! threads' hot paths — its overhead is bounded by the sampling
-//! frequency, which the `rt_sampler_overhead` test pins.
+//! value. Every gauge reads matcher-maintained atomics, so the sampler
+//! touches nothing on the rank threads' hot paths — its overhead is
+//! bounded by the sampling frequency, which the `rt_sampler_overhead`
+//! test pins.
 
 use crate::sync::Ordering;
 use std::sync::mpsc;
@@ -51,7 +50,7 @@ pub(crate) fn start(shared: Arc<RtShared>, interval: Duration) -> Option<Sampler
         blocked_ranks: Histogram,
         samples: Counter,
     }
-    let reg = shared.metrics.registry();
+    let reg = shared.env.metrics.registry();
     let h = Handles {
         pool_queue_depth: reg.histogram("rt.sampler.pool_queue_depth", &[]),
         shard_queue_depth: (0..shared.progress.nshards())
@@ -70,9 +69,12 @@ pub(crate) fn start(shared: Arc<RtShared>, interval: Duration) -> Option<Sampler
             // (or the sender dropping) ends the loop without a full
             // interval of shutdown latency.
             while let Err(mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                let (slots, recvs) = shared.transport.gauges();
+                let (slots, recvs) = (
+                    shared.mailbox.unmatched_sends(),
+                    shared.mailbox.posted_recvs(),
+                );
                 h.pool_queue_depth
-                    .record(shared.metrics.pool_occupancy.get());
+                    .record(shared.env.metrics.pool_occupancy.get());
                 for (i, sh) in h.shard_queue_depth.iter().enumerate() {
                     sh.record(shared.progress.occupancy(i) as u64);
                 }

@@ -4,8 +4,9 @@
 //! Unlike the simulator — where a virtual-time engine owns the clock and
 //! message transport is modeled by network flows — here everything is
 //! real: the clock is `Instant::elapsed` since the run's epoch, payloads
-//! move by reference through a mutex-protected mailbox table, and a
-//! blocked rank parks its thread on a condvar until a completion wakes it.
+//! move by reference through the lock-free mailbox router, and a blocked
+//! rank yield-polls, then parks its thread on a condvar until a completion
+//! wakes it.
 //! The *protocols* mirror simmpi's exactly:
 //!
 //! * **Eager** (`n < eager_limit`): the sender's request completes at post
@@ -22,21 +23,19 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::mailbox::{LockFreeMailbox, Mailbox, MatchPair, PostedOp, RecvPost, RtKey, SendPost};
+use crate::mailbox::{LockFreeMailbox, MatchPair, PostedOp, RtKey};
 use crate::progress::ProgressShards;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
 use ovcomm_obs::Histogram;
 use ovcomm_simmpi::payload::Payload;
 use ovcomm_simmpi::request::{ReqMeta, Request};
-use ovcomm_simmpi::universe::PlanCache;
-use ovcomm_simmpi::{CollSelector, SimMetrics, SplitResult};
-use ovcomm_simnet::{
-    EdgeKind, MachineProfile, NodeMap, ParkCell, SimTime, SpanKind, Trace, TraceEdge, TraceSpan,
-};
-use ovcomm_verify::{Event, ReqId, Verifier, VerifyMode, INTERNAL_TAG_BIT};
+use ovcomm_simmpi::transport::CommEnv;
+use ovcomm_simmpi::SimMetrics;
+use ovcomm_simnet::{EdgeKind, NodeMap, ParkCell, SimTime, SpanKind, Trace, TraceEdge, TraceSpan};
+use ovcomm_verify::{Event, ReqId, INTERNAL_TAG_BIT};
 
-use crate::{ComputeMode, MailboxBackend};
+use crate::ComputeMode;
 
 /// How long a parked thread waits before re-checking the abort flag. Also
 /// bounds how quickly a deadlock abort propagates to blocked threads.
@@ -91,57 +90,17 @@ pub(crate) struct Slot {
     pub posted_at: SimTime,
 }
 
-/// Accumulates `split` participants until the whole communicator called.
-pub(crate) struct RtSplitGather {
-    pub entries: Vec<(usize, i64, u64)>,
-    pub expected: usize,
-    pub waiters: Vec<Arc<ParkCell>>,
-    pub result: Option<Arc<SplitResult>>,
-}
-
 /// What a posted receive parks in the mailbox: its request plus the post
 /// time, for rendezvous-stall accounting.
 pub(crate) type RecvEntry = (Request<Payload>, SimTime);
 
-/// The envelope-matching transport, selected by
-/// [`MailboxBackend`](crate::MailboxBackend).
-pub(crate) enum Transport {
-    /// Pre-fast-path behaviour: one global mutex around the sequential
-    /// matching tables. Kept selectable so microbenches can measure
-    /// against the historical baseline and semantics suites can re-run
-    /// against both backends.
-    Locked(Mutex<Mailbox<Slot, RecvEntry>>),
-    /// The lock-free router: per-rank SPSC rings + an MPSC injector in
-    /// front of the same sequential tables (see [`crate::mailbox`]).
-    LockFree(LockFreeMailbox<Slot, RecvEntry>),
-}
-
-impl Transport {
-    /// (unmatched sends, posted receives) — the sampler's mailbox gauges.
-    pub fn gauges(&self) -> (usize, usize) {
-        match self {
-            Transport::Locked(mb) => {
-                let mb = mb.lock();
-                (mb.unmatched_sends(), mb.posted_recvs())
-            }
-            Transport::LockFree(lf) => (lf.unmatched_sends(), lf.posted_recvs()),
-        }
-    }
-}
-
 /// The mutex-protected mutable state of one runtime instance. Hot-path
 /// traffic counters and the matching tables used to live here; they moved
-/// to atomics and the lock-free [`Transport`] so only cold control-plane
-/// state (communicator registry, split rendezvous, end times) takes this
-/// lock.
+/// to atomics and the lock-free mailbox, and the communicator registry to
+/// the shared [`CommEnv`], so only cold control-plane state (window
+/// registry, end times) takes this lock.
 #[derive(Default)]
 pub(crate) struct RtState {
-    /// (parent ctx, per-rank dup/split sequence) → child ctx. All ranks
-    /// call dup/split in the same order, so the key is rank-independent.
-    pub ctx_registry: HashMap<(u32, u64), u32>,
-    pub next_ctx: u32,
-    /// In-progress `split` rendezvous, keyed by (parent ctx, split seq).
-    pub splits: HashMap<(u32, u64), RtSplitGather>,
     /// Live one-sided windows, keyed by (creating ctx, per-comm window
     /// seq). All members call `win_create` in the same order, so the key
     /// is rank-independent; the last `free` removes the entry.
@@ -150,38 +109,23 @@ pub(crate) struct RtState {
     pub rank_end_times: Vec<SimTime>,
 }
 
-impl RtState {
-    /// Allocate (or look up) a child context for `(parent, seq)`.
-    pub fn child_ctx(&mut self, parent: u32, seq: u64) -> u32 {
-        if let Some(&c) = self.ctx_registry.get(&(parent, seq)) {
-            return c;
-        }
-        let c = self.next_ctx;
-        self.next_ctx += 1;
-        self.ctx_registry.insert((parent, seq), c);
-        c
-    }
-}
-
 /// Everything shared between rank threads, progress workers, and the
 /// watchdog.
 pub(crate) struct RtShared {
     /// Wall-clock epoch; `now()` is nanoseconds since this instant.
     pub epoch: Instant,
-    pub profile: MachineProfile,
+    /// What the communicator front end reads: metrics, verifier, plan
+    /// cache, selector, profile, communicator registry.
+    pub env: CommEnv,
     pub nodemap: NodeMap,
     pub state: Mutex<RtState>,
-    /// The envelope-matching transport (locked or lock-free).
-    pub transport: Transport,
+    /// The envelope-matching layer: per-rank SPSC rings + an MPSC injector
+    /// in front of the sequential tables (see [`crate::mailbox`]).
+    pub mailbox: LockFreeMailbox<Slot, RecvEntry>,
     /// The sharded progress engine for nonblocking-collective jobs.
     pub progress: ProgressShards,
-    /// Busy-poll budget of a wait before it falls back to parking, ns.
+    /// Yield-poll budget of a wait before it falls back to parking, ns.
     pub spin_budget_ns: u64,
-    /// Busy-poll flavour: `true` yields the CPU between completion checks
-    /// (the lock-free default — on hosts with fewer cores than runnable
-    /// threads the peer needs the CPU to make progress), `false` is the
-    /// historical pure `spin_loop`.
-    pub poll_yield: bool,
     /// Bytes whose src/dst ranks live on different logical nodes (kept so
     /// traffic accounting matches the simulator's).
     pub inter_bytes: AtomicU64,
@@ -189,18 +133,10 @@ pub(crate) struct RtShared {
     pub intra_bytes: AtomicU64,
     /// Total messages sent.
     pub messages: AtomicU64,
-    pub metrics: SimMetrics,
     pub prof: RtProf,
     pub compute: ComputeMode,
     pub tracing: bool,
     pub trace: Mutex<Trace>,
-    pub verify: Option<Arc<Verifier>>,
-    pub verify_mode: VerifyMode,
-    pub coll_select: CollSelector,
-    /// Unconditionally `parking_lot` (not [`crate::sync`]): the type is
-    /// pinned by `ovcomm_simmpi::compile_plans`, and plan compilation is
-    /// not on a loom-checked path.
-    pub plan_cache: parking_lot::Mutex<PlanCache>,
     pub op_panics: Mutex<Vec<(u32, String)>>,
     /// Threads currently executing user or collective code: rank threads
     /// plus outstanding nonblocking-collective jobs.
@@ -303,7 +239,7 @@ impl RtShared {
     /// A fresh request, tracked when verification is on. `record` builds
     /// the post event for the minted request id.
     pub fn new_req<T>(&self, record: impl FnOnce(ReqId) -> Event) -> Request<T> {
-        match self.verify.as_ref() {
+        match self.env.verify.as_ref() {
             Some(v) => {
                 let id = v.next_req_id();
                 v.record(record(id));
@@ -321,7 +257,7 @@ impl RtShared {
     /// the OS thread in bounded slices, re-check, and panic out if the
     /// watchdog declared the run deadlocked.
     pub fn wait_req<T>(&self, agent: u32, rank: u32, cell: &Arc<ParkCell>, req: &Request<T>) -> T {
-        if let (Some(v), Some(id)) = (self.verify.as_ref(), req.verify_id()) {
+        if let (Some(v), Some(id)) = (self.env.verify.as_ref(), req.verify_id()) {
             v.wait_begin(agent, id);
         }
         // Spin-vs-park accounting: total wait time minus time spent parked
@@ -341,15 +277,11 @@ impl RtShared {
             }
             // Burn a short busy-poll budget before the first park: fast
             // completions then skip the park/unpark round trip entirely.
-            // Under `poll_yield` each failed check releases the CPU — on a
-            // box with fewer cores than runnable threads, the completion
-            // we are polling for can only happen if the peer gets to run.
+            // Each failed check releases the CPU — on a box with fewer
+            // cores than runnable threads, the completion we are polling
+            // for can only happen if the peer gets to run.
             if self.now() < spin_until {
-                if self.poll_yield {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
+                std::thread::yield_now();
                 continue;
             }
             if req.add_waiter(cell) {
@@ -374,7 +306,7 @@ impl RtShared {
             self.prof.wait_spin_ns[r].record(total_ns.saturating_sub(park_ns));
             self.prof.wait_park_ns[r].record(park_ns);
         }
-        if let (Some(v), Some(id)) = (self.verify.as_ref(), req.verify_id()) {
+        if let (Some(v), Some(id)) = (self.env.verify.as_ref(), req.verify_id()) {
             v.record(Event::WaitDone { agent, req: id });
             v.wait_end(agent);
         }
@@ -399,7 +331,7 @@ impl RtShared {
         payload: Payload,
     ) -> Request<()> {
         let n = payload.len();
-        let eager = n < self.profile.eager_limit;
+        let eager = n < self.env.profile.eager_limit;
         let req = self.new_req::<()>(|id| Event::SendPost {
             agent,
             rank,
@@ -427,33 +359,7 @@ impl RtShared {
             eager,
             posted_at: self.now(),
         };
-        match &self.transport {
-            Transport::Locked(mb) => {
-                let matched = match mb.lock().post_send(key, slot) {
-                    SendPost::Matched { send, recv } => Some(MatchPair { key, send, recv }),
-                    SendPost::Parked(_) => None,
-                };
-                if let Some(m) = matched {
-                    self.deliver_match(m);
-                }
-            }
-            Transport::LockFree(lf) => {
-                let mut out = Vec::new();
-                // Safety: `ring_producer` returns `Some(rank)` only for
-                // rank agents, and rank `rank`'s agent only ever runs on
-                // its own OS thread — the single-producer contract.
-                unsafe {
-                    lf.post(
-                        Self::ring_producer(agent, rank),
-                        PostedOp::Send { key, slot },
-                        &mut out,
-                    )
-                };
-                for m in out {
-                    self.deliver_match(m);
-                }
-            }
-        }
+        self.post(agent, rank, PostedOp::Send { key, slot });
         req
     }
 
@@ -476,42 +382,33 @@ impl RtShared {
             site: Some(site),
         });
         let entry = (req.clone(), self.now());
-        match &self.transport {
-            Transport::Locked(mb) => {
-                let matched = match mb.lock().post_recv(key, entry) {
-                    RecvPost::Matched { send, recv } => Some(MatchPair { key, send, recv }),
-                    RecvPost::Parked => None,
-                };
-                if let Some(m) = matched {
-                    self.deliver_match(m);
-                }
-            }
-            Transport::LockFree(lf) => {
-                let mut out = Vec::new();
-                // Safety: as in `isend_raw` — the producer index is the
-                // calling rank thread's own ring.
-                unsafe {
-                    lf.post(
-                        Self::ring_producer(agent, rank),
-                        PostedOp::Recv { key, entry },
-                        &mut out,
-                    )
-                };
-                for m in out {
-                    self.deliver_match(m);
-                }
-            }
-        }
+        self.post(agent, rank, PostedOp::Recv { key, entry });
         req
+    }
+
+    /// Hand `op` to the mailbox router and deliver every match the drain
+    /// it triggers surfaces.
+    fn post(&self, agent: u32, rank: u32, op: PostedOp<Slot, RecvEntry>) {
+        let mut out = Vec::new();
+        // Safety: `ring_producer` returns `Some(rank)` only for rank
+        // agents, and rank `rank`'s agent only ever runs on its own OS
+        // thread — the single-producer contract.
+        unsafe {
+            self.mailbox
+                .post(Self::ring_producer(agent, rank), op, &mut out)
+        };
+        for m in out {
+            self.deliver_match(m);
+        }
     }
 
     /// Complete one matched send/receive pair: verify-log the match,
     /// attribute any rendezvous stall to the rank whose partner was late,
     /// record the happens-before edge, and complete both requests.
     ///
-    /// Runs on whichever thread discovered the match — the poster itself
-    /// on the locked path, possibly a different poster acting as matcher
-    /// on the lock-free path. Pairs are independent (distinct requests),
+    /// Runs on whichever thread discovered the match — possibly a
+    /// different poster acting as matcher. Pairs are independent (distinct
+    /// requests),
     /// so delivery order across pairs is free.
     fn deliver_match(&self, m: MatchPair<Slot, RecvEntry>) {
         let MatchPair {
@@ -547,18 +444,8 @@ impl RtShared {
     /// Record a send/recv pairing (before either completion, mirroring the
     /// simulator's log ordering guarantee).
     fn record_match(&self, send: Option<ReqId>, recv: Option<ReqId>) {
-        if let (Some(v), Some(s), Some(r)) = (self.verify.as_ref(), send, recv) {
+        if let (Some(v), Some(s), Some(r)) = (self.env.verify.as_ref(), send, recv) {
             v.record(Event::Match { send: s, recv: r });
-        }
-    }
-
-    /// Build the configured transport.
-    pub fn make_transport(backend: MailboxBackend, nranks: usize) -> Transport {
-        match backend {
-            MailboxBackend::Locked => Transport::Locked(Mutex::new(Mailbox::new())),
-            MailboxBackend::LockFree => {
-                Transport::LockFree(LockFreeMailbox::new(nranks, RING_CAPACITY))
-            }
         }
     }
 }

@@ -9,10 +9,12 @@
 //! rendezvous-handshake state machines can be exhaustively schedule-tested
 //! (`tests/loom.rs`) without a second copy of the protocol code.
 //!
-//! One deliberate exception: [`crate::shared::RtShared::plan_cache`] stays
-//! a `parking_lot::Mutex` unconditionally, because its type is pinned by
-//! `ovcomm_simmpi::compile_plans`'s signature (shared verbatim with the
-//! simulator backend) and it is never on a loom-checked path.
+//! One deliberate exception: the `CommEnv` embedded in
+//! [`crate::shared::RtShared`] (plan cache, communicator registry) uses
+//! `parking_lot::Mutex` and `std` atomics unconditionally, as does the
+//! communicator front end built on it — both are `ovcomm-simmpi` code
+//! shared verbatim with the simulator backend, and neither is on a
+//! loom-checked path.
 
 #[cfg(loom)]
 pub use loom::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};

@@ -26,6 +26,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ovcomm_simmpi::payload::Payload;
+use ovcomm_simmpi::rma::{apply_op, Seg};
+use ovcomm_simmpi::transport::Transport;
 use ovcomm_simmpi::Request;
 use ovcomm_simnet::{EdgeKind, SpanKind};
 use ovcomm_verify::{Event as VEvent, RmaKind, Site};
@@ -34,93 +36,10 @@ use crate::comm::RtComm;
 use crate::shared::RtShared;
 use crate::sync::Mutex;
 
-/// Committed bytes of one rank's exposed segment.
-enum Seg {
-    /// Real data (staged ops are applied in place).
-    Real(Vec<u8>),
-    /// Size-only stand-in for scale runs: applies are no-ops of the right
-    /// size.
-    Phantom(usize),
-}
-
-impl Seg {
-    fn from_payload(p: &Payload) -> Seg {
-        match p {
-            Payload::Real(b) => Seg::Real(b.to_vec()),
-            Payload::Phantom(n) => Seg::Phantom(*n),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Seg::Real(v) => v.len(),
-            Seg::Phantom(n) => *n,
-        }
-    }
-
-    fn snapshot(&self, start: usize, end: usize) -> Payload {
-        assert!(
-            start <= end && end <= self.len(),
-            "RMA read {start}..{end} beyond segment length {}",
-            self.len()
-        );
-        match self {
-            Seg::Real(v) => Payload::from_vec(v[start..end].to_vec()),
-            Seg::Phantom(_) => Payload::Phantom(end - start),
-        }
-    }
-}
-
-/// One staged put/accumulate awaiting its epoch close.
-pub struct StagedOp {
-    /// Window rank of the origin.
-    pub origin: u32,
-    /// The origin's RMA post counter: orders one origin's ops.
-    pub seq: u64,
-    /// Byte offset into the target segment.
-    pub offset: usize,
-    /// Accumulate (`f64` sum) instead of overwrite?
-    pub acc: bool,
-    /// The data (captured at post time).
-    pub data: Payload,
-}
-
-/// Apply one staged op to a committed segment.
-// `chunks_exact(8)`/`try_into` on 8-byte slices cannot fail.
-#[allow(clippy::unwrap_used)]
-fn apply_op(seg: &mut Seg, op: &StagedOp) {
-    let v = match seg {
-        Seg::Phantom(_) => return,
-        Seg::Real(v) => v,
-    };
-    let b = match &op.data {
-        Payload::Real(b) => b,
-        Payload::Phantom(_) => panic!("phantom RMA data applied to a real window segment"),
-    };
-    let end = op.offset + b.len();
-    assert!(
-        end <= v.len(),
-        "RMA apply {}..{end} beyond segment length {}",
-        op.offset,
-        v.len()
-    );
-    if op.acc {
-        assert!(
-            op.offset.is_multiple_of(8) && b.len().is_multiple_of(8),
-            "accumulate must be f64-aligned (offset {}, len {})",
-            op.offset,
-            b.len()
-        );
-        for (i, c) in b.chunks_exact(8).enumerate() {
-            let at = op.offset + i * 8;
-            let cur = f64::from_ne_bytes(v[at..at + 8].try_into().unwrap());
-            let add = f64::from_ne_bytes(c.try_into().unwrap());
-            v[at..at + 8].copy_from_slice(&(cur + add).to_ne_bytes());
-        }
-    } else {
-        v[op.offset..end].copy_from_slice(b);
-    }
-}
+/// One staged put/accumulate awaiting its epoch close — the simulator's
+/// definition, shared with [`Seg`] and `apply_op` so both backends stage
+/// and apply identically.
+pub use ovcomm_simmpi::rma::StagedOp;
 
 /// Virtual passive-target lock of one segment.
 struct LockSt<G> {
@@ -317,18 +236,6 @@ impl<G> WinCore<G> {
 /// waits.
 pub(crate) type RtWinCore = WinCore<Request<()>>;
 
-/// Bump the on-demand `rma.*` counters: one call of `op` moving `bytes`.
-/// Same metric names and labels as the simulator backend, so sim-vs-rt
-/// reports join RMA records directly.
-pub(crate) fn rma_metric(sh: &RtShared, rank: u32, op: &str, bytes: usize) {
-    let reg = sh.metrics.registry();
-    let labels = [("op", op.to_string()), ("rank", rank.to_string())];
-    reg.counter("rma.calls", &labels).inc();
-    if bytes > 0 {
-        reg.counter("rma.bytes", &labels).add(bytes as u64);
-    }
-}
-
 /// Account one origin-driven transfer of `n` bytes in the run's traffic
 /// counters (same inter/intra split as the simulator).
 fn account_transfer(sh: &RtShared, src: u32, dst: u32, n: usize) {
@@ -361,7 +268,21 @@ pub struct RtWin {
 }
 
 impl RtWin {
-    pub(crate) fn new(comm: RtComm, core: Arc<RtWinCore>, key: (u32, u64), id: u64) -> RtWin {
+    /// Backend half of [`RtComm::win_create`]: register the window's
+    /// core, deposit this rank's segment, and synchronize on `comm` (the
+    /// window's private dup of the creating communicator).
+    pub(crate) fn open(comm: RtComm, key: (u32, u64), id: u64, local: Payload) -> RtWin {
+        let core = {
+            let mut st = comm.agent().shared.state.lock();
+            st.windows
+                .entry(key)
+                .or_insert_with(|| Arc::new(WinCore::new(comm.size())))
+                .clone()
+        };
+        core.deposit(comm.rank(), &local);
+        // Creation is collective: no rank may issue one-sided ops until
+        // every segment is deposited.
+        comm.barrier();
         RtWin {
             comm,
             core,
@@ -373,7 +294,7 @@ impl RtWin {
     }
 
     fn shared(&self) -> &Arc<RtShared> {
-        &self.comm.agent.shared
+        &self.comm.agent().shared
     }
 
     /// Number of ranks spanning the window.
@@ -410,7 +331,7 @@ impl RtWin {
     fn post(&self, kind: RmaKind, target: usize, offset: usize, data: Payload) {
         let site: Site = std::panic::Location::caller();
         let sh = self.shared().clone();
-        let agent = &self.comm.agent;
+        let agent = self.comm.agent();
         let n = data.len();
         let me = self.rank();
         let t0 = sh.now();
@@ -419,8 +340,8 @@ impl RtWin {
         } else {
             "put"
         };
-        rma_metric(&sh, agent.rank, opname, n);
-        if let Some(v) = sh.verify.as_ref() {
+        sh.env.rma_metric(agent.rank, opname, n);
+        if let Some(v) = sh.env.verify.as_ref() {
             v.record(VEvent::RmaOp {
                 agent: agent.id,
                 rank: agent.rank,
@@ -445,8 +366,8 @@ impl RtWin {
             },
         );
         if n > 0 {
-            let origin_w = self.comm.info.ranks[me];
-            let target_w = self.comm.info.ranks[target];
+            let origin_w = self.comm.world_rank(me) as u32;
+            let target_w = self.comm.world_rank(target) as u32;
             account_transfer(&sh, origin_w, target_w, n);
             sh.edge(EdgeKind::SendRecv, origin_w, t0, target_w, sh.now());
         }
@@ -463,9 +384,9 @@ impl RtWin {
     pub fn get(&self, target: usize, offset: usize, len: usize) -> Request<Payload> {
         let site: Site = std::panic::Location::caller();
         let sh = self.shared().clone();
-        let agent = &self.comm.agent;
+        let agent = self.comm.agent();
         let t0 = sh.now();
-        rma_metric(&sh, agent.rank, "get", len);
+        sh.env.rma_metric(agent.rank, "get", len);
         let req = sh.new_req::<Payload>(|id| VEvent::RmaOp {
             agent: agent.id,
             rank: agent.rank,
@@ -479,8 +400,8 @@ impl RtWin {
         });
         let snap = self.core.snapshot(target, offset, offset + len);
         if len > 0 {
-            let origin_w = self.comm.info.ranks[self.rank()];
-            let target_w = self.comm.info.ranks[target];
+            let origin_w = self.comm.world_rank(self.rank()) as u32;
+            let target_w = self.comm.world_rank(target) as u32;
             account_transfer(&sh, target_w, origin_w, len);
             sh.edge(EdgeKind::SendRecv, target_w, t0, origin_w, sh.now());
         }
@@ -506,13 +427,13 @@ impl RtWin {
     pub fn fence(&self) {
         let site: Site = std::panic::Location::caller();
         let sh = self.shared().clone();
-        let agent = &self.comm.agent;
+        let agent = self.comm.agent();
         let t0 = sh.now();
-        rma_metric(&sh, agent.rank, "fence", 0);
+        sh.env.rma_metric(agent.rank, "fence", 0);
         self.comm.barrier();
         self.core.apply_target(self.rank());
         self.comm.barrier();
-        if let Some(v) = sh.verify.as_ref() {
+        if let Some(v) = sh.env.verify.as_ref() {
             v.record(VEvent::WinFence {
                 agent: agent.id,
                 rank: agent.rank,
@@ -520,7 +441,8 @@ impl RtWin {
                 site: Some(site),
             });
         }
-        sh.metrics
+        sh.env
+            .metrics
             .blocking_duration(agent.rank, sh.now().saturating_since(t0).as_nanos());
         sh.span(agent.id, SpanKind::BlockingCall, None, t0, sh.now(), || {
             "MPI_Win_fence".to_string()
@@ -534,16 +456,16 @@ impl RtWin {
     pub fn lock(&self, target: usize) {
         let site: Site = std::panic::Location::caller();
         let sh = self.shared().clone();
-        let agent = &self.comm.agent;
+        let agent = self.comm.agent();
         let t0 = sh.now();
-        rma_metric(&sh, agent.rank, "lock", 0);
+        sh.env.rma_metric(agent.rank, "lock", 0);
         let me = self.rank() as u32;
         // Internal grant handle: untracked, invisible to leak analysis.
         let grant: Request<()> = Request::new();
         if !self.core.lock_or_queue(target, me, grant.clone()) {
             agent.wait(&grant);
         }
-        if let Some(v) = sh.verify.as_ref() {
+        if let Some(v) = sh.env.verify.as_ref() {
             v.record(VEvent::WinLock {
                 agent: agent.id,
                 rank: agent.rank,
@@ -567,9 +489,9 @@ impl RtWin {
     pub fn unlock(&self, target: usize) {
         let site: Site = std::panic::Location::caller();
         let sh = self.shared().clone();
-        let agent = &self.comm.agent;
+        let agent = self.comm.agent();
         let t0 = sh.now();
-        rma_metric(&sh, agent.rank, "unlock", 0);
+        sh.env.rma_metric(agent.rank, "unlock", 0);
         let me = self.rank() as u32;
         let (_bytes, grant) = self.core.unlock(target, me);
         // The handoff completes outside the core's mutex, like every
@@ -577,7 +499,7 @@ impl RtWin {
         if let Some((_next, g)) = grant {
             sh.complete(&g, ());
         }
-        if let Some(v) = sh.verify.as_ref() {
+        if let Some(v) = sh.env.verify.as_ref() {
             v.record(VEvent::WinUnlock {
                 agent: agent.id,
                 rank: agent.rank,
@@ -604,9 +526,9 @@ impl RtWin {
     pub fn free(self) {
         let site: Site = std::panic::Location::caller();
         let sh = self.shared().clone();
-        let agent = &self.comm.agent;
-        rma_metric(&sh, agent.rank, "win_free", 0);
-        if let Some(v) = sh.verify.as_ref() {
+        let agent = self.comm.agent();
+        sh.env.rma_metric(agent.rank, "win_free", 0);
+        if let Some(v) = sh.env.verify.as_ref() {
             v.record(VEvent::WinFree {
                 agent: agent.id,
                 rank: agent.rank,
@@ -628,9 +550,9 @@ impl Drop for RtWin {
         // Drop-time leak check, mirroring the request one: a window
         // dropped without `free` surfaces as a `win-leak` finding carrying
         // the creation site.
-        if let Some(v) = self.shared().verify.as_ref() {
+        if let Some(v) = self.shared().env.verify.as_ref() {
             v.record(VEvent::WinDropped {
-                rank: self.comm.agent.rank,
+                rank: self.comm.agent().rank,
                 win: self.id,
                 freed: self.freed.load(Ordering::Relaxed),
             });

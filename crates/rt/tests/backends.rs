@@ -1,9 +1,8 @@
-//! Envelope-matching semantics re-run against **both** mailbox
-//! transports. `semantics.rs` exercises whatever `RtConfig` defaults to
-//! (the lock-free router); this suite pins each [`MailboxBackend`]
-//! explicitly so the locked baseline keeps its coverage and a default
-//! flip can never silently drop a transport from CI. The properties are
-//! the protocol-defining ones: eager-vs-rendezvous completion ordering,
+//! Envelope-matching semantics of the mailbox transport. This suite used
+//! to re-run against two transports (the lock-free router and a locked
+//! baseline, since retired — hence the test names); every assertion now
+//! runs against the one transport. The properties are the
+//! protocol-defining ones: eager-vs-rendezvous completion ordering,
 //! per-envelope FIFO non-overtaking, and envelope (context) isolation.
 //!
 //! The file ends with a proptest that hammers the [`SpscRing`] itself
@@ -18,123 +17,110 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use ovcomm_rt::queue::SpscRing;
-use ovcomm_rt::{run, MailboxBackend, RtConfig, RtRankCtx};
+use ovcomm_rt::{run, RtConfig, RtRankCtx};
 use ovcomm_simmpi::Payload;
 use ovcomm_simnet::MachineProfile;
 
-const BACKENDS: [MailboxBackend; 2] = [MailboxBackend::LockFree, MailboxBackend::Locked];
-
-fn cfg(backend: MailboxBackend, nranks: usize) -> RtConfig {
-    RtConfig::natural(nranks, 1, MachineProfile::test_profile()).with_mailbox_backend(backend)
+fn cfg(nranks: usize) -> RtConfig {
+    RtConfig::natural(nranks, 1, MachineProfile::test_profile())
 }
 
 #[test]
 fn eager_completes_before_the_receiver_on_both_backends() {
-    for backend in BACKENDS {
-        let out = run(cfg(backend, 2), |rc: RtRankCtx| {
-            let w = rc.world();
-            if rc.rank() == 0 {
-                let t0 = Instant::now();
-                let req = w.isend(1, 7, Payload::from_vec(vec![9u8; 1024]));
-                w.wait(&req);
-                t0.elapsed()
-            } else {
-                std::thread::sleep(Duration::from_millis(300));
-                assert_eq!(w.recv(0, 7), Payload::from_vec(vec![9u8; 1024]));
-                Duration::ZERO
-            }
-        })
-        .unwrap();
-        assert!(
-            out.results[0] < Duration::from_millis(150),
-            "{backend:?}: eager send waited for the receiver ({:?})",
-            out.results[0]
-        );
-    }
+    let out = run(cfg(2), |rc: RtRankCtx| {
+        let w = rc.world();
+        if rc.rank() == 0 {
+            let t0 = Instant::now();
+            let req = w.isend(1, 7, Payload::from_vec(vec![9u8; 1024]));
+            w.wait(&req);
+            t0.elapsed()
+        } else {
+            std::thread::sleep(Duration::from_millis(300));
+            assert_eq!(w.recv(0, 7), Payload::from_vec(vec![9u8; 1024]));
+            Duration::ZERO
+        }
+    })
+    .unwrap();
+    assert!(
+        out.results[0] < Duration::from_millis(150),
+        "eager send waited for the receiver ({:?})",
+        out.results[0]
+    );
 }
 
 #[test]
 fn rendezvous_waits_for_the_receiver_on_both_backends() {
     // 256 KiB is above the test profile's 64 KiB eager limit.
     let n = 256 * 1024;
-    for backend in BACKENDS {
-        let out = run(cfg(backend, 2), move |rc: RtRankCtx| {
-            let w = rc.world();
-            if rc.rank() == 0 {
-                let t0 = Instant::now();
-                let req = w.isend(1, 7, Payload::from_vec(vec![1u8; n]));
-                w.wait(&req);
-                t0.elapsed()
-            } else {
-                std::thread::sleep(Duration::from_millis(300));
-                assert_eq!(w.recv(0, 7).len(), n);
-                Duration::ZERO
-            }
-        })
-        .unwrap();
-        assert!(
-            out.results[0] >= Duration::from_millis(100),
-            "{backend:?}: rendezvous send completed before its receive ({:?})",
-            out.results[0]
-        );
-    }
+    let out = run(cfg(2), move |rc: RtRankCtx| {
+        let w = rc.world();
+        if rc.rank() == 0 {
+            let t0 = Instant::now();
+            let req = w.isend(1, 7, Payload::from_vec(vec![1u8; n]));
+            w.wait(&req);
+            t0.elapsed()
+        } else {
+            std::thread::sleep(Duration::from_millis(300));
+            assert_eq!(w.recv(0, 7).len(), n);
+            Duration::ZERO
+        }
+    })
+    .unwrap();
+    assert!(
+        out.results[0] >= Duration::from_millis(100),
+        "rendezvous send completed before its receive ({:?})",
+        out.results[0]
+    );
 }
 
 #[test]
 fn fifo_never_overtakes_on_both_backends() {
-    for backend in BACKENDS {
-        let out = run(cfg(backend, 2), |rc: RtRankCtx| {
-            let w = rc.world();
-            if rc.rank() == 0 {
-                for v in 0..8 {
-                    w.send(1, 1, Payload::from_f64s(&[v as f64]));
-                }
-                vec![]
-            } else {
-                (0..8).map(|_| w.recv(0, 1).to_f64s()[0]).collect()
+    let out = run(cfg(2), |rc: RtRankCtx| {
+        let w = rc.world();
+        if rc.rank() == 0 {
+            for v in 0..8 {
+                w.send(1, 1, Payload::from_f64s(&[v as f64]));
             }
-        })
-        .unwrap();
-        let expect: Vec<f64> = (0..8).map(|v| v as f64).collect();
-        assert_eq!(
-            out.results[1], expect,
-            "{backend:?}: non-overtaking violated"
-        );
-    }
+            vec![]
+        } else {
+            (0..8).map(|_| w.recv(0, 1).to_f64s()[0]).collect()
+        }
+    })
+    .unwrap();
+    let expect: Vec<f64> = (0..8).map(|v| v as f64).collect();
+    assert_eq!(out.results[1], expect, "non-overtaking violated");
 }
 
 #[test]
 fn envelopes_stay_isolated_on_both_backends() {
     // Same (src, dst, tag) on world and a dup'd communicator are distinct
     // envelopes; same communicator with distinct tags likewise.
-    for backend in BACKENDS {
-        let out = run(cfg(backend, 2), |rc: RtRankCtx| {
-            let w = rc.world();
-            let d = w.dup();
-            if rc.rank() == 0 {
-                let r1 = w.isend(1, 3, Payload::from_f64s(&[10.0]));
-                let r2 = d.isend(1, 3, Payload::from_f64s(&[20.0]));
-                let r3 = w.isend(1, 4, Payload::from_f64s(&[30.0]));
-                w.wait(&r1);
-                d.wait(&r2);
-                w.wait(&r3);
-                (0.0, 0.0, 0.0)
-            } else {
-                // Receive in reverse posting order: any cross-match would
-                // deliver the wrong payload to at least one of these.
-                let on_tag4 = w.recv(0, 4).to_f64s()[0];
-                let on_dup = d.recv(0, 3).to_f64s()[0];
-                let on_world = w.recv(0, 3).to_f64s()[0];
-                (on_world, on_dup, on_tag4)
-            }
-        })
-        .unwrap();
-        assert_eq!(
-            out.results[1],
-            (10.0, 20.0, 30.0),
-            "{backend:?}: envelope isolation violated"
-        );
-    }
+    let out = run(cfg(2), |rc: RtRankCtx| {
+        let w = rc.world();
+        let d = w.dup();
+        if rc.rank() == 0 {
+            let r1 = w.isend(1, 3, Payload::from_f64s(&[10.0]));
+            let r2 = d.isend(1, 3, Payload::from_f64s(&[20.0]));
+            let r3 = w.isend(1, 4, Payload::from_f64s(&[30.0]));
+            w.wait(&r1);
+            d.wait(&r2);
+            w.wait(&r3);
+            (0.0, 0.0, 0.0)
+        } else {
+            // Receive in reverse posting order: any cross-match would
+            // deliver the wrong payload to at least one of these.
+            let on_tag4 = w.recv(0, 4).to_f64s()[0];
+            let on_dup = d.recv(0, 3).to_f64s()[0];
+            let on_world = w.recv(0, 3).to_f64s()[0];
+            (on_world, on_dup, on_tag4)
+        }
+    })
+    .unwrap();
+    assert_eq!(
+        out.results[1],
+        (10.0, 20.0, 30.0),
+        "envelope isolation violated"
+    );
 }
 
 #[test]
@@ -142,27 +128,25 @@ fn explicit_wait_and_shard_knobs_hold_on_both_backends() {
     // A zero spin budget forces every wait straight to the parker; an odd
     // shard count exercises non-default `ctx % shards` routing. The
     // semantics must be knob-invariant.
-    for backend in BACKENDS {
-        let p = 4;
-        let out = run(
-            cfg(backend, p)
-                .with_spin_budget(Duration::ZERO)
-                .with_progress_shards(3),
-            move |rc: RtRankCtx| {
-                let w = rc.world();
-                let comms = w.dup_n(4);
-                let reqs: Vec<_> = comms
-                    .iter()
-                    .map(|c| c.iallreduce(Payload::from_f64s(&[rc.rank() as f64])))
-                    .collect();
-                reqs.iter().map(|r| w.wait(r).to_f64s()[0]).sum::<f64>()
-            },
-        )
-        .unwrap();
-        let per_comm: f64 = (0..p).map(|r| r as f64).sum();
-        for &v in &out.results {
-            assert_eq!(v, 4.0 * per_comm, "{backend:?}: sharded iallreduce wrong");
-        }
+    let p = 4;
+    let out = run(
+        cfg(p)
+            .with_spin_budget(Duration::ZERO)
+            .with_progress_shards(3),
+        move |rc: RtRankCtx| {
+            let w = rc.world();
+            let comms = w.dup_n(4);
+            let reqs: Vec<_> = comms
+                .iter()
+                .map(|c| c.iallreduce(Payload::from_f64s(&[rc.rank() as f64])))
+                .collect();
+            reqs.iter().map(|r| w.wait(r).to_f64s()[0]).sum::<f64>()
+        },
+    )
+    .unwrap();
+    let per_comm: f64 = (0..p).map(|r| r as f64).sum();
+    for &v in &out.results {
+        assert_eq!(v, 4.0 * per_comm, "sharded iallreduce wrong");
     }
 }
 

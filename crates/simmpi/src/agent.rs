@@ -4,15 +4,23 @@
 //! collective runs on its own *operation agent* (a progress-pool worker with
 //! a deterministic actor id and its own virtual clock starting at the post
 //! time) — this is how MPI-3 nonblocking collectives make asynchronous
-//! progress in the simulation.
+//! progress in the simulation. The agent is also the simulator's
+//! [`Transport`]: the communicator front end reaches the engine, the flow
+//! network and the trace only through it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ovcomm_simnet::{Action, EventKey, ParkCell, SimDur, SimTime, SpanKind, TraceSpan};
+use ovcomm_simnet::{
+    Action, EdgeKind, EventKey, Fiber, ForcedUnwind, ParkCell, SimDur, SimTime, SpanKind, TraceSpan,
+};
+use ovcomm_verify::Site;
 
+use crate::comm::Comm;
+use crate::payload::Payload;
 use crate::request::Request;
-use crate::universe::UniShared;
+use crate::transport::{CommEnv, Transport};
+use crate::universe::{ExecMode, UniShared};
 
 /// Event class for p2p injection events.
 pub(crate) const CLASS_P2P: u8 = 10;
@@ -23,24 +31,24 @@ pub(crate) const CLASS_TIMER: u8 = 20;
 /// clock, and its park cell. Clones share the clock (used by `Comm` handles
 /// and the end-time bookkeeping).
 #[derive(Clone)]
-pub(crate) struct Agent {
+pub struct Agent {
     /// Engine actor id (equals `rank` for rank agents; high-bit-tagged for
     /// operation agents).
-    pub id: u32,
+    pub(crate) id: u32,
     /// World rank this agent acts on behalf of (decides node placement).
-    pub rank: u32,
+    pub(crate) rank: u32,
     clock: Arc<AtomicU64>,
     seq: Arc<AtomicU64>,
     /// Counter of nonblocking operations posted by this rank (used to mint
     /// deterministic operation-actor ids). Only rank agents use it.
-    pub op_counter: Arc<AtomicU64>,
-    pub cell: Arc<ParkCell>,
-    pub uni: Arc<UniShared>,
+    op_counter: Arc<AtomicU64>,
+    pub(crate) cell: Arc<ParkCell>,
+    pub(crate) uni: Arc<UniShared>,
 }
 
 impl Agent {
     /// Agent for a rank thread.
-    pub fn new_rank(rank: u32, cell: Arc<ParkCell>, uni: Arc<UniShared>) -> Agent {
+    pub(crate) fn new_rank(rank: u32, cell: Arc<ParkCell>, uni: Arc<UniShared>) -> Agent {
         Agent {
             id: rank,
             rank,
@@ -53,7 +61,7 @@ impl Agent {
     }
 
     /// Agent for an operation (progress) actor starting at `start`.
-    pub fn new_op(
+    pub(crate) fn new_op(
         id: u32,
         rank: u32,
         start: SimTime,
@@ -72,18 +80,18 @@ impl Agent {
     }
 
     /// Current local virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         SimTime(self.clock.load(Ordering::Relaxed))
     }
 
     /// Move the local clock forward by `d`.
-    pub fn advance(&self, d: SimDur) {
+    pub(crate) fn advance(&self, d: SimDur) {
         let now = self.now();
         self.clock.store((now + d).as_nanos(), Ordering::Relaxed);
     }
 
     /// Clamp the local clock up to `t` (no-op if already past it).
-    pub fn advance_to(&self, t: SimTime) {
+    pub(crate) fn advance_to(&self, t: SimTime) {
         let now = self.now();
         if t > now {
             self.clock.store(t.as_nanos(), Ordering::Relaxed);
@@ -91,7 +99,7 @@ impl Agent {
     }
 
     /// Mint a unique event key at time `t` for this agent.
-    pub fn event_key(&self, t: SimTime, class: u8) -> EventKey {
+    pub(crate) fn event_key(&self, t: SimTime, class: u8) -> EventKey {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         EventKey {
             time: t,
@@ -102,23 +110,23 @@ impl Agent {
     }
 
     /// Schedule `action` at this agent's current clock (or later).
-    pub fn schedule(&self, at: SimTime, class: u8, action: Action) {
+    pub(crate) fn schedule(&self, at: SimTime, class: u8, action: Action) {
         debug_assert!(at >= self.now() || self.now() == at);
         self.uni.engine.schedule(self.event_key(at, class), action);
     }
 
     /// Block until `req` completes; returns its value and advances the
     /// clock to `max(local clock, completion time)` — `MPI_Wait`.
-    pub fn wait<T>(&self, req: &Request<T>) -> T {
+    pub(crate) fn wait<T>(&self, req: &Request<T>) -> T {
         // Tell the verifier what we are blocked on: if the run deadlocks
         // while we are parked below, this entry becomes our line of the
         // wait-for diagnosis; on success it records the wait edge.
-        let vid = if self.uni.verify.is_some() {
+        let vid = if self.uni.env.verify.is_some() {
             req.verify_id()
         } else {
             None
         };
-        if let (Some(v), Some(id)) = (self.uni.verify.as_ref(), vid) {
+        if let (Some(v), Some(id)) = (self.uni.env.verify.as_ref(), vid) {
             v.wait_begin(self.id, id);
         }
         let out = loop {
@@ -137,7 +145,7 @@ impl Agent {
                 self.advance_to(tw);
             }
         };
-        if let (Some(v), Some(id)) = (self.uni.verify.as_ref(), vid) {
+        if let (Some(v), Some(id)) = (self.uni.env.verify.as_ref(), vid) {
             v.wait_end(self.id);
             v.record(ovcomm_verify::Event::WaitDone {
                 agent: self.id,
@@ -147,27 +155,17 @@ impl Agent {
         out
     }
 
-    /// Nonblocking completion probe — `MPI_Test`. True only once the
-    /// completion time is at or before this agent's clock (an agent cannot
-    /// observe the future).
-    pub fn test<T>(&self, req: &Request<T>) -> bool {
-        match req.completed_at() {
-            Some(t) => t <= self.now(),
-            None => false,
-        }
-    }
-
     /// Perform `bytes` of local reduction compute through this rank's
     /// shared reduction-CPU resource: the time depends on how many other
     /// operations of the same rank are reducing concurrently (max-min
     /// sharing at `gamma_reduce_bw` per stream, `reduce_parallel x` total).
     /// Blocks the calling agent until the work completes.
-    pub fn reduce_compute(&self, bytes: usize) {
+    pub(crate) fn reduce_compute(&self, bytes: usize) {
         if bytes == 0 {
             return;
         }
         let res = self.uni.cpu[self.rank as usize];
-        let cap = self.uni.profile.gamma_reduce_bw;
+        let cap = self.uni.env.profile.gamma_reduce_bw;
         let cell = self.cell.clone();
         let at = self.now();
         let uni = self.uni.clone();
@@ -192,7 +190,7 @@ impl Agent {
     }
 
     /// Sleep for `d` of virtual time.
-    pub fn sleep(&self, d: SimDur) {
+    pub(crate) fn sleep(&self, d: SimDur) {
         let wake_at = self.now() + d;
         let cell = self.cell.clone();
         self.schedule(
@@ -207,7 +205,7 @@ impl Agent {
     }
 
     /// Record a trace span if tracing is on (label built lazily).
-    pub fn trace_span(
+    pub(crate) fn trace_span(
         &self,
         kind: SpanKind,
         start: SimTime,
@@ -218,7 +216,7 @@ impl Agent {
     }
 
     /// Record a trace span carrying a pipeline chunk index.
-    pub fn trace_span_chunk(
+    pub(crate) fn trace_span_chunk(
         &self,
         kind: SpanKind,
         chunk: Option<u32>,
@@ -236,5 +234,155 @@ impl Agent {
                 end,
             });
         }
+    }
+}
+
+impl Transport for Agent {
+    type Win = crate::rma::SimWin;
+
+    fn id(&self) -> u32 {
+        self.id
+    }
+
+    fn rank(&self) -> u32 {
+        self.rank
+    }
+
+    fn next_op_index(&self) -> u64 {
+        self.op_counter.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn env(&self) -> &CommEnv {
+        &self.uni.env
+    }
+
+    fn now(&self) -> SimTime {
+        Agent::now(self)
+    }
+
+    fn charge_post(&self, d: SimDur) {
+        self.advance(d);
+    }
+
+    fn charge_slack(&self, d: SimDur) {
+        self.advance(d);
+    }
+
+    /// γ-reduce through the rank's shared reduction-CPU resource, so
+    /// concurrent collectives on one rank contend for it.
+    fn charge_reduce(&self, n: usize) {
+        self.reduce_compute(n);
+    }
+
+    fn isend_raw(&self, site: Site, ctx: u32, dst: u32, tag: u64, payload: Payload) -> Request<()> {
+        crate::p2p::isend_raw(self, site, ctx, dst, tag, payload)
+    }
+
+    fn irecv_raw(&self, site: Site, ctx: u32, src: u32, tag: u64) -> Request<Payload> {
+        crate::p2p::irecv_raw(self, site, ctx, src, tag)
+    }
+
+    fn wait<V>(&self, req: &Request<V>) -> V {
+        Agent::wait(self, req)
+    }
+
+    fn complete<V>(&self, req: &Request<V>, value: V, at: SimTime) {
+        self.uni.complete(req, value, at);
+    }
+
+    fn span(
+        &self,
+        kind: SpanKind,
+        chunk: Option<u32>,
+        start: SimTime,
+        end: SimTime,
+        label: impl FnOnce() -> String,
+    ) {
+        self.trace_span_chunk(kind, chunk, start, end, label);
+    }
+
+    fn edge(
+        &self,
+        kind: EdgeKind,
+        from_actor: u32,
+        from_time: SimTime,
+        to_actor: u32,
+        to_time: SimTime,
+    ) {
+        self.uni
+            .edge(kind, from_actor, from_time, to_actor, to_time);
+    }
+
+    /// Run `body` on a fresh progress actor whose clock starts at this
+    /// rank's current time.
+    fn spawn_op(&self, id: u32, _ctx: u32, body: impl FnOnce(&Agent) + Send + 'static) {
+        let uni = self.uni.clone();
+        let rank = self.rank;
+        let cell = Arc::new(ParkCell::new());
+        let start = self.now();
+        let uni2 = uni.clone();
+        let cell2 = cell.clone();
+        uni.env.metrics.pool_occupancy.inc();
+        // The op body is mode-agnostic: `await_release` blocks a pool
+        // thread or consumes the fiber's deposited release time, and the
+        // engine releases the op at its post time `start` either way.
+        let job: Box<dyn FnOnce() + Send> = Box::new(move || {
+            struct Finish {
+                uni: Arc<UniShared>,
+                id: u32,
+            }
+            impl Drop for Finish {
+                fn drop(&mut self) {
+                    self.uni.engine.actor_finished(self.id);
+                }
+            }
+            let _guard = Finish {
+                uni: uni2.clone(),
+                id,
+            };
+            struct Occupied(Arc<UniShared>);
+            impl Drop for Occupied {
+                fn drop(&mut self) {
+                    self.0.env.metrics.pool_occupancy.dec();
+                }
+            }
+            let _occupied = Occupied(uni2.clone());
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                uni2.engine.await_release(&cell2);
+                body(&Agent::new_op(id, rank, start, cell2.clone(), uni2.clone()));
+            }));
+            if let Err(e) = out {
+                // Fiber cancellation keeps unwinding; deadlock unwinds
+                // land here; other panics are recorded for the
+                // universe to surface.
+                if e.downcast_ref::<ForcedUnwind>().is_some() {
+                    std::panic::resume_unwind(e);
+                }
+                let msg = e
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| e.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "<op actor panic>".to_string());
+                uni2.record_op_panic(rank, msg);
+            }
+        });
+        // Register before returning so the engine cannot advance past the
+        // post time before the op actor starts. The op becomes ready at
+        // its post time, which keeps the release order — and therefore the
+        // whole simulation — identical across execution modes.
+        match uni.exec {
+            ExecMode::EventDriven => {
+                let fiber = Fiber::new(uni.fiber_stack, job);
+                uni.engine.register_fiber_at(id, fiber, cell, start);
+            }
+            ExecMode::Threads => {
+                uni.engine.register_actor_at(id, cell, start);
+                uni.pool.submit(job);
+            }
+        }
+    }
+
+    fn win_open(comm: Comm<Agent>, key: (u32, u64), id: u64, local: Payload) -> crate::rma::SimWin {
+        crate::rma::SimWin::open(comm, key, id, local)
     }
 }

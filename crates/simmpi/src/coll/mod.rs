@@ -15,28 +15,30 @@
 //!
 //! Every communication round charges `coll_round_slack` of software
 //! overhead and local reductions charge `n / gamma_reduce_bw`; those are
-//! the NIC-idle gaps that overlapped collectives fill in the paper.
+//! the NIC-idle gaps that overlapped collectives fill in the paper. On the
+//! wall-clock runtime the same calls go through the shared-memory mailbox,
+//! slack is real time per its compute mode, and the executor's
+//! `reduce_sum_f64` *is* the reduction cost — the [`Transport`] decides.
 
 use ovcomm_simnet::{SimTime, SpanKind};
 
-use crate::agent::Agent;
 use crate::comm::CommInfo;
-use crate::p2p::{irecv_raw, isend_raw};
 use crate::payload::Payload;
-use crate::planexec::PlanIo;
 use crate::request::Request;
+use crate::transport::Transport;
 
-/// Per-instance context handed to the plan executor: the executing agent
-/// plus the communicator and instance identity that scope its tags.
-pub(crate) struct CollCtx<'a> {
-    pub agent: &'a Agent,
+/// Per-instance context handed to the plan executor — its whole I/O
+/// surface: the executing agent plus the communicator and instance
+/// identity that scope its tags.
+pub(crate) struct CollCtx<'a, T: Transport> {
+    pub agent: &'a T,
     pub info: &'a CommInfo,
     /// Per-communicator collective sequence number (identical on all ranks
     /// because collectives are called in the same order).
     pub seq: u64,
 }
 
-impl CollCtx<'_> {
+impl<T: Transport> CollCtx<'_, T> {
     /// Internal tag for communication step `step` of this instance.
     fn tag(&self, step: u32) -> u64 {
         assert!(
@@ -46,61 +48,66 @@ impl CollCtx<'_> {
         (1 << 63) | (self.seq << 24) | step as u64
     }
 
-    /// World rank of communicator index `idx`.
-    fn world(&self, idx: usize) -> u32 {
-        self.info.ranks[idx]
-    }
-}
-
-/// The simulator's side of the executor's I/O surface: internal p2p over
-/// the flow network, virtual-time slack, and γ-reduce charging through the
-/// rank's shared reduction-CPU resource (so concurrent collectives on one
-/// rank contend for it).
-impl PlanIo for CollCtx<'_> {
-    fn p(&self) -> usize {
+    /// Communicator size (must equal the plan's `p`).
+    pub fn p(&self) -> usize {
         self.info.ranks.len()
     }
 
-    fn me(&self) -> usize {
+    /// This rank's index within the communicator (must equal the plan's
+    /// `me`).
+    pub fn me(&self) -> usize {
         self.info.me
     }
 
-    fn isend(&self, dst: usize, tag: u32, payload: Payload) -> Request<()> {
-        isend_raw(
-            self.agent,
+    /// Nonblocking internal send of `payload` to communicator index `dst`
+    /// with plan-assigned step tag `tag`.
+    pub fn isend(&self, dst: usize, tag: u32, payload: Payload) -> Request<()> {
+        self.agent.isend_raw(
+            std::panic::Location::caller(),
             self.info.ctx,
-            self.world(dst),
+            self.info.ranks[dst],
             self.tag(tag),
             payload,
         )
     }
 
-    fn irecv(&self, src: usize, tag: u32) -> Request<Payload> {
-        irecv_raw(self.agent, self.info.ctx, self.world(src), self.tag(tag))
+    /// Nonblocking internal receive from communicator index `src` with
+    /// plan-assigned step tag `tag`.
+    pub fn irecv(&self, src: usize, tag: u32) -> Request<Payload> {
+        self.agent.irecv_raw(
+            std::panic::Location::caller(),
+            self.info.ctx,
+            self.info.ranks[src],
+            self.tag(tag),
+        )
     }
 
-    fn wait_unit(&self, r: &Request<()>) {
-        self.agent.wait(r);
-    }
-
-    fn wait_payload(&self, r: &Request<Payload>) -> Payload {
+    /// Block until a posted step completes; returns its value.
+    pub fn wait<V>(&self, r: &Request<V>) -> V {
         self.agent.wait(r)
     }
 
-    fn slack(&self) {
-        self.agent.advance(self.agent.uni.profile.coll_round_slack);
+    /// Charge one communication round of software slack.
+    pub fn slack(&self) {
+        self.agent
+            .charge_slack(self.agent.env().profile.coll_round_slack);
     }
 
-    fn reduce_charge(&self, n: usize) {
-        self.agent.reduce_compute(n);
+    /// Charge the local reduction of an `n`-byte operand (the executor
+    /// performs the actual arithmetic via `Payload::reduce_sum_f64`).
+    pub fn reduce_charge(&self, n: usize) {
+        self.agent.charge_reduce(n);
     }
 
-    fn now(&self) -> SimTime {
+    /// Current time on the executing agent's clock (virtual or wall).
+    pub fn now(&self) -> SimTime {
         self.agent.now()
     }
 
-    fn step_span(&self, t0: SimTime, label: impl FnOnce() -> String) {
+    /// Record a `CollStep` span from `t0` to now (label built lazily; no-op
+    /// when tracing is off).
+    pub fn step_span(&self, t0: SimTime, label: impl FnOnce() -> String) {
         self.agent
-            .trace_span(SpanKind::CollStep, t0, self.agent.now(), label);
+            .span(SpanKind::CollStep, None, t0, self.agent.now(), label);
     }
 }

@@ -6,24 +6,30 @@
 //! paper's nonblocking-overlap technique, which issues each data chunk on
 //! its own duplicated communicator. `split` creates row/column/grid
 //! communicators of process meshes.
+//!
+//! The handle is generic over the backend's [`Transport`]: this one front
+//! end — argument checks, tag namespacing, plan lookup, verify events,
+//! metrics, trace spans, op-actor ids, the split rendezvous — serves both
+//! the virtual-time simulator (`ovcomm_simmpi::Comm`) and the wall-clock
+//! runtime (`ovcomm_rt::RtComm`), so kernel results, verify logs and
+//! per-rank counters agree across backends by construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ovcomm_simnet::{ParkCell, SimTime, SpanKind};
+use ovcomm_simnet::{EdgeKind, SimTime, SpanKind};
 use ovcomm_verify::plan::{self, CollPlan};
 use ovcomm_verify::{CollKind, Event as VEvent, ReqId, Site, VerifyMode};
 
-use crate::agent::Agent;
 use crate::coll::CollCtx;
 use crate::collsel::CollSelector;
 use crate::metrics::OpKind;
-use crate::p2p::{irecv_raw, isend_raw};
 use crate::payload::Payload;
 use crate::planexec::execute_plan;
 use crate::request::{ReqMeta, Request};
-use crate::state::SplitGather;
-use crate::universe::{op_actor_id, PlanCache, UniShared};
+use crate::state::SplitResult;
+use crate::transport::{CommEnv, Transport, WORLD_CTX};
+use crate::universe::{op_actor_id, PlanCache};
 
 /// Largest communicator size whose compiled schedules are model-checked
 /// under `Strict`. The check explores receive-match interleavings across
@@ -53,19 +59,36 @@ pub fn compile_plans(
     n: usize,
     root: usize,
 ) -> Arc<Vec<CollPlan>> {
+    compile_shape(cache, sel, mode, p, kind, n, root).0
+}
+
+/// [`compile_plans`], also reporting whether this call compiled the shape
+/// fresh under `Strict` *without* its model check (`p` beyond
+/// [`MODEL_CHECK_MAX_P`]) — so the front end counts the skip once per
+/// shape instead of dropping it without a word.
+fn compile_shape(
+    cache: &parking_lot::Mutex<PlanCache>,
+    sel: &CollSelector,
+    mode: VerifyMode,
+    p: usize,
+    kind: CollKind,
+    n: usize,
+    root: usize,
+) -> (Arc<Vec<CollPlan>>, bool) {
     let algo = sel.select(kind, n, p);
     let key = (kind, algo, p, n, root);
     let mut cache = cache.lock();
     if let Some(cached) = cache.get(&key) {
         // Memoized: findings (if any) were already rendered at first
         // compile — never re-print on a hit.
-        return cached.plans.clone();
+        return (cached.plans.clone(), false);
     }
     let plans = plan::build_all(kind, algo, p, n, root);
     let mut findings: Vec<String> = Vec::new();
+    let mc_skipped = mode == VerifyMode::Strict && p > MODEL_CHECK_MAX_P;
     if mode != VerifyMode::Off {
         findings.extend(plan::lint_plans(&plans).iter().map(|f| f.to_string()));
-        if mode == VerifyMode::Strict && p <= MODEL_CHECK_MAX_P {
+        if mode == VerifyMode::Strict && !mc_skipped {
             let report = plan::model_check_single(&plans, &plan::McConfig::default());
             findings.extend(report.findings.iter().map(|f| f.to_string()));
             if report.truncated {
@@ -101,26 +124,7 @@ pub fn compile_plans(
         findings: Arc::new(findings),
     };
     cache.insert(key, cached.clone());
-    cached.plans
-}
-
-/// `compile_plans` against the simulator universe's cache and selector.
-fn plans_for(
-    uni: &UniShared,
-    p: usize,
-    kind: CollKind,
-    n: usize,
-    root: usize,
-) -> Arc<Vec<CollPlan>> {
-    compile_plans(
-        &uni.plan_cache,
-        &uni.coll_select,
-        uni.verify_mode,
-        p,
-        kind,
-        n,
-        root,
-    )
+    (cached.plans, mc_skipped)
 }
 
 /// Unwrap a collective result that the plan contract guarantees exists.
@@ -142,23 +146,38 @@ pub(crate) struct CommInfo {
     pub me: usize,
 }
 
-/// A communicator handle for one rank.
+/// A communicator handle for one rank, over backend transport `T`
+/// (`ovcomm_simmpi::Comm` on the simulator, `ovcomm_rt::RtComm` on the
+/// wall-clock runtime).
 #[derive(Clone)]
-pub struct Comm {
+pub struct Comm<T: Transport> {
     pub(crate) info: CommInfo,
-    pub(crate) agent: Agent,
+    /// The executing agent — everything backend-specific is behind it.
+    pub(crate) agent: T,
     dup_seq: Arc<AtomicU64>,
     split_seq: Arc<AtomicU64>,
     coll_seq: Arc<AtomicU64>,
     /// Per-rank window-creation counter (all members call `win_create` in
-    /// the same order, so the values agree across ranks). Consumed by
-    /// `Comm::win_create` in the `rma` module.
-    pub(crate) win_seq: Arc<AtomicU64>,
+    /// the same order, so the values agree across ranks).
+    win_seq: Arc<AtomicU64>,
 }
 
-impl Comm {
-    pub(crate) fn new(info: CommInfo, agent: Agent) -> Comm {
-        if let Some(v) = agent.uni.verify.as_ref() {
+impl<T: Transport> Comm<T> {
+    /// The world communicator handle of the rank `agent` runs.
+    #[doc(hidden)]
+    pub fn new_world(agent: T, ranks: Arc<Vec<u32>>, me: usize) -> Comm<T> {
+        Comm::new(
+            CommInfo {
+                ctx: WORLD_CTX,
+                ranks,
+                me,
+            },
+            agent,
+        )
+    }
+
+    fn new(info: CommInfo, agent: T) -> Comm<T> {
+        if let Some(v) = agent.env().verify.as_ref() {
             // Every rank records the (identical) declaration; the analyzer
             // keys on the context id, so duplicates are harmless.
             v.record(VEvent::CommDecl {
@@ -176,6 +195,16 @@ impl Comm {
         }
     }
 
+    /// The backend agent this handle executes on.
+    #[doc(hidden)]
+    pub fn agent(&self) -> &T {
+        &self.agent
+    }
+
+    fn env(&self) -> &CommEnv {
+        self.agent.env()
+    }
+
     /// Log a collective call on this communicator into the verifier's
     /// per-agent event stream (no-op when verification is off).
     fn record_coll(
@@ -186,10 +215,10 @@ impl Comm {
         blocking: bool,
         site: Site,
     ) {
-        if let Some(v) = self.agent.uni.verify.as_ref() {
+        if let Some(v) = self.env().verify.as_ref() {
             v.record(VEvent::Coll {
-                agent: self.agent.id,
-                rank: self.agent.rank,
+                agent: self.agent.id(),
+                rank: self.agent.rank(),
                 ctx: self.info.ctx,
                 kind,
                 root,
@@ -221,7 +250,7 @@ impl Comm {
         self.coll_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn cctx<'a>(&'a self, seq: u64) -> CollCtx<'a> {
+    fn cctx(&self, seq: u64) -> CollCtx<'_, T> {
         CollCtx {
             agent: &self.agent,
             info: &self.info,
@@ -231,7 +260,26 @@ impl Comm {
 
     /// This communicator's compiled plans for one collective shape.
     fn plans(&self, kind: CollKind, n: usize, root: usize) -> Arc<Vec<CollPlan>> {
-        plans_for(&self.agent.uni, self.size(), kind, n, root)
+        let env = self.env();
+        let p = self.size();
+        let (plans, mc_skipped) = compile_shape(
+            &env.plan_cache,
+            &env.coll_select,
+            env.verify_mode,
+            p,
+            kind,
+            n,
+            root,
+        );
+        if mc_skipped {
+            env.metrics.plan_mc_skipped(p);
+        }
+        plans
+    }
+
+    /// Child handle over `ranks` on context `ctx`, run by the same agent.
+    fn child(&self, ctx: u32, ranks: Arc<Vec<u32>>, me: usize) -> Comm<T> {
+        Comm::new(CommInfo { ctx, ranks, me }, self.agent.clone())
     }
 
     // ---------------------------------------------------------------
@@ -242,7 +290,7 @@ impl Comm {
     /// the same order (as in MPI). Used to create the `N_DUP` communicator
     /// copies of the nonblocking-overlap technique.
     #[track_caller]
-    pub fn dup(&self) -> Comm {
+    pub fn dup(&self) -> Comm<T> {
         self.record_coll(
             CollKind::Dup,
             None,
@@ -251,34 +299,54 @@ impl Comm {
             std::panic::Location::caller(),
         );
         let seq = self.dup_seq.fetch_add(1, Ordering::Relaxed);
-        self.agent
-            .uni
-            .metrics
-            .comm_dup(self.agent.rank, self.info.ctx);
-        let ctx = self.agent.uni.state.lock().child_ctx(self.info.ctx, seq);
-        Comm::new(
-            CommInfo {
-                ctx,
-                ranks: self.info.ranks.clone(),
-                me: self.info.me,
-            },
-            self.agent.clone(),
-        )
+        let env = self.env();
+        env.metrics.comm_dup(self.agent.rank(), self.info.ctx);
+        let ctx = env.comms.lock().child_ctx(self.info.ctx, seq);
+        self.child(ctx, self.info.ranks.clone(), self.info.me)
     }
 
     /// `n` duplicates (convenience for building N_DUP bundles).
     #[track_caller]
-    pub fn dup_n(&self, n: usize) -> Vec<Comm> {
+    pub fn dup_n(&self, n: usize) -> Vec<Comm<T>> {
         (0..n).map(|_| self.dup()).collect()
     }
 
+    /// Collective window creation (`MPI_Win_create`): every member exposes
+    /// `local` as its segment and gets back a handle over all segments.
+    /// The window starts **outside** any epoch — the first `fence` opens
+    /// the first access epoch, or take a passive-target `lock`.
+    #[track_caller]
+    pub fn win_create(&self, local: Payload) -> T::Win {
+        let site: Site = std::panic::Location::caller();
+        let seq = self.win_seq.fetch_add(1, Ordering::Relaxed);
+        let key = (self.info.ctx, seq);
+        let id = ((self.info.ctx as u64) << 32) | seq;
+        let env = self.env();
+        if let Some(v) = env.verify.as_ref() {
+            v.record(VEvent::WinDecl {
+                agent: self.agent.id(),
+                rank: self.agent.rank(),
+                ctx: self.info.ctx,
+                win: id,
+                len: local.len(),
+                site: Some(site),
+            });
+        }
+        env.rma_metric(self.agent.rank(), "win_create", local.len());
+        // Private duplicate for the window's own barriers, so fence
+        // traffic can never match user traffic on the parent comm.
+        T::win_open(self.dup(), key, id, local)
+    }
+
     /// Split by color/key (like `MPI_Comm_split`). Ranks passing a negative
-    /// color get `None`. Synchronizes all members of this communicator.
+    /// color get `None`. Synchronizes all members of this communicator:
+    /// every rank deposits its (rank, color, key), the last one computes
+    /// the grouping and completes everyone's rendezvous request.
     // The `expect`s below assert split-rendezvous bookkeeping shared by all
     // members; `position` must succeed because this rank deposited itself.
     #[allow(clippy::expect_used, clippy::unwrap_used)]
     #[track_caller]
-    pub fn split(&self, color: i64, key: u64) -> Option<Comm> {
+    pub fn split(&self, color: i64, key: u64) -> Option<Comm<T>> {
         self.record_coll(
             CollKind::Split,
             None,
@@ -287,82 +355,50 @@ impl Comm {
             std::panic::Location::caller(),
         );
         let seq = self.split_seq.fetch_add(1, Ordering::Relaxed);
-        let uni = self.agent.uni.clone();
+        let env = self.env();
         let gather_key = (self.info.ctx, seq);
-        let expected = self.size();
         let me = self.rank();
-        let now = self.agent.now();
+        // Internal rendezvous handle: untracked, invisible to leak analysis.
+        let mine: Request<Arc<SplitResult>> = Request::new();
 
-        let to_wake = {
-            let mut st = uni.state.lock();
-            let entry = st.splits.entry(gather_key).or_insert_with(|| SplitGather {
-                entries: Vec::new(),
-                expected,
-                latest: SimTime::ZERO,
-                waiters: Vec::new(),
-                result: None,
-            });
-            entry.entries.push((me, color, key));
-            entry.latest = entry.latest.max(now);
-            entry.waiters.push(self.agent.cell.clone());
-            if entry.entries.len() == expected {
-                // Last depositor: compute groups, allocate child contexts
-                // through the registry (so every rank agrees), publish.
-                let mut sg = st.splits.remove(&gather_key).expect("split entry");
-                let latest = sg.latest;
+        let complete = {
+            let mut reg = env.comms.lock();
+            let sg = reg.splits.entry(gather_key).or_default();
+            sg.entries.push((me, color, key));
+            sg.latest = sg.latest.max(self.agent.now());
+            sg.waiters.push(mine.clone());
+            if sg.entries.len() == self.size() {
+                // Last depositor: compute groups, allocating child contexts
+                // through the registry (so every rank agrees), and publish.
+                let sg = reg.splits.remove(&gather_key).expect("split entry");
                 let parent = self.info.ctx;
-                let mut res = crate::state::SplitResult::compute(&sg.entries, latest, || 0);
-                for (gi, g) in res.groups.iter_mut().enumerate() {
-                    g.1 = st.child_ctx(parent, (1 << 32) | (seq << 8) | gi as u64);
-                }
-                sg.result = Some(Arc::new(res));
-                let waiters = std::mem::take(&mut sg.waiters);
-                st.splits.insert(gather_key, sg);
-                Some((waiters, latest))
+                let mut gi = 0u64;
+                let res = SplitResult::compute(&sg.entries, sg.latest, || {
+                    let ctx = reg.child_ctx(parent, (1 << 32) | (seq << 8) | gi);
+                    gi += 1;
+                    ctx
+                });
+                Some((Arc::new(res), sg.waiters))
             } else {
                 None
             }
         };
-        // The last depositor wakes everyone, including itself; its own
-        // stray wake is consumed below.
-        if let Some((waiters, latest)) = to_wake {
-            for cell in &waiters {
-                uni.engine.wake(cell, latest);
+        if let Some((res, waiters)) = complete {
+            for w in &waiters {
+                self.agent.complete(w, res.clone(), res.at);
             }
         }
 
         // Wait until the result is available. Register the block with the
         // verifier so a rank missing from the split shows up in a deadlock
         // diagnosis as "blocked in MPI_Comm_split".
-        if let Some(v) = uni.verify.as_ref() {
-            v.wait_begin_split(self.agent.id, self.info.ctx);
+        if let Some(v) = env.verify.as_ref() {
+            v.wait_begin_split(self.agent.id(), self.info.ctx);
         }
-        let result = loop {
-            {
-                let mut st = uni.state.lock();
-                let entry = st
-                    .splits
-                    .get_mut(&gather_key)
-                    .expect("split entry vanished");
-                if let Some(res) = entry.result.clone() {
-                    // Last reader cleans up.
-                    entry.expected -= 1;
-                    if entry.expected == 0 {
-                        st.splits.remove(&gather_key);
-                    }
-                    break res;
-                }
-            }
-            let t = uni.engine.park(&self.agent.cell);
-            self.agent.advance_to(t);
-        };
-        if let Some(v) = uni.verify.as_ref() {
-            v.wait_end(self.agent.id);
+        let result = self.agent.wait(&mine);
+        if let Some(v) = env.verify.as_ref() {
+            v.wait_end(self.agent.id());
         }
-        if let Some(t) = uni.engine.consume_pending(&self.agent.cell) {
-            self.agent.advance_to(t);
-        }
-        self.agent.advance_to(result.at);
 
         if color < 0 {
             return None;
@@ -372,14 +408,7 @@ impl Comm {
             .expect("non-negative color must produce a group");
         let my_index = members.iter().position(|&r| r == me).unwrap();
         let world_ranks: Vec<u32> = members.iter().map(|&r| self.info.ranks[r]).collect();
-        Some(Comm::new(
-            CommInfo {
-                ctx,
-                ranks: Arc::new(world_ranks),
-                me: my_index,
-            },
-            self.agent.clone(),
-        ))
+        Some(self.child(ctx, Arc::new(world_ranks), my_index))
     }
 
     // ---------------------------------------------------------------
@@ -389,12 +418,11 @@ impl Comm {
     /// Nonblocking send to communicator rank `dst` with a user tag.
     #[track_caller]
     pub fn isend(&self, dst: usize, tag: u32, payload: Payload) -> Request<()> {
-        self.agent
-            .uni
+        self.env()
             .metrics
-            .op(self.agent.rank, OpKind::Isend, payload.len());
-        isend_raw(
-            &self.agent,
+            .op(self.agent.rank(), OpKind::Isend, payload.len());
+        self.agent.isend_raw(
+            std::panic::Location::caller(),
             self.info.ctx,
             self.info.ranks[dst],
             tag as u64,
@@ -405,8 +433,13 @@ impl Comm {
     /// Nonblocking receive from communicator rank `src`.
     #[track_caller]
     pub fn irecv(&self, src: usize, tag: u32) -> Request<Payload> {
-        self.agent.uni.metrics.op(self.agent.rank, OpKind::Irecv, 0);
-        irecv_raw(&self.agent, self.info.ctx, self.info.ranks[src], tag as u64)
+        self.env().metrics.op(self.agent.rank(), OpKind::Irecv, 0);
+        self.agent.irecv_raw(
+            std::panic::Location::caller(),
+            self.info.ctx,
+            self.info.ranks[src],
+            tag as u64,
+        )
     }
 
     /// Blocking send.
@@ -414,14 +447,10 @@ impl Comm {
     pub fn send(&self, dst: usize, tag: u32, payload: Payload) {
         let t0 = self.agent.now();
         let n = payload.len();
-        self.agent.uni.metrics.op(self.agent.rank, OpKind::Send, n);
+        self.env().metrics.op(self.agent.rank(), OpKind::Send, n);
         let r = self.isend(dst, tag, payload);
         self.wait(&r);
-        self.blocking_done(t0);
-        self.agent
-            .trace_span(SpanKind::BlockingCall, t0, self.agent.now(), || {
-                format!("MPI_Send {n}B -> {dst}")
-            });
+        self.blocking_done(t0, || format!("MPI_Send {n}B -> {dst}"));
     }
 
     /// Blocking receive; returns the payload.
@@ -430,25 +459,27 @@ impl Comm {
         let t0 = self.agent.now();
         let r = self.irecv(src, tag);
         let p = self.wait(&r);
-        self.agent
-            .uni
+        self.env()
             .metrics
-            .op(self.agent.rank, OpKind::Recv, p.len());
-        self.blocking_done(t0);
-        self.agent
-            .trace_span(SpanKind::BlockingCall, t0, self.agent.now(), || {
-                format!("MPI_Recv {}B <- {src}", p.len())
-            });
+            .op(self.agent.rank(), OpKind::Recv, p.len());
+        self.blocking_done(t0, || format!("MPI_Recv {}B <- {src}", p.len()));
         p
     }
 
-    /// Record the virtual duration of a blocking call that started at `t0`.
-    fn blocking_done(&self, t0: SimTime) {
-        let d = self.agent.now().saturating_since(t0);
+    /// Record the duration of a blocking call that started at `t0`, and its
+    /// `BlockingCall` trace span.
+    fn blocking_done(&self, t0: SimTime, label: impl FnOnce() -> String) {
+        self.blocking_duration(t0);
         self.agent
-            .uni
+            .span(SpanKind::BlockingCall, None, t0, self.agent.now(), label);
+    }
+
+    /// Record the duration of a blocking call that started at `t0`.
+    fn blocking_duration(&self, t0: SimTime) {
+        let d = self.agent.now().saturating_since(t0);
+        self.env()
             .metrics
-            .blocking_duration(self.agent.rank, d.as_nanos());
+            .blocking_duration(self.agent.rank(), d.as_nanos());
     }
 
     /// Blocking concurrent send+receive (`MPI_Sendrecv`).
@@ -460,50 +491,52 @@ impl Comm {
         self.wait(&rr)
     }
 
-    /// Wait for a request (`MPI_Wait`): blocks, returns the value, advances
-    /// this rank's clock to the completion time.
-    pub fn wait<T>(&self, req: &Request<T>) -> T {
+    /// Wait for a request (`MPI_Wait`): blocks, returns the value, and
+    /// leaves this rank's clock at or after the completion time.
+    pub fn wait<V>(&self, req: &Request<V>) -> V {
         let t0 = self.agent.now();
         let v = self.agent.wait(req);
         let d = self.agent.now().saturating_since(t0);
-        self.agent
-            .uni
+        self.env()
             .metrics
-            .wait_duration(self.agent.rank, d.as_nanos());
+            .wait_duration(self.agent.rank(), d.as_nanos());
         v
     }
 
     /// Wait for a request, recording a `Wait` trace span with `label`.
-    pub fn wait_traced<T>(&self, req: &Request<T>, label: &str) -> T {
+    pub fn wait_traced<V>(&self, req: &Request<V>, label: &str) -> V {
         self.wait_traced_impl(req, label, None)
     }
 
     /// Wait for a request, recording a `Wait` trace span tagged with the
     /// pipeline chunk index the request belongs to.
-    pub fn wait_traced_chunk<T>(&self, req: &Request<T>, label: &str, chunk: u32) -> T {
+    pub fn wait_traced_chunk<V>(&self, req: &Request<V>, label: &str, chunk: u32) -> V {
         self.wait_traced_impl(req, label, Some(chunk))
     }
 
-    fn wait_traced_impl<T>(&self, req: &Request<T>, label: &str, chunk: Option<u32>) -> T {
+    fn wait_traced_impl<V>(&self, req: &Request<V>, label: &str, chunk: Option<u32>) -> V {
         let t0 = self.agent.now();
         let v = self.wait(req);
         let owned = label.to_string();
         self.agent
-            .trace_span_chunk(SpanKind::Wait, chunk, t0, self.agent.now(), move || owned);
+            .span(SpanKind::Wait, chunk, t0, self.agent.now(), move || owned);
         v
     }
 
-    /// Nonblocking completion probe (`MPI_Test`).
-    pub fn test<T>(&self, req: &Request<T>) -> bool {
-        self.agent.uni.metrics.test_probe(self.agent.rank);
-        let done = self.agent.test(req);
+    /// Nonblocking completion probe (`MPI_Test`). True only once the
+    /// completion time is at or before this rank's clock: a virtual-time
+    /// agent cannot observe the future, and on the wall clock every
+    /// completion stamp is already in the past.
+    pub fn test<V>(&self, req: &Request<V>) -> bool {
+        self.env().metrics.test_probe(self.agent.rank());
+        let done = req.completed_at().is_some_and(|t| t <= self.agent.now());
         if done {
             // Only successful probes are logged: they prove the rank
             // observed completion (a request retired via `test` is not a
             // leak), and recording failed polls would flood the log.
-            if let (Some(v), Some(id)) = (self.agent.uni.verify.as_ref(), req.verify_id()) {
+            if let (Some(v), Some(id)) = (self.env().verify.as_ref(), req.verify_id()) {
                 v.record(VEvent::TestObserved {
-                    agent: self.agent.id,
+                    agent: self.agent.id(),
                     req: id,
                 });
             }
@@ -518,13 +551,58 @@ impl Comm {
 
     /// Wait for all requests in order and return their values
     /// (`MPI_Waitall` for receives and collectives).
-    pub fn wait_all_payloads<T>(&self, reqs: &[Request<T>]) -> Vec<T> {
+    pub fn wait_all_payloads<V>(&self, reqs: &[Request<V>]) -> Vec<V> {
         reqs.iter().map(|r| self.wait(r)).collect()
     }
 
     // ---------------------------------------------------------------
     // Blocking collectives (run inline on the rank thread)
     // ---------------------------------------------------------------
+
+    /// Panic unless `root` is a member index.
+    fn check_root(&self, what: &str, root: usize) {
+        let p = self.size();
+        assert!(root < p, "{what} root {root} out of range (p={p})");
+    }
+
+    /// Range-check `root` and, at the root, check that `data` is present
+    /// and `len` bytes long; returns the root's input (`None` elsewhere).
+    fn root_input(
+        &self,
+        what: &str,
+        root: usize,
+        data: Option<Payload>,
+        len: usize,
+    ) -> Option<Payload> {
+        self.check_root(what, root);
+        if self.info.me != root {
+            return None;
+        }
+        match data.as_ref() {
+            Some(d) => assert_eq!(d.len(), len, "{what} root data length mismatch"),
+            None => panic!("{what} root must supply data"),
+        }
+        data
+    }
+
+    /// Run one blocking collective instance inline on this rank: count it,
+    /// compile (or fetch) its plan, execute. Returns the result and the
+    /// call's start time.
+    fn run_blocking(
+        &self,
+        op: OpKind,
+        kind: CollKind,
+        n: usize,
+        root: usize,
+        input: Option<Payload>,
+    ) -> (Option<Payload>, SimTime) {
+        let seq = self.coll_seq_next();
+        let t0 = self.agent.now();
+        self.env().metrics.op(self.agent.rank(), op, n);
+        let plans = self.plans(kind, n, root);
+        let out = execute_plan(&self.cctx(seq), &plans[self.info.me], input);
+        (out, t0)
+    }
 
     /// Blocking broadcast from `root`. `data` must be `Some` at the root;
     /// `len` is the payload size every rank expects.
@@ -537,91 +615,44 @@ impl Comm {
             true,
             std::panic::Location::caller(),
         );
-        let p = self.size();
-        assert!(root < p, "bcast root {root} out of range (p={p})");
-        if self.info.me == root {
-            match data.as_ref() {
-                Some(d) => assert_eq!(d.len(), len, "bcast root data length mismatch"),
-                None => panic!("bcast root must supply data"),
-            }
-        }
-        let seq = self.coll_seq_next();
-        let t0 = self.agent.now();
-        self.agent
-            .uni
-            .metrics
-            .op(self.agent.rank, OpKind::Bcast, len);
-        let plans = self.plans(CollKind::Bcast, len, root);
-        let input = if self.info.me == root { data } else { None };
-        let out = expect_out(
-            execute_plan(&self.cctx(seq), &plans[self.info.me], input),
-            "bcast",
-        );
-        self.blocking_done(t0);
-        self.agent
-            .trace_span(SpanKind::BlockingCall, t0, self.agent.now(), || {
-                format!("MPI_Bcast {len}B root={root}")
-            });
-        out
+        let input = self.root_input("bcast", root, data, len);
+        let (out, t0) = self.run_blocking(OpKind::Bcast, CollKind::Bcast, len, root, input);
+        self.blocking_done(t0, || format!("MPI_Bcast {len}B root={root}"));
+        expect_out(out, "bcast")
     }
 
     /// Blocking sum-reduction to `root`; returns `Some` at the root.
     #[track_caller]
     pub fn reduce(&self, root: usize, contrib: Payload) -> Option<Payload> {
+        let n = contrib.len();
         self.record_coll(
             CollKind::Reduce,
             Some(root as u32),
-            contrib.len(),
+            n,
             true,
             std::panic::Location::caller(),
         );
-        let p = self.size();
-        assert!(root < p, "reduce root {root} out of range (p={p})");
-        let seq = self.coll_seq_next();
-        let n = contrib.len();
-        let t0 = self.agent.now();
-        self.agent
-            .uni
-            .metrics
-            .op(self.agent.rank, OpKind::Reduce, n);
-        let plans = self.plans(CollKind::Reduce, n, root);
-        let out = execute_plan(&self.cctx(seq), &plans[self.info.me], Some(contrib));
-        self.blocking_done(t0);
-        self.agent
-            .trace_span(SpanKind::BlockingCall, t0, self.agent.now(), || {
-                format!("MPI_Reduce {n}B root={root}")
-            });
+        self.check_root("reduce", root);
+        let (out, t0) = self.run_blocking(OpKind::Reduce, CollKind::Reduce, n, root, Some(contrib));
+        self.blocking_done(t0, || format!("MPI_Reduce {n}B root={root}"));
         out
     }
 
     /// Blocking sum-allreduce.
     #[track_caller]
     pub fn allreduce(&self, contrib: Payload) -> Payload {
+        let n = contrib.len();
         self.record_coll(
             CollKind::Allreduce,
             None,
-            contrib.len(),
+            n,
             true,
             std::panic::Location::caller(),
         );
-        let seq = self.coll_seq_next();
-        let n = contrib.len();
-        let t0 = self.agent.now();
-        self.agent
-            .uni
-            .metrics
-            .op(self.agent.rank, OpKind::Allreduce, n);
-        let plans = self.plans(CollKind::Allreduce, n, 0);
-        let out = expect_out(
-            execute_plan(&self.cctx(seq), &plans[self.info.me], Some(contrib)),
-            "allreduce",
-        );
-        self.blocking_done(t0);
-        self.agent
-            .trace_span(SpanKind::BlockingCall, t0, self.agent.now(), || {
-                format!("MPI_Allreduce {n}B")
-            });
-        out
+        let (out, t0) =
+            self.run_blocking(OpKind::Allreduce, CollKind::Allreduce, n, 0, Some(contrib));
+        self.blocking_done(t0, || format!("MPI_Allreduce {n}B"));
+        expect_out(out, "allreduce")
     }
 
     /// Blocking barrier.
@@ -634,19 +665,8 @@ impl Comm {
             true,
             std::panic::Location::caller(),
         );
-        let seq = self.coll_seq_next();
-        let t0 = self.agent.now();
-        self.agent
-            .uni
-            .metrics
-            .op(self.agent.rank, OpKind::Barrier, 0);
-        let plans = self.plans(CollKind::Barrier, 0, 0);
-        execute_plan(&self.cctx(seq), &plans[self.info.me], None);
-        self.blocking_done(t0);
-        self.agent
-            .trace_span(SpanKind::BlockingCall, t0, self.agent.now(), || {
-                "MPI_Barrier".to_string()
-            });
+        let (_, t0) = self.run_blocking(OpKind::Barrier, CollKind::Barrier, 0, 0, None);
+        self.blocking_done(t0, || "MPI_Barrier".to_string());
     }
 
     /// Blocking scatter of `len` bytes from `root`; returns this rank's
@@ -660,28 +680,10 @@ impl Comm {
             true,
             std::panic::Location::caller(),
         );
-        let p = self.size();
-        assert!(root < p, "scatter root {root} out of range (p={p})");
-        if self.info.me == root {
-            match data.as_ref() {
-                Some(d) => assert_eq!(d.len(), len, "scatter root data length mismatch"),
-                None => panic!("scatter root must supply data"),
-            }
-        }
-        let seq = self.coll_seq_next();
-        let t0 = self.agent.now();
-        self.agent
-            .uni
-            .metrics
-            .op(self.agent.rank, OpKind::Scatter, len);
-        let plans = self.plans(CollKind::Scatter, len, root);
-        let input = if self.info.me == root { data } else { None };
-        let out = expect_out(
-            execute_plan(&self.cctx(seq), &plans[self.info.me], input),
-            "scatter",
-        );
-        self.blocking_done(t0);
-        out
+        let input = self.root_input("scatter", root, data, len);
+        let (out, t0) = self.run_blocking(OpKind::Scatter, CollKind::Scatter, len, root, input);
+        self.blocking_duration(t0);
+        expect_out(out, "scatter")
     }
 
     /// Blocking gather (inverse of scatter); returns `Some` at the root.
@@ -694,17 +696,9 @@ impl Comm {
             true,
             std::panic::Location::caller(),
         );
-        let p = self.size();
-        assert!(root < p, "gather root {root} out of range (p={p})");
-        let seq = self.coll_seq_next();
-        let t0 = self.agent.now();
-        self.agent
-            .uni
-            .metrics
-            .op(self.agent.rank, OpKind::Gather, len);
-        let plans = self.plans(CollKind::Gather, len, root);
-        let out = execute_plan(&self.cctx(seq), &plans[self.info.me], Some(chunk));
-        self.blocking_done(t0);
+        self.check_root("gather", root);
+        let (out, t0) = self.run_blocking(OpKind::Gather, CollKind::Gather, len, root, Some(chunk));
+        self.blocking_duration(t0);
         out
     }
 
@@ -718,19 +712,10 @@ impl Comm {
             true,
             std::panic::Location::caller(),
         );
-        let seq = self.coll_seq_next();
-        let t0 = self.agent.now();
-        self.agent
-            .uni
-            .metrics
-            .op(self.agent.rank, OpKind::Allgather, len);
-        let plans = self.plans(CollKind::Allgather, len, 0);
-        let out = expect_out(
-            execute_plan(&self.cctx(seq), &plans[self.info.me], Some(chunk)),
-            "allgather",
-        );
-        self.blocking_done(t0);
-        out
+        let (out, t0) =
+            self.run_blocking(OpKind::Allgather, CollKind::Allgather, len, 0, Some(chunk));
+        self.blocking_duration(t0);
+        expect_out(out, "allgather")
     }
 
     // ---------------------------------------------------------------
@@ -744,40 +729,19 @@ impl Comm {
     #[track_caller]
     pub fn ibcast(&self, root: usize, data: Option<Payload>, len: usize) -> Request<Payload> {
         let site = std::panic::Location::caller();
-        let seq = self.coll_seq_next();
-        let t0 = self.agent.now();
-        let cost = self.agent.uni.profile.post_base;
-        self.agent.advance(cost);
-        self.post_done(t0, OpKind::Ibcast, len);
-        self.agent
-            .trace_span(SpanKind::Post, t0, self.agent.now(), || {
-                format!("MPI_Ibcast post {len}B root={root}")
-            });
-        let p = self.size();
-        assert!(root < p, "bcast root {root} out of range (p={p})");
-        if self.info.me == root {
-            match data.as_ref() {
-                Some(d) => assert_eq!(d.len(), len, "bcast root data length mismatch"),
-                None => panic!("bcast root must supply data"),
-            }
-        }
-        let plans = self.plans(CollKind::Bcast, len, root);
-        let input = if self.info.me == root { data } else { None };
-        let info = self.info.clone();
-        self.dispatch(
+        let input = self.root_input("bcast", root, data, len);
+        let (req, t0) = self.post(
+            OpKind::Ibcast,
             CollKind::Bcast,
-            Some(root as u32),
+            Some(root),
             len,
+            false,
             site,
-            move |agent| {
-                let cctx = CollCtx {
-                    agent,
-                    info: &info,
-                    seq,
-                };
-                expect_out(execute_plan(&cctx, &plans[info.me], input), "bcast")
-            },
-        )
+            input,
+            |out| expect_out(out, "bcast"),
+        );
+        self.post_span(t0, || format!("MPI_Ibcast post {len}B root={root}"));
+        req
     }
 
     /// Nonblocking reduction (`MPI_Ireduce`); every rank pays the buffer
@@ -785,57 +749,39 @@ impl Comm {
     #[track_caller]
     pub fn ireduce(&self, root: usize, contrib: Payload) -> Request<Option<Payload>> {
         let site = std::panic::Location::caller();
-        let seq = self.coll_seq_next();
         let n = contrib.len();
-        let t0 = self.agent.now();
-        let cost = self.agent.uni.profile.post_base + self.agent.uni.profile.copy_time(n);
-        self.agent.advance(cost);
-        self.post_done(t0, OpKind::Ireduce, n);
-        self.agent
-            .trace_span(SpanKind::Post, t0, self.agent.now(), || {
-                format!("MPI_Ireduce post {n}B root={root}")
-            });
-        let p = self.size();
-        assert!(root < p, "reduce root {root} out of range (p={p})");
-        let plans = self.plans(CollKind::Reduce, n, root);
-        let info = self.info.clone();
-        self.dispatch(CollKind::Reduce, Some(root as u32), n, site, move |agent| {
-            let cctx = CollCtx {
-                agent,
-                info: &info,
-                seq,
-            };
-            execute_plan(&cctx, &plans[info.me], Some(contrib))
-        })
+        self.check_root("reduce", root);
+        let (req, t0) = self.post(
+            OpKind::Ireduce,
+            CollKind::Reduce,
+            Some(root),
+            n,
+            true,
+            site,
+            Some(contrib),
+            |out| out,
+        );
+        self.post_span(t0, || format!("MPI_Ireduce post {n}B root={root}"));
+        req
     }
 
     /// Nonblocking allreduce (`MPI_Iallreduce`).
     #[track_caller]
     pub fn iallreduce(&self, contrib: Payload) -> Request<Payload> {
         let site = std::panic::Location::caller();
-        let seq = self.coll_seq_next();
         let n = contrib.len();
-        let t0 = self.agent.now();
-        let cost = self.agent.uni.profile.post_base + self.agent.uni.profile.copy_time(n);
-        self.agent.advance(cost);
-        self.post_done(t0, OpKind::Iallreduce, n);
-        self.agent
-            .trace_span(SpanKind::Post, t0, self.agent.now(), || {
-                format!("MPI_Iallreduce post {n}B")
-            });
-        let plans = self.plans(CollKind::Allreduce, n, 0);
-        let info = self.info.clone();
-        self.dispatch(CollKind::Allreduce, None, n, site, move |agent| {
-            let cctx = CollCtx {
-                agent,
-                info: &info,
-                seq,
-            };
-            expect_out(
-                execute_plan(&cctx, &plans[info.me], Some(contrib)),
-                "allreduce",
-            )
-        })
+        let (req, t0) = self.post(
+            OpKind::Iallreduce,
+            CollKind::Allreduce,
+            None,
+            n,
+            true,
+            site,
+            Some(contrib),
+            |out| expect_out(out, "allreduce"),
+        );
+        self.post_span(t0, || format!("MPI_Iallreduce post {n}B"));
+        req
     }
 
     /// Nonblocking barrier (`MPI_Ibarrier`) — the wake-up signal of the
@@ -843,65 +789,70 @@ impl Comm {
     #[track_caller]
     pub fn ibarrier(&self) -> Request<()> {
         let site = std::panic::Location::caller();
+        self.post(
+            OpKind::Ibarrier,
+            CollKind::Barrier,
+            None,
+            0,
+            false,
+            site,
+            None,
+            |_| (),
+        )
+        .0
+    }
+
+    /// Record the `Post` trace span of a nonblocking post begun at `t0`.
+    fn post_span(&self, t0: SimTime, label: impl FnOnce() -> String) {
+        self.agent
+            .span(SpanKind::Post, None, t0, self.agent.now(), label);
+    }
+
+    /// Post one nonblocking collective instance: charge the modeled post
+    /// cost (`post_base`, plus the buffer copy when `copies`), compile (or
+    /// fetch) its plan, hand it to a fresh progress actor whose clock
+    /// starts at this rank's current time, and record the op counters and
+    /// the post-duration histogram. The returned request completes with
+    /// `finish(plan output)` at the actor's final time; also returns the
+    /// post's start time.
+    // One parameter per fact of the call; bundling them into a struct
+    // built at four call sites would only move the list.
+    #[allow(clippy::too_many_arguments)]
+    fn post<R: Send + 'static>(
+        &self,
+        op: OpKind,
+        kind: CollKind,
+        root: Option<usize>,
+        n: usize,
+        copies: bool,
+        site: Site,
+        input: Option<Payload>,
+        finish: impl FnOnce(Option<Payload>) -> R + Send + 'static,
+    ) -> (Request<R>, SimTime) {
         let seq = self.coll_seq_next();
         let t0 = self.agent.now();
-        self.agent.advance(self.agent.uni.profile.post_base);
-        self.post_done(t0, OpKind::Ibarrier, 0);
-        let plans = self.plans(CollKind::Barrier, 0, 0);
-        let info = self.info.clone();
-        self.dispatch(CollKind::Barrier, None, 0, site, move |agent| {
-            let cctx = CollCtx {
-                agent,
-                info: &info,
-                seq,
-            };
-            execute_plan(&cctx, &plans[info.me], None);
-        })
-    }
+        let env = self.env();
+        let profile = &env.profile;
+        let cost = if copies {
+            profile.post_base + profile.copy_time(n)
+        } else {
+            profile.post_base
+        };
+        self.agent.charge_post(cost);
+        let plans = self.plans(kind, n, root.unwrap_or(0));
 
-    /// Record a nonblocking post: the op counters plus the post-duration
-    /// histogram.
-    fn post_done(&self, t0: SimTime, kind: OpKind, bytes: usize) {
-        let m = &self.agent.uni.metrics;
-        m.op(self.agent.rank, kind, bytes);
-        m.post_duration(
-            self.agent.rank,
-            self.agent.now().saturating_since(t0).as_nanos(),
-        );
-    }
-
-    /// Run `f` on a fresh progress actor whose clock starts at this rank's
-    /// current time; the returned request completes with `f`'s value at the
-    /// actor's final time. `kind`/`root`/`len`/`site` describe the
-    /// collective for the verifier's event log.
-    fn dispatch<T, F>(
-        &self,
-        kind: CollKind,
-        root: Option<u32>,
-        len: usize,
-        site: Site,
-        f: F,
-    ) -> Request<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&Agent) -> T + Send + 'static,
-    {
-        let uni = self.agent.uni.clone();
-        let rank = self.agent.rank;
-        let op_idx = self.agent.op_counter.fetch_add(1, Ordering::Relaxed);
-        let id = op_actor_id(rank, op_idx);
-        let cell = Arc::new(ParkCell::new());
-        let start = self.agent.now();
-        let (req, vid): (Request<T>, Option<ReqId>) = match uni.verify.as_ref() {
+        let rank = self.agent.rank();
+        let id = op_actor_id(rank, self.agent.next_op_index());
+        let (req, vid): (Request<R>, Option<ReqId>) = match env.verify.as_ref() {
             Some(v) => {
                 let rid = v.next_req_id();
                 v.record(VEvent::Coll {
-                    agent: self.agent.id,
+                    agent: self.agent.id(),
                     rank,
                     ctx: self.info.ctx,
                     kind,
-                    root,
-                    len,
+                    root: root.map(|r| r as u32),
+                    len: n,
                     blocking: false,
                     req: Some(rid),
                     op_agent: Some(id),
@@ -918,83 +869,31 @@ impl Comm {
             None => (Request::new(), None),
         };
         let req2 = req.clone();
-        let uni2 = uni.clone();
-        let cell2 = cell.clone();
-        uni.metrics.pool_occupancy.inc();
-        // The op body is mode-agnostic: `await_release` blocks a pool
-        // thread or consumes the fiber's deposited release time, and the
-        // engine releases the op at its post time `start` either way.
-        let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-            struct Finish {
-                uni: Arc<crate::universe::UniShared>,
-                id: u32,
-            }
-            impl Drop for Finish {
-                fn drop(&mut self) {
-                    self.uni.engine.actor_finished(self.id);
-                }
-            }
-            let _guard = Finish {
-                uni: uni2.clone(),
-                id,
+        let info = self.info.clone();
+        self.agent.spawn_op(id, info.ctx, move |agent: &T| {
+            let cctx = CollCtx {
+                agent,
+                info: &info,
+                seq,
             };
-            struct Occupied(Arc<crate::universe::UniShared>);
-            impl Drop for Occupied {
-                fn drop(&mut self) {
-                    self.0.metrics.pool_occupancy.dec();
-                }
+            let v = finish(execute_plan(&cctx, &plans[info.me], input));
+            // Log completion before completing the request, so an
+            // analysis scanning forward from a matched wait always
+            // finds the collective's completion snapshot.
+            if let (Some(vf), Some(rid)) = (agent.env().verify.as_ref(), vid) {
+                vf.record(VEvent::CollDone {
+                    req: rid,
+                    op_agent: id,
+                });
             }
-            let _occupied = Occupied(uni2.clone());
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                uni2.engine.await_release(&cell2);
-                let agent = Agent::new_op(id, rank, start, cell2.clone(), uni2.clone());
-                (f(&agent), agent)
-            }));
-            match out {
-                Ok((v, agent)) => {
-                    // Log completion before completing the request, so an
-                    // analysis scanning forward from a matched wait always
-                    // finds the collective's completion snapshot.
-                    if let (Some(vf), Some(rid)) = (uni2.verify.as_ref(), vid) {
-                        vf.record(VEvent::CollDone {
-                            req: rid,
-                            op_agent: id,
-                        });
-                    }
-                    let done = agent.now();
-                    uni2.edge(ovcomm_simnet::EdgeKind::PostWait, id, done, rank, done);
-                    uni2.complete(&req2, v, done)
-                }
-                Err(e) => {
-                    // Fiber cancellation keeps unwinding; deadlock unwinds
-                    // land here; other panics are recorded for the
-                    // universe to surface.
-                    if e.downcast_ref::<ovcomm_simnet::ForcedUnwind>().is_some() {
-                        std::panic::resume_unwind(e);
-                    }
-                    let msg = e
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| e.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<op actor panic>".to_string());
-                    uni2.record_op_panic(rank, msg);
-                }
-            }
+            let done = agent.now();
+            agent.edge(EdgeKind::PostWait, id, done, rank, done);
+            agent.complete(&req2, v, done);
         });
-        // Register before returning so the engine cannot advance past the
-        // post time before the op actor starts. The op becomes ready at
-        // its post time, which keeps the release order — and therefore the
-        // whole simulation — identical across execution modes.
-        match uni.exec {
-            crate::universe::ExecMode::EventDriven => {
-                let fiber = ovcomm_simnet::Fiber::new(uni.fiber_stack, body);
-                uni.engine.register_fiber_at(id, fiber, cell, start);
-            }
-            crate::universe::ExecMode::Threads => {
-                uni.engine.register_actor_at(id, cell, start);
-                uni.pool.submit(body);
-            }
-        }
-        req
+
+        env.metrics.op(rank, op, n);
+        env.metrics
+            .post_duration(rank, self.agent.now().saturating_since(t0).as_nanos());
+        (req, t0)
     }
 }

@@ -48,17 +48,24 @@ pub mod rma;
 pub mod collsel;
 pub mod comm;
 pub mod payload;
-pub mod planexec;
+mod planexec;
 pub mod request;
+pub mod transport;
 pub mod universe;
 
 pub use collsel::CollSelector;
-pub use comm::Comm;
-pub use planexec::{execute_plan, PlanIo};
+
+/// The simulator's side of the [`transport::Transport`] seam: a rank's (or
+/// progress actor's) agent, with its virtual clock and park cell.
+pub type SimTransport = agent::Agent;
+
+/// A communicator handle for one rank of the simulator — the generic
+/// front end [`comm::Comm`] over the virtual-time transport.
+pub type Comm = comm::Comm<SimTransport>;
 
 // Hidden exports for the `ovcomm-rt` wall-clock backend, which shares the
-// simulator's request type, plan compilation, split grouping, progress
-// pool, and metric shapes so both backends present one surface.
+// simulator's communicator front end, request type, plan compilation,
+// progress pool, and metric shapes so both backends present one surface.
 #[doc(hidden)]
 pub use comm::compile_plans;
 #[doc(hidden)]
@@ -71,6 +78,4 @@ pub use payload::Payload;
 pub use progress::{Job, Pool};
 pub use request::Request;
 pub use rma::SimWin;
-#[doc(hidden)]
-pub use state::SplitResult;
 pub use universe::{actor_name, run, ExecMode, RankCtx, SimConfig, SimError, SimOutput};

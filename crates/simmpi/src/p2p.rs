@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use ovcomm_simnet::{EdgeKind, SimDur, SimTime};
-use ovcomm_verify::{Event, ReqId, INTERNAL_TAG_BIT};
+use ovcomm_verify::{Event, ReqId, Site, INTERNAL_TAG_BIT};
 
 use crate::agent::{Agent, CLASS_P2P};
 use crate::payload::Payload;
@@ -37,7 +37,7 @@ use crate::universe::UniShared;
 /// Record a send/recv pairing decided by the matching layer. Always called
 /// before either request completes, so analyses can rely on log order.
 fn record_match(uni: &UniShared, send: Option<ReqId>, recv: Option<ReqId>) {
-    if let (Some(v), Some(s), Some(r)) = (uni.verify.as_ref(), send, recv) {
+    if let (Some(v), Some(s), Some(r)) = (uni.env.verify.as_ref(), send, recv) {
         v.record(Event::Match { send: s, recv: r });
     }
 }
@@ -54,7 +54,7 @@ pub(crate) struct Path {
 pub(crate) fn path_params(uni: &UniShared, src: u32, dst: u32, n: usize) -> Path {
     let (src_node, dst_node) = (uni.node_of(src), uni.node_of(dst));
     let (resources, intra) = uni.resources.path(src_node, dst_node);
-    let p = &uni.profile;
+    let p = &uni.env.profile;
     if intra {
         Path {
             resources,
@@ -73,24 +73,23 @@ pub(crate) fn path_params(uni: &UniShared, src: u32, dst: u32, n: usize) -> Path
 }
 
 /// Post a nonblocking send from `agent`'s rank to world rank `dst`.
-#[track_caller]
 pub(crate) fn isend_raw(
     agent: &Agent,
+    site: Site,
     ctx: u32,
     dst: u32,
     tag: u64,
     payload: Payload,
 ) -> Request<()> {
-    let site = std::panic::Location::caller();
     let uni = agent.uni.clone();
     let n = payload.len();
-    let eager = n < uni.profile.eager_limit;
-    let mut cost = uni.profile.small_post;
+    let eager = n < uni.env.profile.eager_limit;
+    let mut cost = uni.env.profile.small_post;
     if eager {
-        cost += uni.profile.copy_time(n);
+        cost += uni.env.profile.copy_time(n);
     }
     agent.advance(cost);
-    let req = match uni.verify.as_ref() {
+    let req = match uni.env.verify.as_ref() {
         Some(v) => {
             let id = v.next_req_id();
             v.record(Event::SendPost {
@@ -135,12 +134,16 @@ pub(crate) fn isend_raw(
 }
 
 /// Post a nonblocking receive at `agent`'s rank from world rank `src`.
-#[track_caller]
-pub(crate) fn irecv_raw(agent: &Agent, ctx: u32, src: u32, tag: u64) -> Request<Payload> {
-    let site = std::panic::Location::caller();
+pub(crate) fn irecv_raw(
+    agent: &Agent,
+    site: Site,
+    ctx: u32,
+    src: u32,
+    tag: u64,
+) -> Request<Payload> {
     let uni = agent.uni.clone();
-    agent.advance(uni.profile.small_post);
-    let req = match uni.verify.as_ref() {
+    agent.advance(uni.env.profile.small_post);
+    let req = match uni.env.verify.as_ref() {
         Some(v) => {
             let id = v.next_req_id();
             v.record(Event::RecvPost {
@@ -277,7 +280,7 @@ fn inject_recv(uni: &Arc<UniShared>, key: MatchKey, req: Request<Payload>, tr: S
             record_match(uni, svid, req.verify_id());
             // Data already sits in the receiver's internal buffer: one
             // unpack copy from now.
-            let done = tr + uni.profile.copy_time(n);
+            let done = tr + uni.env.profile.copy_time(n);
             uni.edge(EdgeKind::SendRecv, key.src, tr, key.dst, done);
             uni.complete(&req, payload, done);
         }
@@ -322,7 +325,7 @@ fn launch_eager_flow(uni: &Arc<UniShared>, key: MatchKey, msg_id: MsgId, n: usiz
                         }
                     };
                     if let Some((recv, payload)) = deliver {
-                        let done = ta + uni3.profile.copy_time(n);
+                        let done = ta + uni3.env.profile.copy_time(n);
                         uni3.edge(EdgeKind::SendRecv, key.src, ta, key.dst, done);
                         uni3.complete(&recv, payload, done);
                     }

@@ -9,50 +9,19 @@
 //! (slice / concat / reduce arithmetic) costs no modeled time; only
 //! `Slack`, `Reduce` charging, and message transport do.
 //!
-//! The executor is generic over [`PlanIo`], the narrow I/O surface a
-//! backend must provide. The virtual-time simulator implements it on its
-//! internal `CollCtx` (progress-actor clocks, flow-network transport); the
-//! `ovcomm-rt` wall-clock backend implements it on real shared-memory
-//! mailboxes. Both run this exact code, so all 13 plan builders, the
-//! static linter, and the `CollSelector` behave identically on either
-//! backend.
+//! The executor's whole I/O surface is [`CollCtx`], generic over the
+//! backend's [`Transport`]: the virtual-time simulator runs it on
+//! progress-actor clocks over the flow network, the `ovcomm-rt` wall-clock
+//! backend on real shared-memory mailboxes. Both run this exact code, so
+//! all 13 plan builders, the static linter, and the `CollSelector` behave
+//! identically on either backend.
 
-use ovcomm_simnet::SimTime;
 use ovcomm_verify::plan::{BufId, CollPlan, StepOp};
 
+use crate::coll::CollCtx;
 use crate::payload::Payload;
 use crate::request::Request;
-
-/// The per-instance I/O surface a backend hands the plan executor: tagged
-/// internal p2p, request waiting, per-round slack, reduction-compute
-/// charging, and (optional) per-step span tracing.
-pub trait PlanIo {
-    /// Communicator size (must equal the plan's `p`).
-    fn p(&self) -> usize;
-    /// This rank's index within the communicator (must equal the plan's
-    /// `me`).
-    fn me(&self) -> usize;
-    /// Nonblocking internal send of `payload` to communicator index `dst`
-    /// with plan-assigned step tag `tag`.
-    fn isend(&self, dst: usize, tag: u32, payload: Payload) -> Request<()>;
-    /// Nonblocking internal receive from communicator index `src` with
-    /// plan-assigned step tag `tag`.
-    fn irecv(&self, src: usize, tag: u32) -> Request<Payload>;
-    /// Block until a send request completes.
-    fn wait_unit(&self, r: &Request<()>);
-    /// Block until a receive request completes; returns its payload.
-    fn wait_payload(&self, r: &Request<Payload>) -> Payload;
-    /// Charge one communication round of software slack.
-    fn slack(&self);
-    /// Charge the local reduction of an `n`-byte operand (the executor
-    /// performs the actual arithmetic via `Payload::reduce_sum_f64`).
-    fn reduce_charge(&self, n: usize);
-    /// Current time on this backend's clock (virtual or wall).
-    fn now(&self) -> SimTime;
-    /// Record a `CollStep` span from `t0` to now (label built lazily; no-op
-    /// when tracing is off).
-    fn step_span(&self, t0: SimTime, label: impl FnOnce() -> String);
-}
+use crate::transport::Transport;
 
 /// An outstanding nonblocking step posted by the executor.
 enum Pending {
@@ -62,16 +31,16 @@ enum Pending {
 
 /// Wait for step `idx` if it is still outstanding, storing a receive's
 /// payload into its destination buffer.
-fn drain<C: PlanIo>(
-    ctx: &C,
+fn drain<T: Transport>(
+    ctx: &CollCtx<'_, T>,
     pending: &mut [Option<Pending>],
     vals: &mut [Option<Payload>],
     idx: usize,
 ) {
     match pending[idx].take() {
-        Some(Pending::Send(r)) => ctx.wait_unit(&r),
+        Some(Pending::Send(r)) => ctx.wait(&r),
         Some(Pending::Recv(r, into)) => {
-            let v = ctx.wait_payload(&r);
+            let v = ctx.wait(&r);
             vals[into.0 as usize] = Some(v);
         }
         None => {}
@@ -82,8 +51,8 @@ fn drain<C: PlanIo>(
 /// receive (drained here — only reachable when the builder fenced it for
 /// an earlier reader, so no extra wait is introduced), a slice of the
 /// rank's input contribution, or the zero-length literal.
-fn ensure<C: PlanIo>(
-    ctx: &C,
+fn ensure<T: Transport>(
+    ctx: &CollCtx<'_, T>,
     plan: &CollPlan,
     vals: &mut [Option<Payload>],
     pending: &mut [Option<Pending>],
@@ -134,8 +103,8 @@ fn step_label(plan: &CollPlan, i: usize) -> String {
 /// Execute `plan` for this rank on backend `ctx`. `input` is the rank's
 /// local contribution (present iff `plan.input` is) and the return value is
 /// the rank's result (present iff `plan.output` is).
-pub fn execute_plan<C: PlanIo>(
-    ctx: &C,
+pub(crate) fn execute_plan<T: Transport>(
+    ctx: &CollCtx<'_, T>,
     plan: &CollPlan,
     input: Option<Payload>,
 ) -> Option<Payload> {

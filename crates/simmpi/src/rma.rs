@@ -35,14 +35,19 @@ use ovcomm_simnet::{EdgeKind, SimDur, SpanKind};
 use ovcomm_verify::{Event as VEvent, RmaKind, Site};
 
 use crate::agent::{Agent, CLASS_P2P};
-use crate::comm::Comm;
 use crate::p2p::path_params;
 use crate::payload::Payload;
 use crate::request::{ReqMeta, Request};
-use crate::universe::UniShared;
+use crate::Comm;
 
 /// Committed bytes of one rank's exposed segment.
-enum Seg {
+///
+/// The staging types ([`Seg`], [`StagedOp`], [`apply_op`]) are exposed
+/// (hidden) for the `ovcomm-rt` wall-clock backend, whose window core
+/// stages and applies through these exact definitions — that is what makes
+/// RMA results bit-identical across backends.
+#[doc(hidden)]
+pub enum Seg {
     /// Real data (mutable; staged ops are applied in place).
     Real(Vec<u8>),
     /// Size-only stand-in for paper-scale runs: applies are free no-ops,
@@ -51,21 +56,25 @@ enum Seg {
 }
 
 impl Seg {
-    fn from_payload(p: &Payload) -> Seg {
+    /// The committed initial contents of an exposed segment.
+    pub fn from_payload(p: &Payload) -> Seg {
         match p {
             Payload::Real(b) => Seg::Real(b.to_vec()),
             Payload::Phantom(n) => Seg::Phantom(*n),
         }
     }
 
-    fn len(&self) -> usize {
+    /// Byte length of the segment.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
         match self {
             Seg::Real(v) => v.len(),
             Seg::Phantom(n) => *n,
         }
     }
 
-    fn snapshot(&self, start: usize, end: usize) -> Payload {
+    /// Copy of bytes `start..end` of the committed state.
+    pub fn snapshot(&self, start: usize, end: usize) -> Payload {
         assert!(
             start <= end && end <= self.len(),
             "RMA read {start}..{end} beyond segment length {}",
@@ -79,17 +88,18 @@ impl Seg {
 }
 
 /// One staged put/accumulate awaiting its epoch close.
-struct StagedOp {
+#[doc(hidden)]
+pub struct StagedOp {
     /// Window rank of the origin.
-    origin: u32,
+    pub origin: u32,
     /// The origin's RMA post counter: orders one origin's ops.
-    seq: u64,
+    pub seq: u64,
     /// Byte offset into the target segment.
-    offset: usize,
+    pub offset: usize,
     /// Accumulate (`f64` sum) instead of overwrite?
-    acc: bool,
+    pub acc: bool,
     /// The data (captured at post time).
-    data: Payload,
+    pub data: Payload,
 }
 
 /// Virtual passive-target lock of one segment.
@@ -125,7 +135,8 @@ impl WinData {
 /// Apply one staged op to a committed segment.
 // `chunks_exact(8)`/`try_into` on 8-byte slices cannot fail.
 #[allow(clippy::unwrap_used)]
-fn apply_op(seg: &mut Seg, op: &StagedOp) {
+#[doc(hidden)]
+pub fn apply_op(seg: &mut Seg, op: &StagedOp) {
     let v = match seg {
         Seg::Phantom(_) => return,
         Seg::Real(v) => v,
@@ -156,16 +167,6 @@ fn apply_op(seg: &mut Seg, op: &StagedOp) {
         }
     } else {
         v[op.offset..end].copy_from_slice(b);
-    }
-}
-
-/// Bump the on-demand `rma.*` counters: one call of `op` moving `bytes`.
-fn rma_metric(uni: &UniShared, rank: u32, op: &str, bytes: usize) {
-    let reg = uni.metrics.registry();
-    let labels = [("op", op.to_string()), ("rank", rank.to_string())];
-    reg.counter("rma.calls", &labels).inc();
-    if bytes > 0 {
-        reg.counter("rma.bytes", &labels).add(bytes as u64);
     }
 }
 
@@ -256,7 +257,7 @@ fn launch_get_flow(
                         path.cap,
                         n as f64,
                         Box::new(move |e2| {
-                            let ta = e2.now() + uni4.profile.copy_time(n);
+                            let ta = e2.now() + uni4.env.profile.copy_time(n);
                             uni4.edge(EdgeKind::SendRecv, src, e2.now(), dst, ta);
                             uni4.complete(&req, data, ta);
                             uni4.complete(&done, (), ta);
@@ -266,58 +267,6 @@ fn launch_get_flow(
             );
         }),
     );
-}
-
-impl Comm {
-    /// Collective window creation (`MPI_Win_create`): every member exposes
-    /// `local` as its segment and gets back a handle over all segments.
-    /// The window starts **outside** any epoch — the first
-    /// [`SimWin::fence`] opens the first access epoch, or take a
-    /// passive-target [`SimWin::lock`].
-    #[track_caller]
-    pub fn win_create(&self, local: Payload) -> SimWin {
-        let site: Site = std::panic::Location::caller();
-        let uni = self.agent.uni.clone();
-        let seq = self.win_seq.fetch_add(1, Ordering::Relaxed);
-        let key = (self.info.ctx, seq);
-        let id = ((self.info.ctx as u64) << 32) | seq;
-        let me = self.rank();
-        let p = self.size();
-        if let Some(v) = uni.verify.as_ref() {
-            v.record(VEvent::WinDecl {
-                agent: self.agent.id,
-                rank: self.agent.rank,
-                ctx: self.info.ctx,
-                win: id,
-                len: local.len(),
-                site: Some(site),
-            });
-        }
-        rma_metric(&uni, self.agent.rank, "win_create", local.len());
-        let data = {
-            let mut st = uni.state.lock();
-            st.windows
-                .entry(key)
-                .or_insert_with(|| Arc::new(Mutex::new(WinData::new(p))))
-                .clone()
-        };
-        data.lock().segs[me] = Some(Seg::from_payload(&local));
-        // Private duplicate for the window's own barriers, so fence
-        // traffic can never match user traffic on the parent comm.
-        let wcomm = self.dup();
-        // Creation is collective: no rank may issue one-sided ops until
-        // every segment is deposited.
-        wcomm.barrier();
-        SimWin {
-            comm: wcomm,
-            data,
-            key,
-            id,
-            post_seq: AtomicU64::new(0),
-            pending: Mutex::new(Vec::new()),
-            freed: AtomicBool::new(false),
-        }
-    }
 }
 
 /// A one-sided window handle for one rank (the analogue of `MPI_Win`).
@@ -341,6 +290,32 @@ pub struct SimWin {
 }
 
 impl SimWin {
+    /// Backend half of [`Comm::win_create`]: register the window's shared
+    /// state, deposit this rank's segment, and synchronize on `comm` (the
+    /// window's private dup of the creating communicator).
+    pub(crate) fn open(comm: Comm, key: (u32, u64), id: u64, local: Payload) -> SimWin {
+        let data = {
+            let mut st = comm.agent.uni.state.lock();
+            st.windows
+                .entry(key)
+                .or_insert_with(|| Arc::new(Mutex::new(WinData::new(comm.size()))))
+                .clone()
+        };
+        data.lock().segs[comm.rank()] = Some(Seg::from_payload(&local));
+        // Creation is collective: no rank may issue one-sided ops until
+        // every segment is deposited.
+        comm.barrier();
+        SimWin {
+            comm,
+            data,
+            key,
+            id,
+            post_seq: AtomicU64::new(0),
+            pending: Mutex::new(Vec::new()),
+            freed: AtomicBool::new(false),
+        }
+    }
+
     /// Number of ranks spanning the window.
     pub fn size(&self) -> usize {
         self.comm.size()
@@ -384,14 +359,14 @@ impl SimWin {
         let t0 = agent.now();
         // Origin-side post cost: like an eager send, the payload is
         // captured into the runtime's buffer at post time.
-        agent.advance(uni.profile.small_post + uni.profile.copy_time(n));
+        agent.advance(uni.env.profile.small_post + uni.env.profile.copy_time(n));
         let opname = if kind == RmaKind::Accumulate {
             "accumulate"
         } else {
             "put"
         };
-        rma_metric(&uni, agent.rank, opname, n);
-        if let Some(v) = uni.verify.as_ref() {
+        uni.env.rma_metric(agent.rank, opname, n);
+        if let Some(v) = uni.env.verify.as_ref() {
             v.record(VEvent::RmaOp {
                 agent: agent.id,
                 rank: agent.rank,
@@ -448,9 +423,9 @@ impl SimWin {
         let agent = &self.comm.agent;
         let uni = agent.uni.clone();
         let t0 = agent.now();
-        agent.advance(uni.profile.small_post);
-        rma_metric(&uni, agent.rank, "get", len);
-        let (req, rid) = match uni.verify.as_ref() {
+        agent.advance(uni.env.profile.small_post);
+        uni.env.rma_metric(agent.rank, "get", len);
+        let (req, rid) = match uni.env.verify.as_ref() {
             Some(v) => {
                 let id = v.next_req_id();
                 (
@@ -463,7 +438,7 @@ impl SimWin {
             }
             None => (Request::new(), None),
         };
-        if let Some(v) = uni.verify.as_ref() {
+        if let Some(v) = uni.env.verify.as_ref() {
             v.record(VEvent::RmaOp {
                 agent: agent.id,
                 rank: agent.rank,
@@ -521,15 +496,15 @@ impl SimWin {
         let agent = &self.comm.agent;
         let uni = agent.uni.clone();
         let t0 = agent.now();
-        rma_metric(&uni, agent.rank, "fence", 0);
+        uni.env.rma_metric(agent.rank, "fence", 0);
         self.drain_pending();
         self.comm.barrier();
         let applied = self.apply_own_segment();
         if applied > 0 {
-            agent.advance(uni.profile.copy_time(applied));
+            agent.advance(uni.env.profile.copy_time(applied));
         }
         self.comm.barrier();
-        if let Some(v) = uni.verify.as_ref() {
+        if let Some(v) = uni.env.verify.as_ref() {
             v.record(VEvent::WinFence {
                 agent: agent.id,
                 rank: agent.rank,
@@ -537,7 +512,8 @@ impl SimWin {
                 site: Some(site),
             });
         }
-        uni.metrics
+        uni.env
+            .metrics
             .blocking_duration(agent.rank, agent.now().saturating_since(t0).as_nanos());
         agent.trace_span(SpanKind::BlockingCall, t0, agent.now(), || {
             "MPI_Win_fence".to_string()
@@ -553,7 +529,7 @@ impl SimWin {
         let agent = &self.comm.agent;
         let uni = agent.uni.clone();
         let t0 = agent.now();
-        rma_metric(&uni, agent.rank, "lock", 0);
+        uni.env.rma_metric(agent.rank, "lock", 0);
         let me = self.rank() as u32;
         let origin_w = self.comm.info.ranks[self.rank()];
         let target_w = self.comm.info.ranks[target];
@@ -577,7 +553,7 @@ impl SimWin {
                 agent.wait(&r);
             }
         }
-        if let Some(v) = uni.verify.as_ref() {
+        if let Some(v) = uni.env.verify.as_ref() {
             v.record(VEvent::WinLock {
                 agent: agent.id,
                 rank: agent.rank,
@@ -604,7 +580,7 @@ impl SimWin {
         let agent = &self.comm.agent;
         let uni = agent.uni.clone();
         let t0 = agent.now();
-        rma_metric(&uni, agent.rank, "unlock", 0);
+        uni.env.rma_metric(agent.rank, "unlock", 0);
         self.drain_pending();
         let me = self.rank() as u32;
         let target_w = self.comm.info.ranks[target];
@@ -634,7 +610,7 @@ impl SimWin {
                 }
             }
             if bytes > 0 {
-                agent.advance(uni.profile.copy_time(bytes));
+                agent.advance(uni.env.profile.copy_time(bytes));
             }
             let l = &mut wd.locks[target];
             if l.holder == Some(me) {
@@ -656,7 +632,7 @@ impl SimWin {
             let alpha = path_params(&uni, target_w, next_w, 0).alpha;
             uni.complete(&r, (), agent.now() + alpha);
         }
-        if let Some(v) = uni.verify.as_ref() {
+        if let Some(v) = uni.env.verify.as_ref() {
             v.record(VEvent::WinUnlock {
                 agent: agent.id,
                 rank: agent.rank,
@@ -688,8 +664,8 @@ impl SimWin {
         let site: Site = std::panic::Location::caller();
         let agent = &self.comm.agent;
         let uni = agent.uni.clone();
-        rma_metric(&uni, agent.rank, "win_free", 0);
-        if let Some(v) = uni.verify.as_ref() {
+        uni.env.rma_metric(agent.rank, "win_free", 0);
+        if let Some(v) = uni.env.verify.as_ref() {
             v.record(VEvent::WinFree {
                 agent: agent.id,
                 rank: agent.rank,
@@ -744,7 +720,7 @@ impl Drop for SimWin {
         // Drop-time leak check, mirroring the request one: a window
         // dropped without `free` surfaces as a `win-leak` finding carrying
         // the creation site.
-        if let Some(v) = self.comm.agent.uni.verify.as_ref() {
+        if let Some(v) = self.comm.agent.uni.env.verify.as_ref() {
             v.record(VEvent::WinDropped {
                 rank: self.comm.agent.rank,
                 win: self.id,

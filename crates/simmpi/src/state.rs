@@ -1,9 +1,11 @@
-//! Shared MPI library state: message matching, communicator-context and
-//! split registries, and traffic statistics.
+//! Shared MPI library state: message matching and traffic statistics
+//! ([`MpiState`], simulator-only), and the communicator-context and split
+//! registries ([`CommRegistry`], shared by both backends through
+//! `CommEnv`).
 //!
-//! All mutations happen either under the single state lock from engine
+//! All `MpiState` mutations happen under the single state lock, from engine
 //! callbacks (message injection, arrival, pairing) or from rank threads
-//! (context allocation, split deposits). Matching follows MPI's
+//! (window registration). Matching follows MPI's
 //! non-overtaking rule per `(context, source, destination, tag)` key:
 //! entries are FIFO queues, so two messages on the same envelope can never
 //! pass each other.
@@ -11,7 +13,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use ovcomm_simnet::{ParkCell, SimTime};
+use ovcomm_simnet::SimTime;
 
 use crate::payload::Payload;
 use crate::request::Request;
@@ -66,13 +68,6 @@ pub(crate) struct MpiState {
     /// All live send slots.
     pub slots: HashMap<MsgId, SendSlot>,
     pub next_msg_id: u64,
-    /// Communicator context allocation: (parent ctx, per-rank dup/split
-    /// sequence) → child ctx. All ranks of a communicator call dup/split in
-    /// the same order, so the key is rank-independent.
-    pub ctx_registry: HashMap<(u32, u64), u32>,
-    pub next_ctx: u32,
-    /// In-progress `split` rendezvous, keyed by (parent ctx, split seq).
-    pub splits: HashMap<(u32, u64), SplitGather>,
     /// Live one-sided windows, keyed by (creating ctx, per-comm window
     /// seq). All members call `win_create` in the same order, so the key
     /// is rank-independent; the last `free` removes the entry.
@@ -87,32 +82,37 @@ pub(crate) struct MpiState {
     pub rank_end_times: Vec<SimTime>,
 }
 
+/// The communicator registry of one run: context allocation and the
+/// in-progress `split` rendezvous. One instance per run, on either
+/// backend, so every rank agrees on context ids.
+pub(crate) struct CommRegistry {
+    /// Communicator context allocation: (parent ctx, per-rank dup/split
+    /// sequence) → child ctx. All ranks of a communicator call dup/split in
+    /// the same order, so the key is rank-independent.
+    ctx_registry: HashMap<(u32, u64), u32>,
+    next_ctx: u32,
+    /// In-progress `split` rendezvous, keyed by (parent ctx, split seq).
+    pub splits: HashMap<(u32, u64), SplitGather>,
+}
+
 /// Accumulates `split` participants until the whole communicator has called.
+#[derive(Default)]
 pub(crate) struct SplitGather {
     /// (comm rank, color, key) triples deposited so far.
     pub entries: Vec<(usize, i64, u64)>,
-    /// Comm size: how many deposits to expect.
-    pub expected: usize,
-    /// Latest deposit clock — the virtual completion time of the split.
+    /// Latest deposit clock — the completion time of the split.
     pub latest: SimTime,
-    /// Cells of ranks already parked waiting for the result.
-    pub waiters: Vec<Arc<ParkCell>>,
-    /// Computed result: for each comm rank, (child ctx, members' comm ranks
-    /// in child order) — `None` until the last deposit.
-    pub result: Option<Arc<SplitResult>>,
+    /// One request per depositor, completed with the shared result by the
+    /// last one.
+    pub waiters: Vec<Request<Arc<SplitResult>>>,
 }
 
 /// Outcome of a completed split, shared by all participants.
-///
-/// Exposed (hidden) for the `ovcomm-rt` wall-clock backend, whose split
-/// rendezvous reuses this grouping logic so both backends agree on group
-/// ordering and membership.
-#[doc(hidden)]
-pub struct SplitResult {
+pub(crate) struct SplitResult {
     /// For each color (in ascending order): assigned child ctx id and the
     /// parent-comm ranks that belong to it, ordered by (key, parent rank).
     pub groups: Vec<(i64, u32, Vec<usize>)>,
-    /// Virtual time at which the split completed.
+    /// Time at which the split completed (the latest deposit clock).
     pub at: SimTime,
 }
 
@@ -121,6 +121,17 @@ impl MpiState {
         let id = MsgId(self.next_msg_id);
         self.next_msg_id += 1;
         id
+    }
+}
+
+impl CommRegistry {
+    /// An empty registry whose first allocated context is `first_ctx`.
+    pub fn new(first_ctx: u32) -> CommRegistry {
+        CommRegistry {
+            ctx_registry: HashMap::new(),
+            next_ctx: first_ctx,
+            splits: HashMap::new(),
+        }
     }
 
     /// Allocate (or look up) a child context for `(parent, seq)`.
@@ -220,7 +231,7 @@ mod tests {
 
     #[test]
     fn ctx_registry_is_idempotent() {
-        let mut st = MpiState::default();
+        let mut st = CommRegistry::new(1);
         let a = st.child_ctx(0, 3);
         let b = st.child_ctx(0, 3);
         let c = st.child_ctx(0, 4);

@@ -1,0 +1,186 @@
+//! The seam between the communicator front end and a backend.
+//!
+//! [`Comm<T>`](crate::comm::Comm) — dup/split, point-to-point, wait/test,
+//! every blocking and nonblocking collective — is written once, against
+//! two things: the [`CommEnv`] both backends embed in their shared state
+//! (metrics, verifier, plan cache, selector, profile, and the
+//! communicator-context registry), and the [`Transport`] trait, which
+//! carries only what the virtual-time simulator and the wall-clock
+//! runtime really do differently. A method whose two implementations
+//! would have the same body belongs in the front end, not here.
+
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+
+use ovcomm_simnet::{EdgeKind, MachineProfile, SimDur, SimTime, SpanKind};
+use ovcomm_verify::{Site, Verifier, VerifyMode};
+
+use crate::collsel::CollSelector;
+use crate::comm::Comm;
+use crate::metrics::SimMetrics;
+use crate::payload::Payload;
+use crate::request::Request;
+use crate::state::CommRegistry;
+use crate::universe::PlanCache;
+
+/// World communicator context id.
+#[doc(hidden)]
+pub const WORLD_CTX: u32 = 0;
+
+/// The per-run environment of the communicator front end: everything it
+/// reads that is *not* backend-specific. Each backend's shared state
+/// embeds one (`UniShared::env`, `RtShared::env`) and hands it out through
+/// [`Transport::env`].
+#[doc(hidden)]
+pub struct CommEnv {
+    /// Pre-registered `simmpi.*` metric handles (same names on both
+    /// backends, so sim-vs-rt reports join per-rank records directly).
+    pub metrics: SimMetrics,
+    /// Event recorder for communication-correctness verification (`None`
+    /// when `VerifyMode::Off`).
+    pub verify: Option<Arc<Verifier>>,
+    /// Verification level, consulted by the static plan linter at plan
+    /// compile time (the dynamic recorder above covers execution).
+    pub verify_mode: VerifyMode,
+    /// Collective-algorithm selection policy for this run.
+    pub coll_select: CollSelector,
+    /// Compiled collective schedules, keyed by
+    /// `(kind, algo, p, n, root)` — plans depend on nothing else, so one
+    /// compile (plus static lint) serves every instance of a shape.
+    pub plan_cache: Mutex<PlanCache>,
+    /// The machine profile (protocol switch, modeled software costs).
+    pub profile: MachineProfile,
+    /// Communicator-context allocation and in-progress `split` gathers.
+    pub(crate) comms: Mutex<CommRegistry>,
+}
+
+impl CommEnv {
+    /// A fresh environment for an `nranks`-rank run.
+    pub fn new(
+        nranks: usize,
+        verify_mode: VerifyMode,
+        coll_select: CollSelector,
+        profile: MachineProfile,
+    ) -> CommEnv {
+        CommEnv {
+            metrics: SimMetrics::new(nranks),
+            verify: match verify_mode {
+                VerifyMode::Off => None,
+                VerifyMode::Warn | VerifyMode::Strict => Some(Arc::new(Verifier::new())),
+            },
+            verify_mode,
+            coll_select,
+            plan_cache: Mutex::new(PlanCache::new()),
+            profile,
+            comms: Mutex::new(CommRegistry::new(WORLD_CTX + 1)),
+        }
+    }
+
+    /// Bump the on-demand `rma.*` counters: one call of `op` moving
+    /// `bytes`. Same metric names and labels on both backends, so
+    /// sim-vs-rt reports join RMA records directly.
+    pub fn rma_metric(&self, rank: u32, op: &str, bytes: usize) {
+        let reg = self.metrics.registry();
+        let labels = [("op", op.to_string()), ("rank", rank.to_string())];
+        reg.counter("rma.calls", &labels).inc();
+        if bytes > 0 {
+            reg.counter("rma.bytes", &labels).add(bytes as u64);
+        }
+    }
+}
+
+/// What a backend provides to the communicator front end. One value is one
+/// *execution identity* (an agent): a rank's own thread/fiber, or the
+/// progress actor running one nonblocking collective on a rank's behalf.
+///
+/// Every method exists because the two backends genuinely differ in it:
+///
+/// * identity (`id`, `rank`, `next_op_index`) — held by each backend's
+///   agent next to its clock or park cell;
+/// * `now` — a per-agent virtual clock vs. the wall;
+/// * `charge_post` / `charge_slack` / `charge_reduce` — modeled software
+///   costs: clock bumps (and a shared γ-reduce CPU resource) on the
+///   simulator; nothing, or a `ComputeMode::Emulate` sleep, on the
+///   runtime, where the real cost *is* the code;
+/// * `isend_raw` / `irecv_raw` — the `(ctx, src, dst, tag64)` envelope
+///   goes to the flow-network matcher or the shared-memory mailbox;
+/// * `wait` / `complete` — park under the event engine and wake at a
+///   virtual time, vs. spin-then-park an OS thread under the watchdog;
+/// * `span` / `edge` — the engine's trace vs. a mutex-protected one;
+/// * `spawn_op` — a fiber (or pool thread) registered with the engine at
+///   post time vs. a progress-shard job, each with its own live/occupancy
+///   bookkeeping and panic capture;
+/// * `win_open` — origin-driven modeled flows vs. staged shared segments.
+#[doc(hidden)]
+pub trait Transport: Clone + Send + Sync + Sized + 'static {
+    /// This backend's one-sided window handle.
+    type Win;
+
+    /// Actor id of this agent (equals `rank` for rank agents;
+    /// high-bit-tagged for operation agents).
+    fn id(&self) -> u32;
+    /// World rank this agent acts on behalf of.
+    fn rank(&self) -> u32;
+    /// Index of the next nonblocking operation posted by this rank (mints
+    /// deterministic operation-actor ids). Only rank agents are asked.
+    fn next_op_index(&self) -> u64;
+    /// The run's shared front-end environment.
+    fn env(&self) -> &CommEnv;
+
+    /// Current time on this agent's clock (virtual or wall).
+    fn now(&self) -> SimTime;
+    /// Charge the modeled cost of posting a nonblocking collective.
+    fn charge_post(&self, d: SimDur);
+    /// Charge one communication round of collective software slack.
+    fn charge_slack(&self, d: SimDur);
+    /// Charge the local reduction of an `n`-byte operand (the plan
+    /// executor performs the actual arithmetic).
+    fn charge_reduce(&self, n: usize);
+
+    /// Post a nonblocking send of `payload` to world rank `dst` on context
+    /// `ctx` with the full 64-bit `tag` (user tags live in the low 32
+    /// bits; internal collective tags set bit 63).
+    fn isend_raw(&self, site: Site, ctx: u32, dst: u32, tag: u64, payload: Payload) -> Request<()>;
+    /// Post a nonblocking receive from world rank `src`.
+    fn irecv_raw(&self, site: Site, ctx: u32, src: u32, tag: u64) -> Request<Payload>;
+
+    /// Block until `req` completes and take its value (`MPI_Wait`).
+    fn wait<V>(&self, req: &Request<V>) -> V;
+    /// Complete `req` with `value` and wake its waiters. `at` is the
+    /// completion time on the completing agent's clock; the wall-clock
+    /// runtime stamps its own.
+    fn complete<V>(&self, req: &Request<V>, value: V, at: SimTime);
+
+    /// Record a trace span on this agent's track (label built lazily;
+    /// no-op unless tracing).
+    fn span(
+        &self,
+        kind: SpanKind,
+        chunk: Option<u32>,
+        start: SimTime,
+        end: SimTime,
+        label: impl FnOnce() -> String,
+    );
+    /// Record a happens-before edge (no-op unless tracing).
+    fn edge(
+        &self,
+        kind: EdgeKind,
+        from_actor: u32,
+        from_time: SimTime,
+        to_actor: u32,
+        to_time: SimTime,
+    );
+
+    /// Run `body` as operation agent `id` of this rank: asynchronously,
+    /// under a fresh agent whose clock starts at this agent's current
+    /// time. `ctx` is the posting communicator's context (a routing hint).
+    /// A panic unwinding `body` is captured for the run to surface.
+    fn spawn_op(&self, id: u32, ctx: u32, body: impl FnOnce(&Self) + Send + 'static);
+
+    /// Backend half of collective window creation: register under `key`,
+    /// deposit `local` as this rank's segment, and synchronize on `comm`
+    /// — the window's private dup of the creating communicator, which the
+    /// handle keeps for its fences. `id` is the verifier's window id.
+    fn win_open(comm: Comm<Self>, key: (u32, u64), id: u64, local: Payload) -> Self::Win;
+}

@@ -13,18 +13,15 @@ use ovcomm_simnet::{
     NodeMap, ParkCell, ResourceKind, SimDur, SimTime, Trace,
 };
 use ovcomm_verify::plan::{CollAlgo, CollPlan};
-use ovcomm_verify::{DeadlockReport, Finding, Severity, Verifier, VerifyMode, VerifyReport};
+use ovcomm_verify::{DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
 
 use crate::agent::Agent;
 use crate::collsel::CollSelector;
-use crate::comm::{Comm, CommInfo};
-use crate::metrics::SimMetrics;
 use crate::progress::Pool;
 use crate::request::Request;
 use crate::state::MpiState;
-
-/// World communicator context id.
-pub(crate) const WORLD_CTX: u32 = 0;
+use crate::transport::CommEnv;
+use crate::Comm;
 
 /// How rank bodies (and progress ops) are executed.
 ///
@@ -236,7 +233,9 @@ pub struct SimOutput<T> {
 pub(crate) struct UniShared {
     pub engine: Engine,
     pub state: Mutex<MpiState>,
-    pub profile: MachineProfile,
+    /// What the communicator front end reads: metrics, verifier, plan
+    /// cache, selector, profile, communicator registry.
+    pub env: CommEnv,
     pub nodemap: NodeMap,
     pub resources: ClusterResources,
     /// Per-rank reduction-compute resource (capacity `gamma_reduce_bw ×
@@ -246,20 +245,7 @@ pub(crate) struct UniShared {
     pub cpu: Vec<ovcomm_simnet::ResourceId>,
     pub pool: Pool,
     pub tracing: bool,
-    pub metrics: SimMetrics,
     pub op_panics: Mutex<Vec<(u32, String)>>,
-    /// Event recorder for communication-correctness verification (`None`
-    /// when `VerifyMode::Off`).
-    pub verify: Option<Arc<Verifier>>,
-    /// Verification level, consulted by the static plan linter at plan
-    /// compile time (the dynamic recorder above covers execution).
-    pub verify_mode: VerifyMode,
-    /// Collective-algorithm selection policy for this run.
-    pub coll_select: CollSelector,
-    /// Compiled collective schedules, keyed by
-    /// `(kind, algo, p, n, root)` — plans depend on nothing else, so one
-    /// compile (plus static lint) serves every instance of a shape.
-    pub plan_cache: Mutex<PlanCache>,
     /// How ops are dispatched: fibers (default) or pool threads.
     pub exec: ExecMode,
     /// Stack size for op fibers in event-driven mode.
@@ -453,7 +439,7 @@ impl RankCtx {
 
     /// The machine profile (for compute-rate lookups).
     pub fn profile(&self) -> &MachineProfile {
-        &self.agent.uni.profile
+        &self.agent.uni.env.profile
     }
 
     /// The rank→node map.
@@ -548,28 +534,24 @@ where
         .collect();
 
     let state = MpiState {
-        next_ctx: WORLD_CTX + 1,
         rank_end_times: vec![SimTime::ZERO; nranks],
         ..MpiState::default()
     };
     let uni = Arc::new(UniShared {
         engine,
         state: Mutex::new(state),
-        profile: cfg.cluster.profile.clone(),
+        env: CommEnv::new(
+            nranks,
+            cfg.verify,
+            cfg.coll_select.clone(),
+            cfg.cluster.profile.clone(),
+        ),
         nodemap: cfg.nodemap.clone(),
         resources,
         cpu,
         pool: Pool::new(),
         tracing: cfg.trace,
-        metrics: SimMetrics::new(nranks),
         op_panics: Mutex::new(Vec::new()),
-        verify: match cfg.verify {
-            VerifyMode::Off => None,
-            VerifyMode::Warn | VerifyMode::Strict => Some(Arc::new(Verifier::new())),
-        },
-        verify_mode: cfg.verify,
-        coll_select: cfg.coll_select.clone(),
-        plan_cache: Mutex::new(std::collections::BTreeMap::new()),
         exec: cfg.exec,
         fiber_stack: cfg.fiber_stack,
     });
@@ -609,14 +591,7 @@ where
             let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 uni2.engine.await_release(&cell);
                 let agent = Agent::new_rank(r as u32, cell.clone(), uni2.clone());
-                let world = Comm::new(
-                    CommInfo {
-                        ctx: WORLD_CTX,
-                        ranks: world_ranks2.clone(),
-                        me: r,
-                    },
-                    agent.clone(),
-                );
+                let world = Comm::new_world(agent.clone(), world_ranks2.clone(), r);
                 let rc = RankCtx {
                     agent: agent.clone(),
                     world,
@@ -708,7 +683,7 @@ where
             .into_iter()
             .map(|id| (id, rank_of_actor(id)))
             .collect();
-        let report = match uni.verify.as_ref() {
+        let report = match uni.env.verify.as_ref() {
             Some(v) => v.deadlock_report(&blocked),
             None => DeadlockReport::unknown(&blocked),
         };
@@ -721,29 +696,10 @@ where
     // Analyze the communication log. Under Strict, error-severity findings
     // fail the run; under Warn they are printed; warnings always travel in
     // the output.
-    let verify_report = match uni.verify.as_ref() {
-        Some(v) => {
-            let findings = v.analyze();
-            match cfg.verify {
-                VerifyMode::Warn => {
-                    for x in &findings {
-                        eprintln!("ovcomm-verify: {x}");
-                    }
-                }
-                VerifyMode::Strict => {
-                    if findings.iter().any(|x| x.severity == Severity::Error) {
-                        return Err(SimError::Verification { findings });
-                    }
-                }
-                VerifyMode::Off => {}
-            }
-            let (dropped_incomplete, dropped_untaken) = v.drop_counters();
-            VerifyReport {
-                findings,
-                dropped_incomplete,
-                dropped_untaken,
-            }
-        }
+    let verify_report = match uni.env.verify.as_ref() {
+        Some(v) => v
+            .report(cfg.verify, |_| true)
+            .map_err(|findings| SimError::Verification { findings })?,
         None => VerifyReport::default(),
     };
 
@@ -757,9 +713,9 @@ where
         )
     };
     let makespan = end_times.iter().copied().max().unwrap_or(SimTime::ZERO);
-    uni.metrics.pool_spawned.set(uni.pool.spawned() as u64);
+    uni.env.metrics.pool_spawned.set(uni.pool.spawned() as u64);
     let clamped_spans = uni.engine.clamped_spans();
-    uni.metrics.spans_clamped(clamped_spans as u64);
+    uni.env.metrics.spans_clamped(clamped_spans as u64);
     let trace = uni.engine.take_trace();
     if let Some(path) = &cfg.trace_out {
         let spans: &[ovcomm_simnet::TraceSpan] = trace.as_ref().map_or(&[], |t| t.spans());
@@ -778,7 +734,7 @@ where
         intra_node_bytes: intra,
         messages,
         trace,
-        metrics: uni.metrics.snapshot(),
+        metrics: uni.env.metrics.snapshot(),
         net: uni.engine.net_stats(),
         clamped_spans,
         verify: verify_report,

@@ -223,4 +223,7 @@ fn ten_thousand_rank_bcast_allreduce_strict_smoke() {
         assert_eq!(*s, p as f64);
     }
     assert!(out.makespan.as_nanos() > 0);
+    // The skipped model check is counted, not dropped silently: one
+    // bcast shape and one allreduce shape compiled at p > 128.
+    assert_eq!(out.metrics.counters["plan.mc.skipped{p=10000}"], 2);
 }

@@ -54,6 +54,9 @@ enum Waiting {
     Split { ctx: u32 },
 }
 
+/// Shape of one logged collective call: `(ctx, kind, root, len, blocking)`.
+pub type CollCallKey = (u32, CollKind, Option<u32>, usize, bool);
+
 /// Verification output attached to a successful run.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
@@ -63,6 +66,10 @@ pub struct VerifyReport {
     pub dropped_incomplete: u64,
     /// Tracked requests that completed but whose result was never taken.
     pub dropped_untaken: u64,
+    /// How many times each collective call shape was logged, summed over
+    /// ranks — the multiset of `Coll` events per communicator, which must
+    /// agree between backends running the same program.
+    pub coll_calls: BTreeMap<CollCallKey, u64>,
 }
 
 impl VerifyReport {
@@ -152,6 +159,56 @@ impl Verifier {
     /// Run all analyses over the log.
     pub fn analyze(&self) -> Vec<Finding> {
         analyze::analyze(&self.events.lock())
+    }
+
+    /// Analyze the log and build a completed run's report, keeping only
+    /// findings `keep` accepts (a backend filters what it expects by
+    /// construction). Under `Warn` the findings are printed; under
+    /// `Strict` any error-severity finding fails the run with the full
+    /// list instead.
+    pub fn report(
+        &self,
+        mode: VerifyMode,
+        keep: impl Fn(&Finding) -> bool,
+    ) -> Result<VerifyReport, Vec<Finding>> {
+        let mut findings = self.analyze();
+        findings.retain(keep);
+        match mode {
+            VerifyMode::Warn => {
+                for x in &findings {
+                    eprintln!("ovcomm-verify: {x}");
+                }
+            }
+            VerifyMode::Strict => {
+                if findings.iter().any(|x| x.severity == Severity::Error) {
+                    return Err(findings);
+                }
+            }
+            VerifyMode::Off => {}
+        }
+        let mut coll_calls = BTreeMap::new();
+        for ev in self.events.lock().iter() {
+            if let Event::Coll {
+                ctx,
+                kind,
+                root,
+                len,
+                blocking,
+                ..
+            } = ev
+            {
+                *coll_calls
+                    .entry((*ctx, *kind, *root, *len, *blocking))
+                    .or_insert(0) += 1;
+            }
+        }
+        let (dropped_incomplete, dropped_untaken) = self.drop_counters();
+        Ok(VerifyReport {
+            findings,
+            dropped_incomplete,
+            dropped_untaken,
+            coll_calls,
+        })
     }
 
     /// Build the deadlock diagnosis from the blocked-agent table.
