@@ -37,9 +37,9 @@ fn trace_json<T>(out: &SimOutput<T>) -> String {
 
 /// Two identically-configured runs must agree bit-for-bit on every
 /// virtual-time observable: byte counters, duration histograms and the
-/// exported trace JSON. Gauges are deliberately excluded — progress-pool
-/// occupancy/spawn counts depend on OS thread scheduling, which is exactly
-/// why they are kept out of counters and histograms.
+/// exported trace JSON. Gauges are deliberately excluded — on the rt
+/// backend they depend on OS thread scheduling, which is exactly why they
+/// are kept out of counters and histograms.
 #[test]
 fn seeded_symm3d_metrics_and_trace_are_deterministic() {
     let a = run_symm3d(512, 2, 2, MachineProfile::test_profile());

@@ -1,9 +1,13 @@
-//! Every kernel, run at small scale in both execution modes
-//! (event-driven fibers vs. thread-per-rank), must produce bit-identical
-//! simulations: same per-rank outputs, same virtual end times, same
-//! traffic counters. The two modes share the serialized engine and its
-//! `(time, id)` release order, so a divergence is a scheduler bug, not a
-//! numerics issue.
+//! Every kernel, run twice at small scale, must produce bit-identical
+//! simulations — same per-rank outputs, same virtual end times, same
+//! traffic counters — and must equal its pinned [`Golden`] values.
+//!
+//! The literals are the last verdict of the retired thread-per-rank
+//! executor: they were recorded from its run of each program at commit
+//! `ef982b7` (PR 13), where the fiber scheduler produced the same values
+//! (hence the test names, kept from that differential suite). A change in
+//! them is a change in scheduler order or in the model, not a numerics
+//! issue.
 
 use std::sync::Arc;
 
@@ -15,8 +19,8 @@ use ovcomm_kernels::{
     symm_square_cube_optimized, symm_square_cube_original, BlockCgConfig, CgComms, MatvecInput,
     MdConfig, Mesh25D, Mesh2D, Mesh3D, SummaBundles, SymmInput, VecBuf,
 };
-use ovcomm_simmpi::{run, ExecMode, RankCtx, SimConfig, SimOutput};
-use ovcomm_simnet::MachineProfile;
+use ovcomm_simmpi::{run, RankCtx, SimConfig, SimOutput};
+use ovcomm_simnet::{MachineProfile, SimTime};
 
 fn test_matrix(n: usize) -> Matrix {
     Matrix::from_fn(n, n, |i, j| {
@@ -30,38 +34,56 @@ fn bits(v: &[f64]) -> u64 {
     v.iter().fold(0u64, |a, x| a.wrapping_add(x.to_bits()))
 }
 
-/// Run `body` (which returns a bit pattern) in both modes and assert the
-/// entire observable simulation matches.
-fn assert_modes_identical<F>(nranks: usize, ppn: usize, body: F)
+/// What one program's simulation must reproduce: makespan (ns), messages,
+/// inter-node bytes, intra-node bytes, and an order-sensitive fold of the
+/// per-rank `(result bits, rank-local end time)` pairs.
+#[derive(Debug, PartialEq)]
+struct Golden(u64, u64, u64, u64, u64);
+
+/// Run `body` (which returns a bit pattern) twice; the runs must match
+/// each other in the entire observable simulation and match `golden`.
+fn assert_deterministic<F>(nranks: usize, ppn: usize, golden: Golden, body: F)
 where
     F: Fn(&RankCtx) -> u64 + Send + Sync + 'static,
 {
     let body = Arc::new(body);
-    let run_mode = |exec: ExecMode| -> SimOutput<(u64, ovcomm_simnet::SimTime)> {
+    let run_once = || -> SimOutput<(u64, SimTime)> {
         let b = body.clone();
         run(
-            SimConfig::natural(nranks, ppn, MachineProfile::test_profile()).with_exec(exec),
+            SimConfig::natural(nranks, ppn, MachineProfile::test_profile()),
             move |rc: RankCtx| {
                 let out = b(&rc);
                 (out, rc.now())
             },
         )
-        .unwrap_or_else(|e| panic!("{exec:?} run failed: {e}"))
+        .unwrap_or_else(|e| panic!("run failed: {e}"))
     };
-    let ev = run_mode(ExecMode::EventDriven);
-    let th = run_mode(ExecMode::Threads);
-    assert_eq!(ev.results, th.results, "per-rank results diverge");
-    assert_eq!(ev.end_times, th.end_times, "virtual end times diverge");
-    assert_eq!(ev.makespan, th.makespan, "makespan diverges");
-    assert_eq!(ev.messages, th.messages, "message counts diverge");
-    assert_eq!(ev.inter_node_bytes, th.inter_node_bytes);
-    assert_eq!(ev.intra_node_bytes, th.intra_node_bytes);
+    let (a, b) = (run_once(), run_once());
+    assert_eq!(a.results, b.results, "per-rank results diverge");
+    assert_eq!(a.end_times, b.end_times, "virtual end times diverge");
+    let observed = |o: &SimOutput<(u64, SimTime)>| {
+        let fold = o.results.iter().fold(0u64, |h, &(bits, t)| {
+            (h.rotate_left(7) ^ bits).wrapping_add(t.as_nanos())
+        });
+        Golden(
+            o.makespan.as_nanos(),
+            o.messages,
+            o.inter_node_bytes,
+            o.intra_node_bytes,
+            fold,
+        )
+    };
+    assert_eq!(observed(&a), observed(&b), "second run diverges");
+    assert_eq!(observed(&a), golden, "run diverges from the pinned values");
 }
 
 #[test]
 fn matvec_blocking_and_pipelined_match_across_modes() {
-    for n_dup in [None, Some(2)] {
-        assert_modes_identical(4, 2, move |rc| {
+    for (n_dup, golden) in [
+        (None, Golden(1913, 4, 136, 136, 0x3ade595b291b5c12)),
+        (Some(2), Golden(2005, 8, 136, 136, 0x3ade5958c2a7b2de)),
+    ] {
+        assert_deterministic(4, 2, golden, move |rc| {
             let p = 2;
             let n = 17;
             let mesh = Mesh2D::new(rc, p);
@@ -93,8 +115,13 @@ fn matvec_blocking_and_pipelined_match_across_modes() {
 
 #[test]
 fn symm3d_all_algorithms_match_across_modes() {
-    for algo in 0..3usize {
-        assert_modes_identical(8, 4, move |rc| {
+    let goldens = [
+        Golden(20973, 26, 5184, 11664, 0xfbc427bb284de356),
+        Golden(18879, 25, 5184, 11016, 0x2c38c3f5cff4269f),
+        Golden(14001, 50, 5184, 11016, 0x07f00d53f622c421),
+    ];
+    for (algo, golden) in goldens.into_iter().enumerate() {
+        assert_deterministic(8, 4, golden, move |rc| {
             let (n, p) = (18, 2);
             let mesh = Mesh3D::new(rc, p);
             let grid = BlockGrid::new(n, p);
@@ -119,7 +146,8 @@ fn symm3d_all_algorithms_match_across_modes() {
 
 #[test]
 fn symm25d_matches_across_modes() {
-    assert_modes_identical(8, 4, |rc| {
+    let golden = Golden(18455, 48, 10368, 10368, 0xc2e2ec7cfcb6e233);
+    assert_deterministic(8, 4, golden, |rc| {
         let (n, q, c) = (18, 2, 2);
         let mesh = Mesh25D::new(rc, q, c);
         let grid = BlockGrid::new(n, q);
@@ -137,8 +165,11 @@ fn symm25d_matches_across_modes() {
 
 #[test]
 fn summa_plain_and_pipelined_match_across_modes() {
-    for pipelined in [false, true] {
-        assert_modes_identical(4, 2, move |rc| {
+    for (pipelined, golden) in [
+        (false, Golden(7002, 16, 2048, 2048, 0xeb58038b5a3a34ca)),
+        (true, Golden(3606, 8, 2048, 2048, 0xeb58038945cff02f)),
+    ] {
+        assert_deterministic(4, 2, golden, move |rc| {
             let (n, p) = (16, 2);
             let mesh = Mesh2D::new(rc, p);
             let grid = BlockGrid::new(n, p);
@@ -158,8 +189,11 @@ fn summa_plain_and_pipelined_match_across_modes() {
 
 #[test]
 fn block_cg_matches_across_modes() {
-    for overlap in [false, true] {
-        assert_modes_identical(4, 2, move |rc| {
+    for (overlap, golden) in [
+        (false, Golden(43634, 140, 3584, 3584, 0x7997c272a7d9023d)),
+        (true, Golden(40540, 140, 3584, 3584, 0x7997c271270f7ca7)),
+    ] {
+        assert_deterministic(4, 2, golden, move |rc| {
             let (n, p, s) = (20, 2, 2);
             let mesh = Mesh2D::new(rc, p);
             let grid = BlockGrid::new(n, p);
@@ -193,8 +227,11 @@ fn block_cg_matches_across_modes() {
 
 #[test]
 fn particles_md_matches_across_modes() {
-    for overlap in [None, Some(2)] {
-        assert_modes_identical(4, 2, move |rc| {
+    for (overlap, golden) in [
+        (None, Golden(10286, 26, 768, 1728, 0xa2993e11c73ad291)),
+        (Some(2), Golden(10922, 42, 768, 1728, 0xa2993e115037876e)),
+    ] {
+        assert_deterministic(4, 2, golden, move |rc| {
             let mesh = Mesh2D::new(rc, 2);
             let cfg = MdConfig {
                 n_particles: 24,

@@ -377,7 +377,8 @@ where
             .spawn(move || {
                 let mut stuck_since: Option<(u64, Instant)> = None;
                 while !done.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(20));
+                    // Sample every 20 ms; `run` unparks us once `done` is set.
+                    std::thread::park_timeout(Duration::from_millis(20));
                     let live = shared.live.load(Ordering::SeqCst);
                     let blocked = shared.blocked.load(Ordering::SeqCst);
                     let epoch = shared.progress_epoch.load(Ordering::SeqCst);
@@ -466,6 +467,7 @@ where
         }
     }
     done.store(true, Ordering::SeqCst);
+    watchdog.thread().unpark();
     let _ = watchdog.join();
     if let Some(s) = telemetry {
         s.stop();

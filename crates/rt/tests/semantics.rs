@@ -344,3 +344,19 @@ fn makespan_and_end_times_are_monotone() {
         assert!(t > ovcomm_simnet::SimTime::ZERO);
     }
 }
+
+/// `run` must not sit out the rest of the watchdog's 20 ms sampling tick
+/// when the ranks are already done: the watchdog is unparked, not slept
+/// out.
+#[test]
+fn empty_runs_do_not_wait_out_the_watchdog_tick() {
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        run(cfg(2, 1), |_rc: RtRankCtx| ()).unwrap();
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(200),
+        "20 empty runs took {took:?} (>= 20 ms each means the watchdog join sleeps)"
+    );
+}

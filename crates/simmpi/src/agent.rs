@@ -1,8 +1,8 @@
 //! Agents: the execution identities that post events and block on requests.
 //!
-//! Every rank thread owns an agent, and every in-flight nonblocking
-//! collective runs on its own *operation agent* (a progress-pool worker with
-//! a deterministic actor id and its own virtual clock starting at the post
+//! Every rank fiber owns an agent, and every in-flight nonblocking
+//! collective runs on its own *operation agent* (a fiber with a
+//! deterministic actor id and its own virtual clock starting at the post
 //! time) — this is how MPI-3 nonblocking collectives make asynchronous
 //! progress in the simulation. The agent is also the simulator's
 //! [`Transport`]: the communicator front end reaches the engine, the flow
@@ -20,7 +20,7 @@ use crate::comm::Comm;
 use crate::payload::Payload;
 use crate::request::Request;
 use crate::transport::{CommEnv, Transport};
-use crate::universe::{ExecMode, UniShared};
+use crate::universe::UniShared;
 
 /// Event class for p2p injection events.
 pub(crate) const CLASS_P2P: u8 = 10;
@@ -47,7 +47,7 @@ pub struct Agent {
 }
 
 impl Agent {
-    /// Agent for a rank thread.
+    /// Agent for a rank actor.
     pub(crate) fn new_rank(rank: u32, cell: Arc<ParkCell>, uni: Arc<UniShared>) -> Agent {
         Agent {
             id: rank,
@@ -323,10 +323,8 @@ impl Transport for Agent {
         let uni2 = uni.clone();
         let cell2 = cell.clone();
         uni.env.metrics.pool_occupancy.inc();
-        // The op body is mode-agnostic: `await_release` blocks a pool
-        // thread or consumes the fiber's deposited release time, and the
-        // engine releases the op at its post time `start` either way.
-        let job: Box<dyn FnOnce() + Send> = Box::new(move || {
+        // The engine releases the op at its post time `start`.
+        let job = move || {
             struct Finish {
                 uni: Arc<UniShared>,
                 id: u32,
@@ -365,21 +363,11 @@ impl Transport for Agent {
                     .unwrap_or_else(|| "<op actor panic>".to_string());
                 uni2.record_op_panic(rank, msg);
             }
-        });
+        };
         // Register before returning so the engine cannot advance past the
-        // post time before the op actor starts. The op becomes ready at
-        // its post time, which keeps the release order — and therefore the
-        // whole simulation — identical across execution modes.
-        match uni.exec {
-            ExecMode::EventDriven => {
-                let fiber = Fiber::new(uni.fiber_stack, job);
-                uni.engine.register_fiber_at(id, fiber, cell, start);
-            }
-            ExecMode::Threads => {
-                uni.engine.register_actor_at(id, cell, start);
-                uni.pool.submit(job);
-            }
-        }
+        // post time before the op actor starts.
+        let fiber = Fiber::new(uni.fiber_stack, job);
+        uni.engine.register_fiber_at(id, fiber, cell, start);
     }
 
     fn win_open(comm: Comm<Agent>, key: (u32, u64), id: u64, local: Payload) -> crate::rma::SimWin {

@@ -2,11 +2,10 @@
 //!
 //! An in-process MPI-like message-passing library running over the
 //! `ovcomm-simnet` virtual-time network simulator. Every rank is a
-//! stackful fiber (or, for differential testing, an OS thread — see
-//! [`ExecMode`]) that blocks inside communication calls — rank code reads
+//! stackful fiber that blocks inside communication calls — rank code reads
 //! exactly like MPI code — while virtual time is accounted by the
-//! simulator. The fiber mode runs tens of thousands of ranks in one
-//! process on one scheduler thread.
+//! simulator. One scheduler thread runs tens of thousands of ranks in one
+//! process.
 //!
 //! Implemented surface (what the paper's algorithms need, §III–§IV):
 //!
@@ -40,7 +39,6 @@ mod agent;
 mod coll;
 mod metrics;
 mod p2p;
-mod progress;
 mod state;
 
 pub mod rma;
@@ -64,8 +62,8 @@ pub type SimTransport = agent::Agent;
 pub type Comm = comm::Comm<SimTransport>;
 
 // Hidden exports for the `ovcomm-rt` wall-clock backend, which shares the
-// simulator's communicator front end, request type, plan compilation,
-// progress pool, and metric shapes so both backends present one surface.
+// simulator's communicator front end, request type, plan compilation
+// and metric shapes so both backends present one surface.
 #[doc(hidden)]
 pub use comm::compile_plans;
 #[doc(hidden)]
@@ -74,8 +72,6 @@ pub use ovcomm_verify::plan;
 pub use ovcomm_verify::plan::CollAlgo;
 pub use ovcomm_verify::{CollKind, DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
 pub use payload::Payload;
-#[doc(hidden)]
-pub use progress::{Job, Pool};
 pub use request::Request;
 pub use rma::SimWin;
-pub use universe::{actor_name, run, ExecMode, RankCtx, SimConfig, SimError, SimOutput};
+pub use universe::{actor_name, run, RankCtx, SimConfig, SimError, SimOutput};

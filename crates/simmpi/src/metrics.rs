@@ -3,8 +3,8 @@
 //! All handles are created up front (one set per rank) so the hot path —
 //! every send, post, wait — touches only atomics, never the registry lock.
 //! Virtual-time durations go into histograms in nanoseconds; byte counts
-//! and call counts into counters. OS-scheduling-dependent quantities
-//! (progress-pool occupancy, workers spawned) are kept in *gauges* so that
+//! and call counts into counters. OS-scheduling-dependent quantities (the
+//! rt backend's progress-job occupancy, workers spawned) are *gauges* so that
 //! deterministic and nondeterministic metrics never share a metric class:
 //! counters and histograms are bit-reproducible across runs, gauges are
 //! diagnostics.
@@ -101,9 +101,9 @@ struct RankMetrics {
 pub struct SimMetrics {
     registry: MetricsRegistry,
     ranks: Vec<RankMetrics>,
-    /// Jobs currently running on progress workers (≈ busy workers).
+    /// Op actors in flight: fibers on sim, progress-shard jobs on rt.
     pub pool_occupancy: Gauge,
-    /// Progress workers ever spawned.
+    /// rt only: progress workers ever spawned (stays 0 on sim).
     pub pool_spawned: Gauge,
 }
 

@@ -129,7 +129,7 @@ impl<T> Request<T> {
     /// Nonblocking completion check (the analogue of `MPI_Test`). Under the
     /// engine's quiescence rule, every completion event with a virtual time
     /// at or before the caller's clock has already been processed whenever a
-    /// rank thread is running, so a plain flag check is exact.
+    /// rank actor is running, so a plain flag check is exact.
     pub fn is_complete(&self) -> bool {
         self.inner.lock().completed_at.is_some()
     }

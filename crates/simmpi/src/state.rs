@@ -4,7 +4,7 @@
 //! `CommEnv`).
 //!
 //! All `MpiState` mutations happen under the single state lock, from engine
-//! callbacks (message injection, arrival, pairing) or from rank threads
+//! callbacks (message injection, arrival, pairing) or from rank actors
 //! (window registration). Matching follows MPI's
 //! non-overtaking rule per `(context, source, destination, tag)` key:
 //! entries are FIFO queues, so two messages on the same envelope can never

@@ -108,9 +108,9 @@ impl CommEnv {
 /// * `wait` / `complete` — park under the event engine and wake at a
 ///   virtual time, vs. spin-then-park an OS thread under the watchdog;
 /// * `span` / `edge` — the engine's trace vs. a mutex-protected one;
-/// * `spawn_op` — a fiber (or pool thread) registered with the engine at
-///   post time vs. a progress-shard job, each with its own live/occupancy
-///   bookkeeping and panic capture;
+/// * `spawn_op` — a fiber registered with the engine at post time vs. a
+///   progress-shard job, each with its own live/occupancy bookkeeping and
+///   panic capture;
 /// * `win_open` — origin-driven modeled flows vs. staged shared segments.
 #[doc(hidden)]
 pub trait Transport: Clone + Send + Sync + Sized + 'static {

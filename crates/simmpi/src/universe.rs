@@ -1,6 +1,5 @@
-//! The simulation universe: launches rank actors (fibers by default, OS
-//! threads for differential testing), runs the event loop, and collects
-//! results.
+//! The simulation universe: launches one fiber per rank, runs the event
+//! loop on the calling thread, and collects results.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -17,29 +16,10 @@ use ovcomm_verify::{DeadlockReport, Finding, Severity, VerifyMode, VerifyReport}
 
 use crate::agent::Agent;
 use crate::collsel::CollSelector;
-use crate::progress::Pool;
 use crate::request::Request;
 use crate::state::MpiState;
 use crate::transport::CommEnv;
 use crate::Comm;
-
-/// How rank bodies (and progress ops) are executed.
-///
-/// Both modes run under the same serialized engine and release actors in
-/// identical `(virtual time, actor id)` order, so a program produces
-/// bit-identical results either way — that equivalence is what the
-/// differential tests check.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ExecMode {
-    /// Every rank and every in-flight nonblocking operation is a stackful
-    /// fiber resumed inline by the engine's scheduler thread. One OS
-    /// thread total; scales to tens of thousands of ranks in one process.
-    EventDriven,
-    /// Legacy mode: one OS thread per rank plus a worker pool for
-    /// progress ops. Costs an OS thread per rank, so it only scales to a
-    /// few hundred ranks; kept for differential testing the fiber path.
-    Threads,
-}
 
 /// Configuration for one simulated run.
 pub struct SimConfig {
@@ -59,11 +39,9 @@ pub struct SimConfig {
     /// Collective-algorithm selection policy. The default reproduces the
     /// legacy hardcoded 32 KiB short/long thresholds exactly.
     pub coll_select: CollSelector,
-    /// Execution mode for rank bodies: fibers (default) or OS threads.
-    pub exec: ExecMode,
-    /// Stack size for rank/op fibers in [`ExecMode::EventDriven`]. Stacks
-    /// are committed lazily by the OS, so the default is generous; lower
-    /// it for very large sweeps if address space matters.
+    /// Stack size of each rank/op fiber. Stacks are committed lazily by
+    /// the OS, so the default is generous; lower it for very large sweeps
+    /// if address space matters.
     pub fiber_stack: usize,
 }
 
@@ -80,7 +58,6 @@ impl SimConfig {
             trace_out: None,
             verify: VerifyMode::Strict,
             coll_select: CollSelector::default(),
-            exec: ExecMode::EventDriven,
             fiber_stack: ovcomm_simnet::DEFAULT_STACK_SIZE,
         }
     }
@@ -95,15 +72,8 @@ impl SimConfig {
             trace_out: None,
             verify: VerifyMode::Strict,
             coll_select: CollSelector::default(),
-            exec: ExecMode::EventDriven,
             fiber_stack: ovcomm_simnet::DEFAULT_STACK_SIZE,
         }
-    }
-
-    /// Set the execution mode (fibers vs. OS threads).
-    pub fn with_exec(mut self, exec: ExecMode) -> SimConfig {
-        self.exec = exec;
-        self
     }
 
     /// Replace the default full-bisection fabric with an explicit cluster
@@ -113,7 +83,7 @@ impl SimConfig {
         self
     }
 
-    /// Set the per-fiber stack size used in [`ExecMode::EventDriven`].
+    /// Set the per-fiber stack size.
     pub fn with_fiber_stack(mut self, bytes: usize) -> SimConfig {
         self.fiber_stack = bytes;
         self
@@ -156,9 +126,9 @@ pub enum SimError {
         /// The structured diagnosis.
         report: DeadlockReport,
     },
-    /// A rank thread (or progress actor) panicked.
+    /// A rank (or one of its progress actors) panicked.
     RankPanic {
-        /// World rank of the first panicking thread.
+        /// World rank that panicked (the lowest, when several did).
         rank: usize,
         /// Panic payload rendered as a string.
         message: String,
@@ -228,7 +198,7 @@ pub struct SimOutput<T> {
     pub verify: VerifyReport,
 }
 
-/// Everything shared between rank threads, progress workers and engine
+/// Everything shared between rank actors, progress actors and engine
 /// callbacks.
 pub(crate) struct UniShared {
     pub engine: Engine,
@@ -243,12 +213,9 @@ pub(crate) struct UniShared {
     /// share it, so pipelined reductions cannot compute faster than the
     /// process's progress engine allows.
     pub cpu: Vec<ovcomm_simnet::ResourceId>,
-    pub pool: Pool,
     pub tracing: bool,
     pub op_panics: Mutex<Vec<(u32, String)>>,
-    /// How ops are dispatched: fibers (default) or pool threads.
-    pub exec: ExecMode,
-    /// Stack size for op fibers in event-driven mode.
+    /// Stack size for op fibers.
     pub fiber_stack: usize,
 }
 
@@ -508,8 +475,8 @@ impl RankCtx {
 /// assert_eq!(out.results[1], 42.0);
 /// assert!(out.makespan.as_nanos() > 0); // virtual time elapsed
 /// ```
-// The `expect`s here are launch-time (thread spawn) and join-time (a rank
-// that did not panic must have produced a result) invariants.
+// The `expect` here is a collect-time invariant: a rank that did not
+// panic must have produced a result.
 #[allow(clippy::expect_used)]
 pub fn run<T, F>(cfg: SimConfig, f: F) -> Result<SimOutput<T>, SimError>
 where
@@ -549,25 +516,22 @@ where
         nodemap: cfg.nodemap.clone(),
         resources,
         cpu,
-        pool: Pool::new(),
         tracing: cfg.trace,
         op_panics: Mutex::new(Vec::new()),
-        exec: cfg.exec,
         fiber_stack: cfg.fiber_stack,
     });
 
     let f = Arc::new(f);
     let world_ranks: Arc<Vec<u32>> = Arc::new((0..nranks as u32).collect());
     // Rank results and captured rank panics, filled in by the rank bodies
-    // themselves so fibers and threads share one code path.
+    // themselves.
     let results: Arc<Mutex<Vec<Option<T>>>> =
         Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
     let rank_panics: Arc<Mutex<Vec<(usize, String)>>> = Arc::new(Mutex::new(Vec::new()));
 
-    // The body of one rank actor, identical in both execution modes: wait
-    // for the scheduler's first release, run the user closure, record the
-    // result (or the panic), and — via the drop guard, so unwinding paths
-    // are covered — retire the actor.
+    // The body of one rank actor: take the scheduler's first release, run
+    // the user closure, record the result (or the panic), and — via the
+    // drop guard, so unwinding paths are covered — retire the actor.
     let body_for = |r: usize, cell: Arc<ParkCell>| {
         let uni2 = uni.clone();
         let f2 = f.clone();
@@ -622,45 +586,20 @@ where
 
     // Register all rank actors before the loop starts so the engine cannot
     // advance early.
-    let cells: Vec<Arc<ParkCell>> = (0..nranks).map(|_| Arc::new(ParkCell::new())).collect();
-    let mut handles = Vec::new();
-    match cfg.exec {
-        ExecMode::EventDriven => {
-            for (r, cell) in cells.into_iter().enumerate() {
-                let fiber = Fiber::new(cfg.fiber_stack, body_for(r, cell.clone()));
-                uni.engine
-                    .register_fiber_at(r as u32, fiber, cell, SimTime::ZERO);
-            }
-        }
-        ExecMode::Threads => {
-            for (r, cell) in cells.iter().enumerate() {
-                uni.engine.register_actor(r as u32, cell.clone());
-            }
-            handles.reserve(nranks);
-            for (r, cell) in cells.into_iter().enumerate() {
-                let h = std::thread::Builder::new()
-                    .name(format!("rank-{r}"))
-                    .stack_size(4 << 20)
-                    .spawn(body_for(r, cell))
-                    .expect("failed to spawn rank thread");
-                handles.push(h);
-            }
-        }
+    for r in 0..nranks {
+        let cell = Arc::new(ParkCell::new());
+        let fiber = Fiber::new(cfg.fiber_stack, body_for(r, cell.clone()));
+        uni.engine
+            .register_fiber_at(r as u32, fiber, cell, SimTime::ZERO);
     }
 
     // Drive the event loop on this thread (fibers resume inline here).
     uni.engine.run_loop();
-    for h in handles {
-        // Rank panics were captured inside the body; a join error here can
-        // only be a ForcedUnwind propagated past it.
-        let _ = h.join();
-    }
     uni.engine.drain_fibers();
-    uni.pool.shutdown();
 
     let results: Vec<Option<T>> = std::mem::take(&mut *results.lock());
     let mut panics: Vec<(usize, String)> = std::mem::take(&mut *rank_panics.lock());
-    // Thread-mode capture order is scheduling-dependent; report by rank.
+    // Report by rank, not by the order the scheduler reached the panics.
     panics.sort();
 
     // A rank panic often *causes* the deadlock that unwinds everyone else;
@@ -713,7 +652,6 @@ where
         )
     };
     let makespan = end_times.iter().copied().max().unwrap_or(SimTime::ZERO);
-    uni.env.metrics.pool_spawned.set(uni.pool.spawned() as u64);
     let clamped_spans = uni.engine.clamped_spans();
     uni.env.metrics.spans_clamped(clamped_spans as u64);
     let trace = uni.engine.take_trace();

@@ -1,11 +1,11 @@
 //! The discrete-event engine with serialized actors.
 //!
-//! Actor (rank) code runs either on OS threads that *block* in communication
-//! calls (thread mode, exactly like an MPI program) or as stackful
-//! [`Fiber`]s that *yield* at the same points (event-driven mode, which
-//! scales to tens of thousands of ranks on one core). Either way the engine
-//! serializes execution: at any moment exactly one of {an actor, an event
-//! callback} runs. Virtual time advances only inside the scheduler loop.
+//! Actor (rank) code is written in blocking style, exactly like an MPI
+//! program, and runs as a stackful [`Fiber`] that *yields* to the scheduler
+//! wherever the program would block — one OS thread drives tens of
+//! thousands of ranks. The engine serializes execution: at any moment
+//! exactly one of {an actor, an event callback} runs. Virtual time advances
+//! only inside the scheduler loop.
 //!
 //! # Determinism
 //!
@@ -22,20 +22,18 @@
 //! wins a time tie against an event. Because actors may only schedule events
 //! at or after their own local clocks and wakes never target the past, the
 //! executed sequence — and therefore every virtual timestamp, trace span
-//! order, and verify log — is identical across runs and independent of OS
-//! thread scheduling.
+//! order, and verify log — is identical across runs.
 //!
 //! # Actor protocol
 //!
-//! An actor is registered with [`Engine::register_actor`] (threads) or
-//! [`Engine::register_fiber_at`] (fibers) together with its [`ParkCell`].
-//! The actor's body must call [`Engine::await_release`] on that cell before
-//! touching anything else, park only via [`Engine::park`] **on its own
-//! registered cell**, and call [`Engine::actor_finished`] when done
-//! (normally via a drop guard). Wakes directed at a registered cell are
-//! routed through the scheduler's ready queue; waking an unregistered cell
-//! would release a thread outside the serialization discipline, so all
-//! cells parked on must be registered.
+//! An actor is registered with [`Engine::register_fiber_at`] together with
+//! its [`ParkCell`]. The actor's body must call [`Engine::await_release`]
+//! on that cell before touching anything else, park only via
+//! [`Engine::park`] **on its own registered cell**, and call
+//! [`Engine::actor_finished`] when done (normally via a drop guard). Wakes
+//! directed at a registered cell are routed through the scheduler's ready
+//! queue. Calling `await_release` or `park` from outside a fiber is a bug
+//! and panics.
 //!
 //! # Lock ordering
 //!
@@ -125,15 +123,6 @@ pub struct NetStats {
     pub max_queue_delay_secs: f64,
 }
 
-/// How a parked actor was released.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WakeKind {
-    /// Normal wake; the actor's clock becomes the wake time.
-    Normal,
-    /// The simulation deadlocked: no runnable actor and no pending event.
-    Deadlock,
-}
-
 #[derive(Default)]
 struct CellState {
     pending: Option<SimTime>,
@@ -144,6 +133,8 @@ struct CellState {
 /// calls; the scheduler releases it at its turn in `(time, id)` order.
 pub struct ParkCell {
     state: Mutex<CellState>,
+    /// Only the engine-free `_direct` methods sleep on this (wall-clock
+    /// runtimes parking real threads); engine actors are fibers and yield.
     cv: Condvar,
     /// The actor id this cell was registered under ([`ACTOR_NONE`] while
     /// unregistered). Lets [`Engine::wake`] route wakes to the ready queue.
@@ -166,20 +157,6 @@ impl ParkCell {
         }
     }
 
-    /// Block the calling thread until woken; returns the wake time.
-    fn wait(&self) -> (SimTime, WakeKind) {
-        let mut st = self.state.lock();
-        loop {
-            if st.deadlock {
-                return (SimTime::ZERO, WakeKind::Deadlock);
-            }
-            if let Some(t) = st.pending.take() {
-                return (t, WakeKind::Normal);
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
     /// Deposit a pending wake at `t` (repeated wakes merge to the latest
     /// time) and notify any parked thread. No scheduler involvement.
     fn deposit(&self, t: SimTime) {
@@ -196,18 +173,6 @@ impl ParkCell {
     /// with [`Engine::park`]/[`Engine::wake`] on the same cell.
     pub fn wake_direct(&self, t: SimTime) {
         self.deposit(t);
-    }
-
-    /// Engine-free park: block until a pending wake is deposited, returning
-    /// the wake time.
-    pub fn park_direct(&self) -> SimTime {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(t) = st.pending.take() {
-                return t;
-            }
-            self.cv.wait(&mut st);
-        }
     }
 
     /// Engine-free park with a timeout: block until a pending wake arrives
@@ -232,22 +197,12 @@ impl ParkCell {
     }
 }
 
-/// How an actor's suspended continuation is stored.
-enum ActorSlot {
-    /// Actor body runs on an OS thread parked on the cell.
-    Thread(Arc<ParkCell>),
-    /// Actor body is a fiber; `None` while the fiber is running (the
-    /// scheduler takes it out to resume it outside the core lock).
-    Fiber(Option<Fiber>, Arc<ParkCell>),
-}
-
-impl ActorSlot {
-    fn cell(&self) -> &Arc<ParkCell> {
-        match self {
-            ActorSlot::Thread(c) => c,
-            ActorSlot::Fiber(_, c) => c,
-        }
-    }
+/// A registered actor: its suspended continuation and its cell.
+struct ActorSlot {
+    /// `None` while the fiber is running (the scheduler takes it out to
+    /// resume it outside the core lock).
+    fiber: Option<Fiber>,
+    cell: Arc<ParkCell>,
 }
 
 struct Core {
@@ -263,7 +218,7 @@ struct Core {
     ready: BTreeSet<(SimTime, u32)>,
     /// Pending release time per ready actor (wakes merge to the max).
     ready_time: BTreeMap<u32, SimTime>,
-    /// The actor currently running, if any. While set, the scheduler waits.
+    /// The actor currently running, if any (set across one `resume`).
     current: Option<u32>,
     trace: Option<Trace>,
     completed_flows: u64,
@@ -276,10 +231,9 @@ struct Core {
 }
 
 /// The virtual-time discrete-event engine. Shared by reference between the
-/// scheduler thread and all actor threads/fibers.
+/// scheduler and all actor fibers.
 pub struct Engine {
     core: Mutex<Core>,
-    cv: Condvar,
 }
 
 const DEADLOCK_MSG: &str = "simulation deadlock: every rank is blocked and no event is pending \
@@ -309,7 +263,6 @@ impl Engine {
                 deadlock_actors: Vec::new(),
                 stopped: false,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -403,31 +356,19 @@ impl Engine {
         self.core.lock().deadlock_actors.clone()
     }
 
-    /// Register a thread-backed actor, ready to be released at time zero.
-    /// The actor's body must call [`Engine::await_release`] on `cell` before
-    /// doing anything else.
-    pub fn register_actor(&self, id: u32, cell: Arc<ParkCell>) {
-        self.register_actor_at(id, cell, SimTime::ZERO);
-    }
-
-    /// Register a thread-backed actor that becomes ready at `ready_at`
-    /// (e.g. a collective-op job released at its post time).
-    pub fn register_actor_at(&self, id: u32, cell: Arc<ParkCell>, ready_at: SimTime) {
-        self.register_slot(id, ActorSlot::Thread(cell), ready_at);
-    }
-
-    /// Register a fiber-backed actor that becomes ready at `ready_at`. The
-    /// scheduler resumes the fiber at its turns; the fiber's body must call
+    /// Register an actor that becomes ready at `ready_at` (time zero for a
+    /// rank, the post time for a collective-op actor). The scheduler resumes
+    /// the fiber at its turns; the fiber's body must call
     /// [`Engine::await_release`] on `cell` first, park only via
     /// [`Engine::park`] on `cell`, and call [`Engine::actor_finished`]
     /// before returning.
     pub fn register_fiber_at(&self, id: u32, fiber: Fiber, cell: Arc<ParkCell>, ready_at: SimTime) {
-        self.register_slot(id, ActorSlot::Fiber(Some(fiber), cell), ready_at);
-    }
-
-    fn register_slot(&self, id: u32, slot: ActorSlot, ready_at: SimTime) {
         assert!(id != ACTOR_NONE, "actor id {id} is reserved");
-        slot.cell().id.store(id, Ordering::Relaxed);
+        cell.id.store(id, Ordering::Relaxed);
+        let slot = ActorSlot {
+            fiber: Some(fiber),
+            cell,
+        };
         let mut core = self.core.lock();
         debug_assert!(ready_at >= core.now, "actor {id} registered in the past");
         assert!(
@@ -452,24 +393,18 @@ impl Engine {
         }
         if core.current == Some(id) {
             core.current = None;
-            self.cv.notify_all();
         }
     }
 
-    /// Block the calling actor until the scheduler releases it for the
-    /// first time; returns the release time. Must be the first engine call
-    /// an actor's body makes (for fibers it just consumes the deposited
-    /// release time).
+    /// Consume the release time the scheduler deposited before resuming the
+    /// calling actor for the first time. Must be the first engine call an
+    /// actor's body makes; panics outside a fiber.
     pub fn await_release(&self, cell: &ParkCell) -> SimTime {
-        if fiber::in_fiber() {
-            // The scheduler deposits the release time before resuming.
-            cell.state.lock().pending.take().unwrap_or(SimTime::ZERO)
-        } else {
-            match cell.wait() {
-                (t, WakeKind::Normal) => t,
-                (_, WakeKind::Deadlock) => panic!("{DEADLOCK_MSG}"),
-            }
-        }
+        assert!(
+            fiber::in_fiber(),
+            "Engine::await_release called outside a fiber actor"
+        );
+        cell.state.lock().pending.take().unwrap_or(SimTime::ZERO)
     }
 
     /// Schedule an action at an explicit key. Panics on key collision —
@@ -599,66 +534,55 @@ impl Engine {
         cell.state.lock().pending.take()
     }
 
-    /// Declare the calling actor blocked and sleep until the scheduler
+    /// Declare the calling actor blocked and yield until the scheduler
     /// releases it. Returns the wake time; panics with a diagnostic if the
     /// simulation deadlocked. Must be called on the actor's own registered
-    /// cell.
+    /// cell; panics outside a fiber.
     pub fn park(&self, cell: &ParkCell) -> SimTime {
+        assert!(
+            fiber::in_fiber(),
+            "Engine::park called outside a fiber actor"
+        );
         // A wake deposited while we were running (self-wake): consume it
-        // without a scheduler round-trip — the actor just keeps running,
-        // which is exactly what the old runnable-count engine did.
+        // without a scheduler round-trip — the actor just keeps running.
         if let Some(t) = cell.state.lock().pending.take() {
             return t;
         }
-        if fiber::in_fiber() {
-            {
-                let mut core = self.core.lock();
-                debug_assert_eq!(
-                    core.current,
-                    Some(cell.id.load(Ordering::Relaxed)),
-                    "fiber parking on a cell it is not registered under"
-                );
-                core.current = None;
-            }
-            // The scheduler is blocked inside `Fiber::resume`; yielding
-            // returns control to it. It resumes us with a deposited wake
-            // (or the deadlock flag).
-            fiber::fiber_yield();
-            let mut st = cell.state.lock();
-            if st.deadlock {
+        {
+            let mut core = self.core.lock();
+            debug_assert_eq!(
+                core.current,
+                Some(cell.id.load(Ordering::Relaxed)),
+                "fiber parking on a cell it is not registered under"
+            );
+            core.current = None;
+        }
+        // The scheduler is blocked inside `Fiber::resume`; yielding returns
+        // control to it. It resumes us with a deposited wake (or the
+        // deadlock flag).
+        fiber::fiber_yield();
+        let mut st = cell.state.lock();
+        if st.deadlock {
+            drop(st);
+            panic!("{DEADLOCK_MSG}");
+        }
+        match st.pending.take() {
+            Some(t) => t,
+            None => {
                 drop(st);
-                panic!("{DEADLOCK_MSG}");
-            }
-            match st.pending.take() {
-                Some(t) => t,
-                None => {
-                    drop(st);
-                    panic!("fiber resumed without a pending wake");
-                }
-            }
-        } else {
-            {
-                let mut core = self.core.lock();
-                core.current = None;
-                self.cv.notify_all();
-            }
-            match cell.wait() {
-                (t, WakeKind::Normal) => t,
-                (_, WakeKind::Deadlock) => panic!("{DEADLOCK_MSG}"),
+                panic!("fiber resumed without a pending wake");
             }
         }
     }
 
-    /// Run the scheduler until all actors have finished (or deadlock).
-    /// Typically run on the caller's thread while thread-actors block and
-    /// fiber-actors are resumed inline.
+    /// Run the scheduler until all actors have finished (or deadlock), on
+    /// the caller's thread; actors are resumed inline.
     // The `expect`s below assert queue/flow-table agreement — invariants
     // whose violation means the engine itself is broken, not user error.
     #[allow(clippy::expect_used)]
     pub fn run_loop(&self) {
         enum Work {
             Event(Action),
-            ReleaseThread(Arc<ParkCell>, SimTime),
             RunFiber(u32, Fiber, Arc<ParkCell>, SimTime),
             Deadlock(Vec<Arc<ParkCell>>, Vec<Fiber>),
             Return,
@@ -666,21 +590,16 @@ impl Engine {
         loop {
             let work: Work = {
                 let mut core = self.core.lock();
-                loop {
-                    if core.stopped {
-                        break Work::Return;
-                    }
-                    if core.current.is_some() {
-                        // A thread-actor is running; wait for it to park or
-                        // finish. (Fiber-actors never leave `current` set
-                        // across a scheduler iteration.)
-                        self.cv.wait(&mut core);
-                        continue;
-                    }
-                    if core.live == 0 {
-                        core.stopped = true;
-                        break Work::Return;
-                    }
+                debug_assert!(
+                    core.stopped || core.current.is_none(),
+                    "an actor yielded without parking or finishing"
+                );
+                if core.stopped {
+                    Work::Return
+                } else if core.live == 0 {
+                    core.stopped = true;
+                    Work::Return
+                } else {
                     let next_actor = core.ready.first().copied();
                     let next_event = core.queue.keys().next().copied();
                     match (next_actor, next_event) {
@@ -692,14 +611,10 @@ impl Engine {
                             let mut cells = Vec::new();
                             let mut fibers = Vec::new();
                             for slot in core.actors.values_mut() {
-                                cells.push(slot.cell().clone());
-                                if let ActorSlot::Fiber(f, _) = slot {
-                                    if let Some(f) = f.take() {
-                                        fibers.push(f);
-                                    }
-                                }
+                                cells.push(slot.cell.clone());
+                                fibers.extend(slot.fiber.take());
                             }
-                            break Work::Deadlock(cells, fibers);
+                            Work::Deadlock(cells, fibers)
                         }
                         (Some((ta, id)), ev) if ev.is_none_or(|k| ta <= k.time) => {
                             // Release the earliest ready actor; actors win
@@ -710,15 +625,9 @@ impl Engine {
                                 core.now = ta;
                             }
                             core.current = Some(id);
-                            match core.actors.get_mut(&id).expect("ready actor missing") {
-                                ActorSlot::Thread(cell) => {
-                                    break Work::ReleaseThread(cell.clone(), ta);
-                                }
-                                ActorSlot::Fiber(fiber, cell) => {
-                                    let fiber = fiber.take().expect("fiber already running");
-                                    break Work::RunFiber(id, fiber, cell.clone(), ta);
-                                }
-                            }
+                            let slot = core.actors.get_mut(&id).expect("ready actor missing");
+                            let fiber = slot.fiber.take().expect("fiber already running");
+                            Work::RunFiber(id, fiber, slot.cell.clone(), ta)
                         }
                         // The guard above always passes when there is no
                         // event, so this arm only ever sees `Some` events.
@@ -727,7 +636,7 @@ impl Engine {
                             debug_assert!(key.time >= core.now, "event in the past: {key:?}");
                             core.now = key.time;
                             match slot {
-                                Slot::Call(a) => break Work::Event(a),
+                                Slot::Call(a) => Work::Event(a),
                                 Slot::FlowDone(id) => {
                                     let now = core.now;
                                     core.settle_flows(now);
@@ -743,7 +652,7 @@ impl Engine {
                                         core.max_queue_delay_secs.max(delay);
                                     let cb =
                                         meta.on_complete.take().expect("flow callback missing");
-                                    break Work::Event(cb);
+                                    Work::Event(cb)
                                 }
                             }
                         }
@@ -753,30 +662,22 @@ impl Engine {
             match work {
                 Work::Return => return,
                 Work::Event(a) => a(self),
-                Work::ReleaseThread(cell, t) => {
-                    // Hand the turn to the thread; the next scheduler
-                    // iteration waits until it parks or finishes.
-                    cell.deposit(t);
-                }
                 Work::RunFiber(id, mut fiber, cell, t) => {
                     cell.deposit(t);
                     fiber.resume();
                     // The fiber parked (put it back) or finished (its
                     // `actor_finished` removed the map entry; drop it).
                     let mut core = self.core.lock();
-                    if let Some(ActorSlot::Fiber(slot, _)) = core.actors.get_mut(&id) {
-                        debug_assert!(slot.is_none());
-                        *slot = Some(fiber);
+                    if let Some(slot) = core.actors.get_mut(&id) {
+                        debug_assert!(slot.fiber.is_none());
+                        slot.fiber = Some(fiber);
                     } else {
                         debug_assert!(fiber.done());
                     }
                 }
                 Work::Deadlock(cells, fibers) => {
                     for cell in cells {
-                        let mut st = cell.state.lock();
-                        st.deadlock = true;
-                        drop(st);
-                        cell.cv.notify_all();
+                        cell.state.lock().deadlock = true;
                     }
                     // Resume each suspended fiber once: its `park` sees the
                     // deadlock flag and panics, unwinding the fiber stack
@@ -805,11 +706,7 @@ impl Engine {
         {
             let mut core = self.core.lock();
             for slot in core.actors.values_mut() {
-                if let ActorSlot::Fiber(f, _) = slot {
-                    if let Some(f) = f.take() {
-                        held.push(f);
-                    }
-                }
+                held.extend(slot.fiber.take());
             }
         }
         drop(held);
@@ -868,7 +765,6 @@ impl Core {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::thread;
 
     /// Drive a single-actor simulation: the actor body gets (engine, its
     /// registered cell) after the scheduler releases it.
@@ -877,15 +773,14 @@ mod tests {
         F: FnOnce(&Engine, &Arc<ParkCell>) + Send + 'static,
     {
         let cell = Arc::new(ParkCell::new());
-        engine.register_actor(0, cell.clone());
-        let eng2 = engine.clone();
-        let t = thread::spawn(move || {
-            eng2.await_release(&cell);
-            body(&eng2, &cell);
+        let (eng2, cell2) = (engine.clone(), cell.clone());
+        let fiber = Fiber::new(128 * 1024, move || {
+            eng2.await_release(&cell2);
+            body(&eng2, &cell2);
             eng2.actor_finished(0);
         });
+        engine.register_fiber_at(0, fiber, cell, SimTime::ZERO);
         engine.run_loop();
-        t.join().unwrap();
     }
 
     #[test]
@@ -1029,22 +924,27 @@ mod tests {
     #[test]
     fn deadlock_is_detected_and_panics_parked_actor() {
         let engine = Arc::new(Engine::new());
-        let cell = Arc::new(ParkCell::new());
-        engine.register_actor(0, cell.clone());
-        let eng2 = engine.clone();
-        let t = thread::spawn(move || {
-            eng2.await_release(&cell);
+        run_one_actor(engine.clone(), |eng, cell| {
             // Park with nothing scheduled: guaranteed deadlock.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eng2.park(&cell);
+                eng.park(cell);
             }));
-            eng2.actor_finished(0);
             assert!(result.is_err(), "park should panic on deadlock");
         });
-        engine.run_loop();
-        t.join().unwrap();
         assert!(engine.deadlocked());
         assert_eq!(engine.deadlocked_actors(), vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Engine::park called outside a fiber actor")]
+    fn park_outside_a_fiber_panics() {
+        Engine::new().park(&ParkCell::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "Engine::await_release called outside a fiber actor")]
+    fn await_release_outside_a_fiber_panics() {
+        Engine::new().await_release(&ParkCell::new());
     }
 
     #[test]
@@ -1148,74 +1048,6 @@ mod tests {
         assert!(engine.deadlocked());
         assert_eq!(unwound.load(Ordering::SeqCst), 4);
         assert_eq!(engine.deadlocked_actors().len(), 4);
-    }
-
-    #[test]
-    fn mixed_thread_and_fiber_actors_interleave_by_time_and_id() {
-        // One thread actor (id 0) and two fiber actors (ids 1, 2), all
-        // sleeping to the same instants: release order must be id order.
-        let engine = Arc::new(Engine::new());
-        let order = Arc::new(Mutex::new(Vec::<u32>::new()));
-
-        let tcell = Arc::new(ParkCell::new());
-        engine.register_actor(0, tcell.clone());
-        let eng_t = engine.clone();
-        let order_t = order.clone();
-        let th = thread::spawn(move || {
-            eng_t.await_release(&tcell);
-            let seq = AtomicU64::new(0);
-            for round in 0..3u64 {
-                let at = (round + 1) * 1_000;
-                let c2 = tcell.clone();
-                eng_t.schedule(
-                    EventKey {
-                        time: SimTime(at),
-                        class: 1,
-                        origin: 0,
-                        seq: seq.fetch_add(1, Ordering::Relaxed),
-                    },
-                    Box::new(move |e| e.wake(&c2, SimTime(at))),
-                );
-                eng_t.park(&tcell);
-                order_t.lock().push(0);
-            }
-            eng_t.actor_finished(0);
-        });
-
-        for i in 1u32..3 {
-            let cell = Arc::new(ParkCell::new());
-            let eng2 = engine.clone();
-            let cell2 = cell.clone();
-            let order2 = order.clone();
-            let fiber = Fiber::new(
-                128 * 1024,
-                Box::new(move || {
-                    eng2.await_release(&cell2);
-                    let seq = AtomicU64::new(0);
-                    for round in 0..3u64 {
-                        let at = (round + 1) * 1_000;
-                        let c2 = cell2.clone();
-                        eng2.schedule(
-                            EventKey {
-                                time: SimTime(at),
-                                class: 1,
-                                origin: i,
-                                seq: seq.fetch_add(1, Ordering::Relaxed),
-                            },
-                            Box::new(move |e| e.wake(&c2, SimTime(at))),
-                        );
-                        eng2.park(&cell2);
-                        order2.lock().push(i);
-                    }
-                    eng2.actor_finished(i);
-                }),
-            );
-            engine.register_fiber_at(i, fiber, cell, SimTime::ZERO);
-        }
-
-        engine.run_loop();
-        th.join().unwrap();
-        assert_eq!(*order.lock(), vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
     }
 
     #[test]

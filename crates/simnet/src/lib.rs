@@ -14,10 +14,9 @@
 //!   root motivation for overlapping communications) is modeled by the
 //!   message-size-dependent stream cap in [`profile::MachineProfile`].
 //! * [`engine`] — a serialized discrete-event engine: actors (MPI ranks) are
-//!   stackful coroutines ([`fiber`]) or, for differential testing, OS
-//!   threads; exactly one context runs at a time and parked actors are
-//!   released in deterministic `(virtual time, actor id)` order, making runs
-//!   bit-deterministic regardless of OS thread scheduling.
+//!   stackful coroutines ([`fiber`]); exactly one context runs at a time and
+//!   parked actors are released in deterministic `(virtual time, actor id)`
+//!   order, making runs bit-deterministic.
 //! * [`fiber`] — minimal stackful coroutines (one context switch is a few ns
 //!   and a fiber costs one heap stack, so tens of thousands of ranks fit in
 //!   one process).
@@ -40,8 +39,7 @@ pub mod topology;
 pub mod trace;
 
 pub use engine::{
-    Action, Engine, EventKey, NetStats, ParkCell, ResourceEntry, WakeKind, CLASS_FLOW,
-    ENGINE_ORIGIN,
+    Action, Engine, EventKey, NetStats, ParkCell, ResourceEntry, CLASS_FLOW, ENGINE_ORIGIN,
 };
 pub use fiber::{fiber_yield, in_fiber, Fiber, ForcedUnwind, DEFAULT_STACK_SIZE};
 pub use flow::{FlowId, FlowNet, FlowSpec, ResourceId, ResourceKind, ResourceStats};

@@ -1,43 +1,35 @@
 //! Engine stress tests: many actors, interleaved timers and flows,
-//! determinism of the event order under host-scheduling noise.
+//! determinism of the event order across runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 
 use parking_lot::Mutex;
 
-use ovcomm_simnet::{Engine, EventKey, ParkCell, SimTime};
+use ovcomm_simnet::{Engine, EventKey, Fiber, ParkCell, SimTime};
 
-/// Spawn `n` actors whose bodies run on threads; the engine loop runs on
-/// this thread. Returns per-actor final wake times.
-fn run_actors<F>(n: usize, body: F) -> Vec<u64>
+/// Register `n` fiber actors on `engine` and run its loop on this thread.
+/// Returns what each actor's body returned (its final wake time).
+fn run_actors<F>(engine: &Arc<Engine>, n: usize, body: F) -> Vec<u64>
 where
     F: Fn(usize, &Engine, &Arc<ParkCell>) -> u64 + Send + Sync + 'static,
 {
-    let engine = Arc::new(Engine::new());
     let body = Arc::new(body);
-    let cells: Vec<Arc<ParkCell>> = (0..n).map(|_| Arc::new(ParkCell::new())).collect();
-    for (i, cell) in cells.iter().enumerate() {
-        engine.register_actor(i as u32, cell.clone());
-    }
     let results = Arc::new(Mutex::new(vec![0u64; n]));
-    let mut handles = Vec::new();
-    for (i, cell) in cells.into_iter().enumerate() {
-        let engine2 = engine.clone();
+    for i in 0..n {
+        let cell = Arc::new(ParkCell::new());
+        let (engine2, cell2) = (engine.clone(), cell.clone());
         let body2 = body.clone();
         let results2 = results.clone();
-        handles.push(thread::spawn(move || {
-            engine2.await_release(&cell);
-            let out = body2(i, &engine2, &cell);
+        let fiber = Fiber::new(128 * 1024, move || {
+            engine2.await_release(&cell2);
+            let out = body2(i, &engine2, &cell2);
             results2.lock()[i] = out;
             engine2.actor_finished(i as u32);
-        }));
+        });
+        engine.register_fiber_at(i as u32, fiber, cell, SimTime::ZERO);
     }
     engine.run_loop();
-    for h in handles {
-        h.join().unwrap();
-    }
     Arc::try_unwrap(results).unwrap().into_inner()
 }
 
@@ -62,7 +54,7 @@ fn vsleep(engine: &Engine, cell: &Arc<ParkCell>, id: usize, seq: &AtomicU64, at:
 #[test]
 fn hundred_actors_with_interleaved_timers_are_deterministic() {
     let go = || {
-        run_actors(100, |i, engine, cell| {
+        run_actors(&Arc::new(Engine::new()), 100, |i, engine, cell| {
             let seq = AtomicU64::new(0);
             let mut t = 0u64;
             // Deterministic but irregular per-actor schedule.
@@ -89,12 +81,8 @@ fn flows_and_timers_interleave_correctly() {
     let engine = Arc::new(Engine::new());
     let nic = engine.add_resource(1e9);
     let completions = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let cell = Arc::new(ParkCell::new());
-    engine.register_actor(0, cell.clone());
-    let engine2 = engine.clone();
     let completions2 = completions.clone();
-    let t = thread::spawn(move || {
-        engine2.await_release(&cell);
+    run_actors(&engine, 1, move |_, engine2, cell| {
         let seq = AtomicU64::new(0);
         // Start flow A (2 MB) at t=0 via an event.
         let c2 = completions2.clone();
@@ -150,11 +138,9 @@ fn flows_and_timers_interleave_correctly() {
             },
             Box::new(move |e| e.wake(&cellw, SimTime(wake))),
         );
-        engine2.park(&cell);
-        engine2.actor_finished(0);
+        engine2.park(cell);
+        0
     });
-    engine.run_loop();
-    t.join().unwrap();
     let times = completions.lock().clone();
     assert_eq!(times.len(), 2);
     // From t=1ms both flows share 1 GB/s: each has 1 MB left → both finish
@@ -171,11 +157,7 @@ fn flows_and_timers_interleave_correctly() {
 fn trace_spans_accumulate_across_actors() {
     let engine = Arc::new(Engine::new());
     engine.enable_trace();
-    let cell = Arc::new(ParkCell::new());
-    engine.register_actor(0, cell.clone());
-    let engine2 = engine.clone();
-    let t = thread::spawn(move || {
-        engine2.await_release(&cell);
+    run_actors(&engine, 1, |_, engine2, _| {
         for i in 0..5 {
             engine2.record_span(ovcomm_simnet::TraceSpan {
                 actor: i,
@@ -186,10 +168,8 @@ fn trace_spans_accumulate_across_actors() {
                 end: SimTime(i as u64 * 100 + 50),
             });
         }
-        engine2.actor_finished(0);
+        0
     });
-    engine.run_loop();
-    t.join().unwrap();
     let trace = engine.take_trace().expect("trace enabled");
     assert_eq!(trace.spans().len(), 5);
     assert_eq!(trace.for_actor(3).count(), 1);

@@ -102,6 +102,44 @@ fn whole_runs_are_deterministic_across_repetitions() {
 }
 
 #[test]
+fn scheduler_order_is_pinned_for_overlapping_nonblocking_collectives() {
+    // Two nonblocking collectives on dup'd communicators plus an ibarrier
+    // at p = 8, PPN 4 — the program of the simmpi `determinism` suite that
+    // exercises op actors. The literals were recorded from the retired
+    // thread-per-rank executor at commit `ef982b7` (the fiber scheduler
+    // agreed); a change in them is a change in `(time, id)` release order.
+    let go = || {
+        run(
+            SimConfig::natural(8, 4, MachineProfile::test_profile()),
+            |rc: RankCtx| {
+                let w = rc.world();
+                let me = rc.rank();
+                let contrib = |r: usize, len: usize| {
+                    Payload::from_f64s(&(0..len).map(|i| (r * len + i) as f64).collect::<Vec<_>>())
+                };
+                let (c1, c2) = (w.dup(), w.dup());
+                let r1 = c1.ibcast(0, (me == 0).then(|| contrib(2, 1024)), 1024 * 8);
+                let r2 = c2.iallreduce(contrib(me, 512));
+                let rb = w.ibarrier();
+                let (a, b) = (c1.wait(&r1), c2.wait(&r2));
+                w.wait(&rb);
+                (a.to_f64s(), b.to_f64s(), rc.now())
+            },
+        )
+        .unwrap()
+    };
+    let (a, b) = (go(), go());
+    assert_eq!(a.results, b.results);
+    assert_eq!(a.end_times, b.end_times);
+    for o in [&a, &b] {
+        assert_eq!(o.makespan.as_nanos(), 75_479);
+        assert_eq!(o.messages, 55);
+        assert_eq!(o.inter_node_bytes, 40_960);
+        assert_eq!(o.intra_node_bytes, 114_688);
+    }
+}
+
+#[test]
 fn overlap_and_ppn_combine_for_the_headline_speedup() {
     // The paper's §V-D story at reduced scale: combining N_DUP overlap with
     // a better PPN beats the plain baseline by a wide margin.
