@@ -26,9 +26,7 @@
 //! (`results/sim_vs_rt.json`).
 //!
 //! Each binary prints the paper-style table and writes a JSON record under
-//! `results/` for EXPERIMENTS.md. Criterion benches under `benches/` wrap
-//! representative configurations with virtual-time measurement
-//! (`iter_custom`).
+//! `results/` for EXPERIMENTS.md.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

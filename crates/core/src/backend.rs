@@ -22,9 +22,10 @@
 //! Both communicator types are one generic front end,
 //! `ovcomm_simmpi::comm::Comm<T>`, over the backend's
 //! [`Transport`]; the single blanket [`Communicator`] impl below covers
-//! them, so the trait surface cannot drift between backends. Each backend
-//! implements [`RankHandle`] and [`Window`] for its own context and
-//! window types.
+//! them, so the trait surface cannot drift between backends. The window
+//! types are likewise one `ovcomm_simmpi::rma::Win<T>` under one blanket
+//! [`Window`] impl; each backend implements only [`RankHandle`], for its
+//! own context type.
 //!
 //! Both backends share the *concrete* [`Payload`] and [`Request`] types
 //! (a request is backend-agnostic: a completion flag, a value slot, and
@@ -34,6 +35,7 @@
 //! keep existing simulator call sites source-compatible.
 
 use ovcomm_simmpi::comm::Comm;
+use ovcomm_simmpi::rma::Win;
 use ovcomm_simmpi::transport::Transport;
 use ovcomm_simmpi::{Payload, RankCtx, Request};
 use ovcomm_simnet::{MachineProfile, NodeMap, SimDur, SimTime, SpanKind};
@@ -260,10 +262,7 @@ pub trait RankHandle {
 // The communicator front end, on any backend
 // ---------------------------------------------------------------------
 
-impl<T: Transport> Communicator for Comm<T>
-where
-    T::Win: Window,
-{
+impl<T: Transport> Communicator for Comm<T> {
     fn size(&self) -> usize {
         Comm::size(self)
     }
@@ -348,54 +347,54 @@ where
     fn ibarrier(&self) -> Request<()> {
         Comm::ibarrier(self)
     }
-    type Win = T::Win;
-    fn win_create(&self, local: Payload) -> T::Win {
+    type Win = Win<T>;
+    fn win_create(&self, local: Payload) -> Win<T> {
         Comm::win_create(self, local)
+    }
+}
+
+impl<T: Transport> Window for Win<T> {
+    fn size(&self) -> usize {
+        Win::size(self)
+    }
+    fn rank(&self) -> usize {
+        Win::rank(self)
+    }
+    fn segment_len(&self, rank: usize) -> usize {
+        Win::segment_len(self, rank)
+    }
+    fn put(&self, target: usize, offset: usize, data: Payload) {
+        Win::put(self, target, offset, data)
+    }
+    fn get(&self, target: usize, offset: usize, len: usize) -> Request<Payload> {
+        Win::get(self, target, offset, len)
+    }
+    fn accumulate(&self, target: usize, offset: usize, data: Payload) {
+        Win::accumulate(self, target, offset, data)
+    }
+    fn wait(&self, req: &Request<Payload>) -> Payload {
+        Win::wait(self, req)
+    }
+    fn fence(&self) {
+        Win::fence(self)
+    }
+    fn lock(&self, target: usize) {
+        Win::lock(self, target)
+    }
+    fn unlock(&self, target: usize) {
+        Win::unlock(self, target)
+    }
+    fn local(&self) -> Payload {
+        Win::local(self)
+    }
+    fn free(self) {
+        Win::free(self)
     }
 }
 
 // ---------------------------------------------------------------------
 // Virtual-time simulator backend
 // ---------------------------------------------------------------------
-
-impl Window for ovcomm_simmpi::SimWin {
-    fn size(&self) -> usize {
-        ovcomm_simmpi::SimWin::size(self)
-    }
-    fn rank(&self) -> usize {
-        ovcomm_simmpi::SimWin::rank(self)
-    }
-    fn segment_len(&self, rank: usize) -> usize {
-        ovcomm_simmpi::SimWin::segment_len(self, rank)
-    }
-    fn put(&self, target: usize, offset: usize, data: Payload) {
-        ovcomm_simmpi::SimWin::put(self, target, offset, data)
-    }
-    fn get(&self, target: usize, offset: usize, len: usize) -> Request<Payload> {
-        ovcomm_simmpi::SimWin::get(self, target, offset, len)
-    }
-    fn accumulate(&self, target: usize, offset: usize, data: Payload) {
-        ovcomm_simmpi::SimWin::accumulate(self, target, offset, data)
-    }
-    fn wait(&self, req: &Request<Payload>) -> Payload {
-        ovcomm_simmpi::SimWin::wait(self, req)
-    }
-    fn fence(&self) {
-        ovcomm_simmpi::SimWin::fence(self)
-    }
-    fn lock(&self, target: usize) {
-        ovcomm_simmpi::SimWin::lock(self, target)
-    }
-    fn unlock(&self, target: usize) {
-        ovcomm_simmpi::SimWin::unlock(self, target)
-    }
-    fn local(&self) -> Payload {
-        ovcomm_simmpi::SimWin::local(self)
-    }
-    fn free(self) {
-        ovcomm_simmpi::SimWin::free(self)
-    }
-}
 
 impl RankHandle for RankCtx {
     type Comm = ovcomm_simmpi::Comm;

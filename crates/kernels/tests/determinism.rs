@@ -7,7 +7,9 @@
 //! `ef982b7` (PR 13), where the fiber scheduler produced the same values
 //! (hence the test names, kept from that differential suite). A change in
 //! them is a change in scheduler order or in the model, not a numerics
-//! issue.
+//! issue. The `cosma` case (the one kernel over one-sided windows) was
+//! added later; its literal was printed by commit `94985ee` (PR 14), the
+//! last one with a simulator-only window implementation.
 
 use std::sync::Arc;
 
@@ -16,8 +18,8 @@ use ovcomm_densemat::{BlockBuf, BlockGrid, Matrix, Partition1D};
 use ovcomm_kernels::{
     block_cg, matvec_blocking, matvec_pipelined, md_init, md_run, summa_multiply,
     summa_multiply_pipelined, symm_square_cube_25d, symm_square_cube_baseline,
-    symm_square_cube_optimized, symm_square_cube_original, BlockCgConfig, CgComms, MatvecInput,
-    MdConfig, Mesh25D, Mesh2D, Mesh3D, SummaBundles, SymmInput, VecBuf,
+    symm_square_cube_cosma, symm_square_cube_optimized, symm_square_cube_original, BlockCgConfig,
+    CgComms, MatvecInput, MdConfig, Mesh25D, Mesh2D, Mesh3D, SummaBundles, SymmInput, VecBuf,
 };
 use ovcomm_simmpi::{run, RankCtx, SimConfig, SimOutput};
 use ovcomm_simnet::{MachineProfile, SimTime};
@@ -185,6 +187,26 @@ fn summa_plain_and_pipelined_match_across_modes() {
             bits(c.unwrap_real().data())
         });
     }
+}
+
+#[test]
+fn cosma_one_sided_multiply_matches_pinned_values() {
+    // Gets under one fence-delimited epoch per operand window, on a 3×3
+    // mesh at PPN 2 so transfers cross both intra- and inter-node paths.
+    let golden = Golden(112265, 972, 21232, 17168, 0x325af374e0f75d3b);
+    assert_deterministic(9, 2, golden, |rc| {
+        let (n, p) = (20, 3);
+        let mesh = Mesh2D::new(rc, p);
+        let grid = BlockGrid::new(n, p);
+        let d_block = Some(BlockBuf::Real(grid.extract(
+            &test_matrix(n),
+            mesh.i,
+            mesh.j,
+        )));
+        let result = symm_square_cube_cosma(rc, &mesh, &SymmInput { n, d_block });
+        bits(result.d2.unwrap().unwrap_real().data())
+            .wrapping_add(bits(result.d3.unwrap().unwrap_real().data()))
+    });
 }
 
 #[test]

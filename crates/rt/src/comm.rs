@@ -4,23 +4,26 @@
 //! `ovcomm_simmpi::comm::Comm<T>` — dup/split, point-to-point, wait/test,
 //! every blocking and nonblocking collective, plan compilation through
 //! `compile_plans` and execution through the shared plan interpreter —
-//! instantiated over this crate's [`RtTransport`]. Nothing about the API
-//! is reimplemented here; this module supplies only what the wall-clock
-//! backend does differently, as the [`Transport`] impl of [`RtAgent`]:
+//! instantiated over this crate's [`RtTransport`]; [`RtWin`] is likewise
+//! the one window front end `ovcomm_simmpi::rma::Win<T>`. Nothing about
+//! the API is reimplemented here; this module supplies only what the
+//! wall-clock backend does differently, as the [`Transport`] impl of
+//! [`RtAgent`]:
 //!
 //! | method | why the runtime needs its own |
 //! |---|---|
 //! | `id` / `rank` / `next_op_index` | the agent's identity lives next to its park cell |
 //! | `env` | the shared `CommEnv` is embedded in [`RtShared`] |
 //! | `now` | time is the wall: ns since the run's epoch |
-//! | `charge_post` | posting costs what the post really costs — nothing to model |
+//! | `charge_post` | a post or an apply copy costs what it really costs — nothing to model |
 //! | `charge_slack` | skipped, or really slept under `ComputeMode::Emulate` |
 //! | `charge_reduce` | the executor's `reduce_sum_f64` *is* the work on this thread |
 //! | `isend_raw` / `irecv_raw` | envelopes go through the lock-free shared-memory mailbox |
 //! | `wait` / `complete` | spin-then-park an OS thread in watchdog-visible slices; wake by condvar |
 //! | `span` / `edge` | one mutex-protected trace stamped with wall time |
 //! | `spawn_op` | a progress-shard job routed by context, counted live from post time |
-//! | `win_open` | segments staged in shared memory ([`crate::window::RtWin`]) |
+//! | `rma_transfer` | the bytes are already in shared memory: count the traffic, complete |
+//! | `path_latency` | a lock grant is a condvar wake — no α to charge |
 //!
 //! [`RtRankCtx`] is the per-rank context (identity, wall clock, world
 //! communicator), the analogue of the simulator's `RankCtx`.
@@ -32,6 +35,7 @@ use std::sync::Arc;
 use ovcomm_core::RankHandle;
 use ovcomm_simmpi::comm::Comm;
 use ovcomm_simmpi::payload::Payload;
+use ovcomm_simmpi::rma::Win;
 use ovcomm_simmpi::transport::{CommEnv, Transport};
 use ovcomm_simmpi::Request;
 use ovcomm_simnet::{EdgeKind, MachineProfile, NodeMap, ParkCell, SimDur, SimTime, SpanKind};
@@ -62,9 +66,11 @@ pub type RtTransport = RtAgent;
 /// generic front end over [`RtTransport`].
 pub type RtComm = Comm<RtTransport>;
 
-impl Transport for RtAgent {
-    type Win = crate::window::RtWin;
+/// A one-sided window handle for one rank of the wall-clock runtime —
+/// the generic window front end over [`RtTransport`].
+pub type RtWin = Win<RtTransport>;
 
+impl Transport for RtAgent {
     fn id(&self) -> u32 {
         self.id
     }
@@ -86,7 +92,7 @@ impl Transport for RtAgent {
     }
 
     fn charge_post(&self, _d: SimDur) {
-        // The post cost is whatever the post really costs.
+        // The cost is whatever the code really costs.
     }
 
     fn charge_slack(&self, d: SimDur) {
@@ -197,8 +203,26 @@ impl Transport for RtAgent {
         );
     }
 
-    fn win_open(comm: RtComm, key: (u32, u64), id: u64, local: Payload) -> crate::window::RtWin {
-        crate::window::RtWin::open(comm, key, id, local)
+    fn rma_transfer(
+        &self,
+        src: u32,
+        dst: u32,
+        n: usize,
+        get: Option<(Request<Payload>, Payload)>,
+        done: Request<()>,
+    ) {
+        let sh = &self.shared;
+        sh.count_message(src, dst, n);
+        let now = sh.now();
+        sh.edge(EdgeKind::SendRecv, src, now, dst, now);
+        if let Some((req, data)) = get {
+            sh.complete(&req, data);
+        }
+        sh.complete(&done, ());
+    }
+
+    fn path_latency(&self, _src: u32, _dst: u32) -> SimDur {
+        SimDur(0)
     }
 }
 

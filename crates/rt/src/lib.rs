@@ -17,16 +17,17 @@
 //!   `ovcomm_simmpi::comm::Comm<T>` — dup/split, point-to-point,
 //!   wait/test, all 11 collectives, argument checks, tag namespacing,
 //!   verify events, metrics, spans — instantiated over this crate's
-//!   [`RtTransport`]. The backend plugs in behind the narrow
+//!   [`RtTransport`] — and the whole window front end: [`RtWin`] is
+//!   `ovcomm_simmpi::rma::Win<T>` over the same transport, state machine
+//!   (`WinCore`) and registry. The backend plugs in behind the narrow
 //!   `ovcomm_simmpi::transport::Transport` seam (clock, modeled charges,
 //!   raw envelope post, wait/complete, span/edge recording, op-agent
-//!   spawn, window open — the `comm` module's docs list each method
-//!   and why the runtime needs its own);
+//!   spawn, one-sided transfer and path latency — the `comm` module's
+//!   docs list each method and why the runtime needs its own);
 //! * the [`Request`](ovcomm_simmpi::Request) type and wait/test semantics;
 //! * collective compilation — `compile_plans` (selector + static lint
 //!   wall) and the plan interpreter;
 //! * eager/rendezvous point-to-point protocols and FIFO envelope matching;
-//! * the one-sided staging types (`Seg`, `StagedOp`, `apply_op`);
 //! * the verification event model (`ovcomm-verify`) — the runtime records
 //!   the same per-rank event log, so the same analyzer checks both
 //!   backends;
@@ -51,7 +52,6 @@ pub mod queue;
 mod sampler;
 mod shared;
 pub mod sync;
-pub mod window;
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -66,11 +66,10 @@ use ovcomm_simmpi::{actor_name, CollSelector};
 use ovcomm_simnet::{MachineProfile, NodeMap, ParkCell, SimTime, Trace};
 use ovcomm_verify::{DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
 
-pub use comm::{RtComm, RtRankCtx, RtTransport};
-pub use window::RtWin;
+pub use comm::{RtComm, RtRankCtx, RtTransport, RtWin};
 
 use crate::comm::RtAgent;
-use crate::shared::{RtShared, RtState, RING_CAPACITY};
+use crate::shared::{RtShared, RING_CAPACITY};
 
 /// How the runtime treats *modeled* compute charges
 /// (`RankHandle::advance`/`compute_flops`) and sleeps.
@@ -341,10 +340,7 @@ where
         epoch: Instant::now(),
         env,
         nodemap: cfg.nodemap.clone(),
-        state: Mutex::new(RtState {
-            rank_end_times: vec![SimTime::ZERO; nranks],
-            ..RtState::default()
-        }),
+        rank_end_times: Mutex::new(vec![SimTime::ZERO; nranks]),
         mailbox: crate::mailbox::LockFreeMailbox::new(nranks, RING_CAPACITY),
         progress: crate::progress::ProgressShards::new(cfg.progress_shards),
         spin_budget_ns: cfg.spin_budget.as_nanos() as u64,
@@ -443,7 +439,7 @@ where
                 let world = RtComm::new_world(agent.clone(), world_ranks2, r);
                 let rc = RtRankCtx::new(agent, world);
                 let out = f2(rc);
-                shared2.state.lock().rank_end_times[r] = shared2.now();
+                shared2.rank_end_times.lock()[r] = shared2.now();
                 out
             })
             .expect("failed to spawn rank thread");
@@ -509,7 +505,7 @@ where
         None => VerifyReport::default(),
     };
 
-    let end_times = shared.state.lock().rank_end_times.clone();
+    let end_times = shared.rank_end_times.lock().clone();
     let (inter, intra, messages) = (
         shared.inter_bytes.load(Ordering::Relaxed),
         shared.intra_bytes.load(Ordering::Relaxed),

@@ -94,31 +94,17 @@ pub(crate) struct Slot {
 /// time, for rendezvous-stall accounting.
 pub(crate) type RecvEntry = (Request<Payload>, SimTime);
 
-/// The mutex-protected mutable state of one runtime instance. Hot-path
-/// traffic counters and the matching tables used to live here; they moved
-/// to atomics and the lock-free mailbox, and the communicator registry to
-/// the shared [`CommEnv`], so only cold control-plane state (window
-/// registry, end times) takes this lock.
-#[derive(Default)]
-pub(crate) struct RtState {
-    /// Live one-sided windows, keyed by (creating ctx, per-comm window
-    /// seq). All members call `win_create` in the same order, so the key
-    /// is rank-independent; the last `free` removes the entry.
-    pub windows: HashMap<(u32, u64), Arc<crate::window::RtWinCore>>,
-    /// Final wall clock of each rank, recorded as rank closures return.
-    pub rank_end_times: Vec<SimTime>,
-}
-
 /// Everything shared between rank threads, progress workers, and the
 /// watchdog.
 pub(crate) struct RtShared {
     /// Wall-clock epoch; `now()` is nanoseconds since this instant.
     pub epoch: Instant,
     /// What the communicator front end reads: metrics, verifier, plan
-    /// cache, selector, profile, communicator registry.
+    /// cache, selector, profile, communicator and window registries.
     pub env: CommEnv,
     pub nodemap: NodeMap,
-    pub state: Mutex<RtState>,
+    /// Final wall clock of each rank, recorded as rank closures return.
+    pub rank_end_times: Mutex<Vec<SimTime>>,
     /// The envelope-matching layer: per-rank SPSC rings + an MPSC injector
     /// in front of the sequential tables (see [`crate::mailbox`]).
     pub mailbox: LockFreeMailbox<Slot, RecvEntry>,
@@ -170,6 +156,18 @@ impl RtShared {
             cell.wake_direct(at);
         }
         self.progress_epoch.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one message of `n` bytes from world rank `src` to `dst` in
+    /// the run's traffic counters (same inter/intra split as the
+    /// simulator).
+    pub fn count_message(&self, src: u32, dst: u32, n: usize) {
+        self.messages.fetch_add(1, Ordering::Relaxed);
+        if self.nodemap.node_of(src as usize) == self.nodemap.node_of(dst as usize) {
+            self.intra_bytes.fetch_add(n as u64, Ordering::Relaxed);
+        } else {
+            self.inter_bytes.fetch_add(n as u64, Ordering::Relaxed);
+        }
     }
 
     /// Record a trace span (no-op unless tracing).
@@ -347,12 +345,7 @@ impl RtShared {
             // Buffered: the sender may proceed immediately.
             self.complete(&req, ());
         }
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        if self.nodemap.node_of(key.src as usize) == self.nodemap.node_of(key.dst as usize) {
-            self.intra_bytes.fetch_add(n as u64, Ordering::Relaxed);
-        } else {
-            self.inter_bytes.fetch_add(n as u64, Ordering::Relaxed);
-        }
+        self.count_message(key.src, key.dst, n);
         let slot = Slot {
             payload,
             sender_req: req.clone(),

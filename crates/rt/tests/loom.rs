@@ -27,7 +27,7 @@ use ovcomm_rt::mailbox::{
     LockFreeMailbox, Mailbox, MatchPair, PostedOp, RecvPost, RtKey, SendPost,
 };
 use ovcomm_rt::queue::{MpscQueue, Popped, SpscRing};
-use ovcomm_rt::window::{StagedOp, WinCore};
+use ovcomm_simmpi::rma::{StagedOp, WinCore};
 use ovcomm_simmpi::Payload;
 
 const SCHEDULES: u64 = 64;
@@ -455,12 +455,17 @@ fn lockfree_router_merges_ring_and_injector_posts() {
 }
 
 // ---------------------------------------------------------------------
-// One-sided window core (`ovcomm_rt::window::WinCore`) — the
-// loom-checked half of the RMA path. The harness plays the role of
-// `RtWin`: grants are completion cells (the production type is a
-// `Request<()>` completed through the shared runtime), completed outside
-// the core's mutex exactly as `RtWin::unlock` does.
+// One-sided window core (`ovcomm_simmpi::rma::WinCore`) — the
+// loom-checked half of the RMA path, and the one state machine both
+// backends' `Win<T>` runs. Its methods take `&mut self`; the holder owns
+// the mutex. The harness plays the role of `Win<T>`: the core sits under
+// `loom::sync::Mutex` (production: `parking_lot`), grants are completion
+// cells (production: `Request<()>` completed through the transport),
+// completed outside the core's mutex exactly as `Win::unlock` does.
 // ---------------------------------------------------------------------
+
+/// The production window core, granting through completion cells.
+type ModelCore = WinCore<Arc<CompletionCell<()>>>;
 
 /// Passive-target lock/unlock handoff: three origins contend for rank 0's
 /// lock, each staging one accumulate inside its critical section. Under
@@ -470,9 +475,9 @@ fn lockfree_router_merges_ring_and_injector_posts() {
 #[test]
 fn window_lock_handoff_is_exclusive_and_never_lost() {
     loom::model_with(SCHEDULES, 0x10CC, || {
-        let core: Arc<WinCore<Arc<CompletionCell<()>>>> = Arc::new(WinCore::new(3));
+        let core: Arc<Mutex<ModelCore>> = Arc::new(Mutex::new(WinCore::new(3)));
         for r in 0..3 {
-            core.deposit(r, &Payload::from_f64s(&[0.0]));
+            core.lock().deposit(r, &Payload::from_f64s(&[0.0]));
         }
         let in_crit = Arc::new(loom::sync::atomic::AtomicUsize::new(0));
         let handles: Vec<_> = (1..3u32)
@@ -481,7 +486,7 @@ fn window_lock_handoff_is_exclusive_and_never_lost() {
                 let in_crit = in_crit.clone();
                 thread::spawn(move || {
                     let grant = Arc::new(CompletionCell::new());
-                    if !core.lock_or_queue(0, me, grant.clone()) {
+                    if !core.lock().lock_or_queue(0, me, grant.clone()) {
                         grant.wait();
                     }
                     assert_eq!(
@@ -489,7 +494,7 @@ fn window_lock_handoff_is_exclusive_and_never_lost() {
                         0,
                         "two origins inside the lock"
                     );
-                    core.stage(
+                    core.lock().stage(
                         0,
                         StagedOp {
                             origin: me,
@@ -500,9 +505,9 @@ fn window_lock_handoff_is_exclusive_and_never_lost() {
                         },
                     );
                     in_crit.fetch_sub(1, Ordering::SeqCst);
-                    let (_bytes, next) = core.unlock(0, me);
+                    let (_bytes, next) = core.lock().unlock(0, me);
                     // The handoff completes outside the core's mutex,
-                    // exactly as `RtWin::unlock` does.
+                    // exactly as `Win::unlock` does.
                     if let Some((_rank, g)) = next {
                         g.complete(());
                     }
@@ -512,9 +517,13 @@ fn window_lock_handoff_is_exclusive_and_never_lost() {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(core.holder(0), None, "lock still held after all unlocks");
+        assert_eq!(
+            core.lock().holder(0),
+            None,
+            "lock still held after all unlocks"
+        );
         // Each origin's ops were applied at its unlock: 1.0 + 2.0.
-        let v = core.snapshot(0, 0, 8).to_f64s();
+        let v = core.lock().snapshot(0, 0, 8).to_f64s();
         assert_eq!(v, vec![3.0], "accumulates lost or double-applied");
     });
 }
@@ -527,9 +536,9 @@ fn window_lock_handoff_is_exclusive_and_never_lost() {
 #[test]
 fn window_concurrent_ops_apply_deterministically() {
     loom::model_with(SCHEDULES, 0xACC0, || {
-        let core: Arc<WinCore<Arc<CompletionCell<()>>>> = Arc::new(WinCore::new(3));
+        let core: Arc<Mutex<ModelCore>> = Arc::new(Mutex::new(WinCore::new(3)));
         for r in 0..3 {
-            core.deposit(r, &Payload::from_f64s(&[0.0, 0.0]));
+            core.lock().deposit(r, &Payload::from_f64s(&[0.0, 0.0]));
         }
         let handles: Vec<_> = (1..3u32)
             .map(|me| {
@@ -537,7 +546,7 @@ fn window_concurrent_ops_apply_deterministically() {
                 thread::spawn(move || {
                     // Slot 0: accumulate (commutes). Slot 1: put (must
                     // resolve by origin order, not schedule order).
-                    core.stage(
+                    core.lock().stage(
                         0,
                         StagedOp {
                             origin: me,
@@ -547,7 +556,7 @@ fn window_concurrent_ops_apply_deterministically() {
                             data: Payload::from_f64s(&[f64::from(me)]),
                         },
                     );
-                    core.stage(
+                    core.lock().stage(
                         0,
                         StagedOp {
                             origin: me,
@@ -563,9 +572,9 @@ fn window_concurrent_ops_apply_deterministically() {
         for h in handles {
             h.join().unwrap();
         }
-        let bytes = core.apply_target(0);
+        let bytes = core.lock().apply_target(0);
         assert_eq!(bytes, 32, "four staged ops of 8 bytes each");
-        let v = core.snapshot(0, 0, 16).to_f64s();
+        let v = core.lock().snapshot(0, 0, 16).to_f64s();
         // 1.0 + 2.0 accumulated; origin 2's put applies after origin 1's.
         assert_eq!(v, vec![3.0, 20.0], "apply order depended on the schedule");
     });
@@ -578,11 +587,11 @@ fn window_concurrent_ops_apply_deterministically() {
 #[test]
 fn window_snapshot_never_observes_a_half_applied_epoch() {
     loom::model_with(SCHEDULES, 0x5AFE, || {
-        let core: Arc<WinCore<Arc<CompletionCell<()>>>> = Arc::new(WinCore::new(2));
+        let core: Arc<Mutex<ModelCore>> = Arc::new(Mutex::new(WinCore::new(2)));
         for r in 0..2 {
-            core.deposit(r, &Payload::from_f64s(&[0.0, 0.0]));
+            core.lock().deposit(r, &Payload::from_f64s(&[0.0, 0.0]));
         }
-        core.stage(
+        core.lock().stage(
             0,
             StagedOp {
                 origin: 1,
@@ -595,10 +604,10 @@ fn window_snapshot_never_observes_a_half_applied_epoch() {
         let closer = {
             let core = core.clone();
             thread::spawn(move || {
-                core.apply_target(0);
+                core.lock().apply_target(0);
             })
         };
-        let v = core.snapshot(0, 0, 16).to_f64s();
+        let v = core.lock().snapshot(0, 0, 16).to_f64s();
         closer.join().unwrap();
         assert!(
             v == vec![0.0, 0.0] || v == vec![1.0, 1.0],

@@ -16,7 +16,6 @@ use ovcomm_simnet::{
 };
 use ovcomm_verify::Site;
 
-use crate::comm::Comm;
 use crate::payload::Payload;
 use crate::request::Request;
 use crate::transport::{CommEnv, Transport};
@@ -238,8 +237,6 @@ impl Agent {
 }
 
 impl Transport for Agent {
-    type Win = crate::rma::SimWin;
-
     fn id(&self) -> u32 {
         self.id
     }
@@ -370,7 +367,18 @@ impl Transport for Agent {
         uni.engine.register_fiber_at(id, fiber, cell, start);
     }
 
-    fn win_open(comm: Comm<Agent>, key: (u32, u64), id: u64, local: Payload) -> crate::rma::SimWin {
-        crate::rma::SimWin::open(comm, key, id, local)
+    fn rma_transfer(
+        &self,
+        src: u32,
+        dst: u32,
+        n: usize,
+        get: Option<(Request<Payload>, Payload)>,
+        done: Request<()>,
+    ) {
+        crate::p2p::rma_transfer(self, src, dst, n, get, done);
+    }
+
+    fn path_latency(&self, src: u32, dst: u32) -> SimDur {
+        crate::p2p::path_params(&self.uni, src, dst, 0).alpha
     }
 }

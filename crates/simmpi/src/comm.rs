@@ -27,6 +27,7 @@ use crate::metrics::OpKind;
 use crate::payload::Payload;
 use crate::planexec::execute_plan;
 use crate::request::{ReqMeta, Request};
+use crate::rma::Win;
 use crate::state::SplitResult;
 use crate::transport::{CommEnv, Transport, WORLD_CTX};
 use crate::universe::{op_actor_id, PlanCache};
@@ -316,7 +317,7 @@ impl<T: Transport> Comm<T> {
     /// The window starts **outside** any epoch — the first `fence` opens
     /// the first access epoch, or take a passive-target `lock`.
     #[track_caller]
-    pub fn win_create(&self, local: Payload) -> T::Win {
+    pub fn win_create(&self, local: Payload) -> Win<T> {
         let site: Site = std::panic::Location::caller();
         let seq = self.win_seq.fetch_add(1, Ordering::Relaxed);
         let key = (self.info.ctx, seq);
@@ -335,7 +336,7 @@ impl<T: Transport> Comm<T> {
         env.rma_metric(self.agent.rank(), "win_create", local.len());
         // Private duplicate for the window's own barriers, so fence
         // traffic can never match user traffic on the parent comm.
-        T::win_open(self.dup(), key, id, local)
+        Win::open(self.dup(), key, id, local)
     }
 
     /// Split by color/key (like `MPI_Comm_split`). Ranks passing a negative

@@ -196,12 +196,7 @@ fn inject_send(
     let matched_recv;
     {
         let mut st = uni.state.lock();
-        st.messages += 1;
-        if uni.node_of(key.src) == uni.node_of(key.dst) {
-            st.intra_bytes += n as u64;
-        } else {
-            st.inter_bytes += n as u64;
-        }
+        st.count_message(uni.node_of(key.src) == uni.node_of(key.dst), n);
         msg_id = st.alloc_msg_id();
         matched_recv = st.recv_q.get_mut(&key).and_then(|q| q.pop_front());
         let slot = SendSlot {
@@ -369,6 +364,63 @@ fn start_rendezvous(
                     uni3.edge(EdgeKind::SendRecv, key.src, ta, key.dst, ta);
                     uni3.complete(&slot.sender_req, (), ta);
                     uni3.complete(&recv, slot.payload, ta);
+                }),
+            );
+        }),
+    );
+}
+
+/// Inject an origin-driven one-sided data flow from world rank `src` to
+/// world rank `dst` on `agent`'s behalf, completing `done` when the last
+/// byte lands. Mirrors the eager p2p flow: the transfer starts after the
+/// one-way latency and shares the path's NIC/memory resources max–min
+/// fairly with every other concurrent transfer — no receiver-side post
+/// exists or is charged. A get (`src` is the target) also completes the
+/// user-visible request with its data, one unpack copy after arrival.
+pub(crate) fn rma_transfer(
+    agent: &Agent,
+    src: u32,
+    dst: u32,
+    n: usize,
+    get: Option<(Request<Payload>, Payload)>,
+    done: Request<()>,
+) {
+    let uni = agent.uni.clone();
+    uni.state
+        .lock()
+        .count_message(uni.node_of(src) == uni.node_of(dst), n);
+    let path = path_params(&uni, src, dst, n);
+    let ts = agent.now();
+    let start_at = ts + path.alpha;
+    agent.schedule(
+        ts,
+        CLASS_P2P,
+        Box::new(move |_| {
+            let uni2 = uni.clone();
+            uni.engine.schedule_engine(
+                start_at,
+                CLASS_P2P,
+                Box::new(move |e| {
+                    e.start_flow(
+                        path.resources,
+                        path.cap,
+                        n as f64,
+                        Box::new(move |e2| {
+                            let landed = e2.now();
+                            // A put's edge leaves the origin's post; a
+                            // get's data is usable one unpack copy after
+                            // it lands.
+                            let (from, ta) = match get {
+                                None => (ts, landed),
+                                Some(_) => (landed, landed + uni2.env.profile.copy_time(n)),
+                            };
+                            uni2.edge(EdgeKind::SendRecv, src, from, dst, ta);
+                            if let Some((req, data)) = get {
+                                uni2.complete(&req, data, ta);
+                            }
+                            uni2.complete(&done, (), ta);
+                        }),
+                    );
                 }),
             );
         }),

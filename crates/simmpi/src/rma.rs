@@ -1,16 +1,19 @@
 //! One-sided (RMA) windows: `MPI_Win`-style put/get/accumulate with
-//! active-target fences and passive-target locks, over the simulated
-//! network.
+//! active-target fences and passive-target locks — written once, as
+//! [`Win<T>`] over the backend's [`Transport`], for the virtual-time
+//! simulator ([`SimWin`]) and the wall-clock runtime (`ovcomm_rt::RtWin`).
 //!
 //! Model (see `docs/rma.md` for the worked timeline):
 //!
 //! * Transfers are **origin-driven**: the target posts nothing. A put or
-//!   accumulate charges the origin its post cost, then injects a flow on
-//!   the origin→target path — the bytes occupy the *target's* NIC without
-//!   the target's process participating, which is the defining asymmetry
-//!   of the one-sided paradigm and the reason it composes with the
-//!   paper's communication-overlap techniques: the epoch close is the
-//!   only synchronization point.
+//!   accumulate charges the origin its post cost, then hands the bytes to
+//!   [`Transport::rma_transfer`] — on the simulator a flow on the
+//!   origin→target path, occupying the *target's* NIC without the target's
+//!   process participating, which is the defining asymmetry of the
+//!   one-sided paradigm and the reason it composes with the paper's
+//!   communication-overlap techniques: the epoch close is the only
+//!   synchronization point. On the runtime the bytes are already in shared
+//!   memory, so the transfer only counts traffic and completes.
 //! * Puts and accumulates are **staged**: the payload travels immediately
 //!   but is applied to the target segment only when the epoch closes
 //!   (fence or unlock), in deterministic `(origin rank, post order)`
@@ -18,34 +21,39 @@
 //!   makes results bit-identical across backends and across runs even
 //!   for non-associative `f64` accumulation.
 //! * `fence` = wait own outstanding transfers → barrier → apply staged
-//!   ops to the own segment → barrier. Both backends implement this
-//!   sequence literally, so fence counts align across ranks.
-//! * Passive-target `lock`/`unlock` is a virtual per-segment lock:
-//!   acquisition costs a round trip to the target, contended requests
-//!   queue FIFO and are granted at the holder's unlock plus the
-//!   notification latency.
+//!   ops to the own segment → barrier, so fence counts align across ranks.
+//! * Passive-target `lock`/`unlock` is a per-segment lock: acquisition
+//!   costs a round trip to the target, contended requests queue FIFO and
+//!   are granted at the holder's unlock plus the notification latency
+//!   ([`Transport::path_latency`]: α on the virtual clock, zero on the
+//!   wall).
+//!
+//! The cross-rank state machine — segments, staging, apply ordering, the
+//! FIFO lock — is [`WinCore`]: plain `&mut self` methods, generic over the
+//! lock-grant handle, with the mutex owned by whoever holds it. [`Win`]
+//! keeps it under `parking_lot`; the loom suite (`crates/rt/tests/loom.rs`)
+//! keeps the *same type* under `loom::sync::Mutex` and schedule-checks
+//! lock hand-off, apply determinism and snapshot atomicity.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ovcomm_simnet::{EdgeKind, SimDur, SpanKind};
+use ovcomm_simnet::{SimDur, SpanKind};
 use ovcomm_verify::{Event as VEvent, RmaKind, Site};
 
-use crate::agent::{Agent, CLASS_P2P};
-use crate::p2p::path_params;
+use crate::comm::Comm;
 use crate::payload::Payload;
 use crate::request::{ReqMeta, Request};
-use crate::Comm;
+use crate::transport::Transport;
 
 /// Committed bytes of one rank's exposed segment.
 ///
-/// The staging types ([`Seg`], [`StagedOp`], [`apply_op`]) are exposed
-/// (hidden) for the `ovcomm-rt` wall-clock backend, whose window core
-/// stages and applies through these exact definitions — that is what makes
-/// RMA results bit-identical across backends.
+/// The staging types ([`Seg`], [`StagedOp`], [`apply_op`], [`WinCore`])
+/// are exposed (hidden) for the loom suite in `ovcomm-rt`, which drives
+/// the production state machine from concurrent model threads.
 #[doc(hidden)]
 pub enum Seg {
     /// Real data (mutable; staged ops are applied in place).
@@ -102,36 +110,6 @@ pub struct StagedOp {
     pub data: Payload,
 }
 
-/// Virtual passive-target lock of one segment.
-#[derive(Default)]
-struct LockState {
-    /// Window rank currently holding the lock.
-    holder: Option<u32>,
-    /// FIFO of waiting acquisitions: (window rank, grant request).
-    queue: VecDeque<(u32, Request<()>)>,
-}
-
-/// Shared (cross-rank) state of one window, registered in
-/// `MpiState::windows` under the (creating ctx, window seq) key.
-pub(crate) struct WinData {
-    segs: Vec<Option<Seg>>,
-    staged: Vec<Vec<StagedOp>>,
-    locks: Vec<LockState>,
-    /// Handles not yet freed; the last `free` removes the registry entry.
-    live: usize,
-}
-
-impl WinData {
-    pub(crate) fn new(p: usize) -> WinData {
-        WinData {
-            segs: (0..p).map(|_| None).collect(),
-            staged: (0..p).map(|_| Vec::new()).collect(),
-            locks: (0..p).map(|_| LockState::default()).collect(),
-            live: p,
-        }
-    }
-}
-
 /// Apply one staged op to a committed segment.
 // `chunks_exact(8)`/`try_into` on 8-byte slices cannot fail.
 #[allow(clippy::unwrap_used)]
@@ -170,116 +148,186 @@ pub fn apply_op(seg: &mut Seg, op: &StagedOp) {
     }
 }
 
-/// Inject an origin-driven RMA data flow from world rank `src` to world
-/// rank `dst`, completing `done` when the last byte lands. Mirrors the
-/// eager p2p flow: the transfer starts after the one-way latency and
-/// shares the path's NIC/memory resources max–min fairly with every other
-/// concurrent transfer — no receiver-side post exists or is charged.
-fn launch_rma_flow(agent: &Agent, src: u32, dst: u32, n: usize, done: Request<()>) {
-    let uni = agent.uni.clone();
-    {
-        let mut st = uni.state.lock();
-        st.messages += 1;
-        if uni.node_of(src) == uni.node_of(dst) {
-            st.intra_bytes += n as u64;
-        } else {
-            st.inter_bytes += n as u64;
-        }
-    }
-    let path = path_params(&uni, src, dst, n);
-    let ts = agent.now();
-    let start_at = ts + path.alpha;
-    let uni2 = uni.clone();
-    agent.schedule(
-        ts,
-        CLASS_P2P,
-        Box::new(move |_| {
-            let uni3 = uni2.clone();
-            uni2.engine.schedule_engine(
-                start_at,
-                CLASS_P2P,
-                Box::new(move |e| {
-                    let uni4 = uni3.clone();
-                    e.start_flow(
-                        path.resources,
-                        path.cap,
-                        n as f64,
-                        Box::new(move |e2| {
-                            let ta = e2.now();
-                            uni4.edge(EdgeKind::SendRecv, src, ts, dst, ta);
-                            uni4.complete(&done, (), ta);
-                        }),
-                    );
-                }),
-            );
-        }),
-    );
+/// Passive-target lock of one segment.
+struct LockSt<G> {
+    /// Window rank currently holding the lock.
+    holder: Option<u32>,
+    /// FIFO of waiting acquisitions: (window rank, grant handle).
+    queue: VecDeque<(u32, G)>,
 }
 
-/// Like [`launch_rma_flow`] but for a get: the flow runs target→origin
-/// and completes the user-visible `req` with `data` (plus one unpack
-/// copy), alongside the internal `done` handle the epoch close waits on.
-fn launch_get_flow(
-    agent: &Agent,
-    src: u32,
-    dst: u32,
-    n: usize,
-    data: Payload,
-    req: Request<Payload>,
-    done: Request<()>,
-) {
-    let uni = agent.uni.clone();
-    {
-        let mut st = uni.state.lock();
-        st.messages += 1;
-        if uni.node_of(src) == uni.node_of(dst) {
-            st.intra_bytes += n as u64;
-        } else {
-            st.inter_bytes += n as u64;
-        }
-    }
-    let path = path_params(&uni, src, dst, n);
-    let ts = agent.now();
-    let start_at = ts + path.alpha;
-    let uni2 = uni.clone();
-    agent.schedule(
-        ts,
-        CLASS_P2P,
-        Box::new(move |_| {
-            let uni3 = uni2.clone();
-            uni2.engine.schedule_engine(
-                start_at,
-                CLASS_P2P,
-                Box::new(move |e| {
-                    let uni4 = uni3.clone();
-                    e.start_flow(
-                        path.resources,
-                        path.cap,
-                        n as f64,
-                        Box::new(move |e2| {
-                            let ta = e2.now() + uni4.env.profile.copy_time(n);
-                            uni4.edge(EdgeKind::SendRecv, src, e2.now(), dst, ta);
-                            uni4.complete(&req, data, ta);
-                            uni4.complete(&done, (), ta);
-                        }),
-                    );
-                }),
-            );
-        }),
-    );
+/// The cross-rank state machine of one window: committed segments, the
+/// staging area, and the FIFO passive-target locks.
+///
+/// Generic over the lock-grant handle `G`: [`Win`] queues `Request<()>`
+/// handles; the loom harness queues its own completion cells. Methods take
+/// `&mut self` — the holder owns the mutex — and grants are handed back to
+/// the caller to complete *outside* it.
+#[doc(hidden)]
+pub struct WinCore<G> {
+    segs: Vec<Option<Seg>>,
+    staged: Vec<Vec<StagedOp>>,
+    locks: Vec<LockSt<G>>,
+    /// Handles not yet freed; the last `free` removes the registry entry.
+    live: usize,
 }
 
-/// A one-sided window handle for one rank (the analogue of `MPI_Win`).
+/// Apply `ops` to `seg` in order; returns total bytes applied.
+fn apply_ops(seg: &mut Seg, ops: &[StagedOp]) -> usize {
+    ops.iter()
+        .map(|op| {
+            apply_op(seg, op);
+            op.data.len()
+        })
+        .sum()
+}
+
+impl<G> WinCore<G> {
+    /// A core spanning `p` ranks, with no segments deposited yet.
+    pub fn new(p: usize) -> WinCore<G> {
+        WinCore {
+            segs: (0..p).map(|_| None).collect(),
+            staged: (0..p).map(|_| Vec::new()).collect(),
+            locks: (0..p)
+                .map(|_| LockSt {
+                    holder: None,
+                    queue: VecDeque::new(),
+                })
+                .collect(),
+            live: p,
+        }
+    }
+
+    fn seg(&self, rank: usize) -> &Seg {
+        match &self.segs[rank] {
+            Some(s) => s,
+            None => panic!("window segment {rank} not deposited"),
+        }
+    }
+
+    fn seg_mut(&mut self, rank: usize) -> &mut Seg {
+        match &mut self.segs[rank] {
+            Some(s) => s,
+            None => panic!("window segment {rank} not deposited"),
+        }
+    }
+
+    /// Deposit `rank`'s exposed segment (its committed initial contents).
+    pub fn deposit(&mut self, rank: usize, local: &Payload) {
+        self.segs[rank] = Some(Seg::from_payload(local));
+    }
+
+    /// Byte length of `rank`'s exposed segment.
+    pub fn segment_len(&self, rank: usize) -> usize {
+        self.seg(rank).len()
+    }
+
+    /// Snapshot `start..end` of `rank`'s *committed* segment state.
+    pub fn snapshot(&self, rank: usize, start: usize, end: usize) -> Payload {
+        self.seg(rank).snapshot(start, end)
+    }
+
+    /// Stage `op` against `target`'s segment (applied at epoch close).
+    /// Bounds are checked now, so an out-of-range op fails at its post
+    /// site rather than at a distant fence.
+    pub fn stage(&mut self, target: usize, op: StagedOp) {
+        let seg_len = self.segment_len(target);
+        let end = op.offset + op.data.len();
+        assert!(
+            end <= seg_len,
+            "{} {}..{end} beyond segment {target} length {seg_len}",
+            if op.acc { "accumulate" } else { "put" },
+            op.offset
+        );
+        self.staged[target].push(op);
+    }
+
+    /// Apply every staged op targeting `target`'s segment, in
+    /// `(origin rank, post order)` order; returns total bytes applied.
+    /// The fence's apply step: each rank calls it on its own segment
+    /// between the two barriers.
+    pub fn apply_target(&mut self, target: usize) -> usize {
+        let mut ops = std::mem::take(&mut self.staged[target]);
+        ops.sort_by_key(|o| (o.origin, o.seq));
+        apply_ops(self.seg_mut(target), &ops)
+    }
+
+    /// Acquire the passive-target lock on `target` for window rank `me`,
+    /// or join the FIFO queue with `grant`. Returns `true` when acquired
+    /// immediately (the grant handle is dropped unused); on `false` the
+    /// caller must wait on its own copy of the grant, which the holder's
+    /// [`WinCore::unlock`] hands back for completion.
+    pub fn lock_or_queue(&mut self, target: usize, me: u32, grant: G) -> bool {
+        let l = &mut self.locks[target];
+        if l.holder.is_none() {
+            l.holder = Some(me);
+            true
+        } else {
+            l.queue.push_back((me, grant));
+            false
+        }
+    }
+
+    /// Release the lock on `target` held by window rank `me`, first
+    /// applying `me`'s staged ops to the segment (in post order — the
+    /// lock serializes origins, so per-origin apply at unlock reproduces
+    /// the serial order the lock imposed). Returns the bytes applied and,
+    /// if another origin was queued, its `(rank, grant)` — the new holder;
+    /// complete the grant *outside* the core's mutex. Releasing a lock
+    /// `me` does not hold applies the ops but grants nothing (the
+    /// double-unlock case, flagged by the verifier).
+    pub fn unlock(&mut self, target: usize, me: u32) -> (usize, Option<(u32, G)>) {
+        let (mut ops, rest): (Vec<StagedOp>, Vec<StagedOp>) =
+            std::mem::take(&mut self.staged[target])
+                .into_iter()
+                .partition(|o| o.origin == me);
+        self.staged[target] = rest;
+        ops.sort_by_key(|o| o.seq);
+        let bytes = apply_ops(self.seg_mut(target), &ops);
+        let l = &mut self.locks[target];
+        let grant = if l.holder == Some(me) {
+            let next = l.queue.pop_front();
+            l.holder = next.as_ref().map(|(rank, _)| *rank);
+            next
+        } else {
+            None
+        };
+        (bytes, grant)
+    }
+
+    /// Window rank currently holding `target`'s lock, if any.
+    pub fn holder(&self, target: usize) -> Option<u32> {
+        self.locks[target].holder
+    }
+
+    /// Drop one handle's claim on the core; `true` when this was the last
+    /// one (the caller then removes the registry entry).
+    pub fn release_handle(&mut self) -> bool {
+        self.live -= 1;
+        self.live == 0
+    }
+}
+
+/// One window's shared state as [`Win`] holds it.
+type SharedCore = Arc<Mutex<WinCore<Request<()>>>>;
+
+/// Live one-sided windows of a run, keyed by (creating ctx, per-comm
+/// window seq). All members call `win_create` in the same order, so the
+/// key is rank-independent; the last `free` removes the entry.
+pub(crate) type Windows = HashMap<(u32, u64), SharedCore>;
+
+/// A one-sided window handle for one rank (the analogue of `MPI_Win`),
+/// over backend transport `T`.
 ///
 /// Created collectively by [`Comm::win_create`]. See
-/// `ovcomm_core::backend::Window` for the epoch/consistency contract the
-/// two backends share. Dropping a handle without [`SimWin::free`] is
-/// reported by the verifier as a `win-leak` with the creation site.
-pub struct SimWin {
+/// `ovcomm_core::backend::Window` for the epoch/consistency contract.
+/// Dropping a handle without [`Win::free`] is reported by the verifier as
+/// a `win-leak` with the creation site.
+pub struct Win<T: Transport> {
     /// Private dup of the creating communicator (fence barriers).
-    comm: Comm,
-    data: Arc<Mutex<WinData>>,
-    /// Registry key in the universe's window table.
+    comm: Comm<T>,
+    core: SharedCore,
+    /// Registry key in `CommEnv::windows`.
     key: (u32, u64),
     id: u64,
     /// This rank's RMA post counter (orders staged ops of one origin).
@@ -289,25 +337,30 @@ pub struct SimWin {
     freed: AtomicBool,
 }
 
-impl SimWin {
-    /// Backend half of [`Comm::win_create`]: register the window's shared
+/// A window handle for one rank of the simulator.
+pub type SimWin = Win<crate::SimTransport>;
+
+impl<T: Transport> Win<T> {
+    /// Second half of [`Comm::win_create`]: register the window's shared
     /// state, deposit this rank's segment, and synchronize on `comm` (the
-    /// window's private dup of the creating communicator).
-    pub(crate) fn open(comm: Comm, key: (u32, u64), id: u64, local: Payload) -> SimWin {
-        let data = {
-            let mut st = comm.agent.uni.state.lock();
-            st.windows
-                .entry(key)
-                .or_insert_with(|| Arc::new(Mutex::new(WinData::new(comm.size()))))
-                .clone()
-        };
-        data.lock().segs[comm.rank()] = Some(Seg::from_payload(&local));
+    /// window's private dup of the creating communicator). `id` is the
+    /// verifier's window id.
+    pub(crate) fn open(comm: Comm<T>, key: (u32, u64), id: u64, local: Payload) -> Win<T> {
+        let core = comm
+            .agent()
+            .env()
+            .windows
+            .lock()
+            .entry(key)
+            .or_insert_with(|| Arc::new(Mutex::new(WinCore::new(comm.size()))))
+            .clone();
+        core.lock().deposit(comm.rank(), &local);
         // Creation is collective: no rank may issue one-sided ops until
         // every segment is deposited.
         comm.barrier();
-        SimWin {
+        Win {
             comm,
-            data,
+            core,
             key,
             id,
             post_seq: AtomicU64::new(0),
@@ -326,12 +379,21 @@ impl SimWin {
         self.comm.rank()
     }
 
+    /// Panic unless `target` is a member index.
+    fn check_target(&self, what: &str, target: usize) {
+        let p = self.size();
+        assert!(target < p, "{what} target {target} out of range (p={p})");
+    }
+
+    /// World rank of window rank `idx`.
+    fn world(&self, idx: usize) -> u32 {
+        self.comm.world_rank(idx) as u32
+    }
+
     /// Byte length of `rank`'s exposed segment.
     pub fn segment_len(&self, rank: usize) -> usize {
-        match &self.data.lock().segs[rank] {
-            Some(s) => s.len(),
-            None => panic!("window segment {rank} not deposited"),
-        }
+        self.check_target("segment_len", rank);
+        self.core.lock().segment_len(rank)
     }
 
     /// One-sided write into `target`'s segment (`MPI_Put`): staged now,
@@ -352,24 +414,25 @@ impl SimWin {
     #[track_caller]
     fn post(&self, kind: RmaKind, target: usize, offset: usize, data: Payload) {
         let site: Site = std::panic::Location::caller();
-        let agent = &self.comm.agent;
-        let uni = agent.uni.clone();
+        let agent = self.comm.agent();
+        let env = agent.env();
         let n = data.len();
-        let me = self.rank();
+        let acc = kind == RmaKind::Accumulate;
+        let opname = if acc { "accumulate" } else { "put" };
+        self.check_target(opname, target);
+        assert!(
+            !acc || (offset.is_multiple_of(8) && n.is_multiple_of(8)),
+            "accumulate must be f64-aligned (offset {offset}, len {n})"
+        );
         let t0 = agent.now();
         // Origin-side post cost: like an eager send, the payload is
         // captured into the runtime's buffer at post time.
-        agent.advance(uni.env.profile.small_post + uni.env.profile.copy_time(n));
-        let opname = if kind == RmaKind::Accumulate {
-            "accumulate"
-        } else {
-            "put"
-        };
-        uni.env.rma_metric(agent.rank, opname, n);
-        if let Some(v) = uni.env.verify.as_ref() {
+        agent.charge_post(env.profile.small_post + env.profile.copy_time(n));
+        env.rma_metric(agent.rank(), opname, n);
+        if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::RmaOp {
-                agent: agent.id,
-                rank: agent.rank,
+                agent: agent.id(),
+                rank: agent.rank(),
                 win: self.id,
                 kind,
                 target: target as u32,
@@ -379,39 +442,38 @@ impl SimWin {
                 site: Some(site),
             });
         }
-        agent.trace_span(SpanKind::Post, t0, agent.now(), || {
+        agent.span(SpanKind::Post, None, t0, agent.now(), || {
             format!("{} post {n}B -> {target}", kind.name())
         });
         let seq = self.post_seq.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut wd = self.data.lock();
-            let seg_len = match &wd.segs[target] {
-                Some(s) => s.len(),
-                None => panic!("window segment {target} not deposited"),
-            };
-            let end = offset + n;
-            assert!(
-                end <= seg_len,
-                "{} {offset}..{end} beyond segment {target} length {seg_len}",
-                kind.name()
-            );
-            wd.staged[target].push(StagedOp {
-                origin: me as u32,
+        self.core.lock().stage(
+            target,
+            StagedOp {
+                origin: self.rank() as u32,
                 seq,
                 offset,
-                acc: kind == RmaKind::Accumulate,
+                acc,
                 data,
-            });
+            },
+        );
+        if n > 0 {
+            self.transfer(self.rank(), target, n, None);
         }
-        if n == 0 {
-            return;
-        }
-        let origin_w = self.comm.info.ranks[me];
-        let target_w = self.comm.info.ranks[target];
-        // Internal handle: untracked, so it is invisible to leak analysis.
+    }
+
+    /// Move `n` bytes from window rank `src` to `dst` on this origin's
+    /// behalf. A transfer still in flight when the transport returns is
+    /// waited by the closing fence or unlock through an internal handle
+    /// (untracked, so invisible to leak analysis) — never through a get's
+    /// user-visible request, which the user's own wait consumes.
+    fn transfer(&self, src: usize, dst: usize, n: usize, get: Option<(Request<Payload>, Payload)>) {
         let done: Request<()> = Request::new();
-        self.pending.lock().push(done.clone());
-        launch_rma_flow(agent, origin_w, target_w, n, done);
+        self.comm
+            .agent()
+            .rma_transfer(self.world(src), self.world(dst), n, get, done.clone());
+        if !done.is_complete() {
+            self.pending.lock().push(done);
+        }
     }
 
     /// One-sided read of `len` bytes from `target`'s segment at `offset`
@@ -420,67 +482,50 @@ impl SimWin {
     #[track_caller]
     pub fn get(&self, target: usize, offset: usize, len: usize) -> Request<Payload> {
         let site: Site = std::panic::Location::caller();
-        let agent = &self.comm.agent;
-        let uni = agent.uni.clone();
+        let agent = self.comm.agent();
+        let env = agent.env();
+        self.check_target("get", target);
         let t0 = agent.now();
-        agent.advance(uni.env.profile.small_post);
-        uni.env.rma_metric(agent.rank, "get", len);
-        let (req, rid) = match uni.env.verify.as_ref() {
+        agent.charge_post(env.profile.small_post);
+        env.rma_metric(agent.rank(), "get", len);
+        let req = match env.verify.as_ref() {
             Some(v) => {
                 let id = v.next_req_id();
-                (
-                    Request::new_tracked(ReqMeta {
-                        verifier: v.clone(),
-                        id,
-                    }),
-                    Some(id),
-                )
+                v.record(VEvent::RmaOp {
+                    agent: agent.id(),
+                    rank: agent.rank(),
+                    win: self.id,
+                    kind: RmaKind::Get,
+                    target: target as u32,
+                    offset,
+                    len,
+                    req: Some(id),
+                    site: Some(site),
+                });
+                Request::new_tracked(ReqMeta {
+                    verifier: v.clone(),
+                    id,
+                })
             }
-            None => (Request::new(), None),
+            None => Request::new(),
         };
-        if let Some(v) = uni.env.verify.as_ref() {
-            v.record(VEvent::RmaOp {
-                agent: agent.id,
-                rank: agent.rank,
-                win: self.id,
-                kind: RmaKind::Get,
-                target: target as u32,
-                offset,
-                len,
-                req: rid,
-                site: Some(site),
-            });
-        }
-        agent.trace_span(SpanKind::Post, t0, agent.now(), || {
+        agent.span(SpanKind::Post, None, t0, agent.now(), || {
             format!("MPI_Rget post {len}B <- {target}")
         });
         // Snapshot the committed segment at post time: the committed
         // state is stable within an epoch, so any post moment inside the
         // epoch yields identical bytes — this is what makes one-sided
         // reads deterministic.
-        let snap = {
-            let wd = self.data.lock();
-            match &wd.segs[target] {
-                Some(s) => s.snapshot(offset, offset + len),
-                None => panic!("window segment {target} not deposited"),
-            }
-        };
+        let snap = self.core.lock().snapshot(target, offset, offset + len);
         if len == 0 {
-            uni.complete(&req, snap, agent.now());
-            return req;
+            agent.complete(&req, snap, agent.now());
+        } else {
+            self.transfer(target, self.rank(), len, Some((req.clone(), snap)));
         }
-        let me = self.rank();
-        let origin_w = self.comm.info.ranks[me];
-        let target_w = self.comm.info.ranks[target];
-        // Shadow handle: the closing fence waits the transfer without
-        // consuming the user-visible request.
-        let done: Request<()> = Request::new();
-        self.pending.lock().push(done.clone());
-        launch_get_flow(agent, target_w, origin_w, len, snap, req.clone(), done);
         req
     }
 
-    /// Wait a [`SimWin::get`] request, recording a `Wait` span.
+    /// Wait a [`Win::get`] request, recording a `Wait` span.
     pub fn wait(&self, req: &Request<Payload>) -> Payload {
         self.comm.wait_traced(req, "MPI_Rget")
     }
@@ -493,29 +538,26 @@ impl SimWin {
     #[track_caller]
     pub fn fence(&self) {
         let site: Site = std::panic::Location::caller();
-        let agent = &self.comm.agent;
-        let uni = agent.uni.clone();
+        let agent = self.comm.agent();
+        let env = agent.env();
         let t0 = agent.now();
-        uni.env.rma_metric(agent.rank, "fence", 0);
+        env.rma_metric(agent.rank(), "fence", 0);
         self.drain_pending();
         self.comm.barrier();
-        let applied = self.apply_own_segment();
-        if applied > 0 {
-            agent.advance(uni.env.profile.copy_time(applied));
-        }
+        let applied = self.core.lock().apply_target(self.rank());
+        self.charge_copy(applied);
         self.comm.barrier();
-        if let Some(v) = uni.env.verify.as_ref() {
+        if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::WinFence {
-                agent: agent.id,
-                rank: agent.rank,
+                agent: agent.id(),
+                rank: agent.rank(),
                 win: self.id,
                 site: Some(site),
             });
         }
-        uni.env
-            .metrics
-            .blocking_duration(agent.rank, agent.now().saturating_since(t0).as_nanos());
-        agent.trace_span(SpanKind::BlockingCall, t0, agent.now(), || {
+        env.metrics
+            .blocking_duration(agent.rank(), agent.now().saturating_since(t0).as_nanos());
+        agent.span(SpanKind::BlockingCall, None, t0, agent.now(), || {
             "MPI_Win_fence".to_string()
         });
     }
@@ -526,43 +568,35 @@ impl SimWin {
     #[track_caller]
     pub fn lock(&self, target: usize) {
         let site: Site = std::panic::Location::caller();
-        let agent = &self.comm.agent;
-        let uni = agent.uni.clone();
+        let agent = self.comm.agent();
+        let env = agent.env();
+        self.check_target("lock", target);
         let t0 = agent.now();
-        uni.env.rma_metric(agent.rank, "lock", 0);
-        let me = self.rank() as u32;
-        let origin_w = self.comm.info.ranks[self.rank()];
-        let target_w = self.comm.info.ranks[target];
-        let alpha = path_params(&uni, origin_w, target_w, 0).alpha;
-        let waitreq: Option<Request<()>> = {
-            let mut wd = self.data.lock();
-            let l = &mut wd.locks[target];
-            if l.holder.is_none() {
-                l.holder = Some(me);
-                None
-            } else {
-                let r = Request::new();
-                l.queue.push_back((me, r.clone()));
-                Some(r)
-            }
-        };
-        match waitreq {
-            // Free: one request/grant round trip to the target.
-            None => agent.advance(SimDur(2 * alpha.as_nanos())),
-            Some(r) => {
-                agent.wait(&r);
-            }
+        env.rma_metric(agent.rank(), "lock", 0);
+        let me = self.rank();
+        // Internal grant handle: untracked, invisible to leak analysis.
+        let grant: Request<()> = Request::new();
+        let free = self
+            .core
+            .lock()
+            .lock_or_queue(target, me as u32, grant.clone());
+        if free {
+            // One request/grant round trip to the target.
+            let alpha = agent.path_latency(self.world(me), self.world(target));
+            agent.charge_post(SimDur(2 * alpha.as_nanos()));
+        } else {
+            agent.wait(&grant);
         }
-        if let Some(v) = uni.env.verify.as_ref() {
+        if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::WinLock {
-                agent: agent.id,
-                rank: agent.rank,
+                agent: agent.id(),
+                rank: agent.rank(),
                 win: self.id,
                 target: target as u32,
                 site: Some(site),
             });
         }
-        agent.trace_span(SpanKind::BlockingCall, t0, agent.now(), || {
+        agent.span(SpanKind::BlockingCall, None, t0, agent.now(), || {
             format!("MPI_Win_lock {target}")
         });
     }
@@ -577,71 +611,30 @@ impl SimWin {
     #[track_caller]
     pub fn unlock(&self, target: usize) {
         let site: Site = std::panic::Location::caller();
-        let agent = &self.comm.agent;
-        let uni = agent.uni.clone();
+        let agent = self.comm.agent();
+        let env = agent.env();
+        self.check_target("unlock", target);
         let t0 = agent.now();
-        uni.env.rma_metric(agent.rank, "unlock", 0);
+        env.rma_metric(agent.rank(), "unlock", 0);
         self.drain_pending();
-        let me = self.rank() as u32;
-        let target_w = self.comm.info.ranks[target];
-        let grant = {
-            let mut wd = self.data.lock();
-            // Apply this origin's staged ops on the target segment.
-            let mut ops: Vec<StagedOp> = Vec::new();
-            let staged = &mut wd.staged[target];
-            let mut i = 0;
-            while i < staged.len() {
-                if staged[i].origin == me {
-                    ops.push(staged.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            ops.sort_by_key(|o| o.seq);
-            let mut bytes = 0usize;
-            {
-                let seg = match &mut wd.segs[target] {
-                    Some(s) => s,
-                    None => panic!("window segment {target} not deposited"),
-                };
-                for op in &ops {
-                    bytes += op.data.len();
-                    apply_op(seg, op);
-                }
-            }
-            if bytes > 0 {
-                agent.advance(uni.env.profile.copy_time(bytes));
-            }
-            let l = &mut wd.locks[target];
-            if l.holder == Some(me) {
-                l.holder = None;
-                match l.queue.pop_front() {
-                    Some((next, r)) => {
-                        l.holder = Some(next);
-                        Some((next, r))
-                    }
-                    None => None,
-                }
-            } else {
-                None
-            }
-        };
-        if let Some((next, r)) = grant {
-            // The grant notification travels target→next origin.
-            let next_w = self.comm.info.ranks[next as usize];
-            let alpha = path_params(&uni, target_w, next_w, 0).alpha;
-            uni.complete(&r, (), agent.now() + alpha);
+        let (applied, grant) = self.core.lock().unlock(target, self.rank() as u32);
+        self.charge_copy(applied);
+        // The hand-off completes outside the core's mutex; the grant
+        // notification travels target→next origin.
+        if let Some((next, g)) = grant {
+            let alpha = agent.path_latency(self.world(target), self.world(next as usize));
+            agent.complete(&g, (), agent.now() + alpha);
         }
-        if let Some(v) = uni.env.verify.as_ref() {
+        if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::WinUnlock {
-                agent: agent.id,
-                rank: agent.rank,
+                agent: agent.id(),
+                rank: agent.rank(),
                 win: self.id,
                 target: target as u32,
                 site: Some(site),
             });
         }
-        agent.trace_span(SpanKind::BlockingCall, t0, agent.now(), || {
+        agent.span(SpanKind::BlockingCall, None, t0, agent.now(), || {
             format!("MPI_Win_unlock {target}")
         });
     }
@@ -649,11 +642,8 @@ impl SimWin {
     /// Snapshot of this rank's committed local segment.
     pub fn local(&self) -> Payload {
         let me = self.rank();
-        let wd = self.data.lock();
-        match &wd.segs[me] {
-            Some(s) => s.snapshot(0, s.len()),
-            None => panic!("window segment {me} not deposited"),
-        }
+        let core = self.core.lock();
+        core.snapshot(me, 0, core.segment_len(me))
     }
 
     /// Collective teardown (`MPI_Win_free`): synchronizes all members and
@@ -662,13 +652,13 @@ impl SimWin {
     #[track_caller]
     pub fn free(self) {
         let site: Site = std::panic::Location::caller();
-        let agent = &self.comm.agent;
-        let uni = agent.uni.clone();
-        uni.env.rma_metric(agent.rank, "win_free", 0);
-        if let Some(v) = uni.env.verify.as_ref() {
+        let agent = self.comm.agent();
+        let env = agent.env();
+        env.rma_metric(agent.rank(), "win_free", 0);
+        if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::WinFree {
-                agent: agent.id,
-                rank: agent.rank,
+                agent: agent.id(),
+                rank: agent.rank(),
                 win: self.id,
                 site: Some(site),
             });
@@ -676,13 +666,8 @@ impl SimWin {
         self.drain_pending();
         self.comm.barrier();
         self.freed.store(true, Ordering::Relaxed);
-        let gone = {
-            let mut wd = self.data.lock();
-            wd.live -= 1;
-            wd.live == 0
-        };
-        if gone {
-            uni.state.lock().windows.remove(&self.key);
+        if self.core.lock().release_handle() {
+            env.windows.lock().remove(&self.key);
         }
         // `self` drops here, recording `WinDropped { freed: true }`.
     }
@@ -691,38 +676,28 @@ impl SimWin {
     fn drain_pending(&self) {
         let reqs = std::mem::take(&mut *self.pending.lock());
         for r in &reqs {
-            self.comm.agent.wait(r);
+            self.comm.agent().wait(r);
         }
     }
 
-    /// Apply all staged ops targeting this rank's segment in
-    /// `(origin, post order)` order; returns total bytes applied.
-    fn apply_own_segment(&self) -> usize {
-        let me = self.rank();
-        let mut wd = self.data.lock();
-        let mut ops = std::mem::take(&mut wd.staged[me]);
-        ops.sort_by_key(|o| (o.origin, o.seq));
-        let seg = match &mut wd.segs[me] {
-            Some(s) => s,
-            None => panic!("window segment {me} not deposited"),
-        };
-        let mut bytes = 0usize;
-        for op in &ops {
-            bytes += op.data.len();
-            apply_op(seg, op);
+    /// Charge the target-side copy of `bytes` applied at an epoch close.
+    fn charge_copy(&self, bytes: usize) {
+        if bytes > 0 {
+            let agent = self.comm.agent();
+            agent.charge_post(agent.env().profile.copy_time(bytes));
         }
-        bytes
     }
 }
 
-impl Drop for SimWin {
+impl<T: Transport> Drop for Win<T> {
     fn drop(&mut self) {
         // Drop-time leak check, mirroring the request one: a window
         // dropped without `free` surfaces as a `win-leak` finding carrying
         // the creation site.
-        if let Some(v) = self.comm.agent.uni.env.verify.as_ref() {
+        let agent = self.comm.agent();
+        if let Some(v) = agent.env().verify.as_ref() {
             v.record(VEvent::WinDropped {
-                rank: self.comm.agent.rank,
+                rank: agent.rank(),
                 win: self.id,
                 freed: self.freed.load(Ordering::Relaxed),
             });

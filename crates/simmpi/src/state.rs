@@ -4,8 +4,7 @@
 //! `CommEnv`).
 //!
 //! All `MpiState` mutations happen under the single state lock, from engine
-//! callbacks (message injection, arrival, pairing) or from rank actors
-//! (window registration). Matching follows MPI's
+//! callbacks (message injection, arrival, pairing). Matching follows MPI's
 //! non-overtaking rule per `(context, source, destination, tag)` key:
 //! entries are FIFO queues, so two messages on the same envelope can never
 //! pass each other.
@@ -68,10 +67,6 @@ pub(crate) struct MpiState {
     /// All live send slots.
     pub slots: HashMap<MsgId, SendSlot>,
     pub next_msg_id: u64,
-    /// Live one-sided windows, keyed by (creating ctx, per-comm window
-    /// seq). All members call `win_create` in the same order, so the key
-    /// is rank-independent; the last `free` removes the entry.
-    pub windows: HashMap<(u32, u64), Arc<parking_lot::Mutex<crate::rma::WinData>>>,
     /// Inter-node bytes injected into the network.
     pub inter_bytes: u64,
     /// Intra-node (shared-memory) bytes.
@@ -117,6 +112,16 @@ pub(crate) struct SplitResult {
 }
 
 impl MpiState {
+    /// Count one message of `n` bytes, intra- or inter-node.
+    pub fn count_message(&mut self, intra: bool, n: usize) {
+        self.messages += 1;
+        if intra {
+            self.intra_bytes += n as u64;
+        } else {
+            self.inter_bytes += n as u64;
+        }
+    }
+
     pub fn alloc_msg_id(&mut self) -> MsgId {
         let id = MsgId(self.next_msg_id);
         self.next_msg_id += 1;

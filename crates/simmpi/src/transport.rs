@@ -1,13 +1,14 @@
 //! The seam between the communicator front end and a backend.
 //!
 //! [`Comm<T>`](crate::comm::Comm) — dup/split, point-to-point, wait/test,
-//! every blocking and nonblocking collective — is written once, against
-//! two things: the [`CommEnv`] both backends embed in their shared state
-//! (metrics, verifier, plan cache, selector, profile, and the
-//! communicator-context registry), and the [`Transport`] trait, which
-//! carries only what the virtual-time simulator and the wall-clock
-//! runtime really do differently. A method whose two implementations
-//! would have the same body belongs in the front end, not here.
+//! every blocking and nonblocking collective — and the one-sided
+//! [`Win<T>`](crate::rma::Win) are each written once, against two things:
+//! the [`CommEnv`] both backends embed in their shared state (metrics,
+//! verifier, plan cache, selector, profile, and the communicator-context
+//! and window registries), and the [`Transport`] trait, which carries
+//! only what the virtual-time simulator and the wall-clock runtime really
+//! do differently. A method whose two implementations would have the
+//! same body belongs in the front end, not here.
 
 use std::sync::Arc;
 
@@ -17,10 +18,10 @@ use ovcomm_simnet::{EdgeKind, MachineProfile, SimDur, SimTime, SpanKind};
 use ovcomm_verify::{Site, Verifier, VerifyMode};
 
 use crate::collsel::CollSelector;
-use crate::comm::Comm;
 use crate::metrics::SimMetrics;
 use crate::payload::Payload;
 use crate::request::Request;
+use crate::rma::Windows;
 use crate::state::CommRegistry;
 use crate::universe::PlanCache;
 
@@ -53,6 +54,8 @@ pub struct CommEnv {
     pub profile: MachineProfile,
     /// Communicator-context allocation and in-progress `split` gathers.
     pub(crate) comms: Mutex<CommRegistry>,
+    /// Live one-sided windows.
+    pub(crate) windows: Mutex<Windows>,
 }
 
 impl CommEnv {
@@ -74,6 +77,7 @@ impl CommEnv {
             plan_cache: Mutex::new(PlanCache::new()),
             profile,
             comms: Mutex::new(CommRegistry::new(WORLD_CTX + 1)),
+            windows: Mutex::new(Windows::new()),
         }
     }
 
@@ -111,12 +115,11 @@ impl CommEnv {
 /// * `spawn_op` — a fiber registered with the engine at post time vs. a
 ///   progress-shard job, each with its own live/occupancy bookkeeping and
 ///   panic capture;
-/// * `win_open` — origin-driven modeled flows vs. staged shared segments.
+/// * `rma_transfer` / `path_latency` — a one-sided transfer is a modeled
+///   flow and a lock hand-off costs α on the simulator; on the runtime the
+///   bytes are already in shared memory and a notification is free.
 #[doc(hidden)]
 pub trait Transport: Clone + Send + Sync + Sized + 'static {
-    /// This backend's one-sided window handle.
-    type Win;
-
     /// Actor id of this agent (equals `rank` for rank agents;
     /// high-bit-tagged for operation agents).
     fn id(&self) -> u32;
@@ -130,7 +133,9 @@ pub trait Transport: Clone + Send + Sync + Sized + 'static {
 
     /// Current time on this agent's clock (virtual or wall).
     fn now(&self) -> SimTime;
-    /// Charge the modeled cost of posting a nonblocking collective.
+    /// Charge modeled software time on the calling agent: the cost of
+    /// posting a nonblocking collective or a one-sided operation, an
+    /// epoch close's apply copy, a free window lock's round trip.
     fn charge_post(&self, d: SimDur);
     /// Charge one communication round of collective software slack.
     fn charge_slack(&self, d: SimDur);
@@ -178,9 +183,20 @@ pub trait Transport: Clone + Send + Sync + Sized + 'static {
     /// A panic unwinding `body` is captured for the run to surface.
     fn spawn_op(&self, id: u32, ctx: u32, body: impl FnOnce(&Self) + Send + 'static);
 
-    /// Backend half of collective window creation: register under `key`,
-    /// deposit `local` as this rank's segment, and synchronize on `comm`
-    /// — the window's private dup of the creating communicator, which the
-    /// handle keeps for its fences. `id` is the verifier's window id.
-    fn win_open(comm: Comm<Self>, key: (u32, u64), id: u64, local: Payload) -> Self::Win;
+    /// Move the `n > 0` bytes of a one-sided operation from world rank
+    /// `src` to world rank `dst`, driven by this (origin) agent alone — no
+    /// receive exists or is charged. Completes `done` when the last byte
+    /// lands; for a get (`src` is the target) also completes the user's
+    /// request with the data, one unpack copy after arrival.
+    fn rma_transfer(
+        &self,
+        src: u32,
+        dst: u32,
+        n: usize,
+        get: Option<(Request<Payload>, Payload)>,
+        done: Request<()>,
+    );
+    /// One-way latency of an empty notification from world rank `src` to
+    /// `dst` (a passive-target lock request or grant).
+    fn path_latency(&self, src: u32, dst: u32) -> SimDur;
 }

@@ -6,7 +6,10 @@
 //! executor: they were recorded from its run of each program at commit
 //! `ef982b7` (PR 13), where the fiber scheduler produced the same values
 //! (hence the test names, kept from that differential suite). A change in
-//! them is a change in scheduler order or in the model, not noise.
+//! them is a change in scheduler order or in the model, not noise. The
+//! one-sided window program was added later; its literal was printed by
+//! commit `94985ee` (PR 14), the last one with a simulator-only window
+//! implementation.
 //!
 //! Also hosts the large-scale smoke test: a 10,000-rank broadcast +
 //! allreduce under `VerifyMode::Strict`.
@@ -205,6 +208,53 @@ fn mixed_p2p_and_nonblocking_under_warn_mode_matches() {
                 bits(&got).wrapping_add(red.as_ref().map_or(0, bits)),
                 rc.now(),
             )
+        },
+    );
+}
+
+#[test]
+fn one_sided_window_program_matches_pinned_values() {
+    // Every window call, p = 4 at PPN 2: put + accumulate under fences, a
+    // 3-origin contended lock/accumulate/unlock on rank 0, get + wait,
+    // free. Pins the charge order of each: post → stage → transfer;
+    // drain → barrier → apply → copy → barrier; apply → copy → grant.
+    assert_deterministic(
+        || cfg(4, 2),
+        Golden(36898, 106, 5376, 4992, 0xb22279cfebd6ef70),
+        |rc: RankCtx| {
+            let w = rc.world();
+            let (me, p) = (rc.rank(), rc.nranks());
+            let win = w.win_create(Payload::from_f64s(&vec![me as f64; 512]));
+            win.fence();
+            // Slots 0..128 of the right neighbour; slots 128..192 of rank
+            // 0, summed in (origin, post) order — 0.1 steps are inexact,
+            // so the bits pin that order.
+            win.put((me + 1) % p, 0, contrib(me, 128));
+            win.accumulate(
+                0,
+                128 * 8,
+                Payload::from_f64s(&vec![0.1 * (me + 1) as f64; 64]),
+            );
+            win.fence();
+            if me != 0 {
+                win.lock(0);
+                win.accumulate(0, 192 * 8, contrib(me, 32));
+                win.accumulate(0, 192 * 8, contrib(me + 1, 16));
+                win.unlock(0);
+            }
+            w.barrier();
+            win.fence();
+            let r = win.get(0, 128 * 8, 96 * 8);
+            let got = win.wait(&r);
+            win.fence();
+            let local = win.local();
+            win.free();
+            let bits = |p: &Payload| {
+                p.to_f64s()
+                    .iter()
+                    .fold(0u64, |a, x| a.rotate_left(1) ^ x.to_bits())
+            };
+            (bits(&got).wrapping_add(bits(&local)), rc.now())
         },
     );
 }

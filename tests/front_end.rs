@@ -6,12 +6,14 @@
 //! simulator and on the wall-clock runtime, and requires everything the
 //! front end produces to agree: results to the bit, per-rank operation
 //! counters, the multiset of verify `Coll` events per communicator, and a
-//! clean verify report. It also pins the front end's argument-check panic
-//! messages (once — they are the same code on either backend).
+//! clean verify report. A second program does the same for the one window
+//! front end, `Win<T>`: committed segment bytes and `rma.*` counters. It
+//! also pins the front ends' argument-check panic messages (once — they
+//! are the same code on either backend).
 
 use std::collections::BTreeMap;
 
-use ovcomm::core::{Communicator, RankHandle};
+use ovcomm::core::{Communicator, RankHandle, Window};
 use ovcomm::prelude::*;
 use ovcomm::simmpi::{VerifyMode, VerifyReport};
 use ovcomm_obs::MetricsSnapshot;
@@ -118,16 +120,55 @@ fn program<R: RankHandle>(rc: &R) -> Vec<u64> {
     seen
 }
 
-/// What one backend's run of [`program`] produced.
+/// The one-sided program: every `Window` call. A put and an accumulate
+/// per rank under fences, every non-zero rank contending for rank 0's
+/// lock to accumulate into it, then a get of what landed. Returns the
+/// bits of the fetched range followed by the rank's whole committed
+/// segment.
+fn window_program<R: RankHandle>(rc: &R) -> Vec<u64> {
+    let world = rc.world();
+    let (me, p) = (world.rank(), world.size());
+    let win = world.win_create(Payload::from_f64s(&vec![me as f64; 512]));
+    assert_eq!((win.rank(), win.size(), win.segment_len(0)), (me, p, 4096));
+    win.fence();
+    // Slots 0..128 of the right neighbour; slots 128..192 of rank 0,
+    // summed in (origin, post) order — 0.1 steps are inexact, so equal
+    // bits mean equal apply order.
+    win.put((me + 1) % p, 0, Payload::from_f64s(&vals(128, me)));
+    win.accumulate(
+        0,
+        128 * 8,
+        Payload::from_f64s(&vec![0.1 * (me + 1) as f64; 64]),
+    );
+    win.fence();
+    if me != 0 {
+        // Grant order is a real race on rt; halves sum exactly, so the
+        // committed bytes do not depend on it.
+        win.lock(0);
+        win.accumulate(0, 192 * 8, Payload::from_f64s(&vals(32, me)));
+        win.accumulate(0, 192 * 8, Payload::from_f64s(&vals(16, me + 1)));
+        win.unlock(0);
+    }
+    world.barrier();
+    win.fence();
+    let r = win.get(0, 128 * 8, 96 * 8);
+    let mut seen: Vec<u64> = win.wait(&r).to_f64s().iter().map(|v| v.to_bits()).collect();
+    win.fence();
+    seen.extend(win.local().to_f64s().iter().map(|v| v.to_bits()));
+    win.free();
+    seen
+}
+
+/// What one backend's run of a program produced.
 struct Observed {
     results: Vec<Vec<u64>>,
     metrics: MetricsSnapshot,
     verify: VerifyReport,
 }
 
-fn on_sim(p: usize) -> Observed {
+fn on_sim(p: usize, program: fn(&RankCtx) -> Vec<u64>) -> Observed {
     let cfg = SimConfig::natural(p, 2, MachineProfile::test_profile());
-    let out = run(cfg, |rc: RankCtx| program(&rc)).expect("sim run");
+    let out = run(cfg, move |rc: RankCtx| program(&rc)).expect("sim run");
     Observed {
         results: out.results,
         metrics: out.metrics,
@@ -135,9 +176,9 @@ fn on_sim(p: usize) -> Observed {
     }
 }
 
-fn on_rt(p: usize) -> Observed {
+fn on_rt(p: usize, program: fn(&RtRankCtx) -> Vec<u64>) -> Observed {
     let cfg = RtConfig::natural(p, 2, MachineProfile::test_profile());
-    let out = ovcomm_rt::run(cfg, |rc: RtRankCtx| program(&rc)).expect("rt run");
+    let out = ovcomm_rt::run(cfg, move |rc: RtRankCtx| program(&rc)).expect("rt run");
     Observed {
         results: out.results,
         metrics: out.metrics,
@@ -145,12 +186,18 @@ fn on_rt(p: usize) -> Observed {
     }
 }
 
-/// The per-rank `OpKind` call and byte counters (everything the front end
-/// counts deterministically; `simmpi.tests` depends on polling luck).
-fn op_counters(m: &MetricsSnapshot) -> BTreeMap<&str, u64> {
+/// The per-rank call and byte counters of the communicator front end
+/// (everything it counts deterministically; `simmpi.tests` depends on
+/// polling luck) …
+const COMM_COUNTERS: [&str; 2] = ["simmpi.calls{", "simmpi.bytes_posted{"];
+/// … and of the window front end.
+const WIN_COUNTERS: [&str; 2] = ["rma.calls{", "rma.bytes{"];
+
+/// The counters whose key starts with one of `prefixes`.
+fn op_counters<'a>(m: &'a MetricsSnapshot, prefixes: [&str; 2]) -> BTreeMap<&'a str, u64> {
     m.counters
         .iter()
-        .filter(|(k, _)| k.starts_with("simmpi.calls{") || k.starts_with("simmpi.bytes_posted{"))
+        .filter(|(k, _)| prefixes.iter().any(|p| k.starts_with(p)))
         .map(|(k, v)| (k.as_str(), *v))
         .collect()
 }
@@ -167,11 +214,14 @@ fn assert_clean(backend: &str, v: &VerifyReport) {
 #[test]
 fn one_program_agrees_across_backends() {
     for p in [4, 6] {
-        let (sim, rt) = (on_sim(p), on_rt(p));
+        let (sim, rt) = (on_sim(p, program), on_rt(p, program));
         assert_eq!(sim.results, rt.results, "p={p}: results differ");
         assert!(sim.results.iter().all(|r| !r.is_empty()));
 
-        let (sc, rc) = (op_counters(&sim.metrics), op_counters(&rt.metrics));
+        let (sc, rc) = (
+            op_counters(&sim.metrics, COMM_COUNTERS),
+            op_counters(&rt.metrics, COMM_COUNTERS),
+        );
         assert_eq!(sc, rc, "p={p}: per-rank op counters differ");
         // Spot-check that the comparison is not vacuous: every rank posted
         // N_DUP + 1 iallreduces, and the eager + rendezvous isends.
@@ -213,6 +263,41 @@ fn one_program_agrees_across_backends() {
     }
 }
 
+#[test]
+fn one_window_program_agrees_across_backends() {
+    for p in [4, 6] {
+        let (sim, rt) = (on_sim(p, window_program), on_rt(p, window_program));
+        assert_eq!(sim.results, rt.results, "p={p}: segment bytes differ");
+
+        let (sc, rc) = (
+            op_counters(&sim.metrics, WIN_COUNTERS),
+            op_counters(&rt.metrics, WIN_COUNTERS),
+        );
+        assert_eq!(sc, rc, "p={p}: per-rank rma counters differ");
+        // Not vacuous: 4 fences and one 768-byte get everywhere, and the
+        // contended section's two accumulates on top of the fenced one.
+        for r in 0..p {
+            assert_eq!(sc[format!("rma.calls{{op=fence,rank={r}}}").as_str()], 4);
+            assert_eq!(sc[format!("rma.bytes{{op=get,rank={r}}}").as_str()], 768);
+            assert_eq!(
+                sc[format!("rma.calls{{op=accumulate,rank={r}}}").as_str()],
+                if r == 0 { 1 } else { 3 }
+            );
+        }
+        assert_eq!(sc.get("rma.calls{op=lock,rank=0}"), None);
+        assert_eq!(sc["rma.calls{op=unlock,rank=1}"], 1);
+
+        // Rank 0's slot 192 took every contender's two first elements:
+        // vals(_, r)[0] = 500·r, so 500·(r + r + 1) over r = 1..p.
+        let slot = f64::from_bits(sim.results[0][96 + 192]);
+        let want: f64 = (1..p).map(|r| 500.0 * (2 * r + 1) as f64).sum();
+        assert_eq!(slot, want, "p={p}");
+
+        assert_clean("sim", &sim.verify);
+        assert_clean("rt", &rt.verify);
+    }
+}
+
 /// Run `f` on two simulated ranks and return the panic message.
 fn panic_message(f: impl Fn(&Comm, usize) + Send + Sync + 'static) -> String {
     let cfg = SimConfig::natural(2, 1, MachineProfile::test_profile()).with_verify(VerifyMode::Off);
@@ -250,4 +335,22 @@ fn argument_checks_panic_with_their_messages() {
         w.ibcast(0, None, 8);
     });
     assert!(no_data.contains("bcast root must supply data"), "{no_data}");
+    // The window front end's checks: at the origin's call, not as an
+    // index panic or at the target's distant epoch close.
+    let bad_target = panic_message(|w, _| {
+        let win = w.win_create(Payload::from_f64s(&[0.0; 2]));
+        win.put(2, 0, Payload::from_f64s(&[1.0]));
+    });
+    assert!(
+        bad_target.contains("put target 2 out of range (p=2)"),
+        "{bad_target}"
+    );
+    let unaligned = panic_message(|w, _| {
+        let win = w.win_create(Payload::from_f64s(&[0.0; 2]));
+        win.accumulate(0, 4, Payload::from_f64s(&[1.0]));
+    });
+    assert!(
+        unaligned.contains("accumulate must be f64-aligned (offset 4, len 8)"),
+        "{unaligned}"
+    );
 }
