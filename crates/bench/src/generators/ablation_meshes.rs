@@ -5,7 +5,7 @@
 //! describes: O(N²/√P) for 2-D vs O(N²/P^(2/3)) for 3-D, and what overlap
 //! buys each of them.
 
-use ovcomm_bench::{symm_run, write_json, MeshSpec, Table};
+use ovcomm_bench::{symm_run, write_json, MeshSpec, Opts, Table};
 use ovcomm_densemat::{BlockBuf, BlockGrid};
 use ovcomm_kernels::{
     symm_square_cube_flops, symm_square_cube_summa, Mesh2D, SummaBundles, SymmInput,
@@ -25,9 +25,15 @@ struct Row {
 }
 
 /// SUMMA runner (the shared harness covers the 3-D/2.5D cases).
-fn summa_stats(profile: &MachineProfile, n: usize, p: usize, n_dup: usize) -> (f64, f64) {
+fn summa_stats(
+    opts: &Opts,
+    profile: &MachineProfile,
+    n: usize,
+    p: usize,
+    n_dup: usize,
+) -> (f64, f64) {
     let out = run(
-        SimConfig::natural(p * p, 1, profile.clone()),
+        opts.sim_config(SimConfig::natural(p * p, 1, profile.clone())),
         move |rc: RankCtx| {
             let mesh = Mesh2D::new(&rc, p);
             let grid = BlockGrid::new(n, p);
@@ -52,7 +58,7 @@ fn summa_stats(profile: &MachineProfile, n: usize, p: usize, n_dup: usize) -> (f
     )
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let profile = MachineProfile::stampede2_skylake();
     let sys = paper_system("1hsg_70").unwrap();
     let n = sys.dimension;
@@ -62,7 +68,7 @@ fn main() {
     let mut rows = Vec::new();
 
     for n_dup in [1usize, 4] {
-        let (tf, gb) = summa_stats(&profile, n, 8, n_dup);
+        let (tf, gb) = summa_stats(opts, &profile, n, 8, n_dup);
         table.row(vec![
             "SUMMA (2-D)".into(),
             "8x8".into(),
@@ -79,6 +85,7 @@ fn main() {
         });
 
         let s25 = symm_run(
+            opts,
             &profile,
             n,
             MeshSpec::TwoFiveD { q: 8, c: 1 },
@@ -102,6 +109,7 @@ fn main() {
         });
 
         let s25b = symm_run(
+            opts,
             &profile,
             n,
             MeshSpec::TwoFiveD { q: 4, c: 4 },
@@ -125,6 +133,7 @@ fn main() {
         });
 
         let s3 = symm_run(
+            opts,
             &profile,
             n,
             MeshSpec::Cube { p: 4 },
@@ -152,5 +161,5 @@ fn main() {
         "\nexpected ordering: the 2-D algorithms move more data (O(N²/sqrt(P)) per rank) than \
          the replicated 2.5D/3-D ones (O(N²/P^(2/3))); overlap helps every variant."
     );
-    write_json("ablation_meshes", &rows);
+    write_json(&opts.out_dir, "ablation_meshes", &rows);
 }

@@ -5,8 +5,7 @@
 //! copy bandwidth. This quantifies which modeled effect the technique's
 //! benefit actually comes from.
 
-use ovcomm_bench::Table;
-use ovcomm_bench::{symm_run, write_json, MeshSpec};
+use ovcomm_bench::{symm_run, write_json, MeshSpec, Opts, Table};
 use ovcomm_purify::{paper_system, KernelChoice};
 use ovcomm_simnet::{MachineProfile, SimDur};
 use serde::Serialize;
@@ -19,14 +18,17 @@ struct Row {
     speedup: f64,
 }
 
-fn measure(profile: &MachineProfile, n: usize) -> (f64, f64, f64) {
+fn measure(opts: &Opts, profile: &MachineProfile, n: usize) -> (f64, f64, f64) {
     let mesh = MeshSpec::Cube { p: 4 };
-    let s1 = symm_run(profile, n, mesh, KernelChoice::Optimized { n_dup: 1 }, 1, 2);
-    let s4 = symm_run(profile, n, mesh, KernelChoice::Optimized { n_dup: 4 }, 1, 2);
+    let run = |n_dup| {
+        let choice = KernelChoice::Optimized { n_dup };
+        symm_run(opts, profile, n, mesh, choice, 1, 2)
+    };
+    let (s1, s4) = (run(1), run(4));
     (s1.tflops, s4.tflops, s1.time_per_call / s4.time_per_call)
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let n = paper_system("1hsg_70").unwrap().dimension;
     let base = MachineProfile::stampede2_skylake();
 
@@ -68,7 +70,7 @@ fn main() {
     let mut table = Table::new(&["variant", "N_DUP=1 TF", "N_DUP=4 TF", "speedup"]);
     let mut rows = Vec::new();
     for (name, profile) in variants {
-        let (t1, t4, s) = measure(&profile, n);
+        let (t1, t4, s) = measure(opts, &profile, n);
         table.row(vec![
             name.to_string(),
             format!("{t1:.2}"),
@@ -88,5 +90,5 @@ fn main() {
          a single stream already saturates the NIC, and grow with a stronger stream penalty — \
          confirming the mechanism the paper attributes the speedup to."
     );
-    write_json("ablation_model", &rows);
+    write_json(&opts.out_dir, "ablation_model", &rows);
 }

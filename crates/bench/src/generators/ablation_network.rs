@@ -3,7 +3,7 @@
 //! HDR-class fabric. Runs the baseline and optimized SymmSquareCube
 //! (1hsg_70, 64 nodes, PPN=1) on each profile.
 
-use ovcomm_bench::{symm_run, write_json, MeshSpec, Table};
+use ovcomm_bench::{symm_run, write_json, MeshSpec, Opts, Table};
 use ovcomm_purify::{paper_system, KernelChoice};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
@@ -17,7 +17,7 @@ struct Row {
     comm_fraction_baseline: f64,
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let n = paper_system("1hsg_70").unwrap().dimension;
     let mesh = MeshSpec::Cube { p: 4 };
     let profiles = [
@@ -36,8 +36,9 @@ fn main() {
     ]);
     let mut rows = Vec::new();
     for profile in profiles {
-        let s1 = symm_run(&profile, n, mesh, KernelChoice::Baseline, 1, 2);
+        let s1 = symm_run(opts, &profile, n, mesh, KernelChoice::Baseline, 1, 2);
         let s4 = symm_run(
+            opts,
             &profile,
             n,
             mesh,
@@ -69,5 +70,5 @@ fn main() {
          saturates a slow NIC; on Omni-Path and fat-NIC fabrics a single stream leaves \
          capacity on the table, which is exactly what the paper's overlap reclaims."
     );
-    write_json("ablation_network", &rows);
+    write_json(&opts.out_dir, "ablation_network", &rows);
 }

@@ -1,30 +1,27 @@
-//! Collective algorithm sweep over the `CollPlan` builders.
+//! Collective algorithm sweep over the `CollPlan` builders — three
+//! subcommands, named for the files they write:
 //!
-//! Forces every algorithm of every collective through the shared plan
-//! executor across a grid of communicator/message sizes, statically
-//! linting each compiled plan shape and running each cell under Strict
-//! dynamic verification. Prints the timing table, fits a
-//! [`CollSelector`](ovcomm_simmpi::CollSelector) from the measurements,
-//! and writes `results/algo_sweep.json`.
-//!
-//! Flags:
-//! * `--smoke` — small grid for CI (seconds, not minutes);
-//! * `--fail-on-lint` — exit nonzero if any static plan-lint finding
-//!   (or Strict-mode dynamic finding, which aborts the run) appears;
-//! * `--mc` — run the schedule model checker instead of the timing
-//!   sweep: every builder × p ∈ {2..17, 32, 64, 128} × sizes ×
-//!   protocol cutpoints, plus dup/seq compositions; writes
-//!   `results/mc_sweep.json` and (with `--fail-on-lint`) exits nonzero
-//!   on any finding or truncated exploration;
-//! * `--mc-supports` — the exhaustive `supports(p)` honesty pass:
-//!   every algorithm × p ∈ 1..=256 must build and model-check clean at
-//!   the all-rendezvous cutpoint, or report `supports(p) == false`;
-//!   writes `results/mc_supports.json`;
-//! * `--coll-select <spec>` — accepted for uniformity with the other
-//!   binaries but ignored here: the sweep forces each algorithm itself.
+//! * `algo_sweep` forces every algorithm of every collective through the
+//!   shared plan executor across a grid of communicator/message sizes,
+//!   statically linting each compiled plan shape and running each cell
+//!   under Strict dynamic verification. Prints the timing table, fits a
+//!   [`CollSelector`](ovcomm_simmpi::CollSelector) from the measurements,
+//!   and writes `results/algo_sweep.json`. `--smoke` is the small CI grid
+//!   (seconds, not minutes); `--fail-on-lint` exits nonzero if any static
+//!   plan-lint finding appears (a Strict-mode dynamic finding aborts the
+//!   run regardless).
+//! * `mc_sweep` runs the schedule model checker instead: every builder ×
+//!   p ∈ {2..17, 32, 64, 128} × sizes × protocol cutpoints, plus dup/seq
+//!   compositions (`--smoke`: a small grid); writes
+//!   `results/mc_sweep.json` and, with `--fail-on-lint`, exits nonzero on
+//!   any finding or truncated exploration.
+//! * `mc_supports` is the exhaustive `supports(p)` honesty pass: every
+//!   algorithm × p ∈ 1..=256 must build and model-check clean at the
+//!   all-rendezvous cutpoint, or report `supports(p) == false`; writes
+//!   `results/mc_supports.json`.
 
 use ovcomm_bench::{
-    algo_sweep, mc_sweep, supports_sweep, sweep_samples, write_json, McSweepRecord, McSweepSummary,
+    algo_sweep, supports_sweep, sweep_samples, write_json, McSweepRecord, McSweepSummary, Opts,
     Table,
 };
 use ovcomm_core::fit_selector;
@@ -52,7 +49,7 @@ fn fmt_threshold(n: usize) -> String {
     }
 }
 
-fn report_mc(out: &str, records: &[McSweepRecord], summary: &McSweepSummary, fail_on_lint: bool) {
+fn report_mc(opts: &Opts, out: &str, records: &[McSweepRecord], summary: &McSweepSummary) {
     let mut table = Table::new(&[
         "collective",
         "algorithm",
@@ -89,7 +86,7 @@ fn report_mc(out: &str, records: &[McSweepRecord], summary: &McSweepSummary, fai
         }
     }
 
-    write_json(out, &records);
+    write_json(&opts.out_dir, out, &records);
     println!(
         "model check: {} cells + {} composed + {} supports(p) shapes, \
          {} states, {} finding(s), {} truncated, {:.2}s",
@@ -101,25 +98,26 @@ fn report_mc(out: &str, records: &[McSweepRecord], summary: &McSweepSummary, fai
         truncated,
         summary.seconds,
     );
-    if fail_on_lint && (summary.findings > 0 || truncated > 0) {
+    if opts.fail_on_lint && (summary.findings > 0 || truncated > 0) {
         std::process::exit(1);
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let fail_on_lint = args.iter().any(|a| a == "--fail-on-lint");
-    if args.iter().any(|a| a == "--mc") {
-        let (records, summary) = mc_sweep(!smoke);
-        report_mc("mc_sweep", &records, &summary, fail_on_lint);
-        return;
-    }
-    if args.iter().any(|a| a == "--mc-supports") {
-        let (records, summary) = supports_sweep();
-        report_mc("mc_supports", &records, &summary, fail_on_lint);
-        return;
-    }
+/// `mc_sweep`: the model-check grid.
+pub fn mc_sweep(opts: &Opts) {
+    let (records, summary) = ovcomm_bench::mc_sweep(!opts.smoke);
+    report_mc(opts, "mc_sweep", &records, &summary);
+}
+
+/// `mc_supports`: the `supports(p)` honesty pass.
+pub fn mc_supports(opts: &Opts) {
+    let (records, summary) = supports_sweep();
+    report_mc(opts, "mc_supports", &records, &summary);
+}
+
+/// `algo_sweep`: the timing sweep.
+pub fn main(opts: &Opts) {
+    let smoke = opts.smoke;
     let profile = MachineProfile::stampede2_skylake();
     let (ps, sizes): (Vec<usize>, Vec<usize>) = if smoke {
         (vec![4, 5], vec![8 * 1024, 1 << 20])
@@ -161,7 +159,7 @@ fn main() {
     println!("  allreduce <= {}", fmt_threshold(fitted.allreduce_large));
     println!("  gather    <= {}", fmt_threshold(fitted.gather_large));
 
-    write_json("algo_sweep", &records);
+    write_json(&opts.out_dir, "algo_sweep", &records);
 
     let lint_total: usize = records.iter().map(|r| r.lint_findings.len()).sum();
     if lint_total > 0 {
@@ -171,7 +169,7 @@ fn main() {
                 eprintln!("  [{}.{} p={} n={}] {f}", r.coll, r.algo, r.p, r.n);
             }
         }
-        if fail_on_lint {
+        if opts.fail_on_lint {
             std::process::exit(1);
         }
     } else {

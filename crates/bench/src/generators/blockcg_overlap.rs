@@ -4,7 +4,7 @@
 //! bottleneck — so the latency hidden by overlapping the two simultaneous
 //! reductions should grow with the mesh.
 
-use ovcomm_bench::{metrics_block, profile_block, write_json, MetricsBlock, Table};
+use ovcomm_bench::{metrics_block, profile_block, write_json, MetricsBlock, Opts, Table};
 use ovcomm_densemat::{BlockBuf, BlockGrid, Partition1D};
 use ovcomm_kernels::{block_cg, BlockCgConfig, CgComms, Mesh2D};
 use ovcomm_obs::ProfileBlock;
@@ -60,7 +60,7 @@ fn cg_time(
     (t, metrics_block(&out), profile)
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let n = 65536;
     let s = 8;
     println!("Block CG with overlapped Gram reductions (N = {n}, s = {s}, PPN=1)\n");
@@ -97,5 +97,5 @@ fn main() {
         "\nthe overlapped variant hides one reduce+broadcast latency chain per iteration; the \
          saving grows with the process count, as the paper's future-work section anticipates."
     );
-    write_json("blockcg_overlap", &rows);
+    write_json(&opts.out_dir, "blockcg_overlap", &rows);
 }

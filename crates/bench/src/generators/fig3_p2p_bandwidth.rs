@@ -1,7 +1,9 @@
 //! Figure 3: unidirectional point-to-point bandwidth vs message size for
 //! PPN = 1, 2, 4, 8 across two nodes (all sources on one node).
 
-use ovcomm_bench::{p2p_bandwidth_metrics, plot_loglog, write_json, MetricsBlock, Series, Table};
+use ovcomm_bench::{
+    fmt_bytes, p2p_bandwidth_metrics, plot_loglog, write_json, MetricsBlock, Opts, Series, Table,
+};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
 
@@ -13,7 +15,7 @@ struct Row {
     metrics: MetricsBlock,
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let profile = MachineProfile::stampede2_skylake();
     let sizes: Vec<usize> = vec![
         1,
@@ -34,9 +36,9 @@ fn main() {
     let mut table = Table::new(&headers.iter().map(|s| s.as_str()).collect::<Vec<_>>());
     let mut rows = Vec::new();
     for &msg in &sizes {
-        let mut cells = vec![fmt_size(msg)];
+        let mut cells = vec![fmt_bytes(msg)];
         for &ppn in &ppns {
-            let (bw, metrics) = p2p_bandwidth_metrics(&profile, ppn, msg);
+            let (bw, metrics) = p2p_bandwidth_metrics(opts, &profile, ppn, msg);
             rows.push(Row {
                 msg_bytes: msg,
                 ppn,
@@ -66,15 +68,5 @@ fn main() {
     println!("\nbandwidth (MB/s, log) vs message size (B, log):\n");
     print!("{}", plot_loglog(&series, 64, 16));
     println!("\npaper anchors: peak ≈ 12000 MB/s; a single process reaches peak only at very large messages.");
-    write_json("fig3_p2p_bandwidth", &rows);
-}
-
-fn fmt_size(n: usize) -> String {
-    if n >= 1 << 20 {
-        format!("{}MB", n >> 20)
-    } else if n >= 1024 {
-        format!("{}KB", n >> 10)
-    } else {
-        format!("{n}B")
-    }
+    write_json(&opts.out_dir, "fig3_p2p_bandwidth", &rows);
 }

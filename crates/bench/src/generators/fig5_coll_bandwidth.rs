@@ -4,8 +4,8 @@
 //! volume 2(p−1)n/p.
 
 use ovcomm_bench::{
-    coll_bandwidth_metrics, plot_loglog, write_json, CollCase, CollKind, MetricsBlock, Series,
-    Table,
+    coll_bandwidth_metrics, fmt_bytes, plot_loglog, write_json, CollCase, CollKind, MetricsBlock,
+    Opts, Series, Table,
 };
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
@@ -19,7 +19,7 @@ struct Row {
     metrics: MetricsBlock,
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let profile = MachineProfile::stampede2_skylake();
     let sizes: Vec<usize> = vec![
         16,
@@ -50,10 +50,10 @@ fn main() {
     ]);
     let mut rows = Vec::new();
     for &msg in &sizes {
-        let mut cells = vec![fmt_size(msg)];
+        let mut cells = vec![fmt_bytes(msg)];
         for kind in [CollKind::Bcast, CollKind::Reduce] {
             for (name, case) in cases {
-                let (bw, metrics) = coll_bandwidth_metrics(&profile, kind, case, 4, msg);
+                let (bw, metrics) = coll_bandwidth_metrics(opts, &profile, kind, case, 4, msg);
                 rows.push(Row {
                     msg_bytes: msg,
                     kind: format!("{kind:?}"),
@@ -87,15 +87,5 @@ fn main() {
         "\npaper anchors: blocking bcast ≈ 75% of peak at 16MB; blocking reduce far below; \
          both overlap cases improve on blocking."
     );
-    write_json("fig5_coll_bandwidth", &rows);
-}
-
-fn fmt_size(n: usize) -> String {
-    if n >= 1 << 20 {
-        format!("{}MB", n >> 20)
-    } else if n >= 1024 {
-        format!("{}KB", n >> 10)
-    } else {
-        format!("{n}B")
-    }
+    write_json(&opts.out_dir, "fig5_coll_bandwidth", &rows);
 }

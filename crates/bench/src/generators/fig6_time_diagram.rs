@@ -4,7 +4,7 @@
 //! wait breakdown of the paper's stacked bars (times on node 0).
 
 use ovcomm_bench::{
-    metrics_block, profile_block, render, trace_out_arg, write_json, Bar, MetricsBlock, Table,
+    metrics_block, profile_block, render, write_json, Bar, MetricsBlock, Opts, Table,
 };
 use ovcomm_core::NDupComms;
 use ovcomm_obs::ProfileBlock;
@@ -33,13 +33,14 @@ enum Op {
 /// `--trace-out <path>` each scenario also writes a Perfetto trace to
 /// `<path minus extension>-<scenario slug>.json`.
 fn traced(
+    opts: &Opts,
     scenario: &str,
     nranks: usize,
     ppn: usize,
     f: impl Fn(RankCtx) + Send + Sync + 'static,
 ) -> Scenario {
     let mut cfg = SimConfig::natural(nranks, ppn, MachineProfile::stampede2_skylake()).with_trace();
-    if let Some(base) = trace_out_arg() {
+    if let Some(base) = &opts.trace_out {
         let slug: String = scenario
             .chars()
             .map(|c| {
@@ -86,8 +87,8 @@ fn traced(
 /// One scenario's node-0 spans, metrics block and critical-path profile.
 type Scenario = (Vec<SpanRow>, MetricsBlock, Option<ProfileBlock>);
 
-fn scenario_blocking(op: Op, msg: usize, name: &str) -> Scenario {
-    traced(name, 4, 1, move |rc| {
+fn scenario_blocking(opts: &Opts, op: Op, msg: usize, name: &str) -> Scenario {
+    traced(opts, name, 4, 1, move |rc| {
         let w = rc.world();
         match op {
             Op::Bcast => {
@@ -101,8 +102,8 @@ fn scenario_blocking(op: Op, msg: usize, name: &str) -> Scenario {
     })
 }
 
-fn scenario_nonblocking_single(op: Op, msg: usize, name: &str) -> Scenario {
-    traced(name, 4, 1, move |rc| {
+fn scenario_nonblocking_single(opts: &Opts, op: Op, msg: usize, name: &str) -> Scenario {
+    traced(opts, name, 4, 1, move |rc| {
         let w = rc.world();
         match op {
             Op::Bcast => {
@@ -118,8 +119,8 @@ fn scenario_nonblocking_single(op: Op, msg: usize, name: &str) -> Scenario {
     })
 }
 
-fn scenario_ndup(op: Op, msg: usize, n_dup: usize, name: &str) -> Scenario {
-    traced(name, 4, 1, move |rc| {
+fn scenario_ndup(opts: &Opts, op: Op, msg: usize, n_dup: usize, name: &str) -> Scenario {
+    traced(opts, name, 4, 1, move |rc| {
         let w = rc.world();
         let comms = NDupComms::new(&w, n_dup);
         match op {
@@ -153,8 +154,8 @@ fn scenario_ndup(op: Op, msg: usize, n_dup: usize, name: &str) -> Scenario {
     })
 }
 
-fn scenario_ppn(op: Op, msg: usize, ppn: usize, name: &str) -> Scenario {
-    traced(name, 4 * ppn, ppn, move |rc| {
+fn scenario_ppn(opts: &Opts, op: Op, msg: usize, ppn: usize, name: &str) -> Scenario {
+    traced(opts, name, 4 * ppn, ppn, move |rc| {
         let w = rc.world();
         let local = rc.rank() % ppn;
         let node = rc.rank() / ppn;
@@ -221,7 +222,7 @@ struct Fig6Record {
     scenarios: Vec<ScenarioMetrics>,
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let m8 = 8 << 20;
     let m2 = 2 << 20;
     let mut all = Fig6Record {
@@ -235,39 +236,30 @@ fn main() {
             "Broadcast"
         };
         let mut section: Vec<SpanRow> = Vec::new();
-        let scenarios: Vec<(String, Scenario)> = vec![
-            {
-                let name = format!("{opname} blocking 8MB");
-                let r = scenario_blocking(op, m8, &name);
-                (name, r)
-            },
-            {
-                let name = format!("{opname} nonblocking 8MB");
-                let r = scenario_nonblocking_single(op, m8, &name);
-                (name, r)
-            },
-            {
-                let name = format!("{opname} blocking 2MB");
-                let r = scenario_blocking(op, m2, &name);
-                (name, r)
-            },
-            {
-                let name = format!("{opname} nonblocking 2MB");
-                let r = scenario_nonblocking_single(op, m2, &name);
-                (name, r)
-            },
-            {
-                let name = format!("{opname} nonblocking overlap N_DUP=4 (4x2MB)");
-                let r = scenario_ndup(op, m8, 4, &name);
-                (name, r)
-            },
-            {
-                let name = format!("{opname} 4 PPN overlap (4x2MB)");
-                let r = scenario_ppn(op, m8, 4, &name);
-                (name, r)
-            },
+        type Run<'a> = &'a dyn Fn(&str) -> Scenario;
+        let scenarios: [(&str, Run); 6] = [
+            ("blocking 8MB", &|name| {
+                scenario_blocking(opts, op, m8, name)
+            }),
+            ("nonblocking 8MB", &|name| {
+                scenario_nonblocking_single(opts, op, m8, name)
+            }),
+            ("blocking 2MB", &|name| {
+                scenario_blocking(opts, op, m2, name)
+            }),
+            ("nonblocking 2MB", &|name| {
+                scenario_nonblocking_single(opts, op, m2, name)
+            }),
+            ("nonblocking overlap N_DUP=4 (4x2MB)", &|name| {
+                scenario_ndup(opts, op, m8, 4, name)
+            }),
+            ("4 PPN overlap (4x2MB)", &|name| {
+                scenario_ppn(opts, op, m8, 4, name)
+            }),
         ];
-        for (name, (spans, metrics, profile)) in scenarios {
+        for (case, run_case) in scenarios {
+            let name = format!("{opname} {case}");
+            let (spans, metrics, profile) = run_case(&name);
             section.extend(spans);
             all.scenarios.push(ScenarioMetrics {
                 scenario: name,
@@ -286,5 +278,5 @@ fn main() {
          Ireduce posts cost ≈ a buffer copy each (serialized), Ibcast posts are cheap; \
          both overlap techniques beat blocking for both operations."
     );
-    write_json("fig6_time_diagram", &all);
+    write_json(&opts.out_dir, "fig6_time_diagram", &all);
 }

@@ -8,8 +8,8 @@
 //! (modeled seconds, 16 nodes).
 
 use ovcomm_bench::{
-    backend_arg, metrics_block, metrics_block_rt, profile_block, profile_block_rt, write_json,
-    Backend, MetricsBlock, Table,
+    metrics_block, metrics_block_rt, profile_block, profile_block_rt, write_json, Backend,
+    MetricsBlock, Opts, Table,
 };
 use ovcomm_core::{pipelined_reduce_bcast, Communicator, NDupComms, RankHandle};
 use ovcomm_densemat::Partition1D;
@@ -88,8 +88,8 @@ fn comm_phase(
     }
 }
 
-fn main() {
-    let backend = backend_arg();
+pub fn main(opts: &Opts) {
+    let backend = opts.backend.unwrap_or(Backend::Sim);
     // Wall-clock runs move real bytes through mailboxes; keep the sweep a
     // size class smaller so the rt smoke run stays fast.
     let sizes: &[usize] = match backend {
@@ -138,8 +138,9 @@ fn main() {
          reduction (Fig. 2); the win grows with the vector size as the phase becomes \
          bandwidth-bound."
     );
-    match backend {
-        Backend::Sim => write_json("figs12_matvec", &rows),
-        Backend::Rt => write_json("figs12_matvec_rt", &rows),
-    }
+    let name = match backend {
+        Backend::Sim => "figs12_matvec",
+        Backend::Rt => "figs12_matvec_rt",
+    };
+    write_json(&opts.out_dir, name, &rows);
 }

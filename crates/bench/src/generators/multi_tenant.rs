@@ -25,7 +25,7 @@
 //! byte-identical across reruns). `--smoke` shrinks iteration counts for
 //! CI.
 
-use ovcomm_bench::{metrics_block, write_json, MetricsBlock, Table};
+use ovcomm_bench::{metrics_block, write_json, MetricsBlock, Opts, Table};
 use ovcomm_simmpi::{run, Payload, RankCtx, SimConfig, SimOutput, VerifyMode};
 use ovcomm_simnet::{Fabric, GroupPlacement, MachineProfile, NodeMap};
 use serde::Serialize;
@@ -198,9 +198,8 @@ fn run_placement(placement: GroupPlacement, iters: usize) -> PlacementReport {
     report
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let iters = if smoke { 2 } else { 8 };
+pub fn main(opts: &Opts) {
+    let iters = if opts.smoke { 2 } else { 8 };
 
     let report = MultiTenantReport {
         fabric: "fat-tree 4 pods x 4 leaves x 4 hosts, 16 ranks/host",
@@ -209,7 +208,7 @@ fn main() {
             run_placement(GroupPlacement::RoundRobin, iters),
         ],
     };
-    if !smoke {
-        write_json("multi_tenant", &report);
+    if !opts.smoke {
+        write_json(&opts.out_dir, "multi_tenant", &report);
     }
 }

@@ -2,7 +2,7 @@
 //! with the per-step reduce→broadcast pipelined (Algorithm 2 applied to an
 //! N-body code). Sweeps the mesh size at a fixed particle count.
 
-use ovcomm_bench::{metrics_block, profile_block, write_json, MetricsBlock, Table};
+use ovcomm_bench::{metrics_block, profile_block, write_json, MetricsBlock, Opts, Table};
 use ovcomm_kernels::{md_init, md_run, MdConfig, Mesh2D};
 use ovcomm_obs::ProfileBlock;
 use ovcomm_simmpi::{run, RankCtx, SimConfig};
@@ -51,7 +51,7 @@ fn md_time(
     (t, metrics_block(&out), profile)
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let n = 16 << 20; // 16M particles
     println!("Force-decomposition MD (16M particles, PPN=1): step time\n");
     let mut table = Table::new(&[
@@ -87,5 +87,5 @@ fn main() {
         "\nthe force reduction and position broadcast of each step pipeline chunk-by-chunk \
          on duplicated communicators — the paper's §VI particle-simulation direction."
     );
-    write_json("particles_overlap", &rows);
+    write_json(&opts.out_dir, "particles_overlap", &rows);
 }

@@ -18,9 +18,12 @@
 // Bench drivers fail loudly by design.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
-use ovcomm_bench::{merge_json, metrics_block, metrics_block_rt, MetricsBlock, Table};
+use super::test_matrix;
+use ovcomm_bench::{
+    merge_json, metrics_block, metrics_block_rt, Backend, MetricsBlock, Opts, Table,
+};
 use ovcomm_core::{Communicator, RankHandle};
-use ovcomm_densemat::{BlockBuf, BlockGrid, Matrix};
+use ovcomm_densemat::{BlockBuf, BlockGrid};
 use ovcomm_kernels::{
     symm_square_cube_cosma, symm_square_cube_summa, Mesh2D, SummaBundles, SymmInput,
 };
@@ -28,12 +31,6 @@ use ovcomm_rt::{RtConfig, RtRankCtx};
 use ovcomm_simmpi::{RankCtx, SimConfig};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
-
-fn test_matrix(n: usize) -> Matrix {
-    Matrix::from_fn(n, n, |i, j| {
-        1.0 / (1.0 + i.abs_diff(j) as f64) + if i == j { 0.5 } else { 0.0 }
-    })
-}
 
 /// One barrier-delimited SymmSquareCube call of the chosen paradigm;
 /// returns the phase time in (virtual or wall-clock) seconds.
@@ -137,23 +134,12 @@ fn run_row(backend: &str, variant: &'static str, n: usize, p: usize, ppn: usize)
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let explicit = args.iter().enumerate().find_map(|(i, a)| {
-        a.strip_prefix("--backend=")
-            .map(str::to_string)
-            .or_else(|| {
-                (a == "--backend")
-                    .then(|| args.get(i + 1).cloned().expect("--backend needs a value"))
-            })
-    });
-    let (run_sim, run_rt) = match explicit.as_deref() {
-        None => (true, true),
-        Some("sim") => (true, false),
-        Some("rt") => (false, true),
-        Some(other) => panic!("bad --backend `{other}`: expected sim or rt"),
-    };
+pub fn main(opts: &Opts) {
+    let smoke = opts.smoke;
+    let (run_sim, run_rt) = (
+        opts.backend != Some(Backend::Rt),
+        opts.backend != Some(Backend::Sim),
+    );
 
     // Sim sweeps the paper's block-size regime (4×4 mesh, modeled nodes,
     // phantom data); rt moves real bytes on one box, so it stays a size
@@ -166,8 +152,10 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
     let mut rows = Vec::new();
-    for &(backend, p, ppn, sizes) in &[("sim", 4usize, 2usize, sim_sizes), ("rt", 2, 2, rt_sizes)] {
-        let enabled = (backend == "sim" && run_sim) || (backend == "rt" && run_rt);
+    for &(backend, enabled, p, ppn, sizes) in &[
+        ("sim", run_sim, 4usize, 2usize, sim_sizes),
+        ("rt", run_rt, 2, 2, rt_sizes),
+    ] {
         if !enabled {
             continue;
         }
@@ -226,6 +214,11 @@ fn main() {
     if smoke {
         println!("smoke run: gate only, results/rma_sweep.json not rewritten");
     } else {
-        merge_json("rma_sweep", &rows, &["variant", "backend", "n", "p", "ppn"]);
+        merge_json(
+            &opts.out_dir,
+            "rma_sweep",
+            &rows,
+            &["variant", "backend", "n", "p", "ppn"],
+        );
     }
 }

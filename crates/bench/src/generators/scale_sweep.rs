@@ -22,13 +22,18 @@
 
 use std::time::Instant;
 
-use ovcomm_bench::{write_json, Table};
-use ovcomm_simmpi::plan::{chunk_bounds, kind_short};
-use ovcomm_simmpi::{
-    run, CollAlgo, CollKind, CollSelector, Payload, RankCtx, SimConfig, VerifyMode,
-};
+use ovcomm_bench::{call_collective, write_json, Opts, Table};
+use ovcomm_simmpi::plan::kind_short;
+use ovcomm_simmpi::{run, CollAlgo, CollSelector, RankCtx, SimConfig, VerifyMode};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
+
+/// Logical (phantom) payload of every collective in the sweep. Every
+/// message still runs through the max–min flow model; keeping flows
+/// short-lived stops successive collective rounds from piling up into one
+/// giant contention component in virtual time, which is what the wall
+/// budget is most sensitive to.
+const PAYLOAD_BYTES: usize = 8 << 10;
 
 /// One sweep row: virtual-time outcome of one builder at scale.
 #[derive(Serialize)]
@@ -65,38 +70,8 @@ fn measure(algo: CollAlgo, p: usize, ppn: usize, n: usize) -> ScaleRecord {
         .with_coll_select(CollSelector::default().force(algo))
         .with_verify(VerifyMode::Off)
         .with_fiber_stack(128 << 10);
-    let out = run(cfg, move |rc: RankCtx| {
-        let w = rc.world();
-        match kind {
-            CollKind::Bcast => {
-                let data = (rc.rank() == 0).then_some(Payload::Phantom(n));
-                let _ = w.bcast(0, data, n);
-            }
-            CollKind::Reduce => {
-                let _ = w.reduce(0, Payload::Phantom(n));
-            }
-            CollKind::Allreduce => {
-                let _ = w.allreduce(Payload::Phantom(n));
-            }
-            CollKind::Scatter => {
-                let data = (rc.rank() == 0).then_some(Payload::Phantom(n));
-                let _ = w.scatter(0, data, n);
-            }
-            CollKind::Gather => {
-                let b = chunk_bounds(n, rc.nranks());
-                let me = rc.rank();
-                let _ = w.gather(0, Payload::Phantom(b[me + 1] - b[me]), n);
-            }
-            CollKind::Allgather => {
-                let b = chunk_bounds(n, rc.nranks());
-                let me = rc.rank();
-                let _ = w.allgather(Payload::Phantom(b[me + 1] - b[me]), n);
-            }
-            CollKind::Barrier => w.barrier(),
-            CollKind::Dup | CollKind::Split => unreachable!("not an algorithmic collective"),
-        }
-    })
-    .unwrap_or_else(|e| panic!("{algo:?} p={p}: {e}"));
+    let out = run(cfg, move |rc: RankCtx| call_collective(&rc, kind, n))
+        .unwrap_or_else(|e| panic!("{algo:?} p={p}: {e}"));
     ScaleRecord {
         coll: kind_short(kind).to_string(),
         algo: algo.short().to_string(),
@@ -110,52 +85,23 @@ fn measure(algo: CollAlgo, p: usize, ppn: usize, n: usize) -> ScaleRecord {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let budget: Option<f64> = args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.parse().expect("--budget takes seconds"));
-    // Debug aid: run only builders whose `coll/algo` contains the substring.
-    let only: Option<String> = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
+pub fn main(opts: &Opts) {
+    let smoke = opts.smoke;
     let (p_log, p_ring, ppn) = if smoke {
         (2_500, 128, 32)
     } else {
         (10_000, 512, 32)
     };
-    // 8 KiB logical payload (phantom; `SCALE_SWEEP_N` overrides for
-    // experiments). Every message still runs through the max–min flow
-    // model; keeping flows short-lived stops successive collective rounds
-    // from piling up into one giant contention component in virtual time,
-    // which is what the wall budget is most sensitive to.
-    let n = std::env::var("SCALE_SWEEP_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8 << 10);
-
     let t0 = Instant::now();
     let mut records = Vec::new();
     for &algo in CollAlgo::all() {
-        if let Some(f) = &only {
-            let name = format!("{}/{}", kind_short(algo.kind()), algo.short());
-            if !name.contains(f.as_str()) {
-                continue;
-            }
-        }
         let p = if quadratic_family(algo) {
             p_ring
         } else {
             p_log
         };
         let cell0 = Instant::now();
-        let rec = measure(algo, p, ppn, n);
+        let rec = measure(algo, p, ppn, PAYLOAD_BYTES);
         eprintln!(
             "  {}/{} p={} — {} msgs, {:.3}s virtual, {:.2}s wall",
             rec.coll,
@@ -187,10 +133,10 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    if !smoke && only.is_none() {
-        write_json("scale_sweep", &records);
+    if !smoke {
+        write_json(&opts.out_dir, "scale_sweep", &records);
     }
-    if let Some(b) = budget {
+    if let Some(b) = opts.budget {
         if wall > b {
             eprintln!("FAIL: wall time {wall:.1}s exceeds budget {b:.1}s");
             std::process::exit(1);

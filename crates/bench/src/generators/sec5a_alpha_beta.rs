@@ -3,7 +3,7 @@
 //! the paper's observation that the achieved bandwidth is far below peak
 //! (30.19% in the paper), which motivates overlapping communications.
 
-use ovcomm_bench::{symm_run, write_json, MeshSpec, Table};
+use ovcomm_bench::{symm_run, write_json, MeshSpec, Opts, Table};
 use ovcomm_core::{block_bytes, AlphaBeta};
 use ovcomm_purify::{paper_system, KernelChoice};
 use ovcomm_simnet::MachineProfile;
@@ -19,7 +19,7 @@ struct Record {
     achieved_fraction_of_peak: f64,
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let profile = MachineProfile::stampede2_skylake();
     let sys = paper_system("1hsg_70").unwrap();
     let p = 4usize;
@@ -32,6 +32,7 @@ fn main() {
     let t_model = ab.t_baseline_symm_square_cube(p, n);
 
     let stats = symm_run(
+        opts,
         &profile,
         sys.dimension,
         MeshSpec::Cube { p },
@@ -63,6 +64,7 @@ fn main() {
          27.89 'MB' in binary units.)"
     );
     write_json(
+        &opts.out_dir,
         "sec5a_alpha_beta",
         &Record {
             t_p2p,

@@ -11,12 +11,13 @@
 // Bench drivers fail loudly by design.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
+use super::test_matrix;
 use ovcomm_bench::{
-    merge_json, metrics_block, metrics_block_rt, profile_block, profile_block_rt, MetricsBlock,
-    Table,
+    merge_json, metrics_block, metrics_block_rt, profile_block, profile_block_rt, Backend,
+    MetricsBlock, Opts, Table,
 };
 use ovcomm_core::{NDupComms, RankHandle};
-use ovcomm_densemat::{BlockBuf, BlockGrid, Matrix, Partition1D};
+use ovcomm_densemat::{BlockBuf, BlockGrid, Partition1D};
 use ovcomm_kernels::{
     matvec_blocking, matvec_pipelined, symm_square_cube_25d, symm_square_cube_baseline,
     symm_square_cube_cosma, symm_square_cube_optimized, symm_square_cube_summa, MatvecInput,
@@ -27,12 +28,6 @@ use ovcomm_rt::{RtConfig, RtRankCtx};
 use ovcomm_simmpi::{RankCtx, SimConfig};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
-
-fn test_matrix(n: usize) -> Matrix {
-    Matrix::from_fn(n, n, |i, j| {
-        1.0 / (1.0 + i.abs_diff(j) as f64) + if i == j { 0.5 } else { 0.0 }
-    })
-}
 
 /// One kernel workload: generic over the backend's rank handle, returning
 /// the flattened local result so the report can check bit-identity.
@@ -168,22 +163,11 @@ const KERNELS: &[(&str, usize, usize, usize)] = &[
     ("symm25d", 8, 2, 64),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let explicit = args.iter().enumerate().find_map(|(i, a)| {
-        a.strip_prefix("--backend=")
-            .map(str::to_string)
-            .or_else(|| {
-                (a == "--backend")
-                    .then(|| args.get(i + 1).cloned().expect("--backend needs a value"))
-            })
-    });
-    let (run_sim, run_rt) = match explicit.as_deref() {
-        None => (true, true),
-        Some("sim") => (true, false),
-        Some("rt") => (false, true),
-        Some(other) => panic!("bad --backend `{other}`: expected sim or rt"),
-    };
+pub fn main(opts: &Opts) {
+    let (run_sim, run_rt) = (
+        opts.backend != Some(Backend::Rt),
+        opts.backend != Some(Backend::Sim),
+    );
 
     println!("sim-vs-rt validation: same kernels, modeled vs measured\n");
     let mut table = Table::new(&[
@@ -275,5 +259,10 @@ fn main() {
     }
     // Merge by inputs rather than rewriting wholesale: rt wall-clock noise
     // stays out of the diff unless a kernel's configuration changed.
-    merge_json("sim_vs_rt", &rows, &["kernel", "nranks", "ppn", "n"]);
+    merge_json(
+        &opts.out_dir,
+        "sim_vs_rt",
+        &rows,
+        &["kernel", "nranks", "ppn", "n"],
+    );
 }

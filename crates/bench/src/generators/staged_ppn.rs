@@ -4,7 +4,7 @@
 //! `MPI_Ibarrier`. Compares keeping all 512 processes active against
 //! waking only 1 or 2 per node for the purification kernel.
 
-use ovcomm_bench::{metrics_block, profile_block, write_json, MetricsBlock, Table};
+use ovcomm_bench::{metrics_block, profile_block, write_json, MetricsBlock, Opts, Table};
 use ovcomm_core::StagePlan;
 use ovcomm_obs::ProfileBlock;
 use ovcomm_purify::{paper_system, scf_staged, KernelChoice, PurifyConfig, ScfConfig};
@@ -75,7 +75,7 @@ fn staged(
     (total, tflops, metrics_block(&out), profile)
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let n = paper_system("1hsg_70").unwrap().dimension;
     println!("Per-kernel PPN (§III-B): 64 nodes x 8 PPN launched; purification wakes a subset\n");
     let mut table = Table::new(&["purify actives", "mesh", "SCF total (s)", "kernel TFlops"]);
@@ -122,5 +122,5 @@ fn main() {
         "\nthe mechanism lets the purification kernel run at whichever PPN/mesh is fastest \
          without changing the Fock stage's 8 PPN — the paper's GTFock modification."
     );
-    write_json("staged_ppn", &rows);
+    write_json(&opts.out_dir, "staged_ppn", &rows);
 }

@@ -2,7 +2,7 @@
 //! (Alg. 4) and optimized (Alg. 5, N_DUP = 4) SymmSquareCube algorithms on
 //! the three molecular systems, 64 nodes, 4×4×4 mesh, PPN = 1.
 
-use ovcomm_bench::{symm_run, write_json, MeshSpec, SymmStats, Table};
+use ovcomm_bench::{symm_run, write_json, MeshSpec, Opts, SymmStats, Table};
 use ovcomm_purify::{KernelChoice, PAPER_SYSTEMS};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
@@ -18,7 +18,7 @@ struct Row {
     stats: Vec<SymmStats>,
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let profile = MachineProfile::stampede2_skylake();
     let mesh = MeshSpec::Cube { p: 4 };
     let iters = 3;
@@ -27,30 +27,10 @@ fn main() {
     let mut table = Table::new(&["System", "Dim", "Alg3 TF", "Alg4 TF", "Alg5 TF", "5/4"]);
     let mut rows = Vec::new();
     for sys in PAPER_SYSTEMS {
-        let s3 = symm_run(
-            &profile,
-            sys.dimension,
-            mesh,
-            KernelChoice::Original,
-            1,
-            iters,
-        );
-        let s4 = symm_run(
-            &profile,
-            sys.dimension,
-            mesh,
-            KernelChoice::Baseline,
-            1,
-            iters,
-        );
-        let s5 = symm_run(
-            &profile,
-            sys.dimension,
-            mesh,
-            KernelChoice::Optimized { n_dup: 4 },
-            1,
-            iters,
-        );
+        let measure = |choice| symm_run(opts, &profile, sys.dimension, mesh, choice, 1, iters);
+        let s3 = measure(KernelChoice::Original);
+        let s4 = measure(KernelChoice::Baseline);
+        let s5 = measure(KernelChoice::Optimized { n_dup: 4 });
         let speedup = s4.time_per_call / s5.time_per_call;
         table.row(vec![
             sys.name.to_string(),
@@ -75,5 +55,5 @@ fn main() {
         "\npaper (Table I): Alg3/4/5 = 12.36/13.20/16.05 (1hsg_45), 16.83/17.57/20.57 (1hsg_60), \
          18.49/19.21/22.48 (1hsg_70); speedups 1.21/1.17/1.17."
     );
-    write_json("table1_algorithms", &rows);
+    write_json(&opts.out_dir, "table1_algorithms", &rows);
 }

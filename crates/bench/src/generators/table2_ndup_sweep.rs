@@ -1,7 +1,7 @@
 //! Table II: performance of the optimized SymmSquareCube (Alg. 5) for
 //! N_DUP = 1…6 on the three systems (N_DUP = 1 equals the baseline).
 
-use ovcomm_bench::{symm_run, write_json, MeshSpec, Table};
+use ovcomm_bench::{symm_run, write_json, MeshSpec, Opts, Table};
 use ovcomm_purify::{KernelChoice, PAPER_SYSTEMS};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
@@ -14,7 +14,7 @@ struct Row {
     time_per_call: f64,
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let profile = MachineProfile::stampede2_skylake();
     let mesh = MeshSpec::Cube { p: 4 };
     let iters = 2;
@@ -29,6 +29,7 @@ fn main() {
         let mut cells = vec![sys.name.to_string()];
         for &n_dup in &ndups {
             let s = symm_run(
+                opts,
                 &profile,
                 sys.dimension,
                 mesh,
@@ -51,5 +52,5 @@ fn main() {
         "\npaper (Table II, 1hsg_70): 19.21 / 21.51 / 21.47 / 22.48 / 22.39 / 22.54 — most of \
          the gain arrives by N_DUP=4 and flattens after."
     );
-    write_json("table2_ndup_sweep", &rows);
+    write_json(&opts.out_dir, "table2_ndup_sweep", &rows);
 }

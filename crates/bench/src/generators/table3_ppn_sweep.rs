@@ -3,7 +3,7 @@
 //! Combines the multiple-PPN and nonblocking overlap techniques — the
 //! source of the paper's headline 91.2% improvement.
 
-use ovcomm_bench::{symm_run, write_json, MeshSpec, Table};
+use ovcomm_bench::{symm_run, write_json, MeshSpec, Opts, Table};
 use ovcomm_purify::{paper_system, KernelChoice};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
@@ -17,7 +17,7 @@ struct Row {
     tflops_ndup4: f64,
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let profile = MachineProfile::stampede2_skylake();
     let sys = paper_system("1hsg_70").unwrap();
     // The paper picks PPN so that 64·(PPN−1) < p³ ≤ 64·PPN.
@@ -27,35 +27,18 @@ fn main() {
     println!("Table III: optimized SymmSquareCube vs PPN (1hsg_70)\n");
     let mut table = Table::new(&["PPN", "Mesh", "Nodes", "N_DUP=1 TF", "N_DUP=4 TF"]);
     let mut rows = Vec::new();
+    let measure = |p, choice, ppn| {
+        let mesh = MeshSpec::Cube { p };
+        symm_run(opts, &profile, sys.dimension, mesh, choice, ppn, iters)
+    };
     // The paper's 91.2% headline is relative to the Algorithm-4 baseline
     // (PPN=1, no overlap at all).
-    let baseline = symm_run(
-        &profile,
-        sys.dimension,
-        MeshSpec::Cube { p: 4 },
-        KernelChoice::Baseline,
-        1,
-        iters,
-    );
+    let baseline = measure(4, KernelChoice::Baseline, 1);
     let mut best = (0.0f64, String::new());
     for (ppn, p) in configs {
         let mesh = MeshSpec::Cube { p };
-        let s1 = symm_run(
-            &profile,
-            sys.dimension,
-            mesh,
-            KernelChoice::Optimized { n_dup: 1 },
-            ppn,
-            iters,
-        );
-        let s4 = symm_run(
-            &profile,
-            sys.dimension,
-            mesh,
-            KernelChoice::Optimized { n_dup: 4 },
-            ppn,
-            iters,
-        );
+        let s1 = measure(p, KernelChoice::Optimized { n_dup: 1 }, ppn);
+        let s4 = measure(p, KernelChoice::Optimized { n_dup: 4 }, ppn);
         if s4.tflops > best.0 {
             best = (s4.tflops, format!("PPN={ppn} N_DUP=4"));
         }
@@ -92,5 +75,5 @@ fn main() {
         "paper (Table III): N_DUP=1: 19.21/20.61/26.24/27.53/24.98; \
          N_DUP=4: 22.48/26.45/33.87/36.73/32.38 for PPN=1/2/4/6/8."
     );
-    write_json("table3_ppn_sweep", &rows);
+    write_json(&opts.out_dir, "table3_ppn_sweep", &rows);
 }

@@ -10,7 +10,9 @@
 //! the nodes and op types; the actual time is the measured kernel time
 //! minus the modeled local-GEMM time.
 
-use ovcomm_bench::{coll_bandwidth, symm_run, write_json, CollCase, CollKind, MeshSpec, Table};
+use ovcomm_bench::{
+    coll_bandwidth, symm_run, write_json, CollCase, CollKind, MeshSpec, Opts, Table,
+};
 use ovcomm_purify::{paper_system, KernelChoice};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
@@ -26,7 +28,7 @@ struct Row {
     actual_comm_time_s: f64,
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let profile = MachineProfile::stampede2_skylake();
     let sys = paper_system("1hsg_70").unwrap();
     let configs = [(1usize, 4usize), (2, 5), (4, 6), (6, 7), (8, 8)];
@@ -44,6 +46,7 @@ fn main() {
     for (ppn, p) in configs {
         let mesh = MeshSpec::Cube { p };
         let stats = symm_run(
+            opts,
             &profile,
             sys.dimension,
             mesh,
@@ -60,8 +63,8 @@ fn main() {
         } else {
             CollCase::PpnOverlap(ppn)
         };
-        let reduce_bw = coll_bandwidth(&profile, CollKind::Reduce, case, p, block_bytes);
-        let bcast_bw = coll_bandwidth(&profile, CollKind::Bcast, case, p, block_bytes);
+        let reduce_bw = coll_bandwidth(opts, &profile, CollKind::Reduce, case, p, block_bytes);
+        let bcast_bw = coll_bandwidth(opts, &profile, CollKind::Bcast, case, p, block_bytes);
         // Apportion the measured volume to op types by their algorithmic
         // shares (3 bcasts + 2 reduces of 2(p−1)n/p, 2 p2p hand-backs).
         let coll_unit = 2.0 * (p as f64 - 1.0) / p as f64;
@@ -100,5 +103,5 @@ fn main() {
          (2.4→8.7 GB/s), so inter-node time falls (0.073→0.050s) — using more PPN pays despite \
          the extra volume."
     );
-    write_json("table4_comm_volume", &rows);
+    write_json(&opts.out_dir, "table4_comm_volume", &rows);
 }

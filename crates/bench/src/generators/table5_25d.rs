@@ -2,7 +2,7 @@
 //! the paper's process configurations and replication factors, with
 //! N_DUP = 1 and 4 (collectives self-overlapped), 1hsg_70.
 
-use ovcomm_bench::{cosma_run, symm_run, write_json, MeshSpec, Table};
+use ovcomm_bench::{cosma_run, symm_run, write_json, MeshSpec, Opts, Table};
 use ovcomm_purify::{paper_system, KernelChoice};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
@@ -19,7 +19,7 @@ struct Row {
     tflops_cosma_qxq: f64,
 }
 
-fn main() {
+pub fn main(opts: &Opts) {
     let profile = MachineProfile::stampede2_skylake();
     let sys = paper_system("1hsg_70").unwrap();
     // (PPN, q, c) — the paper's Table V configurations.
@@ -49,23 +49,12 @@ fn main() {
     let mut rows = Vec::new();
     for (ppn, q, c) in configs {
         let mesh = MeshSpec::TwoFiveD { q, c };
-        let s1 = symm_run(
-            &profile,
-            sys.dimension,
-            mesh,
-            KernelChoice::TwoFiveD { c, n_dup: 1 },
-            ppn,
-            2,
-        );
-        let s4 = symm_run(
-            &profile,
-            sys.dimension,
-            mesh,
-            KernelChoice::TwoFiveD { c, n_dup: 4 },
-            ppn,
-            2,
-        );
-        let sc = cosma_run(&profile, sys.dimension, q, ppn, 2);
+        let measure = |n_dup| {
+            let choice = KernelChoice::TwoFiveD { c, n_dup };
+            symm_run(opts, &profile, sys.dimension, mesh, choice, ppn, 2)
+        };
+        let (s1, s4) = (measure(1), measure(4));
+        let sc = cosma_run(opts, &profile, sys.dimension, q, ppn, 2);
         table.row(vec![
             ppn.to_string(),
             mesh.label(),
@@ -91,5 +80,5 @@ fn main() {
          one-sided multiply on the q×q front plane only (q² ranks, no replication), so it \
          trades the 2.5D mesh's extra memory for origin-driven prefetch overlap."
     );
-    write_json("table5_25d", &rows);
+    write_json(&opts.out_dir, "table5_25d", &rows);
 }

@@ -8,14 +8,14 @@
 //! eager/rendezvous cutpoint. The partial-order reduction makes the
 //! shipped (collision-free) builders deterministic to explore, so the
 //! full grid — all builders × p ∈ {2..17, 32, 64, 128} — finishes in
-//! seconds and runs as a CI gate (`algo_sweep --mc --fail-on-lint`).
+//! seconds and runs as a CI gate (`ovcomm-bench mc_sweep --fail-on-lint`).
 //!
 //! Beyond the per-shape grid the sweep checks:
 //!
 //! * **Compositions**: dup'd (distinct contexts) and sequenced (distinct
 //!   sequence numbers) instance pairs must stay isolated — no tag-space
 //!   overlap, no cross-instance matches.
-//! * **`supports` honesty** ([`supports_sweep`], `--mc-supports`): for
+//! * **`supports` honesty** ([`supports_sweep`], `ovcomm-bench mc_supports`): for
 //!   every algorithm and every p ∈ 1..=256, either
 //!   `CollAlgo::supports(p)` is false, or the builder must produce plans
 //!   that pass the model check — no panics, no findings.

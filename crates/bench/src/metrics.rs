@@ -3,7 +3,7 @@
 //! run each record was measured from — tagged with the backend (simulated
 //! virtual time vs. rt wall clock) that produced it.
 
-use ovcomm_obs::analyze;
+use ovcomm_obs::{analyze, MetricsSnapshot};
 use ovcomm_rt::RtOutput;
 use ovcomm_simmpi::SimOutput;
 use ovcomm_simnet::{SimTime, SpanKind, TraceSpan};
@@ -33,6 +33,23 @@ pub struct MetricsBlock {
     pub clamped_spans: u64,
 }
 
+/// Share of total rank-time (`makespan × nranks`) spent blocked, from the
+/// `simmpi.wait_ns` / `simmpi.blocking_ns` histograms both backends record.
+fn wait_time_share(metrics: &MetricsSnapshot, makespan: SimTime, nranks: usize) -> f64 {
+    let blocked_ns: u64 = metrics
+        .histograms
+        .iter()
+        .filter(|(k, _)| k.starts_with("simmpi.wait_ns") || k.starts_with("simmpi.blocking_ns"))
+        .map(|(_, h)| h.sum)
+        .sum();
+    let total_ns = makespan.as_nanos() as f64 * nranks.max(1) as f64;
+    if total_ns > 0.0 {
+        (blocked_ns as f64 / total_ns).min(1.0)
+    } else {
+        0.0
+    }
+}
+
 /// Build the metrics block from a finished run. Works with or without
 /// tracing: the NIC figures come from the always-on network accounting,
 /// and the wait share from the always-on `simmpi.wait_ns` /
@@ -41,20 +58,7 @@ pub fn metrics_block<T>(out: &SimOutput<T>) -> MetricsBlock {
     let empty: &[TraceSpan] = &[];
     let spans = out.trace.as_ref().map_or(empty, |t| t.spans());
     let report = analyze(spans, &out.net, out.makespan);
-    let blocked_ns: u64 = out
-        .metrics
-        .histograms
-        .iter()
-        .filter(|(k, _)| k.starts_with("simmpi.wait_ns") || k.starts_with("simmpi.blocking_ns"))
-        .map(|(_, h)| h.sum)
-        .sum();
-    let nranks = out.results.len().max(1) as f64;
-    let total_ns = out.makespan.as_nanos() as f64 * nranks;
-    let wait_time_share = if total_ns > 0.0 {
-        (blocked_ns as f64 / total_ns).min(1.0)
-    } else {
-        0.0
-    };
+    let wait_time_share = wait_time_share(&out.metrics, out.makespan, out.results.len());
     MetricsBlock {
         backend: "sim",
         overlap_efficiency: report.nic_overlap2_frac,
@@ -113,20 +117,7 @@ pub fn metrics_block_rt<T>(out: &RtOutput<T>) -> MetricsBlock {
     let empty: &[TraceSpan] = &[];
     let spans = out.trace.as_ref().map_or(empty, |t| t.spans());
     let (busy_frac, over2_frac) = span_concurrency(spans, out.makespan);
-    let blocked_ns: u64 = out
-        .metrics
-        .histograms
-        .iter()
-        .filter(|(k, _)| k.starts_with("simmpi.wait_ns") || k.starts_with("simmpi.blocking_ns"))
-        .map(|(_, h)| h.sum)
-        .sum();
-    let nranks = out.results.len().max(1) as f64;
-    let total_ns = out.makespan.as_nanos() as f64 * nranks;
-    let wait_time_share = if total_ns > 0.0 {
-        (blocked_ns as f64 / total_ns).min(1.0)
-    } else {
-        0.0
-    };
+    let wait_time_share = wait_time_share(&out.metrics, out.makespan, out.results.len());
     MetricsBlock {
         backend: "rt",
         overlap_efficiency: over2_frac,
@@ -139,89 +130,13 @@ pub fn metrics_block_rt<T>(out: &RtOutput<T>) -> MetricsBlock {
     }
 }
 
-/// Which runtime a bench binary should execute on.
+/// Which runtime a generator should execute on (`--backend`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Virtual-time simulator (the default; modeled times).
     Sim,
     /// Real shared-memory runtime (OS threads; measured wall-clock times).
     Rt,
-}
-
-impl Backend {
-    /// Stable name, matching [`MetricsBlock::backend`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Rt => "rt",
-        }
-    }
-}
-
-/// `--backend {sim,rt}` from the process arguments; defaults to `sim`.
-/// A malformed value aborts the bench loudly.
-pub fn backend_arg() -> Backend {
-    let mut spec = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--backend" {
-            spec = args.next();
-        } else if let Some(s) = a.strip_prefix("--backend=") {
-            spec = Some(s.to_string());
-        }
-    }
-    match spec.as_deref() {
-        None | Some("sim") => Backend::Sim,
-        Some("rt") => Backend::Rt,
-        Some(other) => panic!("bad --backend `{other}`: expected sim or rt"),
-    }
-}
-
-/// `--coll-select <spec>` from the process arguments, if present — the
-/// collective-algorithm selection knob shared by all bench binaries.
-/// The spec is parsed by [`ovcomm_simmpi::CollSelector::parse`]
-/// (`<coll>=<bytes>` thresholds and `<coll>:<algo>` forcings, comma
-/// separated); a malformed spec aborts the bench loudly.
-pub fn coll_select_arg() -> Option<ovcomm_simmpi::CollSelector> {
-    let mut spec = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--coll-select" {
-            spec = args.next();
-        } else if let Some(s) = a.strip_prefix("--coll-select=") {
-            spec = Some(s.to_string());
-        }
-    }
-    spec.map(|s| match ovcomm_simmpi::CollSelector::parse(&s) {
-        Ok(sel) => sel,
-        Err(e) => panic!("bad --coll-select spec `{s}`: {e}"),
-    })
-}
-
-/// Apply the `--coll-select` CLI knob (when present) to a run config —
-/// every simulated run the harness launches goes through this, so the
-/// knob uniformly reaches micro-benchmarks and kernel runs alike.
-pub fn apply_coll_select(cfg: ovcomm_simmpi::SimConfig) -> ovcomm_simmpi::SimConfig {
-    match coll_select_arg() {
-        Some(sel) => cfg.with_coll_select(sel),
-        None => cfg,
-    }
-}
-
-/// `--trace-out <path>` from the process arguments, if present — bench
-/// binaries pass it through to [`ovcomm_simmpi::SimConfig::with_trace_out`]
-/// so any table/figure run can be opened in ui.perfetto.dev.
-pub fn trace_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix("--trace-out=") {
-            return Some(std::path::PathBuf::from(p));
-        }
-    }
-    None
 }
 
 #[cfg(test)]

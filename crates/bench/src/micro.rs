@@ -9,25 +9,27 @@ use ovcomm_core::{overlapped_bcast, overlapped_reduce, NDupComms};
 use ovcomm_simmpi::{run, Payload, RankCtx, SimConfig};
 use ovcomm_simnet::{MachineProfile, NodeMap};
 
-use crate::metrics::{apply_coll_select, metrics_block, MetricsBlock};
+use crate::metrics::{metrics_block, MetricsBlock};
+use crate::opts::Opts;
 
 /// Unidirectional point-to-point bandwidth between two nodes with `ppn`
 /// sender/receiver pairs, each moving `msg` bytes. All sources live on node
 /// 0, all destinations on node 1 (the paper's Fig. 3 setup). Returns the
 /// aggregate bandwidth in bytes/second.
-pub fn p2p_bandwidth(profile: &MachineProfile, ppn: usize, msg: usize) -> f64 {
-    p2p_bandwidth_metrics(profile, ppn, msg).0
+pub fn p2p_bandwidth(opts: &Opts, profile: &MachineProfile, ppn: usize, msg: usize) -> f64 {
+    p2p_bandwidth_metrics(opts, profile, ppn, msg).0
 }
 
 /// [`p2p_bandwidth`] plus the run's observability block.
 pub fn p2p_bandwidth_metrics(
+    opts: &Opts,
     profile: &MachineProfile,
     ppn: usize,
     msg: usize,
 ) -> (f64, MetricsBlock) {
     let nranks = 2 * ppn;
     let node_of: Vec<usize> = (0..nranks).map(|r| usize::from(r >= ppn)).collect();
-    let cfg = apply_coll_select(SimConfig::with_map(
+    let cfg = opts.sim_config(SimConfig::with_map(
         NodeMap::custom(node_of),
         profile.clone(),
     ));
@@ -72,41 +74,33 @@ pub enum CollCase {
 /// operation, normalized by the algorithmic volume `2(p−1)·n/p` as in the
 /// paper's Fig. 5. Returns bytes/second.
 pub fn coll_bandwidth(
+    opts: &Opts,
     profile: &MachineProfile,
     kind: CollKind,
     case: CollCase,
     nodes: usize,
     msg: usize,
 ) -> f64 {
-    coll_bandwidth_metrics(profile, kind, case, nodes, msg).0
+    coll_bandwidth_metrics(opts, profile, kind, case, nodes, msg).0
 }
 
 /// [`coll_bandwidth`] plus the run's observability block.
 pub fn coll_bandwidth_metrics(
+    opts: &Opts,
     profile: &MachineProfile,
     kind: CollKind,
     case: CollCase,
     nodes: usize,
     msg: usize,
 ) -> (f64, MetricsBlock) {
-    let (time, metrics) = coll_run(profile, kind, case, nodes, msg);
+    let (time, metrics) = coll_run(opts, profile, kind, case, nodes, msg);
     let p = nodes as f64;
     let volume = 2.0 * (p - 1.0) * msg as f64 / p;
     (volume / time, metrics)
 }
 
-/// Virtual time of the collective under the given case.
-pub fn coll_time(
-    profile: &MachineProfile,
-    kind: CollKind,
-    case: CollCase,
-    nodes: usize,
-    msg: usize,
-) -> f64 {
-    coll_run(profile, kind, case, nodes, msg).0
-}
-
 fn coll_run(
+    opts: &Opts,
     profile: &MachineProfile,
     kind: CollKind,
     case: CollCase,
@@ -115,7 +109,7 @@ fn coll_run(
 ) -> (f64, MetricsBlock) {
     let out = match case {
         CollCase::Blocking => {
-            let cfg = apply_coll_select(SimConfig::natural(nodes, 1, profile.clone()));
+            let cfg = opts.sim_config(SimConfig::natural(nodes, 1, profile.clone()));
             run(cfg, move |rc: RankCtx| {
                 let w = rc.world();
                 match kind {
@@ -131,7 +125,7 @@ fn coll_run(
             .expect("blocking collective micro-benchmark")
         }
         CollCase::NonblockingOverlap(n_dup) => {
-            let cfg = apply_coll_select(SimConfig::natural(nodes, 1, profile.clone()));
+            let cfg = opts.sim_config(SimConfig::natural(nodes, 1, profile.clone()));
             run(cfg, move |rc: RankCtx| {
                 let w = rc.world();
                 let comms = NDupComms::new(&w, n_dup);
@@ -155,7 +149,7 @@ fn coll_run(
             // as the other cases (Fig. 4).
             let nranks = nodes * ppn;
             let part = msg / ppn;
-            let cfg = apply_coll_select(SimConfig::natural(nranks, ppn, profile.clone()));
+            let cfg = opts.sim_config(SimConfig::natural(nranks, ppn, profile.clone()));
             run(cfg, move |rc: RankCtx| {
                 let w = rc.world();
                 let local = rc.rank() % ppn;
@@ -185,29 +179,29 @@ mod tests {
 
     #[test]
     fn p2p_bandwidth_grows_with_ppn_at_moderate_sizes() {
-        let p = MachineProfile::stampede2_skylake();
-        let one = p2p_bandwidth(&p, 1, 256 * 1024);
-        let four = p2p_bandwidth(&p, 4, 256 * 1024);
+        let (o, p) = (Opts::default(), MachineProfile::stampede2_skylake());
+        let one = p2p_bandwidth(&o, &p, 1, 256 * 1024);
+        let four = p2p_bandwidth(&o, &p, 4, 256 * 1024);
         assert!(four > 1.5 * one, "ppn4 {four} vs ppn1 {one}");
         assert!(four <= p.nic_bw * 1.01);
     }
 
     #[test]
     fn p2p_single_stream_approaches_peak_only_when_large() {
-        let p = MachineProfile::stampede2_skylake();
-        let small = p2p_bandwidth(&p, 1, 64 * 1024);
-        let large = p2p_bandwidth(&p, 1, 16 << 20);
+        let (o, p) = (Opts::default(), MachineProfile::stampede2_skylake());
+        let small = p2p_bandwidth(&o, &p, 1, 64 * 1024);
+        let large = p2p_bandwidth(&o, &p, 1, 16 << 20);
         assert!(small < 0.4 * p.nic_bw);
         assert!(large > 0.9 * p.nic_bw);
     }
 
     #[test]
     fn overlap_cases_beat_blocking_at_8mb() {
-        let p = MachineProfile::stampede2_skylake();
+        let (o, p) = (Opts::default(), MachineProfile::stampede2_skylake());
         for kind in [CollKind::Bcast, CollKind::Reduce] {
-            let blocking = coll_bandwidth(&p, kind, CollCase::Blocking, 4, 8 << 20);
-            let ndup = coll_bandwidth(&p, kind, CollCase::NonblockingOverlap(4), 4, 8 << 20);
-            let ppn = coll_bandwidth(&p, kind, CollCase::PpnOverlap(4), 4, 8 << 20);
+            let blocking = coll_bandwidth(&o, &p, kind, CollCase::Blocking, 4, 8 << 20);
+            let ndup = coll_bandwidth(&o, &p, kind, CollCase::NonblockingOverlap(4), 4, 8 << 20);
+            let ppn = coll_bandwidth(&o, &p, kind, CollCase::PpnOverlap(4), 4, 8 << 20);
             assert!(
                 ndup > blocking,
                 "{kind:?}: ndup {ndup} vs blocking {blocking}"

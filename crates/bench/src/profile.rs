@@ -91,5 +91,14 @@ mod tests {
         let p = profile_block_rt(&out).expect("traced rt run yields a profile");
         assert_eq!(p.backend, "rt");
         assert!((p.blame.leaf_sum_us() - p.makespan_us).abs() < 1e-6);
+        // Non-roots block in the bcast, and any blocked rank records
+        // spin-poll or park time — causes the simulator never names.
+        assert!(
+            ["spin-poll", "park", "rendezvous-stall", "progress-delay"]
+                .iter()
+                .any(|cause| p.causes.contains_key(*cause)),
+            "no runtime-specific cause on the rt critical path: {:?}",
+            p.causes
+        );
     }
 }

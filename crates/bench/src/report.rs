@@ -6,7 +6,7 @@
 //! instead of churning on field order or last-bit float noise.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 use serde_json::Value;
@@ -66,6 +66,18 @@ impl Table {
     /// Print to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
+    }
+}
+
+/// Human-readable message size for table rows: `16B`, `128KB`, `4MB`
+/// (binary units, truncated).
+pub fn fmt_bytes(n: usize) -> String {
+    if n >= 1 << 20 {
+        format!("{}MB", n >> 20)
+    } else if n >= 1024 {
+        format!("{}KB", n >> 10)
+    } else {
+        format!("{n}B")
     }
 }
 
@@ -137,18 +149,15 @@ pub fn merge_rows(old: &[Value], new: Vec<Value>, input_keys: &[&str]) -> Vec<Va
 }
 
 /// Like [`write_json`], but keyed by each record's input fields via
-/// [`merge_rows`]: records already in `results/<name>.json` with unchanged
+/// [`merge_rows`]: records already in `<dir>/<name>.json` with unchanged
 /// inputs are preserved byte-for-byte, and the file is not rewritten at
 /// all when the merged content is identical — so regenerating a report
 /// produces an empty diff unless an input actually changed. Set
 /// `OVCOMM_BENCH_REFRESH=1` to force remeasured values for every record.
-pub fn merge_json<T: Serialize>(name: &str, rows: &[T], input_keys: &[&str]) {
-    let dir = Path::new("results");
-    if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create results/: {e}");
+pub fn merge_json<T: Serialize>(dir: &Path, name: &str, rows: &[T], input_keys: &[&str]) {
+    let Some(path) = json_path(dir, name) else {
         return;
-    }
-    let path = dir.join(format!("{name}.json"));
+    };
     let mut new_vals = Vec::with_capacity(rows.len());
     for row in rows {
         match serde_json::to_value(row) {
@@ -185,16 +194,23 @@ pub fn merge_json<T: Serialize>(name: &str, rows: &[T], input_keys: &[&str]) {
     }
 }
 
-/// Write a JSON record under `results/<name>.json` (creating the directory
-/// next to the workspace root). Output is canonical: keys sorted, floats
-/// rounded (see [`canonical_json`]).
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
+/// `<dir>/<name>.json`, creating `dir` first; `None` (after a warning)
+/// when it cannot be created.
+fn json_path(dir: &Path, name: &str) -> Option<PathBuf> {
     if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create results/: {e}");
-        return;
+        eprintln!("warning: cannot create {}: {e}", dir.display());
+        return None;
     }
-    let path = dir.join(format!("{name}.json"));
+    Some(dir.join(format!("{name}.json")))
+}
+
+/// Write a JSON record to `<dir>/<name>.json` (creating the directory).
+/// Output is canonical: keys sorted, floats rounded (see
+/// [`canonical_json`]).
+pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) {
+    let Some(path) = json_path(dir, name) else {
+        return;
+    };
     match canonical_json(value) {
         Ok(s) => {
             if let Err(e) = fs::write(&path, s) {

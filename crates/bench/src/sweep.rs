@@ -6,7 +6,7 @@
 //! virtual completion time with that algorithm forced through the
 //! selector — under `VerifyMode::Strict`, so every measured run doubles
 //! as a dynamic correctness check. The records feed the fitted selector
-//! (`ovcomm_core::fit_selector`) and the `algo_sweep` bench binary.
+//! (`ovcomm_core::fit_selector`) and `ovcomm-bench algo_sweep`.
 
 // Benchmark drivers fail loudly by design: `expect`/`unwrap` here surface
 // simulator errors (including Strict-mode verification findings) directly
@@ -49,6 +49,40 @@ pub struct SweepRecord {
     pub lint_findings: Vec<String>,
 }
 
+/// Call collective `kind` once on the world communicator with an
+/// `n`-byte phantom payload (root 0; gather/allgather contribute their
+/// [`chunk_bounds`] share).
+pub fn call_collective(rc: &RankCtx, kind: CollKind, n: usize) {
+    let w = rc.world();
+    let (me, p) = (rc.rank(), rc.nranks());
+    match kind {
+        CollKind::Bcast => {
+            let data = (me == 0).then_some(Payload::Phantom(n));
+            let _ = w.bcast(0, data, n);
+        }
+        CollKind::Reduce => {
+            let _ = w.reduce(0, Payload::Phantom(n));
+        }
+        CollKind::Allreduce => {
+            let _ = w.allreduce(Payload::Phantom(n));
+        }
+        CollKind::Scatter => {
+            let data = (me == 0).then_some(Payload::Phantom(n));
+            let _ = w.scatter(0, data, n);
+        }
+        CollKind::Gather => {
+            let b = chunk_bounds(n, p);
+            let _ = w.gather(0, Payload::Phantom(b[me + 1] - b[me]), n);
+        }
+        CollKind::Allgather => {
+            let b = chunk_bounds(n, p);
+            let _ = w.allgather(Payload::Phantom(b[me + 1] - b[me]), n);
+        }
+        CollKind::Barrier => w.barrier(),
+        CollKind::Dup | CollKind::Split => unreachable!("not an algorithmic collective"),
+    }
+}
+
 /// Measure one cell: compile + lint the plans, then run the collective
 /// with `algo` forced, under Strict dynamic verification.
 pub fn measure_cell(profile: &MachineProfile, algo: CollAlgo, p: usize, n: usize) -> SweepRecord {
@@ -61,38 +95,8 @@ pub fn measure_cell(profile: &MachineProfile, algo: CollAlgo, p: usize, n: usize
         .collect();
     let sel = CollSelector::default().force(algo);
     let cfg = SimConfig::natural(p, 1, profile.clone()).with_coll_select(sel);
-    let out = run(cfg, move |rc: RankCtx| {
-        let w = rc.world();
-        match kind {
-            CollKind::Bcast => {
-                let data = (rc.rank() == 0).then_some(Payload::Phantom(n));
-                let _ = w.bcast(0, data, n);
-            }
-            CollKind::Reduce => {
-                let _ = w.reduce(0, Payload::Phantom(n));
-            }
-            CollKind::Allreduce => {
-                let _ = w.allreduce(Payload::Phantom(n));
-            }
-            CollKind::Scatter => {
-                let data = (rc.rank() == 0).then_some(Payload::Phantom(n));
-                let _ = w.scatter(0, data, n);
-            }
-            CollKind::Gather => {
-                let b = chunk_bounds(n, p);
-                let me = rc.rank();
-                let _ = w.gather(0, Payload::Phantom(b[me + 1] - b[me]), n);
-            }
-            CollKind::Allgather => {
-                let b = chunk_bounds(n, p);
-                let me = rc.rank();
-                let _ = w.allgather(Payload::Phantom(b[me + 1] - b[me]), n);
-            }
-            CollKind::Barrier => w.barrier(),
-            CollKind::Dup | CollKind::Split => unreachable!("not an algorithmic collective"),
-        }
-    })
-    .expect("algorithm-sweep run (Strict verify)");
+    let out = run(cfg, move |rc: RankCtx| call_collective(&rc, kind, n))
+        .expect("algorithm-sweep run (Strict verify)");
     SweepRecord {
         coll: kind_short(kind).to_string(),
         algo: algo.short().to_string(),

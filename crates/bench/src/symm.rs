@@ -13,11 +13,12 @@ use ovcomm_kernels::{
     Mesh3D, SymmInput,
 };
 use ovcomm_purify::KernelChoice;
-use ovcomm_simmpi::{run, RankCtx, SimConfig};
+use ovcomm_simmpi::{run, RankCtx, SimConfig, SimOutput};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
 
-use crate::metrics::{apply_coll_select, metrics_block, MetricsBlock};
+use crate::metrics::{metrics_block, MetricsBlock};
+use crate::opts::Opts;
 
 /// The process-mesh geometry of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +85,7 @@ pub struct SymmStats {
 /// the purification loop) with phantom paper-scale data and return averaged
 /// statistics.
 pub fn symm_run(
+    opts: &Opts,
     profile: &MachineProfile,
     n: usize,
     mesh: MeshSpec,
@@ -93,8 +95,7 @@ pub fn symm_run(
 ) -> SymmStats {
     assert!(iters >= 1);
     let nranks = mesh.nranks();
-    let cfg = apply_coll_select(SimConfig::natural(nranks, ppn, profile.clone()));
-    let nodes = nranks.div_ceil(ppn);
+    let cfg = opts.sim_config(SimConfig::natural(nranks, ppn, profile.clone()));
     let out = run(cfg, move |rc: RankCtx| match mesh {
         MeshSpec::Cube { p } => {
             let m3 = Mesh3D::new(&rc, p);
@@ -158,38 +159,40 @@ pub fn symm_run(
     })
     .unwrap_or_else(|e| panic!("symm_run n={n} {} ppn={ppn}: {e}", mesh.label()));
 
+    // Modeled per-rank GEMM time: two multiplications over the mesh's
+    // partition of the N³ work — ~2·b³ flops per rank per phase; with 2.5D
+    // each plane does q/c steps of b³-ish blocks.
+    let (p, steps) = match mesh {
+        MeshSpec::Cube { p } => (p, 1.0),
+        MeshSpec::TwoFiveD { q, c } => (q, (q / c) as f64),
+    };
+    let b = n.div_ceil(p) as f64;
+    let compute_time = 2.0 * 2.0 * b * b * b * steps / profile.process_flops(ppn, n.div_ceil(p));
+    stats(&out, n, mesh.label(), ppn, iters, compute_time)
+}
+
+/// Average one run's counters over its `iters` calls.
+fn stats(
+    out: &SimOutput<f64>,
+    n: usize,
+    mesh: String,
+    ppn: usize,
+    iters: usize,
+    compute_time: f64,
+) -> SymmStats {
     let total: f64 = out.results.iter().cloned().fold(0.0, f64::max);
     let time_per_call = total / iters as f64;
-    let flops = symm_square_cube_flops(n);
-
-    // Modeled per-rank GEMM time (two multiplications over the mesh's
-    // partition of the N³ work).
-    let compute_time = match mesh {
-        MeshSpec::Cube { p } | MeshSpec::TwoFiveD { q: p, .. } => {
-            let b = n.div_ceil(p) as f64;
-            let rate = profile.process_flops(ppn, n.div_ceil(p));
-            // Each rank multiplies blocks worth ~2·b³ flops per phase; with
-            // 2.5D each plane does q/c steps of b³-ish blocks — the same
-            // total per rank.
-            let per_rank = match mesh {
-                MeshSpec::Cube { .. } => 2.0 * 2.0 * b * b * b,
-                MeshSpec::TwoFiveD { q, c } => 2.0 * 2.0 * b * b * b * (q / c) as f64 / 1.0,
-            };
-            per_rank / rate
-        }
-    };
-
     SymmStats {
         n,
-        mesh: mesh.label(),
+        mesh,
         ppn,
-        nodes,
+        nodes: out.results.len().div_ceil(ppn),
         time_per_call,
-        tflops: flops / time_per_call / 1e12,
+        tflops: symm_square_cube_flops(n) / time_per_call / 1e12,
         inter_bytes_per_call: out.inter_node_bytes / iters as u64,
         intra_bytes_per_call: out.intra_node_bytes / iters as u64,
         compute_time,
-        metrics: metrics_block(&out),
+        metrics: metrics_block(out),
     }
 }
 
@@ -198,6 +201,7 @@ pub fn symm_run(
 /// return averaged statistics — the one-sided counterpart of [`symm_run`]
 /// for the Table V / `rma_sweep` comparisons.
 pub fn cosma_run(
+    opts: &Opts,
     profile: &MachineProfile,
     n: usize,
     p: usize,
@@ -206,8 +210,7 @@ pub fn cosma_run(
 ) -> SymmStats {
     assert!(iters >= 1);
     let nranks = p * p;
-    let cfg = apply_coll_select(SimConfig::natural(nranks, ppn, profile.clone()));
-    let nodes = nranks.div_ceil(ppn);
+    let cfg = opts.sim_config(SimConfig::natural(nranks, ppn, profile.clone()));
     let out = run(cfg, move |rc: RankCtx| {
         let mesh = Mesh2D::new(&rc, p);
         let grid = BlockGrid::new(n, p);
@@ -226,24 +229,9 @@ pub fn cosma_run(
     })
     .unwrap_or_else(|e| panic!("cosma_run n={n} {p}x{p} ppn={ppn}: {e}"));
 
-    let total: f64 = out.results.iter().cloned().fold(0.0, f64::max);
-    let time_per_call = total / iters as f64;
-    let flops = symm_square_cube_flops(n);
     let b = n.div_ceil(p) as f64;
     let rate = profile.process_flops(ppn, n.div_ceil(p));
     // Two multiplications, each p block-GEMM steps of 2·b³ flops per rank.
     let compute_time = 2.0 * p as f64 * 2.0 * b * b * b / rate;
-
-    SymmStats {
-        n,
-        mesh: format!("{p}x{p}"),
-        ppn,
-        nodes,
-        time_per_call,
-        tflops: flops / time_per_call / 1e12,
-        inter_bytes_per_call: out.inter_node_bytes / iters as u64,
-        intra_bytes_per_call: out.intra_node_bytes / iters as u64,
-        compute_time,
-        metrics: metrics_block(&out),
-    }
+    stats(&out, n, format!("{p}x{p}"), ppn, iters, compute_time)
 }

@@ -498,12 +498,10 @@ where
     // Analyze the communication log with the same analyzer as the
     // simulator, minus the findings real nondeterminism legitimately
     // produces.
-    let verify_report = match shared.env.verify.as_ref() {
-        Some(v) => v
-            .report(cfg.verify, |x| !expected_on_rt(x))
-            .map_err(|findings| RtError::Verification { findings })?,
-        None => VerifyReport::default(),
-    };
+    let verify_report = shared
+        .env
+        .verify_report(|x| !expected_on_rt(x))
+        .map_err(|findings| RtError::Verification { findings })?;
 
     let end_times = shared.rank_end_times.lock().clone();
     let (inter, intra, messages) = (

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use ovcomm_simnet::{EdgeKind, MachineProfile, SimDur, SimTime, SpanKind};
-use ovcomm_verify::{Site, Verifier, VerifyMode};
+use ovcomm_verify::{Finding, Site, Verifier, VerifyMode, VerifyReport};
 
 use crate::collsel::CollSelector;
 use crate::metrics::SimMetrics;
@@ -91,6 +91,24 @@ impl CommEnv {
         if bytes > 0 {
             reg.counter("rma.bytes", &labels).add(bytes as u64);
         }
+    }
+
+    /// The post-run verification report both backends end a run with (see
+    /// [`Verifier::report`]; empty when verification is off). A skipped
+    /// vector-clock pass is counted as `verify.vc.skipped{agents}` so the
+    /// skip shows up in the run's metrics, as `plan.mc.skipped` does.
+    pub fn verify_report(
+        &self,
+        keep: impl Fn(&Finding) -> bool,
+    ) -> Result<VerifyReport, Vec<Finding>> {
+        let Some(v) = self.verify.as_ref() else {
+            return Ok(VerifyReport::default());
+        };
+        let report = v.report(self.verify_mode, keep)?;
+        if let Some(agents) = report.vc_skipped_agents {
+            self.metrics.verify_vc_skipped(agents);
+        }
+        Ok(report)
     }
 }
 

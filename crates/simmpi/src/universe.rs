@@ -635,12 +635,10 @@ where
     // Analyze the communication log. Under Strict, error-severity findings
     // fail the run; under Warn they are printed; warnings always travel in
     // the output.
-    let verify_report = match uni.env.verify.as_ref() {
-        Some(v) => v
-            .report(cfg.verify, |_| true)
-            .map_err(|findings| SimError::Verification { findings })?,
-        None => VerifyReport::default(),
-    };
+    let verify_report = uni
+        .env
+        .verify_report(|_| true)
+        .map_err(|findings| SimError::Verification { findings })?;
 
     let (inter, intra, messages, end_times) = {
         let st = uni.state.lock();

@@ -289,4 +289,7 @@ fn ten_thousand_rank_bcast_allreduce_strict_smoke() {
     // The skipped model check is counted, not dropped silently: one
     // bcast shape and one allreduce shape compiled at p > 128.
     assert_eq!(out.metrics.counters["plan.mc.skipped{p=10000}"], 2);
+    // Likewise the vector-clock race pass, which stops at 512 agents.
+    assert_eq!(out.metrics.counters["verify.vc.skipped{agents=10000}"], 1);
+    assert_eq!(out.verify.vc_skipped_agents, Some(p));
 }

@@ -192,8 +192,10 @@ fn vc_join(into: &mut Vc, other: &Vc) {
 }
 
 /// Run every analysis over the log; findings are sorted errors-first, then
-/// by rendered text, so output is stable across thread schedules.
-pub fn analyze(events: &[Event]) -> Vec<Finding> {
+/// by rendered text, so output is stable across thread schedules. The
+/// second value is `Some(agents)` when the vector-clock race pass was
+/// skipped because the log has more than `VC_MAX_AGENTS` agents.
+pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
     let mut findings = Vec::new();
 
     // ---- pass 1: index the log -------------------------------------
@@ -769,8 +771,9 @@ pub fn analyze(events: &[Event]) -> Vec<Finding> {
     // Vector clocks grow one component per agent, so this pass is
     // quadratic in the number of agents and dominates analysis time on
     // very large simulations (tens of thousands of ranks). Past the cap
-    // below it is skipped; the linear mismatch/leak passes above still
-    // run, and the race findings it produces are warnings, not errors.
+    // below it is skipped — reported as the second return value, never
+    // silently; the linear mismatch/leak passes above still run, and the
+    // race findings it produces are warnings, not errors.
     const VC_MAX_AGENTS: usize = 512;
     let mut vc_agents: std::collections::HashSet<AgentId> = std::collections::HashSet::new();
     for ev in events {
@@ -797,7 +800,7 @@ pub fn analyze(events: &[Event]) -> Vec<Finding> {
     }
     if vc_agents.len() > VC_MAX_AGENTS {
         findings.sort_by_key(|x| (x.severity, x.to_string()));
-        return findings;
+        return (findings, Some(vc_agents.len()));
     }
     let mut clocks: HashMap<AgentId, Vc> = HashMap::new();
     let mut post_snap: HashMap<ReqId, Vc> = HashMap::new();
@@ -890,7 +893,7 @@ pub fn analyze(events: &[Event]) -> Vec<Finding> {
     race_check(&recv_envelopes, "receives");
 
     findings.sort_by_key(|x| (x.severity, x.to_string()));
-    findings
+    (findings, None)
 }
 
 /// Look up the post descriptor of a request, for deadlock reporting.

@@ -70,6 +70,11 @@ pub struct VerifyReport {
     /// ranks — the multiset of `Coll` events per communicator, which must
     /// agree between backends running the same program.
     pub coll_calls: BTreeMap<CollCallKey, u64>,
+    /// `Some(agents)` when the vector-clock race pass was skipped because
+    /// the log has more than 512 agents (it is quadratic in agents); the
+    /// mismatch and leak passes still ran. Not a finding: the skipped pass
+    /// only ever produces warnings.
+    pub vc_skipped_agents: Option<usize>,
 }
 
 impl VerifyReport {
@@ -158,7 +163,7 @@ impl Verifier {
 
     /// Run all analyses over the log.
     pub fn analyze(&self) -> Vec<Finding> {
-        analyze::analyze(&self.events.lock())
+        analyze::analyze(&self.events.lock()).0
     }
 
     /// Analyze the log and build a completed run's report, keeping only
@@ -171,12 +176,15 @@ impl Verifier {
         mode: VerifyMode,
         keep: impl Fn(&Finding) -> bool,
     ) -> Result<VerifyReport, Vec<Finding>> {
-        let mut findings = self.analyze();
+        let (mut findings, vc_skipped_agents) = analyze::analyze(&self.events.lock());
         findings.retain(keep);
         match mode {
             VerifyMode::Warn => {
                 for x in &findings {
                     eprintln!("ovcomm-verify: {x}");
+                }
+                if let Some(agents) = vc_skipped_agents {
+                    eprintln!("ovcomm-verify: race analysis skipped ({agents} agents > 512)");
                 }
             }
             VerifyMode::Strict => {
@@ -208,6 +216,7 @@ impl Verifier {
             dropped_incomplete,
             dropped_untaken,
             coll_calls,
+            vc_skipped_agents,
         })
     }
 

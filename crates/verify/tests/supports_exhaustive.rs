@@ -5,7 +5,7 @@
 //!
 //! The full p ∈ 1..=256 sweep with model checking is exhaustive but
 //! expensive in debug builds, so it is `#[ignore]`d here and run in
-//! release by the CI model-check job (`algo_sweep --mc-supports
+//! release by the CI model-check job (`ovcomm-bench mc_supports
 //! --fail-on-lint`, which performs exactly this loop). The non-ignored
 //! tests keep a dense low-p model-checked core plus build/lint coverage
 //! of the entire range in the tier-1 suite.
@@ -60,7 +60,7 @@ fn supported_small_p_all_model_check_clean() {
 /// The rest of the 1..=256 range builds without panicking; lint (full
 /// value-flow analysis) is sampled at power-of-two boundaries where the
 /// recursive builders change shape. Full model checking of every large
-/// p runs in the release CI sweep (`algo_sweep --mc-supports`).
+/// p runs in the release CI sweep (`ovcomm-bench mc_supports`).
 #[test]
 #[cfg_attr(miri, ignore = "builds 256-rank plans; covered by small-p test")]
 fn supported_large_p_build_and_lint_clean() {
@@ -85,7 +85,7 @@ fn supported_large_p_build_and_lint_clean() {
 /// is unsupported or builds and passes the model checker. Run with
 /// `cargo test -p ovcomm-verify --release -- --ignored supports_full`.
 #[test]
-#[ignore = "exhaustive; run in release (CI: algo_sweep --mc-supports)"]
+#[ignore = "exhaustive; run in release (CI: ovcomm-bench mc_supports)"]
 fn supports_full_range_model_checks_clean() {
     for &algo in CollAlgo::all() {
         for p in 1..=256usize {

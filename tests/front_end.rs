@@ -256,10 +256,17 @@ fn one_program_agrees_across_backends() {
         assert_clean("sim", &sim.verify);
         assert_clean("rt", &rt.verify);
 
-        // p ≤ 128: every compiled shape was model-checked, none skipped.
+        // p ≤ 128 and ≤ 512 agents: every compiled shape was model-checked
+        // and the vector-clock race pass ran; nothing was skipped.
         for m in [&sim.metrics, &rt.metrics] {
             assert!(!m.counters.keys().any(|k| k.starts_with("plan.mc.skipped")));
+            assert!(!m
+                .counters
+                .keys()
+                .any(|k| k.starts_with("verify.vc.skipped")));
         }
+        assert_eq!(sim.verify.vc_skipped_agents, None);
+        assert_eq!(rt.verify.vc_skipped_agents, None);
     }
 }
 
