@@ -7,10 +7,7 @@
 //! runtime (wall-clock seconds, one box) instead of the simulator
 //! (modeled seconds, 16 nodes).
 
-use ovcomm_bench::{
-    metrics_block, metrics_block_rt, profile_block, profile_block_rt, write_json, Backend,
-    MetricsBlock, Opts, Table,
-};
+use ovcomm_bench::{metrics_block, profile_block, write_json, Backend, MetricsBlock, Opts, Table};
 use ovcomm_core::{pipelined_reduce_bcast, Communicator, NDupComms, RankHandle};
 use ovcomm_densemat::Partition1D;
 use ovcomm_kernels::Mesh2D;
@@ -66,26 +63,19 @@ fn comm_phase(
     n: usize,
     n_dup: Option<usize>,
 ) -> (f64, MetricsBlock, Option<ProfileBlock>) {
-    match backend {
-        Backend::Sim => {
-            let out = run(
-                SimConfig::natural(P * P, 1, MachineProfile::stampede2_skylake()).with_trace(),
-                move |rc: RankCtx| phase(&rc, n, n_dup),
-            )
-            .expect("matvec comm phase (sim)");
-            let t = out.results.iter().cloned().fold(0.0, f64::max);
-            (t, metrics_block(&out), profile_block(&out))
-        }
-        Backend::Rt => {
-            let out = ovcomm_rt::run(
-                RtConfig::natural(P * P, 1, MachineProfile::test_profile()).with_trace(),
-                move |rc: RtRankCtx| phase(&rc, n, n_dup),
-            )
-            .expect("matvec comm phase (rt)");
-            let t = out.results.iter().cloned().fold(0.0, f64::max);
-            (t, metrics_block_rt(&out), profile_block_rt(&out))
-        }
+    let out = match backend {
+        Backend::Sim => run(
+            SimConfig::natural(P * P, 1, MachineProfile::stampede2_skylake()).with_trace(),
+            move |rc: RankCtx| phase(&rc, n, n_dup),
+        ),
+        Backend::Rt => ovcomm_rt::run(
+            RtConfig::natural(P * P, 1, MachineProfile::test_profile()).with_trace(),
+            move |rc: RtRankCtx| phase(&rc, n, n_dup),
+        ),
     }
+    .expect("matvec comm phase");
+    let t = out.results.iter().cloned().fold(0.0, f64::max);
+    (t, metrics_block(&out), profile_block(&out))
 }
 
 pub fn main(opts: &Opts) {

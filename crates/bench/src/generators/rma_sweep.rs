@@ -19,9 +19,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use super::test_matrix;
-use ovcomm_bench::{
-    merge_json, metrics_block, metrics_block_rt, Backend, MetricsBlock, Opts, Table,
-};
+use ovcomm_bench::{merge_json, metrics_block, Backend, MetricsBlock, Opts, Table};
 use ovcomm_core::{Communicator, RankHandle};
 use ovcomm_densemat::{BlockBuf, BlockGrid};
 use ovcomm_kernels::{
@@ -91,35 +89,18 @@ fn counter_sum(counters: &std::collections::BTreeMap<String, u64>, prefix: &str)
 
 fn run_row(backend: &str, variant: &'static str, n: usize, p: usize, ppn: usize) -> Row {
     let nranks = p * p;
-    let (seconds, metrics, rma_calls, rma_bytes) = match backend {
-        "sim" => {
-            let out = ovcomm_simmpi::run(
-                SimConfig::natural(nranks, ppn, MachineProfile::stampede2_skylake()).with_trace(),
-                move |rc: RankCtx| workload(&rc, variant, n, p, false),
-            )
-            .unwrap_or_else(|e| panic!("sim {variant} n={n}: {e}"));
-            let t = out.results.iter().cloned().fold(0.0, f64::max);
-            let (calls, bytes) = (
-                counter_sum(&out.metrics.counters, "rma.calls"),
-                counter_sum(&out.metrics.counters, "rma.bytes"),
-            );
-            (t, metrics_block(&out), calls, bytes)
-        }
-        "rt" => {
-            let out = ovcomm_rt::run(
-                RtConfig::natural(nranks, ppn, MachineProfile::test_profile()).with_trace(),
-                move |rc: RtRankCtx| workload(&rc, variant, n, p, true),
-            )
-            .unwrap_or_else(|e| panic!("rt {variant} n={n}: {e}"));
-            let t = out.results.iter().cloned().fold(0.0, f64::max);
-            let (calls, bytes) = (
-                counter_sum(&out.metrics.counters, "rma.calls"),
-                counter_sum(&out.metrics.counters, "rma.bytes"),
-            );
-            (t, metrics_block_rt(&out), calls, bytes)
-        }
+    let out = match backend {
+        "sim" => ovcomm_simmpi::run(
+            SimConfig::natural(nranks, ppn, MachineProfile::stampede2_skylake()).with_trace(),
+            move |rc: RankCtx| workload(&rc, variant, n, p, false),
+        ),
+        "rt" => ovcomm_rt::run(
+            RtConfig::natural(nranks, ppn, MachineProfile::test_profile()).with_trace(),
+            move |rc: RtRankCtx| workload(&rc, variant, n, p, true),
+        ),
         other => panic!("unknown backend {other}"),
-    };
+    }
+    .unwrap_or_else(|e| panic!("{backend} {variant} n={n}: {e}"));
     Row {
         variant: variant.to_string(),
         backend: backend.to_string(),
@@ -127,10 +108,10 @@ fn run_row(backend: &str, variant: &'static str, n: usize, p: usize, ppn: usize)
         p,
         nranks,
         ppn,
-        seconds,
-        rma_calls,
-        rma_bytes,
-        metrics,
+        seconds: out.results.iter().cloned().fold(0.0, f64::max),
+        rma_calls: counter_sum(&out.metrics.counters, "rma.calls"),
+        rma_bytes: counter_sum(&out.metrics.counters, "rma.bytes"),
+        metrics: metrics_block(&out),
     }
 }
 

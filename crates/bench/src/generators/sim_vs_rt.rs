@@ -12,10 +12,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use super::test_matrix;
-use ovcomm_bench::{
-    merge_json, metrics_block, metrics_block_rt, profile_block, profile_block_rt, Backend,
-    MetricsBlock, Opts, Table,
-};
+use ovcomm_bench::{merge_json, metrics_block, profile_block, Backend, MetricsBlock, Opts, Table};
 use ovcomm_core::{NDupComms, RankHandle};
 use ovcomm_densemat::{BlockBuf, BlockGrid, Partition1D};
 use ovcomm_kernels::{
@@ -204,9 +201,9 @@ pub fn main(opts: &Opts) {
         let modeled_s = sim.as_ref().map(|o| o.makespan.as_secs_f64());
         let measured_s = rt.as_ref().map(|o| o.makespan.as_secs_f64());
         let sim_metrics = sim.as_ref().map(metrics_block);
-        let rt_metrics = rt.as_ref().map(metrics_block_rt);
+        let rt_metrics = rt.as_ref().map(metrics_block);
         let sim_profile = sim.as_ref().and_then(profile_block);
-        let rt_profile = rt.as_ref().and_then(profile_block_rt);
+        let rt_profile = rt.as_ref().and_then(profile_block);
         let bit_identical = sim
             .as_ref()
             .zip(rt.as_ref())

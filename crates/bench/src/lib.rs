@@ -37,13 +37,16 @@ pub mod timeline;
 
 pub use chart::{plot_loglog, Series};
 pub use mcsweep::{mc_sweep, supports_sweep, McSweepRecord, McSweepSummary};
-pub use metrics::{metrics_block, metrics_block_rt, Backend, MetricsBlock};
+// The `_rt` names are what `benchmark/` calls on an `ovcomm_rt::run`
+// result; both backends return one output type, so they are the same
+// functions.
+pub use metrics::{metrics_block, metrics_block as metrics_block_rt, Backend, MetricsBlock};
 pub use micro::{
     coll_bandwidth, coll_bandwidth_metrics, p2p_bandwidth, p2p_bandwidth_metrics, CollCase,
     CollKind,
 };
 pub use opts::Opts;
-pub use profile::{profile_block, profile_block_rt};
+pub use profile::{profile_block, profile_block as profile_block_rt};
 pub use report::{
     canonical_json, canonicalize_value, fmt_bytes, merge_json, merge_rows, write_json, Table,
 };

@@ -4,8 +4,7 @@
 //! virtual time vs. rt wall clock) that produced it.
 
 use ovcomm_obs::{analyze, MetricsSnapshot};
-use ovcomm_rt::RtOutput;
-use ovcomm_simmpi::SimOutput;
+use ovcomm_simmpi::RunOutput;
 use ovcomm_simnet::{SimTime, SpanKind, TraceSpan};
 use serde::Serialize;
 
@@ -50,22 +49,38 @@ fn wait_time_share(metrics: &MetricsSnapshot, makespan: SimTime, nranks: usize) 
     }
 }
 
-/// Build the metrics block from a finished run. Works with or without
-/// tracing: the NIC figures come from the always-on network accounting,
-/// and the wait share from the always-on `simmpi.wait_ns` /
-/// `simmpi.blocking_ns` histograms.
-pub fn metrics_block<T>(out: &SimOutput<T>) -> MetricsBlock {
-    let empty: &[TraceSpan] = &[];
-    let spans = out.trace.as_ref().map_or(empty, |t| t.spans());
-    let report = analyze(spans, &out.net, out.makespan);
-    let wait_time_share = wait_time_share(&out.metrics, out.makespan, out.results.len());
+/// Build the metrics block from a finished run on either backend. Works
+/// with or without tracing: the wait share comes from the always-on
+/// `simmpi.wait_ns` / `simmpi.blocking_ns` histograms both backends record.
+/// Where the run has a flow model (`out.net`, the simulator) the NIC figures
+/// come from its always-on network accounting; where it has none (rt) they
+/// are replaced by their span-based analogues: busy = some rank inside a
+/// communication call, overlapped = ≥ 2 ranks concurrently communicating.
+pub fn metrics_block<T>(out: &RunOutput<T>) -> MetricsBlock {
+    let spans = out.trace.as_ref().map_or(&[][..], |t| t.spans());
+    let (overlap_efficiency, nic_busy_frac, completed_flows, mean_queue_delay_us) = match &out.net {
+        Some(net) => {
+            let report = analyze(spans, net, out.makespan);
+            (
+                report.nic_overlap2_frac,
+                report.nic_busy_frac,
+                report.completed_flows,
+                report.mean_queue_delay_us,
+            )
+        }
+        None => {
+            let (busy_frac, over2_frac) = span_concurrency(spans, out.makespan);
+            // No flow model on real threads: count delivered messages.
+            (over2_frac, busy_frac, out.messages, 0.0)
+        }
+    };
     MetricsBlock {
-        backend: "sim",
-        overlap_efficiency: report.nic_overlap2_frac,
-        nic_busy_frac: report.nic_busy_frac,
-        wait_time_share,
-        completed_flows: report.completed_flows,
-        mean_queue_delay_us: report.mean_queue_delay_us,
+        backend: out.backend,
+        overlap_efficiency,
+        nic_busy_frac,
+        wait_time_share: wait_time_share(&out.metrics, out.makespan, out.results.len()),
+        completed_flows,
+        mean_queue_delay_us,
         clamped_spans: out.clamped_spans as u64,
     }
 }
@@ -107,29 +122,6 @@ fn span_concurrency(spans: &[TraceSpan], makespan: SimTime) -> (f64, f64) {
     (busy_frac, over2_frac)
 }
 
-/// Build the metrics block from a finished **rt** (wall-clock) run. The
-/// real backend has no flow network, so the NIC figures are replaced by
-/// their span-based analogues: busy = some rank inside a communication
-/// call, overlapped = ≥ 2 ranks concurrently communicating. The wait-time
-/// share comes from the same `simmpi.wait_ns`/`simmpi.blocking_ns`
-/// histograms both backends record.
-pub fn metrics_block_rt<T>(out: &RtOutput<T>) -> MetricsBlock {
-    let empty: &[TraceSpan] = &[];
-    let spans = out.trace.as_ref().map_or(empty, |t| t.spans());
-    let (busy_frac, over2_frac) = span_concurrency(spans, out.makespan);
-    let wait_time_share = wait_time_share(&out.metrics, out.makespan, out.results.len());
-    MetricsBlock {
-        backend: "rt",
-        overlap_efficiency: over2_frac,
-        nic_busy_frac: busy_frac,
-        wait_time_share,
-        // No flow model on real threads: count delivered messages instead.
-        completed_flows: out.messages,
-        mean_queue_delay_us: 0.0,
-        clamped_spans: out.clamped_spans as u64,
-    }
-}
-
 /// Which runtime a generator should execute on (`--backend`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
@@ -166,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_block_rt_reflects_real_communication() {
+    fn metrics_block_reflects_real_communication_on_rt() {
         let out = ovcomm_rt::run(
             ovcomm_rt::RtConfig::natural(4, 1, MachineProfile::test_profile()).with_trace(),
             |rc: ovcomm_rt::RtRankCtx| {
@@ -176,7 +168,7 @@ mod tests {
             },
         )
         .unwrap();
-        let m = metrics_block_rt(&out);
+        let m = metrics_block(&out);
         assert_eq!(m.backend, "rt");
         assert!(m.nic_busy_frac > 0.0, "bcast spans must register as busy");
         assert!(m.completed_flows > 0, "bcast moves messages");

@@ -5,37 +5,24 @@
 //! happens-before DAG from the run's trace spans plus send→recv and
 //! post→wait edges and folds the DAG critical path into a
 //! phase → operation → step → cause blame tree. Both backends emit the
-//! same span/edge schema, so one builder per backend is all the harness
-//! needs; runs without tracing yield `None` (no spans, nothing to blame).
+//! same span/edge schema and return the same output type, so one builder
+//! is all the harness needs; runs without tracing yield `None` (no spans,
+//! nothing to blame).
 
 use ovcomm_obs::ProfileBlock;
-use ovcomm_rt::RtOutput;
-use ovcomm_simmpi::SimOutput;
+use ovcomm_simmpi::RunOutput;
 
-/// Build the profile block for a finished simulator run, or `None` when
-/// the run was not traced.
-pub fn profile_block<T>(out: &SimOutput<T>) -> Option<ProfileBlock> {
-    let trace = out.trace.as_ref()?;
-    Some(ovcomm_obs::profile(
-        trace.spans(),
-        trace.edges(),
-        &out.metrics,
-        out.makespan,
-        "sim",
-    ))
-}
-
-/// Build the profile block for a finished **rt** (wall-clock) run, or
-/// `None` when the run was not traced. Wait time on the path splits into
+/// Build the profile block for a finished run on either backend, or `None`
+/// when the run was not traced. On rt, wait time on the path splits into
 /// spin/park/rendezvous-stall by the run's recorded `rt.wait_*_ns` sums.
-pub fn profile_block_rt<T>(out: &RtOutput<T>) -> Option<ProfileBlock> {
+pub fn profile_block<T>(out: &RunOutput<T>) -> Option<ProfileBlock> {
     let trace = out.trace.as_ref()?;
     Some(ovcomm_obs::profile(
         trace.spans(),
         trace.edges(),
         &out.metrics,
         out.makespan,
-        "rt",
+        out.backend,
     ))
 }
 
@@ -88,7 +75,7 @@ mod tests {
             },
         )
         .unwrap();
-        let p = profile_block_rt(&out).expect("traced rt run yields a profile");
+        let p = profile_block(&out).expect("traced rt run yields a profile");
         assert_eq!(p.backend, "rt");
         assert!((p.blame.leaf_sum_us() - p.makespan_us).abs() < 1e-6);
         // Non-roots block in the bcast, and any blocked rank records

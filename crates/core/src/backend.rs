@@ -2,15 +2,16 @@
 //!
 //! Everything above the message-passing layer — the N_DUP pipelined
 //! drivers, the process meshes, SUMMA/SymmSquareCube, purification — is
-//! written against two traits instead of concrete simulator types:
+//! written against three traits instead of concrete simulator types:
 //!
 //! * [`Communicator`] — the MPI-like per-rank communicator handle:
 //!   dup/split, point-to-point, requests with wait/test, and the blocking
 //!   and nonblocking collectives;
+//! * [`Window`] — the one-sided window a communicator creates;
 //! * [`RankHandle`] — the per-rank execution context: identity, clock,
 //!   modeled compute, tracing, and the world communicator.
 //!
-//! Two backends implement them:
+//! Two backends run them:
 //!
 //! * the **virtual-time simulator** (`ovcomm-simmpi`) — deterministic,
 //!   models time analytically: [`ovcomm_simmpi::Comm`] /
@@ -19,13 +20,16 @@
 //!   moving real payloads through shared memory: `ovcomm_rt::RtComm` /
 //!   `ovcomm_rt::RtRankCtx`.
 //!
-//! Both communicator types are one generic front end,
-//! `ovcomm_simmpi::comm::Comm<T>`, over the backend's
-//! [`Transport`]; the single blanket [`Communicator`] impl below covers
-//! them, so the trait surface cannot drift between backends. The window
-//! types are likewise one `ovcomm_simmpi::rma::Win<T>` under one blanket
-//! [`Window`] impl; each backend implements only [`RankHandle`], for its
-//! own context type.
+//! Neither backend implements a trait itself. Both communicator types are
+//! one generic front end, `ovcomm_simmpi::comm::Comm<T>`, over the
+//! backend's [`Transport`]; the window types are one
+//! `ovcomm_simmpi::rma::Win<T>`, the rank contexts one
+//! `ovcomm_simmpi::rank::RankCtx<T>`. Each trait therefore has exactly one
+//! blanket impl, below, and the trait surface cannot drift between
+//! backends. With a single implementor apiece the traits no longer
+//! abstract over anything; replacing them by `Comm<T>`/`RankCtx<T>`
+//! arguments is mechanical and waits only on `benchmark/`, whose workloads
+//! import the three names and bound on `R: RankHandle`.
 //!
 //! Both backends share the *concrete* [`Payload`] and [`Request`] types
 //! (a request is backend-agnostic: a completion flag, a value slot, and
@@ -35,9 +39,10 @@
 //! keep existing simulator call sites source-compatible.
 
 use ovcomm_simmpi::comm::Comm;
+use ovcomm_simmpi::rank::RankCtx;
 use ovcomm_simmpi::rma::Win;
 use ovcomm_simmpi::transport::Transport;
-use ovcomm_simmpi::{Payload, RankCtx, Request};
+use ovcomm_simmpi::{Payload, Request};
 use ovcomm_simnet::{MachineProfile, NodeMap, SimDur, SimTime, SpanKind};
 
 /// An MPI-like communicator handle, generic over the runtime backend.
@@ -393,11 +398,11 @@ impl<T: Transport> Window for Win<T> {
 }
 
 // ---------------------------------------------------------------------
-// Virtual-time simulator backend
+// The per-rank context, on any backend
 // ---------------------------------------------------------------------
 
-impl RankHandle for RankCtx {
-    type Comm = ovcomm_simmpi::Comm;
+impl<T: Transport> RankHandle for RankCtx<T> {
+    type Comm = Comm<T>;
 
     fn rank(&self) -> usize {
         RankCtx::rank(self)
@@ -417,7 +422,7 @@ impl RankHandle for RankCtx {
     fn set_active_ppn(&self, active: usize) {
         RankCtx::set_active_ppn(self, active)
     }
-    fn world(&self) -> ovcomm_simmpi::Comm {
+    fn world(&self) -> Comm<T> {
         RankCtx::world(self)
     }
     fn now(&self) -> SimTime {
@@ -455,6 +460,6 @@ impl RankHandle for RankCtx {
         RankCtx::phase_span(self, start, label)
     }
     fn backend_name(&self) -> &'static str {
-        "sim"
+        RankCtx::backend_name(self)
     }
 }

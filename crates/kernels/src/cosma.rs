@@ -26,18 +26,11 @@
 // protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 use ovcomm_core::{Communicator, RankHandle, Window};
-use ovcomm_densemat::{gemm_flops, BlockBuf, BlockGrid};
+use ovcomm_densemat::{BlockBuf, BlockGrid};
 
 use crate::convert::{block_to_payload, payload_to_block};
 use crate::mesh::Mesh2D;
-use crate::symm3d::{SymmInput, SymmOutput};
-
-fn local_multiply<R: RankHandle>(rc: &R, c: &mut BlockBuf, a: &BlockBuf, b: &BlockBuf, rate: f64) {
-    c.gemm_acc(a, b);
-    let (m, kk) = a.dims();
-    let (_, n2) = b.dims();
-    rc.compute_flops(gemm_flops(m, kk, n2), rate);
-}
+use crate::symm3d::{local_multiply, SymmInput, SymmOutput};
 
 /// Distributed `C = A·B` with one-sided COSMA-style fetching. `a` and `b`
 /// are this rank's blocks (the (i,j) blocks of the operands); returns this

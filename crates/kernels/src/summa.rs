@@ -17,12 +17,12 @@
 // surrounding collective protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 use ovcomm_core::{overlapped_bcast, Communicator, NDupComms, RankHandle};
-use ovcomm_densemat::{gemm_flops, BlockBuf, BlockGrid};
+use ovcomm_densemat::{BlockBuf, BlockGrid};
 use ovcomm_simmpi::Comm;
 
 use crate::convert::{block_to_payload, payload_to_block};
 use crate::mesh::Mesh2D;
-use crate::symm3d::{SymmInput, SymmOutput};
+use crate::symm3d::{local_multiply, SymmInput, SymmOutput};
 
 /// N_DUP bundles for SUMMA's row and column panel broadcasts.
 pub struct SummaBundles<C: Communicator = Comm> {
@@ -40,13 +40,6 @@ impl<C: Communicator> SummaBundles<C> {
             col: NDupComms::new(&mesh.col, n_dup),
         }
     }
-}
-
-fn local_multiply<R: RankHandle>(rc: &R, c: &mut BlockBuf, a: &BlockBuf, b: &BlockBuf, rate: f64) {
-    c.gemm_acc(a, b);
-    let (m, kk) = a.dims();
-    let (_, n2) = b.dims();
-    rc.compute_flops(gemm_flops(m, kk, n2), rate);
 }
 
 /// Distributed `C = A·B` with SUMMA. `a` and `b` are this rank's blocks

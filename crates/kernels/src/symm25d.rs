@@ -19,11 +19,11 @@
 use ovcomm_core::{
     overlapped_allreduce, overlapped_bcast, overlapped_reduce, Communicator, NDupComms, RankHandle,
 };
-use ovcomm_densemat::{gemm_flops, BlockBuf, BlockGrid};
+use ovcomm_densemat::{BlockBuf, BlockGrid};
 use ovcomm_simmpi::{Comm, Payload};
 
 use crate::convert::{block_to_payload, payload_to_block};
-use crate::symm3d::{SymmInput, SymmOutput};
+use crate::symm3d::{local_multiply, SymmInput, SymmOutput};
 
 /// A q×q×c process grid with row/column/grid-fibre communicators.
 pub struct Mesh25D<C: Communicator = Comm> {
@@ -104,13 +104,6 @@ fn roll<C: Communicator>(comm: &C, dist: isize, tag: u32, payload: Payload) -> P
         return payload;
     }
     comm.sendrecv(dst, src, tag, payload)
-}
-
-fn local_multiply<R: RankHandle>(rc: &R, c: &mut BlockBuf, a: &BlockBuf, b: &BlockBuf, rate: f64) {
-    c.gemm_acc(a, b);
-    let (m, kk) = a.dims();
-    let (_, n2) = b.dims();
-    rc.compute_flops(gemm_flops(m, kk, n2), rate);
 }
 
 /// One Cannon phase on this plane: `C += Σ_l A(i,l)·B(l,j)` over this

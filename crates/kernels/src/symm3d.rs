@@ -63,7 +63,13 @@ fn check_input<C: Communicator>(mesh: &Mesh3D<C>, grid: &BlockGrid, input: &Symm
 }
 
 /// Local GEMM: real arithmetic when blocks are real, modeled time always.
-fn local_multiply<R: RankHandle>(rc: &R, c: &mut BlockBuf, a: &BlockBuf, b: &BlockBuf, rate: f64) {
+pub(crate) fn local_multiply<R: RankHandle>(
+    rc: &R,
+    c: &mut BlockBuf,
+    a: &BlockBuf,
+    b: &BlockBuf,
+    rate: f64,
+) {
     c.gemm_acc(a, b);
     let (m, kk) = a.dims();
     let (_, n2) = b.dims();

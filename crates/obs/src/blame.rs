@@ -1,7 +1,7 @@
 //! Wait-blame attribution: fold the critical path into a tree of causes.
 //!
-//! [`critical_path_dag`](crate::critpath::critical_path_dag) tiles the
-//! makespan with segments; this module groups them into a three-level
+//! [`critical_path_dag`] tiles the makespan with segments; this module
+//! groups them into a three-level
 //! **blame tree** — kernel phase → operation → plan step — with leaf
 //! *causes* naming where the time physically went:
 //!

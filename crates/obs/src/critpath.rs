@@ -1,6 +1,6 @@
 //! Edge-aware critical-path extraction.
 //!
-//! [`analyze`](crate::analyze) ships a greedy span-only critical path;
+//! [`analyze`](crate::analyze()) ships a greedy span-only critical path;
 //! this module reconstructs the *happens-before DAG* — per-actor span
 //! sequences plus the send→recv and post→wait [`TraceEdge`]s both
 //! backends emit — and walks it backward from the makespan. The result is

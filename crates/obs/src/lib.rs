@@ -2,7 +2,7 @@
 //!
 //! Observability for the ovcomm stack: a lock-cheap [`registry`] of
 //! counters/gauges/virtual-time histograms fed by the simulator layers, an
-//! [`analyze`] pass that turns trace spans and network utilization
+//! [`analyze()`] pass that turns trace spans and network utilization
 //! integrals into overlap-efficiency numbers (how much NIC-busy time
 //! carried ≥ 2 concurrent flows — the paper's central quantity — plus the
 //! Fig.-6 per-rank compute/post/wait/idle split and a critical path), a

@@ -21,9 +21,14 @@
 //!   `ovcomm_simmpi::rma::Win<T>` over the same transport, state machine
 //!   (`WinCore`) and registry. The backend plugs in behind the narrow
 //!   `ovcomm_simmpi::transport::Transport` seam (clock, modeled charges,
-//!   raw envelope post, wait/complete, span/edge recording, op-agent
-//!   spawn, one-sided transfer and path latency — the `comm` module's
-//!   docs list each method and why the runtime needs its own);
+//!   sleep, raw envelope post, wait/complete, span/edge recording,
+//!   op-agent spawn, one-sided transfer and path latency — the `comm`
+//!   module's docs list each method and why the runtime needs its own);
+//! * the run harness: [`RtRankCtx`] is `ovcomm_simmpi::rank::RankCtx<T>`,
+//!   [`RtOutput`] and [`RtError`] are the simulator's `RunOutput` and
+//!   `RunError`, and [`run`] ends in the same `CommEnv::finish` epilogue
+//!   (panic triage, deadlock report, verify report, trace, output) — this
+//!   crate's `run` owns only the threads, the watchdog and the sampler;
 //! * the [`Request`](ovcomm_simmpi::Request) type and wait/test semantics;
 //! * collective compilation — `compile_plans` (selector + static lint
 //!   wall) and the plan interpreter;
@@ -60,11 +65,10 @@ use std::time::{Duration, Instant};
 
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
-use ovcomm_obs::MetricsSnapshot;
-use ovcomm_simmpi::transport::CommEnv;
-use ovcomm_simmpi::{actor_name, CollSelector};
-use ovcomm_simnet::{MachineProfile, NodeMap, ParkCell, SimTime, Trace};
-use ovcomm_verify::{DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
+use ovcomm_simmpi::transport::{panic_message, CommEnv};
+use ovcomm_simmpi::{CollSelector, RunError, RunOutput};
+use ovcomm_simnet::{MachineProfile, NodeMap, Trace};
+use ovcomm_verify::{Finding, VerifyMode};
 
 pub use comm::{RtComm, RtRankCtx, RtTransport, RtWin};
 
@@ -208,85 +212,14 @@ impl RtConfig {
     }
 }
 
-/// Why a runtime run failed — mirrors the simulator's `SimError`.
-#[derive(Debug)]
-pub enum RtError {
-    /// Every live thread blocked with no request completing for the
-    /// configured timeout (mismatched communication).
-    Deadlock {
-        /// The structured diagnosis (from the shared verifier).
-        report: DeadlockReport,
-    },
-    /// A rank thread (or progress worker) panicked.
-    RankPanic {
-        /// World rank of the first panicking thread.
-        rank: usize,
-        /// Panic payload rendered as a string.
-        message: String,
-    },
-    /// The run completed but `VerifyMode::Strict` analysis found
-    /// error-severity communication-correctness violations.
-    Verification {
-        /// All findings (errors first).
-        findings: Vec<Finding>,
-    },
-}
+/// Why a runtime run failed — the same [`RunError`] the simulator returns.
+pub type RtError = RunError;
 
-impl std::fmt::Display for RtError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RtError::Deadlock { report } => write!(f, "{report}"),
-            RtError::RankPanic { rank, message } => {
-                write!(f, "rank {rank} panicked: {message}")
-            }
-            RtError::Verification { findings } => {
-                let errors = findings
-                    .iter()
-                    .filter(|x| x.severity == Severity::Error)
-                    .count();
-                write!(f, "verification failed: {errors} error(s)")?;
-                for x in findings.iter().take(8) {
-                    write!(f, "\n  {x}")?;
-                }
-                if findings.len() > 8 {
-                    write!(f, "\n  ... and {} more finding(s)", findings.len() - 8)?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for RtError {}
-
-/// Results of a successful runtime run — the wall-clock analogue of the
-/// simulator's `SimOutput` (minus network-resource statistics, which only
-/// the flow model can produce).
-pub struct RtOutput<T> {
-    /// Per-rank return values of the rank closure.
-    pub results: Vec<T>,
-    /// Wall clock of each rank as its closure returned (ns since epoch).
-    pub end_times: Vec<SimTime>,
-    /// Latest end time — the measured makespan.
-    pub makespan: SimTime,
-    /// Bytes between ranks on different logical nodes.
-    pub inter_node_bytes: u64,
-    /// Bytes between ranks on the same logical node.
-    pub intra_node_bytes: u64,
-    /// Total messages.
-    pub messages: u64,
-    /// Recorded spans (wall-clock timestamps), if tracing was enabled.
-    pub trace: Option<Trace>,
-    /// Snapshot of every metric the run recorded — same metric names as
-    /// the simulator, so sim-vs-rt reports join per-rank records directly.
-    pub metrics: MetricsSnapshot,
-    /// Trace spans that arrived with `end < start` and were clamped.
-    pub clamped_spans: usize,
-    /// Communication-correctness findings and leak counters.
-    /// *Order-dependent-match* warnings are filtered out: under real
-    /// nondeterministic matching they are expected, not a defect.
-    pub verify: VerifyReport,
-}
+/// Results of a successful runtime run — the same [`RunOutput`] the
+/// simulator returns, with wall-clock times (ns since the run's epoch) and
+/// `net: None` (network-resource statistics exist only where a flow model
+/// does).
+pub type RtOutput<T> = RunOutput<T>;
 
 /// True for findings the runtime expects by construction: receive-matching
 /// order genuinely races here, so the analyzer's determinism warning about
@@ -320,17 +253,16 @@ fn expected_on_rt(f: &Finding) -> bool {
 /// .unwrap();
 /// assert_eq!(out.results[1], 42.0);
 /// ```
-// The `expect`s here are launch-time (thread spawn) and join-time (a rank
-// that did not panic must have produced a result) invariants.
+// The `expect`s here are launch-time (thread spawn) invariants.
 #[allow(clippy::expect_used)]
-pub fn run<T, F>(cfg: RtConfig, f: F) -> Result<RtOutput<T>, RtError>
+pub fn run<T, F>(cfg: RtConfig, f: F) -> Result<RunOutput<T>, RunError>
 where
     T: Send + 'static,
     F: Fn(RtRankCtx) -> T + Send + Sync + 'static,
 {
     let nranks = cfg.nodemap.nranks();
     let env = CommEnv::new(
-        nranks,
+        cfg.nodemap.clone(),
         cfg.verify,
         cfg.coll_select.clone(),
         cfg.profile.clone(),
@@ -339,19 +271,13 @@ where
     let shared = Arc::new(RtShared {
         epoch: Instant::now(),
         env,
-        nodemap: cfg.nodemap.clone(),
-        rank_end_times: Mutex::new(vec![SimTime::ZERO; nranks]),
         mailbox: crate::mailbox::LockFreeMailbox::new(nranks, RING_CAPACITY),
         progress: crate::progress::ProgressShards::new(cfg.progress_shards),
         spin_budget_ns: cfg.spin_budget.as_nanos() as u64,
-        inter_bytes: AtomicU64::new(0),
-        intra_bytes: AtomicU64::new(0),
-        messages: AtomicU64::new(0),
         prof,
         compute: cfg.compute,
         tracing: cfg.trace,
         trace: Mutex::new(Trace::new()),
-        op_panics: Mutex::new(Vec::new()),
         live: AtomicUsize::new(nranks),
         blocked: AtomicUsize::new(0),
         progress_epoch: AtomicU64::new(0),
@@ -429,18 +355,8 @@ where
                     }
                 }
                 let _guard = Finish(shared2.clone());
-                let agent = RtAgent {
-                    id: r as u32,
-                    rank: r as u32,
-                    cell: Arc::new(ParkCell::new()),
-                    op_counter: Arc::new(AtomicU64::new(0)),
-                    shared: shared2.clone(),
-                };
-                let world = RtComm::new_world(agent.clone(), world_ranks2, r);
-                let rc = RtRankCtx::new(agent, world);
-                let out = f2(rc);
-                shared2.rank_end_times.lock()[r] = shared2.now();
-                out
+                let agent = RtAgent::new(r as u32, r as u32, shared2);
+                RtRankCtx::run(agent, world_ranks2, &*f2)
             })
             .expect("failed to spawn rank thread");
         handles.push(h);
@@ -453,12 +369,7 @@ where
             Ok(v) => results.push(Some(v)),
             Err(p) => {
                 results.push(None);
-                let msg = p
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic>".to_string());
-                panics.push((r, msg));
+                panics.push((r, panic_message(&*p)));
             }
         }
     }
@@ -470,77 +381,27 @@ where
     }
     shared.progress.shutdown();
 
-    // A real bug often *causes* the deadlock that aborts everyone else;
-    // report the root cause, not the induced deadlock panics.
-    let is_deadlock_msg = |m: &str| m.contains("rt deadlock");
-    let mut op_panics = std::mem::take(&mut *shared.op_panics.lock());
-    op_panics.retain(|(_, m)| !is_deadlock_msg(m));
-    if let Some((rank, message)) = panics
-        .iter()
-        .find(|(_, m)| !is_deadlock_msg(m))
-        .cloned()
-        .or_else(|| op_panics.first().map(|(r, m)| (*r as usize, m.clone())))
-    {
-        return Err(RtError::RankPanic { rank, message });
-    }
-    if shared.aborted.load(Ordering::SeqCst) {
-        let blocked = shared.deadlock_blocked.lock().clone();
-        let report = match shared.env.verify.as_ref() {
-            Some(v) => v.deadlock_report(&blocked),
-            None => DeadlockReport::unknown(&blocked),
-        };
-        return Err(RtError::Deadlock { report });
-    }
-    if let Some((rank, message)) = panics.into_iter().next() {
-        return Err(RtError::RankPanic { rank, message });
-    }
-
-    // Analyze the communication log with the same analyzer as the
-    // simulator, minus the findings real nondeterminism legitimately
-    // produces.
-    let verify_report = shared
-        .env
-        .verify_report(|x| !expected_on_rt(x))
-        .map_err(|findings| RtError::Verification { findings })?;
-
-    let end_times = shared.rank_end_times.lock().clone();
-    let (inter, intra, messages) = (
-        shared.inter_bytes.load(Ordering::Relaxed),
-        shared.intra_bytes.load(Ordering::Relaxed),
-        shared.messages.load(Ordering::Relaxed),
-    );
-    let makespan = end_times.iter().copied().max().unwrap_or(SimTime::ZERO);
     shared
         .env
         .metrics
         .pool_spawned
         .set(shared.progress.spawned() as u64);
-    let trace = if cfg.trace {
-        Some(std::mem::replace(&mut *shared.trace.lock(), Trace::new()))
-    } else {
-        None
-    };
-    let clamped_spans = trace.as_ref().map_or(0, |t| t.clamped());
-    shared.env.metrics.spans_clamped(clamped_spans as u64);
-    if let Some(path) = &cfg.trace_out {
-        let spans: &[ovcomm_simnet::TraceSpan] = trace.as_ref().map_or(&[], |t| t.spans());
-        if let Err(e) = ovcomm_obs::write_trace(path, spans, actor_name) {
-            eprintln!("warning: failed to write trace to {}: {e}", path.display());
-        }
-    }
-    Ok(RtOutput {
-        results: results
-            .into_iter()
-            .map(|o| o.expect("non-panicked rank must produce a result"))
-            .collect(),
-        end_times,
-        makespan,
-        inter_node_bytes: inter,
-        intra_node_bytes: intra,
-        messages,
+    let deadlock = shared
+        .aborted
+        .load(Ordering::SeqCst)
+        .then(|| shared.deadlock_blocked.lock().clone());
+    let trace = cfg
+        .trace
+        .then(|| std::mem::replace(&mut *shared.trace.lock(), Trace::new()));
+    // The same analyzer as the simulator's, minus the findings real
+    // nondeterminism legitimately produces.
+    shared.env.finish::<RtAgent, T>(
+        results,
+        panics,
+        deadlock,
+        |x| !expected_on_rt(x),
         trace,
-        metrics: shared.env.metrics.snapshot(),
-        clamped_spans,
-        verify: verify_report,
-    })
+        None,
+        cfg.trace_out.as_deref(),
+    )
 }

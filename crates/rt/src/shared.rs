@@ -29,11 +29,11 @@ use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
 use ovcomm_obs::Histogram;
 use ovcomm_simmpi::payload::Payload;
-use ovcomm_simmpi::request::{ReqMeta, Request};
+use ovcomm_simmpi::request::Request;
 use ovcomm_simmpi::transport::CommEnv;
 use ovcomm_simmpi::SimMetrics;
-use ovcomm_simnet::{EdgeKind, NodeMap, ParkCell, SimTime, SpanKind, Trace, TraceEdge, TraceSpan};
-use ovcomm_verify::{Event, ReqId, INTERNAL_TAG_BIT};
+use ovcomm_simnet::{EdgeKind, ParkCell, SimTime, SpanKind, Trace, TraceEdge, TraceSpan};
+use ovcomm_verify::{Event, INTERNAL_TAG_BIT};
 
 use crate::ComputeMode;
 
@@ -99,12 +99,10 @@ pub(crate) type RecvEntry = (Request<Payload>, SimTime);
 pub(crate) struct RtShared {
     /// Wall-clock epoch; `now()` is nanoseconds since this instant.
     pub epoch: Instant,
-    /// What the communicator front end reads: metrics, verifier, plan
-    /// cache, selector, profile, communicator and window registries.
+    /// What the front end reads and the run's result is built from:
+    /// metrics, verifier, plan cache, selector, profile, node map,
+    /// registries, traffic counters, rank end times.
     pub env: CommEnv,
-    pub nodemap: NodeMap,
-    /// Final wall clock of each rank, recorded as rank closures return.
-    pub rank_end_times: Mutex<Vec<SimTime>>,
     /// The envelope-matching layer: per-rank SPSC rings + an MPSC injector
     /// in front of the sequential tables (see [`crate::mailbox`]).
     pub mailbox: LockFreeMailbox<Slot, RecvEntry>,
@@ -112,18 +110,10 @@ pub(crate) struct RtShared {
     pub progress: ProgressShards,
     /// Yield-poll budget of a wait before it falls back to parking, ns.
     pub spin_budget_ns: u64,
-    /// Bytes whose src/dst ranks live on different logical nodes (kept so
-    /// traffic accounting matches the simulator's).
-    pub inter_bytes: AtomicU64,
-    /// Bytes between ranks mapped to the same logical node.
-    pub intra_bytes: AtomicU64,
-    /// Total messages sent.
-    pub messages: AtomicU64,
     pub prof: RtProf,
     pub compute: ComputeMode,
     pub tracing: bool,
     pub trace: Mutex<Trace>,
-    pub op_panics: Mutex<Vec<(u32, String)>>,
     /// Threads currently executing user or collective code: rank threads
     /// plus outstanding nonblocking-collective jobs.
     pub live: AtomicUsize,
@@ -156,18 +146,6 @@ impl RtShared {
             cell.wake_direct(at);
         }
         self.progress_epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one message of `n` bytes from world rank `src` to `dst` in
-    /// the run's traffic counters (same inter/intra split as the
-    /// simulator).
-    pub fn count_message(&self, src: u32, dst: u32, n: usize) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        if self.nodemap.node_of(src as usize) == self.nodemap.node_of(dst as usize) {
-            self.intra_bytes.fetch_add(n as u64, Ordering::Relaxed);
-        } else {
-            self.inter_bytes.fetch_add(n as u64, Ordering::Relaxed);
-        }
     }
 
     /// Record a trace span (no-op unless tracing).
@@ -214,40 +192,6 @@ impl RtShared {
             to_actor,
             to_time,
         });
-    }
-
-    /// Record a panic that unwound a progress job.
-    pub fn record_op_panic(&self, rank: u32, msg: String) {
-        self.op_panics.lock().push((rank, msg));
-    }
-
-    /// Charge modeled time per the run's [`ComputeMode`]: skipped entirely,
-    /// or emulated by really sleeping for the modeled duration.
-    pub fn charge(&self, d: ovcomm_simnet::SimDur) {
-        match self.compute {
-            ComputeMode::Skip => {}
-            ComputeMode::Emulate => {
-                if d.as_nanos() > 0 {
-                    std::thread::sleep(Duration::from_nanos(d.as_nanos()));
-                }
-            }
-        }
-    }
-
-    /// A fresh request, tracked when verification is on. `record` builds
-    /// the post event for the minted request id.
-    pub fn new_req<T>(&self, record: impl FnOnce(ReqId) -> Event) -> Request<T> {
-        match self.env.verify.as_ref() {
-            Some(v) => {
-                let id = v.next_req_id();
-                v.record(record(id));
-                Request::new_tracked(ReqMeta {
-                    verifier: v.clone(),
-                    id,
-                })
-            }
-            None => Request::new(),
-        }
     }
 
     /// Block `agent` (parked on `cell`) until `req` completes; returns the
@@ -330,7 +274,7 @@ impl RtShared {
     ) -> Request<()> {
         let n = payload.len();
         let eager = n < self.env.profile.eager_limit;
-        let req = self.new_req::<()>(|id| Event::SendPost {
+        let req = self.env.new_req::<()>(|id| Event::SendPost {
             agent,
             rank,
             ctx: key.ctx,
@@ -345,7 +289,7 @@ impl RtShared {
             // Buffered: the sender may proceed immediately.
             self.complete(&req, ());
         }
-        self.count_message(key.src, key.dst, n);
+        self.env.count_message(key.src, key.dst, n);
         let slot = Slot {
             payload,
             sender_req: req.clone(),
@@ -364,7 +308,7 @@ impl RtShared {
         site: ovcomm_verify::Site,
         key: RtKey,
     ) -> Request<Payload> {
-        let req = self.new_req::<Payload>(|id| Event::RecvPost {
+        let req = self.env.new_req::<Payload>(|id| Event::RecvPost {
             agent,
             rank,
             ctx: key.ctx,
@@ -409,7 +353,8 @@ impl RtShared {
             send,
             recv: (recv_req, recv_posted_at),
         } = m;
-        self.record_match(send.sender_req.verify_id(), recv_req.verify_id());
+        self.env
+            .record_match(send.sender_req.verify_id(), recv_req.verify_id());
         let now = self.now();
         let send_first = send.posted_at <= recv_posted_at;
         if !send.eager {
@@ -432,13 +377,5 @@ impl RtShared {
             self.complete(&send.sender_req, ());
         }
         self.complete(&recv_req, send.payload);
-    }
-
-    /// Record a send/recv pairing (before either completion, mirroring the
-    /// simulator's log ordering guarantee).
-    fn record_match(&self, send: Option<ReqId>, recv: Option<ReqId>) {
-        if let (Some(v), Some(s), Some(r)) = (self.env.verify.as_ref(), send, recv) {
-            v.record(Event::Match { send: s, recv: r });
-        }
     }
 }

@@ -9,8 +9,8 @@
 //! rendezvous-handshake state machines can be exhaustively schedule-tested
 //! (`tests/loom.rs`) without a second copy of the protocol code.
 //!
-//! One deliberate exception: the `CommEnv` embedded in
-//! [`crate::shared::RtShared`] (plan cache, communicator registry) uses
+//! One deliberate exception: the `CommEnv` embedded in `RtShared` (plan
+//! cache, communicator registry, traffic counters) uses
 //! `parking_lot::Mutex` and `std` atomics unconditionally, as does the
 //! communicator front end built on it — both are `ovcomm-simmpi` code
 //! shared verbatim with the simulator backend, and neither is on a

@@ -360,3 +360,42 @@ fn empty_runs_do_not_wait_out_the_watchdog_tick() {
         "20 empty runs took {took:?} (>= 20 ms each means the watchdog join sleeps)"
     );
 }
+
+/// 32 rank threads on however few cores this box has: most of the time a
+/// runnable thread is descheduled, not blocked. The watchdog's
+/// `live`/`blocked`/`progress_epoch` accounting must never read that as
+/// "everyone is blocked and nothing completes", even with a 200 ms timeout.
+#[test]
+fn watchdog_stays_quiet_under_oversubscription() {
+    const N_DUP: usize = 4;
+    let out = run(
+        cfg(32, 4).with_deadlock_timeout(Duration::from_millis(200)),
+        |rc: RtRankCtx| {
+            let w = rc.world();
+            let (me, p) = (rc.rank(), rc.nranks());
+            let dups = w.dup_n(N_DUP);
+            let mut sum = 0.0;
+            for round in 0..5 {
+                let reqs: Vec<_> = dups
+                    .iter()
+                    .map(|c| {
+                        c.iallreduce(Payload::from_f64s(&vec![(me + round) as f64; 16 * 1024]))
+                    })
+                    .collect();
+                let ring = Payload::from_vec(bytes(128 * 1024, me as u64));
+                let got = w.sendrecv((me + 1) % p, (me + p - 1) % p, round as u32, ring);
+                assert_eq!(got.len(), 128 * 1024);
+                for r in &reqs {
+                    sum += w.wait(r).to_f64s()[0];
+                }
+                w.barrier();
+            }
+            sum
+        },
+    )
+    .expect("a live run must not be declared deadlocked");
+    // Per round every element sums to Σ_r (r + round) over 32 ranks.
+    let want: f64 = (0..5).map(|k| (N_DUP * (496 + 32 * k)) as f64).sum();
+    assert!(out.results.iter().all(|&s| s == want), "{:?}", out.results);
+    assert!(out.verify.findings.is_empty(), "{:?}", out.verify.findings);
+}

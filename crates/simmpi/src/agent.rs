@@ -187,56 +187,11 @@ impl Agent {
         let t = self.uni.engine.park(&self.cell);
         self.advance_to(t);
     }
-
-    /// Sleep for `d` of virtual time.
-    pub(crate) fn sleep(&self, d: SimDur) {
-        let wake_at = self.now() + d;
-        let cell = self.cell.clone();
-        self.schedule(
-            wake_at,
-            CLASS_TIMER,
-            Box::new(move |e| {
-                e.wake(&cell, wake_at);
-            }),
-        );
-        let t = self.uni.engine.park(&self.cell);
-        self.advance_to(t);
-    }
-
-    /// Record a trace span if tracing is on (label built lazily).
-    pub(crate) fn trace_span(
-        &self,
-        kind: SpanKind,
-        start: SimTime,
-        end: SimTime,
-        label: impl FnOnce() -> String,
-    ) {
-        self.trace_span_chunk(kind, None, start, end, label);
-    }
-
-    /// Record a trace span carrying a pipeline chunk index.
-    pub(crate) fn trace_span_chunk(
-        &self,
-        kind: SpanKind,
-        chunk: Option<u32>,
-        start: SimTime,
-        end: SimTime,
-        label: impl FnOnce() -> String,
-    ) {
-        if self.uni.tracing {
-            self.uni.engine.record_span(TraceSpan {
-                actor: self.id,
-                kind,
-                label: label(),
-                chunk,
-                start,
-                end,
-            });
-        }
-    }
 }
 
 impl Transport for Agent {
+    const NAME: &'static str = "sim";
+
     fn id(&self) -> u32 {
         self.id
     }
@@ -261,7 +216,7 @@ impl Transport for Agent {
         self.advance(d);
     }
 
-    fn charge_slack(&self, d: SimDur) {
+    fn charge(&self, d: SimDur) {
         self.advance(d);
     }
 
@@ -269,6 +224,22 @@ impl Transport for Agent {
     /// concurrent collectives on one rank contend for it.
     fn charge_reduce(&self, n: usize) {
         self.reduce_compute(n);
+    }
+
+    /// A timer event wakes the parked fiber `d` from now. Not `advance`:
+    /// a `test`-poll loop must yield to the engine between probes.
+    fn sleep(&self, d: SimDur) {
+        let wake_at = self.now() + d;
+        let cell = self.cell.clone();
+        self.schedule(
+            wake_at,
+            CLASS_TIMER,
+            Box::new(move |e| {
+                e.wake(&cell, wake_at);
+            }),
+        );
+        let t = self.uni.engine.park(&self.cell);
+        self.advance_to(t);
     }
 
     fn isend_raw(&self, site: Site, ctx: u32, dst: u32, tag: u64, payload: Payload) -> Request<()> {
@@ -295,7 +266,16 @@ impl Transport for Agent {
         end: SimTime,
         label: impl FnOnce() -> String,
     ) {
-        self.trace_span_chunk(kind, chunk, start, end, label);
+        if self.uni.tracing {
+            self.uni.engine.record_span(TraceSpan {
+                actor: self.id,
+                kind,
+                label: label(),
+                chunk,
+                start,
+                end,
+            });
+        }
     }
 
     fn edge(
@@ -353,12 +333,7 @@ impl Transport for Agent {
                 if e.downcast_ref::<ForcedUnwind>().is_some() {
                     std::panic::resume_unwind(e);
                 }
-                let msg = e
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| e.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<op actor panic>".to_string());
-                uni2.record_op_panic(rank, msg);
+                uni2.env.record_op_panic(rank, &*e);
             }
         };
         // Register before returning so the engine cannot advance past the

@@ -89,8 +89,7 @@ impl<T: Transport> CollCtx<'_, T> {
 
     /// Charge one communication round of software slack.
     pub fn slack(&self) {
-        self.agent
-            .charge_slack(self.agent.env().profile.coll_round_slack);
+        self.agent.charge(self.agent.env().profile.coll_round_slack);
     }
 
     /// Charge the local reduction of an `n`-byte operand (the executor

@@ -19,14 +19,14 @@ use std::sync::Arc;
 
 use ovcomm_simnet::{EdgeKind, SimTime, SpanKind};
 use ovcomm_verify::plan::{self, CollPlan};
-use ovcomm_verify::{CollKind, Event as VEvent, ReqId, Site, VerifyMode};
+use ovcomm_verify::{CollKind, Event as VEvent, Site, VerifyMode};
 
 use crate::coll::CollCtx;
 use crate::collsel::CollSelector;
 use crate::metrics::OpKind;
 use crate::payload::Payload;
 use crate::planexec::execute_plan;
-use crate::request::{ReqMeta, Request};
+use crate::request::Request;
 use crate::rma::Win;
 use crate::state::SplitResult;
 use crate::transport::{CommEnv, Transport, WORLD_CTX};
@@ -844,32 +844,19 @@ impl<T: Transport> Comm<T> {
 
         let rank = self.agent.rank();
         let id = op_actor_id(rank, self.agent.next_op_index());
-        let (req, vid): (Request<R>, Option<ReqId>) = match env.verify.as_ref() {
-            Some(v) => {
-                let rid = v.next_req_id();
-                v.record(VEvent::Coll {
-                    agent: self.agent.id(),
-                    rank,
-                    ctx: self.info.ctx,
-                    kind,
-                    root: root.map(|r| r as u32),
-                    len: n,
-                    blocking: false,
-                    req: Some(rid),
-                    op_agent: Some(id),
-                    site: Some(site),
-                });
-                (
-                    Request::new_tracked(ReqMeta {
-                        verifier: v.clone(),
-                        id: rid,
-                    }),
-                    Some(rid),
-                )
-            }
-            None => (Request::new(), None),
-        };
-        let req2 = req.clone();
+        let req: Request<R> = env.new_req(|rid| VEvent::Coll {
+            agent: self.agent.id(),
+            rank,
+            ctx: self.info.ctx,
+            kind,
+            root: root.map(|r| r as u32),
+            len: n,
+            blocking: false,
+            req: Some(rid),
+            op_agent: Some(id),
+            site: Some(site),
+        });
+        let (req2, vid) = (req.clone(), req.verify_id());
         let info = self.info.clone();
         self.agent.spawn_op(id, info.ctx, move |agent: &T| {
             let cctx = CollCtx {

@@ -18,7 +18,7 @@
 //!   `scatter`, `gather`, `allgather` — each compiled to a per-rank
 //!   [`CollPlan`](plan::CollPlan) schedule (binomial, recursive
 //!   doubling/halving, Rabenseifner, ring, …) chosen by a tunable
-//!   [`CollSelector`](collsel::CollSelector), statically linted, and run
+//!   [`CollSelector`], statically linted, and run
 //!   by one shared plan executor;
 //! * MPI-3 nonblocking collectives: `ibcast`, `ireduce`, `iallreduce`,
 //!   `ibarrier` — each runs on its own progress actor, so posted operations
@@ -47,6 +47,7 @@ pub mod collsel;
 pub mod comm;
 pub mod payload;
 mod planexec;
+pub mod rank;
 pub mod request;
 pub mod transport;
 pub mod universe;
@@ -61,6 +62,16 @@ pub type SimTransport = agent::Agent;
 /// front end [`comm::Comm`] over the virtual-time transport.
 pub type Comm = comm::Comm<SimTransport>;
 
+/// The handle passed to each simulated rank's closure — the generic
+/// [`rank::RankCtx`] over the virtual-time transport.
+pub type RankCtx = rank::RankCtx<SimTransport>;
+
+/// Why a simulated run failed.
+pub type SimError = RunError;
+
+/// Results of a successful simulated run (`net` is always `Some`).
+pub type SimOutput<T> = RunOutput<T>;
+
 // Hidden exports for the `ovcomm-rt` wall-clock backend, which shares the
 // simulator's communicator front end, request type, plan compilation
 // and metric shapes so both backends present one surface.
@@ -72,6 +83,7 @@ pub use ovcomm_verify::plan;
 pub use ovcomm_verify::plan::CollAlgo;
 pub use ovcomm_verify::{CollKind, DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
 pub use payload::Payload;
+pub use rank::{RunError, RunOutput};
 pub use request::Request;
 pub use rma::SimWin;
-pub use universe::{actor_name, run, RankCtx, SimConfig, SimError, SimOutput};
+pub use universe::{actor_name, run, SimConfig};

@@ -30,17 +30,9 @@ use ovcomm_verify::{Event, ReqId, Site, INTERNAL_TAG_BIT};
 
 use crate::agent::{Agent, CLASS_P2P};
 use crate::payload::Payload;
-use crate::request::{ReqMeta, Request};
+use crate::request::Request;
 use crate::state::{MatchKey, MsgId, SendSlot, SlotState};
 use crate::universe::UniShared;
-
-/// Record a send/recv pairing decided by the matching layer. Always called
-/// before either request completes, so analyses can rely on log order.
-fn record_match(uni: &UniShared, send: Option<ReqId>, recv: Option<ReqId>) {
-    if let (Some(v), Some(s), Some(r)) = (uni.env.verify.as_ref(), send, recv) {
-        v.record(Event::Match { send: s, recv: r });
-    }
-}
 
 /// Transfer path parameters: resources, per-stream cap, latency, rendezvous
 /// handshake extra.
@@ -52,7 +44,8 @@ pub(crate) struct Path {
 }
 
 pub(crate) fn path_params(uni: &UniShared, src: u32, dst: u32, n: usize) -> Path {
-    let (src_node, dst_node) = (uni.node_of(src), uni.node_of(dst));
+    let map = &uni.env.nodemap;
+    let (src_node, dst_node) = (map.node_of(src as usize), map.node_of(dst as usize));
     let (resources, intra) = uni.resources.path(src_node, dst_node);
     let p = &uni.env.profile;
     if intra {
@@ -89,27 +82,17 @@ pub(crate) fn isend_raw(
         cost += uni.env.profile.copy_time(n);
     }
     agent.advance(cost);
-    let req = match uni.env.verify.as_ref() {
-        Some(v) => {
-            let id = v.next_req_id();
-            v.record(Event::SendPost {
-                agent: agent.id,
-                rank: agent.rank,
-                ctx,
-                dst,
-                tag,
-                bytes: n,
-                internal: tag & INTERNAL_TAG_BIT != 0,
-                req: id,
-                site: Some(site),
-            });
-            Request::<()>::new_tracked(ReqMeta {
-                verifier: v.clone(),
-                id,
-            })
-        }
-        None => Request::<()>::new(),
-    };
+    let req = uni.env.new_req::<()>(|id| Event::SendPost {
+        agent: agent.id,
+        rank: agent.rank,
+        ctx,
+        dst,
+        tag,
+        bytes: n,
+        internal: tag & INTERNAL_TAG_BIT != 0,
+        req: id,
+        site: Some(site),
+    });
     if eager {
         // Buffered: the sender may reuse its buffer immediately.
         let none = req.complete((), agent.now());
@@ -143,26 +126,16 @@ pub(crate) fn irecv_raw(
 ) -> Request<Payload> {
     let uni = agent.uni.clone();
     agent.advance(uni.env.profile.small_post);
-    let req = match uni.env.verify.as_ref() {
-        Some(v) => {
-            let id = v.next_req_id();
-            v.record(Event::RecvPost {
-                agent: agent.id,
-                rank: agent.rank,
-                ctx,
-                src,
-                tag,
-                internal: tag & INTERNAL_TAG_BIT != 0,
-                req: id,
-                site: Some(site),
-            });
-            Request::<Payload>::new_tracked(ReqMeta {
-                verifier: v.clone(),
-                id,
-            })
-        }
-        None => Request::<Payload>::new(),
-    };
+    let req = uni.env.new_req::<Payload>(|id| Event::RecvPost {
+        agent: agent.id,
+        rank: agent.rank,
+        ctx,
+        src,
+        tag,
+        internal: tag & INTERNAL_TAG_BIT != 0,
+        req: id,
+        site: Some(site),
+    });
     let key = MatchKey {
         ctx,
         src,
@@ -192,11 +165,11 @@ fn inject_send(
 ) {
     let n = payload.len();
     let sender_vid = sender_req.verify_id();
+    uni.env.count_message(key.src, key.dst, n);
     let msg_id;
     let matched_recv;
     {
         let mut st = uni.state.lock();
-        st.count_message(uni.node_of(key.src) == uni.node_of(key.dst), n);
         msg_id = st.alloc_msg_id();
         matched_recv = st.recv_q.get_mut(&key).and_then(|q| q.pop_front());
         let slot = SendSlot {
@@ -217,7 +190,7 @@ fn inject_send(
         }
     }
     if let Some(recv) = &matched_recv {
-        record_match(uni, sender_vid, recv.verify_id());
+        uni.env.record_match(sender_vid, recv.verify_id());
     }
     if eager {
         launch_eager_flow(uni, key, msg_id, n, ts);
@@ -269,10 +242,10 @@ fn inject_recv(uni: &Arc<UniShared>, key: MatchKey, req: Request<Payload>, tr: S
     match outcome {
         Outcome::Queued => {}
         Outcome::Bound(svid) => {
-            record_match(uni, svid, req.verify_id());
+            uni.env.record_match(svid, req.verify_id());
         }
         Outcome::DeliverNow(payload, n, svid) => {
-            record_match(uni, svid, req.verify_id());
+            uni.env.record_match(svid, req.verify_id());
             // Data already sits in the receiver's internal buffer: one
             // unpack copy from now.
             let done = tr + uni.env.profile.copy_time(n);
@@ -280,7 +253,7 @@ fn inject_recv(uni: &Arc<UniShared>, key: MatchKey, req: Request<Payload>, tr: S
             uni.complete(&req, payload, done);
         }
         Outcome::Rendezvous(id, n, svid) => {
-            record_match(uni, svid, req.verify_id());
+            uni.env.record_match(svid, req.verify_id());
             start_rendezvous(uni, key, id, n, req, tr);
         }
     }
@@ -386,9 +359,7 @@ pub(crate) fn rma_transfer(
     done: Request<()>,
 ) {
     let uni = agent.uni.clone();
-    uni.state
-        .lock()
-        .count_message(uni.node_of(src) == uni.node_of(dst), n);
+    uni.env.count_message(src, dst, n);
     let path = path_params(&uni, src, dst, n);
     let ts = agent.now();
     let start_at = ts + path.alpha;

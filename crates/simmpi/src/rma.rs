@@ -46,7 +46,7 @@ use ovcomm_verify::{Event as VEvent, RmaKind, Site};
 
 use crate::comm::Comm;
 use crate::payload::Payload;
-use crate::request::{ReqMeta, Request};
+use crate::request::Request;
 use crate::transport::Transport;
 
 /// Committed bytes of one rank's exposed segment.
@@ -488,27 +488,17 @@ impl<T: Transport> Win<T> {
         let t0 = agent.now();
         agent.charge_post(env.profile.small_post);
         env.rma_metric(agent.rank(), "get", len);
-        let req = match env.verify.as_ref() {
-            Some(v) => {
-                let id = v.next_req_id();
-                v.record(VEvent::RmaOp {
-                    agent: agent.id(),
-                    rank: agent.rank(),
-                    win: self.id,
-                    kind: RmaKind::Get,
-                    target: target as u32,
-                    offset,
-                    len,
-                    req: Some(id),
-                    site: Some(site),
-                });
-                Request::new_tracked(ReqMeta {
-                    verifier: v.clone(),
-                    id,
-                })
-            }
-            None => Request::new(),
-        };
+        let req = env.new_req(|id| VEvent::RmaOp {
+            agent: agent.id(),
+            rank: agent.rank(),
+            win: self.id,
+            kind: RmaKind::Get,
+            target: target as u32,
+            offset,
+            len,
+            req: Some(id),
+            site: Some(site),
+        });
         agent.span(SpanKind::Post, None, t0, agent.now(), || {
             format!("MPI_Rget post {len}B <- {target}")
         });

@@ -1,5 +1,5 @@
-//! Shared MPI library state: message matching and traffic statistics
-//! ([`MpiState`], simulator-only), and the communicator-context and split
+//! Shared MPI library state: message matching ([`MpiState`],
+//! simulator-only), and the communicator-context and split
 //! registries ([`CommRegistry`], shared by both backends through
 //! `CommEnv`).
 //!
@@ -67,14 +67,6 @@ pub(crate) struct MpiState {
     /// All live send slots.
     pub slots: HashMap<MsgId, SendSlot>,
     pub next_msg_id: u64,
-    /// Inter-node bytes injected into the network.
-    pub inter_bytes: u64,
-    /// Intra-node (shared-memory) bytes.
-    pub intra_bytes: u64,
-    /// Total messages sent.
-    pub messages: u64,
-    /// Final virtual clock of each rank, recorded as rank closures return.
-    pub rank_end_times: Vec<SimTime>,
 }
 
 /// The communicator registry of one run: context allocation and the
@@ -112,16 +104,6 @@ pub(crate) struct SplitResult {
 }
 
 impl MpiState {
-    /// Count one message of `n` bytes, intra- or inter-node.
-    pub fn count_message(&mut self, intra: bool, n: usize) {
-        self.messages += 1;
-        if intra {
-            self.intra_bytes += n as u64;
-        } else {
-            self.inter_bytes += n as u64;
-        }
-    }
-
     pub fn alloc_msg_id(&mut self) -> MsgId {
         let id = MsgId(self.next_msg_id);
         self.next_msg_id += 1;

@@ -1,26 +1,31 @@
 //! The seam between the communicator front end and a backend.
 //!
 //! [`Comm<T>`](crate::comm::Comm) — dup/split, point-to-point, wait/test,
-//! every blocking and nonblocking collective — and the one-sided
-//! [`Win<T>`](crate::rma::Win) are each written once, against two things:
-//! the [`CommEnv`] both backends embed in their shared state (metrics,
-//! verifier, plan cache, selector, profile, and the communicator-context
-//! and window registries), and the [`Transport`] trait, which carries
-//! only what the virtual-time simulator and the wall-clock runtime really
-//! do differently. A method whose two implementations would have the
-//! same body belongs in the front end, not here.
+//! every blocking and nonblocking collective — the one-sided
+//! [`Win<T>`](crate::rma::Win) and the per-rank context
+//! [`RankCtx<T>`](crate::rank::RankCtx) are each written once, against two
+//! things: the [`CommEnv`] both backends embed in their shared state
+//! (metrics, verifier, plan cache, selector, profile, node map, the
+//! communicator-context and window registries, and what a run accumulates
+//! for its result: traffic counters, rank end times, captured progress-actor
+//! panics), and the [`Transport`] trait, which carries only what the
+//! virtual-time simulator and the wall-clock runtime really do differently.
+//! A method whose two implementations would have the same body belongs in
+//! the front end, not here.
 
+use std::any::Any;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ovcomm_simnet::{EdgeKind, MachineProfile, SimDur, SimTime, SpanKind};
-use ovcomm_verify::{Finding, Site, Verifier, VerifyMode, VerifyReport};
+use ovcomm_simnet::{EdgeKind, MachineProfile, NodeMap, SimDur, SimTime, SpanKind};
+use ovcomm_verify::{Event, Finding, ReqId, Site, Verifier, VerifyMode, VerifyReport};
 
 use crate::collsel::CollSelector;
 use crate::metrics::SimMetrics;
 use crate::payload::Payload;
-use crate::request::Request;
+use crate::request::{ReqMeta, Request};
 use crate::rma::Windows;
 use crate::state::CommRegistry;
 use crate::universe::PlanCache;
@@ -52,20 +57,45 @@ pub struct CommEnv {
     pub plan_cache: Mutex<PlanCache>,
     /// The machine profile (protocol switch, modeled software costs).
     pub profile: MachineProfile,
+    /// Rank → node placement. On the runtime everything is physically one
+    /// process; the map still scopes PPN logic and the inter/intra split
+    /// of the traffic counters.
+    pub nodemap: NodeMap,
     /// Communicator-context allocation and in-progress `split` gathers.
     pub(crate) comms: Mutex<CommRegistry>,
     /// Live one-sided windows.
     pub(crate) windows: Mutex<Windows>,
+    /// Bytes sent between ranks on different nodes.
+    pub(crate) inter_bytes: AtomicU64,
+    /// Bytes sent between ranks on the same node.
+    pub(crate) intra_bytes: AtomicU64,
+    /// Messages sent.
+    pub(crate) messages: AtomicU64,
+    /// Final clock of each rank, recorded as its closure returns.
+    pub(crate) rank_end_times: Mutex<Vec<SimTime>>,
+    /// `(rank, message)` of every panic that unwound a progress actor.
+    pub(crate) op_panics: Mutex<Vec<(u32, String)>>,
+}
+
+/// Render a caught panic payload as the message `panic!` was given.
+#[doc(hidden)]
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic>".to_string())
 }
 
 impl CommEnv {
-    /// A fresh environment for an `nranks`-rank run.
+    /// A fresh environment for a run of `nodemap.nranks()` ranks.
     pub fn new(
-        nranks: usize,
+        nodemap: NodeMap,
         verify_mode: VerifyMode,
         coll_select: CollSelector,
         profile: MachineProfile,
     ) -> CommEnv {
+        let nranks = nodemap.nranks();
         CommEnv {
             metrics: SimMetrics::new(nranks),
             verify: match verify_mode {
@@ -76,9 +106,58 @@ impl CommEnv {
             coll_select,
             plan_cache: Mutex::new(PlanCache::new()),
             profile,
+            nodemap,
             comms: Mutex::new(CommRegistry::new(WORLD_CTX + 1)),
             windows: Mutex::new(Windows::new()),
+            inter_bytes: AtomicU64::new(0),
+            intra_bytes: AtomicU64::new(0),
+            messages: AtomicU64::new(0),
+            rank_end_times: Mutex::new(vec![SimTime::ZERO; nranks]),
+            op_panics: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Count one message of `n` bytes from world rank `src` to `dst`,
+    /// intra- or inter-node by the node map.
+    pub fn count_message(&self, src: u32, dst: u32, n: usize) {
+        self.messages.fetch_add(1, Ordering::Relaxed);
+        let intra = self.nodemap.node_of(src as usize) == self.nodemap.node_of(dst as usize);
+        let bytes = if intra {
+            &self.intra_bytes
+        } else {
+            &self.inter_bytes
+        };
+        bytes.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// A fresh request, tracked when verification is on. `event` builds
+    /// the post event for the minted request id.
+    pub fn new_req<V>(&self, event: impl FnOnce(ReqId) -> Event) -> Request<V> {
+        match self.verify.as_ref() {
+            Some(v) => {
+                let id = v.next_req_id();
+                v.record(event(id));
+                Request::new_tracked(ReqMeta {
+                    verifier: v.clone(),
+                    id,
+                })
+            }
+            None => Request::new(),
+        }
+    }
+
+    /// Record a send/recv pairing decided by the matching layer. Always
+    /// called before either request completes, so analyses can rely on
+    /// log order.
+    pub fn record_match(&self, send: Option<ReqId>, recv: Option<ReqId>) {
+        if let (Some(v), Some(s), Some(r)) = (self.verify.as_ref(), send, recv) {
+            v.record(Event::Match { send: s, recv: r });
+        }
+    }
+
+    /// Record a panic that unwound a progress actor of `rank`.
+    pub fn record_op_panic(&self, rank: u32, payload: &(dyn Any + Send)) {
+        self.op_panics.lock().push((rank, panic_message(payload)));
     }
 
     /// Bump the on-demand `rma.*` counters: one call of `op` moving
@@ -120,11 +199,14 @@ impl CommEnv {
 ///
 /// * identity (`id`, `rank`, `next_op_index`) — held by each backend's
 ///   agent next to its clock or park cell;
+/// * `NAME` — `"sim"` or `"rt"`, stamped on every result;
 /// * `now` — a per-agent virtual clock vs. the wall;
-/// * `charge_post` / `charge_slack` / `charge_reduce` — modeled software
-///   costs: clock bumps (and a shared γ-reduce CPU resource) on the
-///   simulator; nothing, or a `ComputeMode::Emulate` sleep, on the
-///   runtime, where the real cost *is* the code;
+/// * `charge_post` / `charge` / `charge_reduce` — modeled costs: clock
+///   bumps (and a shared γ-reduce CPU resource) on the simulator; nothing,
+///   or a `ComputeMode::Emulate` sleep, on the runtime, where the real cost
+///   *is* the code;
+/// * `sleep` — a timer event the fiber parks on (so a `test`-poll loop
+///   yields to the engine) vs. a real, capped `thread::sleep`;
 /// * `isend_raw` / `irecv_raw` — the `(ctx, src, dst, tag64)` envelope
 ///   goes to the flow-network matcher or the shared-memory mailbox;
 /// * `wait` / `complete` — park under the event engine and wake at a
@@ -138,6 +220,10 @@ impl CommEnv {
 ///   bytes are already in shared memory and a notification is free.
 #[doc(hidden)]
 pub trait Transport: Clone + Send + Sync + Sized + 'static {
+    /// `"sim"` or `"rt"` — recorded into run outputs and bench records so
+    /// every result names the backend that produced it.
+    const NAME: &'static str;
+
     /// Actor id of this agent (equals `rank` for rank agents;
     /// high-bit-tagged for operation agents).
     fn id(&self) -> u32;
@@ -155,11 +241,16 @@ pub trait Transport: Clone + Send + Sync + Sized + 'static {
     /// posting a nonblocking collective or a one-sided operation, an
     /// epoch close's apply copy, a free window lock's round trip.
     fn charge_post(&self, d: SimDur);
-    /// Charge one communication round of collective software slack.
-    fn charge_slack(&self, d: SimDur);
+    /// Charge modeled time that no code on the runtime stands for: a
+    /// collective round's software slack, a kernel's modeled compute.
+    fn charge(&self, d: SimDur);
     /// Charge the local reduction of an `n`-byte operand (the plan
     /// executor performs the actual arithmetic).
     fn charge_reduce(&self, n: usize);
+    /// Give up the processor for `d` (the `usleep` of the paper's
+    /// sleep/poll mechanism, §III-B). Unlike a charge, other agents run
+    /// meanwhile.
+    fn sleep(&self, d: SimDur);
 
     /// Post a nonblocking send of `payload` to world rank `dst` on context
     /// `ctx` with the full 64-bit `tag` (user tags live in the low 32

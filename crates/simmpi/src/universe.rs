@@ -1,25 +1,26 @@
 //! The simulation universe: launches one fiber per rank, runs the event
-//! loop on the calling thread, and collects results.
+//! loop on the calling thread, and hands what the ranks left behind to the
+//! shared epilogue (`CommEnv::finish`).
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ovcomm_obs::MetricsSnapshot;
 use ovcomm_simnet::{
-    ClusterResources, ClusterSpec, Engine, Fabric, Fiber, ForcedUnwind, MachineProfile, NetStats,
-    NodeMap, ParkCell, ResourceKind, SimDur, SimTime, Trace,
+    ClusterResources, ClusterSpec, Engine, Fabric, Fiber, ForcedUnwind, MachineProfile, NodeMap,
+    ParkCell, ResourceKind, SimTime,
 };
 use ovcomm_verify::plan::{CollAlgo, CollPlan};
-use ovcomm_verify::{DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
+use ovcomm_verify::VerifyMode;
 
 use crate::agent::Agent;
 use crate::collsel::CollSelector;
+use crate::rank::{RunError, RunOutput};
 use crate::request::Request;
 use crate::state::MpiState;
-use crate::transport::CommEnv;
-use crate::Comm;
+use crate::transport::{panic_message, CommEnv};
+use crate::RankCtx;
 
 /// Configuration for one simulated run.
 pub struct SimConfig {
@@ -116,97 +117,15 @@ impl SimConfig {
     }
 }
 
-/// Why a run failed.
-#[derive(Debug)]
-pub enum SimError {
-    /// All ranks blocked with no event pending (mismatched communication).
-    /// The report names each blocked rank's pending operation and, when one
-    /// exists, the wait-for cycle among ranks.
-    Deadlock {
-        /// The structured diagnosis.
-        report: DeadlockReport,
-    },
-    /// A rank (or one of its progress actors) panicked.
-    RankPanic {
-        /// World rank that panicked (the lowest, when several did).
-        rank: usize,
-        /// Panic payload rendered as a string.
-        message: String,
-    },
-    /// The run completed but `VerifyMode::Strict` analysis found
-    /// error-severity communication-correctness violations.
-    Verification {
-        /// All findings (errors first).
-        findings: Vec<Finding>,
-    },
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::Deadlock { report } => write!(f, "{report}"),
-            SimError::RankPanic { rank, message } => {
-                write!(f, "rank {rank} panicked: {message}")
-            }
-            SimError::Verification { findings } => {
-                let errors = findings
-                    .iter()
-                    .filter(|x| x.severity == Severity::Error)
-                    .count();
-                write!(f, "verification failed: {errors} error(s)")?;
-                for x in findings.iter().take(8) {
-                    write!(f, "\n  {x}")?;
-                }
-                if findings.len() > 8 {
-                    write!(f, "\n  ... and {} more finding(s)", findings.len() - 8)?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-/// Results of a successful run.
-pub struct SimOutput<T> {
-    /// Per-rank return values of the rank closure.
-    pub results: Vec<T>,
-    /// Final virtual clock of each rank.
-    pub end_times: Vec<SimTime>,
-    /// Latest final clock across ranks — the virtual makespan.
-    pub makespan: SimTime,
-    /// Total bytes that crossed node boundaries.
-    pub inter_node_bytes: u64,
-    /// Total bytes moved through intra-node shared memory.
-    pub intra_node_bytes: u64,
-    /// Total messages.
-    pub messages: u64,
-    /// Recorded spans, if tracing was enabled.
-    pub trace: Option<Trace>,
-    /// Snapshot of every metric the run recorded (byte/call counters,
-    /// virtual-time histograms, pool gauges).
-    pub metrics: MetricsSnapshot,
-    /// Per-resource utilization integrals and flow queueing-delay totals.
-    pub net: NetStats,
-    /// Trace spans that arrived with `end < start` and were clamped —
-    /// non-zero indicates an instrumentation bug upstream.
-    pub clamped_spans: usize,
-    /// Communication-correctness findings and leak counters (empty when
-    /// verification was off). Under `Strict`, error findings abort the run
-    /// instead, so this carries warnings only.
-    pub verify: VerifyReport,
-}
-
 /// Everything shared between rank actors, progress actors and engine
 /// callbacks.
 pub(crate) struct UniShared {
     pub engine: Engine,
     pub state: Mutex<MpiState>,
-    /// What the communicator front end reads: metrics, verifier, plan
-    /// cache, selector, profile, communicator registry.
+    /// What the front end reads and the run's result is built from:
+    /// metrics, verifier, plan cache, selector, profile, node map,
+    /// registries, traffic counters, rank end times.
     pub env: CommEnv,
-    pub nodemap: NodeMap,
     pub resources: ClusterResources,
     /// Per-rank reduction-compute resource (capacity `gamma_reduce_bw ×
     /// reduce_parallel`): concurrent nonblocking collectives on one rank
@@ -214,7 +133,6 @@ pub(crate) struct UniShared {
     /// process's progress engine allows.
     pub cpu: Vec<ovcomm_simnet::ResourceId>,
     pub tracing: bool,
-    pub op_panics: Mutex<Vec<(u32, String)>>,
     /// Stack size for op fibers.
     pub fiber_stack: usize,
 }
@@ -243,16 +161,6 @@ impl UniShared {
         for cell in req.complete(value, at) {
             self.engine.wake(&cell, at);
         }
-    }
-
-    /// Node hosting a world rank.
-    pub fn node_of(&self, rank: u32) -> usize {
-        self.nodemap.node_of(rank as usize)
-    }
-
-    /// Record a panic that unwound a progress actor.
-    pub fn record_op_panic(&self, rank: u32, msg: String) {
-        self.op_panics.lock().push((rank, msg));
     }
 
     /// Record a happens-before edge in the trace (no-op when tracing is
@@ -303,7 +211,7 @@ pub(crate) fn rank_of_actor(id: u32) -> u32 {
     }
 }
 
-/// Human-readable track name for an actor id (inverse of [`op_actor_id`]
+/// Human-readable track name for an actor id (inverse of `op_actor_id`
 /// for operation actors), used for Perfetto thread names.
 pub fn actor_name(id: u32) -> String {
     if id & 0x8000_0000 != 0 {
@@ -312,142 +220,6 @@ pub fn actor_name(id: u32) -> String {
         format!("rank {rank} op {op}")
     } else {
         format!("rank {id}")
-    }
-}
-
-/// Handle passed to each rank's closure: identity, clock, and the world
-/// communicator.
-pub struct RankCtx {
-    pub(crate) agent: Agent,
-    world: Comm,
-    /// Per-kernel compute-share override: when some of this node's
-    /// processes sleep (§III-B), the active ones own their cores, so
-    /// compute-rate models should divide the node by the *active* count.
-    active_ppn: std::cell::Cell<usize>,
-}
-
-impl RankCtx {
-    /// World rank of this process.
-    pub fn rank(&self) -> usize {
-        self.agent.rank as usize
-    }
-
-    /// Total number of ranks.
-    pub fn nranks(&self) -> usize {
-        self.agent.uni.nodemap.nranks()
-    }
-
-    /// Node hosting this rank.
-    pub fn node(&self) -> usize {
-        self.agent.uni.node_of(self.agent.rank)
-    }
-
-    /// Number of ranks sharing this rank's node.
-    pub fn ppn(&self) -> usize {
-        let me = self.node();
-        (0..self.nranks())
-            .filter(|&r| self.agent.uni.nodemap.node_of(r) == me)
-            .count()
-    }
-
-    /// Processes per node to use for compute-rate models: the launched PPN
-    /// by default, or the active count set by [`RankCtx::set_active_ppn`]
-    /// during a per-kernel-PPN stage (sleeping processes release their
-    /// cores to the active ones).
-    pub fn compute_ppn(&self) -> usize {
-        let o = self.active_ppn.get();
-        if o == 0 {
-            self.ppn()
-        } else {
-            o
-        }
-    }
-
-    /// Declare how many of this node's processes are actually computing
-    /// (0 restores the default = launched PPN).
-    pub fn set_active_ppn(&self, active: usize) {
-        self.active_ppn.set(active);
-    }
-
-    /// The world communicator (all ranks).
-    pub fn world(&self) -> Comm {
-        self.world.clone()
-    }
-
-    /// This rank's virtual clock.
-    pub fn now(&self) -> SimTime {
-        self.agent.now()
-    }
-
-    /// Charge modeled local computation time.
-    pub fn advance(&self, d: SimDur) {
-        self.agent.advance(d);
-    }
-
-    /// Charge `flops` of dense-kernel computation at `rate` flop/s,
-    /// recording a `Compute` trace span when tracing is on.
-    pub fn compute_flops(&self, flops: f64, rate: f64) {
-        assert!(rate > 0.0 && flops >= 0.0);
-        let t0 = self.agent.now();
-        self.agent.advance(SimDur::from_secs_f64(flops / rate));
-        self.agent.trace_span(
-            ovcomm_simnet::SpanKind::Compute,
-            t0,
-            self.agent.now(),
-            || format!("compute {flops:.3e} flops"),
-        );
-    }
-
-    /// Sleep for `d` of virtual time (the `usleep` of the paper's
-    /// multiple-PPN sleep/poll mechanism, §III-B).
-    pub fn sleep(&self, d: SimDur) {
-        self.agent.sleep(d);
-    }
-
-    /// The machine profile (for compute-rate lookups).
-    pub fn profile(&self) -> &MachineProfile {
-        &self.agent.uni.env.profile
-    }
-
-    /// The rank→node map.
-    pub fn nodemap(&self) -> &NodeMap {
-        &self.agent.uni.nodemap
-    }
-
-    /// Record a custom trace span (shown on Fig-6-style timelines).
-    pub fn trace_span(
-        &self,
-        kind: ovcomm_simnet::SpanKind,
-        start: SimTime,
-        end: SimTime,
-        label: String,
-    ) {
-        self.agent.trace_span(kind, start, end, move || label);
-    }
-
-    /// Record a custom trace span tagged with a pipeline chunk index.
-    pub fn trace_span_chunk(
-        &self,
-        kind: ovcomm_simnet::SpanKind,
-        chunk: u32,
-        start: SimTime,
-        end: SimTime,
-        label: String,
-    ) {
-        self.agent
-            .trace_span_chunk(kind, Some(chunk), start, end, move || label);
-    }
-
-    /// Record a `Phase` span from `start` to now — kernels bracket their
-    /// algorithm phases (a SUMMA step, a purification iteration) with these
-    /// so timelines and the critical-path analysis can group finer spans.
-    pub fn phase_span(&self, start: SimTime, label: String) {
-        self.agent.trace_span(
-            ovcomm_simnet::SpanKind::Phase,
-            start,
-            self.agent.now(),
-            move || label,
-        );
     }
 }
 
@@ -475,10 +247,7 @@ impl RankCtx {
 /// assert_eq!(out.results[1], 42.0);
 /// assert!(out.makespan.as_nanos() > 0); // virtual time elapsed
 /// ```
-// The `expect` here is a collect-time invariant: a rank that did not
-// panic must have produced a result.
-#[allow(clippy::expect_used)]
-pub fn run<T, F>(cfg: SimConfig, f: F) -> Result<SimOutput<T>, SimError>
+pub fn run<T, F>(cfg: SimConfig, f: F) -> Result<RunOutput<T>, RunError>
 where
     T: Send + 'static,
     F: Fn(RankCtx) -> T + Send + Sync + 'static,
@@ -500,24 +269,18 @@ where
         })
         .collect();
 
-    let state = MpiState {
-        rank_end_times: vec![SimTime::ZERO; nranks],
-        ..MpiState::default()
-    };
     let uni = Arc::new(UniShared {
         engine,
-        state: Mutex::new(state),
+        state: Mutex::new(MpiState::default()),
         env: CommEnv::new(
-            nranks,
+            cfg.nodemap.clone(),
             cfg.verify,
             cfg.coll_select.clone(),
             cfg.cluster.profile.clone(),
         ),
-        nodemap: cfg.nodemap.clone(),
         resources,
         cpu,
         tracing: cfg.trace,
-        op_panics: Mutex::new(Vec::new()),
         fiber_stack: cfg.fiber_stack,
     });
 
@@ -555,15 +318,7 @@ where
             let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 uni2.engine.await_release(&cell);
                 let agent = Agent::new_rank(r as u32, cell.clone(), uni2.clone());
-                let world = Comm::new_world(agent.clone(), world_ranks2.clone(), r);
-                let rc = RankCtx {
-                    agent: agent.clone(),
-                    world,
-                    active_ppn: std::cell::Cell::new(0),
-                };
-                let v = f2(rc);
-                uni2.state.lock().rank_end_times[r] = agent.now();
-                v
+                RankCtx::run(agent, world_ranks2.clone(), &*f2)
             }));
             match out {
                 Ok(v) => results2.lock()[r] = Some(v),
@@ -573,12 +328,7 @@ where
                     if e.downcast_ref::<ForcedUnwind>().is_some() {
                         std::panic::resume_unwind(e);
                     }
-                    let msg = e
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| e.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic>".to_string());
-                    panics2.lock().push((r, msg));
+                    panics2.lock().push((r, panic_message(&*e)));
                 }
             }
         }
@@ -597,82 +347,19 @@ where
     uni.engine.run_loop();
     uni.engine.drain_fibers();
 
-    let results: Vec<Option<T>> = std::mem::take(&mut *results.lock());
-    let mut panics: Vec<(usize, String)> = std::mem::take(&mut *rank_panics.lock());
-    // Report by rank, not by the order the scheduler reached the panics.
-    panics.sort();
-
-    // A rank panic often *causes* the deadlock that unwinds everyone else;
-    // report the root cause, not the induced deadlock panics.
-    let is_deadlock_msg = |m: &str| m.contains("simulation deadlock");
-    let mut op_panics = std::mem::take(&mut *uni.op_panics.lock());
-    op_panics.retain(|(_, m)| !is_deadlock_msg(m));
-    if let Some((rank, message)) = panics
-        .iter()
-        .find(|(_, m)| !is_deadlock_msg(m))
-        .cloned()
-        .or_else(|| op_panics.first().map(|(r, m)| (*r as usize, m.clone())))
-    {
-        return Err(SimError::RankPanic { rank, message });
-    }
-    if uni.engine.deadlocked() {
-        let blocked: Vec<(u32, u32)> = uni
-            .engine
-            .deadlocked_actors()
-            .into_iter()
-            .map(|id| (id, rank_of_actor(id)))
-            .collect();
-        let report = match uni.env.verify.as_ref() {
-            Some(v) => v.deadlock_report(&blocked),
-            None => DeadlockReport::unknown(&blocked),
-        };
-        return Err(SimError::Deadlock { report });
-    }
-    if let Some((rank, message)) = panics.into_iter().next() {
-        return Err(SimError::RankPanic { rank, message });
-    }
-
-    // Analyze the communication log. Under Strict, error-severity findings
-    // fail the run; under Warn they are printed; warnings always travel in
-    // the output.
-    let verify_report = uni
-        .env
-        .verify_report(|_| true)
-        .map_err(|findings| SimError::Verification { findings })?;
-
-    let (inter, intra, messages, end_times) = {
-        let st = uni.state.lock();
-        (
-            st.inter_bytes,
-            st.intra_bytes,
-            st.messages,
-            st.rank_end_times.clone(),
-        )
-    };
-    let makespan = end_times.iter().copied().max().unwrap_or(SimTime::ZERO);
-    let clamped_spans = uni.engine.clamped_spans();
-    uni.env.metrics.spans_clamped(clamped_spans as u64);
-    let trace = uni.engine.take_trace();
-    if let Some(path) = &cfg.trace_out {
-        let spans: &[ovcomm_simnet::TraceSpan] = trace.as_ref().map_or(&[], |t| t.spans());
-        if let Err(e) = ovcomm_obs::write_trace(path, spans, actor_name) {
-            eprintln!("warning: failed to write trace to {}: {e}", path.display());
-        }
-    }
-    Ok(SimOutput {
-        results: results
-            .into_iter()
-            .map(|o| o.expect("non-panicked rank must produce a result"))
-            .collect(),
-        end_times,
-        makespan,
-        inter_node_bytes: inter,
-        intra_node_bytes: intra,
-        messages,
-        trace,
-        metrics: uni.env.metrics.snapshot(),
-        net: uni.engine.net_stats(),
-        clamped_spans,
-        verify: verify_report,
-    })
+    let results = std::mem::take(&mut *results.lock());
+    let panics = std::mem::take(&mut *rank_panics.lock());
+    let deadlock = uni.engine.deadlocked().then(|| {
+        let blocked = uni.engine.deadlocked_actors().into_iter();
+        blocked.map(|id| (id, rank_of_actor(id))).collect()
+    });
+    uni.env.finish::<Agent, T>(
+        results,
+        panics,
+        deadlock,
+        |_| true,
+        uni.engine.take_trace(),
+        Some(uni.engine.net_stats()),
+        cfg.trace_out.as_deref(),
+    )
 }

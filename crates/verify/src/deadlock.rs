@@ -31,7 +31,7 @@ pub struct BlockedAgent {
     pub pending: Option<PendingOp>,
 }
 
-/// The full diagnosis attached to `SimError::Deadlock`.
+/// The full diagnosis attached to `RunError::Deadlock` (either backend).
 #[derive(Debug, Clone, Default)]
 pub struct DeadlockReport {
     /// Every agent parked at deadlock time, sorted by (rank, agent id).

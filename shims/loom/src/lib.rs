@@ -438,7 +438,7 @@ pub mod thread {
     }
 
     /// Spawn a thread participating in the current model schedule (plain
-    /// `std::thread::spawn` outside [`model`](super::model)).
+    /// `std::thread::spawn` outside [`model`]).
     pub fn spawn<F, T>(f: F) -> JoinHandle<T>
     where
         F: FnOnce() -> T + Send + 'static,

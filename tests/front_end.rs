@@ -9,13 +9,17 @@
 //! clean verify report. A second program does the same for the one window
 //! front end, `Win<T>`: committed segment bytes and `rma.*` counters. It
 //! also pins the front ends' argument-check panic messages (once — they
-//! are the same code on either backend).
+//! are the same code on either backend), and that the one run harness —
+//! `RankCtx<T>`, `RunOutput`, `RunError` — reports the same identity and
+//! the same failures on both.
 
 use std::collections::BTreeMap;
 
+use std::time::Duration;
+
 use ovcomm::core::{Communicator, RankHandle, Window};
 use ovcomm::prelude::*;
-use ovcomm::simmpi::{VerifyMode, VerifyReport};
+use ovcomm::simmpi::{RunError, RunOutput, VerifyMode, VerifyReport};
 use ovcomm_obs::MetricsSnapshot;
 use ovcomm_rt::{RtConfig, RtRankCtx};
 
@@ -159,31 +163,33 @@ fn window_program<R: RankHandle>(rc: &R) -> Vec<u64> {
     seen
 }
 
-/// What one backend's run of a program produced.
-struct Observed {
-    results: Vec<Vec<u64>>,
-    metrics: MetricsSnapshot,
-    verify: VerifyReport,
+/// Run `program` on `p` simulated ranks, `ppn` per node.
+fn try_sim<T: Send + 'static>(
+    p: usize,
+    ppn: usize,
+    program: fn(&RankCtx) -> T,
+) -> Result<RunOutput<T>, RunError> {
+    let cfg = SimConfig::natural(p, ppn, MachineProfile::test_profile());
+    run(cfg, move |rc: RankCtx| program(&rc))
 }
 
-fn on_sim(p: usize, program: fn(&RankCtx) -> Vec<u64>) -> Observed {
-    let cfg = SimConfig::natural(p, 2, MachineProfile::test_profile());
-    let out = run(cfg, move |rc: RankCtx| program(&rc)).expect("sim run");
-    Observed {
-        results: out.results,
-        metrics: out.metrics,
-        verify: out.verify,
-    }
+fn try_rt<T: Send + 'static>(
+    cfg: RtConfig,
+    program: fn(&RtRankCtx) -> T,
+) -> Result<RunOutput<T>, RunError> {
+    ovcomm_rt::run(cfg, move |rc: RtRankCtx| program(&rc))
 }
 
-fn on_rt(p: usize, program: fn(&RtRankCtx) -> Vec<u64>) -> Observed {
-    let cfg = RtConfig::natural(p, 2, MachineProfile::test_profile());
-    let out = ovcomm_rt::run(cfg, move |rc: RtRankCtx| program(&rc)).expect("rt run");
-    Observed {
-        results: out.results,
-        metrics: out.metrics,
-        verify: out.verify,
-    }
+fn rt_cfg(p: usize, ppn: usize) -> RtConfig {
+    RtConfig::natural(p, ppn, MachineProfile::test_profile())
+}
+
+fn on_sim(p: usize, program: fn(&RankCtx) -> Vec<u64>) -> RunOutput<Vec<u64>> {
+    try_sim(p, 2, program).expect("sim run")
+}
+
+fn on_rt(p: usize, program: fn(&RtRankCtx) -> Vec<u64>) -> RunOutput<Vec<u64>> {
+    try_rt(rt_cfg(p, 2), program).expect("rt run")
 }
 
 /// The per-rank call and byte counters of the communicator front end
@@ -360,4 +366,98 @@ fn argument_checks_panic_with_their_messages() {
         unaligned.contains("accumulate must be f64-aligned (offset 4, len 8)"),
         "{unaligned}"
     );
+}
+
+// ---------------------------------------------------------------------
+// The run harness: failures and identity
+// ---------------------------------------------------------------------
+
+/// Run a program that must fail on both backends; returns `[sim, rt]`.
+fn failures(
+    p: usize,
+    sim_program: fn(&RankCtx),
+    rt_program: fn(&RtRankCtx),
+) -> [(&'static str, RunError); 2] {
+    let failed = |backend: &str, r: Result<RunOutput<()>, RunError>| match r {
+        Err(e) => e,
+        Ok(_) => panic!("{backend}: expected a failure, run succeeded"),
+    };
+    // The programs hang; do not sit out the watchdog's default 2 s.
+    let cfg = rt_cfg(p, 1).with_deadlock_timeout(Duration::from_millis(200));
+    [
+        ("sim", failed("sim", try_sim(p, 1, sim_program))),
+        ("rt", failed("rt", try_rt(cfg, rt_program))),
+    ]
+}
+
+fn both_recv_first<R: RankHandle>(rc: &R) {
+    let world = rc.world();
+    let peer = 1 - world.rank();
+    let _ = world.recv(peer, 0);
+    world.send(peer, 0, Payload::from_f64s(&[1.0]));
+}
+
+#[test]
+fn deadlock_is_the_same_error_on_both_backends() {
+    for (backend, e) in failures(2, both_recv_first, both_recv_first) {
+        match e {
+            RunError::Deadlock { report } => {
+                assert_eq!(report.blocked_ranks(), [0, 1], "{backend}");
+                assert_eq!(report.cycle, [0, 1], "{backend}");
+            }
+            e => panic!("{backend}: expected a deadlock, got {e}"),
+        }
+    }
+}
+
+const GIVE_UP: &str = "rank one gives up";
+
+/// Ranks 0 and 2 wait on a rank that panics: they end in the backend's
+/// deadlock unwind, which must not win the triage over its cause.
+fn rank_one_panics<R: RankHandle>(rc: &R) {
+    if rc.rank() == 1 {
+        panic!("{GIVE_UP}");
+    }
+    let _ = rc.world().recv(1, 0);
+}
+
+#[test]
+fn a_rank_panic_wins_over_the_deadlock_it_induces() {
+    for (backend, e) in failures(3, rank_one_panics, rank_one_panics) {
+        match e {
+            RunError::RankPanic { rank, message } => {
+                assert_eq!((rank, message.as_str()), (1, GIVE_UP), "{backend}");
+            }
+            e => panic!("{backend}: expected rank 1's panic, got {e}"),
+        }
+    }
+}
+
+fn identity<R: RankHandle>(rc: &R) -> (Vec<usize>, &'static str) {
+    let mut seen = vec![
+        rc.rank(),
+        rc.nranks(),
+        rc.node(),
+        rc.ppn(),
+        rc.compute_ppn(),
+    ];
+    rc.set_active_ppn(2);
+    seen.push(rc.compute_ppn());
+    rc.set_active_ppn(0);
+    seen.push(rc.compute_ppn());
+    (seen, rc.backend_name())
+}
+
+#[test]
+fn rank_identity_agrees_across_backends() {
+    let sim = try_sim(6, 3, identity).expect("sim run");
+    let rt = try_rt(rt_cfg(6, 3), identity).expect("rt run");
+    for (r, (s, t)) in sim.results.iter().zip(&rt.results).enumerate() {
+        assert_eq!(s.0, [r, 6, r / 3, 3, 3, 2, 3], "rank {r}");
+        assert_eq!(s.0, t.0, "rank {r}");
+        assert_eq!((s.1, t.1), ("sim", "rt"));
+    }
+    // Only the simulator has a flow model to report on.
+    assert_eq!((sim.backend, sim.net.is_some()), ("sim", true));
+    assert_eq!((rt.backend, rt.net.is_some()), ("rt", false));
 }

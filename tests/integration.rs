@@ -143,8 +143,7 @@ fn scheduler_order_is_pinned_for_overlapping_nonblocking_collectives() {
 fn overlap_and_ppn_combine_for_the_headline_speedup() {
     // The paper's §V-D story at reduced scale: combining N_DUP overlap with
     // a better PPN beats the plain baseline by a wide margin.
-    let n = 3000;
-    let time_of = |ppn: usize, n_dup: usize| {
+    let time_of = |n: usize, ppn: usize, n_dup: usize| {
         run(
             SimConfig::natural(64, ppn, MachineProfile::stampede2_skylake()),
             move |rc: RankCtx| {
@@ -172,11 +171,21 @@ fn overlap_and_ppn_combine_for_the_headline_speedup() {
         .into_iter()
         .fold(0.0f64, f64::max)
     };
-    let baseline = time_of(1, 0);
-    let combined = time_of(2, 4);
+    let baseline = time_of(3000, 1, 0);
+    let combined = time_of(3000, 2, 4);
     assert!(
         combined < baseline,
         "combined techniques ({combined:.4}s) must beat the plain baseline ({baseline:.4}s)"
+    );
+    // The known model deviation, pinned: at the paper's 1hsg_70 size the
+    // N_DUP = 4 overlap alone (Alg 4 ÷ Alg 5, PPN 1) gains ≈ 1.17× in the
+    // paper's Table I and 1.49× here (`model.ndup_gain`). The gap is to be
+    // explained by ROADMAP items 3/4 (a non-ideal progress policy); until
+    // then it must not drift unnoticed.
+    let gain = time_of(7645, 1, 0) / time_of(7645, 1, 4);
+    assert!(
+        (1.40..=1.60).contains(&gain),
+        "Alg 4 / Alg 5 (N_DUP 4) at n = 7645 is {gain:.4}, outside [1.40, 1.60]"
     );
 }
 
