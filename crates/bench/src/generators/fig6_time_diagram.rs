@@ -9,7 +9,7 @@ use ovcomm_bench::{
 use ovcomm_core::NDupComms;
 use ovcomm_obs::ProfileBlock;
 use ovcomm_simmpi::{run, Payload, RankCtx, SimConfig};
-use ovcomm_simnet::MachineProfile;
+use ovcomm_simnet::{rank_of_actor, MachineProfile};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -62,16 +62,8 @@ fn traced(
     let rows = trace
         .spans()
         .iter()
-        .filter(|s| {
-            // Rank agents of node 0 plus their op actors (high-bit ids
-            // encode the owning rank in bits 14..31).
-            let owner = if s.actor & 0x8000_0000 != 0 {
-                (s.actor >> 14) & 0x1FFFF
-            } else {
-                s.actor
-            };
-            node0_actors.contains(&owner)
-        })
+        // Rank agents of node 0 plus their op actors.
+        .filter(|s| node0_actors.contains(&rank_of_actor(s.actor)))
         .map(|s| SpanRow {
             scenario: scenario.to_string(),
             kind: format!("{:?}", s.kind),

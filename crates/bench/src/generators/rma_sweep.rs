@@ -12,14 +12,12 @@
 //!
 //! Flags: `--smoke` (one small size per backend — the CI configuration),
 //! `--backend {sim,rt}` (restrict to one backend; default runs both).
-//! Results merge into `results/rma_sweep.json` keyed by inputs, so
-//! wall-clock noise does not churn the committed artifact.
 
 // Bench drivers fail loudly by design.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use super::test_matrix;
-use ovcomm_bench::{merge_json, metrics_block, Backend, MetricsBlock, Opts, Table};
+use ovcomm_bench::{metrics_block, write_json, Backend, MetricsBlock, Opts, Table};
 use ovcomm_core::{Communicator, RankHandle};
 use ovcomm_densemat::{BlockBuf, BlockGrid};
 use ovcomm_kernels::{
@@ -195,11 +193,6 @@ pub fn main(opts: &Opts) {
     if smoke {
         println!("smoke run: gate only, results/rma_sweep.json not rewritten");
     } else {
-        merge_json(
-            &opts.out_dir,
-            "rma_sweep",
-            &rows,
-            &["variant", "backend", "n", "p", "ppn"],
-        );
+        write_json(&opts.out_dir, "rma_sweep", &rows);
     }
 }

@@ -12,7 +12,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use super::test_matrix;
-use ovcomm_bench::{merge_json, metrics_block, profile_block, Backend, MetricsBlock, Opts, Table};
+use ovcomm_bench::{metrics_block, profile_block, write_json, Backend, MetricsBlock, Opts, Table};
 use ovcomm_core::{NDupComms, RankHandle};
 use ovcomm_densemat::{BlockBuf, BlockGrid, Partition1D};
 use ovcomm_kernels::{
@@ -254,12 +254,5 @@ pub fn main(opts: &Opts) {
     if let Some(bad) = rows.iter().find(|r| r.bit_identical == Some(false)) {
         panic!("cross-backend divergence on {}", bad.kernel);
     }
-    // Merge by inputs rather than rewriting wholesale: rt wall-clock noise
-    // stays out of the diff unless a kernel's configuration changed.
-    merge_json(
-        &opts.out_dir,
-        "sim_vs_rt",
-        &rows,
-        &["kernel", "nranks", "ppn", "n"],
-    );
+    write_json(&opts.out_dir, "sim_vs_rt", &rows);
 }

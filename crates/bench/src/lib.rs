@@ -47,9 +47,7 @@ pub use micro::{
 };
 pub use opts::Opts;
 pub use profile::{profile_block, profile_block as profile_block_rt};
-pub use report::{
-    canonical_json, canonicalize_value, fmt_bytes, merge_json, merge_rows, write_json, Table,
-};
+pub use report::{canonical_json, canonicalize_value, fmt_bytes, write_json, Table};
 pub use sweep::{
     algo_sweep, call_collective, measure_cell, sweep_samples, SweepRecord, SWEEP_KINDS,
 };

@@ -60,7 +60,7 @@ pub fn metrics_block<T>(out: &RunOutput<T>) -> MetricsBlock {
     let spans = out.trace.as_ref().map_or(&[][..], |t| t.spans());
     let (overlap_efficiency, nic_busy_frac, completed_flows, mean_queue_delay_us) = match &out.net {
         Some(net) => {
-            let report = analyze(spans, net, out.makespan);
+            let report = analyze(net, out.makespan);
             (
                 report.nic_overlap2_frac,
                 report.nic_busy_frac,

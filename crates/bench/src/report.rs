@@ -6,7 +6,7 @@
 //! instead of churning on field order or last-bit float noise.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use serde::Serialize;
 use serde_json::Value;
@@ -115,102 +115,15 @@ pub fn canonical_json<T: Serialize>(value: &T) -> Result<String, String> {
     serde_json::to_string_pretty(&v).map_err(|e| format!("{e:?}"))
 }
 
-/// The canonical input key of one record: the canonicalized values of the
-/// `input_keys` fields (missing fields key as `Null`).
-fn record_key(v: &Value, input_keys: &[&str]) -> Vec<Value> {
-    input_keys
-        .iter()
-        .map(|k| {
-            let mut f = v.get(k).cloned().unwrap_or(Value::Null);
-            canonicalize_value(&mut f);
-            f
-        })
-        .collect()
-}
-
-/// Merge freshly-measured rows against the previously committed ones,
-/// keyed by their input fields. A new row whose inputs match a committed
-/// record keeps the committed record verbatim — measured outputs (wall
-/// clock, profiles) do not churn run-over-run; only rows whose inputs are
-/// new or changed are replaced, and committed records whose inputs are no
-/// longer produced are dropped. Row order follows the current run.
-pub fn merge_rows(old: &[Value], new: Vec<Value>, input_keys: &[&str]) -> Vec<Value> {
-    let old_keyed: Vec<(Vec<Value>, &Value)> =
-        old.iter().map(|v| (record_key(v, input_keys), v)).collect();
-    new.into_iter()
-        .map(|nv| {
-            let key = record_key(&nv, input_keys);
-            match old_keyed.iter().find(|(k, _)| *k == key) {
-                Some((_, ov)) => (*ov).clone(),
-                None => nv,
-            }
-        })
-        .collect()
-}
-
-/// Like [`write_json`], but keyed by each record's input fields via
-/// [`merge_rows`]: records already in `<dir>/<name>.json` with unchanged
-/// inputs are preserved byte-for-byte, and the file is not rewritten at
-/// all when the merged content is identical — so regenerating a report
-/// produces an empty diff unless an input actually changed. Set
-/// `OVCOMM_BENCH_REFRESH=1` to force remeasured values for every record.
-pub fn merge_json<T: Serialize>(dir: &Path, name: &str, rows: &[T], input_keys: &[&str]) {
-    let Some(path) = json_path(dir, name) else {
-        return;
-    };
-    let mut new_vals = Vec::with_capacity(rows.len());
-    for row in rows {
-        match serde_json::to_value(row) {
-            Ok(mut v) => {
-                canonicalize_value(&mut v);
-                new_vals.push(v);
-            }
-            Err(e) => {
-                eprintln!("warning: cannot serialize {name} row: {e:?}");
-                return;
-            }
-        }
-    }
-    let refresh = std::env::var_os("OVCOMM_BENCH_REFRESH").is_some_and(|v| v != "0");
-    let existing = fs::read_to_string(&path).ok();
-    let merged = match (&existing, refresh) {
-        (Some(text), false) => match serde_json::from_str(text) {
-            Ok(Value::Array(old)) => merge_rows(&old, new_vals, input_keys),
-            _ => new_vals,
-        },
-        _ => new_vals,
-    };
-    match canonical_json(&Value::Array(merged)) {
-        Ok(s) => {
-            if existing.as_deref() == Some(s.as_str()) {
-                eprintln!("{} unchanged (inputs identical)", path.display());
-            } else if let Err(e) = fs::write(&path, s) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {} (merged by inputs)", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
-    }
-}
-
-/// `<dir>/<name>.json`, creating `dir` first; `None` (after a warning)
-/// when it cannot be created.
-fn json_path(dir: &Path, name: &str) -> Option<PathBuf> {
-    if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return None;
-    }
-    Some(dir.join(format!("{name}.json")))
-}
-
 /// Write a JSON record to `<dir>/<name>.json` (creating the directory).
 /// Output is canonical: keys sorted, floats rounded (see
 /// [`canonical_json`]).
 pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) {
-    let Some(path) = json_path(dir, name) else {
+    if let Err(e) = fs::create_dir_all(dir) {
+        eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
-    };
+    }
+    let path = dir.join(format!("{name}.json"));
     match canonical_json(value) {
         Ok(s) => {
             if let Err(e) = fs::write(&path, s) {
@@ -272,40 +185,6 @@ mod tests {
         };
         assert_eq!(inner[0].0, "a");
         assert_eq!(fields[1].1, Value::Float(0.123_456_789));
-    }
-
-    #[test]
-    fn merge_rows_keeps_committed_records_with_unchanged_inputs() {
-        let obj = |kernel: &str, n: u64, measured: f64| {
-            Value::Object(vec![
-                ("kernel".into(), Value::Str(kernel.into())),
-                ("n".into(), Value::UInt(n)),
-                ("measured_s".into(), Value::Float(measured)),
-            ])
-        };
-        let old = vec![obj("summa", 64, 1.0), obj("cosma", 64, 2.0)];
-        // Re-run: summa's inputs unchanged (noisy new measurement), cosma's
-        // size changed, and a brand-new kernel appears.
-        let new = vec![
-            obj("summa", 64, 1.7),
-            obj("cosma", 128, 3.0),
-            obj("matvec", 64, 0.5),
-        ];
-        let merged = merge_rows(&old, new, &["kernel", "n"]);
-        assert_eq!(merged.len(), 3);
-        // Unchanged inputs → committed record kept verbatim (no churn).
-        assert_eq!(merged[0], obj("summa", 64, 1.0));
-        // Changed inputs → remeasured record replaces the committed one.
-        assert_eq!(merged[1], obj("cosma", 128, 3.0));
-        assert_eq!(merged[2], obj("matvec", 64, 0.5));
-    }
-
-    #[test]
-    fn merge_rows_drops_records_no_longer_produced() {
-        let obj = |kernel: &str| Value::Object(vec![("kernel".into(), Value::Str(kernel.into()))]);
-        let old = vec![obj("summa"), obj("retired")];
-        let merged = merge_rows(&old, vec![obj("summa")], &["kernel"]);
-        assert_eq!(merged, vec![obj("summa")]);
     }
 
     #[test]

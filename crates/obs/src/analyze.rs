@@ -1,60 +1,12 @@
-//! Overlap-efficiency analysis: turn a run's trace spans and network
-//! utilization integrals into the numbers behind the paper's figures —
-//! how busy the NICs were, how much of that busy time actually overlapped
-//! two or more transfers (the paper's central quantity), where each rank's
-//! time went (Fig. 6 as numbers), and which spans form the critical path.
+//! Overlap-efficiency analysis: turn a run's network utilization integrals
+//! into the numbers behind the paper's figures — how busy the NICs were,
+//! and how much of that busy time actually overlapped two or more
+//! transfers (the paper's central quantity). Everything derived from
+//! *spans* — the critical path, per-rank blame — is [`crate::blame`]'s.
 
 use serde::Serialize;
 
-use ovcomm_simnet::{NetStats, SimTime, SpanKind, TraceSpan};
-
-/// Utilization summary for one network resource.
-#[derive(Debug, Clone, Serialize)]
-pub struct ResourceUtilization {
-    /// Resource label, e.g. `"nic_tx/3"`.
-    pub resource: String,
-    /// Registered capacity, bytes/second.
-    pub capacity_bps: f64,
-    /// Fraction of the run the resource was moving bytes.
-    pub busy_frac: f64,
-    /// Fraction of the run the resource carried ≥ 2 concurrent flows.
-    pub overlap2_frac: f64,
-    /// Total bytes carried.
-    pub bytes: f64,
-    /// High-water mark of concurrently attached flows.
-    pub max_concurrent: u32,
-}
-
-/// One rank's time split over the run (the Fig. 6 breakdown as numbers).
-#[derive(Debug, Clone, Serialize)]
-pub struct RankBreakdown {
-    /// World rank.
-    pub rank: u32,
-    /// Microseconds in modeled local computation.
-    pub compute_us: f64,
-    /// Microseconds posting nonblocking operations.
-    pub post_us: f64,
-    /// Microseconds blocked — in `MPI_Wait` or inside blocking collectives.
-    pub wait_us: f64,
-    /// Microseconds in none of the above (makespan minus the rest,
-    /// clamped at zero).
-    pub idle_us: f64,
-}
-
-/// One segment of the greedy backward critical path.
-#[derive(Debug, Clone, Serialize)]
-pub struct CriticalSegment {
-    /// Actor the segment ran on.
-    pub actor: u32,
-    /// Span category name.
-    pub kind: String,
-    /// Span label.
-    pub label: String,
-    /// Segment start, microseconds.
-    pub start_us: f64,
-    /// Segment length, microseconds.
-    pub dur_us: f64,
-}
+use ovcomm_simnet::{NetStats, SimTime};
 
 /// Whole-run overlap-efficiency report.
 #[derive(Debug, Clone, Serialize)]
@@ -75,59 +27,22 @@ pub struct OverlapReport {
     pub mean_queue_delay_us: f64,
     /// Largest single-flow queueing delay in microseconds.
     pub max_queue_delay_us: f64,
-    /// Share of total rank-time spent blocked in waits (0..1).
-    pub wait_time_share: f64,
-    /// Per-resource utilization, in registration order.
-    pub resources: Vec<ResourceUtilization>,
-    /// Per-rank compute/post/wait/idle split.
-    pub ranks: Vec<RankBreakdown>,
-    /// Greedy backward critical path, latest segment first.
-    pub critical_path: Vec<CriticalSegment>,
 }
 
-/// Operation-agent actor ids carry this tag bit (simmpi's id scheme);
-/// anything below it is a rank agent.
-const OP_ACTOR_TAG: u32 = 0x8000_0000;
-
-fn us(t: SimTime) -> f64 {
-    t.as_nanos() as f64 / 1_000.0
-}
-
-/// Build an [`OverlapReport`] from a run's spans, network accounting, and
-/// makespan. Spans may be empty (tracing off): rank breakdowns and the
-/// critical path are then empty, but NIC utilization still reports.
-pub fn analyze(spans: &[TraceSpan], net: &NetStats, makespan: SimTime) -> OverlapReport {
+/// Build an [`OverlapReport`] from a run's network accounting and makespan.
+pub fn analyze(net: &NetStats, makespan: SimTime) -> OverlapReport {
     let makespan_secs = makespan.as_nanos() as f64 / 1e9;
-    let makespan_us = us(makespan);
 
-    let mut resources = Vec::with_capacity(net.resources.len());
     let mut nic_busy = 0.0;
     let mut nic_overlap2 = 0.0;
     let mut nic_count = 0usize;
     let mut nic_max_concurrent = 0u32;
-    for entry in &net.resources {
+    for entry in net.resources.iter().filter(|e| e.kind.is_nic()) {
         let s = entry.stats;
-        let frac = |secs: f64| {
-            if makespan_secs > 0.0 {
-                (secs / makespan_secs).min(1.0)
-            } else {
-                0.0
-            }
-        };
-        if entry.kind.is_nic() {
-            nic_busy += s.busy_secs;
-            nic_overlap2 += s.overlap2_secs;
-            nic_count += 1;
-            nic_max_concurrent = nic_max_concurrent.max(s.max_concurrent);
-        }
-        resources.push(ResourceUtilization {
-            resource: entry.kind.label(),
-            capacity_bps: entry.capacity,
-            busy_frac: frac(s.busy_secs),
-            overlap2_frac: frac(s.overlap2_secs),
-            bytes: s.bytes,
-            max_concurrent: s.max_concurrent,
-        });
+        nic_busy += s.busy_secs;
+        nic_overlap2 += s.overlap2_secs;
+        nic_count += 1;
+        nic_max_concurrent = nic_max_concurrent.max(s.max_concurrent);
     }
     let nic_busy_frac = if nic_count > 0 && makespan_secs > 0.0 {
         (nic_busy / (nic_count as f64 * makespan_secs)).min(1.0)
@@ -140,17 +55,8 @@ pub fn analyze(spans: &[TraceSpan], net: &NetStats, makespan: SimTime) -> Overla
         0.0
     };
 
-    let ranks = rank_breakdowns(spans, makespan_us);
-    let total_rank_us = makespan_us * ranks.len() as f64;
-    let wait_us: f64 = ranks.iter().map(|r| r.wait_us).sum();
-    let wait_time_share = if total_rank_us > 0.0 {
-        wait_us / total_rank_us
-    } else {
-        0.0
-    };
-
     OverlapReport {
-        makespan_us,
+        makespan_us: makespan.as_nanos() as f64 / 1_000.0,
         nic_busy_frac,
         nic_overlap2_frac,
         nic_max_concurrent,
@@ -161,128 +67,13 @@ pub fn analyze(spans: &[TraceSpan], net: &NetStats, makespan: SimTime) -> Overla
             0.0
         },
         max_queue_delay_us: net.max_queue_delay_secs * 1e6,
-        wait_time_share,
-        resources,
-        ranks,
-        critical_path: critical_path(spans, makespan),
     }
-}
-
-/// Sum span durations per rank agent by category. Operation-agent spans and
-/// `Phase`/`Other` spans (which overlap finer spans by design) are excluded.
-fn rank_breakdowns(spans: &[TraceSpan], makespan_us: f64) -> Vec<RankBreakdown> {
-    use std::collections::BTreeMap;
-    let mut per_rank: BTreeMap<u32, (f64, f64, f64)> = BTreeMap::new();
-    for s in spans {
-        if s.actor & OP_ACTOR_TAG != 0 {
-            continue;
-        }
-        let d = s.micros();
-        let slot = per_rank.entry(s.actor).or_default();
-        match s.kind {
-            SpanKind::Compute => slot.0 += d,
-            SpanKind::Post => slot.1 += d,
-            SpanKind::Wait | SpanKind::BlockingCall => slot.2 += d,
-            // Per-step collective spans nest inside the blocking-call /
-            // op-agent spans that already account for the time — counting
-            // them again would double-bill the busy split.
-            SpanKind::Phase | SpanKind::CollStep | SpanKind::Other => {}
-        }
-    }
-    per_rank
-        .into_iter()
-        .map(|(rank, (compute_us, post_us, wait_us))| RankBreakdown {
-            rank,
-            compute_us,
-            post_us,
-            wait_us,
-            idle_us: (makespan_us - compute_us - post_us - wait_us).max(0.0),
-        })
-        .collect()
-}
-
-/// Greedy backward critical path: starting from the makespan, repeatedly
-/// take the span that is active at the current time and started earliest,
-/// then jump to its start. Phase spans are skipped (they envelop the finer
-/// spans that explain the time). The result is the chain of spans that
-/// covers the timeline walking backward — a lower-bound explanation of the
-/// run length, latest segment first.
-fn critical_path(spans: &[TraceSpan], makespan: SimTime) -> Vec<CriticalSegment> {
-    let mut path = Vec::new();
-    let mut cursor = makespan;
-    // Cap the walk defensively: a chain longer than the span count would
-    // mean we failed to make progress.
-    for _ in 0..=spans.len() {
-        if cursor == SimTime(0) {
-            break;
-        }
-        // Active at `cursor`: start < cursor <= end. Among those, earliest
-        // start wins (covers the most time); ties break on actor for
-        // determinism.
-        let best = spans
-            .iter()
-            .filter(|s| {
-                s.kind != SpanKind::Phase
-                    && s.kind != SpanKind::CollStep
-                    && s.start < cursor
-                    && s.end >= cursor
-            })
-            .min_by_key(|s| (s.start, s.actor));
-        match best {
-            Some(s) => {
-                path.push(CriticalSegment {
-                    actor: s.actor,
-                    kind: s.kind.name().to_string(),
-                    label: s.label.clone(),
-                    start_us: us(s.start),
-                    dur_us: us(cursor) - us(s.start),
-                });
-                cursor = s.start;
-            }
-            None => {
-                // Gap: no span covers `cursor`. Jump to the latest span end
-                // at or before it, attributing the gap to idle time.
-                let prev_end = spans
-                    .iter()
-                    .filter(|s| {
-                        s.kind != SpanKind::Phase && s.kind != SpanKind::CollStep && s.end < cursor
-                    })
-                    .map(|s| s.end)
-                    .max();
-                match prev_end {
-                    Some(e) => {
-                        path.push(CriticalSegment {
-                            actor: u32::MAX,
-                            kind: "gap".to_string(),
-                            label: "(no span active)".to_string(),
-                            start_us: us(e),
-                            dur_us: us(cursor) - us(e),
-                        });
-                        cursor = e;
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-    path
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovcomm_simnet::{NetStats, ResourceEntry, ResourceKind, ResourceStats};
-
-    fn span(actor: u32, kind: SpanKind, start: u64, end: u64) -> TraceSpan {
-        TraceSpan {
-            actor,
-            kind,
-            label: kind.name().to_string(),
-            chunk: None,
-            start: SimTime(start),
-            end: SimTime(end),
-        }
-    }
+    use ovcomm_simnet::{ResourceEntry, ResourceKind, ResourceStats};
 
     fn nic_entry(busy: f64, overlap2: f64, maxc: u32) -> ResourceEntry {
         ResourceEntry {
@@ -298,57 +89,27 @@ mod tests {
     }
 
     #[test]
-    fn nic_fractions_and_rank_split() {
+    fn nic_fractions() {
         let net = NetStats {
             resources: vec![nic_entry(0.5, 0.25, 3)],
             completed_flows: 2,
             total_queue_delay_secs: 0.002,
             max_queue_delay_secs: 0.0015,
         };
-        // 1 second makespan; rank 0: 300us compute, 100us post, 200us wait.
-        let spans = vec![
-            span(0, SpanKind::Compute, 0, 300_000),
-            span(0, SpanKind::Post, 300_000, 400_000),
-            span(0, SpanKind::Wait, 400_000, 600_000),
-            // Op-agent span must not pollute the rank split.
-            span(0x8000_0001, SpanKind::Other, 0, 1_000_000),
-        ];
-        let r = analyze(&spans, &net, SimTime(1_000_000_000));
+        // 1 second makespan.
+        let r = analyze(&net, SimTime(1_000_000_000));
         assert!((r.nic_busy_frac - 0.5).abs() < 1e-12);
         assert!((r.nic_overlap2_frac - 0.5).abs() < 1e-12);
         assert_eq!(r.nic_max_concurrent, 3);
         assert!((r.mean_queue_delay_us - 1_000.0).abs() < 1e-9);
         assert!((r.max_queue_delay_us - 1_500.0).abs() < 1e-9);
-        assert_eq!(r.ranks.len(), 1);
-        let rank = &r.ranks[0];
-        assert!((rank.compute_us - 300.0).abs() < 1e-9);
-        assert!((rank.post_us - 100.0).abs() < 1e-9);
-        assert!((rank.wait_us - 200.0).abs() < 1e-9);
-        assert!((rank.idle_us - (1_000_000.0 - 600.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn critical_path_walks_backward_over_gaps() {
-        // [0,400] on rank 0, gap, [600,1000] on rank 1.
-        let spans = vec![
-            span(0, SpanKind::Compute, 0, 400),
-            span(1, SpanKind::Wait, 600, 1_000),
-        ];
-        let p = critical_path(&spans, SimTime(1_000));
-        assert_eq!(p.len(), 3);
-        assert_eq!(p[0].actor, 1);
-        assert_eq!(p[1].kind, "gap");
-        assert_eq!(p[2].actor, 0);
-        let total: f64 = p.iter().map(|s| s.dur_us).sum();
-        assert!((total - 1.0).abs() < 1e-12, "path covers the makespan");
     }
 
     #[test]
     fn empty_inputs_produce_empty_report() {
-        let r = analyze(&[], &NetStats::default(), SimTime(0));
+        let r = analyze(&NetStats::default(), SimTime(0));
         assert_eq!(r.nic_busy_frac, 0.0);
-        assert_eq!(r.ranks.len(), 0);
-        assert_eq!(r.critical_path.len(), 0);
-        assert_eq!(r.wait_time_share, 0.0);
+        assert_eq!(r.nic_overlap2_frac, 0.0);
+        assert_eq!(r.completed_flows, 0);
     }
 }

@@ -32,9 +32,9 @@ use std::collections::BTreeMap;
 
 use serde::Serialize;
 
-use ovcomm_simnet::{SimTime, TraceEdge, TraceSpan};
+use ovcomm_simnet::{rank_of_actor, SimTime, TraceEdge, TraceSpan};
 
-use crate::critpath::{critical_path_dag, rank_of_actor, PathSegment};
+use crate::critpath::{critical_path_dag, PathSegment};
 use crate::registry::MetricsSnapshot;
 
 /// One node of the blame tree. `dur_us` of an interior node equals the

@@ -1,7 +1,6 @@
 //! Edge-aware critical-path extraction.
 //!
-//! [`analyze`](crate::analyze()) ships a greedy span-only critical path;
-//! this module reconstructs the *happens-before DAG* — per-actor span
+//! This module reconstructs the *happens-before DAG* — per-actor span
 //! sequences plus the send→recv and post→wait [`TraceEdge`]s both
 //! backends emit — and walks it backward from the makespan. The result is
 //! a sequence of [`PathSegment`]s that **exactly partitions** `[0,
@@ -31,20 +30,7 @@
 //! by construction. The blame layer ([`crate::blame`]) folds these
 //! segments into a per-phase/per-op/per-cause tree.
 
-use ovcomm_simnet::{SimTime, SpanKind, TraceEdge, TraceSpan};
-
-/// Operation-agent actor ids carry this tag bit (simmpi's id scheme).
-const OP_ACTOR_TAG: u32 = 0x8000_0000;
-
-/// World rank an actor id acts for — inverse of simmpi's `op_actor_id`
-/// encoding for operation actors, identity for rank actors.
-pub fn rank_of_actor(id: u32) -> u32 {
-    if id & OP_ACTOR_TAG != 0 {
-        (id & 0x7FFF_FFFF) >> 14
-    } else {
-        id
-    }
-}
+use ovcomm_simnet::{rank_of_actor, SimTime, SpanKind, TraceEdge, TraceSpan};
 
 /// Synthetic actor id for segments not attributable to any actor.
 pub const GAP_ACTOR: u32 = u32::MAX;

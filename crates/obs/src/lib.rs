@@ -2,10 +2,9 @@
 //!
 //! Observability for the ovcomm stack: a lock-cheap [`registry`] of
 //! counters/gauges/virtual-time histograms fed by the simulator layers, an
-//! [`analyze()`] pass that turns trace spans and network utilization
-//! integrals into overlap-efficiency numbers (how much NIC-busy time
-//! carried ≥ 2 concurrent flows — the paper's central quantity — plus the
-//! Fig.-6 per-rank compute/post/wait/idle split and a critical path), a
+//! [`analyze()`] pass that turns network utilization integrals into
+//! overlap-efficiency numbers (how much NIC-busy time carried ≥ 2
+//! concurrent flows — the paper's central quantity), a
 //! [`critpath`]/[`blame`] profiling pass that rebuilds the happens-before
 //! DAG from spans plus send→recv / post→wait edges and attributes the
 //! makespan into a wait-blame tree (the `ProfileBlock` bench records
@@ -25,12 +24,12 @@ pub mod critpath;
 pub mod perfetto;
 pub mod registry;
 
-pub use analyze::{analyze, CriticalSegment, OverlapReport, RankBreakdown, ResourceUtilization};
+pub use analyze::{analyze, OverlapReport};
 pub use blame::{profile, BlameNode, ProfileBlock, ProfileSegment, PROFILE_SCHEMA};
-pub use critpath::{critical_path_dag, rank_of_actor, PathSegment, GAP_ACTOR};
+pub use critpath::{critical_path_dag, PathSegment, GAP_ACTOR};
 pub use perfetto::{
-    trace_to_json, trace_to_json_annotated, trace_to_json_with_names, validate_trace_events,
-    write_trace, write_trace_annotated,
+    read_trace, trace_to_json, trace_to_json_annotated, trace_to_json_with_names,
+    validate_trace_events, write_trace, write_trace_annotated,
 };
 pub use registry::{
     Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,

@@ -12,22 +12,12 @@ use std::path::Path;
 
 use serde_json::Value;
 
-use ovcomm_simnet::TraceSpan;
+use ovcomm_simnet::{actor_name, TraceSpan};
 
-/// Default actor naming: `"rank N"` for plain ids, `"actor 0x…"` for tagged
-/// (operation-agent) ids. Layers that know their id scheme pass their own
-/// namer to [`trace_to_json_with_names`].
-pub fn default_actor_name(actor: u32) -> String {
-    if actor & 0x8000_0000 != 0 {
-        format!("actor {actor:#x}")
-    } else {
-        format!("rank {actor}")
-    }
-}
-
-/// Build the trace-event JSON object for `spans` with default track names.
+/// Build the trace-event JSON object for `spans` with the default track
+/// names: [`actor_name`] — `rank R`, or `rank R op K` for operation actors.
 pub fn trace_to_json(spans: &[TraceSpan]) -> Value {
-    trace_to_json_with_names(spans, default_actor_name)
+    trace_to_json_with_names(spans, actor_name)
 }
 
 /// Build the trace-event JSON object for `spans`, naming each actor's track
@@ -177,6 +167,12 @@ fn write_json_file(path: &Path, v: &Value) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     f.write_all(json.as_bytes())?;
     f.write_all(b"\n")
+}
+
+/// Read back a trace-event JSON file (for [`validate_trace_events`]).
+pub fn read_trace(path: &Path) -> std::io::Result<Value> {
+    serde_json::from_str(&std::fs::read_to_string(path)?)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))
 }
 
 /// Validate that `v` is a well-formed trace-event object: a `traceEvents`

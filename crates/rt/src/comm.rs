@@ -19,15 +19,13 @@
 //! | `id` / `rank` / `next_op_index` | the agent's identity lives next to its park cell |
 //! | `env` | the shared `CommEnv` is embedded in [`RtShared`] |
 //! | `now` | time is the wall: ns since the run's epoch |
-//! | `charge_post` | a post or an apply copy costs what it really costs — nothing to model |
-//! | `charge` | modeled slack and compute: skipped, or really slept under `ComputeMode::Emulate` |
+//! | `charge` | a post, a copy, a round's slack, modeled compute: the real cost *is* the code — nothing to model |
 //! | `charge_reduce` | the executor's `reduce_sum_f64` *is* the work on this thread |
-//! | `sleep` | a real `thread::sleep`, capped at 1 ms under `ComputeMode::Skip` |
-//! | `isend_raw` / `irecv_raw` | envelopes go through the lock-free shared-memory mailbox |
+//! | `sleep` | a real `thread::sleep`, capped at 1 ms so poll loops stay live |
+//! | `inject_send` / `inject_recv` | the posted envelope goes through the lock-free shared-memory mailbox |
 //! | `wait` / `complete` | spin-then-park an OS thread in watchdog-visible slices; wake by condvar |
-//! | `span` / `edge` | one mutex-protected trace stamped with wall time |
 //! | `spawn_op` | a progress-shard job routed by context, counted live from post time |
-//! | `rma_transfer` | the bytes are already in shared memory: count the traffic, complete |
+//! | `rma_transfer` | the bytes are already in shared memory: record the edge, complete |
 //! | `path_latency` | a lock grant is a condvar wake — no α to charge |
 
 use crate::sync::{AtomicU64, Ordering};
@@ -38,14 +36,12 @@ use ovcomm_simmpi::comm::Comm;
 use ovcomm_simmpi::payload::Payload;
 use ovcomm_simmpi::rank::RankCtx;
 use ovcomm_simmpi::rma::Win;
-use ovcomm_simmpi::transport::{CommEnv, Transport};
+use ovcomm_simmpi::transport::{CommEnv, Envelope, Transport};
 use ovcomm_simmpi::Request;
-use ovcomm_simnet::{EdgeKind, ParkCell, SimDur, SimTime, SpanKind};
-use ovcomm_verify::Site;
+use ovcomm_simnet::{EdgeKind, ParkCell, SimDur, SimTime};
 
-use crate::mailbox::RtKey;
-use crate::shared::RtShared;
-use crate::ComputeMode;
+use crate::mailbox::PostedOp;
+use crate::shared::{RtShared, Slot};
 
 /// An execution identity on the runtime: actor id, the world rank it acts
 /// for, its park cell, and the shared runtime. The analogue of the
@@ -113,16 +109,8 @@ impl Transport for RtAgent {
         self.shared.now()
     }
 
-    fn charge_post(&self, _d: SimDur) {
+    fn charge(&self, _d: SimDur) {
         // The cost is whatever the code really costs.
-    }
-
-    /// Skipped entirely, or emulated by really sleeping for the modeled
-    /// duration, per the run's [`ComputeMode`].
-    fn charge(&self, d: SimDur) {
-        if self.shared.compute == ComputeMode::Emulate {
-            self.sleep(d);
-        }
     }
 
     fn charge_reduce(&self, _n: usize) {
@@ -130,38 +118,32 @@ impl Transport for RtAgent {
     }
 
     /// The sleep/poll mechanism of §III-B must really yield the core, but
-    /// under `Skip` long modeled naps are capped so poll loops stay
-    /// responsive in wall time.
+    /// long modeled naps are capped so poll loops stay responsive in wall
+    /// time.
     fn sleep(&self, d: SimDur) {
-        let real = Duration::from_nanos(d.as_nanos());
-        let capped = match self.shared.compute {
-            ComputeMode::Skip => real.min(Duration::from_millis(1)),
-            ComputeMode::Emulate => real,
-        };
+        let capped = Duration::from_nanos(d.as_nanos()).min(Duration::from_millis(1));
         if !capped.is_zero() {
             std::thread::sleep(capped);
         }
     }
 
-    fn isend_raw(&self, site: Site, ctx: u32, dst: u32, tag: u64, payload: Payload) -> Request<()> {
-        let key = RtKey {
-            ctx,
-            src: self.rank,
-            dst,
-            tag,
+    /// Match against queued receives or park the payload in the mailbox.
+    fn inject_send(&self, key: Envelope, payload: Payload, req: Request<()>, eager: bool) {
+        let slot = Slot {
+            payload,
+            sender_req: req,
+            eager,
+            posted_at: self.shared.now(),
         };
         self.shared
-            .isend_raw(self.id, self.rank, site, key, payload)
+            .post(self.id, self.rank, PostedOp::Send { key, slot });
     }
 
-    fn irecv_raw(&self, site: Site, ctx: u32, src: u32, tag: u64) -> Request<Payload> {
-        let key = RtKey {
-            ctx,
-            src,
-            dst: self.rank,
-            tag,
-        };
-        self.shared.irecv_raw(self.id, self.rank, site, key)
+    /// Match against the mailbox or queue.
+    fn inject_recv(&self, key: Envelope, req: Request<Payload>) {
+        let entry = (req, self.shared.now());
+        self.shared
+            .post(self.id, self.rank, PostedOp::Recv { key, entry });
     }
 
     fn wait<V>(&self, req: &Request<V>) -> V {
@@ -170,29 +152,6 @@ impl Transport for RtAgent {
 
     fn complete<V>(&self, req: &Request<V>, value: V, _at: SimTime) {
         self.shared.complete(req, value);
-    }
-
-    fn span(
-        &self,
-        kind: SpanKind,
-        chunk: Option<u32>,
-        start: SimTime,
-        end: SimTime,
-        label: impl FnOnce() -> String,
-    ) {
-        self.shared.span(self.id, kind, chunk, start, end, label);
-    }
-
-    fn edge(
-        &self,
-        kind: EdgeKind,
-        from_actor: u32,
-        from_time: SimTime,
-        to_actor: u32,
-        to_time: SimTime,
-    ) {
-        self.shared
-            .edge(kind, from_actor, from_time, to_actor, to_time);
     }
 
     /// Run `body` on a progress worker under its own operation agent.
@@ -236,14 +195,13 @@ impl Transport for RtAgent {
         &self,
         src: u32,
         dst: u32,
-        n: usize,
+        _n: usize,
         get: Option<(Request<Payload>, Payload)>,
         done: Request<()>,
     ) {
         let sh = &self.shared;
-        sh.env.count_message(src, dst, n);
         let now = sh.now();
-        sh.edge(EdgeKind::SendRecv, src, now, dst, now);
+        sh.env.edge(EdgeKind::SendRecv, src, now, dst, now);
         if let Some((req, data)) = get {
             sh.complete(&req, data);
         }

@@ -20,15 +20,17 @@
 //!   [`RtTransport`] — and the whole window front end: [`RtWin`] is
 //!   `ovcomm_simmpi::rma::Win<T>` over the same transport, state machine
 //!   (`WinCore`) and registry. The backend plugs in behind the narrow
-//!   `ovcomm_simmpi::transport::Transport` seam (clock, modeled charges,
-//!   sleep, raw envelope post, wait/complete, span/edge recording,
-//!   op-agent spawn, one-sided transfer and path latency — the `comm`
-//!   module's docs list each method and why the runtime needs its own);
+//!   `ovcomm_simmpi::transport::Transport` seam (clock, the modeled
+//!   charge, sleep, injecting a posted envelope into the mailbox,
+//!   wait/complete, op-agent spawn, one-sided transfer and path latency —
+//!   the `comm` module's docs list each method and why the runtime needs
+//!   its own); the request mint, the eager/rendezvous decision and the
+//!   trace sink are the front end's, not this crate's;
 //! * the run harness: [`RtRankCtx`] is `ovcomm_simmpi::rank::RankCtx<T>`,
 //!   [`RtOutput`] and [`RtError`] are the simulator's `RunOutput` and
 //!   `RunError`, and [`run`] ends in the same `CommEnv::finish` epilogue
-//!   (panic triage, deadlock report, verify report, trace, output) — this
-//!   crate's `run` owns only the threads, the watchdog and the sampler;
+//!   (trace write, panic triage, deadlock report, verify report, output) —
+//!   this crate's `run` owns only the threads, the watchdog and the sampler;
 //! * the [`Request`](ovcomm_simmpi::Request) type and wait/test semantics;
 //! * collective compilation — `compile_plans` (selector + static lint
 //!   wall) and the plan interpreter;
@@ -67,27 +69,13 @@ use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
 use ovcomm_simmpi::transport::{panic_message, CommEnv};
 use ovcomm_simmpi::{CollSelector, RunError, RunOutput};
-use ovcomm_simnet::{MachineProfile, NodeMap, Trace};
+use ovcomm_simnet::{MachineProfile, NodeMap};
 use ovcomm_verify::{Finding, VerifyMode};
 
 pub use comm::{RtComm, RtRankCtx, RtTransport, RtWin};
 
 use crate::comm::RtAgent;
 use crate::shared::{RtShared, RING_CAPACITY};
-
-/// How the runtime treats *modeled* compute charges
-/// (`RankHandle::advance`/`compute_flops`) and sleeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ComputeMode {
-    /// Modeled compute costs nothing in wall time (sleeps are capped at
-    /// 1 ms so poll loops stay live). The default: communication paths run
-    /// at full speed and tests finish fast.
-    #[default]
-    Skip,
-    /// Really sleep for every modeled duration — wall timelines then
-    /// resemble the simulator's virtual ones, at the cost of real seconds.
-    Emulate,
-}
 
 /// Configuration of a runtime run — the analogue of the simulator's
 /// `SimConfig`.
@@ -97,17 +85,15 @@ pub struct RtConfig {
     /// process; the map scopes PPN logic and inter/intra traffic
     /// accounting so outputs compare against simulator runs.
     pub nodemap: NodeMap,
-    /// Machine profile: the runtime reads `eager_limit` (protocol switch),
-    /// `coll_round_slack` (under [`ComputeMode::Emulate`]), and compute
-    /// rates consulted by kernels.
+    /// Machine profile: the runtime reads `eager_limit` (protocol switch)
+    /// and the compute rates kernels consult; its modeled costs are charged
+    /// by the shared front end and cost nothing here.
     pub profile: MachineProfile,
     /// Verification level (default [`VerifyMode::Strict`], like the
     /// simulator — every test doubles as a correctness check).
     pub verify: VerifyMode,
     /// Collective-algorithm selection policy.
     pub coll_select: CollSelector,
-    /// Modeled-compute treatment.
-    pub compute: ComputeMode,
     /// Record trace spans.
     pub trace: bool,
     /// Write a Perfetto trace to this path after the run.
@@ -140,7 +126,6 @@ impl RtConfig {
             profile,
             verify: VerifyMode::default(),
             coll_select: CollSelector::default(),
-            compute: ComputeMode::default(),
             trace: false,
             trace_out: None,
             deadlock_timeout: Duration::from_secs(2),
@@ -171,12 +156,6 @@ impl RtConfig {
     /// Set the collective-algorithm selector.
     pub fn with_coll_select(mut self, sel: CollSelector) -> RtConfig {
         self.coll_select = sel;
-        self
-    }
-
-    /// Set the modeled-compute treatment.
-    pub fn with_compute(mut self, mode: ComputeMode) -> RtConfig {
-        self.compute = mode;
         self
     }
 
@@ -266,6 +245,7 @@ where
         cfg.verify,
         cfg.coll_select.clone(),
         cfg.profile.clone(),
+        cfg.trace,
     );
     let prof = crate::shared::RtProf::new(&env.metrics, nranks);
     let shared = Arc::new(RtShared {
@@ -275,9 +255,6 @@ where
         progress: crate::progress::ProgressShards::new(cfg.progress_shards),
         spin_budget_ns: cfg.spin_budget.as_nanos() as u64,
         prof,
-        compute: cfg.compute,
-        tracing: cfg.trace,
-        trace: Mutex::new(Trace::new()),
         live: AtomicUsize::new(nranks),
         blocked: AtomicUsize::new(0),
         progress_epoch: AtomicU64::new(0),
@@ -390,9 +367,6 @@ where
         .aborted
         .load(Ordering::SeqCst)
         .then(|| shared.deadlock_blocked.lock().clone());
-    let trace = cfg
-        .trace
-        .then(|| std::mem::replace(&mut *shared.trace.lock(), Trace::new()));
     // The same analyzer as the simulator's, minus the findings real
     // nondeterminism legitimately produces.
     shared.env.finish::<RtAgent, T>(
@@ -400,7 +374,6 @@ where
         panics,
         deadlock,
         |x| !expected_on_rt(x),
-        trace,
         None,
         cfg.trace_out.as_deref(),
     )

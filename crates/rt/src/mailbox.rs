@@ -19,19 +19,10 @@ use std::collections::{HashMap, VecDeque};
 use crate::queue::{MpscQueue, Popped, SpscRing};
 use crate::sync::{AtomicBool, AtomicUsize, Ordering};
 
-/// Envelope key used for matching sends with receives (same shape as the
-/// simulator's matcher).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RtKey {
-    /// Communicator context id.
-    pub ctx: u32,
-    /// Source world rank.
-    pub src: u32,
-    /// Destination world rank.
-    pub dst: u32,
-    /// Wire tag (internal bit + sequence + step tag).
-    pub tag: u64,
-}
+/// Envelope key used for matching sends with receives — the front end's
+/// [`Envelope`](ovcomm_simmpi::transport::Envelope), the same type the
+/// simulator's matcher keys on.
+pub use ovcomm_simmpi::transport::Envelope as RtKey;
 
 /// Unique id of a mailbox slot (send side).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -7,9 +7,13 @@
 //! move by reference through the lock-free mailbox router, and a blocked
 //! rank yield-polls, then parks its thread on a condvar until a completion
 //! wakes it.
-//! The *protocols* mirror simmpi's exactly:
+//! The post itself — the request, its verify event, the eager/rendezvous
+//! decision — is the shared front end's (`transport::post_send` /
+//! `post_recv`), as are the trace and the traffic counters (`CommEnv`);
+//! this module picks up at [`RtShared::post`] with an already-minted
+//! request. The *protocols* are simmpi's:
 //!
-//! * **Eager** (`n < eager_limit`): the sender's request completes at post
+//! * **Eager** (`n < eager_limit`): the sender's request completed at post
 //!   time (the payload handle is "buffered" in the mailbox); the receive
 //!   completes as soon as it matches.
 //! * **Rendezvous** (`n ≥ eager_limit`): the sender's request completes
@@ -23,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::mailbox::{LockFreeMailbox, MatchPair, PostedOp, RtKey};
+use crate::mailbox::{LockFreeMailbox, MatchPair, PostedOp};
 use crate::progress::ProgressShards;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
@@ -32,10 +36,8 @@ use ovcomm_simmpi::payload::Payload;
 use ovcomm_simmpi::request::Request;
 use ovcomm_simmpi::transport::CommEnv;
 use ovcomm_simmpi::SimMetrics;
-use ovcomm_simnet::{EdgeKind, ParkCell, SimTime, SpanKind, Trace, TraceEdge, TraceSpan};
-use ovcomm_verify::{Event, INTERNAL_TAG_BIT};
-
-use crate::ComputeMode;
+use ovcomm_simnet::{EdgeKind, ParkCell, SimTime};
+use ovcomm_verify::Event;
 
 /// How long a parked thread waits before re-checking the abort flag. Also
 /// bounds how quickly a deadlock abort propagates to blocked threads.
@@ -101,7 +103,7 @@ pub(crate) struct RtShared {
     pub epoch: Instant,
     /// What the front end reads and the run's result is built from:
     /// metrics, verifier, plan cache, selector, profile, node map,
-    /// registries, traffic counters, rank end times.
+    /// registries, trace, traffic counters, rank end times.
     pub env: CommEnv,
     /// The envelope-matching layer: per-rank SPSC rings + an MPSC injector
     /// in front of the sequential tables (see [`crate::mailbox`]).
@@ -111,9 +113,6 @@ pub(crate) struct RtShared {
     /// Yield-poll budget of a wait before it falls back to parking, ns.
     pub spin_budget_ns: u64,
     pub prof: RtProf,
-    pub compute: ComputeMode,
-    pub tracing: bool,
-    pub trace: Mutex<Trace>,
     /// Threads currently executing user or collective code: rank threads
     /// plus outstanding nonblocking-collective jobs.
     pub live: AtomicUsize,
@@ -146,52 +145,6 @@ impl RtShared {
             cell.wake_direct(at);
         }
         self.progress_epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a trace span (no-op unless tracing).
-    pub fn span(
-        &self,
-        actor: u32,
-        kind: SpanKind,
-        chunk: Option<u32>,
-        start: SimTime,
-        end: SimTime,
-        label: impl FnOnce() -> String,
-    ) {
-        if !self.tracing {
-            return;
-        }
-        self.trace.lock().push(TraceSpan {
-            actor,
-            kind,
-            label: label(),
-            chunk,
-            start,
-            end,
-        });
-    }
-
-    /// Record a happens-before edge (no-op unless tracing) — same edge
-    /// vocabulary as the simulator, so obs rebuilds either backend's DAG
-    /// with one code path.
-    pub fn edge(
-        &self,
-        kind: EdgeKind,
-        from_actor: u32,
-        from_time: SimTime,
-        to_actor: u32,
-        to_time: SimTime,
-    ) {
-        if !self.tracing {
-            return;
-        }
-        self.trace.lock().push_edge(TraceEdge {
-            kind,
-            from_actor,
-            from_time,
-            to_actor,
-            to_time,
-        });
     }
 
     /// Block `agent` (parked on `cell`) until `req` completes; returns the
@@ -255,85 +208,18 @@ impl RtShared {
         out
     }
 
-    /// The ring index of the calling thread, if it is a rank thread (rank
-    /// agents' ids equal their world rank; op-actor ids carry bit 31).
-    fn ring_producer(agent: u32, rank: u32) -> Option<usize> {
-        (agent & 0x8000_0000 == 0).then_some(rank as usize)
-    }
-
-    /// Post a nonblocking send: match against queued receives or park the
-    /// payload in the mailbox. Runs inline on the caller — there is no
-    /// modeled post cost; the real cost *is* the code.
-    pub fn isend_raw(
-        &self,
-        agent: u32,
-        rank: u32,
-        site: ovcomm_verify::Site,
-        key: RtKey,
-        payload: Payload,
-    ) -> Request<()> {
-        let n = payload.len();
-        let eager = n < self.env.profile.eager_limit;
-        let req = self.env.new_req::<()>(|id| Event::SendPost {
-            agent,
-            rank,
-            ctx: key.ctx,
-            dst: key.dst,
-            tag: key.tag,
-            bytes: n,
-            internal: key.tag & INTERNAL_TAG_BIT != 0,
-            req: id,
-            site: Some(site),
-        });
-        if eager {
-            // Buffered: the sender may proceed immediately.
-            self.complete(&req, ());
-        }
-        self.env.count_message(key.src, key.dst, n);
-        let slot = Slot {
-            payload,
-            sender_req: req.clone(),
-            eager,
-            posted_at: self.now(),
-        };
-        self.post(agent, rank, PostedOp::Send { key, slot });
-        req
-    }
-
-    /// Post a nonblocking receive: match against the mailbox or queue.
-    pub fn irecv_raw(
-        &self,
-        agent: u32,
-        rank: u32,
-        site: ovcomm_verify::Site,
-        key: RtKey,
-    ) -> Request<Payload> {
-        let req = self.env.new_req::<Payload>(|id| Event::RecvPost {
-            agent,
-            rank,
-            ctx: key.ctx,
-            src: key.src,
-            tag: key.tag,
-            internal: key.tag & INTERNAL_TAG_BIT != 0,
-            req: id,
-            site: Some(site),
-        });
-        let entry = (req.clone(), self.now());
-        self.post(agent, rank, PostedOp::Recv { key, entry });
-        req
-    }
-
-    /// Hand `op` to the mailbox router and deliver every match the drain
-    /// it triggers surfaces.
-    fn post(&self, agent: u32, rank: u32, op: PostedOp<Slot, RecvEntry>) {
+    /// Hand `op`, posted by agent `agent` of world rank `rank`, to the
+    /// mailbox router and deliver every match the drain it triggers
+    /// surfaces. Runs inline on the caller.
+    pub fn post(&self, agent: u32, rank: u32, op: PostedOp<Slot, RecvEntry>) {
+        // Rank agents' ids equal their world rank; operation agents' never
+        // do. Only a rank thread may produce into its rank's ring.
+        let producer = (agent == rank).then_some(rank as usize);
         let mut out = Vec::new();
-        // Safety: `ring_producer` returns `Some(rank)` only for rank
-        // agents, and rank `rank`'s agent only ever runs on its own OS
-        // thread — the single-producer contract.
-        unsafe {
-            self.mailbox
-                .post(Self::ring_producer(agent, rank), op, &mut out)
-        };
+        // Safety: `producer` is `Some(rank)` only for rank `rank`'s own
+        // agent, which only ever runs on its own OS thread — the
+        // single-producer contract.
+        unsafe { self.mailbox.post(producer, op, &mut out) };
         for m in out {
             self.deliver_match(m);
         }
@@ -370,7 +256,8 @@ impl RtShared {
             }
         }
         let edge_from = if send_first { send.posted_at } else { now };
-        self.edge(EdgeKind::SendRecv, key.src, edge_from, key.dst, now);
+        self.env
+            .edge(EdgeKind::SendRecv, key.src, edge_from, key.dst, now);
         // Rendezvous senders complete at match time (the receiver has
         // arrived); eager senders completed at post.
         if !send.eager {

@@ -82,7 +82,7 @@ struct MiniSlot {
 
 /// The mini runtime: production mailbox under the production sync
 /// primitives, with the same lock-then-complete-outside-lock shape as
-/// `RtShared::{isend_raw, irecv_raw}`.
+/// `RtShared::{post, deliver_match}`.
 struct MiniRt {
     state: Mutex<Mailbox<MiniSlot, Arc<CompletionCell<u64>>>>,
 }

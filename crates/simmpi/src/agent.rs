@@ -5,20 +5,17 @@
 //! deterministic actor id and its own virtual clock starting at the post
 //! time) — this is how MPI-3 nonblocking collectives make asynchronous
 //! progress in the simulation. The agent is also the simulator's
-//! [`Transport`]: the communicator front end reaches the engine, the flow
-//! network and the trace only through it.
+//! [`Transport`]: the communicator front end reaches the engine and the
+//! flow network only through it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ovcomm_simnet::{
-    Action, EdgeKind, EventKey, Fiber, ForcedUnwind, ParkCell, SimDur, SimTime, SpanKind, TraceSpan,
-};
-use ovcomm_verify::Site;
+use ovcomm_simnet::{Action, EventKey, Fiber, ForcedUnwind, ParkCell, SimDur, SimTime};
 
 use crate::payload::Payload;
 use crate::request::Request;
-use crate::transport::{CommEnv, Transport};
+use crate::transport::{CommEnv, Envelope, Transport};
 use crate::universe::UniShared;
 
 /// Event class for p2p injection events.
@@ -212,10 +209,6 @@ impl Transport for Agent {
         Agent::now(self)
     }
 
-    fn charge_post(&self, d: SimDur) {
-        self.advance(d);
-    }
-
     fn charge(&self, d: SimDur) {
         self.advance(d);
     }
@@ -242,12 +235,24 @@ impl Transport for Agent {
         self.advance_to(t);
     }
 
-    fn isend_raw(&self, site: Site, ctx: u32, dst: u32, tag: u64, payload: Payload) -> Request<()> {
-        crate::p2p::isend_raw(self, site, ctx, dst, tag, payload)
+    /// The send reaches the matching layer as an engine event at this
+    /// agent's clock.
+    fn inject_send(&self, key: Envelope, payload: Payload, req: Request<()>, eager: bool) {
+        let (uni, ts) = (self.uni.clone(), self.now());
+        self.schedule(
+            ts,
+            CLASS_P2P,
+            Box::new(move |_| crate::p2p::inject_send(&uni, key, payload, eager, req, ts)),
+        );
     }
 
-    fn irecv_raw(&self, site: Site, ctx: u32, src: u32, tag: u64) -> Request<Payload> {
-        crate::p2p::irecv_raw(self, site, ctx, src, tag)
+    fn inject_recv(&self, key: Envelope, req: Request<Payload>) {
+        let (uni, tr) = (self.uni.clone(), self.now());
+        self.schedule(
+            tr,
+            CLASS_P2P,
+            Box::new(move |_| crate::p2p::inject_recv(&uni, key, req, tr)),
+        );
     }
 
     fn wait<V>(&self, req: &Request<V>) -> V {
@@ -256,38 +261,6 @@ impl Transport for Agent {
 
     fn complete<V>(&self, req: &Request<V>, value: V, at: SimTime) {
         self.uni.complete(req, value, at);
-    }
-
-    fn span(
-        &self,
-        kind: SpanKind,
-        chunk: Option<u32>,
-        start: SimTime,
-        end: SimTime,
-        label: impl FnOnce() -> String,
-    ) {
-        if self.uni.tracing {
-            self.uni.engine.record_span(TraceSpan {
-                actor: self.id,
-                kind,
-                label: label(),
-                chunk,
-                start,
-                end,
-            });
-        }
-    }
-
-    fn edge(
-        &self,
-        kind: EdgeKind,
-        from_actor: u32,
-        from_time: SimTime,
-        to_actor: u32,
-        to_time: SimTime,
-    ) {
-        self.uni
-            .edge(kind, from_actor, from_time, to_actor, to_time);
     }
 
     /// Run `body` on a fresh progress actor whose clock starts at this

@@ -17,15 +17,15 @@
 //! overhead and local reductions charge `n / gamma_reduce_bw`; those are
 //! the NIC-idle gaps that overlapped collectives fill in the paper. On the
 //! wall-clock runtime the same calls go through the shared-memory mailbox,
-//! slack is real time per its compute mode, and the executor's
-//! `reduce_sum_f64` *is* the reduction cost — the [`Transport`] decides.
+//! slack costs nothing, and the executor's `reduce_sum_f64` *is* the
+//! reduction cost — the [`Transport`] decides.
 
 use ovcomm_simnet::{SimTime, SpanKind};
 
 use crate::comm::CommInfo;
 use crate::payload::Payload;
 use crate::request::Request;
-use crate::transport::Transport;
+use crate::transport::{post_recv, post_send, Transport};
 
 /// Per-instance context handed to the plan executor — its whole I/O
 /// surface: the executing agent plus the communicator and instance
@@ -62,7 +62,8 @@ impl<T: Transport> CollCtx<'_, T> {
     /// Nonblocking internal send of `payload` to communicator index `dst`
     /// with plan-assigned step tag `tag`.
     pub fn isend(&self, dst: usize, tag: u32, payload: Payload) -> Request<()> {
-        self.agent.isend_raw(
+        post_send(
+            self.agent,
             std::panic::Location::caller(),
             self.info.ctx,
             self.info.ranks[dst],
@@ -74,7 +75,8 @@ impl<T: Transport> CollCtx<'_, T> {
     /// Nonblocking internal receive from communicator index `src` with
     /// plan-assigned step tag `tag`.
     pub fn irecv(&self, src: usize, tag: u32) -> Request<Payload> {
-        self.agent.irecv_raw(
+        post_recv(
+            self.agent,
             std::panic::Location::caller(),
             self.info.ctx,
             self.info.ranks[src],
@@ -106,7 +108,9 @@ impl<T: Transport> CollCtx<'_, T> {
     /// Record a `CollStep` span from `t0` to now (label built lazily; no-op
     /// when tracing is off).
     pub fn step_span(&self, t0: SimTime, label: impl FnOnce() -> String) {
-        self.agent
-            .span(SpanKind::CollStep, None, t0, self.agent.now(), label);
+        let agent = self.agent;
+        agent
+            .env()
+            .span(agent.id(), SpanKind::CollStep, None, t0, agent.now(), label);
     }
 }

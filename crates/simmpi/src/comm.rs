@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ovcomm_simnet::{EdgeKind, SimTime, SpanKind};
+use ovcomm_simnet::{op_actor_id, EdgeKind, SimTime, SpanKind};
 use ovcomm_verify::plan::{self, CollPlan};
 use ovcomm_verify::{CollKind, Event as VEvent, Site, VerifyMode};
 
@@ -29,8 +29,8 @@ use crate::planexec::execute_plan;
 use crate::request::Request;
 use crate::rma::Win;
 use crate::state::SplitResult;
-use crate::transport::{CommEnv, Transport, WORLD_CTX};
-use crate::universe::{op_actor_id, PlanCache};
+use crate::transport::{post_recv, post_send, CommEnv, Transport, WORLD_CTX};
+use crate::universe::PlanCache;
 
 /// Largest communicator size whose compiled schedules are model-checked
 /// under `Strict`. The check explores receive-match interleavings across
@@ -204,6 +204,20 @@ impl<T: Transport> Comm<T> {
 
     fn env(&self) -> &CommEnv {
         self.agent.env()
+    }
+
+    /// Record a span from `t0` to now on this agent's track.
+    pub(crate) fn span_since(
+        &self,
+        kind: SpanKind,
+        chunk: Option<u32>,
+        t0: SimTime,
+        label: impl FnOnce() -> String,
+    ) {
+        let agent = &self.agent;
+        agent
+            .env()
+            .span(agent.id(), kind, chunk, t0, agent.now(), label);
     }
 
     /// Log a collective call on this communicator into the verifier's
@@ -422,7 +436,8 @@ impl<T: Transport> Comm<T> {
         self.env()
             .metrics
             .op(self.agent.rank(), OpKind::Isend, payload.len());
-        self.agent.isend_raw(
+        post_send(
+            &self.agent,
             std::panic::Location::caller(),
             self.info.ctx,
             self.info.ranks[dst],
@@ -435,7 +450,8 @@ impl<T: Transport> Comm<T> {
     #[track_caller]
     pub fn irecv(&self, src: usize, tag: u32) -> Request<Payload> {
         self.env().metrics.op(self.agent.rank(), OpKind::Irecv, 0);
-        self.agent.irecv_raw(
+        post_recv(
+            &self.agent,
             std::panic::Location::caller(),
             self.info.ctx,
             self.info.ranks[src],
@@ -471,8 +487,7 @@ impl<T: Transport> Comm<T> {
     /// `BlockingCall` trace span.
     fn blocking_done(&self, t0: SimTime, label: impl FnOnce() -> String) {
         self.blocking_duration(t0);
-        self.agent
-            .span(SpanKind::BlockingCall, None, t0, self.agent.now(), label);
+        self.span_since(SpanKind::BlockingCall, None, t0, label);
     }
 
     /// Record the duration of a blocking call that started at `t0`.
@@ -518,9 +533,7 @@ impl<T: Transport> Comm<T> {
     fn wait_traced_impl<V>(&self, req: &Request<V>, label: &str, chunk: Option<u32>) -> V {
         let t0 = self.agent.now();
         let v = self.wait(req);
-        let owned = label.to_string();
-        self.agent
-            .span(SpanKind::Wait, chunk, t0, self.agent.now(), move || owned);
+        self.span_since(SpanKind::Wait, chunk, t0, || label.to_string());
         v
     }
 
@@ -805,8 +818,7 @@ impl<T: Transport> Comm<T> {
 
     /// Record the `Post` trace span of a nonblocking post begun at `t0`.
     fn post_span(&self, t0: SimTime, label: impl FnOnce() -> String) {
-        self.agent
-            .span(SpanKind::Post, None, t0, self.agent.now(), label);
+        self.span_since(SpanKind::Post, None, t0, label);
     }
 
     /// Post one nonblocking collective instance: charge the modeled post
@@ -839,7 +851,7 @@ impl<T: Transport> Comm<T> {
         } else {
             profile.post_base
         };
-        self.agent.charge_post(cost);
+        self.agent.charge(cost);
         let plans = self.plans(kind, n, root.unwrap_or(0));
 
         let rank = self.agent.rank();
@@ -875,7 +887,7 @@ impl<T: Transport> Comm<T> {
                 });
             }
             let done = agent.now();
-            agent.edge(EdgeKind::PostWait, id, done, rank, done);
+            agent.env().edge(EdgeKind::PostWait, id, done, rank, done);
             agent.complete(&req2, v, done);
         });
 

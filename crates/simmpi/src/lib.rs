@@ -79,6 +79,7 @@ pub type SimOutput<T> = RunOutput<T>;
 pub use comm::compile_plans;
 #[doc(hidden)]
 pub use metrics::{OpKind, SimMetrics};
+pub use ovcomm_simnet::actor_name;
 pub use ovcomm_verify::plan;
 pub use ovcomm_verify::plan::CollAlgo;
 pub use ovcomm_verify::{CollKind, DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
@@ -86,4 +87,4 @@ pub use payload::Payload;
 pub use rank::{RunError, RunOutput};
 pub use request::Request;
 pub use rma::SimWin;
-pub use universe::{actor_name, run, SimConfig};
+pub use universe::{run, SimConfig};

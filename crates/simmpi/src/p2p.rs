@@ -1,12 +1,15 @@
 //! Point-to-point transport: eager and rendezvous protocols over the flow
-//! network.
+//! network — what happens to a message once the front end has posted it
+//! (`transport::post_send` / `post_recv`) and the agent's
+//! `Transport::inject_*` has scheduled this module's engine callbacks at
+//! the poster's clock.
 //!
 //! Timing model (constants from [`ovcomm_simnet::MachineProfile`]):
 //!
-//! * **Posting** a send costs `small_post`, plus an internal buffer copy
-//!   (`n / copy_bw`) for eager messages; posting a receive costs
-//!   `small_post`.
-//! * **Eager** (`n < eager_limit`): the sender's request completes at post
+//! * **Posting** (charged by the front end, on either backend's clock): a
+//!   send costs `small_post`, plus an internal buffer copy (`n / copy_bw`)
+//!   for eager messages; a receive costs `small_post`.
+//! * **Eager** (`n < eager_limit`): the sender's request completed at post
 //!   time (buffered); data is injected after the one-way latency α and
 //!   flows to the destination regardless of whether the receive is posted;
 //!   the receive completes one unpack copy after both the data has arrived
@@ -26,12 +29,13 @@
 use std::sync::Arc;
 
 use ovcomm_simnet::{EdgeKind, SimDur, SimTime};
-use ovcomm_verify::{Event, ReqId, Site, INTERNAL_TAG_BIT};
+use ovcomm_verify::ReqId;
 
 use crate::agent::{Agent, CLASS_P2P};
 use crate::payload::Payload;
 use crate::request::Request;
-use crate::state::{MatchKey, MsgId, SendSlot, SlotState};
+use crate::state::{MsgId, SendSlot, SlotState};
+use crate::transport::Envelope;
 use crate::universe::UniShared;
 
 /// Transfer path parameters: resources, per-stream cap, latency, rendezvous
@@ -65,99 +69,10 @@ pub(crate) fn path_params(uni: &UniShared, src: u32, dst: u32, n: usize) -> Path
     }
 }
 
-/// Post a nonblocking send from `agent`'s rank to world rank `dst`.
-pub(crate) fn isend_raw(
-    agent: &Agent,
-    site: Site,
-    ctx: u32,
-    dst: u32,
-    tag: u64,
-    payload: Payload,
-) -> Request<()> {
-    let uni = agent.uni.clone();
-    let n = payload.len();
-    let eager = n < uni.env.profile.eager_limit;
-    let mut cost = uni.env.profile.small_post;
-    if eager {
-        cost += uni.env.profile.copy_time(n);
-    }
-    agent.advance(cost);
-    let req = uni.env.new_req::<()>(|id| Event::SendPost {
-        agent: agent.id,
-        rank: agent.rank,
-        ctx,
-        dst,
-        tag,
-        bytes: n,
-        internal: tag & INTERNAL_TAG_BIT != 0,
-        req: id,
-        site: Some(site),
-    });
-    if eager {
-        // Buffered: the sender may reuse its buffer immediately.
-        let none = req.complete((), agent.now());
-        debug_assert!(none.is_empty());
-    }
-    let key = MatchKey {
-        ctx,
-        src: agent.rank,
-        dst,
-        tag,
-    };
-    let req2 = req.clone();
-    let ts = agent.now();
-    agent.schedule(
-        ts,
-        CLASS_P2P,
-        Box::new(move |_| {
-            inject_send(&uni, key, payload, eager, req2, ts);
-        }),
-    );
-    req
-}
-
-/// Post a nonblocking receive at `agent`'s rank from world rank `src`.
-pub(crate) fn irecv_raw(
-    agent: &Agent,
-    site: Site,
-    ctx: u32,
-    src: u32,
-    tag: u64,
-) -> Request<Payload> {
-    let uni = agent.uni.clone();
-    agent.advance(uni.env.profile.small_post);
-    let req = uni.env.new_req::<Payload>(|id| Event::RecvPost {
-        agent: agent.id,
-        rank: agent.rank,
-        ctx,
-        src,
-        tag,
-        internal: tag & INTERNAL_TAG_BIT != 0,
-        req: id,
-        site: Some(site),
-    });
-    let key = MatchKey {
-        ctx,
-        src,
-        dst: agent.rank,
-        tag,
-    };
-    let req2 = req.clone();
-    let tr = agent.now();
-    agent.schedule(
-        tr,
-        CLASS_P2P,
-        Box::new(move |_| {
-            inject_recv(&uni, key, req2, tr);
-        }),
-    );
-    req
-}
-
 /// Engine callback: a send reaches the matching layer at time `ts`.
-fn inject_send(
+pub(crate) fn inject_send(
     uni: &Arc<UniShared>,
-    key: MatchKey,
+    key: Envelope,
     payload: Payload,
     eager: bool,
     sender_req: Request<()>,
@@ -165,7 +80,6 @@ fn inject_send(
 ) {
     let n = payload.len();
     let sender_vid = sender_req.verify_id();
-    uni.env.count_message(key.src, key.dst, n);
     let msg_id;
     let matched_recv;
     {
@@ -203,7 +117,7 @@ fn inject_send(
 // Slot-table `expect`s assert matcher bookkeeping: a queued message id
 // always has a live slot.
 #[allow(clippy::expect_used, clippy::unwrap_used)]
-fn inject_recv(uni: &Arc<UniShared>, key: MatchKey, req: Request<Payload>, tr: SimTime) {
+pub(crate) fn inject_recv(uni: &Arc<UniShared>, key: Envelope, req: Request<Payload>, tr: SimTime) {
     enum Outcome {
         Queued,
         Bound(Option<ReqId>),
@@ -249,7 +163,7 @@ fn inject_recv(uni: &Arc<UniShared>, key: MatchKey, req: Request<Payload>, tr: S
             // Data already sits in the receiver's internal buffer: one
             // unpack copy from now.
             let done = tr + uni.env.profile.copy_time(n);
-            uni.edge(EdgeKind::SendRecv, key.src, tr, key.dst, done);
+            uni.env.edge(EdgeKind::SendRecv, key.src, tr, key.dst, done);
             uni.complete(&req, payload, done);
         }
         Outcome::Rendezvous(id, n, svid) => {
@@ -263,7 +177,7 @@ fn inject_recv(uni: &Arc<UniShared>, key: MatchKey, req: Request<Payload>, tr: S
 /// time); on arrival, deliver to the bound/waiting receive or park the data
 /// as "unexpected".
 #[allow(clippy::expect_used, clippy::unwrap_used)]
-fn launch_eager_flow(uni: &Arc<UniShared>, key: MatchKey, msg_id: MsgId, n: usize, ts: SimTime) {
+fn launch_eager_flow(uni: &Arc<UniShared>, key: Envelope, msg_id: MsgId, n: usize, ts: SimTime) {
     let path = path_params(uni, key.src, key.dst, n);
     let uni2 = uni.clone();
     let start_at = ts + path.alpha;
@@ -294,7 +208,8 @@ fn launch_eager_flow(uni: &Arc<UniShared>, key: MatchKey, msg_id: MsgId, n: usiz
                     };
                     if let Some((recv, payload)) = deliver {
                         let done = ta + uni3.env.profile.copy_time(n);
-                        uni3.edge(EdgeKind::SendRecv, key.src, ta, key.dst, done);
+                        uni3.env
+                            .edge(EdgeKind::SendRecv, key.src, ta, key.dst, done);
                         uni3.complete(&recv, payload, done);
                     }
                 }),
@@ -308,7 +223,7 @@ fn launch_eager_flow(uni: &Arc<UniShared>, key: MatchKey, msg_id: MsgId, n: usiz
 #[allow(clippy::expect_used)]
 fn start_rendezvous(
     uni: &Arc<UniShared>,
-    key: MatchKey,
+    key: Envelope,
     msg_id: MsgId,
     n: usize,
     recv: Request<Payload>,
@@ -334,7 +249,7 @@ fn start_rendezvous(
                         .slots
                         .remove(&msg_id)
                         .expect("rendezvous slot vanished");
-                    uni3.edge(EdgeKind::SendRecv, key.src, ta, key.dst, ta);
+                    uni3.env.edge(EdgeKind::SendRecv, key.src, ta, key.dst, ta);
                     uni3.complete(&slot.sender_req, (), ta);
                     uni3.complete(&recv, slot.payload, ta);
                 }),
@@ -359,7 +274,6 @@ pub(crate) fn rma_transfer(
     done: Request<()>,
 ) {
     let uni = agent.uni.clone();
-    uni.env.count_message(src, dst, n);
     let path = path_params(&uni, src, dst, n);
     let ts = agent.now();
     let start_at = ts + path.alpha;
@@ -385,7 +299,7 @@ pub(crate) fn rma_transfer(
                                 None => (ts, landed),
                                 Some(_) => (landed, landed + uni2.env.profile.copy_time(n)),
                             };
-                            uni2.edge(EdgeKind::SendRecv, src, from, dst, ta);
+                            uni2.env.edge(EdgeKind::SendRecv, src, from, dst, ta);
                             if let Some((req, data)) = get {
                                 uni2.complete(&req, data, ta);
                             }

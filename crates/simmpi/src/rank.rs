@@ -13,12 +13,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ovcomm_obs::MetricsSnapshot;
-use ovcomm_simnet::{MachineProfile, NetStats, NodeMap, SimDur, SimTime, SpanKind, Trace};
+use ovcomm_simnet::{
+    actor_name, MachineProfile, NetStats, NodeMap, SimDur, SimTime, SpanKind, Trace,
+};
 use ovcomm_verify::{DeadlockReport, Finding, Severity, VerifyReport};
 
 use crate::comm::Comm;
 use crate::transport::{CommEnv, Transport};
-use crate::universe::actor_name;
 
 /// Handle passed to each rank's closure: identity, clock, and the world
 /// communicator — `ovcomm_simmpi::RankCtx` on the simulator,
@@ -100,7 +101,7 @@ impl<T: Transport> RankCtx<T> {
     }
 
     /// Charge modeled local computation time (a clock bump on the
-    /// simulator; skipped or really slept per the runtime's compute mode).
+    /// simulator; nothing on the runtime, where real code costs real time).
     pub fn advance(&self, d: SimDur) {
         self.agent.charge(d);
     }
@@ -111,10 +112,9 @@ impl<T: Transport> RankCtx<T> {
         assert!(rate > 0.0 && flops >= 0.0);
         let t0 = self.now();
         self.advance(SimDur::from_secs_f64(flops / rate));
-        self.agent
-            .span(SpanKind::Compute, None, t0, self.now(), || {
-                format!("compute {flops:.3e} flops")
-            });
+        self.world.span_since(SpanKind::Compute, None, t0, || {
+            format!("compute {flops:.3e} flops")
+        });
     }
 
     /// Sleep for `d` (the `usleep` of the paper's multiple-PPN sleep/poll
@@ -135,7 +135,10 @@ impl<T: Transport> RankCtx<T> {
 
     /// Record a custom trace span (shown on Fig-6-style timelines).
     pub fn trace_span(&self, kind: SpanKind, start: SimTime, end: SimTime, label: String) {
-        self.agent.span(kind, None, start, end, move || label);
+        let agent = &self.agent;
+        agent
+            .env()
+            .span(agent.id(), kind, None, start, end, move || label);
     }
 
     /// Record a custom trace span tagged with a pipeline chunk index.
@@ -147,8 +150,10 @@ impl<T: Transport> RankCtx<T> {
         end: SimTime,
         label: String,
     ) {
-        self.agent
-            .span(kind, Some(chunk), start, end, move || label);
+        let agent = &self.agent;
+        agent
+            .env()
+            .span(agent.id(), kind, Some(chunk), start, end, move || label);
     }
 
     /// Record a `Phase` span from `start` to now — kernels bracket their
@@ -271,20 +276,27 @@ impl CommEnv {
     /// `panics` the `(rank, message)` of every rank that panicked, and
     /// `deadlock` the `(agent, rank)` of everyone blocked if the backend
     /// declared the run deadlocked. `keep` selects the verify findings this
-    /// backend reports; `trace_out` is where to write the Perfetto trace.
-    // One parameter per thing a backend observed; a struct built at the
-    // two call sites would only move the list.
-    #[allow(clippy::too_many_arguments, clippy::expect_used)]
+    /// backend reports; `trace_out` is where to write the Perfetto trace —
+    /// written whether the run succeeded or not: a failed run's trace is
+    /// the one somebody needs.
+    #[allow(clippy::expect_used)]
     pub fn finish<T: Transport, R>(
         &self,
         results: Vec<Option<R>>,
         mut panics: Vec<(usize, String)>,
         deadlock: Option<Vec<(u32, u32)>>,
         keep: impl Fn(&Finding) -> bool,
-        trace: Option<Trace>,
         net: Option<NetStats>,
         trace_out: Option<&Path>,
     ) -> Result<RunOutput<R>, RunError> {
+        let trace = self.trace.as_ref().map(|t| std::mem::take(&mut *t.lock()));
+        if let Some(path) = trace_out {
+            let spans = trace.as_ref().map_or(&[][..], |t| t.spans());
+            if let Err(e) = ovcomm_obs::write_trace(path, spans, actor_name) {
+                eprintln!("warning: failed to write trace to {}: {e}", path.display());
+            }
+        }
+
         // Report by rank, not by the order the panics were reached.
         panics.sort();
         // A rank panic often *causes* the deadlock that unwinds everyone
@@ -320,12 +332,6 @@ impl CommEnv {
 
         let clamped_spans = trace.as_ref().map_or(0, Trace::clamped);
         self.metrics.spans_clamped(clamped_spans as u64);
-        if let Some(path) = trace_out {
-            let spans = trace.as_ref().map_or(&[][..], |t| t.spans());
-            if let Err(e) = ovcomm_obs::write_trace(path, spans, actor_name) {
-                eprintln!("warning: failed to write trace to {}: {e}", path.display());
-            }
-        }
         let end_times = self.rank_end_times.lock().clone();
         Ok(RunOutput {
             backend: T::NAME,

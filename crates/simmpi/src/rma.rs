@@ -427,7 +427,7 @@ impl<T: Transport> Win<T> {
         let t0 = agent.now();
         // Origin-side post cost: like an eager send, the payload is
         // captured into the runtime's buffer at post time.
-        agent.charge_post(env.profile.small_post + env.profile.copy_time(n));
+        agent.charge(env.profile.small_post + env.profile.copy_time(n));
         env.rma_metric(agent.rank(), opname, n);
         if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::RmaOp {
@@ -442,7 +442,7 @@ impl<T: Transport> Win<T> {
                 site: Some(site),
             });
         }
-        agent.span(SpanKind::Post, None, t0, agent.now(), || {
+        self.comm.span_since(SpanKind::Post, None, t0, || {
             format!("{} post {n}B -> {target}", kind.name())
         });
         let seq = self.post_seq.fetch_add(1, Ordering::Relaxed);
@@ -468,9 +468,10 @@ impl<T: Transport> Win<T> {
     /// user-visible request, which the user's own wait consumes.
     fn transfer(&self, src: usize, dst: usize, n: usize, get: Option<(Request<Payload>, Payload)>) {
         let done: Request<()> = Request::new();
-        self.comm
-            .agent()
-            .rma_transfer(self.world(src), self.world(dst), n, get, done.clone());
+        let agent = self.comm.agent();
+        let (src, dst) = (self.world(src), self.world(dst));
+        agent.env().count_message(src, dst, n);
+        agent.rma_transfer(src, dst, n, get, done.clone());
         if !done.is_complete() {
             self.pending.lock().push(done);
         }
@@ -486,7 +487,7 @@ impl<T: Transport> Win<T> {
         let env = agent.env();
         self.check_target("get", target);
         let t0 = agent.now();
-        agent.charge_post(env.profile.small_post);
+        agent.charge(env.profile.small_post);
         env.rma_metric(agent.rank(), "get", len);
         let req = env.new_req(|id| VEvent::RmaOp {
             agent: agent.id(),
@@ -499,7 +500,7 @@ impl<T: Transport> Win<T> {
             req: Some(id),
             site: Some(site),
         });
-        agent.span(SpanKind::Post, None, t0, agent.now(), || {
+        self.comm.span_since(SpanKind::Post, None, t0, || {
             format!("MPI_Rget post {len}B <- {target}")
         });
         // Snapshot the committed segment at post time: the committed
@@ -547,7 +548,7 @@ impl<T: Transport> Win<T> {
         }
         env.metrics
             .blocking_duration(agent.rank(), agent.now().saturating_since(t0).as_nanos());
-        agent.span(SpanKind::BlockingCall, None, t0, agent.now(), || {
+        self.comm.span_since(SpanKind::BlockingCall, None, t0, || {
             "MPI_Win_fence".to_string()
         });
     }
@@ -573,7 +574,7 @@ impl<T: Transport> Win<T> {
         if free {
             // One request/grant round trip to the target.
             let alpha = agent.path_latency(self.world(me), self.world(target));
-            agent.charge_post(SimDur(2 * alpha.as_nanos()));
+            agent.charge(SimDur(2 * alpha.as_nanos()));
         } else {
             agent.wait(&grant);
         }
@@ -586,7 +587,7 @@ impl<T: Transport> Win<T> {
                 site: Some(site),
             });
         }
-        agent.span(SpanKind::BlockingCall, None, t0, agent.now(), || {
+        self.comm.span_since(SpanKind::BlockingCall, None, t0, || {
             format!("MPI_Win_lock {target}")
         });
     }
@@ -624,7 +625,7 @@ impl<T: Transport> Win<T> {
                 site: Some(site),
             });
         }
-        agent.span(SpanKind::BlockingCall, None, t0, agent.now(), || {
+        self.comm.span_since(SpanKind::BlockingCall, None, t0, || {
             format!("MPI_Win_unlock {target}")
         });
     }
@@ -674,7 +675,7 @@ impl<T: Transport> Win<T> {
     fn charge_copy(&self, bytes: usize) {
         if bytes > 0 {
             let agent = self.comm.agent();
-            agent.charge_post(agent.env().profile.copy_time(bytes));
+            agent.charge(agent.env().profile.copy_time(bytes));
         }
     }
 }

@@ -16,20 +16,7 @@ use ovcomm_simnet::SimTime;
 
 use crate::payload::Payload;
 use crate::request::Request;
-
-/// Envelope key used for matching sends with receives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct MatchKey {
-    /// Communicator context id.
-    pub ctx: u32,
-    /// Sender world rank.
-    pub src: u32,
-    /// Receiver world rank.
-    pub dst: u32,
-    /// Full 64-bit tag (user tags live in the low 32 bits; internal
-    /// collective tags set bit 63).
-    pub tag: u64,
-}
+use crate::transport::Envelope;
 
 /// Unique id for an in-flight message (send side).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,9 +48,9 @@ pub(crate) struct SendSlot {
 #[derive(Default)]
 pub(crate) struct MpiState {
     /// FIFO of unmatched send slots per envelope.
-    pub send_q: HashMap<MatchKey, VecDeque<MsgId>>,
+    pub send_q: HashMap<Envelope, VecDeque<MsgId>>,
     /// FIFO of unmatched receives per envelope.
-    pub recv_q: HashMap<MatchKey, VecDeque<Request<Payload>>>,
+    pub recv_q: HashMap<Envelope, VecDeque<Request<Payload>>>,
     /// All live send slots.
     pub slots: HashMap<MsgId, SendSlot>,
     pub next_msg_id: u64,

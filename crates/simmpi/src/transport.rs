@@ -7,11 +7,15 @@
 //! things: the [`CommEnv`] both backends embed in their shared state
 //! (metrics, verifier, plan cache, selector, profile, node map, the
 //! communicator-context and window registries, and what a run accumulates
-//! for its result: traffic counters, rank end times, captured progress-actor
-//! panics), and the [`Transport`] trait, which carries only what the
-//! virtual-time simulator and the wall-clock runtime really do differently.
-//! A method whose two implementations would have the same body belongs in
-//! the front end, not here.
+//! for its result: the trace, traffic counters, rank end times, captured
+//! progress-actor panics), and the [`Transport`] trait, which carries only
+//! what the virtual-time simulator and the wall-clock runtime really do
+//! differently. A method whose two implementations would have the same
+//! body belongs in the front end, not here — which is why the point-to-point
+//! post path (`post_send`, `post_recv`: charge, mint the request,
+//! complete an eager sender) and the trace sink ([`CommEnv::span`],
+//! [`CommEnv::edge`]) live in this module and a backend only *injects* the
+//! posted envelope into its matcher.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,8 +23,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ovcomm_simnet::{EdgeKind, MachineProfile, NodeMap, SimDur, SimTime, SpanKind};
-use ovcomm_verify::{Event, Finding, ReqId, Site, Verifier, VerifyMode, VerifyReport};
+use ovcomm_simnet::{
+    EdgeKind, MachineProfile, NodeMap, SimDur, SimTime, SpanKind, Trace, TraceEdge, TraceSpan,
+};
+use ovcomm_verify::{
+    Event, Finding, ReqId, Site, Verifier, VerifyMode, VerifyReport, INTERNAL_TAG_BIT,
+};
 
 use crate::collsel::CollSelector;
 use crate::metrics::SimMetrics;
@@ -33,6 +41,22 @@ use crate::universe::PlanCache;
 /// World communicator context id.
 #[doc(hidden)]
 pub const WORLD_CTX: u32 = 0;
+
+/// What a send and a receive must agree on to match: FIFO per envelope, no
+/// wildcards. The one key type of both matchers (the simulator's
+/// flow-network matcher and the runtime's mailbox).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Envelope {
+    /// Communicator context id.
+    pub ctx: u32,
+    /// Source world rank.
+    pub src: u32,
+    /// Destination world rank.
+    pub dst: u32,
+    /// Full 64-bit tag (user tags live in the low 32 bits; internal
+    /// collective tags set bit 63).
+    pub tag: u64,
+}
 
 /// The per-run environment of the communicator front end: everything it
 /// reads that is *not* backend-specific. Each backend's shared state
@@ -75,6 +99,9 @@ pub struct CommEnv {
     pub(crate) rank_end_times: Mutex<Vec<SimTime>>,
     /// `(rank, message)` of every panic that unwound a progress actor.
     pub(crate) op_panics: Mutex<Vec<(u32, String)>>,
+    /// Spans and happens-before edges recorded so far; `Some` iff the run
+    /// traces.
+    pub(crate) trace: Option<Mutex<Trace>>,
 }
 
 /// Render a caught panic payload as the message `panic!` was given.
@@ -88,12 +115,14 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 impl CommEnv {
-    /// A fresh environment for a run of `nodemap.nranks()` ranks.
+    /// A fresh environment for a run of `nodemap.nranks()` ranks, recording
+    /// spans and edges iff `trace`.
     pub fn new(
         nodemap: NodeMap,
         verify_mode: VerifyMode,
         coll_select: CollSelector,
         profile: MachineProfile,
+        trace: bool,
     ) -> CommEnv {
         let nranks = nodemap.nranks();
         CommEnv {
@@ -114,12 +143,60 @@ impl CommEnv {
             messages: AtomicU64::new(0),
             rank_end_times: Mutex::new(vec![SimTime::ZERO; nranks]),
             op_panics: Mutex::new(Vec::new()),
+            trace: trace.then(|| Mutex::new(Trace::new())),
+        }
+    }
+
+    /// Record a span on `actor`'s track. Does nothing — `label` is not
+    /// called — unless the run traces.
+    pub fn span(
+        &self,
+        actor: u32,
+        kind: SpanKind,
+        chunk: Option<u32>,
+        start: SimTime,
+        end: SimTime,
+        label: impl FnOnce() -> String,
+    ) {
+        if let Some(trace) = &self.trace {
+            let label = label();
+            trace.lock().push(TraceSpan {
+                actor,
+                kind,
+                label,
+                chunk,
+                start,
+                end,
+            });
+        }
+    }
+
+    /// Record a happens-before edge (send→recv from the matching layer,
+    /// operation completion → wait from the dispatcher) so obs can rebuild
+    /// the run's DAG. Does nothing unless the run traces.
+    pub fn edge(
+        &self,
+        kind: EdgeKind,
+        from_actor: u32,
+        from_time: SimTime,
+        to_actor: u32,
+        to_time: SimTime,
+    ) {
+        if let Some(trace) = &self.trace {
+            trace.lock().push_edge(TraceEdge {
+                kind,
+                from_actor,
+                from_time,
+                to_actor,
+                to_time,
+            });
         }
     }
 
     /// Count one message of `n` bytes from world rank `src` to `dst`,
-    /// intra- or inter-node by the node map.
-    pub fn count_message(&self, src: u32, dst: u32, n: usize) {
+    /// intra- or inter-node by the node map. Called where a message or a
+    /// one-sided transfer is posted.
+    pub(crate) fn count_message(&self, src: u32, dst: u32, n: usize) {
         self.messages.fetch_add(1, Ordering::Relaxed);
         let intra = self.nodemap.node_of(src as usize) == self.nodemap.node_of(dst as usize);
         let bytes = if intra {
@@ -132,7 +209,7 @@ impl CommEnv {
 
     /// A fresh request, tracked when verification is on. `event` builds
     /// the post event for the minted request id.
-    pub fn new_req<V>(&self, event: impl FnOnce(ReqId) -> Event) -> Request<V> {
+    pub(crate) fn new_req<V>(&self, event: impl FnOnce(ReqId) -> Event) -> Request<V> {
         match self.verify.as_ref() {
             Some(v) => {
                 let id = v.next_req_id();
@@ -191,6 +268,76 @@ impl CommEnv {
     }
 }
 
+/// Post a nonblocking send of `payload` from `agent`'s rank to world rank
+/// `dst` on context `ctx` with the full 64-bit `tag` (user tags live in the
+/// low 32 bits; internal collective tags set bit 63): charge the modeled
+/// post cost — `small_post`, plus the internal buffer copy of an eager
+/// message — mint the request, complete an eager sender at once (buffered:
+/// its buffer is reusable immediately), and hand the envelope to the
+/// backend's matcher.
+pub(crate) fn post_send<T: Transport>(
+    agent: &T,
+    site: Site,
+    ctx: u32,
+    dst: u32,
+    tag: u64,
+    payload: Payload,
+) -> Request<()> {
+    let env = agent.env();
+    let n = payload.len();
+    let eager = n < env.profile.eager_limit;
+    let mut cost = env.profile.small_post;
+    if eager {
+        cost += env.profile.copy_time(n);
+    }
+    agent.charge(cost);
+    let req = env.new_req(|id| Event::SendPost {
+        agent: agent.id(),
+        rank: agent.rank(),
+        ctx,
+        dst,
+        tag,
+        bytes: n,
+        internal: tag & INTERNAL_TAG_BIT != 0,
+        req: id,
+        site: Some(site),
+    });
+    if eager {
+        agent.complete(&req, (), agent.now());
+    }
+    let src = agent.rank();
+    env.count_message(src, dst, n);
+    agent.inject_send(Envelope { ctx, src, dst, tag }, payload, req.clone(), eager);
+    req
+}
+
+/// Post a nonblocking receive at `agent`'s rank from world rank `src`:
+/// charge `small_post`, mint the request, hand the envelope to the
+/// backend's matcher.
+pub(crate) fn post_recv<T: Transport>(
+    agent: &T,
+    site: Site,
+    ctx: u32,
+    src: u32,
+    tag: u64,
+) -> Request<Payload> {
+    let env = agent.env();
+    agent.charge(env.profile.small_post);
+    let req = env.new_req(|id| Event::RecvPost {
+        agent: agent.id(),
+        rank: agent.rank(),
+        ctx,
+        src,
+        tag,
+        internal: tag & INTERNAL_TAG_BIT != 0,
+        req: id,
+        site: Some(site),
+    });
+    let dst = agent.rank();
+    agent.inject_recv(Envelope { ctx, src, dst, tag }, req.clone());
+    req
+}
+
 /// What a backend provides to the communicator front end. One value is one
 /// *execution identity* (an agent): a rank's own thread/fiber, or the
 /// progress actor running one nonblocking collective on a rank's behalf.
@@ -201,17 +348,16 @@ impl CommEnv {
 ///   agent next to its clock or park cell;
 /// * `NAME` — `"sim"` or `"rt"`, stamped on every result;
 /// * `now` — a per-agent virtual clock vs. the wall;
-/// * `charge_post` / `charge` / `charge_reduce` — modeled costs: clock
-///   bumps (and a shared γ-reduce CPU resource) on the simulator; nothing,
-///   or a `ComputeMode::Emulate` sleep, on the runtime, where the real cost
-///   *is* the code;
+/// * `charge` / `charge_reduce` — modeled costs: clock bumps (and a
+///   shared γ-reduce CPU resource) on the simulator; nothing on the
+///   runtime, where the real cost *is* the code;
 /// * `sleep` — a timer event the fiber parks on (so a `test`-poll loop
 ///   yields to the engine) vs. a real, capped `thread::sleep`;
-/// * `isend_raw` / `irecv_raw` — the `(ctx, src, dst, tag64)` envelope
-///   goes to the flow-network matcher or the shared-memory mailbox;
+/// * `inject_send` / `inject_recv` — the posted [`Envelope`] goes to the
+///   flow-network matcher (an engine event at the agent's clock) or the
+///   shared-memory mailbox;
 /// * `wait` / `complete` — park under the event engine and wake at a
 ///   virtual time, vs. spin-then-park an OS thread under the watchdog;
-/// * `span` / `edge` — the engine's trace vs. a mutex-protected one;
 /// * `spawn_op` — a fiber registered with the engine at post time vs. a
 ///   progress-shard job, each with its own live/occupancy bookkeeping and
 ///   panic capture;
@@ -237,11 +383,9 @@ pub trait Transport: Clone + Send + Sync + Sized + 'static {
 
     /// Current time on this agent's clock (virtual or wall).
     fn now(&self) -> SimTime;
-    /// Charge modeled software time on the calling agent: the cost of
-    /// posting a nonblocking collective or a one-sided operation, an
-    /// epoch close's apply copy, a free window lock's round trip.
-    fn charge_post(&self, d: SimDur);
-    /// Charge modeled time that no code on the runtime stands for: a
+    /// Charge modeled time on the calling agent: the cost of posting a
+    /// message, a nonblocking collective or a one-sided operation, an
+    /// epoch close's apply copy, a free window lock's round trip, a
     /// collective round's software slack, a kernel's modeled compute.
     fn charge(&self, d: SimDur);
     /// Charge the local reduction of an `n`-byte operand (the plan
@@ -252,12 +396,13 @@ pub trait Transport: Clone + Send + Sync + Sized + 'static {
     /// meanwhile.
     fn sleep(&self, d: SimDur);
 
-    /// Post a nonblocking send of `payload` to world rank `dst` on context
-    /// `ctx` with the full 64-bit `tag` (user tags live in the low 32
-    /// bits; internal collective tags set bit 63).
-    fn isend_raw(&self, site: Site, ctx: u32, dst: u32, tag: u64, payload: Payload) -> Request<()>;
-    /// Post a nonblocking receive from world rank `src`.
-    fn irecv_raw(&self, site: Site, ctx: u32, src: u32, tag: u64) -> Request<Payload>;
+    /// Hand a send posted by `post_send` to the matching layer. `req` is
+    /// already complete iff `eager`; otherwise the backend completes it
+    /// when the matching receive has the data.
+    fn inject_send(&self, key: Envelope, payload: Payload, req: Request<()>, eager: bool);
+    /// Hand a receive posted by `post_recv` to the matching layer, which
+    /// completes `req` with the matched payload.
+    fn inject_recv(&self, key: Envelope, req: Request<Payload>);
 
     /// Block until `req` completes and take its value (`MPI_Wait`).
     fn wait<V>(&self, req: &Request<V>) -> V;
@@ -265,26 +410,6 @@ pub trait Transport: Clone + Send + Sync + Sized + 'static {
     /// completion time on the completing agent's clock; the wall-clock
     /// runtime stamps its own.
     fn complete<V>(&self, req: &Request<V>, value: V, at: SimTime);
-
-    /// Record a trace span on this agent's track (label built lazily;
-    /// no-op unless tracing).
-    fn span(
-        &self,
-        kind: SpanKind,
-        chunk: Option<u32>,
-        start: SimTime,
-        end: SimTime,
-        label: impl FnOnce() -> String,
-    );
-    /// Record a happens-before edge (no-op unless tracing).
-    fn edge(
-        &self,
-        kind: EdgeKind,
-        from_actor: u32,
-        from_time: SimTime,
-        to_actor: u32,
-        to_time: SimTime,
-    );
 
     /// Run `body` as operation agent `id` of this rank: asynchronously,
     /// under a fresh agent whose clock starts at this agent's current

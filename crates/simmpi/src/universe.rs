@@ -1,6 +1,8 @@
 //! The simulation universe: launches one fiber per rank, runs the event
 //! loop on the calling thread, and hands what the ranks left behind to the
-//! shared epilogue (`CommEnv::finish`).
+//! shared epilogue (`CommEnv::finish`). The trace is not among it — spans
+//! and edges go straight to `CommEnv` — and the actor-id layout is
+//! `ovcomm_simnet::trace`'s.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -8,8 +10,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use ovcomm_simnet::{
-    ClusterResources, ClusterSpec, Engine, Fabric, Fiber, ForcedUnwind, MachineProfile, NodeMap,
-    ParkCell, ResourceKind, SimTime,
+    rank_of_actor, ClusterResources, ClusterSpec, Engine, Fabric, Fiber, ForcedUnwind,
+    MachineProfile, NodeMap, ParkCell, ResourceKind, SimTime,
 };
 use ovcomm_verify::plan::{CollAlgo, CollPlan};
 use ovcomm_verify::VerifyMode;
@@ -124,7 +126,7 @@ pub(crate) struct UniShared {
     pub state: Mutex<MpiState>,
     /// What the front end reads and the run's result is built from:
     /// metrics, verifier, plan cache, selector, profile, node map,
-    /// registries, traffic counters, rank end times.
+    /// registries, trace, traffic counters, rank end times.
     pub env: CommEnv,
     pub resources: ClusterResources,
     /// Per-rank reduction-compute resource (capacity `gamma_reduce_bw ×
@@ -132,7 +134,6 @@ pub(crate) struct UniShared {
     /// share it, so pipelined reductions cannot compute faster than the
     /// process's progress engine allows.
     pub cpu: Vec<ovcomm_simnet::ResourceId>,
-    pub tracing: bool,
     /// Stack size for op fibers.
     pub fiber_stack: usize,
 }
@@ -161,65 +162,6 @@ impl UniShared {
         for cell in req.complete(value, at) {
             self.engine.wake(&cell, at);
         }
-    }
-
-    /// Record a happens-before edge in the trace (no-op when tracing is
-    /// off). Used by the p2p layer (send→recv) and the dispatcher
-    /// (operation completion → wait) so obs can rebuild the run's DAG.
-    pub(crate) fn edge(
-        &self,
-        kind: ovcomm_simnet::EdgeKind,
-        from_actor: u32,
-        from_time: SimTime,
-        to_actor: u32,
-        to_time: SimTime,
-    ) {
-        if self.tracing {
-            self.engine.record_edge(ovcomm_simnet::TraceEdge {
-                kind,
-                from_actor,
-                from_time,
-                to_actor,
-                to_time,
-            });
-        }
-    }
-}
-
-/// Encode a deterministic actor id for the `op_idx`-th nonblocking
-/// operation posted by `rank`. Rank actors use ids `0..nranks`; operation
-/// actors set the high bit.
-pub(crate) fn op_actor_id(rank: u32, op_idx: u64) -> u32 {
-    assert!(
-        rank < (1 << 17),
-        "rank {rank} too large for op-actor encoding"
-    );
-    assert!(
-        op_idx < (1 << 14),
-        "rank {rank} posted more than 16384 nonblocking operations in one run"
-    );
-    0x8000_0000 | (rank << 14) | (op_idx as u32)
-}
-
-/// World rank an actor id acts for (inverse of [`op_actor_id`] for
-/// operation actors; identity for rank actors).
-pub(crate) fn rank_of_actor(id: u32) -> u32 {
-    if id & 0x8000_0000 != 0 {
-        (id & 0x7FFF_FFFF) >> 14
-    } else {
-        id
-    }
-}
-
-/// Human-readable track name for an actor id (inverse of `op_actor_id`
-/// for operation actors), used for Perfetto thread names.
-pub fn actor_name(id: u32) -> String {
-    if id & 0x8000_0000 != 0 {
-        let rank = (id & 0x7FFF_FFFF) >> 14;
-        let op = id & 0x3FFF;
-        format!("rank {rank} op {op}")
-    } else {
-        format!("rank {id}")
     }
 }
 
@@ -254,9 +196,6 @@ where
 {
     let nranks = cfg.nodemap.nranks();
     let engine = Engine::new();
-    if cfg.trace {
-        engine.enable_trace();
-    }
     // Register cluster resources: per-node NIC/memory in the canonical
     // (tx, rx, mem per node) order, then any fabric link resources.
     let resources = engine.build_cluster(&cfg.cluster);
@@ -277,10 +216,10 @@ where
             cfg.verify,
             cfg.coll_select.clone(),
             cfg.cluster.profile.clone(),
+            cfg.trace,
         ),
         resources,
         cpu,
-        tracing: cfg.trace,
         fiber_stack: cfg.fiber_stack,
     });
 
@@ -358,7 +297,6 @@ where
         panics,
         deadlock,
         |_| true,
-        uni.engine.take_trace(),
         Some(uni.engine.net_stats()),
         cfg.trace_out.as_deref(),
     )

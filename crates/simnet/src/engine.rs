@@ -52,7 +52,6 @@ use crate::fiber::{self, Fiber};
 use crate::flow::{FlowId, FlowNet, FlowSpec, ResourceId, ResourceKind, ResourceStats};
 use crate::time::{SimDur, SimTime};
 use crate::topology::{ClusterResources, ClusterSpec};
-use crate::trace::{Trace, TraceEdge, TraceSpan};
 
 /// Origin id used for events scheduled by the engine itself (flow
 /// completions, timer chains created inside callbacks).
@@ -220,7 +219,6 @@ struct Core {
     ready_time: BTreeMap<u32, SimTime>,
     /// The actor currently running, if any (set across one `resume`).
     current: Option<u32>,
-    trace: Option<Trace>,
     completed_flows: u64,
     total_queue_delay_secs: f64,
     max_queue_delay_secs: f64,
@@ -255,7 +253,6 @@ impl Engine {
                 ready: BTreeSet::new(),
                 ready_time: BTreeMap::new(),
                 current: None,
-                trace: None,
                 completed_flows: 0,
                 total_queue_delay_secs: 0.0,
                 max_queue_delay_secs: 0.0,
@@ -264,30 +261,6 @@ impl Engine {
                 stopped: false,
             }),
         }
-    }
-
-    /// Enable span tracing (for Fig.-6-style timelines).
-    pub fn enable_trace(&self) {
-        self.core.lock().trace = Some(Trace::new());
-    }
-
-    /// Record a span if tracing is enabled.
-    pub fn record_span(&self, span: TraceSpan) {
-        if let Some(t) = self.core.lock().trace.as_mut() {
-            t.push(span);
-        }
-    }
-
-    /// Record a happens-before edge if tracing is enabled.
-    pub fn record_edge(&self, edge: TraceEdge) {
-        if let Some(t) = self.core.lock().trace.as_mut() {
-            t.push_edge(edge);
-        }
-    }
-
-    /// Take the accumulated trace, if tracing was enabled.
-    pub fn take_trace(&self) -> Option<Trace> {
-        self.core.lock().trace.take()
     }
 
     /// Register a network resource (must happen before flows use it).
@@ -330,12 +303,6 @@ impl Engine {
             total_queue_delay_secs: core.total_queue_delay_secs,
             max_queue_delay_secs: core.max_queue_delay_secs,
         }
-    }
-
-    /// Number of trace spans that were clamped on insertion (end before
-    /// start). Zero when tracing is off. See [`Trace::clamped`].
-    pub fn clamped_spans(&self) -> usize {
-        self.core.lock().trace.as_ref().map_or(0, Trace::clamped)
     }
 
     /// Current virtual time of the event loop. Actor code should use its own

@@ -46,4 +46,6 @@ pub use flow::{FlowId, FlowNet, FlowSpec, ResourceId, ResourceKind, ResourceStat
 pub use profile::MachineProfile;
 pub use time::{SimDur, SimTime};
 pub use topology::{ClusterResources, ClusterSpec, Fabric, GroupPlacement, NodeMap};
-pub use trace::{EdgeKind, SpanKind, Trace, TraceEdge, TraceSpan};
+pub use trace::{
+    actor_name, op_actor_id, rank_of_actor, EdgeKind, SpanKind, Trace, TraceEdge, TraceSpan,
+};

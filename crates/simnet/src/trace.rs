@@ -3,8 +3,55 @@
 //! Components record `TraceSpan`s — an actor id, a category, a label and a
 //! virtual start/end — and the bench harness renders them as per-operation
 //! time bars ("posting MPI_Ireduce", "waiting for MPI_Ibcast", …).
+//!
+//! The actor-id bit layout lives here, next to [`TraceSpan::actor`]: rank
+//! actors use their world rank; the actor running a rank's `k`-th
+//! nonblocking operation is `1 << 31 | rank << 14 | k`
+//! ([`op_actor_id`], [`rank_of_actor`], [`actor_name`]; round trip and
+//! range checks tested in `tests/actor_ids.rs`).
 
 use crate::time::SimTime;
+
+/// Set on operation-actor ids; never on a rank actor's.
+const OP_ACTOR_TAG: u32 = 0x8000_0000;
+/// Bits of the per-rank operation index.
+const OP_INDEX_BITS: u32 = 14;
+
+/// Deterministic actor id for the `op_idx`-th nonblocking operation posted
+/// by `rank`. Rank actors use ids `0..nranks`; operation actors set the
+/// high bit.
+pub fn op_actor_id(rank: u32, op_idx: u64) -> u32 {
+    assert!(
+        rank < (1 << 17),
+        "rank {rank} too large for op-actor encoding"
+    );
+    assert!(
+        op_idx < (1 << OP_INDEX_BITS),
+        "rank {rank} posted more than 16384 nonblocking operations in one run"
+    );
+    OP_ACTOR_TAG | (rank << OP_INDEX_BITS) | (op_idx as u32)
+}
+
+/// World rank an actor id acts for (inverse of [`op_actor_id`] for
+/// operation actors; identity for rank actors).
+pub fn rank_of_actor(id: u32) -> u32 {
+    if id & OP_ACTOR_TAG != 0 {
+        (id & !OP_ACTOR_TAG) >> OP_INDEX_BITS
+    } else {
+        id
+    }
+}
+
+/// Human-readable track name for an actor id: `rank R`, or `rank R op K`
+/// for operation actors. Used for Perfetto thread names.
+pub fn actor_name(id: u32) -> String {
+    let rank = rank_of_actor(id);
+    if id & OP_ACTOR_TAG != 0 {
+        format!("rank {rank} op {}", id & ((1 << OP_INDEX_BITS) - 1))
+    } else {
+        format!("rank {rank}")
+    }
+}
 
 /// Coarse category of a traced span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,7 +134,8 @@ pub struct TraceEdge {
 /// One bar on a per-rank timeline.
 #[derive(Debug, Clone)]
 pub struct TraceSpan {
-    /// Actor (rank) the span belongs to.
+    /// Actor the span belongs to: a rank, or one of its operation actors
+    /// (see [`op_actor_id`]).
     pub actor: u32,
     /// Category, used for grouping/coloring.
     pub kind: SpanKind,

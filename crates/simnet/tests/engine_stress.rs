@@ -152,25 +152,3 @@ fn flows_and_timers_interleave_correctly() {
         );
     }
 }
-
-#[test]
-fn trace_spans_accumulate_across_actors() {
-    let engine = Arc::new(Engine::new());
-    engine.enable_trace();
-    run_actors(&engine, 1, |_, engine2, _| {
-        for i in 0..5 {
-            engine2.record_span(ovcomm_simnet::TraceSpan {
-                actor: i,
-                kind: ovcomm_simnet::SpanKind::Compute,
-                label: format!("span {i}"),
-                chunk: None,
-                start: SimTime(i as u64 * 100),
-                end: SimTime(i as u64 * 100 + 50),
-            });
-        }
-        0
-    });
-    let trace = engine.take_trace().expect("trace enabled");
-    assert_eq!(trace.spans().len(), 5);
-    assert_eq!(trace.for_actor(3).count(), 1);
-}

@@ -49,6 +49,8 @@ impl DeadlockReport {
             .map(|&(agent, rank)| BlockedAgent {
                 agent,
                 rank,
+                // Bit 31 tags an operation actor — `ovcomm_simnet::trace::op_actor_id`
+                // owns the layout; this crate has no simnet dependency to call it.
                 is_op_agent: agent & 0x8000_0000 != 0,
                 pending: None,
             })

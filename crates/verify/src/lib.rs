@@ -248,6 +248,8 @@ impl Verifier {
                 BlockedAgent {
                     agent,
                     rank,
+                    // Bit 31 tags an operation actor — `ovcomm_simnet::trace::op_actor_id`
+                    // owns the layout; this crate has no simnet dependency to call it.
                     is_op_agent: agent & 0x8000_0000 != 0,
                     pending,
                 }

@@ -11,7 +11,9 @@
 //! also pins the front ends' argument-check panic messages (once — they
 //! are the same code on either backend), and that the one run harness —
 //! `RankCtx<T>`, `RunOutput`, `RunError` — reports the same identity and
-//! the same failures on both.
+//! the same failures on both. With tracing on, the one trace sink records
+//! the same spans and edges for either backend, and a failed run still
+//! writes its Perfetto file.
 
 use std::collections::BTreeMap;
 
@@ -163,13 +165,10 @@ fn window_program<R: RankHandle>(rc: &R) -> Vec<u64> {
     seen
 }
 
-/// Run `program` on `p` simulated ranks, `ppn` per node.
 fn try_sim<T: Send + 'static>(
-    p: usize,
-    ppn: usize,
+    cfg: SimConfig,
     program: fn(&RankCtx) -> T,
 ) -> Result<RunOutput<T>, RunError> {
-    let cfg = SimConfig::natural(p, ppn, MachineProfile::test_profile());
     run(cfg, move |rc: RankCtx| program(&rc))
 }
 
@@ -180,12 +179,17 @@ fn try_rt<T: Send + 'static>(
     ovcomm_rt::run(cfg, move |rc: RtRankCtx| program(&rc))
 }
 
+/// `p` simulated ranks, `ppn` per node.
+fn sim_cfg(p: usize, ppn: usize) -> SimConfig {
+    SimConfig::natural(p, ppn, MachineProfile::test_profile())
+}
+
 fn rt_cfg(p: usize, ppn: usize) -> RtConfig {
     RtConfig::natural(p, ppn, MachineProfile::test_profile())
 }
 
 fn on_sim(p: usize, program: fn(&RankCtx) -> Vec<u64>) -> RunOutput<Vec<u64>> {
-    try_sim(p, 2, program).expect("sim run")
+    try_sim(sim_cfg(p, 2), program).expect("sim run")
 }
 
 fn on_rt(p: usize, program: fn(&RtRankCtx) -> Vec<u64>) -> RunOutput<Vec<u64>> {
@@ -311,6 +315,57 @@ fn one_window_program_agrees_across_backends() {
     }
 }
 
+/// What a trace records that no clock decides: the sorted
+/// `(actor, kind, label, chunk)` of its spans and `(kind, from, to)` of its
+/// edges.
+type TraceBag = (
+    Vec<(u32, &'static str, String, Option<u32>)>,
+    Vec<(&'static str, u32, u32)>,
+);
+
+fn trace_bag(out: RunOutput<Vec<u64>>) -> TraceBag {
+    assert_eq!(out.clamped_spans, 0, "{}", out.backend);
+    let trace = out.trace.expect("traced run");
+    let mut spans: Vec<_> = trace
+        .spans()
+        .iter()
+        .map(|s| (s.actor, s.kind.name(), s.label.clone(), s.chunk))
+        .collect();
+    let mut edges: Vec<_> = trace
+        .edges()
+        .iter()
+        .map(|e| (e.kind.name(), e.from_actor, e.to_actor))
+        .collect();
+    spans.sort();
+    edges.sort();
+    (spans, edges)
+}
+
+#[test]
+fn both_backends_record_the_same_trace() {
+    // The simulator's (spans, edges) for `program` and `window_program`,
+    // pinned so the comparison is not vacuous.
+    for (p, counts) in [
+        (4, [(764, 242), (352, 106)]),
+        (6, [(1680, 537), (728, 226)]),
+    ] {
+        let (sim, rt) = (|| sim_cfg(p, 2).with_trace(), rt_cfg(p, 2).with_trace());
+        let runs = [
+            (try_sim(sim(), program), try_rt(rt.clone(), program)),
+            (try_sim(sim(), window_program), try_rt(rt, window_program)),
+        ];
+        for ((sim, rt), want) in runs.into_iter().zip(counts) {
+            let (sim, rt) = (
+                trace_bag(sim.expect("sim run")),
+                trace_bag(rt.expect("rt run")),
+            );
+            assert_eq!((sim.0.len(), sim.1.len()), want, "p={p}");
+            assert!(sim.0 == rt.0, "p={p}: spans differ");
+            assert!(sim.1 == rt.1, "p={p}: edges differ");
+        }
+    }
+}
+
 /// Run `f` on two simulated ranks and return the panic message.
 fn panic_message(f: impl Fn(&Comm, usize) + Send + Sync + 'static) -> String {
     let cfg = SimConfig::natural(2, 1, MachineProfile::test_profile()).with_verify(VerifyMode::Off);
@@ -385,7 +440,7 @@ fn failures(
     // The programs hang; do not sit out the watchdog's default 2 s.
     let cfg = rt_cfg(p, 1).with_deadlock_timeout(Duration::from_millis(200));
     [
-        ("sim", failed("sim", try_sim(p, 1, sim_program))),
+        ("sim", failed("sim", try_sim(sim_cfg(p, 1), sim_program))),
         ("rt", failed("rt", try_rt(cfg, rt_program))),
     ]
 }
@@ -407,6 +462,48 @@ fn deadlock_is_the_same_error_on_both_backends() {
             }
             e => panic!("{backend}: expected a deadlock, got {e}"),
         }
+    }
+}
+
+fn barrier_then_both_recv<R: RankHandle>(rc: &R) {
+    let world = rc.world();
+    world.barrier();
+    let _ = world.recv(1 - world.rank(), 0);
+}
+
+/// The trace of a failed run is the one somebody needs: `trace_out` is
+/// written before the epilogue returns its error.
+#[test]
+fn a_failed_run_still_writes_its_trace() {
+    for backend in ["sim", "rt"] {
+        let path = std::env::temp_dir().join(format!(
+            "ovcomm_failed_run_{backend}_{}.json",
+            std::process::id()
+        ));
+        let failed = match backend {
+            "sim" => try_sim(sim_cfg(2, 1).with_trace_out(&path), barrier_then_both_recv),
+            _ => try_rt(
+                rt_cfg(2, 1)
+                    .with_deadlock_timeout(Duration::from_millis(200))
+                    .with_trace_out(&path),
+                barrier_then_both_recv,
+            ),
+        };
+        assert!(
+            matches!(failed, Err(RunError::Deadlock { .. })),
+            "{backend}: expected a deadlock"
+        );
+        let v = ovcomm_obs::read_trace(&path).expect("trace file written");
+        std::fs::remove_file(&path).ok();
+        ovcomm_obs::validate_trace_events(&v).expect("well-formed trace events");
+        let barriers = v
+            .get("traceEvents")
+            .and_then(|e| e.as_array())
+            .expect("traceEvents")
+            .iter()
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("MPI_Barrier"))
+            .count();
+        assert_eq!(barriers, 2, "{backend}: one barrier span per rank");
     }
 }
 
@@ -450,7 +547,7 @@ fn identity<R: RankHandle>(rc: &R) -> (Vec<usize>, &'static str) {
 
 #[test]
 fn rank_identity_agrees_across_backends() {
-    let sim = try_sim(6, 3, identity).expect("sim run");
+    let sim = try_sim(sim_cfg(6, 3), identity).expect("sim run");
     let rt = try_rt(rt_cfg(6, 3), identity).expect("rt run");
     for (r, (s, t)) in sim.results.iter().zip(&rt.results).enumerate() {
         assert_eq!(s.0, [r, 6, r / 3, 3, 3, 2, 3], "rank {r}");
