@@ -42,9 +42,9 @@ pub struct SimConfig {
     /// Collective-algorithm selection policy. The default reproduces the
     /// legacy hardcoded 32 KiB short/long thresholds exactly.
     pub coll_select: CollSelector,
-    /// Stack size of each rank/op fiber. Stacks are committed lazily by
-    /// the OS, so the default is generous; lower it for very large sweeps
-    /// if address space matters.
+    /// Stack size of each rank/op fiber. A stack costs address space and
+    /// the pages a fiber touches, not this size, so the default is
+    /// generous; raise it for a rank body that needs more.
     pub fiber_stack: usize,
 }
 

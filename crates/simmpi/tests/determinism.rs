@@ -269,7 +269,8 @@ fn ten_thousand_rank_bcast_allreduce_strict_smoke() {
     let out = run(
         SimConfig::natural(p, 4, MachineProfile::test_profile())
             .with_verify(VerifyMode::Strict)
-            // 256 KiB of stack per fiber keeps the footprint modest.
+            // Not needed for the footprint any more: a stack costs the
+            // pages a fiber touches, whatever size is asked for here.
             .with_fiber_stack(256 << 10),
         move |rc: RankCtx| {
             let w = rc.world();

@@ -1,6 +1,6 @@
 //! Stackful coroutines ("fibers") for event-driven actor execution.
 //!
-//! A [`Fiber`] runs a closure on its own heap-allocated stack. The closure
+//! A [`Fiber`] runs a closure on its own separately mapped stack. The closure
 //! can suspend itself at any depth with [`fiber_yield`], returning control to
 //! whoever called [`Fiber::resume`]; the next `resume` continues exactly
 //! where the closure left off. This is what lets the discrete-event engine
@@ -10,12 +10,33 @@
 //!
 //! # Implementation
 //!
-//! On x86-64 Unix the switch is ~10 instructions of inline assembly saving
+//! On x86-64 Linux the switch is ~10 instructions of inline assembly saving
 //! the System V callee-saved registers (`rbp rbx r12–r15`) and swapping
 //! `rsp`; everything else (instruction pointer, locals) lives on the fiber's
 //! stack. On other targets a portable fallback backs each fiber with a
 //! lazily-spawned OS thread and a condvar handoff — same API, same
 //! one-runner-at-a-time semantics, just without the scalability.
+//!
+//! # Stacks
+//!
+//! A stack is one anonymous private `mmap` (`MAP_NORESERVE`), the requested
+//! size rounded up to whole pages plus one guard page at the low end that is
+//! never made accessible. What a stack costs is therefore address space, two
+//! kernel mappings (`vm.max_map_count` is the ceiling on live + pooled
+//! stacks, ≈ 32k at the usual 65,530) and the pages the fiber actually
+//! touched — the requested size itself is not paid for. A fiber that
+//! overflows its stack faults on the guard page at the offending store and
+//! the process dies by `SIGSEGV`; nothing next to the stack is overwritten
+//! first. (Rust probes every page of a large frame in order, so a frame
+//! cannot step over the guard.)
+//!
+//! A dropped fiber's stack goes onto a process-wide free list keyed by
+//! mapping length and the next fiber of that length takes it as it is:
+//! stacks are never zeroed again and, up to a cap on the list, never
+//! unmapped, so a reused stack costs a lock and a `Vec::pop` and keeps its
+//! touched pages resident. [`stack_pool_stats`] reports what the pool did.
+//! If the kernel refuses a mapping, [`Fiber::new`] panics; there is no
+//! unguarded fallback.
 //!
 //! # Panics and cancellation
 //!
@@ -24,7 +45,7 @@
 //! `resume` on the caller's stack. Dropping a suspended fiber *cancels* it:
 //! the fiber is resumed one last time with a cancellation flag set, and
 //! `fiber_yield` raises a [`ForcedUnwind`] panic so that every live local on
-//! the fiber stack runs its destructor before the stack is freed.
+//! the fiber stack runs its destructor before the stack is released.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -35,16 +56,39 @@ use std::panic::{self, AssertUnwindSafe};
 /// it if a broad `catch_unwind` sees a payload of this type).
 pub struct ForcedUnwind;
 
-/// Default fiber stack size. Stacks are allocated zeroed, so untouched pages
-/// cost address space only, not resident memory.
+/// Default fiber stack size. This much address space is mapped; resident
+/// memory is only the pages a fiber touches (see the module docs).
 pub const DEFAULT_STACK_SIZE: usize = 1 << 20;
 
 const MIN_STACK_SIZE: usize = 64 * 1024;
 
-/// Magic written at the low end of each fiber stack; checked after every
-/// resume to catch stack overflows (which would otherwise silently corrupt
-/// the adjacent heap).
-const STACK_CANARY: u64 = 0xF1BE_2CAF_EC0D_A217;
+/// What the process-wide fiber-stack pool has done so far, as returned by
+/// [`stack_pool_stats`]. These are diagnostics of the process, not of a run:
+/// every count depends on what ran earlier in the same process. All zero on
+/// targets that back fibers with threads.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StackPoolStats {
+    /// Stacks created with a fresh mapping.
+    pub mapped: usize,
+    /// Stacks taken from the free list instead.
+    pub reused: usize,
+    /// Stacks owned by a fiber right now.
+    pub live: usize,
+    /// Highest value `live` has had.
+    pub live_max: usize,
+    /// Stacks on the free list right now.
+    pub pooled: usize,
+    /// Resident bytes of the pooled stack that has the most: how deep the
+    /// deepest fiber whose stack is pooled went, to the page. Read with
+    /// `mincore`, one call per pooled stack, when this struct is asked for
+    /// and at no other time.
+    pub resident_max_bytes: usize,
+}
+
+/// Snapshot of the process-wide fiber-stack pool. See [`StackPoolStats`].
+pub fn stack_pool_stats() -> StackPoolStats {
+    imp::stack_pool_stats()
+}
 
 /// True while the calling code is executing inside a fiber.
 pub fn in_fiber() -> bool {
@@ -66,7 +110,9 @@ pub struct Fiber {
 
 impl Fiber {
     /// Create a fiber that will run `f` on its first [`Fiber::resume`]. The
-    /// requested stack size is rounded up to a small minimum.
+    /// requested stack size is rounded up to a small minimum. Panics, naming
+    /// the size, the stacks in existence and `vm.max_map_count`, if the
+    /// kernel refuses to map a stack.
     pub fn new<F>(stack_size: usize, f: F) -> Fiber
     where
         F: FnOnce() + Send + 'static,
@@ -90,9 +136,11 @@ impl Fiber {
     }
 }
 
-#[cfg(all(target_arch = "x86_64", unix, not(miri)))]
+#[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
 mod imp {
     use super::*;
+    use std::collections::BTreeMap;
+    use std::ffi::{c_int, c_void};
 
     // The context switch: save the System V callee-saved registers on the
     // current stack, publish the resulting rsp through `save_rsp`, adopt
@@ -192,9 +240,193 @@ mod imp {
         }
     }
 
+    // Linux x86-64 values; std links libc, which exports the four calls.
+    const PROT_NONE: c_int = 0;
+    const PROT_READ: c_int = 1;
+    const PROT_WRITE: c_int = 2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const MAP_NORESERVE: c_int = 0x4000;
+    const PAGE: usize = 4096;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
+    }
+
+    /// Most stacks the free list keeps; a stack released beyond it is
+    /// unmapped. 16k stacks are 32k mappings, half of the default
+    /// `vm.max_map_count`, so pooled stacks of lengths nobody asks for any
+    /// more cannot starve live ones of mappings.
+    const POOL_CAP: usize = 16 * 1024;
+
+    struct Pool {
+        /// Base addresses of the stacks no fiber owns, by mapping length.
+        free: BTreeMap<usize, Vec<usize>>,
+        mapped: usize,
+        reused: usize,
+        live: usize,
+        live_max: usize,
+    }
+
+    impl Pool {
+        fn pooled(&self) -> usize {
+            self.free.values().map(Vec::len).sum()
+        }
+    }
+
+    static POOL: parking_lot::Mutex<Pool> = parking_lot::Mutex::new(Pool {
+        free: BTreeMap::new(),
+        mapped: 0,
+        reused: 0,
+        live: 0,
+        live_max: 0,
+    });
+
+    /// One mapping of `len` bytes at `base`: the guard page, then the usable
+    /// stack up to `base + len`. Owned by one fiber; dropping it hands the
+    /// mapping to the pool.
+    struct Stack {
+        base: usize,
+        len: usize,
+    }
+
+    /// Map `len` bytes with everything above the lowest page readable and
+    /// writable. The whole range starts out inaccessible, so a failure at
+    /// either step leaves no usable stack without its guard.
+    fn map_stack(len: usize) -> std::io::Result<usize> {
+        // SAFETY: a new anonymous mapping at an address of the kernel's
+        // choosing overlaps nothing this process has mapped.
+        let base = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_NONE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        if base as isize == -1 {
+            return Err(std::io::Error::last_os_error());
+        }
+        let base = base as usize;
+        // SAFETY: `[base + PAGE, base + len)` lies inside the mapping made
+        // above, which nothing else refers to yet.
+        if unsafe {
+            mprotect(
+                (base + PAGE) as *mut c_void,
+                len - PAGE,
+                PROT_READ | PROT_WRITE,
+            )
+        } != 0
+        {
+            let err = std::io::Error::last_os_error();
+            unmap_stack(base, len);
+            return Err(err);
+        }
+        Ok(base)
+    }
+
+    fn unmap_stack(base: usize, len: usize) {
+        // SAFETY: the caller owns the whole mapping `[base, base + len)` and
+        // no fiber runs on it.
+        let rc = unsafe { munmap(base as *mut c_void, len) };
+        debug_assert_eq!(rc, 0, "munmap of a fiber stack failed");
+    }
+
+    impl Stack {
+        fn acquire(stack_size: usize) -> Stack {
+            let len = stack_size
+                .checked_next_multiple_of(PAGE)
+                .and_then(|usable| usable.checked_add(PAGE))
+                .unwrap_or_else(|| panic!("fiber stack size {stack_size} is out of range"));
+            let mut pool = POOL.lock();
+            let base = match pool.free.get_mut(&len).and_then(Vec::pop) {
+                Some(base) => {
+                    pool.reused += 1;
+                    base
+                }
+                None => {
+                    let base = map_stack(len).unwrap_or_else(|err| {
+                        let limit = std::fs::read_to_string("/proc/sys/vm/max_map_count");
+                        panic!(
+                            "cannot map a fiber stack of {stack_size} bytes: {err} \
+                             ({} stacks live and {} pooled at two mappings each, \
+                             vm.max_map_count = {})",
+                            pool.live,
+                            pool.pooled(),
+                            limit.as_deref().map_or("unknown", str::trim),
+                        )
+                    });
+                    pool.mapped += 1;
+                    base
+                }
+            };
+            pool.live += 1;
+            pool.live_max = pool.live_max.max(pool.live);
+            Stack { base, len }
+        }
+    }
+
+    impl Drop for Stack {
+        fn drop(&mut self) {
+            let mut pool = POOL.lock();
+            pool.live -= 1;
+            if pool.pooled() < POOL_CAP {
+                pool.free.entry(self.len).or_default().push(self.base);
+            } else {
+                drop(pool);
+                unmap_stack(self.base, self.len);
+            }
+        }
+    }
+
+    pub(super) fn stack_pool_stats() -> StackPoolStats {
+        let pool = POOL.lock();
+        let mut resident = Vec::new();
+        let mut resident_max_pages = 0;
+        for (&len, bases) in &pool.free {
+            resident.resize((len - PAGE) / PAGE, 0);
+            for &base in bases {
+                // SAFETY: the pool owns `[base + PAGE, base + len)` while the
+                // lock is held, and `resident` has one byte per page of it.
+                let rc = unsafe {
+                    mincore(
+                        (base + PAGE) as *mut c_void,
+                        len - PAGE,
+                        resident.as_mut_ptr(),
+                    )
+                };
+                debug_assert_eq!(rc, 0, "mincore of a pooled fiber stack failed");
+                let pages = resident.iter().filter(|&&b| b & 1 != 0).count();
+                resident_max_pages = resident_max_pages.max(pages);
+            }
+        }
+        StackPoolStats {
+            mapped: pool.mapped,
+            reused: pool.reused,
+            live: pool.live,
+            live_max: pool.live_max,
+            pooled: pool.pooled(),
+            resident_max_bytes: resident_max_pages * PAGE,
+        }
+    }
+
     pub(super) struct FiberImpl {
         ctl: Box<FiberCtl>,
-        stack: Box<[u8]>,
+        /// Fields drop after `Drop for FiberImpl` has run, so the fiber is
+        /// unwound by the time the pool gets its stack back.
+        _stack: Stack,
     }
 
     // The closure is `Send` and the raw pointers only ever reference memory
@@ -204,10 +436,10 @@ mod imp {
 
     impl FiberImpl {
         pub(super) fn new(stack_size: usize, f: Box<dyn FnOnce() + Send + 'static>) -> FiberImpl {
-            // Zeroed allocation: the allocator hands back untouched
-            // (copy-on-write zero) pages, so large stacks are cheap until
-            // actually used.
-            let stack = vec![0u8; stack_size].into_boxed_slice();
+            // Fresh from the kernel or as the last fiber left it: nothing on
+            // a stack is read before it is written, and only the frame below
+            // is written here, so no page but the top one is touched.
+            let stack = Stack::acquire(stack_size);
             let mut ctl = Box::new(FiberCtl {
                 fiber_rsp: 0,
                 parent_rsp: 0,
@@ -216,15 +448,15 @@ mod imp {
                 entry: Some(f),
                 panic: None,
             });
-            let base = stack.as_ptr() as usize;
             // Bootstrap frame, laid out so `ovcomm_raw_switch`'s restore
             // sequence pops zeros into the callee-saved registers (except
             // r12 = FiberCtl pointer) and `ret`s into `ovcomm_fiber_start`.
             // `rsp % 16 == 8` at the shim's entry keeps the System V stack
             // alignment contract for the `call` it performs.
-            let top = (base + stack_size) & !15usize;
-            let rsp = top - 72;
+            let rsp = stack.base + stack.len - 72;
             debug_assert_eq!(rsp % 16, 8);
+            // SAFETY: the seven words end at the page-aligned top of a
+            // mapping at least `MIN_STACK_SIZE` long that this fiber owns.
             unsafe {
                 let p = rsp as *mut usize;
                 p.write(0); // r15
@@ -234,10 +466,9 @@ mod imp {
                 p.add(4).write(0); // rbx
                 p.add(5).write(0); // rbp
                 p.add(6).write(ovcomm_fiber_start as *const () as usize); // return address
-                (base as *mut u64).write(STACK_CANARY);
             }
             ctl.fiber_rsp = rsp;
-            FiberImpl { ctl, stack }
+            FiberImpl { ctl, _stack: stack }
         }
 
         pub(super) fn resume(&mut self) {
@@ -247,8 +478,6 @@ mod imp {
                 ovcomm_raw_switch(&mut (*ctl).parent_rsp, (*ctl).fiber_rsp);
             }
             CURRENT.with(|c| c.set(prev));
-            let canary = unsafe { (self.stack.as_ptr() as *const u64).read() };
-            assert_eq!(canary, STACK_CANARY, "fiber stack overflow detected");
             if let Some(p) = self.ctl.panic.take() {
                 panic::resume_unwind(p);
             }
@@ -262,9 +491,9 @@ mod imp {
     impl Drop for FiberImpl {
         fn drop(&mut self) {
             // Started but suspended: cancel so the fiber stack unwinds and
-            // every live local runs its destructor before the stack is
-            // freed. A never-started fiber just drops its closure; a
-            // finished one has nothing left on its stack.
+            // every live local runs its destructor before the stack goes
+            // back to the pool. A never-started fiber just drops its
+            // closure; a finished one has nothing left on its stack.
             if !self.ctl.done && self.ctl.entry.is_none() {
                 self.ctl.cancel = true;
                 self.resume();
@@ -274,7 +503,7 @@ mod imp {
     }
 }
 
-#[cfg(not(all(target_arch = "x86_64", unix, not(miri))))]
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux", not(miri))))]
 mod imp {
     //! Portable fallback: each fiber is backed by a lazily-spawned OS thread
     //! with a strict condvar handoff — exactly one of {caller, fiber thread}
@@ -308,6 +537,11 @@ mod imp {
 
     pub(super) fn in_fiber() -> bool {
         CURRENT.with(|c| !c.get().is_null())
+    }
+
+    /// Thread stacks are the OS's business: there is no pool to report.
+    pub(super) fn stack_pool_stats() -> StackPoolStats {
+        StackPoolStats::default()
     }
 
     #[allow(clippy::expect_used)]

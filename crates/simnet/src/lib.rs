@@ -18,8 +18,9 @@
 //!   parked actors are released in deterministic `(virtual time, actor id)`
 //!   order, making runs bit-deterministic.
 //! * [`fiber`] — minimal stackful coroutines (one context switch is a few ns
-//!   and a fiber costs one heap stack, so tens of thousands of ranks fit in
-//!   one process).
+//!   and a fiber costs one guarded, pooled stack mapping of which only the
+//!   touched pages are resident, so tens of thousands of ranks fit in one
+//!   process).
 //! * [`profile`]/[`topology`] — calibration constants (Stampede2 Skylake
 //!   preset fitted to the paper's measured anchors), fat-tree and dragonfly
 //!   fabrics with per-link contention, and rank→node maps.
