@@ -86,7 +86,7 @@ table! {
     ablation_model       None  ["--coll-select"]             ablation_model::main;
     ablation_network     None  ["--coll-select"]             ablation_network::main;
     algo_sweep           None  ["--smoke", "--fail-on-lint"] algo_sweep::main;
-    mc_sweep             None  ["--smoke", "--fail-on-lint"] algo_sweep::mc_sweep;
+    mc_sweep             Fast  ["--smoke", "--fail-on-lint"] algo_sweep::mc_sweep;
     mc_supports          None  ["--fail-on-lint"]            algo_sweep::mc_supports;
     multi_tenant         None  ["--smoke"]                   multi_tenant::main;
     rma_sweep            None  ["--smoke", "--backend"]      rma_sweep::main;

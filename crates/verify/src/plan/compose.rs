@@ -20,8 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::lint::PlanFinding;
-use super::mc::McCounterexample;
+use super::finding::{McCounterexample, PlanFinding};
 use super::{CollPlan, StepOp};
 
 /// Number of low wire-tag bits holding the per-instance step tag.
@@ -53,8 +52,37 @@ impl PlanInstance {
 
     /// The wire tag a step tag maps to under this instance's namespace.
     pub fn wire_tag(&self, step_tag: u32) -> u64 {
+        self.borrowed().wire_tag(step_tag)
+    }
+
+    pub(crate) fn borrowed(&self) -> InstRef<'_> {
+        InstRef {
+            ctx: self.ctx,
+            seq: self.seq,
+            plans: &self.plans,
+        }
+    }
+}
+
+/// A [`PlanInstance`] over borrowed plans: what the checks and the
+/// symbolic executor read, so that a caller holding only `&[CollPlan]`
+/// copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InstRef<'a> {
+    pub(crate) ctx: u64,
+    pub(crate) seq: u64,
+    pub(crate) plans: &'a [CollPlan],
+}
+
+impl InstRef<'_> {
+    pub(crate) fn wire_tag(&self, step_tag: u32) -> u64 {
         INTERNAL_BIT | (self.seq << STEP_TAG_BITS) | u64::from(step_tag)
     }
+}
+
+/// Borrow every instance of a composition.
+pub(crate) fn borrow_all(insts: &[PlanInstance]) -> Vec<InstRef<'_>> {
+    insts.iter().map(PlanInstance::borrowed).collect()
 }
 
 /// The same plan set posted concurrently on `copies` dup'd communicators
@@ -90,6 +118,11 @@ fn overlap(code: &'static str, detail: String) -> PlanFinding {
 /// as `mc-tag-overlap` findings; an empty result means the instances'
 /// message namespaces are provably disjoint.
 pub fn check_compose(insts: &[PlanInstance]) -> Vec<PlanFinding> {
+    compose_findings(&borrow_all(insts))
+}
+
+/// [`check_compose`] over borrowed instances.
+pub(crate) fn compose_findings(insts: &[InstRef<'_>]) -> Vec<PlanFinding> {
     /// Wire envelopes one instance posts into: `(src, dst, wire_tag)`.
     type EnvSet = BTreeSet<(usize, usize, u64)>;
     let mut out = Vec::new();

@@ -1,0 +1,719 @@
+//! The one symbolic executor for collective plans.
+//!
+//! Both reporters over a plan set — the [linter](super::lint) and the
+//! [model checker](super::mc) — run this machine; neither interprets a
+//! [`StepOp`] itself. It executes the plans of one or more composed
+//! instances with no clocks and no payloads, under the
+//! [execution contract](super): steps in program order, `Send`/`Recv`
+//! posting into strictly FIFO wire envelopes, a step waiting on its
+//! explicit `deps` and on the receives that produce the buffers it reads.
+//! A send of fewer than `eager_cut` bytes completes when posted; any other
+//! completes when matched.
+//!
+//! Buffers carry *provenance segments* in place of bytes: every buffer
+//! byte is tracked as a logical position in the collective's `n`-byte
+//! vector plus the set of ranks whose contributions have been reduced
+//! into it. Receives copy the sender's provenance, reductions union
+//! contributor sets (flagging overlap), copies rearrange ranges — so a
+//! finished run's outputs can be checked byte-for-byte against what the
+//! collective promises ([`expected_output`]).
+//!
+//! What the machine finds wrong it reports as [`Violation`] data; each
+//! reporter renders that into its own finding codes and text. The two
+//! differ only in how they drive it:
+//!
+//! | | linter | model checker |
+//! |---|---|---|
+//! | instances | one | any composition |
+//! | eager cut | 0 (all rendezvous) | every protocol cutpoint |
+//! | posts held back for branching | none | contended envelope sides |
+//! | on a violation | keep going, collect all | halt, keep the trace |
+//!
+//! [`Machine::settle`] is an event-driven worklist over agent program
+//! counters: an agent re-runs only when one of its pending operations
+//! completes, so one pass is `O(steps + matches)` in time and memory.
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
+
+use crate::event::CollKind;
+
+use super::compose::InstRef;
+use super::{chunk_bounds, BufId, CollPlan, StepOp};
+
+/// A set of contributing ranks (bitmask over the communicator).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct RankSet(Vec<u64>);
+
+impl RankSet {
+    pub(crate) fn single(r: usize, p: usize) -> RankSet {
+        let mut v = vec![0u64; p.div_ceil(64)];
+        v[r / 64] |= 1 << (r % 64);
+        RankSet(v)
+    }
+
+    pub(crate) fn all(p: usize) -> RankSet {
+        let mut v = vec![u64::MAX; p.div_ceil(64)];
+        if !p.is_multiple_of(64) {
+            if let Some(last) = v.last_mut() {
+                *last = (1u64 << (p % 64)) - 1;
+            }
+        }
+        RankSet(v)
+    }
+
+    pub(crate) fn union(&self, o: &RankSet) -> RankSet {
+        RankSet(self.0.iter().zip(o.0.iter()).map(|(a, b)| a | b).collect())
+    }
+
+    pub(crate) fn intersects(&self, o: &RankSet) -> bool {
+        self.0.iter().zip(o.0.iter()).any(|(a, b)| a & b != 0)
+    }
+
+    fn ranks(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (w, &bits) in self.0.iter().enumerate() {
+            for b in 0..64 {
+                if bits & (1 << b) != 0 {
+                    out.push(w * 64 + b);
+                }
+            }
+        }
+        out
+    }
+}
+
+impl fmt::Display for RankSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let r = self.ranks();
+        if r.len() > 6 {
+            write!(f, "{{{} ranks}}", r.len())
+        } else {
+            write!(f, "{{{:?}}}", r)
+        }
+    }
+}
+
+/// One provenance segment: `len` buffer bytes holding logical positions
+/// `lo..lo+len`, reduced over contributor set `mask`.
+#[derive(Debug, Clone, Hash)]
+pub(crate) struct Seg {
+    pub(crate) len: usize,
+    pub(crate) lo: usize,
+    pub(crate) mask: RankSet,
+}
+
+/// A buffer's contents: provenance segments in buffer-byte order
+/// (zero-length segments are never stored).
+pub(crate) type BufVal = Vec<Seg>;
+
+/// Extract buffer bytes `off..off+len` from a value.
+pub(crate) fn slice_val(val: &[Seg], off: usize, len: usize) -> BufVal {
+    let mut out = Vec::new();
+    let (mut pos, mut want_from, mut want) = (0usize, off, len);
+    for s in val {
+        if want == 0 {
+            break;
+        }
+        let end = pos + s.len;
+        if end > want_from {
+            let skip = want_from - pos;
+            let take = (s.len - skip).min(want);
+            out.push(Seg {
+                len: take,
+                lo: s.lo + skip,
+                mask: s.mask.clone(),
+            });
+            want -= take;
+            want_from += take;
+        }
+        pos = end;
+    }
+    out
+}
+
+pub(crate) fn val_len(val: &[Seg]) -> usize {
+    val.iter().map(|s| s.len).sum()
+}
+
+/// Split both values at the union of their internal breakpoints so they
+/// can be compared segment by segment. Values must have equal total
+/// length.
+pub(crate) fn refine(a: &[Seg], b: &[Seg]) -> (BufVal, BufVal) {
+    let mut cuts: Vec<usize> = Vec::new();
+    for v in [a, b] {
+        let mut pos = 0;
+        for s in v {
+            pos += s.len;
+            cuts.push(pos);
+        }
+    }
+    cuts.sort_unstable();
+    cuts.dedup();
+    let cut_up = |v: &[Seg]| -> BufVal {
+        let mut out = Vec::new();
+        let mut prev = 0;
+        for &c in &cuts {
+            if c > prev {
+                out.extend(slice_val(v, prev, c - prev));
+                prev = c;
+            }
+        }
+        out
+    };
+    (cut_up(a), cut_up(b))
+}
+
+/// Expected provenance of rank `r`'s output, or `None` if the rank must
+/// not produce one.
+pub(crate) fn expected_output(
+    kind: CollKind,
+    p: usize,
+    n: usize,
+    root: usize,
+    r: usize,
+) -> Option<BufVal> {
+    let chunked = |owner_of: &dyn Fn(usize) -> RankSet| -> BufVal {
+        let bounds = chunk_bounds(n, p);
+        (0..p)
+            .filter(|&c| bounds[c + 1] > bounds[c])
+            .map(|c| Seg {
+                len: bounds[c + 1] - bounds[c],
+                lo: bounds[c],
+                mask: owner_of(c),
+            })
+            .collect()
+    };
+    let whole = |mask: RankSet| -> BufVal {
+        if n == 0 {
+            Vec::new()
+        } else {
+            vec![Seg {
+                len: n,
+                lo: 0,
+                mask,
+            }]
+        }
+    };
+    match kind {
+        CollKind::Bcast => Some(whole(RankSet::single(root, p))),
+        CollKind::Allreduce => Some(whole(RankSet::all(p))),
+        CollKind::Reduce => (r == root).then(|| whole(RankSet::all(p))),
+        CollKind::Scatter => {
+            let bounds = chunk_bounds(n, p);
+            let v = (r + p - root) % p;
+            let len = bounds[v + 1] - bounds[v];
+            Some(if len == 0 {
+                Vec::new()
+            } else {
+                vec![Seg {
+                    len,
+                    lo: bounds[v],
+                    mask: RankSet::single(root, p),
+                }]
+            })
+        }
+        CollKind::Gather => (r == root).then(|| chunked(&|c| RankSet::single((c + root) % p, p))),
+        CollKind::Allgather => Some(chunked(&|c| RankSet::single(c, p))),
+        CollKind::Barrier | CollKind::Dup | CollKind::Split => None,
+    }
+}
+
+/// Wire envelope: `(ctx, src, dst, wire_tag)`.
+pub(crate) type Key = (u64, usize, usize, u64);
+/// One side of an envelope: its send queue (`false`) or its receive queue
+/// (`true`). Each side is filled by one rank in program order; matching is
+/// head-to-head across the two.
+pub(crate) type Side = (bool, Key);
+
+/// The envelope side rank `r` of `inst` posts `op` into (`None` for a
+/// local step).
+pub(crate) fn side_of(inst: &InstRef<'_>, r: usize, op: &StepOp) -> Option<Side> {
+    match *op {
+        StepOp::Send { peer, tag, .. } => Some((false, (inst.ctx, r, peer, inst.wire_tag(tag)))),
+        StepOp::Recv { peer, tag, .. } => Some((true, (inst.ctx, peer, r, inst.wire_tag(tag)))),
+        _ => None,
+    }
+}
+
+/// A posted, not-yet-matched operation.
+#[derive(Debug, Clone, Copy, Hash)]
+pub(crate) struct Post {
+    pub(crate) agent: usize,
+    pub(crate) step: usize,
+    pub(crate) bytes: usize,
+    /// The send completed at post time (always `false` for a receive).
+    pub(crate) eager: bool,
+}
+
+/// One executed action of an interleaving (compact; the model checker
+/// renders it to text when it reports a violation).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TraceStep {
+    pub(crate) agent: u32,
+    pub(crate) step: u32,
+    pub(crate) kind: TraceKind,
+}
+
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TraceKind {
+    PostSend {
+        eager: bool,
+    },
+    PostRecv,
+    /// The receive `(agent, step)` consumed this send.
+    Match {
+        agent: u32,
+        step: u32,
+    },
+    Exec,
+}
+
+/// Something the machine found wrong. Agents are indices into
+/// [`Machine::agents`]; `what` is the part of a diagnosis both reporters
+/// print verbatim.
+#[derive(Debug)]
+pub(crate) enum Violation {
+    /// A step read a buffer nothing produced; its agent is poisoned and
+    /// executes no further.
+    ReadUnproduced { at: usize, buf: BufId },
+    /// A send was consumed by a receive of another instance.
+    CrossMatch { key: Key, send: Post, recv: Post },
+    /// A matched pair disagrees on the byte count.
+    LenMismatch { key: Key, send: Post, recv: Post },
+    /// Misplaced, missing or wrongly-reduced bytes: at a `Reduce` step, or
+    /// (`step: None`) in a finished agent's output.
+    ChunkGap {
+        at: usize,
+        step: Option<usize>,
+        what: String,
+    },
+    /// A `Reduce` step summed one contribution twice.
+    DoubleCount {
+        at: usize,
+        step: usize,
+        what: String,
+    },
+    /// At quiescence these agents are mid-plan or hold posts that never
+    /// complete.
+    Stuck { agents: Vec<usize> },
+    /// At quiescence a send still sits in its queue.
+    UnmatchedSend { key: Key, post: Post },
+    /// At quiescence a receive still sits in its queue.
+    UnmatchedRecv { key: Key, post: Post },
+    /// The agent declares an output its collective does not give it.
+    UnexpectedOutput { at: usize },
+    /// The agent is owed a result but its plan declares none.
+    MissingOutput { at: usize },
+}
+
+/// Mutable execution state, indexed by agent — cloned at the model
+/// checker's branch points.
+#[derive(Clone)]
+pub(crate) struct St {
+    /// Program counter.
+    pub(crate) pcs: Vec<usize>,
+    /// Per step: completed? (Posts complete on match, or when posted if
+    /// eager; other steps when executed.)
+    pub(crate) done: Vec<Vec<bool>>,
+    /// Outstanding posted operations (what the end-of-plan drain waits on).
+    pub(crate) pending: Vec<usize>,
+    /// Hit a [`Violation::ReadUnproduced`].
+    pub(crate) poisoned: Vec<bool>,
+    /// Per buffer: provenance (`None` until produced).
+    pub(crate) vals: Vec<Vec<Option<BufVal>>>,
+    pub(crate) sends: BTreeMap<Key, VecDeque<Post>>,
+    pub(crate) recvs: BTreeMap<Key, VecDeque<Post>>,
+    /// The interleaving so far (empty unless the machine explores).
+    pub(crate) trace: Vec<TraceStep>,
+}
+
+/// The symbolic machine over one composition: what is fixed for a run
+/// (plans, protocol cut, mode) plus what it has found and counted so far.
+/// The evolving [`St`] is passed in, so a caller can fork it.
+pub(crate) struct Machine<'a> {
+    insts: &'a [InstRef<'a>],
+    /// Per agent, per buffer: the producing step ([`super::structure::admit`]'s
+    /// tables, instances concatenated).
+    producers: &'a [Vec<Option<usize>>],
+    /// `(instance, rank)` of every schedule agent, instance-major.
+    pub(crate) agents: Vec<(usize, usize)>,
+    pub(crate) eager_cut: usize,
+    /// Model-checking mode: record the interleaving in [`St::trace`] and
+    /// halt at the first violation. Off, nothing is recorded and execution
+    /// continues past violations so that all of them are collected.
+    explore: bool,
+    /// Violations found while executing, in execution order.
+    pub(crate) violations: Vec<Violation>,
+    /// Steps executed so far.
+    pub(crate) actions: usize,
+}
+
+impl<'a> Machine<'a> {
+    /// A machine over admitted plan sets (`producers` must come from
+    /// [`super::structure::admit`] on each instance, in order).
+    pub(crate) fn new(
+        insts: &'a [InstRef<'a>],
+        producers: &'a [Vec<Option<usize>>],
+        eager_cut: usize,
+        explore: bool,
+    ) -> Machine<'a> {
+        let agents = insts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, inst)| (0..inst.plans.len()).map(move |r| (i, r)))
+            .collect();
+        Machine {
+            insts,
+            producers,
+            agents,
+            eager_cut,
+            explore,
+            violations: Vec::new(),
+            actions: 0,
+        }
+    }
+
+    pub(crate) fn inst(&self, a: usize) -> &'a InstRef<'a> {
+        &self.insts[self.agents[a].0]
+    }
+
+    pub(crate) fn plan(&self, a: usize) -> &'a CollPlan {
+        let (i, r) = self.agents[a];
+        &self.insts[i].plans[r]
+    }
+
+    pub(crate) fn initial(&self) -> St {
+        let plans = || (0..self.agents.len()).map(|a| self.plan(a));
+        St {
+            pcs: vec![0; self.agents.len()],
+            done: plans().map(|pl| vec![false; pl.steps.len()]).collect(),
+            pending: vec![0; self.agents.len()],
+            poisoned: vec![false; self.agents.len()],
+            vals: plans()
+                .map(|pl| {
+                    let base = pl.input.map_or(0, |(o, _)| o);
+                    pl.bufs
+                        .iter()
+                        .map(|b| match b.input_off {
+                            // Zero-length literals (barrier tokens) exist
+                            // without a producing step.
+                            _ if b.len == 0 => Some(Vec::new()),
+                            Some(off) => Some(vec![Seg {
+                                len: b.len,
+                                lo: base + off,
+                                mask: RankSet::single(pl.me, pl.p),
+                            }]),
+                            None => None,
+                        })
+                        .collect()
+                })
+                .collect(),
+            sends: BTreeMap::new(),
+            recvs: BTreeMap::new(),
+            trace: Vec::new(),
+        }
+    }
+
+    fn halted(&self) -> bool {
+        self.explore && !self.violations.is_empty()
+    }
+
+    fn note(&self, st: &mut St, a: usize, step: usize, kind: TraceKind) {
+        if self.explore {
+            st.trace.push(TraceStep {
+                agent: a as u32,
+                step: step as u32,
+                kind,
+            });
+        }
+    }
+
+    /// Can agent `a`'s step `idx` run now? All explicit deps and all
+    /// recv-producers of the buffers it reads must be complete (the
+    /// executor's implicit drain of producing receives).
+    pub(crate) fn runnable(&self, st: &St, a: usize, idx: usize) -> bool {
+        let plan = self.plan(a);
+        let step = &plan.steps[idx];
+        let produced = |b: BufId| match self.producers[a][b.0 as usize] {
+            Some(ps) if matches!(plan.steps[ps].op, StepOp::Recv { .. }) => st.done[a][ps],
+            _ => true,
+        };
+        step.deps.iter().all(|d| st.done[a][d.0 as usize])
+            && match &step.op {
+                StepOp::Slack | StepOp::Recv { .. } => true,
+                StepOp::Send { buf, .. } => produced(*buf),
+                StepOp::Reduce { a, b, .. } => produced(*a) && produced(*b),
+                StepOp::Copy { parts, .. } => parts.iter().all(|c| produced(c.buf)),
+            }
+    }
+
+    /// The envelope side agent `a`'s step `idx` posts into.
+    pub(crate) fn side(&self, a: usize, idx: usize) -> Option<Side> {
+        side_of(self.inst(a), self.agents[a].1, &self.plan(a).steps[idx].op)
+    }
+
+    /// Read a buffer's provenance, poisoning the agent if never produced.
+    fn val(&mut self, st: &mut St, a: usize, buf: BufId) -> Option<BufVal> {
+        let v = st.vals[a][buf.0 as usize].clone();
+        if v.is_none() {
+            st.poisoned[a] = true;
+            self.violations
+                .push(Violation::ReadUnproduced { at: a, buf });
+        }
+        v
+    }
+
+    /// Match the heads of both queues of one envelope, if both are
+    /// present: the receive takes the send's provenance and completes, as
+    /// does a rendezvous send. Returns the two agents to re-wake.
+    fn try_match(&mut self, st: &mut St, key: Key) -> Option<(usize, usize)> {
+        let (sq, rq) = (st.sends.get_mut(&key)?, st.recvs.get_mut(&key)?);
+        if sq.is_empty() || rq.is_empty() {
+            return None;
+        }
+        let (send, recv) = (sq.pop_front()?, rq.pop_front()?);
+        let kind = TraceKind::Match {
+            agent: send.agent as u32,
+            step: send.step as u32,
+        };
+        self.note(st, recv.agent, recv.step, kind);
+        if self.agents[send.agent].0 != self.agents[recv.agent].0 {
+            self.violations
+                .push(Violation::CrossMatch { key, send, recv });
+        }
+        if send.bytes != recv.bytes {
+            self.violations
+                .push(Violation::LenMismatch { key, send, recv });
+        }
+        let sent = match self.plan(send.agent).steps[send.step].op {
+            StepOp::Send { buf, .. } => st.vals[send.agent][buf.0 as usize].clone(),
+            _ => None,
+        }
+        .unwrap_or_default();
+        if let StepOp::Recv { into, .. } = self.plan(recv.agent).steps[recv.step].op {
+            // A length mismatch is already flagged; keep going with what
+            // arrived, truncated to the declared buffer size.
+            let fitted = if val_len(&sent) == recv.bytes {
+                sent
+            } else {
+                slice_val(&sent, 0, recv.bytes)
+            };
+            st.vals[recv.agent][into.0 as usize] = Some(fitted);
+        }
+        if !send.eager {
+            st.done[send.agent][send.step] = true;
+            st.pending[send.agent] -= 1;
+        }
+        st.done[recv.agent][recv.step] = true;
+        st.pending[recv.agent] -= 1;
+        Some((send.agent, recv.agent))
+    }
+
+    /// Execute step `idx` of agent `a` (runnable, pc already advanced).
+    /// Returns the agents a resulting match re-wakes.
+    pub(crate) fn execute(&mut self, st: &mut St, a: usize, idx: usize) -> Option<(usize, usize)> {
+        self.actions += 1;
+        let plan = self.plan(a);
+        match &plan.steps[idx].op {
+            StepOp::Slack => self.note(st, a, idx, TraceKind::Exec),
+            &StepOp::Send { buf, .. } => {
+                // The value must exist at post time (the runtime clones it
+                // here).
+                self.val(st, a, buf)?;
+                let bytes = plan.buf_len(buf);
+                let eager = bytes < self.eager_cut;
+                let (_, key) = self.side(a, idx)?;
+                self.note(st, a, idx, TraceKind::PostSend { eager });
+                st.sends.entry(key).or_default().push_back(Post {
+                    agent: a,
+                    step: idx,
+                    bytes,
+                    eager,
+                });
+                if eager {
+                    st.done[a][idx] = true;
+                } else {
+                    st.pending[a] += 1;
+                }
+                return self.try_match(st, key);
+            }
+            &StepOp::Recv { into, .. } => {
+                let (_, key) = self.side(a, idx)?;
+                self.note(st, a, idx, TraceKind::PostRecv);
+                st.recvs.entry(key).or_default().push_back(Post {
+                    agent: a,
+                    step: idx,
+                    bytes: plan.buf_len(into),
+                    eager: false,
+                });
+                st.pending[a] += 1;
+                return self.try_match(st, key);
+            }
+            &StepOp::Reduce { a: x, b: y, into } => {
+                self.note(st, a, idx, TraceKind::Exec);
+                let (Some(vx), Some(vy)) = (self.val(st, a, x), self.val(st, a, y)) else {
+                    return None;
+                };
+                let (rx, ry) = refine(&vx, &vy);
+                let mut out = Vec::with_capacity(rx.len());
+                for (sx, sy) in rx.iter().zip(ry.iter()) {
+                    if sx.lo != sy.lo {
+                        self.violations.push(Violation::ChunkGap {
+                            at: a,
+                            step: Some(idx),
+                            what: format!(
+                                "reduction combines misaligned ranges: logical {}..{} with {}..{}",
+                                sx.lo,
+                                sx.lo + sx.len,
+                                sy.lo,
+                                sy.lo + sy.len
+                            ),
+                        });
+                    }
+                    if sx.mask.intersects(&sy.mask) {
+                        self.violations.push(Violation::DoubleCount {
+                            at: a,
+                            step: idx,
+                            what: format!(
+                                "logical bytes {}..{} reduced over overlapping contributor sets \
+                                 {} and {}",
+                                sx.lo,
+                                sx.lo + sx.len,
+                                sx.mask,
+                                sy.mask
+                            ),
+                        });
+                    }
+                    out.push(Seg {
+                        len: sx.len,
+                        lo: sx.lo,
+                        mask: sx.mask.union(&sy.mask),
+                    });
+                }
+                st.vals[a][into.0 as usize] = Some(out);
+            }
+            StepOp::Copy { parts, into } => {
+                self.note(st, a, idx, TraceKind::Exec);
+                let mut out: BufVal = Vec::new();
+                for part in parts {
+                    let v = self.val(st, a, part.buf)?;
+                    out.extend(slice_val(&v, part.off, part.len));
+                }
+                st.vals[a][into.0 as usize] = Some(out);
+            }
+        }
+        st.done[a][idx] = true;
+        None
+    }
+
+    /// Run every agent as far as it can go without executing a post into
+    /// one of the `held` envelope sides (the caller's branch points).
+    /// Every other action is confluent — each queue has one producer in
+    /// program order — so this deterministic closure reaches the same
+    /// state as any interleaving.
+    pub(crate) fn settle(&mut self, st: &mut St, held: &BTreeSet<Side>) {
+        let mut queue: VecDeque<usize> = (0..self.agents.len()).collect();
+        let mut queued = vec![true; self.agents.len()];
+        while let Some(a) = queue.pop_front() {
+            queued[a] = false;
+            while !st.poisoned[a] && st.pcs[a] < self.plan(a).steps.len() {
+                if self.halted() {
+                    return;
+                }
+                let idx = st.pcs[a];
+                if !self.runnable(st, a, idx)
+                    || self.side(a, idx).is_some_and(|s| held.contains(&s))
+                {
+                    break;
+                }
+                st.pcs[a] = idx + 1;
+                if let Some((x, y)) = self.execute(st, a, idx) {
+                    for w in [x, y] {
+                        if !queued[w] {
+                            queued[w] = true;
+                            queue.push_back(w);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// What is wrong with a quiescent state: agents that can never finish,
+    /// posts nothing will match and — only when nothing else is or was
+    /// wrong — outputs that are not what the collective promises.
+    pub(crate) fn terminal(&self, st: &St) -> Vec<Violation> {
+        let mut out = Vec::new();
+        let stuck: Vec<usize> = (0..self.agents.len())
+            .filter(|&a| {
+                !st.poisoned[a] && (st.pcs[a] < self.plan(a).steps.len() || st.pending[a] > 0)
+            })
+            .collect();
+        if !stuck.is_empty() {
+            out.push(Violation::Stuck { agents: stuck });
+        }
+        for (&key, q) in &st.sends {
+            out.extend(q.iter().map(|&post| Violation::UnmatchedSend { key, post }));
+        }
+        for (&key, q) in &st.recvs {
+            out.extend(q.iter().map(|&post| Violation::UnmatchedRecv { key, post }));
+        }
+        if !out.is_empty() || !self.violations.is_empty() {
+            return out;
+        }
+        for at in 0..self.agents.len() {
+            let plan = self.plan(at);
+            let expect = expected_output(plan.kind, plan.p, plan.n, plan.root, plan.me);
+            let (want, got) = match (&expect, plan.output) {
+                (None, None) => continue,
+                (None, Some(_)) => {
+                    out.push(Violation::UnexpectedOutput { at });
+                    continue;
+                }
+                (Some(_), None) => {
+                    out.push(Violation::MissingOutput { at });
+                    continue;
+                }
+                (Some(want), Some(b)) => {
+                    (want, st.vals[at][b.0 as usize].as_deref().unwrap_or(&[]))
+                }
+            };
+            let mut gap = |what: String| {
+                out.push(Violation::ChunkGap {
+                    at,
+                    step: None,
+                    what,
+                })
+            };
+            if val_len(got) != val_len(want) {
+                gap(format!(
+                    "output holds {}B but the collective promises {}B",
+                    val_len(got),
+                    val_len(want)
+                ));
+                continue;
+            }
+            let (rg, rw) = refine(got, want);
+            let mut pos = 0usize;
+            for (g, w) in rg.iter().zip(rw.iter()) {
+                if g.lo != w.lo {
+                    gap(format!(
+                        "output byte {pos} holds logical byte {} but should hold {}",
+                        g.lo, w.lo
+                    ));
+                } else if g.mask != w.mask {
+                    gap(format!(
+                        "logical bytes {}..{} reduced over {} but should cover {}",
+                        g.lo,
+                        g.lo + g.len,
+                        g.mask,
+                        w.mask
+                    ));
+                }
+                pos += g.len;
+            }
+        }
+        out
+    }
+}

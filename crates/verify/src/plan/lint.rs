@@ -1,7 +1,12 @@
-//! Static linter for collective plans.
+//! Static linter for collective plans — the all-rendezvous reporter over
+//! the plan module's one symbolic executor (private `exec`).
 //!
 //! Given the plans of **all** ranks of one collective instance, the linter
-//! virtually executes them — no clocks, no payloads — and reports:
+//! checks them for structure, runs the executor once — one instance,
+//! every send rendezvous, nothing held back for branching, no trace — and
+//! renders **every** violation it collects (the
+//! [model checker](super::mc) drives the same machine over compositions
+//! and protocol cutpoints and stops at the first):
 //!
 //! * structural defects (`plan-bad-structure`): out-of-range buffers,
 //!   peers, deps, reads of never-produced buffers, missing/unexpected
@@ -20,908 +25,107 @@
 //!   exactly the right contributor set (`plan-chunk-gap`), or a
 //!   contribution summed twice (`plan-double-count`).
 //!
-//! Coverage uses *provenance segments*: every buffer byte is tracked as a
-//! logical position in the collective's `n`-byte vector plus the set of
-//! ranks whose contributions have been reduced into it. Receives copy the
-//! sender's provenance, reductions union contributor sets (flagging
-//! overlap), copies rearrange ranges — so the final output can be checked
-//! byte-for-byte against the collective's semantics.
-//!
-//! The virtual execution is an event-driven worklist over rank program
-//! counters: a rank re-runs only when one of its pending operations
-//! completes, keeping the pass `O(steps + matches)`.
+//! One pass is `O(steps + matches)` at any communicator size, which is
+//! what lets Strict runs lint shapes the model checker's ceiling excludes.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
+use std::collections::BTreeSet;
 
-use crate::event::CollKind;
+use super::compose::{InstRef, INTERNAL_BIT};
+use super::exec::{Key, Machine, St, Violation};
+use super::structure::admit;
+use super::CollPlan;
 
-use super::mc::McCounterexample;
-use super::{chunk_bounds, BufId, CollPlan, StepOp};
+pub use super::finding::PlanFinding;
 
-/// One defect found by the static plan linter. All findings are
-/// error-severity: a plan exhibiting any of them is wrong for every
-/// timing model.
-#[derive(Debug, Clone)]
-pub enum PlanFinding {
-    /// The plan set is malformed (ids out of range, inconsistent shapes,
-    /// missing outputs, reads of never-produced buffers...).
-    BadStructure {
-        /// Rank whose plan is malformed.
-        rank: usize,
-        /// What is wrong.
-        detail: String,
-    },
-    /// A send no receive ever matches.
-    UnmatchedSend {
-        /// Sender.
-        from: usize,
-        /// Destination.
-        to: usize,
-        /// Step tag.
-        tag: u32,
-        /// Payload size.
-        bytes: usize,
-    },
-    /// A receive no send ever matches.
-    UnmatchedRecv {
-        /// Receiver.
-        at: usize,
-        /// Expected source.
-        from: usize,
-        /// Step tag.
-        tag: u32,
-        /// Expected size.
-        bytes: usize,
-    },
-    /// A matched send/receive pair disagrees on the byte count.
-    LenMismatch {
-        /// Sender.
-        from: usize,
-        /// Receiver.
-        to: usize,
-        /// Step tag.
-        tag: u32,
-        /// Sent bytes.
-        send_bytes: usize,
-        /// Expected bytes at the receiver.
-        recv_bytes: usize,
-    },
-    /// A rank's result does not assemble exactly the bytes the collective
-    /// promises (hole, wrong order, wrong contributor set), or a reduction
-    /// combined misaligned ranges.
-    ChunkGap {
-        /// Rank with the broken result.
-        rank: usize,
-        /// What is missing or misplaced.
-        detail: String,
-    },
-    /// A contribution was reduced into the same bytes twice.
-    DoubleCount {
-        /// Rank performing the double-counting reduction.
-        rank: usize,
-        /// Which contributions overlap.
-        detail: String,
-    },
-    /// Under rendezvous semantics some ranks can never finish.
-    Deadlock {
-        /// Ranks stuck mid-plan or with forever-pending operations.
-        stuck: Vec<usize>,
-        /// First blocked step of the lowest stuck rank.
-        detail: String,
-    },
-    /// A violation found by the stateful model checker
-    /// ([`super::mc::model_check`]), carrying the full counterexample
-    /// interleaving that exhibits it.
-    Mc(McCounterexample),
+/// The step tag of a wire envelope of the linter's lone instance, whose
+/// sequence number is 0.
+fn step_tag(key: Key) -> u32 {
+    (key.3 & !INTERNAL_BIT) as u32
 }
 
-impl PlanFinding {
-    /// Short stable code identifying the lint (mirrors
-    /// [`crate::Finding::code`]).
-    pub fn code(&self) -> &'static str {
-        match self {
-            PlanFinding::BadStructure { .. } => "plan-bad-structure",
-            PlanFinding::UnmatchedSend { .. } => "plan-unmatched-send",
-            PlanFinding::UnmatchedRecv { .. } => "plan-unmatched-recv",
-            PlanFinding::LenMismatch { .. } => "plan-len-mismatch",
-            PlanFinding::ChunkGap { .. } => "plan-chunk-gap",
-            PlanFinding::DoubleCount { .. } => "plan-double-count",
-            PlanFinding::Deadlock { .. } => "plan-deadlock",
-            PlanFinding::Mc(ce) => ce.code,
-        }
-    }
-}
-
-impl fmt::Display for PlanFinding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "error[{}]: ", self.code())?;
-        match self {
-            PlanFinding::BadStructure { rank, detail } => {
-                write!(f, "rank {rank}: {detail}")
-            }
-            PlanFinding::UnmatchedSend {
-                from,
-                to,
-                tag,
-                bytes,
-            } => write!(
-                f,
-                "send of {bytes}B from rank {from} to rank {to} (step tag {tag}) is never received"
-            ),
-            PlanFinding::UnmatchedRecv {
-                at,
-                from,
-                tag,
-                bytes,
-            } => write!(
-                f,
-                "receive of {bytes}B at rank {at} from rank {from} (step tag {tag}) is never sent"
-            ),
-            PlanFinding::LenMismatch {
-                from,
-                to,
-                tag,
-                send_bytes,
-                recv_bytes,
-            } => write!(
-                f,
-                "rank {from} sends {send_bytes}B but rank {to} expects {recv_bytes}B (step tag {tag})"
-            ),
-            PlanFinding::ChunkGap { rank, detail } => write!(f, "rank {rank}: {detail}"),
-            PlanFinding::DoubleCount { rank, detail } => write!(f, "rank {rank}: {detail}"),
-            PlanFinding::Deadlock { stuck, detail } => {
-                write!(f, "plan deadlocks: ranks {stuck:?} never finish; {detail}")
-            }
-            PlanFinding::Mc(ce) => write!(f, "{ce}"),
-        }
-    }
-}
-
-/// A set of contributing ranks (bitmask over the communicator).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct RankSet(Vec<u64>);
-
-impl RankSet {
-    pub(crate) fn single(r: usize, p: usize) -> RankSet {
-        let mut v = vec![0u64; p.div_ceil(64)];
-        v[r / 64] |= 1 << (r % 64);
-        RankSet(v)
-    }
-
-    pub(crate) fn all(p: usize) -> RankSet {
-        let mut v = vec![u64::MAX; p.div_ceil(64)];
-        if !p.is_multiple_of(64) {
-            if let Some(last) = v.last_mut() {
-                *last = (1u64 << (p % 64)) - 1;
-            }
-        }
-        RankSet(v)
-    }
-
-    pub(crate) fn union(&self, o: &RankSet) -> RankSet {
-        RankSet(self.0.iter().zip(o.0.iter()).map(|(a, b)| a | b).collect())
-    }
-
-    pub(crate) fn intersects(&self, o: &RankSet) -> bool {
-        self.0.iter().zip(o.0.iter()).any(|(a, b)| a & b != 0)
-    }
-
-    fn ranks(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (w, &bits) in self.0.iter().enumerate() {
-            for b in 0..64 {
-                if bits & (1 << b) != 0 {
-                    out.push(w * 64 + b);
-                }
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for RankSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let r = self.ranks();
-        if r.len() > 6 {
-            write!(f, "{{{} ranks}}", r.len())
-        } else {
-            write!(f, "{{{:?}}}", r)
-        }
-    }
-}
-
-/// One provenance segment: `len` buffer bytes holding logical positions
-/// `lo..lo+len`, reduced over contributor set `mask`.
-#[derive(Debug, Clone, Hash)]
-pub(crate) struct Seg {
-    pub(crate) len: usize,
-    pub(crate) lo: usize,
-    pub(crate) mask: RankSet,
-}
-
-/// A buffer's contents: provenance segments in buffer-byte order
-/// (zero-length segments are never stored).
-pub(crate) type BufVal = Vec<Seg>;
-
-/// Extract buffer bytes `off..off+len` from a value.
-pub(crate) fn slice_val(val: &BufVal, off: usize, len: usize) -> BufVal {
-    let mut out = Vec::new();
-    let (mut pos, mut want_from, mut want) = (0usize, off, len);
-    for s in val {
-        if want == 0 {
-            break;
-        }
-        let end = pos + s.len;
-        if end > want_from {
-            let skip = want_from - pos;
-            let take = (s.len - skip).min(want);
-            out.push(Seg {
-                len: take,
-                lo: s.lo + skip,
-                mask: s.mask.clone(),
-            });
-            want -= take;
-            want_from += take;
-        }
-        pos = end;
-    }
-    out
-}
-
-pub(crate) fn val_len(val: &BufVal) -> usize {
-    val.iter().map(|s| s.len).sum()
-}
-
-/// Split both values at the union of their internal breakpoints so they
-/// can be compared segment by segment. Values must have equal total
-/// length.
-pub(crate) fn refine(a: &BufVal, b: &BufVal) -> (BufVal, BufVal) {
-    let mut cuts: Vec<usize> = Vec::new();
-    for v in [a, b] {
-        let mut pos = 0;
-        for s in v {
-            pos += s.len;
-            cuts.push(pos);
-        }
-    }
-    cuts.sort_unstable();
-    cuts.dedup();
-    let cut_up = |v: &BufVal| -> BufVal {
-        let mut out = Vec::new();
-        let mut prev = 0;
-        for &c in &cuts {
-            if c > prev {
-                out.extend(slice_val(v, prev, c - prev));
-                prev = c;
-            }
-        }
-        out
-    };
-    (cut_up(a), cut_up(b))
-}
-
-/// A posted, not-yet-matched operation: `(rank, step index, bytes)`.
-type Posted = (usize, usize, usize);
-
-/// Virtual-execution state for the whole plan set.
-struct Exec<'a> {
-    plans: &'a [CollPlan],
-    p: usize,
-    /// Per rank, per buffer: provenance (None until produced).
-    vals: Vec<Vec<Option<BufVal>>>,
-    /// Per rank, per step: completed? (posted ops complete on match;
-    /// non-posted steps complete when executed).
-    done: Vec<Vec<bool>>,
-    /// Per rank: program counter.
-    pcs: Vec<usize>,
-    /// FIFO queues of pending posts per (src, dst, tag) envelope.
-    sends: BTreeMap<(usize, usize, u32), VecDeque<Posted>>,
-    recvs: BTreeMap<(usize, usize, u32), VecDeque<Posted>>,
-    /// Outstanding posted-op count per rank (for end-of-plan drain).
-    pending: Vec<usize>,
-    findings: Vec<PlanFinding>,
-    /// Ranks that hit an unrecoverable structural problem mid-execution.
-    poisoned: Vec<bool>,
-}
-
-impl<'a> Exec<'a> {
-    fn new(plans: &'a [CollPlan]) -> Exec<'a> {
-        let p = plans.len();
-        Exec {
-            plans,
-            p,
-            vals: plans
-                .iter()
-                .map(|pl| {
-                    pl.bufs
-                        .iter()
-                        .map(|b| match b.input_off {
-                            Some(off) => {
-                                let base = pl.input.map(|(o, _)| o).unwrap_or(0);
-                                Some(if b.len == 0 {
-                                    Vec::new()
-                                } else {
-                                    vec![Seg {
-                                        len: b.len,
-                                        lo: base + off,
-                                        mask: RankSet::single(pl.me, p),
-                                    }]
-                                })
-                            }
-                            // Zero-length literals (barrier tokens) exist
-                            // without a producing step.
-                            None if b.len == 0 => Some(Vec::new()),
-                            None => None,
-                        })
-                        .collect()
-                })
-                .collect(),
-            done: plans.iter().map(|pl| vec![false; pl.steps.len()]).collect(),
-            pcs: vec![0; p],
-            sends: BTreeMap::new(),
-            recvs: BTreeMap::new(),
-            pending: vec![0; p],
-            findings: Vec::new(),
-            poisoned: vec![false; p],
-        }
-    }
-
-    /// Buffers a step reads (whose recv-producers it implicitly waits on).
-    fn reads(op: &StepOp) -> Vec<BufId> {
-        match op {
-            StepOp::Slack | StepOp::Recv { .. } => Vec::new(),
-            StepOp::Send { buf, .. } => vec![*buf],
-            StepOp::Reduce { a, b, .. } => vec![*a, *b],
-            StepOp::Copy { parts, .. } => parts.iter().map(|c| c.buf).collect(),
-        }
-    }
-
-    /// Can rank `r`'s step `idx` run now? (All explicit deps and all
-    /// recv-producers of read buffers completed.)
-    fn runnable(&self, r: usize, idx: usize, producer: &[Vec<Option<usize>>]) -> bool {
-        let step = &self.plans[r].steps[idx];
-        if step.deps.iter().any(|d| !self.done[r][d.0 as usize]) {
-            return false;
-        }
-        Exec::reads(&step.op)
-            .iter()
-            .all(|b| match producer[r][b.0 as usize] {
-                Some(ps) if matches!(self.plans[r].steps[ps].op, StepOp::Recv { .. }) => {
-                    self.done[r][ps]
-                }
-                _ => true,
-            })
-    }
-
-    /// Try to match the head of both queues for one envelope; on a match,
-    /// complete both steps and return the two ranks to re-wake.
-    fn try_match(&mut self, key: (usize, usize, u32)) -> Option<(usize, usize)> {
-        let (sr, ss, sbytes) = self.sends.get_mut(&key).and_then(VecDeque::pop_front)?;
-        let r = self.recvs.get_mut(&key).and_then(VecDeque::pop_front);
-        let Some((rr, rs, rbytes)) = r else {
-            // Put the send back; no receive yet.
-            if let Some(q) = self.sends.get_mut(&key) {
-                q.push_front((sr, ss, sbytes));
-            }
-            return None;
-        };
-        if sbytes != rbytes {
-            self.findings.push(PlanFinding::LenMismatch {
-                from: key.0,
-                to: key.1,
-                tag: key.2,
-                send_bytes: sbytes,
-                recv_bytes: rbytes,
-            });
-        }
-        // Transfer provenance from the sent buffer to the receive buffer.
-        let sent_val = match &self.plans[sr].steps[ss].op {
-            StepOp::Send { buf, .. } => self.vals[sr][buf.0 as usize].clone().unwrap_or_default(),
-            _ => Vec::new(),
-        };
-        if let StepOp::Recv { into, .. } = self.plans[rr].steps[rs].op {
-            let fitted = if val_len(&sent_val) == rbytes {
-                sent_val
-            } else {
-                // Mismatched sizes already flagged; keep going with what
-                // arrived, truncated to the declared buffer size.
-                slice_val(&sent_val, 0, rbytes)
-            };
-            self.vals[rr][into.0 as usize] = Some(fitted);
-        }
-        self.done[sr][ss] = true;
-        self.done[rr][rs] = true;
-        self.pending[sr] -= 1;
-        self.pending[rr] -= 1;
-        Some((sr, rr))
-    }
-
-    /// Read a buffer's value, poisoning the rank if it was never produced.
-    fn val(&mut self, r: usize, b: BufId) -> Option<BufVal> {
-        match self.vals[r][b.0 as usize].clone() {
-            Some(v) => Some(v),
-            None => {
-                self.findings.push(PlanFinding::BadStructure {
-                    rank: r,
-                    detail: format!("step reads buffer b{} before it is produced", b.0),
-                });
-                self.poisoned[r] = true;
-                None
-            }
-        }
-    }
-
-    /// Execute step `idx` of rank `r` (which is runnable). Returns ranks
-    /// to re-wake beyond `r` itself.
-    fn execute(&mut self, r: usize, idx: usize) -> Vec<usize> {
-        let op = self.plans[r].steps[idx].op.clone();
-        let mut wake = Vec::new();
-        match op {
-            StepOp::Slack => {
-                self.done[r][idx] = true;
-            }
-            StepOp::Send { peer, buf, tag } => {
-                // Value must exist at post time (executor clones it here).
-                if self.val(r, buf).is_none() {
-                    return wake;
-                }
-                let key = (r, peer, tag);
-                let bytes = self.plans[r].buf_len(buf);
-                self.sends
-                    .entry(key)
-                    .or_default()
-                    .push_back((r, idx, bytes));
-                self.pending[r] += 1;
-                if let Some((a, b)) = self.try_match(key) {
-                    wake.push(a);
-                    wake.push(b);
-                }
-            }
-            StepOp::Recv { peer, into, tag } => {
-                let key = (peer, r, tag);
-                let bytes = self.plans[r].buf_len(into);
-                self.recvs
-                    .entry(key)
-                    .or_default()
-                    .push_back((r, idx, bytes));
-                self.pending[r] += 1;
-                if let Some((a, b)) = self.try_match(key) {
-                    wake.push(a);
-                    wake.push(b);
-                }
-            }
-            StepOp::Reduce { a, b, into } => {
-                let (Some(va), Some(vb)) = (self.val(r, a), self.val(r, b)) else {
-                    return wake;
-                };
-                let (ra, rb) = refine(&va, &vb);
-                let mut out = Vec::with_capacity(ra.len());
-                for (sa, sb) in ra.iter().zip(rb.iter()) {
-                    if sa.lo != sb.lo {
-                        self.findings.push(PlanFinding::ChunkGap {
-                            rank: r,
-                            detail: format!(
-                                "reduction combines misaligned ranges: logical {}..{} with {}..{}",
-                                sa.lo,
-                                sa.lo + sa.len,
-                                sb.lo,
-                                sb.lo + sb.len
-                            ),
-                        });
-                    }
-                    if sa.mask.intersects(&sb.mask) {
-                        self.findings.push(PlanFinding::DoubleCount {
-                            rank: r,
-                            detail: format!(
-                                "logical bytes {}..{} reduced over overlapping contributor sets \
-                                 {} and {}",
-                                sa.lo,
-                                sa.lo + sa.len,
-                                sa.mask,
-                                sb.mask
-                            ),
-                        });
-                    }
-                    out.push(Seg {
-                        len: sa.len,
-                        lo: sa.lo,
-                        mask: sa.mask.union(&sb.mask),
-                    });
-                }
-                self.vals[r][into.0 as usize] = Some(out);
-                self.done[r][idx] = true;
-            }
-            StepOp::Copy { parts, into } => {
-                let mut out: BufVal = Vec::new();
-                for part in &parts {
-                    let Some(v) = self.val(r, part.buf) else {
-                        return wake;
-                    };
-                    out.extend(slice_val(&v, part.off, part.len));
-                }
-                self.vals[r][into.0 as usize] = Some(out);
-                self.done[r][idx] = true;
-            }
-        }
-        wake
-    }
-
-    /// Run the worklist to quiescence.
-    fn run(&mut self, producer: &[Vec<Option<usize>>]) {
-        let mut queue: VecDeque<usize> = (0..self.p).collect();
-        let mut queued = vec![true; self.p];
-        while let Some(r) = queue.pop_front() {
-            queued[r] = false;
-            while !self.poisoned[r] && self.pcs[r] < self.plans[r].steps.len() {
-                let idx = self.pcs[r];
-                if !self.runnable(r, idx, producer) {
-                    break;
-                }
-                self.pcs[r] = idx + 1;
-                for w in self.execute(r, idx) {
-                    if !queued[w] {
-                        queued[w] = true;
-                        queue.push_back(w);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Human-readable description of what rank `r` is blocked on.
-fn blocked_detail(plans: &[CollPlan], pcs: &[usize], pending: &[usize], r: usize) -> String {
-    let plan = &plans[r];
-    if pcs[r] < plan.steps.len() {
-        let step = &plan.steps[pcs[r]];
-        format!("rank {r} blocked at step s{} ({:?})", pcs[r], step.op)
-    } else {
-        format!(
-            "rank {r} finished its steps but {} posted operation(s) never complete",
-            pending[r]
-        )
-    }
-}
-
-fn bad(out: &mut Vec<PlanFinding>, rank: usize, detail: String) {
-    out.push(PlanFinding::BadStructure { rank, detail });
-}
-
-/// Structural validation of one plan (ids, ranges, shapes).
-pub(crate) fn check_structure(plans: &[CollPlan]) -> Vec<PlanFinding> {
-    let mut out = Vec::new();
-    let p = plans.len();
-    for (r, plan) in plans.iter().enumerate() {
-        if plan.me != r || plan.p != p {
-            bad(
-                &mut out,
-                r,
-                format!(
-                    "plan claims me={} p={} at index {r} of {p}",
-                    plan.me, plan.p
+/// Render one violation of the single instance `plans` (agent = rank).
+fn render(plans: &[CollPlan], st: &St, v: Violation) -> PlanFinding {
+    match v {
+        Violation::ReadUnproduced { at, buf } => PlanFinding::BadStructure {
+            rank: at,
+            detail: format!("step reads buffer b{} before it is produced", buf.0),
+        },
+        Violation::CrossMatch { .. } => unreachable!("one instance has nothing to cross-match"),
+        Violation::LenMismatch { key, send, recv } => PlanFinding::LenMismatch {
+            from: key.1,
+            to: key.2,
+            tag: step_tag(key),
+            send_bytes: send.bytes,
+            recv_bytes: recv.bytes,
+        },
+        Violation::ChunkGap { at, what, .. } => PlanFinding::ChunkGap {
+            rank: at,
+            detail: what,
+        },
+        Violation::DoubleCount { at, what, .. } => PlanFinding::DoubleCount {
+            rank: at,
+            detail: what,
+        },
+        Violation::Stuck { agents } => {
+            let r = agents[0];
+            let detail = match plans[r].steps.get(st.pcs[r]) {
+                Some(step) => format!("rank {r} blocked at step s{} ({:?})", st.pcs[r], step.op),
+                None => format!(
+                    "rank {r} finished its steps but {} posted operation(s) never complete",
+                    st.pending[r]
                 ),
-            );
-            continue;
-        }
-        if plan.kind != plans[0].kind
-            || plan.algo != plans[0].algo
-            || plan.n != plans[0].n
-            || plan.root != plans[0].root
-        {
-            bad(
-                &mut out,
-                r,
-                "plans disagree on (kind, algo, n, root)".to_string(),
-            );
-            continue;
-        }
-        let nb = plan.bufs.len() as u32;
-        if let Some((_, ilen)) = plan.input {
-            for (i, b) in plan.bufs.iter().enumerate() {
-                if let Some(off) = b.input_off {
-                    if off + b.len > ilen {
-                        bad(
-                            &mut out,
-                            r,
-                            format!("buffer b{i} slices input out of range"),
-                        );
-                    }
-                }
-            }
-        } else if plan.bufs.iter().any(|b| b.input_off.is_some()) {
-            bad(
-                &mut out,
-                r,
-                "buffer slices an input this rank does not have".to_string(),
-            );
-        }
-        if let Some(o) = plan.output {
-            if o.0 >= nb {
-                bad(&mut out, r, format!("output buffer b{} out of range", o.0));
+            };
+            PlanFinding::Deadlock {
+                stuck: agents,
+                detail,
             }
         }
-        for (i, step) in plan.steps.iter().enumerate() {
-            for d in &step.deps {
-                if d.0 as usize >= i {
-                    bad(
-                        &mut out,
-                        r,
-                        format!("step s{i} depends on later step s{}", d.0),
-                    );
-                } else if !matches!(
-                    plan.steps[d.0 as usize].op,
-                    StepOp::Send { .. } | StepOp::Recv { .. }
-                ) {
-                    bad(
-                        &mut out,
-                        r,
-                        format!("step s{i} depends on non-posted step s{}", d.0),
-                    );
-                }
-            }
-            let mut bufs: Vec<(BufId, &'static str)> = Vec::new();
-            match &step.op {
-                StepOp::Slack => {}
-                StepOp::Send { peer, buf, .. } => {
-                    bufs.push((*buf, "sends"));
-                    if *peer >= p || *peer == r {
-                        bad(
-                            &mut out,
-                            r,
-                            format!("step s{i} sends to invalid peer {peer}"),
-                        );
-                    }
-                }
-                StepOp::Recv { peer, into, .. } => {
-                    bufs.push((*into, "receives into"));
-                    if *peer >= p || *peer == r {
-                        bad(
-                            &mut out,
-                            r,
-                            format!("step s{i} receives from invalid peer {peer}"),
-                        );
-                    }
-                }
-                StepOp::Reduce { a, b, into } => {
-                    bufs.push((*a, "reduces"));
-                    bufs.push((*b, "reduces"));
-                    bufs.push((*into, "reduces into"));
-                    if a.0 < nb && b.0 < nb && plan.buf_len(*a) != plan.buf_len(*b) {
-                        bad(
-                            &mut out,
-                            r,
-                            format!(
-                                "step s{i} reduces buffers of different lengths ({} vs {})",
-                                plan.buf_len(*a),
-                                plan.buf_len(*b)
-                            ),
-                        );
-                    }
-                }
-                StepOp::Copy { parts, into } => {
-                    bufs.push((*into, "copies into"));
-                    for part in parts {
-                        bufs.push((part.buf, "copies"));
-                        if part.buf.0 < nb && part.off + part.len > plan.buf_len(part.buf) {
-                            bad(
-                                &mut out,
-                                r,
-                                format!("step s{i} copies out of range of b{}", part.buf.0),
-                            );
-                        }
-                    }
-                }
-            }
-            for (b, what) in bufs {
-                if b.0 >= nb {
-                    bad(
-                        &mut out,
-                        r,
-                        format!("step s{i} {what} buffer b{} out of range", b.0),
-                    );
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Expected provenance of rank `r`'s output, or `None` if the rank must
-/// not produce one.
-pub(crate) fn expected_output(
-    kind: CollKind,
-    p: usize,
-    n: usize,
-    root: usize,
-    r: usize,
-) -> Option<BufVal> {
-    let chunked = |owner_of: &dyn Fn(usize) -> RankSet| -> BufVal {
-        let bounds = chunk_bounds(n, p);
-        (0..p)
-            .filter(|&c| bounds[c + 1] > bounds[c])
-            .map(|c| Seg {
-                len: bounds[c + 1] - bounds[c],
-                lo: bounds[c],
-                mask: owner_of(c),
-            })
-            .collect()
-    };
-    let whole = |mask: RankSet| -> BufVal {
-        if n == 0 {
-            Vec::new()
-        } else {
-            vec![Seg {
-                len: n,
-                lo: 0,
-                mask,
-            }]
-        }
-    };
-    match kind {
-        CollKind::Bcast => Some(whole(RankSet::single(root, p))),
-        CollKind::Allreduce => Some(whole(RankSet::all(p))),
-        CollKind::Reduce => (r == root).then(|| whole(RankSet::all(p))),
-        CollKind::Scatter => {
-            let bounds = chunk_bounds(n, p);
-            let v = (r + p - root) % p;
-            let len = bounds[v + 1] - bounds[v];
-            Some(if len == 0 {
-                Vec::new()
-            } else {
-                vec![Seg {
-                    len,
-                    lo: bounds[v],
-                    mask: RankSet::single(root, p),
-                }]
-            })
-        }
-        CollKind::Gather => (r == root).then(|| chunked(&|c| RankSet::single((c + root) % p, p))),
-        CollKind::Allgather => Some(chunked(&|c| RankSet::single(c, p))),
-        CollKind::Barrier | CollKind::Dup | CollKind::Split => None,
+        Violation::UnmatchedSend { key, post } => PlanFinding::UnmatchedSend {
+            from: key.1,
+            to: key.2,
+            tag: step_tag(key),
+            bytes: post.bytes,
+        },
+        Violation::UnmatchedRecv { key, post } => PlanFinding::UnmatchedRecv {
+            at: key.2,
+            from: key.1,
+            tag: step_tag(key),
+            bytes: post.bytes,
+        },
+        Violation::UnexpectedOutput { at } => PlanFinding::BadStructure {
+            rank: at,
+            detail: "rank declares an output this collective does not give it".to_string(),
+        },
+        Violation::MissingOutput { at } => PlanFinding::ChunkGap {
+            rank: at,
+            detail: "rank is owed a result but the plan produces none".to_string(),
+        },
     }
 }
 
 /// Statically lint the plans of all ranks of one collective instance.
 /// Returns every defect found (empty for a correct plan set).
 pub fn lint_plans(plans: &[CollPlan]) -> Vec<PlanFinding> {
-    if plans.is_empty() {
-        return vec![PlanFinding::BadStructure {
-            rank: 0,
-            detail: "empty plan set".to_string(),
-        }];
+    let producers = match admit(plans) {
+        Ok(producers) => producers,
+        Err(findings) => return findings,
+    };
+    let inst = [InstRef {
+        ctx: 0,
+        seq: 0,
+        plans,
+    }];
+    let mut m = Machine::new(&inst, &producers, 0, false);
+    let mut st = m.initial();
+    m.settle(&mut st, &BTreeSet::new());
+    let mut at_end = m.terminal(&st);
+    // Unmatched posts read best before the deadlock they cause.
+    if matches!(at_end.first(), Some(Violation::Stuck { .. })) {
+        at_end.rotate_left(1);
     }
-    let structural = check_structure(plans);
-    if !structural.is_empty() {
-        return structural;
-    }
-    let p = plans.len();
-    // Producer step of each buffer (for implicit recv dependencies) and
-    // single-producer validation.
-    let mut producer: Vec<Vec<Option<usize>>> =
-        plans.iter().map(|pl| vec![None; pl.bufs.len()]).collect();
-    let mut findings = Vec::new();
-    for (r, plan) in plans.iter().enumerate() {
-        for (i, step) in plan.steps.iter().enumerate() {
-            let into = match &step.op {
-                StepOp::Recv { into, .. }
-                | StepOp::Reduce { into, .. }
-                | StepOp::Copy { into, .. } => Some(*into),
-                _ => None,
-            };
-            if let Some(b) = into {
-                let slot = &mut producer[r][b.0 as usize];
-                if slot.is_some() || plan.bufs[b.0 as usize].input_off.is_some() {
-                    findings.push(PlanFinding::BadStructure {
-                        rank: r,
-                        detail: format!("buffer b{} produced more than once", b.0),
-                    });
-                } else {
-                    *slot = Some(i);
-                }
-            }
-        }
-    }
-    if !findings.is_empty() {
-        return findings;
-    }
-
-    let mut exec = Exec::new(plans);
-    exec.run(&producer);
-
-    let mut findings = std::mem::take(&mut exec.findings);
-    // Unmatched posted operations.
-    for (&(from, to, tag), q) in &exec.sends {
-        for &(_, _, bytes) in q {
-            findings.push(PlanFinding::UnmatchedSend {
-                from,
-                to,
-                tag,
-                bytes,
-            });
-        }
-    }
-    for (&(from, at, tag), q) in &exec.recvs {
-        for &(_, _, bytes) in q {
-            findings.push(PlanFinding::UnmatchedRecv {
-                at,
-                from,
-                tag,
-                bytes,
-            });
-        }
-    }
-    // Ranks that never finish: mid-plan, or with pending ops the final
-    // drain would wait on forever.
-    let stuck: Vec<usize> = (0..p)
-        .filter(|&r| {
-            !exec.poisoned[r] && (exec.pcs[r] < plans[r].steps.len() || exec.pending[r] > 0)
-        })
-        .collect();
-    if let Some(&first) = stuck.first() {
-        let detail = blocked_detail(plans, &exec.pcs, &exec.pending, first);
-        findings.push(PlanFinding::Deadlock { stuck, detail });
-    }
-    if !findings.is_empty() {
-        return findings;
-    }
-
-    // Output coverage: every rank's result must be exactly what the
-    // collective promises.
-    for (r, plan) in plans.iter().enumerate() {
-        let expect = expected_output(plan.kind, p, plan.n, plan.root, r);
-        match (&expect, plan.output) {
-            (None, Some(_)) => findings.push(PlanFinding::BadStructure {
-                rank: r,
-                detail: "rank declares an output this collective does not give it".to_string(),
-            }),
-            (Some(_), None) => findings.push(PlanFinding::ChunkGap {
-                rank: r,
-                detail: "rank is owed a result but the plan produces none".to_string(),
-            }),
-            (None, None) => {}
-            (Some(want), Some(out)) => {
-                let got = exec.vals[r][out.0 as usize].clone().unwrap_or_default();
-                if val_len(&got) != val_len(want) {
-                    findings.push(PlanFinding::ChunkGap {
-                        rank: r,
-                        detail: format!(
-                            "output holds {}B but the collective promises {}B",
-                            val_len(&got),
-                            val_len(want)
-                        ),
-                    });
-                    continue;
-                }
-                let (rg, rw) = refine(&got, want);
-                let mut pos = 0usize;
-                for (g, w) in rg.iter().zip(rw.iter()) {
-                    if g.lo != w.lo {
-                        findings.push(PlanFinding::ChunkGap {
-                            rank: r,
-                            detail: format!(
-                                "output byte {pos} holds logical byte {} but should hold {}",
-                                g.lo, w.lo
-                            ),
-                        });
-                    } else if g.mask != w.mask {
-                        findings.push(PlanFinding::ChunkGap {
-                            rank: r,
-                            detail: format!(
-                                "logical bytes {}..{} reduced over {} but should cover {}",
-                                g.lo,
-                                g.lo + g.len,
-                                g.mask,
-                                w.mask
-                            ),
-                        });
-                    }
-                    pos += g.len;
-                }
-            }
-        }
-    }
-    findings
+    (m.violations.into_iter().chain(at_end))
+        .map(|v| render(plans, &st, v))
+        .collect()
 }
 
 #[cfg(test)]
@@ -929,6 +133,7 @@ mod tests {
     use super::super::builders::build_all;
     use super::super::{CollAlgo, PlanBuilder, StepOp};
     use super::*;
+    use crate::event::CollKind;
 
     fn codes(f: &[PlanFinding]) -> Vec<&'static str> {
         f.iter().map(PlanFinding::code).collect()

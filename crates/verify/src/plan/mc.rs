@@ -1,8 +1,9 @@
 //! Stateful model checking of [`CollPlan`] schedules.
 //!
-//! Where the [linter](super::lint) virtually executes one plan set under a
-//! single conservative semantics, the model checker explores **every**
-//! schedule the runtime could produce, across three axes of
+//! The [linter](super::lint) runs the symbolic executor (private `exec`) once,
+//! over one plan set under all-rendezvous semantics. The model checker
+//! drives the same machine — it owns no step semantics of its own — over
+//! **every** schedule the runtime could produce, across three axes of
 //! nondeterminism:
 //!
 //! * **Receive-match order** — composed instances racing their posts into
@@ -24,9 +25,9 @@
 //! rank `src`) and a receive queue (filled only by rank `dst`), and
 //! matching is strictly FIFO head-to-head. Within a *single* instance,
 //! every queue therefore has exactly one producer executing in program
-//! order: posts to it are confluent, and executing them eagerly in a
-//! deterministic closure (`settle`) visits the same reachable states as
-//! any interleaving. True nondeterminism arises **only** when two or more
+//! order: posts to it are confluent, and executing them eagerly in the
+//! machine's deterministic closure (`settle`) visits the same reachable
+//! states as any interleaving. True nondeterminism arises **only** when two or more
 //! instances post into the same side of the same envelope — a *contended*
 //! envelope, which exists only under tag-namespace collisions. The
 //! explorer branches exclusively over contended posts, with sleep sets
@@ -42,10 +43,11 @@
 //!
 //! ## Findings
 //!
-//! Violations are reported as [`PlanFinding::Mc`] carrying an
-//! [`McCounterexample`]: the stable code, a one-line diagnosis, the
-//! eager/rendezvous cutoff in force, and the full interleaving (one
-//! executed action per line) that exhibits the bug. Codes:
+//! Exploration of a cutpoint stops at the machine's first violation,
+//! reported as [`PlanFinding::Mc`] carrying an [`McCounterexample`]: the
+//! stable code, a one-line diagnosis, the eager/rendezvous cutoff in
+//! force, and the full interleaving (one executed action per line) that
+//! exhibits the bug. Codes:
 //!
 //! * `mc-deadlock` — some interleaving never finishes;
 //! * `mc-cross-match` — a message of one instance consumed by another;
@@ -56,17 +58,17 @@
 //! * `mc-unmatched` — an eager send no receive ever consumes;
 //! * `mc-bad-structure` — a read of a never-produced buffer mid-schedule;
 //! * `mc-tag-overlap` — static wire-namespace collision (from
-//!   [`check_compose`], reported without a trace).
+//!   [`check_compose`](super::check_compose), reported without a trace).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
 
-use super::compose::{check_compose, PlanInstance};
-use super::lint::{
-    check_structure, expected_output, refine, slice_val, val_len, BufVal, PlanFinding, Seg,
-};
-use super::{BufId, CollPlan, StepOp};
+use super::compose::{borrow_all, compose_findings, InstRef, PlanInstance};
+use super::exec::{side_of, Machine, Side, St, TraceKind, TraceStep, Violation};
+use super::structure::admit;
+use super::{CollPlan, StepOp};
+
+pub use super::finding::{McCounterexample, PlanFinding};
 
 /// Exploration limits for [`model_check`].
 #[derive(Debug, Clone)]
@@ -94,72 +96,6 @@ impl Default for McConfig {
             max_states: 1 << 20,
             cut_override: None,
         }
-    }
-}
-
-/// One executed action of a counterexample interleaving (compact form;
-/// rendered to text when a violation is reported).
-#[derive(Debug, Clone, Copy)]
-struct TraceStep {
-    inst: u32,
-    rank: u32,
-    step: u32,
-    kind: TraceKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum TraceKind {
-    PostSend { eager: bool },
-    PostRecv,
-    Match { pi: u32, pr: u32, ps: u32 },
-    Exec,
-}
-
-/// A model-checker violation: stable code, diagnosis, the protocol cutoff
-/// in force, and the full interleaving that exhibits it.
-#[derive(Debug, Clone)]
-pub struct McCounterexample {
-    /// Stable finding code (`mc-*`).
-    pub code: &'static str,
-    /// One-line diagnosis.
-    pub detail: String,
-    /// The eager/rendezvous cutoff the schedule was explored under
-    /// (sends of fewer bytes complete at post time); `None` for static
-    /// composition findings, which hold at every cutoff.
-    pub eager_cut: Option<usize>,
-    /// The counterexample interleaving, one executed action per line, in
-    /// execution order. Empty for static findings.
-    pub trace: Vec<String>,
-}
-
-impl fmt::Display for McCounterexample {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.detail)?;
-        if let Some(cut) = self.eager_cut {
-            write!(f, " [eager_cut={cut}]")?;
-        }
-        if !self.trace.is_empty() {
-            write!(
-                f,
-                "\n  counterexample interleaving ({} action(s)):",
-                self.trace.len()
-            )?;
-            const SHOW: usize = 48;
-            if self.trace.len() <= SHOW {
-                for line in &self.trace {
-                    write!(f, "\n    {line}")?;
-                }
-            } else {
-                for line in &self.trace[..SHOW / 2] {
-                    write!(f, "\n    {line}")?;
-                }
-                write!(f, "\n    … ({} action(s) elided)", self.trace.len() - SHOW)?;
-                for line in &self.trace[self.trace.len() - SHOW / 2..] {
-                    write!(f, "\n    {line}")?;
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -193,13 +129,15 @@ impl McReport {
 /// `s` (making sends of `≤ s` bytes eager). Checking each covers every
 /// eager-limit the runtime can be configured with.
 pub fn cutpoints(insts: &[PlanInstance]) -> Vec<usize> {
+    cutpoints_of(&borrow_all(insts))
+}
+
+fn cutpoints_of(insts: &[InstRef<'_>]) -> Vec<usize> {
     let mut sizes: BTreeSet<usize> = BTreeSet::new();
-    for inst in insts {
-        for plan in &inst.plans {
-            for step in &plan.steps {
-                if let StepOp::Send { buf, .. } = step.op {
-                    sizes.insert(plan.buf_len(buf));
-                }
+    for plan in insts.iter().flat_map(|inst| inst.plans) {
+        for step in &plan.steps {
+            if let StepOp::Send { buf, .. } = step.op {
+                sizes.insert(plan.buf_len(buf));
             }
         }
     }
@@ -208,207 +146,161 @@ pub fn cutpoints(insts: &[PlanInstance]) -> Vec<usize> {
     cuts
 }
 
-/// Wire envelope: `(ctx, src, dst, wire_tag)`.
-type Key = (u64, usize, usize, u64);
-/// A posted operation: `(inst, rank, step, bytes, eager)`.
-type Post = (usize, usize, usize, usize, bool);
-
-/// Mutable exploration state — cloned at branch points.
-#[derive(Clone)]
-struct St {
-    pcs: Vec<Vec<usize>>,
-    done: Vec<Vec<Vec<bool>>>,
-    pending: Vec<Vec<usize>>,
-    poisoned: Vec<Vec<bool>>,
-    vals: Vec<Vec<Vec<Option<BufVal>>>>,
-    sends: BTreeMap<Key, VecDeque<Post>>,
-    recvs: BTreeMap<Key, VecDeque<Post>>,
-    trace: Vec<TraceStep>,
-}
-
-struct Mc<'a> {
-    insts: &'a [PlanInstance],
-    producers: &'a [Vec<Vec<Option<usize>>>],
-    /// Flattened `(inst, rank)` schedule agents.
-    agents: Vec<(usize, usize)>,
-    agent_ids: Vec<Vec<usize>>,
-    eager_cut: usize,
-    send_contended: BTreeSet<Key>,
-    recv_contended: BTreeSet<Key>,
-    max_states: usize,
-    findings: Vec<PlanFinding>,
-    visited: HashSet<u64>,
-    states: usize,
-    actions: usize,
-    truncated: bool,
-    stop: bool,
-}
-
-impl<'a> Mc<'a> {
-    fn new(
-        insts: &'a [PlanInstance],
-        producers: &'a [Vec<Vec<Option<usize>>>],
-        eager_cut: usize,
-        max_states: usize,
-    ) -> Mc<'a> {
-        let mut agents = Vec::new();
-        let mut agent_ids = Vec::with_capacity(insts.len());
-        for (i, inst) in insts.iter().enumerate() {
-            let mut ids = Vec::with_capacity(inst.plans.len());
-            for r in 0..inst.plans.len() {
-                ids.push(agents.len());
-                agents.push((i, r));
-            }
-            agent_ids.push(ids);
-        }
-        // An envelope side is contended iff two or more instances post
-        // into it — the only source of match-order nondeterminism.
-        let mut send_by: BTreeMap<Key, BTreeSet<usize>> = BTreeMap::new();
-        let mut recv_by: BTreeMap<Key, BTreeSet<usize>> = BTreeMap::new();
-        for (i, inst) in insts.iter().enumerate() {
-            for (r, plan) in inst.plans.iter().enumerate() {
-                for step in &plan.steps {
-                    match step.op {
-                        StepOp::Send { peer, tag, .. } => {
-                            send_by
-                                .entry((inst.ctx, r, peer, inst.wire_tag(tag)))
-                                .or_default()
-                                .insert(i);
-                        }
-                        StepOp::Recv { peer, tag, .. } => {
-                            recv_by
-                                .entry((inst.ctx, peer, r, inst.wire_tag(tag)))
-                                .or_default()
-                                .insert(i);
-                        }
-                        _ => {}
-                    }
+/// The envelope sides two or more instances post into — the only source
+/// of match-order nondeterminism, hence the explorer's branch points.
+fn contended_sides(insts: &[InstRef<'_>]) -> BTreeSet<Side> {
+    let mut first_poster: BTreeMap<Side, usize> = BTreeMap::new();
+    let mut contended = BTreeSet::new();
+    for (i, inst) in insts.iter().enumerate() {
+        for (r, plan) in inst.plans.iter().enumerate() {
+            for side in plan.steps.iter().filter_map(|s| side_of(inst, r, &s.op)) {
+                if *first_poster.entry(side).or_insert(i) != i {
+                    contended.insert(side);
                 }
             }
         }
-        let contended = |m: BTreeMap<Key, BTreeSet<usize>>| {
-            m.into_iter()
-                .filter(|(_, s)| s.len() >= 2)
-                .map(|(k, _)| k)
-                .collect::<BTreeSet<Key>>()
+    }
+    contended
+}
+
+fn short_op(plan: &CollPlan, idx: usize) -> String {
+    match &plan.steps[idx].op {
+        StepOp::Slack => "slack".to_string(),
+        StepOp::Send { peer, buf, tag } => format!(
+            "send b{}({}B) -> r{peer} tag {tag}",
+            buf.0,
+            plan.buf_len(*buf)
+        ),
+        StepOp::Recv { peer, into, tag } => format!(
+            "recv b{}({}B) <- r{peer} tag {tag}",
+            into.0,
+            plan.buf_len(*into)
+        ),
+        StepOp::Reduce { a, b, into } => {
+            format!("reduce b{} + b{} -> b{}", a.0, b.0, into.0)
+        }
+        StepOp::Copy { parts, into } => {
+            format!("copy {} part(s) -> b{}", parts.len(), into.0)
+        }
+    }
+}
+
+/// One cutpoint's exploration: the machine plus the search around it.
+struct Mc<'a> {
+    m: Machine<'a>,
+    contended: &'a BTreeSet<Side>,
+    max_states: usize,
+    visited: HashSet<u64>,
+    states: usize,
+    truncated: bool,
+    /// The first violation, with the interleaving that led to it.
+    finding: Option<PlanFinding>,
+}
+
+impl Mc<'_> {
+    fn stopped(&self) -> bool {
+        self.finding.is_some() || self.truncated
+    }
+
+    /// Render `v`, found in state `st`, as a counterexample.
+    fn counterexample(&self, st: &St, v: &Violation) -> PlanFinding {
+        let ir = |a: usize| self.m.agents[a];
+        let who = |a: usize| format!("instance #{} rank {}", ir(a).0, ir(a).1);
+        let (code, detail) = match v {
+            Violation::ReadUnproduced { at, buf } => (
+                "mc-bad-structure",
+                format!("{} reads buffer b{} before it is produced", who(*at), buf.0),
+            ),
+            Violation::CrossMatch { key, send, recv } => {
+                let ((si, sr), (ri, rr)) = (ir(send.agent), ir(recv.agent));
+                let (sender, receiver) = (self.m.inst(send.agent), self.m.inst(recv.agent));
+                (
+                    "mc-cross-match",
+                    format!(
+                        "message of instance #{si} (ctx {}, seq {}) rank {sr} step s{} consumed \
+                         by instance #{ri} (seq {}) rank {rr} step s{} on wire tag {:#x}: \
+                         composed instances are not match-isolated",
+                        sender.ctx, sender.seq, send.step, receiver.seq, recv.step, key.3,
+                    ),
+                )
+            }
+            Violation::LenMismatch { key, send, recv } => (
+                "mc-len-mismatch",
+                format!(
+                    "{} sends {}B but {} expects {}B on wire tag {:#x}",
+                    who(send.agent),
+                    send.bytes,
+                    who(recv.agent),
+                    recv.bytes,
+                    key.3
+                ),
+            ),
+            Violation::ChunkGap { at, step, what } => (
+                "mc-chunk-gap",
+                match step {
+                    Some(idx) => format!("{} step s{idx}: {what}", who(*at)),
+                    None => format!("{}: {what}", who(*at)),
+                },
+            ),
+            Violation::DoubleCount { at, step, what } => (
+                "mc-double-count",
+                format!("{} step s{step}: {what}", who(*at)),
+            ),
+            Violation::Stuck { agents } => {
+                let a = agents[0];
+                let what = if st.pcs[a] < self.m.plan(a).steps.len() {
+                    format!(
+                        "blocked at step s{} ({})",
+                        st.pcs[a],
+                        short_op(self.m.plan(a), st.pcs[a])
+                    )
+                } else {
+                    format!(
+                        "finished its steps but {} posted operation(s) never complete",
+                        st.pending[a]
+                    )
+                };
+                (
+                    "mc-deadlock",
+                    format!(
+                        "{} agent(s) can never finish; first: {} {what}",
+                        agents.len(),
+                        who(a)
+                    ),
+                )
+            }
+            // With nobody stuck, a leftover send is an eager one that no
+            // receive ever consumed.
+            Violation::UnmatchedSend { post, .. } => (
+                "mc-unmatched",
+                format!(
+                    "{} step s{}: eager send of {}B is never received",
+                    who(post.agent),
+                    post.step,
+                    post.bytes
+                ),
+            ),
+            Violation::UnmatchedRecv { .. } => {
+                unreachable!("a pending receive leaves its agent stuck, which is listed first")
+            }
+            Violation::UnexpectedOutput { at } => (
+                "mc-chunk-gap",
+                format!(
+                    "{} declares an output this collective does not give it",
+                    who(*at)
+                ),
+            ),
+            Violation::MissingOutput { at } => (
+                "mc-chunk-gap",
+                format!("{} is owed a result but the plan produces none", who(*at)),
+            ),
         };
-        Mc {
-            insts,
-            producers,
-            agents,
-            agent_ids,
-            eager_cut,
-            send_contended: contended(send_by),
-            recv_contended: contended(recv_by),
-            max_states,
-            findings: Vec::new(),
-            visited: HashSet::new(),
-            states: 0,
-            actions: 0,
-            truncated: false,
-            stop: false,
-        }
-    }
-
-    fn initial(&self) -> St {
-        St {
-            pcs: self
-                .insts
-                .iter()
-                .map(|inst| vec![0; inst.plans.len()])
-                .collect(),
-            done: self
-                .insts
-                .iter()
-                .map(|inst| {
-                    inst.plans
-                        .iter()
-                        .map(|pl| vec![false; pl.steps.len()])
-                        .collect()
-                })
-                .collect(),
-            pending: self
-                .insts
-                .iter()
-                .map(|inst| vec![0; inst.plans.len()])
-                .collect(),
-            poisoned: self
-                .insts
-                .iter()
-                .map(|inst| vec![false; inst.plans.len()])
-                .collect(),
-            vals: self
-                .insts
-                .iter()
-                .map(|inst| {
-                    let p = inst.plans.len();
-                    inst.plans
-                        .iter()
-                        .map(|pl| {
-                            pl.bufs
-                                .iter()
-                                .map(|b| match b.input_off {
-                                    Some(off) => {
-                                        let base = pl.input.map(|(o, _)| o).unwrap_or(0);
-                                        Some(if b.len == 0 {
-                                            Vec::new()
-                                        } else {
-                                            vec![Seg {
-                                                len: b.len,
-                                                lo: base + off,
-                                                mask: super::lint::RankSet::single(pl.me, p),
-                                            }]
-                                        })
-                                    }
-                                    None if b.len == 0 => Some(Vec::new()),
-                                    None => None,
-                                })
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect(),
-            sends: BTreeMap::new(),
-            recvs: BTreeMap::new(),
-            trace: Vec::new(),
-        }
-    }
-
-    /// Record a violation (first one wins per cutpoint) and stop this
-    /// cutpoint's exploration.
-    fn emit(&mut self, st: &St, code: &'static str, detail: String) {
-        if self.stop {
-            return;
-        }
-        self.stop = true;
-        self.findings.push(PlanFinding::Mc(McCounterexample {
+        PlanFinding::Mc(McCounterexample {
             code,
             detail,
-            eager_cut: Some(self.eager_cut),
+            eager_cut: Some(self.m.eager_cut),
             trace: self.render_trace(&st.trace),
-        }));
-    }
-
-    fn short_op(plan: &CollPlan, idx: usize) -> String {
-        match &plan.steps[idx].op {
-            StepOp::Slack => "slack".to_string(),
-            StepOp::Send { peer, buf, tag } => format!(
-                "send b{}({}B) -> r{peer} tag {tag}",
-                buf.0,
-                plan.buf_len(*buf)
-            ),
-            StepOp::Recv { peer, into, tag } => format!(
-                "recv b{}({}B) <- r{peer} tag {tag}",
-                into.0,
-                plan.buf_len(*into)
-            ),
-            StepOp::Reduce { a, b, into } => {
-                format!("reduce b{} + b{} -> b{}", a.0, b.0, into.0)
-            }
-            StepOp::Copy { parts, into } => {
-                format!("copy {} part(s) -> b{}", parts.len(), into.0)
-            }
-        }
+        })
     }
 
     fn render_trace(&self, trace: &[TraceStep]) -> Vec<String> {
@@ -416,570 +308,102 @@ impl<'a> Mc<'a> {
             .iter()
             .enumerate()
             .map(|(k, t)| {
-                let plan = &self.insts[t.inst as usize].plans[t.rank as usize];
-                let desc = Mc::short_op(plan, t.step as usize);
+                let (i, r) = self.m.agents[t.agent as usize];
+                let desc = short_op(self.m.plan(t.agent as usize), t.step as usize);
                 let body = match t.kind {
                     TraceKind::PostSend { eager } => format!(
                         "post {desc} [{}]",
                         if eager { "eager" } else { "rendezvous" }
                     ),
                     TraceKind::PostRecv => format!("post {desc}"),
-                    TraceKind::Match { pi, pr, ps } => {
-                        format!("{desc} matched send i{pi} r{pr} s{ps}")
+                    TraceKind::Match { agent, step } => {
+                        let (pi, pr) = self.m.agents[agent as usize];
+                        format!("{desc} matched send i{pi} r{pr} s{step}")
                     }
                     TraceKind::Exec => desc,
                 };
-                format!("#{k} i{} r{} s{}: {body}", t.inst, t.rank, t.step)
+                format!("#{k} i{i} r{r} s{}: {body}", t.step)
             })
             .collect()
     }
 
-    /// Can `(i, r)`'s step `idx` run now? All explicit deps and all
-    /// recv-producers of read buffers must be complete (mirrors the
-    /// executor's implicit drain of producing receives).
-    fn runnable(&self, st: &St, i: usize, r: usize, idx: usize) -> bool {
-        let plan = &self.insts[i].plans[r];
-        let step = &plan.steps[idx];
-        if step.deps.iter().any(|d| !st.done[i][r][d.0 as usize]) {
-            return false;
-        }
-        let reads: Vec<BufId> = match &step.op {
-            StepOp::Slack | StepOp::Recv { .. } => Vec::new(),
-            StepOp::Send { buf, .. } => vec![*buf],
-            StepOp::Reduce { a, b, .. } => vec![*a, *b],
-            StepOp::Copy { parts, .. } => parts.iter().map(|c| c.buf).collect(),
-        };
-        reads
-            .iter()
-            .all(|b| match self.producers[i][r][b.0 as usize] {
-                Some(ps) if matches!(plan.steps[ps].op, StepOp::Recv { .. }) => st.done[i][r][ps],
-                _ => true,
-            })
-    }
-
-    /// The envelope side a post step targets (`0` send, `1` recv).
-    fn side_key(&self, i: usize, r: usize, idx: usize) -> Option<(u8, Key)> {
-        let inst = &self.insts[i];
-        match inst.plans[r].steps[idx].op {
-            StepOp::Send { peer, tag, .. } => Some((0, (inst.ctx, r, peer, inst.wire_tag(tag)))),
-            StepOp::Recv { peer, tag, .. } => Some((1, (inst.ctx, peer, r, inst.wire_tag(tag)))),
-            _ => None,
-        }
-    }
-
-    fn is_contended(&self, sk: &(u8, Key)) -> bool {
-        if sk.0 == 0 {
-            self.send_contended.contains(&sk.1)
-        } else {
-            self.recv_contended.contains(&sk.1)
-        }
-    }
-
-    /// Read a buffer's provenance, poisoning the agent if never produced.
-    fn val(&mut self, st: &mut St, i: usize, r: usize, b: BufId) -> Option<BufVal> {
-        if let Some(v) = st.vals[i][r][b.0 as usize].clone() {
-            return Some(v);
-        }
-        st.poisoned[i][r] = true;
-        self.emit(
-            st,
-            "mc-bad-structure",
-            format!(
-                "instance #{i} rank {r} reads buffer b{} before it is produced",
-                b.0
-            ),
-        );
-        None
-    }
-
-    /// Match the heads of both queues of one envelope, if both present.
-    /// Returns the two agent ids to re-wake.
-    fn try_match(&mut self, st: &mut St, key: Key) -> Option<(usize, usize)> {
-        let have_both = st.sends.get(&key).is_some_and(|q| !q.is_empty())
-            && st.recvs.get(&key).is_some_and(|q| !q.is_empty());
-        if !have_both {
-            return None;
-        }
-        let (si, sr, ss, sbytes, eager) = st.sends.get_mut(&key).and_then(VecDeque::pop_front)?;
-        let (ri, rr, rs, rbytes, _) = st.recvs.get_mut(&key).and_then(VecDeque::pop_front)?;
-        st.trace.push(TraceStep {
-            inst: ri as u32,
-            rank: rr as u32,
-            step: rs as u32,
-            kind: TraceKind::Match {
-                pi: si as u32,
-                pr: sr as u32,
-                ps: ss as u32,
-            },
-        });
-        if si != ri {
-            self.emit(
-                st,
-                "mc-cross-match",
-                format!(
-                    "message of instance #{si} (ctx {}, seq {}) rank {sr} step s{ss} consumed \
-                     by instance #{ri} (seq {}) rank {rr} step s{rs} on wire tag {:#x}: \
-                     composed instances are not match-isolated",
-                    self.insts[si].ctx, self.insts[si].seq, self.insts[ri].seq, key.3,
-                ),
-            );
-        }
-        if sbytes != rbytes {
-            self.emit(
-                st,
-                "mc-len-mismatch",
-                format!(
-                    "instance #{si} rank {sr} sends {sbytes}B but instance #{ri} rank {rr} \
-                     expects {rbytes}B on wire tag {:#x}",
-                    key.3
-                ),
-            );
-        }
-        let sent_val = match &self.insts[si].plans[sr].steps[ss].op {
-            StepOp::Send { buf, .. } => st.vals[si][sr][buf.0 as usize].clone().unwrap_or_default(),
-            _ => Vec::new(),
-        };
-        if let StepOp::Recv { into, .. } = self.insts[ri].plans[rr].steps[rs].op {
-            let fitted = if val_len(&sent_val) == rbytes {
-                sent_val
-            } else {
-                slice_val(&sent_val, 0, rbytes)
-            };
-            st.vals[ri][rr][into.0 as usize] = Some(fitted);
-        }
-        if !eager {
-            st.done[si][sr][ss] = true;
-            st.pending[si][sr] -= 1;
-        }
-        st.done[ri][rr][rs] = true;
-        st.pending[ri][rr] -= 1;
-        Some((self.agent_ids[si][sr], self.agent_ids[ri][rr]))
-    }
-
-    /// Execute step `idx` of `(i, r)` (already known runnable; the pc has
-    /// already been advanced). Returns agent ids to re-wake.
-    fn execute(&mut self, st: &mut St, i: usize, r: usize, idx: usize) -> Vec<usize> {
-        self.actions += 1;
-        let op = self.insts[i].plans[r].steps[idx].op.clone();
-        let (iu, ru, su) = (i as u32, r as u32, idx as u32);
-        let mut wake = Vec::new();
-        match op {
-            StepOp::Slack => {
-                st.done[i][r][idx] = true;
-                st.trace.push(TraceStep {
-                    inst: iu,
-                    rank: ru,
-                    step: su,
-                    kind: TraceKind::Exec,
-                });
-            }
-            StepOp::Send { peer, buf, tag } => {
-                if self.val(st, i, r, buf).is_none() {
-                    return wake;
-                }
-                let bytes = self.insts[i].plans[r].buf_len(buf);
-                let eager = bytes < self.eager_cut;
-                let key = (self.insts[i].ctx, r, peer, self.insts[i].wire_tag(tag));
-                st.trace.push(TraceStep {
-                    inst: iu,
-                    rank: ru,
-                    step: su,
-                    kind: TraceKind::PostSend { eager },
-                });
-                st.sends
-                    .entry(key)
-                    .or_default()
-                    .push_back((i, r, idx, bytes, eager));
-                if eager {
-                    st.done[i][r][idx] = true;
-                } else {
-                    st.pending[i][r] += 1;
-                }
-                if let Some((a, b)) = self.try_match(st, key) {
-                    wake.push(a);
-                    wake.push(b);
-                }
-            }
-            StepOp::Recv { peer, into, tag } => {
-                let bytes = self.insts[i].plans[r].buf_len(into);
-                let key = (self.insts[i].ctx, peer, r, self.insts[i].wire_tag(tag));
-                st.trace.push(TraceStep {
-                    inst: iu,
-                    rank: ru,
-                    step: su,
-                    kind: TraceKind::PostRecv,
-                });
-                st.recvs
-                    .entry(key)
-                    .or_default()
-                    .push_back((i, r, idx, bytes, false));
-                st.pending[i][r] += 1;
-                if let Some((a, b)) = self.try_match(st, key) {
-                    wake.push(a);
-                    wake.push(b);
-                }
-            }
-            StepOp::Reduce { a, b, into } => {
-                st.trace.push(TraceStep {
-                    inst: iu,
-                    rank: ru,
-                    step: su,
-                    kind: TraceKind::Exec,
-                });
-                let (Some(va), Some(vb)) = (self.val(st, i, r, a), self.val(st, i, r, b)) else {
-                    return wake;
-                };
-                let (ra, rb) = refine(&va, &vb);
-                let mut out = Vec::with_capacity(ra.len());
-                for (sa, sb) in ra.iter().zip(rb.iter()) {
-                    if sa.lo != sb.lo {
-                        self.emit(
-                            st,
-                            "mc-chunk-gap",
-                            format!(
-                                "instance #{i} rank {r} step s{idx}: reduction combines \
-                                 misaligned ranges: logical {}..{} with {}..{}",
-                                sa.lo,
-                                sa.lo + sa.len,
-                                sb.lo,
-                                sb.lo + sb.len
-                            ),
-                        );
-                    }
-                    if sa.mask.intersects(&sb.mask) {
-                        self.emit(
-                            st,
-                            "mc-double-count",
-                            format!(
-                                "instance #{i} rank {r} step s{idx}: logical bytes {}..{} \
-                                 reduced over overlapping contributor sets {} and {}",
-                                sa.lo,
-                                sa.lo + sa.len,
-                                sa.mask,
-                                sb.mask
-                            ),
-                        );
-                    }
-                    out.push(Seg {
-                        len: sa.len,
-                        lo: sa.lo,
-                        mask: sa.mask.union(&sb.mask),
-                    });
-                }
-                st.vals[i][r][into.0 as usize] = Some(out);
-                st.done[i][r][idx] = true;
-            }
-            StepOp::Copy { parts, into } => {
-                st.trace.push(TraceStep {
-                    inst: iu,
-                    rank: ru,
-                    step: su,
-                    kind: TraceKind::Exec,
-                });
-                let mut out: BufVal = Vec::new();
-                for part in &parts {
-                    let Some(v) = self.val(st, i, r, part.buf) else {
-                        return wake;
-                    };
-                    out.extend(slice_val(&v, part.off, part.len));
-                }
-                st.vals[i][r][into.0 as usize] = Some(out);
-                st.done[i][r][idx] = true;
-            }
-        }
-        wake
-    }
-
-    /// Deterministic closure: run every agent as far as it can go without
-    /// executing a contended post. Confluent, so no branching is needed.
-    fn settle(&mut self, st: &mut St) {
-        let mut queue: VecDeque<usize> = (0..self.agents.len()).collect();
-        let mut queued = vec![true; self.agents.len()];
-        while let Some(a) = queue.pop_front() {
-            queued[a] = false;
-            let (i, r) = self.agents[a];
-            loop {
-                if self.stop || st.poisoned[i][r] {
-                    return;
-                }
-                let idx = st.pcs[i][r];
-                if idx >= self.insts[i].plans[r].steps.len() {
-                    break;
-                }
-                if !self.runnable(st, i, r, idx) {
-                    break;
-                }
-                if let Some(sk) = self.side_key(i, r, idx) {
-                    if self.is_contended(&sk) {
-                        break; // branch point: the explorer owns this post
-                    }
-                }
-                st.pcs[i][r] = idx + 1;
-                for w in self.execute(st, i, r, idx) {
-                    if !queued[w] {
-                        queued[w] = true;
-                        queue.push_back(w);
-                    }
-                }
-            }
-        }
-    }
-
     /// Runnable contended posts (the branch alternatives) after a settle.
-    fn enabled(&self, st: &St) -> Vec<(usize, usize, (u8, Key))> {
-        let mut out = Vec::new();
-        for &(i, r) in &self.agents {
-            if st.poisoned[i][r] {
-                continue;
-            }
-            let idx = st.pcs[i][r];
-            if idx >= self.insts[i].plans[r].steps.len() {
-                continue;
-            }
-            if !self.runnable(st, i, r, idx) {
-                continue;
-            }
-            if let Some(sk) = self.side_key(i, r, idx) {
-                if self.is_contended(&sk) {
-                    out.push((i, r, sk));
-                }
-            }
-        }
-        out
+    fn enabled(&self, st: &St) -> Vec<(usize, Side)> {
+        (0..self.m.agents.len())
+            .filter(|&a| !st.poisoned[a] && st.pcs[a] < self.m.plan(a).steps.len())
+            .filter(|&a| self.m.runnable(st, a, st.pcs[a]))
+            .filter_map(|a| Some((a, self.m.side(a, st.pcs[a])?)))
+            .filter(|(_, side)| self.contended.contains(side))
+            .collect()
     }
 
-    fn hash_state(&self, st: &St) -> u64 {
+    fn hash_state(st: &St) -> u64 {
+        // Everything but the trace: two interleavings reaching the same
+        // state have the same future.
+        let St {
+            pcs,
+            done,
+            pending,
+            poisoned,
+            vals,
+            sends,
+            recvs,
+            trace: _,
+        } = st;
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        st.pcs.hash(&mut h);
-        st.pending.hash(&mut h);
-        st.poisoned.hash(&mut h);
-        st.done.hash(&mut h);
-        for (k, q) in &st.sends {
-            k.hash(&mut h);
-            q.hash(&mut h);
-        }
-        0xfeedu16.hash(&mut h);
-        for (k, q) in &st.recvs {
-            k.hash(&mut h);
-            q.hash(&mut h);
-        }
-        st.vals.hash(&mut h);
+        (pcs, done, pending, poisoned, vals, sends, recvs).hash(&mut h);
         h.finish()
-    }
-
-    /// No enabled actions: either everything finished (check outputs) or
-    /// some agents can never finish (deadlock).
-    fn check_terminal(&mut self, st: &St) {
-        if self.stop {
-            return;
-        }
-        let stuck: Vec<(usize, usize)> = self
-            .agents
-            .iter()
-            .copied()
-            .filter(|&(i, r)| {
-                !st.poisoned[i][r]
-                    && (st.pcs[i][r] < self.insts[i].plans[r].steps.len() || st.pending[i][r] > 0)
-            })
-            .collect();
-        if let Some(&(i, r)) = stuck.first() {
-            let plan = &self.insts[i].plans[r];
-            let what = if st.pcs[i][r] < plan.steps.len() {
-                format!(
-                    "blocked at step s{} ({})",
-                    st.pcs[i][r],
-                    Mc::short_op(plan, st.pcs[i][r])
-                )
-            } else {
-                format!(
-                    "finished its steps but {} posted operation(s) never complete",
-                    st.pending[i][r]
-                )
-            };
-            self.emit(
-                st,
-                "mc-deadlock",
-                format!(
-                    "{} agent(s) can never finish; first: instance #{i} rank {r} {what}",
-                    stuck.len()
-                ),
-            );
-            return;
-        }
-        // Everything finished: leftover queue entries are eager sends no
-        // receive ever consumed (pending receives would be a deadlock).
-        for q in st.sends.values() {
-            if let Some(&(si, sr, ss, bytes, _)) = q.front() {
-                self.emit(
-                    st,
-                    "mc-unmatched",
-                    format!(
-                        "instance #{si} rank {sr} step s{ss}: eager send of {bytes}B is never \
-                         received"
-                    ),
-                );
-                return;
-            }
-        }
-        // Output coverage, per instance, against the collective's promise.
-        for (i, inst) in self.insts.iter().enumerate() {
-            let p = inst.plans.len();
-            for (r, plan) in inst.plans.iter().enumerate() {
-                let expect = expected_output(plan.kind, p, plan.n, plan.root, r);
-                match (&expect, plan.output) {
-                    (None, Some(_)) => self.emit(
-                        st,
-                        "mc-chunk-gap",
-                        format!(
-                            "instance #{i} rank {r} declares an output this collective does \
-                             not give it"
-                        ),
-                    ),
-                    (Some(_), None) => self.emit(
-                        st,
-                        "mc-chunk-gap",
-                        format!(
-                            "instance #{i} rank {r} is owed a result but the plan produces none"
-                        ),
-                    ),
-                    (None, None) => {}
-                    (Some(want), Some(out)) => {
-                        let got = st.vals[i][r][out.0 as usize].clone().unwrap_or_default();
-                        if val_len(&got) != val_len(want) {
-                            self.emit(
-                                st,
-                                "mc-chunk-gap",
-                                format!(
-                                    "instance #{i} rank {r}: output holds {}B but the \
-                                     collective promises {}B",
-                                    val_len(&got),
-                                    val_len(want)
-                                ),
-                            );
-                            continue;
-                        }
-                        let (rg, rw) = refine(&got, want);
-                        let mut pos = 0usize;
-                        for (g, w) in rg.iter().zip(rw.iter()) {
-                            if g.lo != w.lo {
-                                self.emit(
-                                    st,
-                                    "mc-chunk-gap",
-                                    format!(
-                                        "instance #{i} rank {r}: output byte {pos} holds \
-                                         logical byte {} but should hold {}",
-                                        g.lo, w.lo
-                                    ),
-                                );
-                            } else if g.mask != w.mask {
-                                self.emit(
-                                    st,
-                                    "mc-chunk-gap",
-                                    format!(
-                                        "instance #{i} rank {r}: logical bytes {}..{} reduced \
-                                         over {} but should cover {}",
-                                        g.lo,
-                                        g.lo + g.len,
-                                        g.mask,
-                                        w.mask
-                                    ),
-                                );
-                            }
-                            pos += g.len;
-                        }
-                    }
-                }
-                if self.stop {
-                    return;
-                }
-            }
-        }
     }
 
     /// Sleep-set DFS over contended posts. `sleep` holds agents whose
     /// pending action is covered by a sibling branch; an agent wakes only
     /// when a dependent action (same envelope side) executes.
-    fn dfs(&mut self, mut st: St, sleep: Vec<(usize, usize)>) {
-        self.settle(&mut st);
-        if self.stop {
+    fn dfs(&mut self, mut st: St, sleep: Vec<usize>) {
+        self.m.settle(&mut st, self.contended);
+        if let Some(v) = self.m.violations.first() {
+            self.finding = Some(self.counterexample(&st, v));
             return;
         }
         let enabled = self.enabled(&st);
         if enabled.is_empty() {
-            self.check_terminal(&st);
+            // Quiescent: everything finished (check outputs) or some
+            // agents can never finish (deadlock).
+            if let Some(v) = self.m.terminal(&st).first() {
+                self.finding = Some(self.counterexample(&st, v));
+            }
             return;
         }
-        let h = self.hash_state(&st);
-        if !self.visited.insert(h) {
+        if !self.visited.insert(Mc::hash_state(&st)) {
             return;
         }
         self.states += 1;
         if self.states > self.max_states {
             self.truncated = true;
-            self.stop = true;
             return;
         }
-        let mut explored: Vec<(usize, usize, (u8, Key))> = Vec::new();
-        for (i, r, sk) in enabled {
-            if self.stop {
+        let mut explored: Vec<(usize, Side)> = Vec::new();
+        for (a, side) in enabled {
+            if self.stopped() {
                 return;
             }
-            if sleep.contains(&(i, r)) {
+            if sleep.contains(&a) {
                 continue;
             }
             // Branch sleep set: everything already covered that commutes
             // with this action (different envelope side).
-            let mut ns: Vec<(usize, usize)> = Vec::new();
-            for &(si, sr) in &sleep {
-                if self.side_key(si, sr, st.pcs[si][sr]) != Some(sk) {
-                    ns.push((si, sr));
-                }
-            }
-            for (ei, er, esk) in &explored {
-                if *esk != sk {
-                    ns.push((*ei, *er));
-                }
-            }
+            let asleep = sleep
+                .iter()
+                .copied()
+                .filter(|&s| self.m.side(s, st.pcs[s]) != Some(side));
+            let covered = explored.iter().filter(|(_, es)| *es != side);
+            let ns = asleep.chain(covered.map(|&(ea, _)| ea)).collect();
             let mut st2 = st.clone();
-            let idx = st2.pcs[i][r];
-            st2.pcs[i][r] = idx + 1;
-            self.execute(&mut st2, i, r, idx);
+            let idx = st2.pcs[a];
+            st2.pcs[a] = idx + 1;
+            self.m.execute(&mut st2, a, idx);
             self.dfs(st2, ns);
-            explored.push((i, r, sk));
+            explored.push((a, side));
         }
-    }
-}
-
-/// Producer step of every buffer, validating single production.
-fn producers_of(plans: &[CollPlan]) -> Result<Vec<Vec<Option<usize>>>, Vec<PlanFinding>> {
-    let mut producer: Vec<Vec<Option<usize>>> =
-        plans.iter().map(|pl| vec![None; pl.bufs.len()]).collect();
-    let mut findings = Vec::new();
-    for (r, plan) in plans.iter().enumerate() {
-        for (i, step) in plan.steps.iter().enumerate() {
-            let into = match &step.op {
-                StepOp::Recv { into, .. }
-                | StepOp::Reduce { into, .. }
-                | StepOp::Copy { into, .. } => Some(*into),
-                _ => None,
-            };
-            if let Some(b) = into {
-                let slot = &mut producer[r][b.0 as usize];
-                if slot.is_some() || plan.bufs[b.0 as usize].input_off.is_some() {
-                    findings.push(PlanFinding::BadStructure {
-                        rank: r,
-                        detail: format!("buffer b{} produced more than once", b.0),
-                    });
-                } else {
-                    *slot = Some(i);
-                }
-            }
-        }
-    }
-    if findings.is_empty() {
-        Ok(producer)
-    } else {
-        Err(findings)
     }
 }
 
@@ -988,72 +412,75 @@ fn producers_of(plans: &[CollPlan]) -> Result<Vec<Vec<Option<usize>>>, Vec<PlanF
 /// at every cutpoint. At most one finding per code is reported, each with
 /// its counterexample interleaving.
 pub fn model_check(insts: &[PlanInstance], cfg: &McConfig) -> McReport {
-    let mut findings = check_compose(insts);
-    let mut producers = Vec::with_capacity(insts.len());
-    let mut structural = Vec::new();
-    for inst in insts {
-        if inst.plans.is_empty() {
-            structural.push(PlanFinding::BadStructure {
-                rank: 0,
-                detail: "empty plan set".to_string(),
-            });
-            continue;
-        }
-        structural.extend(check_structure(&inst.plans));
-        match producers_of(&inst.plans) {
-            Ok(p) => producers.push(p),
-            Err(f) => structural.extend(f),
-        }
-    }
-    if !structural.is_empty() {
-        findings.extend(structural);
-        return McReport {
-            findings,
-            states: 0,
-            actions: 0,
-            cutpoints: Vec::new(),
-            truncated: false,
-        };
-    }
-    let cuts = match &cfg.cut_override {
-        Some(cuts) => cuts.clone(),
-        None => cutpoints(insts),
-    };
-    let mut seen: BTreeSet<&'static str> = findings.iter().map(|f| f.code()).collect();
-    let mut states = 0;
-    let mut actions = 0;
-    let mut truncated = false;
-    for &cut in &cuts {
-        let mut mc = Mc::new(insts, &producers, cut, cfg.max_states);
-        let init = mc.initial();
-        mc.dfs(init, Vec::new());
-        states += mc.states;
-        actions += mc.actions;
-        truncated |= mc.truncated;
-        for f in mc.findings {
-            if seen.insert(f.code()) {
-                findings.push(f);
-            }
-        }
-    }
-    McReport {
-        findings,
-        states,
-        actions,
-        cutpoints: cuts,
-        truncated,
-    }
+    check(&borrow_all(insts), cfg)
 }
 
 /// Model-check a single instance (one collective on one communicator).
 pub fn model_check_single(plans: &[CollPlan], cfg: &McConfig) -> McReport {
-    model_check(&[PlanInstance::new(0, 0, plans.to_vec())], cfg)
+    let inst = InstRef {
+        ctx: 0,
+        seq: 0,
+        plans,
+    };
+    check(&[inst], cfg)
+}
+
+fn check(insts: &[InstRef<'_>], cfg: &McConfig) -> McReport {
+    let mut report = McReport {
+        findings: compose_findings(insts),
+        states: 0,
+        actions: 0,
+        cutpoints: Vec::new(),
+        truncated: false,
+    };
+    // Per agent (instances concatenated), per buffer: the producing step.
+    let mut producers = Vec::new();
+    let mut structural = Vec::new();
+    for inst in insts {
+        match admit(inst.plans) {
+            Ok(p) => producers.extend(p),
+            Err(f) => structural.extend(f),
+        }
+    }
+    if !structural.is_empty() {
+        report.findings.extend(structural);
+        return report;
+    }
+    report.cutpoints = match &cfg.cut_override {
+        Some(cuts) => cuts.clone(),
+        None => cutpoints_of(insts),
+    };
+    let contended = match insts {
+        [_] => BTreeSet::new(),
+        _ => contended_sides(insts),
+    };
+    let mut seen: BTreeSet<&'static str> = report.findings.iter().map(|f| f.code()).collect();
+    for &cut in &report.cutpoints {
+        let mut mc = Mc {
+            m: Machine::new(insts, &producers, cut, true),
+            contended: &contended,
+            max_states: cfg.max_states,
+            visited: HashSet::new(),
+            states: 0,
+            truncated: false,
+            finding: None,
+        };
+        let init = mc.m.initial();
+        mc.dfs(init, Vec::new());
+        report.states += mc.states;
+        report.actions += mc.m.actions;
+        report.truncated |= mc.truncated;
+        report
+            .findings
+            .extend(mc.finding.filter(|f| seen.insert(f.code())));
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::builders::build_all;
-    use super::super::compose::{dup_instances, seq_instances, PlanInstance};
+    use super::super::compose::{dup_instances, seq_instances};
     use super::super::{CollAlgo, PlanBuilder};
     use super::*;
     use crate::event::CollKind;
@@ -1158,6 +585,22 @@ mod tests {
             .expect("rendezvous deadlock must be found");
         // Caught at the all-rendezvous cutpoint specifically.
         assert_eq!(dl.eager_cut, Some(0));
+    }
+
+    #[test]
+    fn malformed_ids_are_findings_not_a_panic() {
+        // A receive into a buffer the plan does not have: the producer
+        // table must not be built over ids the structure check rejected.
+        let mut plans = build_all(CollKind::Bcast, CollAlgo::BcastBinomial, 2, 64, 0);
+        for step in &mut plans[1].steps {
+            if let StepOp::Recv { into, .. } = &mut step.op {
+                into.0 = 99;
+            }
+        }
+        let rep = model_check_single(&plans, &McConfig::default());
+        let codes: Vec<_> = rep.findings.iter().map(|f| f.code()).collect();
+        assert_eq!(codes, ["plan-bad-structure"], "{:?}", rep.findings);
+        assert!(rep.cutpoints.is_empty());
     }
 
     #[test]

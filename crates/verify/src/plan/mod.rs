@@ -4,10 +4,15 @@
 //! DAG of primitive steps (`Send`, `Recv`, `Reduce`, `Copy`, `Slack`) over
 //! byte-range *buffers*, produced by a pure [algorithm builder](builders)
 //! and executed by the simulator's shared plan executor. Because plans are
-//! plain data built without touching the network, they can be
-//! [statically linted](lint) across all ranks before a single message is
-//! posted: per-instance send/recv matching, chunk-coverage completeness,
-//! and in-plan deadlock freedom.
+//! plain data built without touching the network, all ranks' plans can be
+//! analyzed before a single message is posted — by one symbolic executor
+//! (the private `exec` module, the only other interpreter of the five
+//! steps) behind two reporters. The [linter](lint) runs it once over one
+//! instance with every send rendezvous and lists everything wrong:
+//! send/recv matching, chunk-coverage completeness, in-plan deadlock
+//! freedom. The [model checker](mc) drives it over [composed](compose)
+//! instances, every eager/rendezvous cutpoint and every match order,
+//! and reports the first violation of each with its interleaving.
 //!
 //! ## Execution contract
 //!
@@ -27,8 +32,11 @@
 
 pub mod builders;
 pub mod compose;
+mod exec;
+mod finding;
 pub mod lint;
 pub mod mc;
+mod structure;
 
 use std::fmt;
 

@@ -40,6 +40,13 @@ proptest! {
         prop_assert!(lint_plans(&plans).is_empty(), "{algo} p={p} n={n} root={root} lint");
         let rep = model_check_single(&plans, &McConfig::default());
         prop_assert!(rep.clean(), "{algo} p={p} n={n} root={root}: {:?}", rep.findings);
+        // The linter is the checker's all-rendezvous pass.
+        let rendezvous_only = McConfig { cut_override: Some(vec![0]), ..Default::default() };
+        prop_assert_eq!(
+            lint_plans(&plans).is_empty(),
+            model_check_single(&plans, &rendezvous_only).clean(),
+            "{algo} p={p} n={n} root={root}: lint vs model check at cut 0"
+        );
     }
 
     /// Cutpoints are always sorted, deduplicated, and start at 0 (the
