@@ -8,7 +8,9 @@
 //! eager/rendezvous cutpoint. The partial-order reduction makes the
 //! shipped (collision-free) builders deterministic to explore, so the
 //! full grid — all builders × p ∈ {2..17, 32, 64, 128} — finishes in
-//! seconds and runs as a CI gate (`ovcomm-bench mc_sweep --fail-on-lint`).
+//! seconds; it is in the fast regen set, so `ovcomm-bench regen --check`
+//! gates its per-cell counts and findings on every PR (the other CI gate
+//! is `mc_supports --fail-on-lint`, below).
 //!
 //! Beyond the per-shape grid the sweep checks:
 //!

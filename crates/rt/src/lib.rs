@@ -45,9 +45,7 @@
 //! since the run's epoch; deadlock detection is a watchdog (all live
 //! threads blocked with no completions for
 //! [`RtConfig::deadlock_timeout`]) instead of the simulator's exact
-//! quiescence test; and message matching order is genuinely
-//! nondeterministic under races, so the analyzer's *order-dependent-match*
-//! warning — which flags exactly this — is filtered from runtime reports.
+//! quiescence test.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -70,7 +68,7 @@ use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 use ovcomm_simmpi::transport::{panic_message, CommEnv};
 use ovcomm_simmpi::{CollSelector, RunError, RunOutput};
 use ovcomm_simnet::{MachineProfile, NodeMap};
-use ovcomm_verify::{Finding, VerifyMode};
+use ovcomm_verify::VerifyMode;
 
 pub use comm::{RtComm, RtRankCtx, RtTransport, RtWin};
 
@@ -199,13 +197,6 @@ pub type RtError = RunError;
 /// `net: None` (network-resource statistics exist only where a flow model
 /// does).
 pub type RtOutput<T> = RunOutput<T>;
-
-/// True for findings the runtime expects by construction: receive-matching
-/// order genuinely races here, so the analyzer's determinism warning about
-/// it carries no signal.
-fn expected_on_rt(f: &Finding) -> bool {
-    f.code() == "order-dependent-match"
-}
 
 /// Run `f` on every rank as a real OS thread; returns when all ranks
 /// finish (or the watchdog declares deadlock).
@@ -367,14 +358,7 @@ where
         .aborted
         .load(Ordering::SeqCst)
         .then(|| shared.deadlock_blocked.lock().clone());
-    // The same analyzer as the simulator's, minus the findings real
-    // nondeterminism legitimately produces.
-    shared.env.finish::<RtAgent, T>(
-        results,
-        panics,
-        deadlock,
-        |x| !expected_on_rt(x),
-        None,
-        cfg.trace_out.as_deref(),
-    )
+    shared
+        .env
+        .finish::<RtAgent, T>(results, panics, deadlock, None, cfg.trace_out.as_deref())
 }

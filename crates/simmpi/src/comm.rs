@@ -232,7 +232,6 @@ impl<T: Transport> Comm<T> {
     ) {
         if let Some(v) = self.env().verify.as_ref() {
             v.record(VEvent::Coll {
-                agent: self.agent.id(),
                 rank: self.agent.rank(),
                 ctx: self.info.ctx,
                 kind,
@@ -240,7 +239,6 @@ impl<T: Transport> Comm<T> {
                 len,
                 blocking,
                 req: None,
-                op_agent: None,
                 site: Some(site),
             });
         }
@@ -857,7 +855,6 @@ impl<T: Transport> Comm<T> {
         let rank = self.agent.rank();
         let id = op_actor_id(rank, self.agent.next_op_index());
         let req: Request<R> = env.new_req(|rid| VEvent::Coll {
-            agent: self.agent.id(),
             rank,
             ctx: self.info.ctx,
             kind,
@@ -865,10 +862,9 @@ impl<T: Transport> Comm<T> {
             len: n,
             blocking: false,
             req: Some(rid),
-            op_agent: Some(id),
             site: Some(site),
         });
-        let (req2, vid) = (req.clone(), req.verify_id());
+        let req2 = req.clone();
         let info = self.info.clone();
         self.agent.spawn_op(id, info.ctx, move |agent: &T| {
             let cctx = CollCtx {
@@ -877,15 +873,6 @@ impl<T: Transport> Comm<T> {
                 seq,
             };
             let v = finish(execute_plan(&cctx, &plans[info.me], input));
-            // Log completion before completing the request, so an
-            // analysis scanning forward from a matched wait always
-            // finds the collective's completion snapshot.
-            if let (Some(vf), Some(rid)) = (agent.env().verify.as_ref(), vid) {
-                vf.record(VEvent::CollDone {
-                    req: rid,
-                    op_agent: id,
-                });
-            }
             let done = agent.now();
             agent.env().edge(EdgeKind::PostWait, id, done, rank, done);
             agent.complete(&req2, v, done);

@@ -213,15 +213,6 @@ impl SimMetrics {
             .inc();
     }
 
-    /// Count a run whose post-run vector-clock race analysis was skipped
-    /// because the event log has more than 512 agents, labeled by the
-    /// agent count (registers on demand).
-    pub fn verify_vc_skipped(&self, agents: usize) {
-        self.registry
-            .counter("verify.vc.skipped", &[("agents", agents.to_string())])
-            .inc();
-    }
-
     /// Snapshot the registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()

@@ -255,9 +255,7 @@ pub struct RunOutput<R> {
     pub clamped_spans: usize,
     /// Communication-correctness findings and leak counters (empty when
     /// verification was off). Under `Strict`, error findings abort the run
-    /// instead, so this carries warnings only. The runtime filters out
-    /// *order-dependent-match* warnings: under real nondeterministic
-    /// matching they are expected, not a defect.
+    /// instead, so this carries warnings only.
     pub verify: VerifyReport,
 }
 
@@ -275,17 +273,15 @@ impl CommEnv {
     /// `results[r]` is rank `r`'s return value (`None` if it unwound),
     /// `panics` the `(rank, message)` of every rank that panicked, and
     /// `deadlock` the `(agent, rank)` of everyone blocked if the backend
-    /// declared the run deadlocked. `keep` selects the verify findings this
-    /// backend reports; `trace_out` is where to write the Perfetto trace —
-    /// written whether the run succeeded or not: a failed run's trace is
-    /// the one somebody needs.
+    /// declared the run deadlocked. `trace_out` is where to write the
+    /// Perfetto trace — written whether the run succeeded or not: a failed
+    /// run's trace is the one somebody needs.
     #[allow(clippy::expect_used)]
     pub fn finish<T: Transport, R>(
         &self,
         results: Vec<Option<R>>,
         mut panics: Vec<(usize, String)>,
         deadlock: Option<Vec<(u32, u32)>>,
-        keep: impl Fn(&Finding) -> bool,
         net: Option<NetStats>,
         trace_out: Option<&Path>,
     ) -> Result<RunOutput<R>, RunError> {
@@ -326,9 +322,12 @@ impl CommEnv {
         // Analyze the communication log. Under Strict, error-severity
         // findings fail the run; under Warn they are printed; warnings
         // always travel in the output.
-        let verify = self
-            .verify_report(keep)
-            .map_err(|findings| RunError::Verification { findings })?;
+        let verify = match self.verify.as_ref() {
+            Some(v) => v
+                .report(self.verify_mode)
+                .map_err(|findings| RunError::Verification { findings })?,
+            None => VerifyReport::default(),
+        };
 
         let clamped_spans = trace.as_ref().map_or(0, Trace::clamped);
         self.metrics.spans_clamped(clamped_spans as u64);

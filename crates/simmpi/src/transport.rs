@@ -26,9 +26,7 @@ use parking_lot::Mutex;
 use ovcomm_simnet::{
     EdgeKind, MachineProfile, NodeMap, SimDur, SimTime, SpanKind, Trace, TraceEdge, TraceSpan,
 };
-use ovcomm_verify::{
-    Event, Finding, ReqId, Site, Verifier, VerifyMode, VerifyReport, INTERNAL_TAG_BIT,
-};
+use ovcomm_verify::{Event, ReqId, Site, Verifier, VerifyMode, INTERNAL_TAG_BIT};
 
 use crate::collsel::CollSelector;
 use crate::metrics::SimMetrics;
@@ -247,24 +245,6 @@ impl CommEnv {
         if bytes > 0 {
             reg.counter("rma.bytes", &labels).add(bytes as u64);
         }
-    }
-
-    /// The post-run verification report both backends end a run with (see
-    /// [`Verifier::report`]; empty when verification is off). A skipped
-    /// vector-clock pass is counted as `verify.vc.skipped{agents}` so the
-    /// skip shows up in the run's metrics, as `plan.mc.skipped` does.
-    pub fn verify_report(
-        &self,
-        keep: impl Fn(&Finding) -> bool,
-    ) -> Result<VerifyReport, Vec<Finding>> {
-        let Some(v) = self.verify.as_ref() else {
-            return Ok(VerifyReport::default());
-        };
-        let report = v.report(self.verify_mode, keep)?;
-        if let Some(agents) = report.vc_skipped_agents {
-            self.metrics.verify_vc_skipped(agents);
-        }
-        Ok(report)
     }
 }
 

@@ -296,7 +296,6 @@ where
         results,
         panics,
         deadlock,
-        |_| true,
         Some(uni.engine.net_stats()),
         cfg.trace_out.as_deref(),
     )

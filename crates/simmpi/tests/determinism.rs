@@ -260,9 +260,9 @@ fn one_sided_window_program_matches_pinned_values() {
 }
 
 /// The scale target: 10,000 ranks in one process, broadcast + allreduce
-/// under strict verification (static lint + dynamic recorder; the
-/// per-shape model check and the vector-clock race pass gate themselves
-/// off at this size).
+/// under strict verification (static lint + dynamic recorder, every
+/// analysis of the log included; only the per-shape model check gates
+/// itself off at this size).
 #[test]
 fn ten_thousand_rank_bcast_allreduce_strict_smoke() {
     let p = 10_000;
@@ -290,7 +290,8 @@ fn ten_thousand_rank_bcast_allreduce_strict_smoke() {
     // The skipped model check is counted, not dropped silently: one
     // bcast shape and one allreduce shape compiled at p > 128.
     assert_eq!(out.metrics.counters["plan.mc.skipped{p=10000}"], 2);
-    // Likewise the vector-clock race pass, which stops at 512 agents.
-    assert_eq!(out.metrics.counters["verify.vc.skipped{agents=10000}"], 1);
-    assert_eq!(out.verify.vc_skipped_agents, Some(p));
+    // The race check ran too — it has no size gate — and found nothing.
+    assert_eq!(out.verify.warnings(), 0, "{:?}", out.verify.findings);
+    let skipped = |k: &String| k.starts_with("verify.") && k.contains("skipped");
+    assert!(!out.metrics.counters.keys().any(skipped));
 }

@@ -184,6 +184,50 @@ fn mutation_rank_skipping_collective_is_flagged() {
 }
 
 // ---------------------------------------------------------------------
+// Bug class 7: two sends in flight on one envelope (no dup'd communicator)
+// ---------------------------------------------------------------------
+
+#[test]
+fn mutation_one_envelope_two_sends_in_flight_warns_at_any_scale() {
+    // 1,024 ranks: the race check judges each rank's own call order, so
+    // it costs and finds the same at any p.
+    let p = 1024;
+    let out = run(cfg(p, 4), |rc: RankCtx| {
+        let w = rc.world();
+        // Every rank logs something.
+        w.barrier();
+        match rc.rank() {
+            0 => {
+                // Mutation: the second isend goes out on the first one's
+                // envelope before the first is waited — the paper's N_DUP
+                // operations in flight, without the duplicated communicator.
+                let first = w.isend(1, 9, Payload::Phantom(64));
+                let (second, line) = (w.isend(1, 9, Payload::Phantom(64)), line!());
+                w.wait_all(&[first, second]);
+                Some(line)
+            }
+            1 => {
+                let _ = w.recv(0, 9);
+                let _ = w.recv(0, 9);
+                None
+            }
+            _ => None,
+        }
+    })
+    .expect("a warning does not fail a Strict run");
+    let second_post = out.results[0].expect("rank 0 posts");
+    let msg = render(&out.verify.findings);
+    assert_eq!(out.verify.findings.len(), 1, "{msg}");
+    assert!(msg.contains("[order-dependent-match]"), "{msg}");
+    assert!(
+        msg.contains("same-envelope sends (comm 0, rank 0 -> rank 1, tag=9)"),
+        "{msg}"
+    );
+    let site = format!("posted at {}:{second_post}", file!());
+    assert!(msg.contains(&site), "{msg}\nwant: {site}");
+}
+
+// ---------------------------------------------------------------------
 // Deadlock cycle extraction
 // ---------------------------------------------------------------------
 

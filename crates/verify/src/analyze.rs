@@ -8,8 +8,10 @@
 //!    be interleaved identically on every rank.
 //! 2. **Resource checks** — user requests must be waited on or tested to
 //!    completion; every send must match a receive and vice versa.
-//! 3. **Race detection** — a vector-clock pass finds same-envelope
-//!    operations whose matching depends on arrival order.
+//! 3. **Race detection** — a send/receive posted on an envelope whose
+//!    previous send/receive its poster had not yet observed complete: the
+//!    two are in flight together, so which message meets which receive
+//!    depends on arrival order.
 //!
 //! All passes are deterministic given per-agent program order: per-agent
 //! event subsequences are program-ordered by construction (each agent
@@ -176,26 +178,21 @@ struct WinRankState {
 
 #[derive(Default)]
 struct ReqState {
-    waited: bool,
-    tested: bool,
+    /// The first `WaitDone`/`TestObserved` of the request: who observed it
+    /// complete, and at which log index.
+    observed: Option<(AgentId, usize)>,
     matched: Option<ReqId>,
     dropped_incomplete: bool,
 }
 
-type Vc = HashMap<AgentId, u64>;
-
-fn vc_join(into: &mut Vc, other: &Vc) {
-    for (&a, &t) in other {
-        let e = into.entry(a).or_insert(0);
-        *e = (*e).max(t);
-    }
-}
+/// User send/recv requests on one `(ctx, src, dst, tag)` envelope, each
+/// with its poster and the log index of its post. All from one rank, so
+/// this order is program order.
+type Envelopes = BTreeMap<(u32, u32, u32, u64), Vec<(ReqId, AgentId, usize)>>;
 
 /// Run every analysis over the log; findings are sorted errors-first, then
-/// by rendered text, so output is stable across thread schedules. The
-/// second value is `Some(agents)` when the vector-clock race pass was
-/// skipped because the log has more than `VC_MAX_AGENTS` agents.
-pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
+/// by rendered text, so output is stable across thread schedules.
+pub fn analyze(events: &[Event]) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // ---- pass 1: index the log -------------------------------------
@@ -207,10 +204,8 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
     let mut posts: HashMap<ReqId, Post> = HashMap::new();
     let mut post_order: Vec<ReqId> = Vec::new();
     let mut states: HashMap<ReqId, ReqState> = HashMap::new();
-    // (ctx, src, dst, tag) -> user send/recv reqs in post order (all from
-    // one rank thread, so this order is program order).
-    let mut send_envelopes: BTreeMap<(u32, u32, u32, u64), Vec<ReqId>> = BTreeMap::new();
-    let mut recv_envelopes: BTreeMap<(u32, u32, u32, u64), Vec<ReqId>> = BTreeMap::new();
+    let mut send_envelopes = Envelopes::new();
+    let mut recv_envelopes = Envelopes::new();
     // RMA: per-(rank, win) epoch state, creation sites, and epoch op
     // groups for conflict detection. Fence epochs are numbered by the
     // per-rank fence count — consistent across ranks because fence is
@@ -223,7 +218,7 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
     let mut fence_groups: BTreeMap<(u64, u32, u64), Vec<RmaOpRec>> = BTreeMap::new();
     let mut lock_groups: BTreeMap<(u64, u32, u32, u64), Vec<RmaOpRec>> = BTreeMap::new();
 
-    for ev in events {
+    for (at, ev) in events.iter().enumerate() {
         match ev {
             Event::CommDecl { ctx, members } => {
                 ctx_members.entry(*ctx).or_insert_with(|| members.clone());
@@ -237,7 +232,6 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
                 blocking,
                 req,
                 site,
-                ..
             } => {
                 coll_seqs
                     .entry(*ctx)
@@ -273,6 +267,7 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
                 }
             }
             Event::SendPost {
+                agent,
                 rank,
                 ctx,
                 dst,
@@ -281,7 +276,6 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
                 internal,
                 req,
                 site,
-                ..
             } => {
                 posts.insert(
                     *req,
@@ -301,10 +295,11 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
                     send_envelopes
                         .entry((*ctx, *rank, *dst, *tag))
                         .or_default()
-                        .push(*req);
+                        .push((*req, *agent, at));
                 }
             }
             Event::RecvPost {
+                agent,
                 rank,
                 ctx,
                 src,
@@ -312,7 +307,6 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
                 internal,
                 req,
                 site,
-                ..
             } => {
                 posts.insert(
                     *req,
@@ -331,20 +325,20 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
                     recv_envelopes
                         .entry((*ctx, *src, *rank, *tag))
                         .or_default()
-                        .push(*req);
+                        .push((*req, *agent, at));
                 }
             }
             Event::Match { send, recv } => {
                 states.entry(*send).or_default().matched = Some(*recv);
                 states.entry(*recv).or_default().matched = Some(*send);
             }
-            Event::WaitDone { req, .. } => {
-                states.entry(*req).or_default().waited = true;
+            Event::WaitDone { agent, req } | Event::TestObserved { agent, req } => {
+                states
+                    .entry(*req)
+                    .or_default()
+                    .observed
+                    .get_or_insert((*agent, at));
             }
-            Event::TestObserved { req, .. } => {
-                states.entry(*req).or_default().tested = true;
-            }
-            Event::CollDone { .. } => {}
             Event::ReqDropped { req, completed, .. } => {
                 if !completed {
                     states.entry(*req).or_default().dropped_incomplete = true;
@@ -695,7 +689,7 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
             Post::Send { internal, .. } | Post::Recv { internal, .. } => *internal,
             Post::Coll { .. } | Post::Rma { .. } => false,
         };
-        if !internal && !st.waited && !st.tested {
+        if !internal && st.observed.is_none() {
             findings.push(Finding {
                 severity: Severity::Error,
                 kind: FindingKind::RequestLeak {
@@ -763,115 +757,24 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
         }
     }
 
-    // ---- analysis 3: vector-clock order-dependence -----------------
-    // Each agent's component ticks on each of its own events; cross-agent
-    // edges are: rank -> op-agent at dispatch, matched-peer post -> wait
-    // completion, and op-agent finish -> waiter.
-    //
-    // Vector clocks grow one component per agent, so this pass is
-    // quadratic in the number of agents and dominates analysis time on
-    // very large simulations (tens of thousands of ranks). Past the cap
-    // below it is skipped — reported as the second return value, never
-    // silently; the linear mismatch/leak passes above still run, and the
-    // race findings it produces are warnings, not errors.
-    const VC_MAX_AGENTS: usize = 512;
-    let mut vc_agents: std::collections::HashSet<AgentId> = std::collections::HashSet::new();
-    for ev in events {
-        match ev {
-            Event::Coll {
-                agent, op_agent, ..
-            } => {
-                vc_agents.insert(*agent);
-                if let Some(o) = op_agent {
-                    vc_agents.insert(*o);
-                }
-            }
-            Event::SendPost { agent, .. }
-            | Event::RecvPost { agent, .. }
-            | Event::WaitDone { agent, .. }
-            | Event::TestObserved { agent, .. } => {
-                vc_agents.insert(*agent);
-            }
-            Event::CollDone { op_agent, .. } => {
-                vc_agents.insert(*op_agent);
-            }
-            _ => {}
-        }
-    }
-    if vc_agents.len() > VC_MAX_AGENTS {
-        findings.sort_by_key(|x| (x.severity, x.to_string()));
-        return (findings, Some(vc_agents.len()));
-    }
-    let mut clocks: HashMap<AgentId, Vc> = HashMap::new();
-    let mut post_snap: HashMap<ReqId, Vc> = HashMap::new();
-    let mut completion_snap: HashMap<ReqId, Vc> = HashMap::new();
-    // First completion observation of a request: (observer, observer tick).
-    let mut comp_mark: HashMap<ReqId, (AgentId, u64)> = HashMap::new();
-
-    fn tick(clocks: &mut HashMap<AgentId, Vc>, a: AgentId) -> Vc {
-        let vc = clocks.entry(a).or_default();
-        *vc.entry(a).or_insert(0) += 1;
-        vc.clone()
-    }
-
-    for ev in events {
-        match ev {
-            Event::Coll {
-                agent, op_agent, ..
-            } => {
-                let vc = tick(&mut clocks, *agent);
-                if let Some(o) = op_agent {
-                    vc_join(clocks.entry(*o).or_default(), &vc);
-                }
-            }
-            Event::SendPost { agent, req, .. } | Event::RecvPost { agent, req, .. } => {
-                let vc = tick(&mut clocks, *agent);
-                post_snap.insert(*req, vc);
-            }
-            Event::Match { send, recv } => {
-                // Completing a recv implies the matched send was posted;
-                // completing a rendezvous send implies the recv was posted.
-                if let Some(vs) = post_snap.get(send).cloned() {
-                    vc_join(completion_snap.entry(*recv).or_default(), &vs);
-                }
-                if let Some(vr) = post_snap.get(recv).cloned() {
-                    vc_join(completion_snap.entry(*send).or_default(), &vr);
-                }
-            }
-            Event::CollDone { req, op_agent } => {
-                let vc = tick(&mut clocks, *op_agent);
-                completion_snap.insert(*req, vc);
-            }
-            Event::WaitDone { agent, req } | Event::TestObserved { agent, req } => {
-                if let Some(cs) = completion_snap.get(req).cloned() {
-                    vc_join(clocks.entry(*agent).or_default(), &cs);
-                }
-                let vc = tick(&mut clocks, *agent);
-                comp_mark
-                    .entry(*req)
-                    .or_insert_with(|| (*agent, vc.get(agent).copied().unwrap_or(0)));
-            }
-            _ => {}
-        }
-    }
-
-    let mut race_check = |envelopes: &BTreeMap<(u32, u32, u32, u64), Vec<ReqId>>,
-                          what: &'static str| {
+    // ---- analysis 3: order-dependent matching ----------------------
+    // Both requests of a pair are posted by one agent, and a completion is
+    // only ever observed by whoever waits or tests, so `prev` is out of
+    // flight before `cur` iff `cur`'s poster itself observed `prev`
+    // complete earlier in its own event order (per-agent log order is
+    // program order). An observation by any other agent does not order.
+    let mut race_check = |envelopes: &Envelopes, what: &'static str| {
+        let matched = |req: &ReqId| states.get(req).is_some_and(|s| s.matched.is_some());
         for ((ctx, src, dst, tag), reqs) in envelopes {
             for pair in reqs.windows(2) {
-                let (prev, cur) = (pair[0], pair[1]);
-                let both_matched = states.get(&prev).is_some_and(|s| s.matched.is_some())
-                    && states.get(&cur).is_some_and(|s| s.matched.is_some());
-                if !both_matched {
+                let ((prev, ..), (cur, poster, posted_at)) = (pair[0], pair[1]);
+                if !(matched(&prev) && matched(&cur)) {
                     continue; // pure leaks are reported above
                 }
-                let ordered = match comp_mark.get(&prev) {
-                    Some((w, t)) => post_snap
-                        .get(&cur)
-                        .and_then(|vc| vc.get(w))
-                        .is_some_and(|seen| seen >= t),
-                    None => false,
-                };
+                let ordered = states
+                    .get(&prev)
+                    .and_then(|s| s.observed)
+                    .is_some_and(|(observer, at)| observer == poster && at < posted_at);
                 if !ordered {
                     findings.push(Finding {
                         severity: Severity::Warning,
@@ -893,7 +796,7 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, Option<usize>) {
     race_check(&recv_envelopes, "receives");
 
     findings.sort_by_key(|x| (x.severity, x.to_string()));
-    (findings, None)
+    findings
 }
 
 /// Look up the post descriptor of a request, for deadlock reporting.

@@ -31,6 +31,20 @@ pub struct BlockedAgent {
     pub pending: Option<PendingOp>,
 }
 
+impl BlockedAgent {
+    /// Bit 31 of the actor id tags an operation actor —
+    /// `ovcomm_simnet::trace::op_actor_id` owns the layout; this crate has
+    /// no simnet dependency to call it.
+    pub(crate) fn new(agent: AgentId, rank: u32, pending: Option<PendingOp>) -> BlockedAgent {
+        BlockedAgent {
+            agent,
+            rank,
+            is_op_agent: agent & 0x8000_0000 != 0,
+            pending,
+        }
+    }
+}
+
 /// The full diagnosis attached to `RunError::Deadlock` (either backend).
 #[derive(Debug, Clone, Default)]
 pub struct DeadlockReport {
@@ -46,14 +60,7 @@ impl DeadlockReport {
     pub fn unknown(blocked: &[(AgentId, u32)]) -> DeadlockReport {
         let mut b: Vec<BlockedAgent> = blocked
             .iter()
-            .map(|&(agent, rank)| BlockedAgent {
-                agent,
-                rank,
-                // Bit 31 tags an operation actor — `ovcomm_simnet::trace::op_actor_id`
-                // owns the layout; this crate has no simnet dependency to call it.
-                is_op_agent: agent & 0x8000_0000 != 0,
-                pending: None,
-            })
+            .map(|&(agent, rank)| BlockedAgent::new(agent, rank, None))
             .collect();
         b.sort_by_key(|x| (x.rank, x.agent));
         DeadlockReport {

@@ -115,8 +115,6 @@ pub enum Event {
     /// `dup`/`split`). Recorded on the calling rank thread at post time, so
     /// per-(rank, ctx) event order is program order.
     Coll {
-        /// Recording agent (always a rank agent).
-        agent: AgentId,
         /// World rank.
         rank: u32,
         /// Communicator context the collective runs on (the parent for
@@ -132,8 +130,6 @@ pub enum Event {
         blocking: bool,
         /// Tracked request of the nonblocking form.
         req: Option<ReqId>,
-        /// Progress actor running the nonblocking form.
-        op_agent: Option<AgentId>,
         /// User call site.
         site: Option<Site>,
     },
@@ -199,14 +195,6 @@ pub enum Event {
         agent: AgentId,
         /// The request.
         req: ReqId,
-    },
-    /// A nonblocking collective's progress actor finished. Recorded before
-    /// the request completes.
-    CollDone {
-        /// The collective's tracked request.
-        req: ReqId,
-        /// The progress actor.
-        op_agent: AgentId,
     },
     /// The last handle to a tracked request was dropped.
     ReqDropped {

@@ -5,10 +5,10 @@
 //! The simulator records an [`Event`] log through a shared [`Verifier`]
 //! while a run executes; after a successful run the log is analyzed for
 //! collective-matching violations, leaked requests, unmatched messages and
-//! order-dependent receive matching, and on deadlock the verifier's
-//! blocked-agent table turns the engine's bare "deadlock" verdict into a
-//! [`DeadlockReport`] with per-rank pending operations and the wait-for
-//! cycle.
+//! order-dependent matching (same-envelope sends or receives in flight
+//! together), and on deadlock the verifier's blocked-agent table turns the
+//! engine's bare "deadlock" verdict into a [`DeadlockReport`] with per-rank
+//! pending operations and the wait-for cycle.
 //!
 //! Recording is wall-clock-only bookkeeping: it never advances virtual
 //! clocks or schedules events, so enabling verification cannot change the
@@ -70,11 +70,6 @@ pub struct VerifyReport {
     /// ranks — the multiset of `Coll` events per communicator, which must
     /// agree between backends running the same program.
     pub coll_calls: BTreeMap<CollCallKey, u64>,
-    /// `Some(agents)` when the vector-clock race pass was skipped because
-    /// the log has more than 512 agents (it is quadratic in agents); the
-    /// mismatch and leak passes still ran. Not a finding: the skipped pass
-    /// only ever produces warnings.
-    pub vc_skipped_agents: Option<usize>,
 }
 
 impl VerifyReport {
@@ -163,28 +158,18 @@ impl Verifier {
 
     /// Run all analyses over the log.
     pub fn analyze(&self) -> Vec<Finding> {
-        analyze::analyze(&self.events.lock()).0
+        analyze::analyze(&self.events.lock())
     }
 
-    /// Analyze the log and build a completed run's report, keeping only
-    /// findings `keep` accepts (a backend filters what it expects by
-    /// construction). Under `Warn` the findings are printed; under
-    /// `Strict` any error-severity finding fails the run with the full
-    /// list instead.
-    pub fn report(
-        &self,
-        mode: VerifyMode,
-        keep: impl Fn(&Finding) -> bool,
-    ) -> Result<VerifyReport, Vec<Finding>> {
-        let (mut findings, vc_skipped_agents) = analyze::analyze(&self.events.lock());
-        findings.retain(keep);
+    /// Analyze the log and build a completed run's report. Under `Warn`
+    /// the findings are printed; under `Strict` any error-severity finding
+    /// fails the run with the full list instead.
+    pub fn report(&self, mode: VerifyMode) -> Result<VerifyReport, Vec<Finding>> {
+        let findings = self.analyze();
         match mode {
             VerifyMode::Warn => {
                 for x in &findings {
                     eprintln!("ovcomm-verify: {x}");
-                }
-                if let Some(agents) = vc_skipped_agents {
-                    eprintln!("ovcomm-verify: race analysis skipped ({agents} agents > 512)");
                 }
             }
             VerifyMode::Strict => {
@@ -216,7 +201,6 @@ impl Verifier {
             dropped_incomplete,
             dropped_untaken,
             coll_calls,
-            vc_skipped_agents,
         })
     }
 
@@ -245,14 +229,7 @@ impl Verifier {
                         site: None,
                     },
                 });
-                BlockedAgent {
-                    agent,
-                    rank,
-                    // Bit 31 tags an operation actor — `ovcomm_simnet::trace::op_actor_id`
-                    // owns the layout; this crate has no simnet dependency to call it.
-                    is_op_agent: agent & 0x8000_0000 != 0,
-                    pending,
-                }
+                BlockedAgent::new(agent, rank, pending)
             })
             .collect();
         entries.sort_by_key(|b| (b.rank, b.agent));
@@ -309,7 +286,6 @@ mod tests {
 
     fn coll(rank: u32, ctx: u32, kind: CollKind, root: Option<u32>, len: usize) -> Event {
         Event::Coll {
-            agent: rank,
             rank,
             ctx,
             kind,
@@ -317,7 +293,6 @@ mod tests {
             len,
             blocking: true,
             req: None,
-            op_agent: None,
             site: None,
         }
     }
@@ -448,6 +423,36 @@ mod tests {
             !codes(&f).contains(&"order-dependent-match"),
             "sequential sends must not warn: {f:?}"
         );
+    }
+
+    /// The conservative corner: only the poster's own observation orders
+    /// its next post. Rank 2 observes `s1` complete and then messages rank
+    /// 0, which receives that message before posting `s2` — a
+    /// happens-before chain through another agent, which the check does
+    /// not follow.
+    #[test]
+    fn a_completion_observed_by_another_agent_does_not_order_the_next_post() {
+        let v = Verifier::new();
+        let (s1, s2, m) = (v.next_req_id(), v.next_req_id(), v.next_req_id());
+        let (r1, r2, n) = (v.next_req_id(), v.next_req_id(), v.next_req_id());
+        v.record(send(0, 0, 1, 7, s1));
+        v.record(recv(1, 0, 0, 7, r1));
+        v.record(Event::Match { send: s1, recv: r1 });
+        v.record(Event::WaitDone { agent: 1, req: r1 });
+        v.record(Event::WaitDone { agent: 2, req: s1 }); // not the poster
+        v.record(send(2, 0, 0, 9, m));
+        v.record(recv(0, 0, 2, 9, n));
+        v.record(Event::Match { send: m, recv: n });
+        v.record(Event::WaitDone { agent: 0, req: n });
+        v.record(send(0, 0, 1, 7, s2));
+        v.record(recv(1, 0, 0, 7, r2));
+        v.record(Event::Match { send: s2, recv: r2 });
+        for (a, q) in [(0, s1), (0, s2), (1, r2), (2, m)] {
+            v.record(Event::WaitDone { agent: a, req: q });
+        }
+        let f = v.analyze();
+        assert_eq!(codes(&f), vec!["order-dependent-match"], "{f:?}");
+        assert!(f[0].to_string().contains("same-envelope sends"), "{}", f[0]);
     }
 
     #[test]
