@@ -8,8 +8,6 @@
 //! queries with the paper's two rules: the threshold rule `n/N_DUP ≥ n_t`
 //! and the curve condition `N_DUP·f_BW(n/N_DUP) ≥ f_BW(n)`.
 
-use ovcomm_simmpi::CollSelector;
-
 use crate::tuning::{n_dup_by_threshold, satisfies_overlap_condition, BandwidthCurve};
 
 /// A piecewise-log-linear effective-bandwidth curve built from measured
@@ -97,7 +95,6 @@ pub struct AutoTuner {
     curve: MeasuredCurve,
     n_t: usize,
     max_n_dup: usize,
-    coll: Option<CollSelector>,
 }
 
 impl AutoTuner {
@@ -114,23 +111,7 @@ impl AutoTuner {
             curve,
             n_t,
             max_n_dup,
-            coll: None,
         }
-    }
-
-    /// Attach a fitted collective-algorithm selector (see
-    /// [`fit_selector`](crate::collsel::fit_selector)), so one tuner
-    /// carries both knobs the paper's auto-tuning story exposes: N_DUP and
-    /// the per-collective algorithm choice. Pass the result to
-    /// `SimConfig::with_coll_select`.
-    pub fn with_coll_selector(mut self, sel: CollSelector) -> AutoTuner {
-        self.coll = Some(sel);
-        self
-    }
-
-    /// The fitted collective-algorithm selector, if one was attached.
-    pub fn coll_selector(&self) -> Option<&CollSelector> {
-        self.coll.as_ref()
     }
 
     /// The derived threshold n_t.

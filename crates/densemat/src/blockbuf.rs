@@ -10,8 +10,6 @@
 //! one small machine. The equality of virtual times across modes is tested
 //! in the kernels crate.
 
-use bytes::Bytes;
-
 use crate::gemm::gemm_acc;
 use crate::matrix::Matrix;
 
@@ -22,17 +20,6 @@ pub enum BlockBuf {
     Real(Matrix),
     /// Shape-only block (rows, cols).
     Phantom(usize, usize),
-}
-
-/// Byte payload for a block: real bytes or a phantom size. Mirrors
-/// `ovcomm_simmpi::Payload` without depending on it (densemat stays
-/// simulator-agnostic); the kernels crate converts between the two.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BlockBytes {
-    /// Serialized row-major f64 data.
-    Real(Bytes),
-    /// Byte count only.
-    Phantom(usize),
 }
 
 impl BlockBuf {
@@ -88,39 +75,6 @@ impl BlockBuf {
         }
     }
 
-    /// Serialize to a byte payload (row-major f64, native endianness).
-    pub fn to_bytes(&self) -> BlockBytes {
-        match self {
-            BlockBuf::Real(m) => {
-                let mut out = Vec::with_capacity(m.data().len() * 8);
-                for x in m.data() {
-                    out.extend_from_slice(&x.to_ne_bytes());
-                }
-                BlockBytes::Real(Bytes::from(out))
-            }
-            BlockBuf::Phantom(..) => BlockBytes::Phantom(self.byte_len()),
-        }
-    }
-
-    /// Deserialize from a byte payload with known dimensions.
-    pub fn from_bytes(bytes: &BlockBytes, rows: usize, cols: usize) -> BlockBuf {
-        match bytes {
-            BlockBytes::Real(b) => {
-                assert_eq!(b.len(), rows * cols * 8, "payload size mismatch");
-                let data = b
-                    .chunks_exact(8)
-                    // chunks_exact(8) yields exactly 8-byte slices.
-                    .map(|c| f64::from_ne_bytes(c.try_into().unwrap_or([0; 8])))
-                    .collect();
-                BlockBuf::Real(Matrix::from_vec(rows, cols, data))
-            }
-            BlockBytes::Phantom(n) => {
-                assert_eq!(*n, rows * cols * 8, "phantom size mismatch");
-                BlockBuf::Phantom(rows, cols)
-            }
-        }
-    }
-
     /// Transposed copy (phantom transposes its shape).
     pub fn transpose(&self) -> BlockBuf {
         match self {
@@ -133,26 +87,6 @@ impl BlockBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn real_roundtrip_through_bytes() {
-        let m = Matrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64 + 0.5);
-        let b = BlockBuf::Real(m.clone());
-        let bytes = b.to_bytes();
-        let back = BlockBuf::from_bytes(&bytes, 3, 2);
-        assert_eq!(back.unwrap_real().max_abs_diff(&m), 0.0);
-    }
-
-    #[test]
-    fn phantom_roundtrip_preserves_shape() {
-        let b = BlockBuf::Phantom(4, 5);
-        assert_eq!(b.byte_len(), 160);
-        let bytes = b.to_bytes();
-        assert_eq!(bytes, BlockBytes::Phantom(160));
-        let back = BlockBuf::from_bytes(&bytes, 4, 5);
-        assert!(back.is_phantom());
-        assert_eq!(back.dims(), (4, 5));
-    }
 
     #[test]
     fn gemm_acc_matches_matrix_gemm() {

@@ -17,7 +17,7 @@ pub mod partition;
 pub mod solve;
 pub mod spectrum;
 
-pub use blockbuf::{BlockBuf, BlockBytes};
+pub use blockbuf::BlockBuf;
 pub use gemm::{gemm, gemm_acc, gemm_flops, gemm_naive};
 pub use matrix::Matrix;
 pub use partition::{BlockGrid, Partition1D};

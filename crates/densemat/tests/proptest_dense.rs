@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 
-use ovcomm_densemat::{
-    gemm, gemm_naive, symmetric_with_spectrum, BlockBuf, BlockGrid, Matrix, Partition1D,
-};
+use ovcomm_densemat::{gemm, gemm_naive, symmetric_with_spectrum, BlockGrid, Matrix, Partition1D};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-100.0..100.0f64, rows * cols)
@@ -65,14 +63,6 @@ proptest! {
             .collect();
         let back = grid.assemble(&blocks);
         prop_assert_eq!(back.max_abs_diff(&m), 0.0);
-    }
-
-    #[test]
-    fn block_bytes_roundtrip(rows in 1usize..30, cols in 1usize..30, seed in 0u64..50) {
-        let m = Matrix::from_fn(rows, cols, |i, j| ((i * cols + j) as u64 * 7 + seed) as f64 * 0.125);
-        let b = BlockBuf::Real(m.clone());
-        let back = BlockBuf::from_bytes(&b.to_bytes(), rows, cols);
-        prop_assert_eq!(back.unwrap_real().max_abs_diff(&m), 0.0);
     }
 
     #[test]

@@ -1,31 +1,35 @@
 //! Conversions between [`ovcomm_densemat::BlockBuf`] blocks and
-//! [`ovcomm_simmpi::Payload`] messages (zero-copy for real data via
-//! `bytes::Bytes`).
+//! [`ovcomm_simmpi::Payload`] messages: row-major `f64`s in native byte
+//! order for real blocks, the byte count alone for phantoms.
 
-use ovcomm_densemat::{BlockBuf, BlockBytes};
+use ovcomm_densemat::{BlockBuf, Matrix};
 use ovcomm_simmpi::Payload;
 
 /// Serialize a block for sending.
 pub fn block_to_payload(b: &BlockBuf) -> Payload {
-    match b.to_bytes() {
-        BlockBytes::Real(bytes) => Payload::Real(bytes),
-        BlockBytes::Phantom(n) => Payload::Phantom(n),
+    match b {
+        BlockBuf::Real(m) => Payload::from_f64s(m.data()),
+        BlockBuf::Phantom(..) => Payload::Phantom(b.byte_len()),
     }
 }
 
 /// Deserialize a received block with known dimensions.
 pub fn payload_to_block(p: &Payload, rows: usize, cols: usize) -> BlockBuf {
-    let bytes = match p {
-        Payload::Real(b) => BlockBytes::Real(b.clone()),
-        Payload::Phantom(n) => BlockBytes::Phantom(*n),
-    };
-    BlockBuf::from_bytes(&bytes, rows, cols)
+    match p {
+        Payload::Real(b) => {
+            assert_eq!(b.len(), rows * cols * 8, "payload size mismatch");
+            BlockBuf::Real(Matrix::from_vec(rows, cols, p.to_f64s()))
+        }
+        Payload::Phantom(n) => {
+            assert_eq!(*n, rows * cols * 8, "phantom size mismatch");
+            BlockBuf::Phantom(rows, cols)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovcomm_densemat::Matrix;
 
     #[test]
     fn real_roundtrip() {
@@ -45,5 +49,18 @@ mod tests {
         let back = payload_to_block(&p, 5, 2);
         assert!(back.is_phantom());
         assert_eq!(back.dims(), (5, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "payload size mismatch")]
+    fn real_length_mismatch_panics() {
+        let p = block_to_payload(&BlockBuf::Real(Matrix::zeros(3, 4)));
+        payload_to_block(&p, 4, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "phantom size mismatch")]
+    fn phantom_length_mismatch_panics() {
+        payload_to_block(&Payload::Phantom(80), 5, 3);
     }
 }

@@ -96,16 +96,6 @@ pub fn mesh3d_rank_of(i: usize, j: usize, k: usize, p: usize) -> usize {
 }
 
 impl<C: Communicator> Mesh3D<C> {
-    /// Coordinates of a world rank on a p-mesh.
-    pub fn coords_of(rank: usize, p: usize) -> (usize, usize, usize) {
-        mesh3d_coords_of(rank, p)
-    }
-
-    /// World rank of mesh coordinates.
-    pub fn rank_of(i: usize, j: usize, k: usize, p: usize) -> usize {
-        mesh3d_rank_of(i, j, k, p)
-    }
-
     /// Build from the world communicator; requires `nranks == p³`.
     pub fn new<R: RankHandle<Comm = C>>(rc: &R, p: usize) -> Mesh3D<C> {
         Mesh3D::new_on(rc.world(), p)

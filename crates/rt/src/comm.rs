@@ -24,7 +24,7 @@
 //! | `sleep` | a real `thread::sleep`, capped at 1 ms so poll loops stay live |
 //! | `inject_send` / `inject_recv` | the posted envelope goes through the lock-free shared-memory mailbox |
 //! | `wait` / `complete` | spin-then-park an OS thread in watchdog-visible slices; wake by condvar |
-//! | `spawn_op` | a progress-shard job routed by context, counted live from post time |
+//! | `spawn_op` | a progress-pool job with a worker of its own, counted live from post time |
 //! | `rma_transfer` | the bytes are already in shared memory: record the edge, complete |
 //! | `path_latency` | a lock grant is a condvar wake — no α to charge |
 
@@ -155,40 +155,32 @@ impl Transport for RtAgent {
     }
 
     /// Run `body` on a progress worker under its own operation agent.
-    fn spawn_op(&self, id: u32, ctx: u32, body: impl FnOnce(&RtAgent) + Send + 'static) {
+    fn spawn_op(&self, id: u32, body: impl FnOnce(&RtAgent) + Send + 'static) {
         let sh = self.shared.clone();
         let rank = self.rank;
         // The job counts as a live thread from post time, so the watchdog
-        // never mistakes "everyone blocked waiting on a queued job" for a
-        // deadlock.
+        // never mistakes "everyone blocked waiting on a job that has not
+        // started" for a deadlock.
         sh.live.fetch_add(1, Ordering::SeqCst);
         sh.env.metrics.pool_occupancy.inc();
-        // Route by communicator: each dup'd communicator's collectives
-        // progress on their own shard of the engine.
-        let shard = sh.progress.shard_of(ctx);
-        let sh2 = sh.clone();
-        sh.progress.submit(
-            shard,
-            Box::new(move || {
-                struct Finish(Arc<RtShared>, usize);
-                impl Drop for Finish {
-                    fn drop(&mut self) {
-                        self.0.progress.job_finished(self.1);
-                        self.0.env.metrics.pool_occupancy.dec();
-                        self.0.live.fetch_sub(1, Ordering::SeqCst);
-                        self.0.progress_epoch.fetch_add(1, Ordering::SeqCst);
-                    }
+        self.shared.progress.submit(Box::new(move || {
+            struct Finish(Arc<RtShared>);
+            impl Drop for Finish {
+                fn drop(&mut self) {
+                    self.0.env.metrics.pool_occupancy.dec();
+                    self.0.live.fetch_sub(1, Ordering::SeqCst);
+                    self.0.progress_epoch.fetch_add(1, Ordering::SeqCst);
                 }
-                let _guard = Finish(sh2.clone(), shard);
-                let agent = RtAgent::new(id, rank, sh2.clone());
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&agent)));
-                if let Err(e) = out {
-                    // Deadlock-abort unwinds land here too; the epilogue
-                    // tells them from root causes.
-                    sh2.env.record_op_panic(rank, &*e);
-                }
-            }),
-        );
+            }
+            let _guard = Finish(sh.clone());
+            let agent = RtAgent::new(id, rank, sh.clone());
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&agent)));
+            if let Err(e) = out {
+                // Deadlock-abort unwinds land here too; the epilogue
+                // tells them from root causes.
+                sh.env.record_op_panic(rank, &*e);
+            }
+        }));
     }
 
     fn rma_transfer(

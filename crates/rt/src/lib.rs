@@ -103,12 +103,6 @@ pub struct RtConfig {
     /// Defaults to 1 ms — coarse enough to stay out of the ranks' way,
     /// fine enough to populate occupancy histograms on millisecond runs.
     pub sample_interval: Option<Duration>,
-    /// Yield-poll budget of a wait before it falls back to condvar
-    /// parking (default 50 µs).
-    pub spin_budget: Duration,
-    /// Progress-engine shards (nonblocking-collective jobs route by
-    /// `ctx % shards`; default 8).
-    pub progress_shards: usize,
 }
 
 impl RtConfig {
@@ -128,21 +122,7 @@ impl RtConfig {
             trace_out: None,
             deadlock_timeout: Duration::from_secs(2),
             sample_interval: Some(Duration::from_millis(1)),
-            spin_budget: Duration::from_micros(50),
-            progress_shards: 8,
         }
-    }
-
-    /// Set the busy-poll budget of waits before they park.
-    pub fn with_spin_budget(mut self, d: Duration) -> RtConfig {
-        self.spin_budget = d;
-        self
-    }
-
-    /// Set the number of progress-engine shards.
-    pub fn with_progress_shards(mut self, n: usize) -> RtConfig {
-        self.progress_shards = n;
-        self
     }
 
     /// Set the verification level.
@@ -243,8 +223,7 @@ where
         epoch: Instant::now(),
         env,
         mailbox: crate::mailbox::LockFreeMailbox::new(nranks, RING_CAPACITY),
-        progress: crate::progress::ProgressShards::new(cfg.progress_shards),
-        spin_budget_ns: cfg.spin_budget.as_nanos() as u64,
+        progress: crate::progress::Pool::new(),
         prof,
         live: AtomicUsize::new(nranks),
         blocked: AtomicUsize::new(0),

@@ -3,11 +3,13 @@
 //!
 //! Extracted from the runtime's shared state so the *matching discipline*
 //! — FIFO per `(context, source, destination, tag)` envelope, no
-//! wildcards, non-overtaking — is a lock-free data structure that can be
-//! model-checked in isolation: the loom harness (`tests/loom.rs`, built
-//! with `RUSTFLAGS="--cfg loom"`) drives this exact type from concurrent
-//! model threads under randomized schedules, while the production runtime
-//! wraps it in [`crate::sync::Mutex`].
+//! wildcards, non-overtaking — is a data structure that can be
+//! model-checked in isolation: [`Mailbox`] holds the sequential tables,
+//! [`LockFreeMailbox`] puts the lock-free router (per-rank rings, an
+//! injector and a drain baton) in front of them, and the loom harness
+//! (`tests/loom.rs`, built with `RUSTFLAGS="--cfg loom"`) drives the
+//! router the production runtime posts through (`RtShared::post`) from
+//! concurrent model threads under randomized schedules.
 //!
 //! The mailbox is generic over what a parked send (`S`) and a parked
 //! receive (`R`) carry, so the model harness can instantiate it with

@@ -1,18 +1,17 @@
-//! The sharded progress engine.
+//! The progress engine: one grow-on-demand worker pool.
 //!
 //! Nonblocking collectives run as jobs on worker threads — on this
-//! backend the workers *are* the asynchronous progress threads. The
-//! engine is split into shards, one grow-on-demand [`Pool`] each, and
-//! jobs route by communicator context (`ctx % nshards`), so with N_DUP
-//! communicators issuing concurrent collectives (the paper's central
-//! overlap pattern) each dup'd communicator's collectives progress on
-//! their own shard instead of queueing on one free-list lock. The
-//! CollPlan interpreter the jobs run is the simulator's.
+//! backend the workers *are* the asynchronous progress threads. Every
+//! in-flight job has a worker of its own, which is what lets the N_DUP
+//! collectives issued on duplicated communicators (the paper's central
+//! overlap pattern) progress concurrently and without the posting rank's
+//! help; a worker that finishes goes back to the one free list and serves
+//! the next job from any communicator. The CollPlan interpreter the jobs
+//! run is the simulator's.
 //!
-//! Per-shard occupancy is kept in atomics for the telemetry sampler
-//! (`rt.sampler.shard{N}.queue_depth`); the aggregate gauge
-//! (`simmpi.pool_occupancy` → `rt.sampler.pool_queue_depth`) is
-//! maintained by the caller, for dashboard compatibility.
+//! Occupancy (jobs posted and not yet finished) is the caller's
+//! `simmpi.pool_occupancy` gauge, which the telemetry sampler reads into
+//! `rt.sampler.pool_queue_depth`.
 //!
 //! # The worker pool
 //!
@@ -32,7 +31,7 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread;
 
-use crate::sync::{AtomicUsize, Mutex, Ordering};
+use crate::sync::Mutex;
 
 /// A unit of work handed to one progress worker.
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -50,13 +49,13 @@ struct PoolInner {
 }
 
 /// Grow-on-demand pool of progress workers.
-struct Pool {
+pub(crate) struct Pool {
     inner: Arc<Mutex<PoolInner>>,
 }
 
 impl Pool {
     /// An empty pool; workers are spawned on demand.
-    fn new() -> Pool {
+    pub fn new() -> Pool {
         Pool {
             inner: Arc::new(Mutex::new(PoolInner {
                 free: Vec::new(),
@@ -68,14 +67,14 @@ impl Pool {
 
     /// Number of workers ever spawned (diagnostics; OS-scheduling
     /// dependent — reported through a gauge, never a counter).
-    fn spawned(&self) -> usize {
+    pub fn spawned(&self) -> usize {
         self.inner.lock().spawned
     }
 
     /// Run `job` on an idle worker, spawning one if none is idle.
     // The only `expect` asserts the documented capacity-1 handshake.
     #[allow(clippy::expect_used)]
-    fn submit(&self, job: Job) {
+    pub fn submit(&self, job: Job) {
         let tx = {
             let mut inner = self.inner.lock();
             assert!(!inner.closed, "submit after pool shutdown");
@@ -121,81 +120,17 @@ impl Pool {
 
     /// Close the pool: idle workers exit (their senders drop), busy workers
     /// exit after their current job.
-    fn shutdown(&self) {
+    pub fn shutdown(&self) {
         let mut inner = self.inner.lock();
         inner.closed = true;
         inner.free.clear();
     }
 }
 
-struct Shard {
-    pool: Pool,
-    occupancy: AtomicUsize,
-}
-
-/// The progress engine: `nshards` independent worker pools.
-pub(crate) struct ProgressShards {
-    shards: Vec<Shard>,
-}
-
-impl ProgressShards {
-    /// An engine with `nshards` pools (minimum 1).
-    pub fn new(nshards: usize) -> ProgressShards {
-        ProgressShards {
-            shards: (0..nshards.max(1))
-                .map(|_| Shard {
-                    pool: Pool::new(),
-                    occupancy: AtomicUsize::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn nshards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard serves communicator context `ctx`. Contexts are minted
-    /// sequentially by dup/split, so consecutive dups land on distinct
-    /// shards.
-    pub fn shard_of(&self, ctx: u32) -> usize {
-        ctx as usize % self.shards.len()
-    }
-
-    /// Submit a job to `shard` and bump its occupancy; the caller pairs
-    /// this with [`ProgressShards::job_finished`] when the job completes.
-    pub fn submit(&self, shard: usize, job: Job) {
-        self.shards[shard].occupancy.fetch_add(1, Ordering::SeqCst);
-        self.shards[shard].pool.submit(job);
-    }
-
-    /// Mark a job on `shard` finished (drops its occupancy count).
-    pub fn job_finished(&self, shard: usize) {
-        self.shards[shard].occupancy.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Jobs currently queued or running on `shard`.
-    pub fn occupancy(&self, shard: usize) -> usize {
-        self.shards[shard].occupancy.load(Ordering::SeqCst)
-    }
-
-    /// Total worker threads ever spawned, across shards.
-    pub fn spawned(&self) -> usize {
-        self.shards.iter().map(|s| s.pool.spawned()).sum()
-    }
-
-    /// Shut every shard's workers down (joins idle workers).
-    pub fn shutdown(&self) {
-        for s in &self.shards {
-            s.pool.shutdown();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     #[test]

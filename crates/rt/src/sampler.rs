@@ -4,12 +4,9 @@
 //! [`RtConfig::sample_interval`](crate::RtConfig) and records a snapshot
 //! of the runtime's load indicators into the shared obs registry:
 //!
-//! * `rt.sampler.pool_queue_depth` — jobs currently running on progress
-//!   workers, aggregated across every shard of the progress engine (kept
-//!   under its historical name for dashboard compatibility);
-//! * `rt.sampler.shard{N}.queue_depth` — the same occupancy per progress
-//!   shard, so the N_DUP overlap pattern is visible as parallel load on
-//!   distinct shards rather than one blended number;
+//! * `rt.sampler.pool_queue_depth` — nonblocking-collective jobs posted
+//!   and not yet finished, each on a progress worker of its own (nothing
+//!   queues; the name is historical);
 //! * `rt.sampler.mailbox_slots` — unmatched sends parked in the mailbox;
 //! * `rt.sampler.posted_recvs` — unmatched posted receives;
 //! * `rt.sampler.blocked_ranks` — threads parked inside a wait;
@@ -29,8 +26,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ovcomm_obs::{Counter, Histogram};
-
 use crate::shared::RtShared;
 
 /// Handle to the running sampler thread; join via [`Sampler::stop`].
@@ -42,25 +37,12 @@ pub(crate) struct Sampler {
 /// Spawn the sampler thread, recording into `shared`'s metrics registry
 /// every `interval` until stopped.
 pub(crate) fn start(shared: Arc<RtShared>, interval: Duration) -> Option<Sampler> {
-    struct Handles {
-        pool_queue_depth: Histogram,
-        shard_queue_depth: Vec<Histogram>,
-        mailbox_slots: Histogram,
-        posted_recvs: Histogram,
-        blocked_ranks: Histogram,
-        samples: Counter,
-    }
     let reg = shared.env.metrics.registry();
-    let h = Handles {
-        pool_queue_depth: reg.histogram("rt.sampler.pool_queue_depth", &[]),
-        shard_queue_depth: (0..shared.progress.nshards())
-            .map(|i| reg.histogram(&format!("rt.sampler.shard{i}.queue_depth"), &[]))
-            .collect(),
-        mailbox_slots: reg.histogram("rt.sampler.mailbox_slots", &[]),
-        posted_recvs: reg.histogram("rt.sampler.posted_recvs", &[]),
-        blocked_ranks: reg.histogram("rt.sampler.blocked_ranks", &[]),
-        samples: reg.counter("rt.sampler.samples", &[]),
-    };
+    let pool_queue_depth = reg.histogram("rt.sampler.pool_queue_depth", &[]);
+    let mailbox_slots = reg.histogram("rt.sampler.mailbox_slots", &[]);
+    let posted_recvs = reg.histogram("rt.sampler.posted_recvs", &[]);
+    let blocked_ranks = reg.histogram("rt.sampler.blocked_ranks", &[]);
+    let samples = reg.counter("rt.sampler.samples", &[]);
     let (stop_tx, stop_rx) = mpsc::channel::<()>();
     let handle = std::thread::Builder::new()
         .name("rt-sampler".into())
@@ -69,20 +51,11 @@ pub(crate) fn start(shared: Arc<RtShared>, interval: Duration) -> Option<Sampler
             // (or the sender dropping) ends the loop without a full
             // interval of shutdown latency.
             while let Err(mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                let (slots, recvs) = (
-                    shared.mailbox.unmatched_sends(),
-                    shared.mailbox.posted_recvs(),
-                );
-                h.pool_queue_depth
-                    .record(shared.env.metrics.pool_occupancy.get());
-                for (i, sh) in h.shard_queue_depth.iter().enumerate() {
-                    sh.record(shared.progress.occupancy(i) as u64);
-                }
-                h.mailbox_slots.record(slots as u64);
-                h.posted_recvs.record(recvs as u64);
-                h.blocked_ranks
-                    .record(shared.blocked.load(Ordering::Relaxed) as u64);
-                h.samples.inc();
+                pool_queue_depth.record(shared.env.metrics.pool_occupancy.get());
+                mailbox_slots.record(shared.mailbox.unmatched_sends() as u64);
+                posted_recvs.record(shared.mailbox.posted_recvs() as u64);
+                blocked_ranks.record(shared.blocked.load(Ordering::Relaxed) as u64);
+                samples.inc();
             }
         })
         .ok()?;

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::mailbox::{LockFreeMailbox, MatchPair, PostedOp};
-use crate::progress::ProgressShards;
+use crate::progress::Pool;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
 use ovcomm_obs::Histogram;
@@ -36,12 +36,16 @@ use ovcomm_simmpi::payload::Payload;
 use ovcomm_simmpi::request::Request;
 use ovcomm_simmpi::transport::CommEnv;
 use ovcomm_simmpi::SimMetrics;
-use ovcomm_simnet::{EdgeKind, ParkCell, SimTime};
+use ovcomm_simnet::{EdgeKind, ParkCell, SimDur, SimTime};
 use ovcomm_verify::Event;
 
 /// How long a parked thread waits before re-checking the abort flag. Also
 /// bounds how quickly a deadlock abort propagates to blocked threads.
 pub(crate) const PARK_SLICE: Duration = Duration::from_millis(25);
+
+/// Yield-poll budget of a wait before it falls back to parking: fast
+/// completions skip the park/unpark round trip entirely. 50 µs.
+const SPIN_BUDGET: SimDur = SimDur(50_000);
 
 /// Per-producer ring depth of the lock-free mailbox router. Deep enough
 /// that a rank bursting nonblocking posts rarely self-drains; overflow is
@@ -108,10 +112,9 @@ pub(crate) struct RtShared {
     /// The envelope-matching layer: per-rank SPSC rings + an MPSC injector
     /// in front of the sequential tables (see [`crate::mailbox`]).
     pub mailbox: LockFreeMailbox<Slot, RecvEntry>,
-    /// The sharded progress engine for nonblocking-collective jobs.
-    pub progress: ProgressShards,
-    /// Yield-poll budget of a wait before it falls back to parking, ns.
-    pub spin_budget_ns: u64,
+    /// The progress engine: the worker pool nonblocking-collective jobs
+    /// run on.
+    pub progress: Pool,
     pub prof: RtProf,
     /// Threads currently executing user or collective code: rank threads
     /// plus outstanding nonblocking-collective jobs.
@@ -160,7 +163,7 @@ impl RtShared {
         // blame layer uses the two per-rank sums to split rt wait time
         // into named causes.
         let t0 = self.now();
-        let spin_until = t0 + ovcomm_simnet::SimDur(self.spin_budget_ns);
+        let spin_until = t0 + SPIN_BUDGET;
         let mut park_ns: u64 = 0;
         let out = loop {
             if let Some((v, _at)) = req.try_take() {

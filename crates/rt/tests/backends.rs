@@ -124,30 +124,34 @@ fn envelopes_stay_isolated_on_both_backends() {
 }
 
 #[test]
-fn explicit_wait_and_shard_knobs_hold_on_both_backends() {
-    // A zero spin budget forces every wait straight to the parker; an odd
-    // shard count exercises non-default `ctx % shards` routing. The
-    // semantics must be knob-invariant.
-    let p = 4;
-    let out = run(
-        cfg(p)
-            .with_spin_budget(Duration::ZERO)
-            .with_progress_shards(3),
-        move |rc: RtRankCtx| {
-            let w = rc.world();
-            let comms = w.dup_n(4);
-            let reqs: Vec<_> = comms
-                .iter()
-                .map(|c| c.iallreduce(Payload::from_f64s(&[rc.rank() as f64])))
-                .collect();
-            reqs.iter().map(|r| w.wait(r).to_f64s()[0]).sum::<f64>()
-        },
-    )
+fn workers_are_reused_across_communicators() {
+    // Never more than one collective per rank in flight, but on eight
+    // communicators in turn: a worker that finished communicator c's job
+    // must serve communicator c + 1's. The sleep lets it re-register; the
+    // bound leaves room for one that had completed its request but not
+    // yet done so.
+    let p = 2;
+    let out = run(cfg(p), move |rc: RtRankCtx| {
+        let comms = rc.world().dup_n(8);
+        let mut got = Vec::new();
+        for _round in 0..10 {
+            for c in &comms {
+                let req = c.iallreduce(Payload::from_f64s(&[rc.rank() as f64 + 1.0]));
+                got.push(c.wait(&req).to_f64s()[0]);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        got
+    })
     .unwrap();
-    let per_comm: f64 = (0..p).map(|r| r as f64).sum();
-    for &v in &out.results {
-        assert_eq!(v, 4.0 * per_comm, "sharded iallreduce wrong");
+    for got in &out.results {
+        assert_eq!(got, &vec![3.0; 80], "iallreduce wrong");
     }
+    let spawned = out.metrics.gauges["simmpi.pool_spawned"].high_water;
+    assert!(
+        spawned <= 8,
+        "{spawned} progress workers for at most {p} jobs in flight"
+    );
 }
 
 proptest! {

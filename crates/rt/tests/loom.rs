@@ -7,15 +7,17 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p ovcomm-rt --test loom
 //! ```
 //!
-//! The harness drives the *production* [`ovcomm_rt::mailbox::Mailbox`]
-//! type from concurrent model threads, wrapped in a miniature runtime
-//! that replicates the shared-state protocol shape of `shared.rs`:
-//! matching decisions happen under one state mutex, request completion
-//! happens *after* the lock is released (the lost-wakeup-prone part), and
-//! waiters block on a mutex+condvar completion cell. The loom scheduler
-//! explores randomized interleavings of every lock acquire, condvar
-//! wait/notify, and atomic access, and its deadlock detector turns any
-//! lost wakeup or handshake hole into a test failure naming the seed.
+//! The harness drives the *production* router,
+//! [`ovcomm_rt::mailbox::LockFreeMailbox`], and the production queues from
+//! concurrent model threads. The envelope tests wrap it in a miniature
+//! runtime with the shape of `RtShared::{post, deliver_match}`: a post
+//! goes through `LockFreeMailbox::post`, whoever holds the drain baton
+//! surfaces the matches — its own or another thread's — and completes
+//! *every* pair it was handed (the lost-wakeup-prone part), and waiters
+//! block on a mutex+condvar completion cell. The loom scheduler explores
+//! randomized interleavings of every lock acquire, condvar wait/notify,
+//! and atomic access, and its deadlock detector turns any lost wakeup,
+//! stranded post or handshake hole into a test failure naming the seed.
 
 #![cfg(loom)]
 
@@ -23,9 +25,7 @@ use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
 
-use ovcomm_rt::mailbox::{
-    LockFreeMailbox, Mailbox, MatchPair, PostedOp, RecvPost, RtKey, SendPost,
-};
+use ovcomm_rt::mailbox::{LockFreeMailbox, MatchPair, PostedOp, RtKey};
 use ovcomm_rt::queue::{MpscQueue, Popped, SpscRing};
 use ovcomm_simmpi::rma::{StagedOp, WinCore};
 use ovcomm_simmpi::Payload;
@@ -80,23 +80,38 @@ struct MiniSlot {
     eager: bool,
 }
 
-/// The mini runtime: production mailbox under the production sync
-/// primitives, with the same lock-then-complete-outside-lock shape as
-/// `RtShared::{post, deliver_match}`.
+/// The mini runtime: the production router under the production sync
+/// primitives, with the same post-then-complete-every-surfaced-pair shape
+/// as `RtShared::{post, deliver_match}`. Two model threads play ranks 0
+/// and 1, each the sole producer of its own ring.
 struct MiniRt {
-    state: Mutex<Mailbox<MiniSlot, Arc<CompletionCell<u64>>>>,
+    mailbox: LockFreeMailbox<MiniSlot, Arc<CompletionCell<u64>>>,
 }
 
 impl MiniRt {
     fn new() -> MiniRt {
         MiniRt {
-            state: Mutex::new(Mailbox::new()),
+            mailbox: LockFreeMailbox::new(2, 4),
         }
     }
 
-    /// Post a send; eager sends complete at post, rendezvous at match.
-    /// Returns the sender's completion cell.
-    fn isend(&self, key: RtKey, payload: u64, eager: bool) -> Arc<CompletionCell<()>> {
+    /// Hand `op` to the router as rank `me` and complete every pair the
+    /// drain surfaces — possibly another thread's, never under a lock.
+    fn post(&self, me: usize, op: PostedOp<MiniSlot, Arc<CompletionCell<u64>>>) {
+        let mut out = Vec::new();
+        // Safety: each model thread passes its own rank and nothing else.
+        unsafe { self.mailbox.post(Some(me), op, &mut out) };
+        for MatchPair { send, recv, .. } in out {
+            if !send.eager {
+                send.sender.complete(());
+            }
+            recv.complete(send.payload);
+        }
+    }
+
+    /// Post a send as rank `me`; eager sends complete at post, rendezvous
+    /// at match. Returns the sender's completion cell.
+    fn isend(&self, me: usize, key: RtKey, payload: u64, eager: bool) -> Arc<CompletionCell<()>> {
         let sender = Arc::new(CompletionCell::new());
         if eager {
             sender.complete(());
@@ -106,44 +121,25 @@ impl MiniRt {
             sender: sender.clone(),
             eager,
         };
-        let matched = {
-            let mut st = self.state.lock();
-            match st.post_send(key, slot) {
-                SendPost::Matched { send, recv } => Some((send, recv)),
-                SendPost::Parked(_) => None,
-            }
-        };
-        // Completions run outside the state lock, as in the real runtime.
-        if let Some((send, recv)) = matched {
-            if !send.eager {
-                send.sender.complete(());
-            }
-            recv.complete(send.payload);
-        }
+        self.post(me, PostedOp::Send { key, slot });
         sender
     }
 
-    /// Post a receive; returns the receiver's completion cell.
-    fn irecv(&self, key: RtKey) -> Arc<CompletionCell<u64>> {
-        let recv = Arc::new(CompletionCell::new());
-        let matched = {
-            let mut st = self.state.lock();
-            match st.post_recv(key, recv.clone()) {
-                RecvPost::Matched { send, .. } => Some(send),
-                RecvPost::Parked => None,
-            }
-        };
-        if let Some(send) = matched {
-            if !send.eager {
-                send.sender.complete(());
-            }
-            recv.complete(send.payload);
-        }
-        recv
+    /// Post a receive as rank `me`; returns the receiver's completion cell.
+    fn irecv(&self, me: usize, key: RtKey) -> Arc<CompletionCell<u64>> {
+        let entry = Arc::new(CompletionCell::new());
+        self.post(
+            me,
+            PostedOp::Recv {
+                key,
+                entry: entry.clone(),
+            },
+        );
+        entry
     }
 
     fn drained(&self) -> bool {
-        self.state.lock().is_drained()
+        self.mailbox.unmatched_sends() == 0 && self.mailbox.posted_recvs() == 0
     }
 }
 
@@ -154,9 +150,9 @@ fn eager_match_commutes_with_post_order() {
     loom::model_with(SCHEDULES, 0xA11CE, || {
         let rt = Arc::new(MiniRt::new());
         let rts = rt.clone();
-        let sender = thread::spawn(move || rts.isend(key(1), 42, true).wait());
+        let sender = thread::spawn(move || rts.isend(0, key(1), 42, true).wait());
         let rtr = rt.clone();
-        let receiver = thread::spawn(move || rtr.irecv(key(1)).wait());
+        let receiver = thread::spawn(move || rtr.irecv(1, key(1)).wait());
         sender.join().unwrap();
         assert_eq!(receiver.join().unwrap(), 42);
         assert!(rt.drained());
@@ -172,15 +168,15 @@ fn fifo_matching_never_overtakes() {
         let rt = Arc::new(MiniRt::new());
         let rts = rt.clone();
         let sender = thread::spawn(move || {
-            let s1 = rts.isend(key(9), 100, true);
-            let s2 = rts.isend(key(9), 200, true);
+            let s1 = rts.isend(0, key(9), 100, true);
+            let s2 = rts.isend(0, key(9), 200, true);
             s1.wait();
             s2.wait();
         });
         let rtr = rt.clone();
         let receiver = thread::spawn(move || {
-            let r1 = rtr.irecv(key(9));
-            let r2 = rtr.irecv(key(9));
+            let r1 = rtr.irecv(1, key(9));
+            let r2 = rtr.irecv(1, key(9));
             (r1.wait(), r2.wait())
         });
         sender.join().unwrap();
@@ -201,7 +197,7 @@ fn rendezvous_completion_waits_for_the_receiver() {
         let rts = rt.clone();
         let flag = recv_posted.clone();
         let sender = thread::spawn(move || {
-            let req = rts.isend(key(5), 7, false);
+            let req = rts.isend(0, key(5), 7, false);
             req.wait();
             // Rendezvous: by the time the send completes, the receive must
             // have been posted (eager buffering is not allowed here).
@@ -214,7 +210,7 @@ fn rendezvous_completion_waits_for_the_receiver() {
         let flag2 = recv_posted.clone();
         let receiver = thread::spawn(move || {
             flag2.store(true, Ordering::SeqCst);
-            rtr.irecv(key(5)).wait()
+            rtr.irecv(1, key(5)).wait()
         });
         sender.join().unwrap();
         assert_eq!(receiver.join().unwrap(), 7);
@@ -625,15 +621,15 @@ fn disjoint_envelopes_do_not_interfere() {
         let rt = Arc::new(MiniRt::new());
         let rta = rt.clone();
         let a = thread::spawn(move || {
-            let s = rta.isend(key(1), 111, true);
-            let r = rta.irecv(key(2));
+            let s = rta.isend(0, key(1), 111, true);
+            let r = rta.irecv(0, key(2));
             s.wait();
             r.wait()
         });
         let rtb = rt.clone();
         let b = thread::spawn(move || {
-            let s = rtb.isend(key(2), 222, false);
-            let r = rtb.irecv(key(1));
+            let s = rtb.isend(1, key(2), 222, false);
+            let r = rtb.irecv(1, key(1));
             s.wait();
             r.wait()
         });

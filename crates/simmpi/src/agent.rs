@@ -265,7 +265,7 @@ impl Transport for Agent {
 
     /// Run `body` on a fresh progress actor whose clock starts at this
     /// rank's current time.
-    fn spawn_op(&self, id: u32, _ctx: u32, body: impl FnOnce(&Agent) + Send + 'static) {
+    fn spawn_op(&self, id: u32, body: impl FnOnce(&Agent) + Send + 'static) {
         let uni = self.uni.clone();
         let rank = self.rank;
         let cell = Arc::new(ParkCell::new());

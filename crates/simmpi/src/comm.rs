@@ -337,11 +337,8 @@ impl<T: Transport> Comm<T> {
         let env = self.env();
         if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::WinDecl {
-                agent: self.agent.id(),
                 rank: self.agent.rank(),
-                ctx: self.info.ctx,
                 win: id,
-                len: local.len(),
                 site: Some(site),
             });
         }
@@ -866,7 +863,7 @@ impl<T: Transport> Comm<T> {
         });
         let req2 = req.clone();
         let info = self.info.clone();
-        self.agent.spawn_op(id, info.ctx, move |agent: &T| {
+        self.agent.spawn_op(id, move |agent: &T| {
             let cctx = CollCtx {
                 agent,
                 info: &info,

@@ -101,7 +101,7 @@ struct RankMetrics {
 pub struct SimMetrics {
     registry: MetricsRegistry,
     ranks: Vec<RankMetrics>,
-    /// Op actors in flight: fibers on sim, progress-shard jobs on rt.
+    /// Op actors in flight: fibers on sim, progress-pool jobs on rt.
     pub pool_occupancy: Gauge,
     /// rt only: progress workers ever spawned (stays 0 on sim).
     pub pool_spawned: Gauge,

@@ -431,7 +431,6 @@ impl<T: Transport> Win<T> {
         env.rma_metric(agent.rank(), opname, n);
         if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::RmaOp {
-                agent: agent.id(),
                 rank: agent.rank(),
                 win: self.id,
                 kind,
@@ -490,7 +489,6 @@ impl<T: Transport> Win<T> {
         agent.charge(env.profile.small_post);
         env.rma_metric(agent.rank(), "get", len);
         let req = env.new_req(|id| VEvent::RmaOp {
-            agent: agent.id(),
             rank: agent.rank(),
             win: self.id,
             kind: RmaKind::Get,
@@ -540,7 +538,6 @@ impl<T: Transport> Win<T> {
         self.comm.barrier();
         if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::WinFence {
-                agent: agent.id(),
                 rank: agent.rank(),
                 win: self.id,
                 site: Some(site),
@@ -580,7 +577,6 @@ impl<T: Transport> Win<T> {
         }
         if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::WinLock {
-                agent: agent.id(),
                 rank: agent.rank(),
                 win: self.id,
                 target: target as u32,
@@ -618,7 +614,6 @@ impl<T: Transport> Win<T> {
         }
         if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::WinUnlock {
-                agent: agent.id(),
                 rank: agent.rank(),
                 win: self.id,
                 target: target as u32,
@@ -648,7 +643,6 @@ impl<T: Transport> Win<T> {
         env.rma_metric(agent.rank(), "win_free", 0);
         if let Some(v) = env.verify.as_ref() {
             v.record(VEvent::WinFree {
-                agent: agent.id(),
                 rank: agent.rank(),
                 win: self.id,
                 site: Some(site),

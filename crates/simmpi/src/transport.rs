@@ -339,7 +339,7 @@ pub(crate) fn post_recv<T: Transport>(
 /// * `wait` / `complete` — park under the event engine and wake at a
 ///   virtual time, vs. spin-then-park an OS thread under the watchdog;
 /// * `spawn_op` — a fiber registered with the engine at post time vs. a
-///   progress-shard job, each with its own live/occupancy bookkeeping and
+///   progress-pool job, each with its own live/occupancy bookkeeping and
 ///   panic capture;
 /// * `rma_transfer` / `path_latency` — a one-sided transfer is a modeled
 ///   flow and a lock hand-off costs α on the simulator; on the runtime the
@@ -393,9 +393,8 @@ pub trait Transport: Clone + Send + Sync + Sized + 'static {
 
     /// Run `body` as operation agent `id` of this rank: asynchronously,
     /// under a fresh agent whose clock starts at this agent's current
-    /// time. `ctx` is the posting communicator's context (a routing hint).
-    /// A panic unwinding `body` is captured for the run to surface.
-    fn spawn_op(&self, id: u32, ctx: u32, body: impl FnOnce(&Self) + Send + 'static);
+    /// time. A panic unwinding `body` is captured for the run to surface.
+    fn spawn_op(&self, id: u32, body: impl FnOnce(&Self) + Send + 'static);
 
     /// Move the `n > 0` bytes of a one-sided operation from world rank
     /// `src` to world rank `dst`, driven by this (origin) agent alone — no

@@ -401,15 +401,6 @@ impl Engine {
         key
     }
 
-    /// Cancel a previously scheduled action. Returns it if it had not fired.
-    pub fn cancel(&self, key: EventKey) -> Option<Action> {
-        match self.core.lock().queue.remove(&key) {
-            Some(Slot::Call(a)) => Some(a),
-            Some(Slot::FlowDone(_)) => panic!("cannot cancel a flow event"),
-            None => None,
-        }
-    }
-
     /// Start a bulk transfer. Must be called from an event callback (so that
     /// the flow starts exactly at the callback's virtual time);
     /// `on_complete` runs when the last byte arrives.
@@ -658,11 +649,6 @@ impl Engine {
                 }
             }
         }
-    }
-
-    /// Number of flows currently in the network (diagnostics).
-    pub fn active_flows(&self) -> usize {
-        self.core.lock().flows.num_flows()
     }
 
     /// Drop any fibers still registered (defensive cleanup after an

@@ -247,11 +247,6 @@ impl FlowNet {
         self.res.len()
     }
 
-    /// Number of active flows.
-    pub fn num_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Add a flow and assign its rate (recomputing other flows' rates only
     /// if the new flow contends with them). Returns the new flow's id.
     ///
@@ -408,11 +403,6 @@ impl FlowNet {
         } else {
             rem / rate
         }
-    }
-
-    /// Iterate over active flow ids in creation order.
-    pub fn flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.flows.keys().copied()
     }
 
     /// The kind label a resource was registered with.

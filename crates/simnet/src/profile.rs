@@ -183,12 +183,6 @@ impl MachineProfile {
         SimDur::from_secs_f64(n as f64 / self.copy_bw)
     }
 
-    /// Time for one process to reduce (e.g. sum) an `n`-byte operand into an
-    /// accumulation buffer.
-    pub fn reduce_compute_time(&self, n: usize) -> SimDur {
-        SimDur::from_secs_f64(n as f64 / self.gamma_reduce_bw)
-    }
-
     /// Dense GEMM rate (flop/s) of one process when `ppn` processes share a
     /// node and local blocks are `block_dim`² — the node's cores are divided
     /// among processes, with a mild efficiency loss for small blocks and a

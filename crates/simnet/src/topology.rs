@@ -267,23 +267,6 @@ pub struct ClusterResources {
 }
 
 impl ClusterResources {
-    /// Assemble from explicit per-node resource ids (ids must have been
-    /// registered in the same order `build_resources` uses: tx, rx, mem per
-    /// node). The fabric is non-blocking.
-    pub fn from_parts(
-        tx: Vec<ResourceId>,
-        rx: Vec<ResourceId>,
-        mem: Vec<ResourceId>,
-    ) -> ClusterResources {
-        assert!(tx.len() == rx.len() && rx.len() == mem.len());
-        ClusterResources {
-            tx,
-            rx,
-            mem,
-            links: LinkTable::None,
-        }
-    }
-
     /// Resources consumed by a transfer from `src` node to `dst` node, plus
     /// whether it is intra-node. For link-modeling fabrics the vector also
     /// contains every fabric link on the deterministic route.

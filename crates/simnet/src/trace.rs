@@ -208,16 +208,6 @@ impl Trace {
     pub fn for_actor(&self, actor: u32) -> impl Iterator<Item = &TraceSpan> {
         self.spans.iter().filter(move |s| s.actor == actor)
     }
-
-    /// Consume the trace, returning the spans.
-    pub fn into_spans(self) -> Vec<TraceSpan> {
-        self.spans
-    }
-
-    /// Consume the trace, returning spans and happens-before edges.
-    pub fn into_parts(self) -> (Vec<TraceSpan>, Vec<TraceEdge>) {
-        (self.spans, self.edges)
-    }
 }
 
 #[cfg(test)]

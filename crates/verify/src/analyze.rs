@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use crate::event::{AgentId, CollKind, Event, ReqId, RmaKind, Site};
 use crate::finding::{CollCallDesc, Finding, FindingKind, LeakKind, SeqEntry, Severity};
+use crate::CollCallKey;
 
 #[derive(Clone)]
 struct CollRec {
@@ -191,9 +192,12 @@ struct ReqState {
 type Envelopes = BTreeMap<(u32, u32, u32, u64), Vec<(ReqId, AgentId, usize)>>;
 
 /// Run every analysis over the log; findings are sorted errors-first, then
-/// by rendered text, so output is stable across thread schedules.
-pub fn analyze(events: &[Event]) -> Vec<Finding> {
+/// by rendered text, so output is stable across thread schedules. Returned
+/// beside them: how many times each collective call shape was logged
+/// ([`VerifyReport::coll_calls`](crate::VerifyReport::coll_calls)).
+pub fn analyze(events: &[Event]) -> (Vec<Finding>, BTreeMap<CollCallKey, u64>) {
     let mut findings = Vec::new();
+    let mut coll_calls = BTreeMap::new();
 
     // ---- pass 1: index the log -------------------------------------
     let mut ctx_members: BTreeMap<u32, Arc<Vec<u32>>> = BTreeMap::new();
@@ -233,6 +237,9 @@ pub fn analyze(events: &[Event]) -> Vec<Finding> {
                 req,
                 site,
             } => {
+                *coll_calls
+                    .entry((*ctx, *kind, *root, *len, *blocking))
+                    .or_insert(0) += 1;
                 coll_seqs
                     .entry(*ctx)
                     .or_default()
@@ -369,7 +376,6 @@ pub fn analyze(events: &[Event]) -> Vec<Finding> {
                 win,
                 target,
                 site,
-                ..
             } => {
                 let st = win_states.entry((*rank, *win)).or_default();
                 if st.locks.remove(target).is_none() {
@@ -393,7 +399,6 @@ pub fn analyze(events: &[Event]) -> Vec<Finding> {
                 len,
                 req,
                 site,
-                ..
             } => {
                 if let Some(r) = req {
                     posts.insert(
@@ -796,7 +801,7 @@ pub fn analyze(events: &[Event]) -> Vec<Finding> {
     race_check(&recv_envelopes, "receives");
 
     findings.sort_by_key(|x| (x.severity, x.to_string()));
-    findings
+    (findings, coll_calls)
 }
 
 /// Look up the post descriptor of a request, for deadlock reporting.

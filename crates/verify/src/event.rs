@@ -202,30 +202,20 @@ pub enum Event {
         req: ReqId,
         /// Had it completed by then?
         completed: bool,
-        /// Had its result been taken (waited)?
-        taken: bool,
     },
     /// A one-sided window came into existence on some rank (`win_create`
     /// is collective). Emitted by every member.
     WinDecl {
-        /// Recording agent (always a rank agent).
-        agent: AgentId,
         /// World rank.
         rank: u32,
-        /// Context id of the communicator the window was created over.
-        ctx: u32,
         /// Window id, shared by every member's events for this window.
         win: u64,
-        /// Size of this rank's exposed segment in bytes.
-        len: usize,
         /// User call site of `win_create`.
         site: Option<Site>,
     },
     /// A rank completed an active-target `fence` on a window — the only
     /// synchronization point of the fence epoch model.
     WinFence {
-        /// Recording agent.
-        agent: AgentId,
         /// World rank.
         rank: u32,
         /// Window id.
@@ -235,8 +225,6 @@ pub enum Event {
     },
     /// A rank acquired a passive-target lock on `target`'s segment.
     WinLock {
-        /// Recording agent.
-        agent: AgentId,
         /// World rank of the origin.
         rank: u32,
         /// Window id.
@@ -248,8 +236,6 @@ pub enum Event {
     },
     /// A rank released a passive-target lock on `target`'s segment.
     WinUnlock {
-        /// Recording agent.
-        agent: AgentId,
         /// World rank of the origin.
         rank: u32,
         /// Window id.
@@ -262,8 +248,6 @@ pub enum Event {
     /// A one-sided operation was posted by an origin rank. The target
     /// posts nothing — that is the point of the paradigm.
     RmaOp {
-        /// Recording agent (the origin).
-        agent: AgentId,
         /// Origin world rank.
         rank: u32,
         /// Window id.
@@ -284,8 +268,6 @@ pub enum Event {
     },
     /// A rank freed its window handle (collective; closes the window).
     WinFree {
-        /// Recording agent.
-        agent: AgentId,
         /// World rank.
         rank: u32,
         /// Window id.

@@ -141,11 +141,7 @@ impl Verifier {
         } else if !taken {
             self.dropped_untaken.fetch_add(1, Ordering::Relaxed);
         }
-        self.record(Event::ReqDropped {
-            req,
-            completed,
-            taken,
-        });
+        self.record(Event::ReqDropped { req, completed });
     }
 
     /// Current leak counters `(dropped_incomplete, dropped_untaken)`.
@@ -158,14 +154,14 @@ impl Verifier {
 
     /// Run all analyses over the log.
     pub fn analyze(&self) -> Vec<Finding> {
-        analyze::analyze(&self.events.lock())
+        analyze::analyze(&self.events.lock()).0
     }
 
     /// Analyze the log and build a completed run's report. Under `Warn`
     /// the findings are printed; under `Strict` any error-severity finding
     /// fails the run with the full list instead.
     pub fn report(&self, mode: VerifyMode) -> Result<VerifyReport, Vec<Finding>> {
-        let findings = self.analyze();
+        let (findings, coll_calls) = analyze::analyze(&self.events.lock());
         match mode {
             VerifyMode::Warn => {
                 for x in &findings {
@@ -178,22 +174,6 @@ impl Verifier {
                 }
             }
             VerifyMode::Off => {}
-        }
-        let mut coll_calls = BTreeMap::new();
-        for ev in self.events.lock().iter() {
-            if let Event::Coll {
-                ctx,
-                kind,
-                root,
-                len,
-                blocking,
-                ..
-            } = ev
-            {
-                *coll_calls
-                    .entry((*ctx, *kind, *root, *len, *blocking))
-                    .or_insert(0) += 1;
-            }
         }
         let (dropped_incomplete, dropped_untaken) = self.drop_counters();
         Ok(VerifyReport {
@@ -486,20 +466,16 @@ mod tests {
     // RMA epoch discipline
     // ------------------------------------------------------------------
 
-    fn win_decl(rank: u32, win: u64, len: usize) -> Event {
+    fn win_decl(rank: u32, win: u64) -> Event {
         Event::WinDecl {
-            agent: rank,
             rank,
-            ctx: 0,
             win,
-            len,
             site: None,
         }
     }
 
     fn fence(rank: u32, win: u64) -> Event {
         Event::WinFence {
-            agent: rank,
             rank,
             win,
             site: None,
@@ -508,7 +484,6 @@ mod tests {
 
     fn rma(rank: u32, win: u64, kind: RmaKind, target: u32, offset: usize, len: usize) -> Event {
         Event::RmaOp {
-            agent: rank,
             rank,
             win,
             kind,
@@ -523,7 +498,6 @@ mod tests {
     fn win_close(v: &Verifier, ranks: &[u32], win: u64) {
         for &r in ranks {
             v.record(Event::WinFree {
-                agent: r,
                 rank: r,
                 win,
                 site: None,
@@ -539,8 +513,8 @@ mod tests {
     #[test]
     fn fenced_puts_are_clean() {
         let v = Verifier::new();
-        v.record(win_decl(0, 1, 64));
-        v.record(win_decl(1, 1, 64));
+        v.record(win_decl(0, 1));
+        v.record(win_decl(1, 1));
         v.record(fence(0, 1));
         v.record(fence(1, 1));
         v.record(rma(0, 1, RmaKind::Put, 1, 0, 32));
@@ -554,7 +528,7 @@ mod tests {
     #[test]
     fn put_before_first_fence_is_outside_epoch() {
         let v = Verifier::new();
-        v.record(win_decl(0, 1, 64));
+        v.record(win_decl(0, 1));
         v.record(rma(0, 1, RmaKind::Put, 1, 0, 32));
         v.record(fence(0, 1));
         win_close(&v, &[0], 1);
@@ -567,8 +541,8 @@ mod tests {
     #[test]
     fn overlapping_put_and_accumulate_conflict() {
         let v = Verifier::new();
-        v.record(win_decl(0, 1, 64));
-        v.record(win_decl(1, 1, 64));
+        v.record(win_decl(0, 1));
+        v.record(win_decl(1, 1));
         v.record(fence(0, 1));
         v.record(fence(1, 1));
         // Both origins hit rank 0's bytes 8..24 in the same epoch.
@@ -585,8 +559,8 @@ mod tests {
     #[test]
     fn concurrent_accumulates_commute_and_are_clean() {
         let v = Verifier::new();
-        v.record(win_decl(0, 1, 64));
-        v.record(win_decl(1, 1, 64));
+        v.record(win_decl(0, 1));
+        v.record(win_decl(1, 1));
         v.record(fence(0, 1));
         v.record(fence(1, 1));
         v.record(rma(0, 1, RmaKind::Accumulate, 0, 0, 64));
@@ -600,8 +574,8 @@ mod tests {
     #[test]
     fn same_range_in_different_epochs_is_clean() {
         let v = Verifier::new();
-        v.record(win_decl(0, 1, 64));
-        v.record(win_decl(1, 1, 64));
+        v.record(win_decl(0, 1));
+        v.record(win_decl(1, 1));
         v.record(fence(0, 1));
         v.record(fence(1, 1));
         v.record(rma(0, 1, RmaKind::Put, 0, 0, 64));
@@ -617,10 +591,9 @@ mod tests {
     #[test]
     fn lock_epoch_allows_ops_and_double_unlock_is_flagged() {
         let v = Verifier::new();
-        v.record(win_decl(0, 1, 64));
-        v.record(win_decl(1, 1, 64));
+        v.record(win_decl(0, 1));
+        v.record(win_decl(1, 1));
         v.record(Event::WinLock {
-            agent: 0,
             rank: 0,
             win: 1,
             target: 1,
@@ -628,7 +601,6 @@ mod tests {
         });
         v.record(rma(0, 1, RmaKind::Accumulate, 1, 0, 8));
         v.record(Event::WinUnlock {
-            agent: 0,
             rank: 0,
             win: 1,
             target: 1,
@@ -636,7 +608,6 @@ mod tests {
         });
         // Second unlock of the same target: nothing is held.
         v.record(Event::WinUnlock {
-            agent: 0,
             rank: 0,
             win: 1,
             target: 1,
@@ -650,7 +621,7 @@ mod tests {
     #[test]
     fn unfenced_ops_at_free_are_unclosed_epoch() {
         let v = Verifier::new();
-        v.record(win_decl(0, 1, 64));
+        v.record(win_decl(0, 1));
         v.record(fence(0, 1));
         v.record(rma(0, 1, RmaKind::Put, 0, 0, 8));
         // Missing closing fence before free.
@@ -662,7 +633,7 @@ mod tests {
     #[test]
     fn dropped_window_without_free_is_a_leak() {
         let v = Verifier::new();
-        v.record(win_decl(0, 1, 64));
+        v.record(win_decl(0, 1));
         v.record(Event::WinDropped {
             rank: 0,
             win: 1,
