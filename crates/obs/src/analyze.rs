@@ -95,6 +95,7 @@ mod tests {
             completed_flows: 2,
             total_queue_delay_secs: 0.002,
             max_queue_delay_secs: 0.0015,
+            ..NetStats::default()
         };
         // 1 second makespan.
         let r = analyze(&net, SimTime(1_000_000_000));

@@ -9,7 +9,9 @@
 //! them is a change in scheduler order or in the model, not noise. The
 //! one-sided window program was added later; its literal was printed by
 //! commit `94985ee` (PR 14), the last one with a simulator-only window
-//! implementation.
+//! implementation. The contended-transfer program also pins the flow
+//! solver's counters and float accumulation order (`NetGolden`); its
+//! literals were printed by the ordered-map solver in PR 25's first commit.
 //!
 //! Also hosts the large-scale smoke test: a 10,000-rank broadcast +
 //! allreduce under `VerifyMode::Strict`.
@@ -26,8 +28,12 @@ use ovcomm_simnet::{MachineProfile, SimTime};
 struct Golden(u64, u64, u64, u64, u64);
 
 /// Run the program twice; the runs must match each other bit for bit and
-/// match `golden`.
-fn assert_deterministic<F>(mk_cfg: impl Fn() -> SimConfig, golden: Golden, body: F)
+/// match `golden`. Returns both runs for further checks.
+fn assert_deterministic<F>(
+    mk_cfg: impl Fn() -> SimConfig,
+    golden: Golden,
+    body: F,
+) -> [SimOutput<(u64, SimTime)>; 2]
 where
     F: Fn(RankCtx) -> (u64, SimTime) + Send + Sync + 'static,
 {
@@ -57,6 +63,7 @@ where
     };
     assert_eq!(observed(&a), observed(&b), "second run diverges");
     assert_eq!(observed(&a), golden, "run diverges from the pinned values");
+    [a, b]
 }
 
 fn cfg(nranks: usize, ppn: usize) -> SimConfig {
@@ -256,6 +263,71 @@ fn one_sided_window_program_matches_pinned_values() {
             };
             (bits(&got).wrapping_add(bits(&local)), rc.now())
         },
+    );
+}
+
+/// What the flow solver must reproduce on a contended run: re-solves, Σ
+/// component sizes, completion events moved, and an order-sensitive fold
+/// of the f64 bits of every resource's `busy_secs` / `overlap2_secs` /
+/// `bytes` and of `total_queue_delay_secs`.
+#[derive(Debug, PartialEq)]
+struct NetGolden(u64, u64, u64, u64);
+
+fn net_golden(o: &SimOutput<(u64, SimTime)>) -> NetGolden {
+    let net = o.net.as_ref().expect("sim runs carry net stats");
+    let fold = net
+        .resources
+        .iter()
+        .flat_map(|r| [r.stats.busy_secs, r.stats.overlap2_secs, r.stats.bytes])
+        .chain([net.total_queue_delay_secs])
+        .fold(0u64, |h, x| h.rotate_left(5) ^ x.to_bits());
+    NetGolden(net.resolves, net.resolved_flows, net.rekeys, fold)
+}
+
+#[test]
+fn contended_transfers_pin_the_flow_solver() {
+    // 128 ranks on 32 nodes, three rounds of six concurrent 256 KiB – 1 MiB
+    // transfers per rank over near and far peers: the NICs and memory
+    // channels join into components of ~150 flows whose rates change
+    // every time one of the unequal transfers lands. The literals were
+    // recorded from the ordered-map solver (PR 25's first commit); any
+    // change in the progressive fill's visit order or in the order of
+    // float accumulation shows up in the fold.
+    let runs = assert_deterministic(
+        || cfg(128, 4),
+        Golden(17599822, 1152, 562476800, 193083136, 0x181d636dccc53a9f),
+        |rc: RankCtx| {
+            let w = rc.world();
+            let (me, p) = (rc.rank(), rc.nranks());
+            for round in 0..3 {
+                let peers = [1, 5 + round, 37 + 11 * round];
+                let len =
+                    |src: usize, k: usize| (256 << 10) * (1 + (src + k + round) % 4) + 8 * src;
+                let recvs: Vec<_> = peers
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &d)| w.irecv((me + p - d) % p, k as u32))
+                    .collect();
+                let sends: Vec<_> = peers
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &d)| w.isend((me + d) % p, k as u32, Payload::Phantom(len(me, k))))
+                    .collect();
+                for (k, r) in recvs.iter().enumerate() {
+                    let got = w.wait(r);
+                    assert_eq!(got.len(), len((me + p - peers[k]) % p, k));
+                }
+                w.wait_all(&sends);
+            }
+            (me as u64, rc.now())
+        },
+    );
+    let [a, b] = &runs;
+    assert_eq!(net_golden(a), net_golden(b), "net stats diverge");
+    assert_eq!(
+        net_golden(a),
+        NetGolden(1677, 244948, 9581, 0xc02f459c63c9e62a),
+        "flow solver diverges from the pinned values"
     );
 }
 
