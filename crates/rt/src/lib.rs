@@ -32,8 +32,9 @@
 //!   (trace write, panic triage, deadlock report, verify report, output) —
 //!   this crate's `run` owns only the threads, the watchdog and the sampler;
 //! * the [`Request`](ovcomm_simmpi::Request) type and wait/test semantics;
-//! * collective compilation — `compile_plans` (selector + static lint
-//!   wall) and the plan interpreter;
+//! * collective compilation — `compile_plans` (selector, lint, and under
+//!   `Strict` the model check at any communicator size) and the plan
+//!   interpreter;
 //! * eager/rendezvous point-to-point protocols and FIFO envelope matching;
 //! * the verification event model (`ovcomm-verify`) — the runtime records
 //!   the same per-rank event log, so the same analyzer checks both

@@ -32,22 +32,15 @@ use crate::state::SplitResult;
 use crate::transport::{post_recv, post_send, CommEnv, Transport, WORLD_CTX};
 use crate::universe::PlanCache;
 
-/// Largest communicator size whose compiled schedules are model-checked
-/// under `Strict`. The check explores receive-match interleavings across
-/// eager/rendezvous cutpoints, which grows far faster than the schedule
-/// itself; beyond this size the state budget would only ever truncate, so
-/// large shapes keep the (linear) lint pass and skip the model check.
-pub const MODEL_CHECK_MAX_P: usize = 128;
-
 /// Compile (or fetch from `cache`) the per-rank plans for one collective
 /// shape, selecting the algorithm via `sel` and statically analyzing
 /// fresh plans per verification level `mode`: `Warn` lints and prints
-/// findings, `Strict` additionally model-checks the schedule (every
-/// receive-match interleaving at every eager/rendezvous cutpoint, for
-/// communicators up to [`MODEL_CHECK_MAX_P`] ranks) and panics on any
-/// finding. Analysis results are memoized in the cache, so
-/// each shape is analyzed — and its findings rendered — exactly once per
-/// run. Backend-neutral: both the simulator and the `ovcomm-rt`
+/// findings, `Strict` additionally model-checks the schedule at every
+/// eager/rendezvous cutpoint and panics on any finding. The check runs at
+/// any `p`: one instance has no contended envelope, so it is one
+/// deterministic pass per cutpoint and never branches. Each shape is
+/// analyzed — and its findings rendered — exactly once per run, at first
+/// compile. Backend-neutral: both the simulator and the `ovcomm-rt`
 /// wall-clock backend compile collectives through this exact path, so the
 /// `CollSelector` and the static-analysis wall behave identically on
 /// either.
@@ -60,45 +53,23 @@ pub fn compile_plans(
     n: usize,
     root: usize,
 ) -> Arc<Vec<CollPlan>> {
-    compile_shape(cache, sel, mode, p, kind, n, root).0
-}
-
-/// [`compile_plans`], also reporting whether this call compiled the shape
-/// fresh under `Strict` *without* its model check (`p` beyond
-/// [`MODEL_CHECK_MAX_P`]) — so the front end counts the skip once per
-/// shape instead of dropping it without a word.
-fn compile_shape(
-    cache: &parking_lot::Mutex<PlanCache>,
-    sel: &CollSelector,
-    mode: VerifyMode,
-    p: usize,
-    kind: CollKind,
-    n: usize,
-    root: usize,
-) -> (Arc<Vec<CollPlan>>, bool) {
     let algo = sel.select(kind, n, p);
     let key = (kind, algo, p, n, root);
     let mut cache = cache.lock();
-    if let Some(cached) = cache.get(&key) {
+    if let Some(plans) = cache.get(&key) {
         // Memoized: findings (if any) were already rendered at first
         // compile — never re-print on a hit.
-        return (cached.plans.clone(), false);
+        return plans.clone();
     }
     let plans = plan::build_all(kind, algo, p, n, root);
-    let mut findings: Vec<String> = Vec::new();
-    let mc_skipped = mode == VerifyMode::Strict && p > MODEL_CHECK_MAX_P;
     if mode != VerifyMode::Off {
-        findings.extend(plan::lint_plans(&plans).iter().map(|f| f.to_string()));
-        if mode == VerifyMode::Strict && !mc_skipped {
+        let mut findings: Vec<String> = plan::lint_plans(&plans)
+            .iter()
+            .map(|f| f.to_string())
+            .collect();
+        if mode == VerifyMode::Strict {
             let report = plan::model_check_single(&plans, &plan::McConfig::default());
             findings.extend(report.findings.iter().map(|f| f.to_string()));
-            if report.truncated {
-                findings.push(format!(
-                    "error[mc-truncated]: model check exhausted its state budget \
-                     ({} states explored)",
-                    report.states
-                ));
-            }
         }
         findings.dedup();
         if !findings.is_empty() {
@@ -120,12 +91,9 @@ fn compile_shape(
             }
         }
     }
-    let cached = crate::universe::CachedPlans {
-        plans: Arc::new(plans),
-        findings: Arc::new(findings),
-    };
-    cache.insert(key, cached.clone());
-    (cached.plans, mc_skipped)
+    let plans = Arc::new(plans);
+    cache.insert(key, plans.clone());
+    plans
 }
 
 /// Unwrap a collective result that the plan contract guarantees exists.
@@ -274,20 +242,15 @@ impl<T: Transport> Comm<T> {
     /// This communicator's compiled plans for one collective shape.
     fn plans(&self, kind: CollKind, n: usize, root: usize) -> Arc<Vec<CollPlan>> {
         let env = self.env();
-        let p = self.size();
-        let (plans, mc_skipped) = compile_shape(
+        compile_plans(
             &env.plan_cache,
             &env.coll_select,
             env.verify_mode,
-            p,
+            self.size(),
             kind,
             n,
             root,
-        );
-        if mc_skipped {
-            env.metrics.plan_mc_skipped(p);
-        }
-        plans
+        )
     }
 
     /// Child handle over `ranks` on context `ctx`, run by the same agent.

@@ -203,16 +203,6 @@ impl SimMetrics {
             .inc();
     }
 
-    /// Count a plan shape compiled under `Strict` whose model check was
-    /// skipped because the communicator is larger than
-    /// `MODEL_CHECK_MAX_P`, labeled by `p` (registers on demand — once per
-    /// shape, at first compile).
-    pub fn plan_mc_skipped(&self, p: usize) {
-        self.registry
-            .counter("plan.mc.skipped", &[("p", p.to_string())])
-            .inc();
-    }
-
     /// Snapshot the registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()

@@ -138,22 +138,13 @@ pub(crate) struct UniShared {
     pub fiber_stack: usize,
 }
 
-/// One compiled plan shape plus its memoized static-analysis findings.
-/// Lint (and, under `Strict`, model-check) findings are computed and
-/// rendered exactly once, at first compile; cache hits return the plans
-/// without re-rendering, so `Warn`-mode diagnostics print once per shape.
-#[derive(Clone)]
-pub struct CachedPlans {
-    /// The per-rank schedules.
-    pub plans: Arc<Vec<CollPlan>>,
-    /// Rendered static-analysis findings (empty for clean plans).
-    pub findings: Arc<Vec<String>>,
-}
-
 /// Cache of compiled per-rank collective schedules, keyed by plan shape.
+/// Static analysis runs once, at first compile; a hit returns the plans
+/// without re-rendering findings, so `Warn`-mode diagnostics print once
+/// per shape.
 pub type PlanCache = std::collections::BTreeMap<
     (ovcomm_verify::CollKind, CollAlgo, usize, usize, usize),
-    CachedPlans,
+    Arc<Vec<CollPlan>>,
 >;
 
 impl UniShared {

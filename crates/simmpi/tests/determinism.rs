@@ -332,9 +332,8 @@ fn contended_transfers_pin_the_flow_solver() {
 }
 
 /// The scale target: 10,000 ranks in one process, broadcast + allreduce
-/// under strict verification (static lint + dynamic recorder, every
-/// analysis of the log included; only the per-shape model check gates
-/// itself off at this size).
+/// under strict verification (static lint, the per-shape model check and
+/// the dynamic recorder, every analysis of the log included).
 #[test]
 fn ten_thousand_rank_bcast_allreduce_strict_smoke() {
     let p = 10_000;
@@ -359,11 +358,9 @@ fn ten_thousand_rank_bcast_allreduce_strict_smoke() {
         assert_eq!(*s, p as f64);
     }
     assert!(out.makespan.as_nanos() > 0);
-    // The skipped model check is counted, not dropped silently: one
-    // bcast shape and one allreduce shape compiled at p > 128.
-    assert_eq!(out.metrics.counters["plan.mc.skipped{p=10000}"], 2);
-    // The race check ran too — it has no size gate — and found nothing.
+    // Both shapes were linted and model-checked at p = 10,000, and the
+    // race check ran too: no analysis has a size gate, so none found
+    // anything and no counter says one was skipped.
     assert_eq!(out.verify.warnings(), 0, "{:?}", out.verify.findings);
-    let skipped = |k: &String| k.starts_with("verify.") && k.contains("skipped");
-    assert!(!out.metrics.counters.keys().any(skipped));
+    assert!(!out.metrics.counters.keys().any(|k| k.contains("skipped")));
 }

@@ -25,8 +25,7 @@
 //!   exactly the right contributor set (`plan-chunk-gap`), or a
 //!   contribution summed twice (`plan-double-count`).
 //!
-//! One pass is `O(steps + matches)` at any communicator size, which is
-//! what lets Strict runs lint shapes the model checker's ceiling excludes.
+//! One pass is `O(steps + matches)` at any communicator size.
 
 use std::collections::BTreeSet;
 

@@ -487,9 +487,15 @@ mod tests {
 
     #[test]
     fn builders_are_mc_clean_small() {
-        let cfg = McConfig::default();
+        // A zero state budget still passes: one instance never branches,
+        // so no shipped shape at any p (129 is just past the old Strict
+        // cap) can truncate.
+        let cfg = McConfig {
+            max_states: 0,
+            ..McConfig::default()
+        };
         for &algo in CollAlgo::all() {
-            for p in [1usize, 2, 3, 4, 5, 8] {
+            for p in [1usize, 2, 3, 4, 5, 8, 129] {
                 for n in [0usize, 64, 1000] {
                     let root = p.saturating_sub(1);
                     let root = match algo.kind() {
