@@ -148,6 +148,57 @@ fn isend_irecv_overlap_on_one_rank() {
     assert_eq!(out.results, vec![2.0, 1.0]);
 }
 
+/// Rank 0 isends `lens` (bytes) on one envelope at `send_at`; rank 1
+/// posts as many irecvs at `recv_at`. Both wait for everything. Returns
+/// each rank's clock (ns) after its waits and the lengths rank 1 got.
+fn one_envelope_clocks(send_at: u64, recv_at: u64, lens: &[usize]) -> (u64, u64, Vec<usize>) {
+    let lens = lens.to_vec();
+    let out = run(cfg(2, 1), move |rc: RankCtx| {
+        let w = rc.world();
+        if rc.rank() == 0 {
+            rc.advance(ovcomm_simnet::SimDur(send_at));
+            let reqs: Vec<_> = lens
+                .iter()
+                .map(|&n| w.isend(1, 4, Payload::Phantom(n)))
+                .collect();
+            reqs.iter().for_each(|r| w.wait(r));
+            (rc.now().as_nanos(), Vec::new())
+        } else {
+            rc.advance(ovcomm_simnet::SimDur(recv_at));
+            let reqs: Vec<_> = lens.iter().map(|_| w.irecv(0, 4)).collect();
+            let got = reqs.iter().map(|r| w.wait(r).len()).collect();
+            (rc.now().as_nanos(), got)
+        }
+    })
+    .unwrap();
+    (out.results[0].0, out.results[1].0, out.results[1].1.clone())
+}
+
+#[test]
+fn match_order_and_protocol_timing_are_pinned() {
+    // Eager limit of the test profile is 64 KiB.
+    const EAGER: usize = 32 << 10;
+    const RNDV: usize = 1 << 20;
+    const US: u64 = 1_000;
+    // (what, send_at, recv_at, lens, rank 0 clock, rank 1 clock)
+    type Case = (&'static str, u64, u64, &'static [usize], u64, u64);
+    #[rustfmt::skip]
+    let cases: [Case; 6] = [
+        ("eager, recv first",           10 * US,    0,          &[EAGER], 42_818,    109_355),
+        ("eager, recv while in flight", 0,          36 * US,    &[EAGER], 32_818,    99_355),
+        ("eager, recv after landing",   0,          1_000 * US, &[EAGER], 32_818,    1_032_818),
+        ("rendezvous, recv first",      1_000 * US, 0,          &[RNDV],  2_051_627, 2_051_627),
+        ("rendezvous, send first",      0,          1_000 * US, &[RNDV],  2_051_627, 2_051_627),
+        ("mixed protocols",             0,          50 * US,
+            &[8, RNDV, 16, 128 << 10, 24], 1_232_749, 1_232_749),
+    ];
+    for (what, send_at, recv_at, lens, t0, t1) in cases {
+        let (c0, c1, got) = one_envelope_clocks(send_at, recv_at, lens);
+        assert_eq!((c0, c1), (t0, t1), "{what}: rank clocks");
+        assert_eq!(got, lens, "{what}: lengths must arrive in send order");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Collectives: correctness on many communicator sizes.
 // ---------------------------------------------------------------------
