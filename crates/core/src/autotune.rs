@@ -8,7 +8,7 @@
 //! queries with the paper's two rules: the threshold rule `n/N_DUP ≥ n_t`
 //! and the curve condition `N_DUP·f_BW(n/N_DUP) ≥ f_BW(n)`.
 
-use crate::tuning::{n_dup_by_threshold, satisfies_overlap_condition, BandwidthCurve};
+use crate::tuning::{best_n_dup_by_condition, n_dup_by_threshold, BandwidthCurve};
 
 /// A piecewise-log-linear effective-bandwidth curve built from measured
 /// (message size, bandwidth) samples.
@@ -124,13 +124,7 @@ impl AutoTuner {
     /// least 1.
     pub fn n_dup_for(&self, n: usize) -> usize {
         let by_threshold = n_dup_by_threshold(n, self.n_t.max(1), self.max_n_dup);
-        let mut best = 1;
-        for d in 1..=by_threshold {
-            if satisfies_overlap_condition(&self.curve, n, d) {
-                best = d;
-            }
-        }
-        best
+        best_n_dup_by_condition(&self.curve, n, by_threshold)
     }
 }
 

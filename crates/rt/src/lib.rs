@@ -35,7 +35,8 @@
 //! * collective compilation — `compile_plans` (selector, lint, and under
 //!   `Strict` the model check at any communicator size) and the plan
 //!   interpreter;
-//! * eager/rendezvous point-to-point protocols and FIFO envelope matching;
+//! * eager/rendezvous point-to-point protocols and FIFO envelope matching
+//!   (one `Mailbox`; this crate's lock-free router fronts it);
 //! * the verification event model (`ovcomm-verify`) — the runtime records
 //!   the same per-rank event log, so the same analyzer checks both
 //!   backends;

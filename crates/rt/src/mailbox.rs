@@ -1,22 +1,17 @@
-//! The envelope-matching mailbox: MPI point-to-point matching as a pure
-//! state machine.
+//! The runtime's side of envelope matching: a lock-free router in front
+//! of the shared matcher.
 //!
-//! Extracted from the runtime's shared state so the *matching discipline*
-//! — FIFO per `(context, source, destination, tag)` envelope, no
-//! wildcards, non-overtaking — is a data structure that can be
-//! model-checked in isolation: [`Mailbox`] holds the sequential tables,
-//! [`LockFreeMailbox`] puts the lock-free router (per-rank rings, an
-//! injector and a drain baton) in front of them, and the loom harness
-//! (`tests/loom.rs`, built with `RUSTFLAGS="--cfg loom"`) drives the
-//! router the production runtime posts through (`RtShared::post`) from
-//! concurrent model threads under randomized schedules.
-//!
-//! The mailbox is generic over what a parked send (`S`) and a parked
-//! receive (`R`) carry, so the model harness can instantiate it with
-//! plain integers while the runtime stores payload handles and requests.
+//! The *matching discipline* — FIFO per `(context, source, destination,
+//! tag)` envelope, no wildcards, non-overtaking — is [`Mailbox`], the
+//! sequential state machine the simulator matches through too (defined in
+//! `ovcomm_simmpi::mailbox`, re-exported here). What is the runtime's own
+//! is who drives it: [`LockFreeMailbox`] puts per-rank rings, an injector
+//! and a drain baton in front of the tables, and the loom harness
+//! (`tests/loom.rs`, built with `RUSTFLAGS="--cfg loom"`) drives that
+//! router, which the production runtime posts through (`RtShared::post`),
+//! from concurrent model threads under randomized schedules.
 
 use std::cell::UnsafeCell;
-use std::collections::{HashMap, VecDeque};
 
 use crate::queue::{MpscQueue, Popped, SpscRing};
 use crate::sync::{AtomicBool, AtomicUsize, Ordering};
@@ -26,119 +21,7 @@ use crate::sync::{AtomicBool, AtomicUsize, Ordering};
 /// simulator's matcher keys on.
 pub use ovcomm_simmpi::transport::Envelope as RtKey;
 
-/// Unique id of a mailbox slot (send side).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SlotId(pub u64);
-
-/// Outcome of posting a send.
-#[must_use]
-pub enum SendPost<S, R> {
-    /// Matched the oldest posted receive on this envelope; the slot is
-    /// handed back along with the matched receive entry.
-    Matched {
-        /// The send slot passed in (never entered the mailbox).
-        send: S,
-        /// The receive entry that had been waiting.
-        recv: R,
-    },
-    /// No receive was waiting: the slot is parked under this id.
-    Parked(SlotId),
-}
-
-/// Outcome of posting a receive.
-#[must_use]
-pub enum RecvPost<S, R> {
-    /// Matched the oldest parked send on this envelope; the receive entry
-    /// is handed back along with the matched send slot.
-    Matched {
-        /// The send slot that had been parked.
-        send: S,
-        /// The receive entry passed in (never entered the mailbox).
-        recv: R,
-    },
-    /// No send was parked: the receive entry is queued.
-    Parked,
-}
-
-/// FIFO matching tables for unmatched sends and receives.
-///
-/// Invariant: for any envelope key, at most one of the two queues is
-/// non-empty — a post always drains the opposite queue's head before
-/// parking. This is exactly MPI's non-overtaking guarantee, and the loom
-/// harness asserts it holds under every explored schedule.
-pub struct Mailbox<S, R> {
-    /// FIFO of unmatched send slot ids per envelope.
-    send_q: HashMap<RtKey, VecDeque<SlotId>>,
-    /// FIFO of unmatched receives per envelope.
-    recv_q: HashMap<RtKey, VecDeque<R>>,
-    /// All live send slots.
-    slots: HashMap<SlotId, S>,
-    next_slot_id: u64,
-}
-
-impl<S, R> Default for Mailbox<S, R> {
-    fn default() -> Self {
-        Mailbox {
-            send_q: HashMap::new(),
-            recv_q: HashMap::new(),
-            slots: HashMap::new(),
-            next_slot_id: 0,
-        }
-    }
-}
-
-impl<S, R> Mailbox<S, R> {
-    /// An empty mailbox.
-    pub fn new() -> Mailbox<S, R> {
-        Mailbox::default()
-    }
-
-    /// Post a send: match the oldest waiting receive on `key`, or park
-    /// `slot` in FIFO order.
-    pub fn post_send(&mut self, key: RtKey, slot: S) -> SendPost<S, R> {
-        if let Some(recv) = self.recv_q.get_mut(&key).and_then(|q| q.pop_front()) {
-            return SendPost::Matched { send: slot, recv };
-        }
-        let id = SlotId(self.next_slot_id);
-        self.next_slot_id += 1;
-        self.slots.insert(id, slot);
-        self.send_q.entry(key).or_default().push_back(id);
-        SendPost::Parked(id)
-    }
-
-    /// Post a receive: match the oldest parked send on `key`, or queue
-    /// `entry` in FIFO order.
-    pub fn post_recv(&mut self, key: RtKey, entry: R) -> RecvPost<S, R> {
-        if let Some(send) = self
-            .send_q
-            .get_mut(&key)
-            .and_then(|q| q.pop_front())
-            .and_then(|id| self.slots.remove(&id))
-        {
-            return RecvPost::Matched { send, recv: entry };
-        }
-        self.recv_q.entry(key).or_default().push_back(entry);
-        RecvPost::Parked
-    }
-
-    /// Unmatched sends currently parked (the sampler's
-    /// `rt.sampler.mailbox_slots` gauge).
-    pub fn unmatched_sends(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Unmatched receives currently queued (the sampler's
-    /// `rt.sampler.posted_recvs` gauge).
-    pub fn posted_recvs(&self) -> usize {
-        self.recv_q.values().map(|q| q.len()).sum()
-    }
-
-    /// True when nothing is parked on either side — every posted operation
-    /// has matched.
-    pub fn is_drained(&self) -> bool {
-        self.slots.is_empty() && self.posted_recvs() == 0
-    }
-}
+pub use ovcomm_simmpi::mailbox::{Mailbox, RecvPost, SendPost, SlotId};
 
 /// One posted operation in flight between a posting thread and the
 /// matcher.
@@ -366,58 +249,6 @@ mod tests {
             dst: 1,
             tag,
         }
-    }
-
-    #[test]
-    fn send_then_recv_matches_in_fifo_order() {
-        let mut mb: Mailbox<u32, u32> = Mailbox::new();
-        assert!(matches!(mb.post_send(key(7), 10), SendPost::Parked(_)));
-        assert!(matches!(mb.post_send(key(7), 11), SendPost::Parked(_)));
-        assert_eq!(mb.unmatched_sends(), 2);
-        match mb.post_recv(key(7), 0) {
-            RecvPost::Matched { send, .. } => assert_eq!(send, 10),
-            RecvPost::Parked => panic!("first recv must match the oldest send"),
-        }
-        match mb.post_recv(key(7), 1) {
-            RecvPost::Matched { send, .. } => assert_eq!(send, 11),
-            RecvPost::Parked => panic!("second recv must match the newer send"),
-        }
-        assert!(mb.is_drained());
-    }
-
-    #[test]
-    fn recv_then_send_matches_in_fifo_order() {
-        let mut mb: Mailbox<u32, u32> = Mailbox::new();
-        assert!(matches!(mb.post_recv(key(3), 20), RecvPost::Parked));
-        assert!(matches!(mb.post_recv(key(3), 21), RecvPost::Parked));
-        assert_eq!(mb.posted_recvs(), 2);
-        match mb.post_send(key(3), 0) {
-            SendPost::Matched { recv, .. } => assert_eq!(recv, 20),
-            SendPost::Parked(_) => panic!("send must match the oldest recv"),
-        }
-        match mb.post_send(key(3), 1) {
-            SendPost::Matched { recv, .. } => assert_eq!(recv, 21),
-            SendPost::Parked(_) => panic!("send must match the newer recv"),
-        }
-        assert!(mb.is_drained());
-    }
-
-    #[test]
-    fn distinct_envelopes_never_cross_match() {
-        let mut mb: Mailbox<u32, u32> = Mailbox::new();
-        assert!(matches!(mb.post_send(key(1), 1), SendPost::Parked(_)));
-        // Different tag: must park, not steal the tag-1 slot.
-        assert!(matches!(mb.post_recv(key(2), 2), RecvPost::Parked));
-        // Different src: also disjoint.
-        let other_src = RtKey {
-            ctx: 0,
-            src: 5,
-            dst: 1,
-            tag: 1,
-        };
-        assert!(matches!(mb.post_recv(other_src, 3), RecvPost::Parked));
-        assert_eq!(mb.unmatched_sends(), 1);
-        assert_eq!(mb.posted_recvs(), 2);
     }
 
     #[test]

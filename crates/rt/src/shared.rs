@@ -21,7 +21,8 @@
 //!   MPI's synchronizing large-message semantics deadlocks here too.
 //!
 //! Matching follows MPI's non-overtaking rule per `(context, source,
-//! destination, tag)` envelope: FIFO queues, no wildcards.
+//! destination, tag)` envelope — FIFO queues, no wildcards — in the
+//! simulator's own matcher, the `Mailbox` behind the router.
 
 use std::collections::HashMap;
 use std::sync::Arc;

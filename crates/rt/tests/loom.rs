@@ -9,9 +9,12 @@
 //!
 //! The harness drives the *production* router,
 //! [`ovcomm_rt::mailbox::LockFreeMailbox`], and the production queues from
-//! concurrent model threads. The envelope tests wrap it in a miniature
-//! runtime with the shape of `RtShared::{post, deliver_match}`: a post
-//! goes through `LockFreeMailbox::post`, whoever holds the drain baton
+//! concurrent model threads. The `Mailbox` under the router is also the
+//! simulator's envelope matcher (`ovcomm_simmpi::mailbox`), so the FIFO
+//! pairing checked here is the one both backends match by. The envelope
+//! tests wrap it in a miniature runtime with the shape of
+//! `RtShared::{post, deliver_match}`: a post goes through
+//! `LockFreeMailbox::post`, whoever holds the drain baton
 //! surfaces the matches — its own or another thread's — and completes
 //! *every* pair it was handed (the lost-wakeup-prone part), and waiters
 //! block on a mutex+condvar completion cell. The loom scheduler explores

@@ -45,6 +45,8 @@ pub mod rma;
 
 pub mod collsel;
 pub mod comm;
+#[doc(hidden)]
+pub mod mailbox;
 pub mod payload;
 mod planexec;
 pub mod rank;

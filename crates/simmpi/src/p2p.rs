@@ -2,7 +2,8 @@
 //! network — what happens to a message once the front end has posted it
 //! (`transport::post_send` / `post_recv`) and the agent's
 //! `Transport::inject_*` has scheduled this module's engine callbacks at
-//! the poster's clock.
+//! the poster's clock. Those callbacks match through the shared
+//! `Mailbox` (the same matcher rt's router drives) and start the flows.
 //!
 //! Timing model (constants from [`ovcomm_simnet::MachineProfile`]):
 //!
@@ -29,12 +30,12 @@
 use std::sync::Arc;
 
 use ovcomm_simnet::{EdgeKind, SimDur, SimTime};
-use ovcomm_verify::ReqId;
 
 use crate::agent::{Agent, CLASS_P2P};
+use crate::mailbox::{RecvPost, SendPost};
 use crate::payload::Payload;
 use crate::request::Request;
-use crate::state::{MsgId, SendSlot, SlotState};
+use crate::state::{EagerHalf, SimSend};
 use crate::transport::Envelope;
 use crate::universe::UniShared;
 
@@ -78,106 +79,101 @@ pub(crate) fn inject_send(
     sender_req: Request<()>,
     ts: SimTime,
 ) {
-    let n = payload.len();
-    let sender_vid = sender_req.verify_id();
-    let msg_id;
-    let matched_recv;
-    {
-        let mut st = uni.state.lock();
-        msg_id = st.alloc_msg_id();
-        matched_recv = st.recv_q.get_mut(&key).and_then(|q| q.pop_front());
-        let slot = SendSlot {
-            state: if eager {
-                SlotState::EagerInFlight
-            } else {
-                SlotState::Rendezvous
-            },
+    let sender = sender_req.verify_id();
+    let mut st = uni.state.lock();
+    // An eager message's data leaves now, matched or not, and the mailbox
+    // parks only its id; a rendezvous send parks the data itself.
+    let (send, eager_data) = if eager {
+        let id = st.next_eager;
+        st.next_eager += 1;
+        (SimSend::Eager { id, sender }, Some((id, payload)))
+    } else {
+        let send = SimSend::Rendezvous {
             payload,
             sender_req,
-            // An eager message binds a waiting receive immediately; the
-            // receive completes when the data lands.
-            bound_recv: if eager { matched_recv.clone() } else { None },
         };
-        st.slots.insert(msg_id, slot);
-        if matched_recv.is_none() {
-            st.send_q.entry(key).or_default().push_back(msg_id);
-        }
+        (send, None)
+    };
+    let matched = st.mailbox.post_send(key, send);
+    drop(st);
+    if let SendPost::Matched { send, recv } = matched {
+        on_match(uni, key, send, recv, ts);
     }
-    if let Some(recv) = &matched_recv {
-        uni.env.record_match(sender_vid, recv.verify_id());
-    }
-    if eager {
-        launch_eager_flow(uni, key, msg_id, n, ts);
-    } else if let Some(recv) = matched_recv {
-        start_rendezvous(uni, key, msg_id, n, recv, ts);
+    if let Some((id, payload)) = eager_data {
+        launch_eager_flow(uni, key, id, payload, ts);
     }
 }
 
 /// Engine callback: a receive reaches the matching layer at time `tr`.
-// Slot-table `expect`s assert matcher bookkeeping: a queued message id
-// always has a live slot.
-#[allow(clippy::expect_used, clippy::unwrap_used)]
 pub(crate) fn inject_recv(uni: &Arc<UniShared>, key: Envelope, req: Request<Payload>, tr: SimTime) {
-    enum Outcome {
-        Queued,
-        Bound(Option<ReqId>),
-        DeliverNow(Payload, usize, Option<ReqId>),
-        Rendezvous(MsgId, usize, Option<ReqId>),
+    let matched = uni.state.lock().mailbox.post_recv(key, req);
+    if let RecvPost::Matched { send, recv } = matched {
+        on_match(uni, key, send, recv, tr);
     }
-    let outcome = {
-        let mut st = uni.state.lock();
-        let head = st.send_q.get_mut(&key).and_then(|q| q.pop_front());
-        match head {
-            None => {
-                st.recv_q.entry(key).or_default().push_back(req.clone());
-                Outcome::Queued
-            }
-            Some(id) => {
-                let slot = st.slots.get_mut(&id).expect("send slot missing");
-                match slot.state {
-                    SlotState::EagerInFlight => {
-                        let svid = slot.sender_req.verify_id();
-                        slot.bound_recv = Some(req.clone());
-                        Outcome::Bound(svid)
-                    }
-                    SlotState::EagerArrived => {
-                        let slot = st.slots.remove(&id).unwrap();
-                        let n = slot.payload.len();
-                        Outcome::DeliverNow(slot.payload, n, slot.sender_req.verify_id())
-                    }
-                    SlotState::Rendezvous => {
-                        let n = slot.payload.len();
-                        Outcome::Rendezvous(id, n, slot.sender_req.verify_id())
-                    }
-                }
+}
+
+/// A send and a receive matched at `t`, when the later of the two posted:
+/// record the pair, then move the data by the send's protocol.
+fn on_match(
+    uni: &Arc<UniShared>,
+    key: Envelope,
+    send: SimSend,
+    recv: Request<Payload>,
+    t: SimTime,
+) {
+    match send {
+        SimSend::Eager { id, sender } => {
+            uni.env.record_match(sender, recv.verify_id());
+            if let Some((recv, payload)) = eager_meet(uni, id, EagerHalf::Recv(recv)) {
+                // Data already sits in the receiver's internal buffer.
+                deliver_eager(uni, key, &recv, payload, t);
             }
         }
-    };
-    match outcome {
-        Outcome::Queued => {}
-        Outcome::Bound(svid) => {
-            uni.env.record_match(svid, req.verify_id());
-        }
-        Outcome::DeliverNow(payload, n, svid) => {
-            uni.env.record_match(svid, req.verify_id());
-            // Data already sits in the receiver's internal buffer: one
-            // unpack copy from now.
-            let done = tr + uni.env.profile.copy_time(n);
-            uni.env.edge(EdgeKind::SendRecv, key.src, tr, key.dst, done);
-            uni.complete(&req, payload, done);
-        }
-        Outcome::Rendezvous(id, n, svid) => {
-            uni.env.record_match(svid, req.verify_id());
-            start_rendezvous(uni, key, id, n, req, tr);
+        SimSend::Rendezvous {
+            payload,
+            sender_req,
+        } => {
+            uni.env
+                .record_match(sender_req.verify_id(), recv.verify_id());
+            start_rendezvous(uni, key, payload, sender_req, recv, t);
         }
     }
 }
 
-/// Launch the network flow of an eager message at `ts` (post-injection
-/// time); on arrival, deliver to the bound/waiting receive or park the data
-/// as "unexpected".
-#[allow(clippy::expect_used, clippy::unwrap_used)]
-fn launch_eager_flow(uni: &Arc<UniShared>, key: Envelope, msg_id: MsgId, n: usize, ts: SimTime) {
+/// One half of eager message `id` is here. Park it until the other half
+/// comes, or — when the other half came first — hand back both.
+fn eager_meet(uni: &UniShared, id: u64, half: EagerHalf) -> Option<(Request<Payload>, Payload)> {
+    let mut st = uni.state.lock();
+    match (st.eager.remove(&id), half) {
+        (None, half) => {
+            st.eager.insert(id, half);
+            None
+        }
+        (Some(EagerHalf::Recv(recv)), EagerHalf::Data(payload))
+        | (Some(EagerHalf::Data(payload)), EagerHalf::Recv(recv)) => Some((recv, payload)),
+        _ => unreachable!("eager message {id} got the same half twice"),
+    }
+}
+
+/// Complete an eager receive at `t`, when its data and its match are both
+/// in: one unpack copy from the internal buffer.
+fn deliver_eager(
+    uni: &UniShared,
+    key: Envelope,
+    recv: &Request<Payload>,
+    payload: Payload,
+    t: SimTime,
+) {
+    let done = t + uni.env.profile.copy_time(payload.len());
+    uni.env.edge(EdgeKind::SendRecv, key.src, t, key.dst, done);
+    uni.complete(recv, payload, done);
+}
+
+/// Launch the network flow of eager message `id` at `ts` (post-injection
+/// time); on arrival, deliver to its matched receive or park the data as
+/// "unexpected".
+fn launch_eager_flow(uni: &Arc<UniShared>, key: Envelope, id: u64, payload: Payload, ts: SimTime) {
+    let n = payload.len();
     let path = path_params(uni, key.src, key.dst, n);
     let uni2 = uni.clone();
     let start_at = ts + path.alpha;
@@ -192,25 +188,8 @@ fn launch_eager_flow(uni: &Arc<UniShared>, key: Envelope, msg_id: MsgId, n: usiz
                 n as f64,
                 Box::new(move |e2| {
                     let ta = e2.now();
-                    let deliver = {
-                        let mut st = uni3.state.lock();
-                        let slot = st.slots.get_mut(&msg_id).expect("slot vanished");
-                        match slot.bound_recv.take() {
-                            Some(recv) => {
-                                let slot = st.slots.remove(&msg_id).unwrap();
-                                Some((recv, slot.payload))
-                            }
-                            None => {
-                                slot.state = SlotState::EagerArrived;
-                                None
-                            }
-                        }
-                    };
-                    if let Some((recv, payload)) = deliver {
-                        let done = ta + uni3.env.profile.copy_time(n);
-                        uni3.env
-                            .edge(EdgeKind::SendRecv, key.src, ta, key.dst, done);
-                        uni3.complete(&recv, payload, done);
+                    if let Some((recv, payload)) = eager_meet(&uni3, id, EagerHalf::Data(payload)) {
+                        deliver_eager(&uni3, key, &recv, payload, ta);
                     }
                 }),
             );
@@ -220,15 +199,15 @@ fn launch_eager_flow(uni: &Arc<UniShared>, key: Envelope, msg_id: MsgId, n: usiz
 
 /// Both sides of a rendezvous message are present at `tp`: run the
 /// handshake, then the flow; complete both requests when it lands.
-#[allow(clippy::expect_used)]
 fn start_rendezvous(
     uni: &Arc<UniShared>,
     key: Envelope,
-    msg_id: MsgId,
-    n: usize,
+    payload: Payload,
+    sender_req: Request<()>,
     recv: Request<Payload>,
     tp: SimTime,
 ) {
+    let n = payload.len();
     let path = path_params(uni, key.src, key.dst, n);
     let start_at = tp + path.alpha + path.rdv_extra;
     let uni2 = uni.clone();
@@ -243,15 +222,9 @@ fn start_rendezvous(
                 n as f64,
                 Box::new(move |e2| {
                     let ta = e2.now();
-                    let slot = uni3
-                        .state
-                        .lock()
-                        .slots
-                        .remove(&msg_id)
-                        .expect("rendezvous slot vanished");
                     uni3.env.edge(EdgeKind::SendRecv, key.src, ta, key.dst, ta);
-                    uni3.complete(&slot.sender_req, (), ta);
-                    uni3.complete(&recv, slot.payload, ta);
+                    uni3.complete(&sender_req, (), ta);
+                    uni3.complete(&recv, payload, ta);
                 }),
             );
         }),

@@ -4,56 +4,52 @@
 //! `CommEnv`).
 //!
 //! All `MpiState` mutations happen under the single state lock, from engine
-//! callbacks (message injection, arrival, pairing). Matching follows MPI's
-//! non-overtaking rule per `(context, source, destination, tag)` key:
-//! entries are FIFO queues, so two messages on the same envelope can never
-//! pass each other.
+//! callbacks (message injection, arrival, pairing). Matching is the shared
+//! [`Mailbox`] — the runtime's router drives the same one — so two
+//! messages on one `(context, source, destination, tag)` envelope can
+//! never pass each other. What is left here is the simulator's own half:
+//! an eager message's data travels in its flow, and whichever of the
+//! landed data and the matched receive comes second delivers it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ovcomm_simnet::SimTime;
+use ovcomm_verify::ReqId;
 
+use crate::mailbox::Mailbox;
 use crate::payload::Payload;
 use crate::request::Request;
-use crate::transport::Envelope;
 
-/// Unique id for an in-flight message (send side).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct MsgId(pub u64);
-
-/// Send-side protocol state of a message slot.
-pub(crate) enum SlotState {
-    /// Eager message whose data flow is still in the network.
-    EagerInFlight,
-    /// Eager message fully arrived in the receiver's internal buffer.
-    EagerArrived,
-    /// Rendezvous send posted and waiting for the matching receive.
-    Rendezvous,
+/// What the mailbox parks for an unmatched send.
+pub(crate) enum SimSend {
+    /// An eager message: its data is already in flight (or landed), keyed
+    /// by `id` in [`MpiState::eager`]; its request completed at post time,
+    /// so only the sender's verify id is kept, for the match record.
+    Eager { id: u64, sender: Option<ReqId> },
+    /// A rendezvous send: no byte moves until a receive matches it.
+    Rendezvous {
+        payload: Payload,
+        sender_req: Request<()>,
+    },
 }
 
-/// One posted send awaiting (or bound to) a matching receive.
-pub(crate) struct SendSlot {
-    pub state: SlotState,
-    pub payload: Payload,
-    /// Sender's request — already complete for eager sends (buffered),
-    /// completed at transfer end for rendezvous.
-    pub sender_req: Request<()>,
-    /// Receive request bound to this slot by the matcher, when the data has
-    /// not yet arrived (eager) or not yet been transferred (rendezvous).
-    pub bound_recv: Option<Request<Payload>>,
+/// The half of an eager message that came first; the second delivers it.
+pub(crate) enum EagerHalf {
+    /// The data landed before any receive matched the send.
+    Data(Payload),
+    /// A receive matched the send before its data landed.
+    Recv(Request<Payload>),
 }
 
 /// The global (per-Universe) MPI state.
 #[derive(Default)]
 pub(crate) struct MpiState {
-    /// FIFO of unmatched send slots per envelope.
-    pub send_q: HashMap<Envelope, VecDeque<MsgId>>,
-    /// FIFO of unmatched receives per envelope.
-    pub recv_q: HashMap<Envelope, VecDeque<Request<Payload>>>,
-    /// All live send slots.
-    pub slots: HashMap<MsgId, SendSlot>,
-    pub next_msg_id: u64,
+    /// Unmatched sends and receives, FIFO per envelope.
+    pub mailbox: Mailbox<SimSend, Request<Payload>>,
+    /// Eager messages with exactly one of their two halves here.
+    pub eager: HashMap<u64, EagerHalf>,
+    pub next_eager: u64,
 }
 
 /// The communicator registry of one run: context allocation and the
@@ -88,14 +84,6 @@ pub(crate) struct SplitResult {
     pub groups: Vec<(i64, u32, Vec<usize>)>,
     /// Time at which the split completed (the latest deposit clock).
     pub at: SimTime,
-}
-
-impl MpiState {
-    pub fn alloc_msg_id(&mut self) -> MsgId {
-        let id = MsgId(self.next_msg_id);
-        self.next_msg_id += 1;
-        id
-    }
 }
 
 impl CommRegistry {

@@ -41,8 +41,8 @@ use crate::universe::PlanCache;
 pub const WORLD_CTX: u32 = 0;
 
 /// What a send and a receive must agree on to match: FIFO per envelope, no
-/// wildcards. The one key type of both matchers (the simulator's
-/// flow-network matcher and the runtime's mailbox).
+/// wildcards. The key of the one matcher, [`Mailbox`](crate::mailbox::Mailbox),
+/// on both backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Envelope {
     /// Communicator context id.
@@ -333,9 +333,9 @@ pub(crate) fn post_recv<T: Transport>(
 ///   runtime, where the real cost *is* the code;
 /// * `sleep` — a timer event the fiber parks on (so a `test`-poll loop
 ///   yields to the engine) vs. a real, capped `thread::sleep`;
-/// * `inject_send` / `inject_recv` — the posted [`Envelope`] goes to the
-///   flow-network matcher (an engine event at the agent's clock) or the
-///   shared-memory mailbox;
+/// * `inject_send` / `inject_recv` — the posted [`Envelope`] reaches the
+///   shared matcher from an engine event at the agent's clock, or through
+///   the runtime's lock-free router;
 /// * `wait` / `complete` — park under the event engine and wake at a
 ///   virtual time, vs. spin-then-park an OS thread under the watchdog;
 /// * `spawn_op` — a fiber registered with the engine at post time vs. a

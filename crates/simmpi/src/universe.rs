@@ -80,7 +80,7 @@ impl SimConfig {
     }
 
     /// Replace the default full-bisection fabric with an explicit cluster
-    /// topology (fat-tree or dragonfly) whose links contend.
+    /// topology (a fat tree) whose links contend.
     pub fn with_fabric(mut self, fabric: Fabric) -> SimConfig {
         self.cluster = self.cluster.with_fabric(fabric);
         self

@@ -419,7 +419,7 @@ impl Engine {
     }
 
     /// Register a whole cluster's resources (NICs, memory channels, and —
-    /// for fat-tree/dragonfly fabrics — per-link resources) in one lock
+    /// for a fat-tree fabric — per-link resources) in one lock
     /// acquisition and return the routing table.
     pub fn build_cluster(&self, spec: &ClusterSpec) -> ClusterResources {
         spec.build_resources(&mut self.core.lock().flows)

@@ -65,9 +65,8 @@ pub enum ResourceKind {
     Mem(u32),
     /// Per-rank CPU resource (e.g. the reduction-compute stream of `rank`).
     Cpu(u32),
-    /// A fabric link (leaf uplink, spine trunk, dragonfly local/global
-    /// connection, …). The payload is an opaque link index assigned by the
-    /// topology builder.
+    /// A fabric link (leaf uplink, spine trunk, …). The payload is an
+    /// opaque link index assigned by the topology builder.
     Link(u32),
     /// Unlabeled resource.
     Other,

@@ -22,8 +22,8 @@
 //!   touched pages are resident, so tens of thousands of ranks fit in one
 //!   process).
 //! * [`profile`]/[`topology`] — calibration constants (Stampede2 Skylake
-//!   preset fitted to the paper's measured anchors), fat-tree and dragonfly
-//!   fabrics with per-link contention, and rank→node maps.
+//!   preset fitted to the paper's measured anchors), a fat-tree fabric
+//!   with per-link contention, and rank→node maps.
 //!
 //! Higher layers: `ovcomm-simmpi` implements MPI semantics on these
 //! primitives; `ovcomm-kernels` implements the paper's algorithms on that.

@@ -1,7 +1,7 @@
 //! Cluster topology: nodes, their network resources, the fabric connecting
 //! them, and the mapping of ranks (processes) onto nodes.
 //!
-//! Three fabric models are supported:
+//! Two fabric models are supported:
 //!
 //! * [`Fabric::FullBisection`] — the fabric is assumed non-blocking, as is
 //!   standard for flow-level models of full-bisection fat trees (Stampede2's
@@ -12,8 +12,6 @@
 //!   explicit per-direction link resources and deterministic d-mod-k routing,
 //!   so inter-pod traffic contends on real uplinks. Use this to study
 //!   multi-tenant interference and oversubscription.
-//! * [`Fabric::Dragonfly`] — groups of routers with all-to-all local and
-//!   global connections and deterministic minimal routing.
 //!
 //! The `FullBisection` path is bit-compatible with the historic model (same
 //! resources registered in the same order), so existing committed results do
@@ -48,22 +46,6 @@ pub enum Fabric {
         /// Capacity of every fabric link, bytes/second per direction.
         link_bw: f64,
     },
-    /// Dragonfly: `groups` groups of `routers_per_group` routers, each
-    /// hosting `hosts_per_router` nodes. Routers within a group are fully
-    /// connected (one link per ordered router pair); every ordered pair of
-    /// groups is connected by one global link. Minimal routing.
-    Dragonfly {
-        /// Number of groups.
-        groups: usize,
-        /// Routers per group (`a` in the literature).
-        routers_per_group: usize,
-        /// Hosts per router (`h` in the literature).
-        hosts_per_router: usize,
-        /// Capacity of intra-group router-to-router links, bytes/second.
-        local_bw: f64,
-        /// Capacity of group-to-group global links, bytes/second.
-        global_bw: f64,
-    },
 }
 
 impl Fabric {
@@ -78,12 +60,6 @@ impl Fabric {
                 hosts_per_leaf,
                 ..
             } => Some(pods * leaves_per_pod * hosts_per_leaf),
-            Fabric::Dragonfly {
-                groups,
-                routers_per_group,
-                hosts_per_router,
-                ..
-            } => Some(groups * routers_per_group * hosts_per_router),
         }
     }
 }
@@ -113,7 +89,7 @@ impl ClusterSpec {
 
     /// Replace the fabric. The fabric must provide at least `self.nodes`
     /// host slots; nodes are assigned to slots in order (host `n` sits under
-    /// leaf `n / hosts_per_leaf`, or router `n / hosts_per_router`).
+    /// leaf `n / hosts_per_leaf`).
     pub fn with_fabric(mut self, fabric: Fabric) -> ClusterSpec {
         if let Some(slots) = fabric.host_slots() {
             assert!(
@@ -191,40 +167,6 @@ impl ClusterSpec {
                     spine_down,
                 }
             }
-            Fabric::Dragonfly {
-                groups,
-                routers_per_group,
-                hosts_per_router,
-                local_bw,
-                global_bw,
-            } => {
-                assert!(
-                    groups >= 1 && routers_per_group >= 1 && hosts_per_router >= 1,
-                    "degenerate dragonfly"
-                );
-                let mut next = 0u32;
-                // local[group][r_src][r_dst] (full grid; the diagonal is
-                // registered but never routed over).
-                let a = routers_per_group;
-                let mut local = Vec::with_capacity(groups * a * a);
-                for _ in 0..groups * a * a {
-                    local.push(net.add_resource_kind(local_bw, ResourceKind::Link(next)));
-                    next += 1;
-                }
-                // global[g_src][g_dst] (full grid, diagonal unused).
-                let mut global = Vec::with_capacity(groups * groups);
-                for _ in 0..groups * groups {
-                    global.push(net.add_resource_kind(global_bw, ResourceKind::Link(next)));
-                    next += 1;
-                }
-                LinkTable::Dragonfly {
-                    routers_per_group,
-                    hosts_per_router,
-                    groups,
-                    local,
-                    global,
-                }
-            }
         };
         ClusterResources { tx, rx, mem, links }
     }
@@ -245,14 +187,6 @@ enum LinkTable {
         leaf_down: Vec<ResourceId>,
         spine_up: Vec<ResourceId>,
         spine_down: Vec<ResourceId>,
-    },
-    /// Dragonfly links.
-    Dragonfly {
-        routers_per_group: usize,
-        hosts_per_router: usize,
-        groups: usize,
-        local: Vec<ResourceId>,
-        global: Vec<ResourceId>,
     },
 }
 
@@ -310,38 +244,6 @@ impl ClusterResources {
                 path.push(self.rx[dst]);
                 (path, false)
             }
-            LinkTable::Dragonfly {
-                routers_per_group,
-                hosts_per_router,
-                groups,
-                local,
-                global,
-            } => {
-                let (a, h) = (*routers_per_group, *hosts_per_router);
-                let (sg, sr) = (src / (a * h), (src / h) % a);
-                let (dg, dr) = (dst / (a * h), (dst / h) % a);
-                let mut path = vec![self.tx[src]];
-                if sg == dg {
-                    if sr != dr {
-                        path.push(local[(sg * a + sr) * a + dr]);
-                    }
-                } else {
-                    // Minimal route: the gateway router of a group toward
-                    // group g is router g % a (one global link per ordered
-                    // group pair).
-                    let gw_s = dg % a;
-                    let gw_d = sg % a;
-                    if sr != gw_s {
-                        path.push(local[(sg * a + sr) * a + gw_s]);
-                    }
-                    path.push(global[sg * *groups + dg]);
-                    if gw_d != dr {
-                        path.push(local[(dg * a + gw_d) * a + dr]);
-                    }
-                }
-                path.push(self.rx[dst]);
-                (path, false)
-            }
         }
     }
 
@@ -371,13 +273,12 @@ impl ClusterResources {
                 spine_down,
                 ..
             } => leaf_up.len() + leaf_down.len() + spine_up.len() + spine_down.len(),
-            LinkTable::Dragonfly { local, global, .. } => local.len() + global.len(),
         }
     }
 }
 
 /// How [`NodeMap::grouped`] spreads logical nodes over topology groups
-/// (fat-tree pods, dragonfly groups).
+/// (fat-tree pods).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupPlacement {
     /// Fill each group completely before starting the next: logical node `k`
@@ -427,8 +328,7 @@ impl NodeMap {
     }
 
     /// Placement over a grouped topology (fat-tree pods of
-    /// `nodes_per_group = leaves_per_pod · hosts_per_leaf` hosts, or
-    /// dragonfly groups of `routers_per_group · hosts_per_router` hosts).
+    /// `nodes_per_group = leaves_per_pod · hosts_per_leaf` hosts).
     ///
     /// Ranks fill logical nodes consecutively (`ppn` per node, as in
     /// [`NodeMap::natural`]); `placement` then decides which *physical* node
@@ -584,35 +484,6 @@ mod tests {
         let (p6, _) = res.path(1, 6);
         let (p7, _) = res.path(1, 7);
         assert_ne!(p6[1], p7[1], "dst 6 and 7 should hash to different spines");
-    }
-
-    #[test]
-    fn dragonfly_paths_use_expected_hops() {
-        // 3 groups × 2 routers × 2 hosts = 12 hosts.
-        let fabric = Fabric::Dragonfly {
-            groups: 3,
-            routers_per_group: 2,
-            hosts_per_router: 2,
-            local_bw: 8e9,
-            global_bw: 4e9,
-        };
-        let spec = ClusterSpec::new(12, MachineProfile::test_profile()).with_fabric(fabric);
-        let mut net = FlowNet::new();
-        let res = spec.build_resources(&mut net);
-        assert_eq!(res.num_links(), 3 * 4 + 9);
-
-        // Same router (0 → 1): NICs only.
-        assert_eq!(res.path(0, 1).0.len(), 2);
-        // Same group, different router (0 → 2): one local hop.
-        assert_eq!(res.path(0, 2).0.len(), 3);
-        // Different group (0 → 4, group 0 router 0 → group 1 router 0):
-        // gateway of group 0 toward group 1 is router 1 % 2 = 1, so the
-        // route is tx, local(0→1), global(0→1), rx — the destination router
-        // 0 of group 1 is that group's return gateway only if sg % a hits
-        // it; here gw_d = 0 % 2 = 0 = dst router, so no exit-side local hop.
-        assert_eq!(res.path(0, 4).0.len(), 4);
-        // Deterministic.
-        assert_eq!(res.path(0, 4), res.path(0, 4));
     }
 
     #[test]
