@@ -630,6 +630,48 @@ mod tests {
         assert!(codes(&f).contains(&"rma-unclosed-epoch"), "{f:?}");
     }
 
+    /// The same two findings whether the epoch is still open at `free`
+    /// (win 1, rank 0) or at the end of the log (win 2, rank 1, never
+    /// freed).
+    #[test]
+    fn open_epochs_at_free_and_at_end_of_log_render_alike() {
+        let v = Verifier::new();
+        for (rank, win) in [(0, 1), (1, 2)] {
+            v.record(win_decl(rank, win));
+            v.record(fence(rank, win));
+            v.record(rma(rank, win, RmaKind::Put, 0, 0, 8));
+            v.record(Event::WinLock {
+                rank,
+                win,
+                target: 1,
+                site: None,
+            });
+        }
+        v.record(Event::WinFree {
+            rank: 0,
+            win: 1,
+            site: None,
+        });
+        let text: Vec<String> = v.analyze().iter().map(Finding::to_string).collect();
+        let open = |rank: u32, win: u64, what: &str| {
+            format!(
+                "error[rma-unclosed-epoch]: rank {rank} left an epoch open on win {win} \
+                 at finalize: {what}"
+            )
+        };
+        let after_fence = "1 unsynchronized operation(s) posted after the last fence";
+        let lock = "lock on rank 1 still held";
+        assert_eq!(
+            text,
+            vec![
+                open(0, 1, after_fence),
+                open(0, 1, lock),
+                open(1, 2, after_fence),
+                open(1, 2, lock),
+            ]
+        );
+    }
+
     #[test]
     fn dropped_window_without_free_is_a_leak() {
         let v = Verifier::new();

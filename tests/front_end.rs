@@ -136,9 +136,11 @@ fn program<R: RankHandle>(rc: &R) -> Vec<u64> {
 fn window_program<R: RankHandle>(rc: &R) -> Vec<u64> {
     let world = rc.world();
     let (me, p) = (world.rank(), world.size());
-    let win = world.win_create(Payload::from_f64s(&vec![me as f64; 512]));
+    let init = Payload::from_f64s(&vec![me as f64; 512]);
+    let win = world.win_create(init.clone());
     assert_eq!((win.rank(), win.size(), win.segment_len(0)), (me, p, 4096));
     win.fence();
+    let before = win.local();
     // Slots 0..128 of the right neighbour; slots 128..192 of rank 0,
     // summed in (origin, post) order — 0.1 steps are inexact, so equal
     // bits mean equal apply order.
@@ -149,6 +151,12 @@ fn window_program<R: RankHandle>(rc: &R) -> Vec<u64> {
         Payload::from_f64s(&vec![0.1 * (me + 1) as f64; 64]),
     );
     win.fence();
+    // The epoch close changed the segment, but not the caller's creation
+    // payload nor a snapshot taken before it.
+    assert_ne!(win.local().to_f64s()[0], me as f64);
+    for kept in [&init, &before] {
+        assert_eq!(kept.to_f64s(), vec![me as f64; 512]);
+    }
     if me != 0 {
         // Grant order is a real race on rt; halves sum exactly, so the
         // committed bytes do not depend on it.
