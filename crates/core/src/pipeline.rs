@@ -185,8 +185,11 @@ pub fn overlapped_allreduce<C: Communicator>(comms: &NDupComms<C>, contrib: &Pay
 }
 
 /// Overlapped point-to-point: send `payload` to `dst` as N_DUP chunked
-/// `isend`s on the duplicated communicators (Algorithm 5, lines 22–26 use
-/// this for the D² and D³ hand-backs).
+/// `isend`s on the duplicated communicators. Algorithm 5's D² and D³
+/// hand-backs (lines 22–26) do not call this: `ovcomm-kernels`' `symm3d`
+/// chunks them itself, so that a rank posts all its D² sends and receives
+/// and all its D³ receives before its first wait, and sends each D³ chunk
+/// as soon as that chunk's `ireduce` completes.
 pub fn overlapped_isend<C: Communicator>(
     comms: &NDupComms<C>,
     dst: usize,

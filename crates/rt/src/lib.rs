@@ -5,10 +5,10 @@
 //! time is the wall clock. It executes the **same** `Comm` API surface and
 //! the **same** compiled `CollPlan` collective schedules as the
 //! virtual-time simulator (`ovcomm-simmpi`), through the backend traits of
-//! `ovcomm-core` — so any kernel written against
-//! [`Communicator`](ovcomm_core::Communicator)/[`RankHandle`](ovcomm_core::RankHandle)
-//! runs bit-identically on either backend, and wall-clock measurements
-//! from this crate validate the simulator's modeled timings.
+//! `ovcomm-core` — so any kernel written against `ovcomm_core`'s
+//! `Communicator`/`RankHandle` traits runs bit-identically on either
+//! backend, and wall-clock measurements from this crate validate the
+//! simulator's modeled timings.
 //!
 //! What is shared with the simulator (by construction, not by parallel
 //! implementation):

@@ -38,7 +38,6 @@ use ovcomm_simmpi::request::Request;
 use ovcomm_simmpi::transport::CommEnv;
 use ovcomm_simmpi::SimMetrics;
 use ovcomm_simnet::{EdgeKind, ParkCell, SimDur, SimTime};
-use ovcomm_verify::Event;
 
 /// How long a parked thread waits before re-checking the abort flag. Also
 /// bounds how quickly a deadlock abort propagates to blocked threads.
@@ -156,9 +155,6 @@ impl RtShared {
     /// the OS thread in bounded slices, re-check, and panic out if the
     /// watchdog declared the run deadlocked.
     pub fn wait_req<T>(&self, agent: u32, rank: u32, cell: &Arc<ParkCell>, req: &Request<T>) -> T {
-        if let (Some(v), Some(id)) = (self.env.verify.as_ref(), req.verify_id()) {
-            v.wait_begin(agent, id);
-        }
         // Spin-vs-park accounting: total wait time minus time spent parked
         // on the condvar is "spin" (busy checking and bookkeeping). The
         // blame layer uses the two per-rank sums to split rt wait time
@@ -204,10 +200,6 @@ impl RtShared {
         if r < self.prof.wait_spin_ns.len() {
             self.prof.wait_spin_ns[r].record(total_ns.saturating_sub(park_ns));
             self.prof.wait_park_ns[r].record(park_ns);
-        }
-        if let (Some(v), Some(id)) = (self.env.verify.as_ref(), req.verify_id()) {
-            v.record(Event::WaitDone { agent, req: id });
-            v.wait_end(agent);
         }
         out
     }

@@ -111,46 +111,6 @@ impl Agent {
         self.uni.engine.schedule(self.event_key(at, class), action);
     }
 
-    /// Block until `req` completes; returns its value and advances the
-    /// clock to `max(local clock, completion time)` — `MPI_Wait`.
-    pub(crate) fn wait<T>(&self, req: &Request<T>) -> T {
-        // Tell the verifier what we are blocked on: if the run deadlocks
-        // while we are parked below, this entry becomes our line of the
-        // wait-for diagnosis; on success it records the wait edge.
-        let vid = if self.uni.env.verify.is_some() {
-            req.verify_id()
-        } else {
-            None
-        };
-        if let (Some(v), Some(id)) = (self.uni.env.verify.as_ref(), vid) {
-            v.wait_begin(self.id, id);
-        }
-        let out = loop {
-            if let Some((v, t)) = req.try_take() {
-                // A wake may still be pending if the completion raced with
-                // our check; consume it so the engine's runnable count stays
-                // balanced.
-                if let Some(tw) = self.uni.engine.consume_pending(&self.cell) {
-                    self.advance_to(tw);
-                }
-                self.advance_to(t);
-                break v;
-            }
-            if req.add_waiter(&self.cell) {
-                let tw = self.uni.engine.park(&self.cell);
-                self.advance_to(tw);
-            }
-        };
-        if let (Some(v), Some(id)) = (self.uni.env.verify.as_ref(), vid) {
-            v.wait_end(self.id);
-            v.record(ovcomm_verify::Event::WaitDone {
-                agent: self.id,
-                req: id,
-            });
-        }
-        out
-    }
-
     /// Perform `bytes` of local reduction compute through this rank's
     /// shared reduction-CPU resource: the time depends on how many other
     /// operations of the same rank are reducing concurrently (max-min
@@ -255,8 +215,24 @@ impl Transport for Agent {
         );
     }
 
+    /// The clock ends at `max(local clock, completion time)`.
     fn wait<V>(&self, req: &Request<V>) -> V {
-        Agent::wait(self, req)
+        loop {
+            if let Some((v, t)) = req.try_take() {
+                // A wake may still be pending if the completion raced with
+                // our check; consume it so the engine's runnable count stays
+                // balanced.
+                if let Some(tw) = self.uni.engine.consume_pending(&self.cell) {
+                    self.advance_to(tw);
+                }
+                self.advance_to(t);
+                return v;
+            }
+            if req.add_waiter(&self.cell) {
+                let tw = self.uni.engine.park(&self.cell);
+                self.advance_to(tw);
+            }
+        }
     }
 
     fn complete<V>(&self, req: &Request<V>, value: V, at: SimTime) {

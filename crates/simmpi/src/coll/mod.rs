@@ -25,7 +25,7 @@ use ovcomm_simnet::{SimTime, SpanKind};
 use crate::comm::CommInfo;
 use crate::payload::Payload;
 use crate::request::Request;
-use crate::transport::{post_recv, post_send, Transport};
+use crate::transport::{self, post_recv, post_send, Transport};
 
 /// Per-instance context handed to the plan executor — its whole I/O
 /// surface: the executing agent plus the communicator and instance
@@ -86,7 +86,7 @@ impl<T: Transport> CollCtx<'_, T> {
 
     /// Block until a posted step completes; returns its value.
     pub fn wait<V>(&self, r: &Request<V>) -> V {
-        self.agent.wait(r)
+        transport::wait(self.agent, r)
     }
 
     /// Charge one communication round of software slack.

@@ -29,7 +29,7 @@ use crate::planexec::execute_plan;
 use crate::request::Request;
 use crate::rma::Win;
 use crate::state::SplitResult;
-use crate::transport::{post_recv, post_send, CommEnv, Transport, WORLD_CTX};
+use crate::transport::{self, post_recv, post_send, CommEnv, Transport, WORLD_CTX};
 use crate::universe::PlanCache;
 
 /// Compile (or fetch from `cache`) the per-rank plans for one collective
@@ -469,7 +469,7 @@ impl<T: Transport> Comm<T> {
     /// leaves this rank's clock at or after the completion time.
     pub fn wait<V>(&self, req: &Request<V>) -> V {
         let t0 = self.agent.now();
-        let v = self.agent.wait(req);
+        let v = transport::wait(&self.agent, req);
         let d = self.agent.now().saturating_since(t0);
         self.env()
             .metrics

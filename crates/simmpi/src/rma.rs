@@ -28,6 +28,9 @@
 //!   ([`Transport::path_latency`]: α on the virtual clock, zero on the
 //!   wall).
 //!
+//! Segments are [`Payload`]s: a get returns a view of the committed bytes,
+//! and an apply copies a segment only while a view still shares it.
+//!
 //! The cross-rank state machine — segments, staging, apply ordering, the
 //! FIFO lock — is [`WinCore`]: plain `&mut self` methods, generic over the
 //! lock-grant handle, with the mutex owned by whoever holds it. [`Win`]
@@ -45,57 +48,15 @@ use ovcomm_simnet::{SimDur, SpanKind};
 use ovcomm_verify::{Event as VEvent, RmaKind, Site};
 
 use crate::comm::Comm;
-use crate::payload::Payload;
+use crate::payload::{add_f64s, Payload};
 use crate::request::Request;
 use crate::transport::Transport;
 
-/// Committed bytes of one rank's exposed segment.
-///
-/// The staging types ([`Seg`], [`StagedOp`], [`apply_op`], [`WinCore`])
-/// are exposed (hidden) for the loom suite in `ovcomm-rt`, which drives
-/// the production state machine from concurrent model threads.
-#[doc(hidden)]
-pub enum Seg {
-    /// Real data (mutable; staged ops are applied in place).
-    Real(Vec<u8>),
-    /// Size-only stand-in for paper-scale runs: applies are free no-ops,
-    /// timing is identical to the real-data case.
-    Phantom(usize),
-}
-
-impl Seg {
-    /// The committed initial contents of an exposed segment.
-    pub fn from_payload(p: &Payload) -> Seg {
-        match p {
-            Payload::Real(b) => Seg::Real(b.to_vec()),
-            Payload::Phantom(n) => Seg::Phantom(*n),
-        }
-    }
-
-    /// Byte length of the segment.
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
-        match self {
-            Seg::Real(v) => v.len(),
-            Seg::Phantom(n) => *n,
-        }
-    }
-
-    /// Copy of bytes `start..end` of the committed state.
-    pub fn snapshot(&self, start: usize, end: usize) -> Payload {
-        assert!(
-            start <= end && end <= self.len(),
-            "RMA read {start}..{end} beyond segment length {}",
-            self.len()
-        );
-        match self {
-            Seg::Real(v) => Payload::from_vec(v[start..end].to_vec()),
-            Seg::Phantom(_) => Payload::Phantom(end - start),
-        }
-    }
-}
-
 /// One staged put/accumulate awaiting its epoch close.
+///
+/// The staging types ([`StagedOp`], [`WinCore`]) are exposed (hidden) for
+/// the loom suite in `ovcomm-rt`, which drives the production state
+/// machine from concurrent model threads.
 #[doc(hidden)]
 pub struct StagedOp {
     /// Window rank of the origin.
@@ -110,18 +71,14 @@ pub struct StagedOp {
     pub data: Payload,
 }
 
-/// Apply one staged op to a committed segment.
-// `chunks_exact(8)`/`try_into` on 8-byte slices cannot fail.
-#[allow(clippy::unwrap_used)]
-#[doc(hidden)]
-pub fn apply_op(seg: &mut Seg, op: &StagedOp) {
-    let v = match seg {
-        Seg::Phantom(_) => return,
-        Seg::Real(v) => v,
+/// Apply one staged op to a committed segment, copying the segment first
+/// if a snapshot still shares it. Free on a phantom segment.
+fn apply_op(seg: &mut Payload, op: &StagedOp) {
+    let Some(v) = seg.bytes_mut() else {
+        return;
     };
-    let b = match &op.data {
-        Payload::Real(b) => b,
-        Payload::Phantom(_) => panic!("phantom RMA data applied to a real window segment"),
+    let Payload::Real(b) = &op.data else {
+        panic!("phantom RMA data applied to a real window segment")
     };
     let end = op.offset + b.len();
     assert!(
@@ -130,21 +87,11 @@ pub fn apply_op(seg: &mut Seg, op: &StagedOp) {
         op.offset,
         v.len()
     );
+    let dst = &mut v[op.offset..end];
     if op.acc {
-        assert!(
-            op.offset.is_multiple_of(8) && b.len().is_multiple_of(8),
-            "accumulate must be f64-aligned (offset {}, len {})",
-            op.offset,
-            b.len()
-        );
-        for (i, c) in b.chunks_exact(8).enumerate() {
-            let at = op.offset + i * 8;
-            let cur = f64::from_ne_bytes(v[at..at + 8].try_into().unwrap());
-            let add = f64::from_ne_bytes(c.try_into().unwrap());
-            v[at..at + 8].copy_from_slice(&(cur + add).to_ne_bytes());
-        }
+        add_f64s(dst, b);
     } else {
-        v[op.offset..end].copy_from_slice(b);
+        dst.copy_from_slice(b);
     }
 }
 
@@ -165,7 +112,7 @@ struct LockSt<G> {
 /// the caller to complete *outside* it.
 #[doc(hidden)]
 pub struct WinCore<G> {
-    segs: Vec<Option<Seg>>,
+    segs: Vec<Option<Payload>>,
     staged: Vec<Vec<StagedOp>>,
     locks: Vec<LockSt<G>>,
     /// Handles not yet freed; the last `free` removes the registry entry.
@@ -173,7 +120,7 @@ pub struct WinCore<G> {
 }
 
 /// Apply `ops` to `seg` in order; returns total bytes applied.
-fn apply_ops(seg: &mut Seg, ops: &[StagedOp]) -> usize {
+fn apply_ops(seg: &mut Payload, ops: &[StagedOp]) -> usize {
     ops.iter()
         .map(|op| {
             apply_op(seg, op);
@@ -198,14 +145,14 @@ impl<G> WinCore<G> {
         }
     }
 
-    fn seg(&self, rank: usize) -> &Seg {
+    fn seg(&self, rank: usize) -> &Payload {
         match &self.segs[rank] {
             Some(s) => s,
             None => panic!("window segment {rank} not deposited"),
         }
     }
 
-    fn seg_mut(&mut self, rank: usize) -> &mut Seg {
+    fn seg_mut(&mut self, rank: usize) -> &mut Payload {
         match &mut self.segs[rank] {
             Some(s) => s,
             None => panic!("window segment {rank} not deposited"),
@@ -213,8 +160,9 @@ impl<G> WinCore<G> {
     }
 
     /// Deposit `rank`'s exposed segment (its committed initial contents).
+    /// Shares `local`'s bytes: the first apply copies them.
     pub fn deposit(&mut self, rank: usize, local: &Payload) {
-        self.segs[rank] = Some(Seg::from_payload(local));
+        self.segs[rank] = Some(local.clone());
     }
 
     /// Byte length of `rank`'s exposed segment.
@@ -222,9 +170,16 @@ impl<G> WinCore<G> {
         self.seg(rank).len()
     }
 
-    /// Snapshot `start..end` of `rank`'s *committed* segment state.
+    /// Snapshot `start..end` of `rank`'s *committed* segment state: a
+    /// view, which a later apply leaves alone by copying the segment.
     pub fn snapshot(&self, rank: usize, start: usize, end: usize) -> Payload {
-        self.seg(rank).snapshot(start, end)
+        let seg = self.seg(rank);
+        assert!(
+            start <= end && end <= seg.len(),
+            "RMA read {start}..{end} beyond segment length {}",
+            seg.len()
+        );
+        seg.slice(start, end)
     }
 
     /// Stage `op` against `target`'s segment (applied at epoch close).

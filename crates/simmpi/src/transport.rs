@@ -13,9 +13,9 @@
 //! differently. A method whose two implementations would have the same
 //! body belongs in the front end, not here — which is why the point-to-point
 //! post path (`post_send`, `post_recv`: charge, mint the request,
-//! complete an eager sender) and the trace sink ([`CommEnv::span`],
-//! [`CommEnv::edge`]) live in this module and a backend only *injects* the
-//! posted envelope into its matcher.
+//! complete an eager sender), the verifier's side of `wait` and the trace
+//! sink ([`CommEnv::span`], [`CommEnv::edge`]) live in this module and a
+//! backend only *injects* the posted envelope into its matcher.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -318,6 +318,29 @@ pub(crate) fn post_recv<T: Transport>(
     req
 }
 
+/// `MPI_Wait` of a tracked request: the verifier's entry for `agent` stays
+/// if a deadlock unwinds the backend's wait, and is the agent's line of the
+/// wait-for diagnosis; on success `WaitDone` records the wait.
+pub(crate) fn wait<T: Transport, V>(agent: &T, req: &Request<V>) -> V {
+    let tracked = agent
+        .env()
+        .verify
+        .as_ref()
+        .and_then(|v| Some((v, req.verify_id()?)));
+    if let Some((v, id)) = tracked {
+        v.wait_begin(agent.id(), id);
+    }
+    let out = agent.wait(req);
+    if let Some((v, id)) = tracked {
+        v.wait_end(agent.id());
+        v.record(Event::WaitDone {
+            agent: agent.id(),
+            req: id,
+        });
+    }
+    out
+}
+
 /// What a backend provides to the communicator front end. One value is one
 /// *execution identity* (an agent): a rank's own thread/fiber, or the
 /// progress actor running one nonblocking collective on a rank's behalf.
@@ -384,7 +407,8 @@ pub trait Transport: Clone + Send + Sync + Sized + 'static {
     /// completes `req` with the matched payload.
     fn inject_recv(&self, key: Envelope, req: Request<Payload>);
 
-    /// Block until `req` completes and take its value (`MPI_Wait`).
+    /// Block until `req` completes and take its value. Only blocks: the
+    /// verifier's bookkeeping for a tracked request is `transport::wait`'s.
     fn wait<V>(&self, req: &Request<V>) -> V;
     /// Complete `req` with `value` and wake its waiters. `at` is the
     /// completion time on the completing agent's clock; the wall-clock

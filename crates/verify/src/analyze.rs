@@ -177,6 +177,36 @@ struct WinRankState {
     freed: bool,
 }
 
+impl WinRankState {
+    /// Close `rank`'s epochs on `win` (at its `free`, or at the end of the
+    /// log): report, then clear, any op posted since the last fence and
+    /// every lock still held.
+    fn close(&mut self, rank: u32, win: u64, findings: &mut Vec<Finding>) {
+        let unclosed = |what: String, site: Option<Site>| Finding {
+            severity: Severity::Error,
+            kind: FindingKind::RmaUnclosedEpoch {
+                rank,
+                win,
+                what,
+                site,
+            },
+        };
+        if self.ops_since_fence > 0 {
+            findings.push(unclosed(
+                format!(
+                    "{} unsynchronized operation(s) posted after the last fence",
+                    self.ops_since_fence
+                ),
+                self.last_op_site,
+            ));
+            self.ops_since_fence = 0;
+        }
+        for target in std::mem::take(&mut self.locks).into_keys() {
+            findings.push(unclosed(format!("lock on rank {target} still held"), None));
+        }
+    }
+}
+
 #[derive(Default)]
 struct ReqState {
     /// The first `WaitDone`/`TestObserved` of the request: who observed it
@@ -453,32 +483,7 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, BTreeMap<CollCallKey, u64>) {
             Event::WinFree { rank, win, .. } => {
                 let st = win_states.entry((*rank, *win)).or_default();
                 st.freed = true;
-                if st.ops_since_fence > 0 {
-                    findings.push(Finding {
-                        severity: Severity::Error,
-                        kind: FindingKind::RmaUnclosedEpoch {
-                            rank: *rank,
-                            win: *win,
-                            what: format!(
-                                "{} unsynchronized operation(s) posted after the last fence",
-                                st.ops_since_fence
-                            ),
-                            site: st.last_op_site,
-                        },
-                    });
-                    st.ops_since_fence = 0;
-                }
-                for (&target, _) in std::mem::take(&mut st.locks).iter() {
-                    findings.push(Finding {
-                        severity: Severity::Error,
-                        kind: FindingKind::RmaUnclosedEpoch {
-                            rank: *rank,
-                            win: *win,
-                            what: format!("lock on rank {target} still held"),
-                            site: None,
-                        },
-                    });
-                }
+                st.close(*rank, *win, &mut findings);
             }
             Event::WinDropped { rank, win, freed } => {
                 if !freed {
@@ -498,34 +503,9 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, BTreeMap<CollCallKey, u64>) {
     // ---- analysis 0: RMA epoch closure and conflicts ----------------
     // Windows never freed: anything still open at end-of-log is
     // unsynchronized (the leak itself is reported via `WinDropped`).
-    for ((rank, win), st) in &win_states {
-        if st.freed {
-            continue;
-        }
-        if st.ops_since_fence > 0 {
-            findings.push(Finding {
-                severity: Severity::Error,
-                kind: FindingKind::RmaUnclosedEpoch {
-                    rank: *rank,
-                    win: *win,
-                    what: format!(
-                        "{} unsynchronized operation(s) posted after the last fence",
-                        st.ops_since_fence
-                    ),
-                    site: st.last_op_site,
-                },
-            });
-        }
-        for &target in st.locks.keys() {
-            findings.push(Finding {
-                severity: Severity::Error,
-                kind: FindingKind::RmaUnclosedEpoch {
-                    rank: *rank,
-                    win: *win,
-                    what: format!("lock on rank {target} still held"),
-                    site: None,
-                },
-            });
+    for ((rank, win), st) in &mut win_states {
+        if !st.freed {
+            st.close(*rank, *win, &mut findings);
         }
     }
     // Overlap sweep inside each epoch group. Groups are per (window,
