@@ -154,6 +154,51 @@ fn workers_are_reused_across_communicators() {
     );
 }
 
+#[test]
+fn a_burst_past_the_ring_depth_arrives_in_send_order() {
+    // 600 eager sends on one envelope — more than a 256-deep per-rank
+    // posting ring holds — while progress workers post the allreduce
+    // rounds of four dups concurrently. The receiver posts late, so every
+    // send is parked before the first receive matches.
+    const N: usize = 600;
+    let out = run(cfg(2), |rc: RtRankCtx| {
+        let w = rc.world();
+        let colls: Vec<_> = w
+            .dup_n(4)
+            .into_iter()
+            .map(|c| {
+                let req = c.iallreduce(Payload::from_f64s(&[rc.rank() as f64 + 1.0]));
+                (c, req)
+            })
+            .collect();
+        let got = if rc.rank() == 0 {
+            let reqs: Vec<_> = (0..N)
+                .map(|v| w.isend(1, 2, Payload::from_f64s(&[v as f64])))
+                .collect();
+            w.wait_all(&reqs);
+            vec![]
+        } else {
+            std::thread::sleep(Duration::from_millis(50));
+            let reqs: Vec<_> = (0..N).map(|_| w.irecv(0, 2)).collect();
+            reqs.iter().map(|r| w.wait(r).to_f64s()[0]).collect()
+        };
+        let sums: Vec<f64> = colls
+            .iter()
+            .map(|(c, req)| c.wait(req).to_f64s()[0])
+            .collect();
+        (got, sums)
+    })
+    .unwrap();
+    let expect: Vec<f64> = (0..N).map(|v| v as f64).collect();
+    assert_eq!(
+        out.results[1].0, expect,
+        "burst delivered out of send order"
+    );
+    for (_, sums) in &out.results {
+        assert_eq!(sums, &vec![3.0; 4], "iallreduce wrong");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
