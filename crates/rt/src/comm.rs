@@ -22,7 +22,7 @@
 //! | `charge` | a post, a copy, a round's slack, modeled compute: the real cost *is* the code — nothing to model |
 //! | `charge_reduce` | the executor's `reduce_sum_f64` *is* the work on this thread |
 //! | `sleep` | a real `thread::sleep`, capped at 1 ms so poll loops stay live |
-//! | `inject_send` / `inject_recv` | the posted envelope goes through the lock-free shared-memory mailbox |
+//! | `inject_send` / `inject_recv` | the posted envelope goes through the shared-memory mailbox, under its lock |
 //! | `wait` / `complete` | spin-then-park an OS thread in watchdog-visible slices; wake by condvar |
 //! | `spawn_op` | a progress-pool job with a worker of its own, counted live from post time |
 //! | `rma_transfer` | the bytes are already in shared memory: record the edge, complete |
@@ -40,7 +40,6 @@ use ovcomm_simmpi::transport::{CommEnv, Envelope, Transport};
 use ovcomm_simmpi::Request;
 use ovcomm_simnet::{EdgeKind, ParkCell, SimDur, SimTime};
 
-use crate::mailbox::PostedOp;
 use crate::shared::{RtShared, Slot};
 
 /// An execution identity on the runtime: actor id, the world rank it acts
@@ -135,15 +134,12 @@ impl Transport for RtAgent {
             eager,
             posted_at: self.shared.now(),
         };
-        self.shared
-            .post(self.id, self.rank, PostedOp::Send { key, slot });
+        self.shared.post_send(key, slot);
     }
 
     /// Match against the mailbox or queue.
     fn inject_recv(&self, key: Envelope, req: Request<Payload>) {
-        let entry = (req, self.shared.now());
-        self.shared
-            .post(self.id, self.rank, PostedOp::Recv { key, entry });
+        self.shared.post_recv(key, (req, self.shared.now()));
     }
 
     fn wait<V>(&self, req: &Request<V>) -> V {

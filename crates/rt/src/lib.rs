@@ -36,7 +36,7 @@
 //!   `Strict` the model check at any communicator size) and the plan
 //!   interpreter;
 //! * eager/rendezvous point-to-point protocols and FIFO envelope matching
-//!   (one `Mailbox`; this crate's lock-free router fronts it);
+//!   (one `Mailbox`, which this crate holds behind a mutex);
 //! * the verification event model (`ovcomm-verify`) — the runtime records
 //!   the same per-rank event log, so the same analyzer checks both
 //!   backends;
@@ -50,11 +50,13 @@
 //! quiescence test.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod comm;
 pub mod mailbox;
 mod progress;
+#[allow(unsafe_code)]
 pub mod queue;
 mod sampler;
 mod shared;
@@ -75,7 +77,7 @@ use ovcomm_verify::VerifyMode;
 pub use comm::{RtComm, RtRankCtx, RtTransport, RtWin};
 
 use crate::comm::RtAgent;
-use crate::shared::{RtShared, RING_CAPACITY};
+use crate::shared::RtShared;
 
 /// Configuration of a runtime run — the analogue of the simulator's
 /// `SimConfig`.
@@ -224,7 +226,7 @@ where
     let shared = Arc::new(RtShared {
         epoch: Instant::now(),
         env,
-        mailbox: crate::mailbox::LockFreeMailbox::new(nranks, RING_CAPACITY),
+        mailbox: Mutex::new(crate::mailbox::Mailbox::new()),
         progress: crate::progress::Pool::new(),
         prof,
         live: AtomicUsize::new(nranks),

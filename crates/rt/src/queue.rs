@@ -1,13 +1,13 @@
-//! Lock-free queues for the runtime's fast path.
+//! Lock-free queues. Nothing in the runtime uses them: its matcher is a
+//! locked `Mailbox` (see [`crate::mailbox`]). The module is kept only
+//! because the benchmark's `rt.spsc_ns` / `rt.mpsc_ns` probes time it;
+//! it goes together with those probes.
 //!
-//! Two shapes, matched to the two kinds of posting thread the runtime has:
+//! Two shapes:
 //!
-//! * [`SpscRing`] — a bounded single-producer/single-consumer ring. Each
-//!   rank thread owns one ring per mailbox router; the envelope FIFO of
-//!   everything that rank posts is exactly the ring order.
-//! * [`MpscQueue`] — an unbounded multi-producer injector (Vyukov's
-//!   intrusive MPSC design). Progress-pool workers — whose identities are
-//!   dynamic and short-lived — post through it instead of owning rings.
+//! * [`SpscRing`] — a bounded single-producer/single-consumer ring.
+//! * [`MpscQueue`] — an unbounded multi-producer queue (Vyukov's
+//!   intrusive MPSC design).
 //!
 //! Both import their atomics from [`crate::sync`], so a build with
 //! `RUSTFLAGS="--cfg loom"` swaps in the loom shim's model-checked
@@ -15,10 +15,10 @@
 //! queue protocols are exercised under randomized interleavings
 //! (`tests/loom.rs`).
 //!
-//! Consumer-side exclusivity is a *caller* contract (the mailbox router
-//! enforces it with its drain baton), so the consumer-side and
-//! producer-side methods are `unsafe fn`s with documented contracts
-//! rather than silently unsound safe APIs.
+//! Consumer-side exclusivity is a *caller* contract, so the consumer-side
+//! and producer-side methods are `unsafe fn`s with documented contracts
+//! rather than silently unsound safe APIs. This is the one module of the
+//! crate allowed `unsafe` code.
 
 use std::cell::UnsafeCell;
 use std::ptr;

@@ -16,10 +16,10 @@
 //! All samples land in *histograms*: wall-clock sampling is inherently
 //! nondeterministic, and histograms-of-samples keep the full occupancy
 //! distribution (median queue depth vs. spikes) rather than one final
-//! value. Every gauge reads matcher-maintained atomics, so the sampler
-//! touches nothing on the rank threads' hot paths — its overhead is
-//! bounded by the sampling frequency, which the `rt_sampler_overhead`
-//! test pins.
+//! value. The two mailbox gauges are read under one take of the mailbox
+//! lock per tick; the others read atomics. So the sampler's cost to the
+//! rank threads is bounded by the sampling frequency, which the
+//! `rt_sampler_overhead` test pins.
 
 use crate::sync::Ordering;
 use std::sync::mpsc;
@@ -52,8 +52,12 @@ pub(crate) fn start(shared: Arc<RtShared>, interval: Duration) -> Option<Sampler
             // interval of shutdown latency.
             while let Err(mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
                 pool_queue_depth.record(shared.env.metrics.pool_occupancy.get());
-                mailbox_slots.record(shared.mailbox.unmatched_sends() as u64);
-                posted_recvs.record(shared.mailbox.posted_recvs() as u64);
+                let (sends, recvs) = {
+                    let mb = shared.mailbox.lock();
+                    (mb.unmatched_sends(), mb.posted_recvs())
+                };
+                mailbox_slots.record(sends as u64);
+                posted_recvs.record(recvs as u64);
                 blocked_ranks.record(shared.blocked.load(Ordering::Relaxed) as u64);
                 samples.inc();
             }

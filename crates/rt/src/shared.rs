@@ -1,17 +1,18 @@
-//! Shared runtime state: the wall clock, the mailbox matching layer, and
-//! the blocking-wait protocol.
+//! Shared runtime state: the wall clock, the envelope matcher, and the
+//! blocking-wait protocol.
 //!
 //! Unlike the simulator — where a virtual-time engine owns the clock and
 //! message transport is modeled by network flows — here everything is
 //! real: the clock is `Instant::elapsed` since the run's epoch, payloads
-//! move by reference through the lock-free mailbox router, and a blocked
-//! rank yield-polls, then parks its thread on a condvar until a completion
+//! move by reference through the locked mailbox, and a blocked rank
+//! yield-polls, then parks its thread on a condvar until a completion
 //! wakes it.
 //! The post itself — the request, its verify event, the eager/rendezvous
 //! decision — is the shared front end's (`transport::post_send` /
 //! `post_recv`), as are the trace and the traffic counters (`CommEnv`);
-//! this module picks up at [`RtShared::post`] with an already-minted
-//! request. The *protocols* are simmpi's:
+//! this module picks up at [`RtShared::post_send`] /
+//! [`RtShared::post_recv`] with an already-minted request. The
+//! *protocols* are simmpi's:
 //!
 //! * **Eager** (`n < eager_limit`): the sender's request completed at post
 //!   time (the payload handle is "buffered" in the mailbox); the receive
@@ -22,13 +23,15 @@
 //!
 //! Matching follows MPI's non-overtaking rule per `(context, source,
 //! destination, tag)` envelope — FIFO queues, no wildcards — in the
-//! simulator's own matcher, the `Mailbox` behind the router.
+//! simulator's own matcher, one `Mailbox` behind one mutex. A post holds
+//! the lock only for the table update; the matched pair is completed after
+//! it is released.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::mailbox::{LockFreeMailbox, MatchPair, PostedOp};
+use crate::mailbox::{Mailbox, RecvPost, RtKey, SendPost};
 use crate::progress::Pool;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
@@ -46,11 +49,6 @@ pub(crate) const PARK_SLICE: Duration = Duration::from_millis(25);
 /// Yield-poll budget of a wait before it falls back to parking: fast
 /// completions skip the park/unpark round trip entirely. 50 µs.
 const SPIN_BUDGET: SimDur = SimDur(50_000);
-
-/// Per-producer ring depth of the lock-free mailbox router. Deep enough
-/// that a rank bursting nonblocking posts rarely self-drains; overflow is
-/// handled (the poster drains to make room), never dropped.
-pub(crate) const RING_CAPACITY: usize = 256;
 
 /// Pre-registered wall-clock-only profiling handles (`rt.*` metrics),
 /// feeding the same registry as the backend's `simmpi.*` handles. The
@@ -109,9 +107,9 @@ pub(crate) struct RtShared {
     /// metrics, verifier, plan cache, selector, profile, node map,
     /// registries, trace, traffic counters, rank end times.
     pub env: CommEnv,
-    /// The envelope-matching layer: per-rank SPSC rings + an MPSC injector
-    /// in front of the sequential tables (see [`crate::mailbox`]).
-    pub mailbox: LockFreeMailbox<Slot, RecvEntry>,
+    /// The envelope matcher (see [`crate::mailbox`]), locked for each
+    /// post and each sampler tick.
+    pub mailbox: Mutex<Mailbox<Slot, RecvEntry>>,
     /// The progress engine: the worker pool nonblocking-collective jobs
     /// run on.
     pub progress: Pool,
@@ -204,20 +202,23 @@ impl RtShared {
         out
     }
 
-    /// Hand `op`, posted by agent `agent` of world rank `rank`, to the
-    /// mailbox router and deliver every match the drain it triggers
-    /// surfaces. Runs inline on the caller.
-    pub fn post(&self, agent: u32, rank: u32, op: PostedOp<Slot, RecvEntry>) {
-        // Rank agents' ids equal their world rank; operation agents' never
-        // do. Only a rank thread may produce into its rank's ring.
-        let producer = (agent == rank).then_some(rank as usize);
-        let mut out = Vec::new();
-        // Safety: `producer` is `Some(rank)` only for rank `rank`'s own
-        // agent, which only ever runs on its own OS thread — the
-        // single-producer contract.
-        unsafe { self.mailbox.post(producer, op, &mut out) };
-        for m in out {
-            self.deliver_match(m);
+    /// Post a send's slot on `key`: match the oldest waiting receive or
+    /// park the slot, under the mailbox lock. A match is delivered after
+    /// the lock is released. Runs inline on the caller.
+    pub fn post_send(&self, key: RtKey, slot: Slot) {
+        let posted = self.mailbox.lock().post_send(key, slot);
+        if let SendPost::Matched { send, recv } = posted {
+            self.deliver_match(key, send, recv);
+        }
+    }
+
+    /// Post a receive on `key`: match the oldest parked send or queue the
+    /// entry, under the mailbox lock. A match is delivered after the lock
+    /// is released. Runs inline on the caller.
+    pub fn post_recv(&self, key: RtKey, entry: RecvEntry) {
+        let posted = self.mailbox.lock().post_recv(key, entry);
+        if let RecvPost::Matched { send, recv } = posted {
+            self.deliver_match(key, send, recv);
         }
     }
 
@@ -225,16 +226,10 @@ impl RtShared {
     /// attribute any rendezvous stall to the rank whose partner was late,
     /// record the happens-before edge, and complete both requests.
     ///
-    /// Runs on whichever thread discovered the match — possibly a
-    /// different poster acting as matcher. Pairs are independent (distinct
-    /// requests),
-    /// so delivery order across pairs is free.
-    fn deliver_match(&self, m: MatchPair<Slot, RecvEntry>) {
-        let MatchPair {
-            key,
-            send,
-            recv: (recv_req, recv_posted_at),
-        } = m;
+    /// Runs on the thread whose post made the match, outside the mailbox
+    /// lock. Pairs are independent (distinct requests), so delivery order
+    /// across pairs is free.
+    fn deliver_match(&self, key: RtKey, send: Slot, (recv_req, recv_posted_at): RecvEntry) {
         self.env
             .record_match(send.sender_req.verify_id(), recv_req.verify_id());
         let now = self.now();

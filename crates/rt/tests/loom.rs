@@ -7,20 +7,18 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p ovcomm-rt --test loom
 //! ```
 //!
-//! The harness drives the *production* router,
-//! [`ovcomm_rt::mailbox::LockFreeMailbox`], and the production queues from
-//! concurrent model threads. The `Mailbox` under the router is also the
-//! simulator's envelope matcher (`ovcomm_simmpi::mailbox`), so the FIFO
-//! pairing checked here is the one both backends match by. The envelope
-//! tests wrap it in a miniature runtime with the shape of
-//! `RtShared::{post, deliver_match}`: a post goes through
-//! `LockFreeMailbox::post`, whoever holds the drain baton
-//! surfaces the matches — its own or another thread's — and completes
-//! *every* pair it was handed (the lost-wakeup-prone part), and waiters
-//! block on a mutex+condvar completion cell. The loom scheduler explores
+//! Nine tests in three groups. The envelope tests drive the production
+//! matcher, [`ovcomm_rt::mailbox::Mailbox`] — also the simulator's
+//! (`ovcomm_simmpi::mailbox`), so the FIFO pairing checked here is the one
+//! both backends match by — inside a miniature runtime with the shape of
+//! `RtShared::{post_send, post_recv, deliver_match}`: a post locks the
+//! mailbox, posts, releases the lock, and only then completes the matched
+//! pair (the lost-wakeup-prone part); waiters block on a mutex+condvar
+//! completion cell. The queue tests drive `ovcomm_rt::queue`, and the
+//! window tests the one-sided window core. The loom scheduler explores
 //! randomized interleavings of every lock acquire, condvar wait/notify,
-//! and atomic access, and its deadlock detector turns any lost wakeup,
-//! stranded post or handshake hole into a test failure naming the seed.
+//! and atomic access, and its deadlock detector turns any lost wakeup or
+//! handshake hole into a test failure naming the seed.
 
 #![cfg(loom)]
 
@@ -28,7 +26,7 @@ use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
 
-use ovcomm_rt::mailbox::{LockFreeMailbox, MatchPair, PostedOp, RtKey};
+use ovcomm_rt::mailbox::{Mailbox, RecvPost, RtKey, SendPost};
 use ovcomm_rt::queue::{MpscQueue, Popped, SpscRing};
 use ovcomm_simmpi::rma::{StagedOp, WinCore};
 use ovcomm_simmpi::Payload;
@@ -83,38 +81,31 @@ struct MiniSlot {
     eager: bool,
 }
 
-/// The mini runtime: the production router under the production sync
-/// primitives, with the same post-then-complete-every-surfaced-pair shape
-/// as `RtShared::{post, deliver_match}`. Two model threads play ranks 0
-/// and 1, each the sole producer of its own ring.
+/// The mini runtime: the production matcher under a loom mutex, posted
+/// to the way `RtShared::{post_send, post_recv}` post — lock, post,
+/// release, then complete the matched pair.
 struct MiniRt {
-    mailbox: LockFreeMailbox<MiniSlot, Arc<CompletionCell<u64>>>,
+    mailbox: Mutex<Mailbox<MiniSlot, Arc<CompletionCell<u64>>>>,
 }
 
 impl MiniRt {
     fn new() -> MiniRt {
         MiniRt {
-            mailbox: LockFreeMailbox::new(2, 4),
+            mailbox: Mutex::new(Mailbox::new()),
         }
     }
 
-    /// Hand `op` to the router as rank `me` and complete every pair the
-    /// drain surfaces — possibly another thread's, never under a lock.
-    fn post(&self, me: usize, op: PostedOp<MiniSlot, Arc<CompletionCell<u64>>>) {
-        let mut out = Vec::new();
-        // Safety: each model thread passes its own rank and nothing else.
-        unsafe { self.mailbox.post(Some(me), op, &mut out) };
-        for MatchPair { send, recv, .. } in out {
-            if !send.eager {
-                send.sender.complete(());
-            }
-            recv.complete(send.payload);
+    /// Complete a matched pair, outside the mailbox lock.
+    fn deliver(send: MiniSlot, recv: Arc<CompletionCell<u64>>) {
+        if !send.eager {
+            send.sender.complete(());
         }
+        recv.complete(send.payload);
     }
 
-    /// Post a send as rank `me`; eager sends complete at post, rendezvous
-    /// at match. Returns the sender's completion cell.
-    fn isend(&self, me: usize, key: RtKey, payload: u64, eager: bool) -> Arc<CompletionCell<()>> {
+    /// Post a send; eager sends complete at post, rendezvous at match.
+    /// Returns the sender's completion cell.
+    fn isend(&self, key: RtKey, payload: u64, eager: bool) -> Arc<CompletionCell<()>> {
         let sender = Arc::new(CompletionCell::new());
         if eager {
             sender.complete(());
@@ -124,25 +115,25 @@ impl MiniRt {
             sender: sender.clone(),
             eager,
         };
-        self.post(me, PostedOp::Send { key, slot });
+        let posted = self.mailbox.lock().post_send(key, slot);
+        if let SendPost::Matched { send, recv } = posted {
+            MiniRt::deliver(send, recv);
+        }
         sender
     }
 
-    /// Post a receive as rank `me`; returns the receiver's completion cell.
-    fn irecv(&self, me: usize, key: RtKey) -> Arc<CompletionCell<u64>> {
+    /// Post a receive; returns the receiver's completion cell.
+    fn irecv(&self, key: RtKey) -> Arc<CompletionCell<u64>> {
         let entry = Arc::new(CompletionCell::new());
-        self.post(
-            me,
-            PostedOp::Recv {
-                key,
-                entry: entry.clone(),
-            },
-        );
+        let posted = self.mailbox.lock().post_recv(key, entry.clone());
+        if let RecvPost::Matched { send, recv } = posted {
+            MiniRt::deliver(send, recv);
+        }
         entry
     }
 
     fn drained(&self) -> bool {
-        self.mailbox.unmatched_sends() == 0 && self.mailbox.posted_recvs() == 0
+        self.mailbox.lock().is_drained()
     }
 }
 
@@ -153,9 +144,9 @@ fn eager_match_commutes_with_post_order() {
     loom::model_with(SCHEDULES, 0xA11CE, || {
         let rt = Arc::new(MiniRt::new());
         let rts = rt.clone();
-        let sender = thread::spawn(move || rts.isend(0, key(1), 42, true).wait());
+        let sender = thread::spawn(move || rts.isend(key(1), 42, true).wait());
         let rtr = rt.clone();
-        let receiver = thread::spawn(move || rtr.irecv(1, key(1)).wait());
+        let receiver = thread::spawn(move || rtr.irecv(key(1)).wait());
         sender.join().unwrap();
         assert_eq!(receiver.join().unwrap(), 42);
         assert!(rt.drained());
@@ -171,15 +162,15 @@ fn fifo_matching_never_overtakes() {
         let rt = Arc::new(MiniRt::new());
         let rts = rt.clone();
         let sender = thread::spawn(move || {
-            let s1 = rts.isend(0, key(9), 100, true);
-            let s2 = rts.isend(0, key(9), 200, true);
+            let s1 = rts.isend(key(9), 100, true);
+            let s2 = rts.isend(key(9), 200, true);
             s1.wait();
             s2.wait();
         });
         let rtr = rt.clone();
         let receiver = thread::spawn(move || {
-            let r1 = rtr.irecv(1, key(9));
-            let r2 = rtr.irecv(1, key(9));
+            let r1 = rtr.irecv(key(9));
+            let r2 = rtr.irecv(key(9));
             (r1.wait(), r2.wait())
         });
         sender.join().unwrap();
@@ -200,7 +191,7 @@ fn rendezvous_completion_waits_for_the_receiver() {
         let rts = rt.clone();
         let flag = recv_posted.clone();
         let sender = thread::spawn(move || {
-            let req = rts.isend(0, key(5), 7, false);
+            let req = rts.isend(key(5), 7, false);
             req.wait();
             // Rendezvous: by the time the send completes, the receive must
             // have been posted (eager buffering is not allowed here).
@@ -213,7 +204,7 @@ fn rendezvous_completion_waits_for_the_receiver() {
         let flag2 = recv_posted.clone();
         let receiver = thread::spawn(move || {
             flag2.store(true, Ordering::SeqCst);
-            rtr.irecv(1, key(5)).wait()
+            rtr.irecv(key(5)).wait()
         });
         sender.join().unwrap();
         assert_eq!(receiver.join().unwrap(), 7);
@@ -223,7 +214,7 @@ fn rendezvous_completion_waits_for_the_receiver() {
 
 /// Concurrent SPSC push/pop through a deliberately tiny ring: FIFO order
 /// must hold and the full-ring `Err` path must hand the value back intact
-/// for the retry (the production ring-full backoff loop).
+/// for the retry.
 #[test]
 fn spsc_ring_concurrent_push_pop_stays_fifo() {
     loom::model_with(SCHEDULES, 0x59C0, || {
@@ -253,7 +244,7 @@ fn spsc_ring_concurrent_push_pop_stays_fifo() {
     });
 }
 
-/// Two concurrent producers against one consumer: the MPSC injector must
+/// Two concurrent producers against one consumer: the MPSC queue must
 /// lose nothing and keep each producer's own order, and the consumer's
 /// view of a producer parked mid-push (`Inconsistent`) must resolve once
 /// that producer runs again.
@@ -286,170 +277,6 @@ fn mpsc_queue_concurrent_producers_preserve_per_producer_order() {
         assert!(pos(20) < pos(21), "producer B reordered: {got:?}");
         // Safety: still the only consumer.
         assert_eq!(unsafe { q.pop() }, Popped::Empty);
-    });
-}
-
-/// The drain-baton no-strand obligation: two rank threads post the two
-/// halves of one match concurrently; by the time both `post` calls have
-/// returned, the match must have surfaced in someone's out list — no
-/// final sweep allowed. A schedule where a failed baton CAS strands an
-/// enqueued op fails this count.
-#[test]
-fn lockfree_router_never_strands_a_concurrent_post() {
-    loom::model_with(SCHEDULES, 0x10CF, || {
-        let mb: Arc<LockFreeMailbox<u64, u64>> = Arc::new(LockFreeMailbox::new(2, 4));
-        let m0 = mb.clone();
-        let sender = thread::spawn(move || {
-            let mut out = Vec::new();
-            // Safety: this thread plays rank 0 — sole producer of ring 0.
-            unsafe {
-                m0.post(
-                    Some(0),
-                    PostedOp::Send {
-                        key: key(3),
-                        slot: 7u64,
-                    },
-                    &mut out,
-                )
-            };
-            out
-        });
-        let m1 = mb.clone();
-        let receiver = thread::spawn(move || {
-            let mut out = Vec::new();
-            // Safety: this thread plays rank 1 — sole producer of ring 1.
-            unsafe {
-                m1.post(
-                    Some(1),
-                    PostedOp::Recv {
-                        key: key(3),
-                        entry: 40u64,
-                    },
-                    &mut out,
-                )
-            };
-            out
-        });
-        let mut matches = sender.join().unwrap();
-        matches.extend(receiver.join().unwrap());
-        assert_eq!(matches.len(), 1, "match stranded or duplicated");
-        let MatchPair { send, recv, .. } = &matches[0];
-        assert_eq!((*send, *recv), (7, 40));
-        assert_eq!((mb.unmatched_sends(), mb.posted_recvs()), (0, 0));
-    });
-}
-
-/// Same-envelope FIFO through the lock-free router under concurrency:
-/// whatever interleaving drains the rings, the first-posted send must
-/// pair with the first-posted receive (MPI non-overtaking).
-#[test]
-fn lockfree_router_pairs_same_envelope_in_fifo_order() {
-    loom::model_with(SCHEDULES, 0xF1F1, || {
-        let mb: Arc<LockFreeMailbox<u64, u64>> = Arc::new(LockFreeMailbox::new(2, 4));
-        let m0 = mb.clone();
-        let sender = thread::spawn(move || {
-            let mut out = Vec::new();
-            // Safety: this thread plays rank 0 — sole producer of ring 0.
-            unsafe {
-                m0.post(
-                    Some(0),
-                    PostedOp::Send {
-                        key: key(9),
-                        slot: 100u64,
-                    },
-                    &mut out,
-                );
-                m0.post(
-                    Some(0),
-                    PostedOp::Send {
-                        key: key(9),
-                        slot: 200u64,
-                    },
-                    &mut out,
-                );
-            }
-            out
-        });
-        let m1 = mb.clone();
-        let receiver = thread::spawn(move || {
-            let mut out = Vec::new();
-            // Safety: this thread plays rank 1 — sole producer of ring 1.
-            unsafe {
-                m1.post(
-                    Some(1),
-                    PostedOp::Recv {
-                        key: key(9),
-                        entry: 1u64,
-                    },
-                    &mut out,
-                );
-                m1.post(
-                    Some(1),
-                    PostedOp::Recv {
-                        key: key(9),
-                        entry: 2u64,
-                    },
-                    &mut out,
-                );
-            }
-            out
-        });
-        let mut matches = sender.join().unwrap();
-        matches.extend(receiver.join().unwrap());
-        assert_eq!(matches.len(), 2);
-        matches.sort_by_key(|m| m.recv);
-        let pairs: Vec<(u64, u64)> = matches.iter().map(|m| (m.send, m.recv)).collect();
-        assert_eq!(pairs, vec![(100, 1), (200, 2)], "non-overtaking violated");
-        assert_eq!((mb.unmatched_sends(), mb.posted_recvs()), (0, 0));
-    });
-}
-
-/// A rank-thread ring post racing a progress-worker injector post
-/// (`producer: None`): the two queue kinds must merge through the same
-/// baton without losing either half of the match — including schedules
-/// that catch the injector's mid-push `Inconsistent` window.
-#[test]
-fn lockfree_router_merges_ring_and_injector_posts() {
-    loom::model_with(SCHEDULES, 0x1B0C, || {
-        let mb: Arc<LockFreeMailbox<u64, u64>> = Arc::new(LockFreeMailbox::new(2, 4));
-        let m0 = mb.clone();
-        let rank = thread::spawn(move || {
-            let mut out = Vec::new();
-            // Safety: this thread plays rank 0 — sole producer of ring 0.
-            unsafe {
-                m0.post(
-                    Some(0),
-                    PostedOp::Recv {
-                        key: key(6),
-                        entry: 40u64,
-                    },
-                    &mut out,
-                )
-            };
-            out
-        });
-        let mw = mb.clone();
-        let worker = thread::spawn(move || {
-            let mut out = Vec::new();
-            // Progress workers have no ring: `None` routes via the
-            // injector (safe for any thread).
-            unsafe {
-                mw.post(
-                    None,
-                    PostedOp::Send {
-                        key: key(6),
-                        slot: 7u64,
-                    },
-                    &mut out,
-                )
-            };
-            out
-        });
-        let mut matches = rank.join().unwrap();
-        matches.extend(worker.join().unwrap());
-        assert_eq!(matches.len(), 1, "ring/injector match stranded");
-        assert_eq!((matches[0].send, matches[0].recv), (7, 40));
-        assert_eq!((mb.unmatched_sends(), mb.posted_recvs()), (0, 0));
     });
 }
 
@@ -624,15 +451,15 @@ fn disjoint_envelopes_do_not_interfere() {
         let rt = Arc::new(MiniRt::new());
         let rta = rt.clone();
         let a = thread::spawn(move || {
-            let s = rta.isend(0, key(1), 111, true);
-            let r = rta.irecv(0, key(2));
+            let s = rta.isend(key(1), 111, true);
+            let r = rta.irecv(key(2));
             s.wait();
             r.wait()
         });
         let rtb = rt.clone();
         let b = thread::spawn(move || {
-            let s = rtb.isend(1, key(2), 222, false);
-            let r = rtb.irecv(1, key(1));
+            let s = rtb.isend(key(2), 222, false);
+            let r = rtb.irecv(key(1));
             s.wait();
             r.wait()
         });

@@ -5,16 +5,16 @@
 //! tag)` [`Envelope`], no wildcards, non-overtaking — is a data structure
 //! here, so it can be model-checked in isolation. Only who drives it
 //! differs per backend: the simulator posts into it from engine callbacks
-//! under its state lock (`p2p`), and `ovcomm-rt` puts a lock-free router
-//! in front of it (`LockFreeMailbox`), whose loom harness drives it from
-//! concurrent model threads under randomized schedules.
+//! under its state lock (`p2p`), and `ovcomm-rt` posts into it from rank
+//! and progress threads under a mutex of its own, whose loom harness
+//! drives it from concurrent model threads under randomized schedules.
 //!
 //! The mailbox is generic over what a parked send (`S`) and a parked
 //! receive (`R`) carry, so the model harness can instantiate it with
 //! plain integers while the backends store payloads and requests.
 //!
-//! Exposed (hidden) for `ovcomm-rt`, which re-exports it next to its
-//! router.
+//! Exposed (hidden) for `ovcomm-rt`, which re-exports it as
+//! `ovcomm_rt::mailbox`.
 
 use std::collections::{HashMap, VecDeque};
 

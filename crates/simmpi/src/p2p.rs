@@ -3,7 +3,8 @@
 //! (`transport::post_send` / `post_recv`) and the agent's
 //! `Transport::inject_*` has scheduled this module's engine callbacks at
 //! the poster's clock. Those callbacks match through the shared
-//! `Mailbox` (the same matcher rt's router drives) and start the flows.
+//! `Mailbox` (the same matcher rt posts to under its lock) and start the
+//! flows.
 //!
 //! Timing model (constants from [`ovcomm_simnet::MachineProfile`]):
 //!

@@ -5,7 +5,7 @@
 //!
 //! All `MpiState` mutations happen under the single state lock, from engine
 //! callbacks (message injection, arrival, pairing). Matching is the shared
-//! [`Mailbox`] — the runtime's router drives the same one — so two
+//! [`Mailbox`] — the runtime locks the same one — so two
 //! messages on one `(context, source, destination, tag)` envelope can
 //! never pass each other. What is left here is the simulator's own half:
 //! an eager message's data travels in its flow, and whichever of the

@@ -357,8 +357,8 @@ pub(crate) fn wait<T: Transport, V>(agent: &T, req: &Request<V>) -> V {
 /// * `sleep` — a timer event the fiber parks on (so a `test`-poll loop
 ///   yields to the engine) vs. a real, capped `thread::sleep`;
 /// * `inject_send` / `inject_recv` — the posted [`Envelope`] reaches the
-///   shared matcher from an engine event at the agent's clock, or through
-///   the runtime's lock-free router;
+///   shared matcher from an engine event at the agent's clock, or under
+///   the runtime's mailbox lock;
 /// * `wait` / `complete` — park under the event engine and wake at a
 ///   virtual time, vs. spin-then-park an OS thread under the watchdog;
 /// * `spawn_op` — a fiber registered with the engine at post time vs. a
