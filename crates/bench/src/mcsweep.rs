@@ -3,20 +3,20 @@
 //!
 //! Where [`crate::sweep`] measures the algorithms, this sweep *verifies*
 //! them: each (collective, algorithm, p, n, root) cell compiles the
-//! per-rank plans and runs the stateful model checker
-//! ([`plan::model_check`]) over every receive-match interleaving at every
-//! eager/rendezvous cutpoint. The partial-order reduction makes the
-//! shipped (collision-free) builders deterministic to explore, so the
-//! full grid — all builders × p ∈ {2..17, 32, 64, 128} — finishes in
-//! seconds; it is in the fast regen set, so `ovcomm-bench regen --check`
-//! gates its per-cell counts and findings on every PR (the other CI gate
-//! is `mc_supports --fail-on-lint`, below).
+//! per-rank plans and runs the model checker ([`plan::model_check`]) at
+//! every eager/rendezvous cutpoint. One instance's envelope queues each
+//! have one producer in program order, so one deterministic pass per
+//! cutpoint covers every schedule, and the full grid — all builders ×
+//! p ∈ {2..17, 32, 64, 128} — finishes in seconds; it is in the fast
+//! regen set, so `ovcomm-bench regen --check` gates its per-cell counts
+//! and findings on every PR (the other CI gate is
+//! `mc_supports --fail-on-lint`, below).
 //!
 //! Beyond the per-shape grid the sweep checks:
 //!
 //! * **Compositions**: dup'd (distinct contexts) and sequenced (distinct
 //!   sequence numbers) instance pairs must stay isolated — no tag-space
-//!   overlap, no cross-instance matches.
+//!   overlap — and each member must check clean.
 //! * **`supports` honesty** ([`supports_sweep`], `ovcomm-bench mc_supports`): for
 //!   every algorithm and every p ∈ 1..=256, either
 //!   `CollAlgo::supports(p)` is false, or the builder must produce plans
@@ -45,16 +45,12 @@ pub struct McSweepRecord {
     pub n: usize,
     /// Collective root (0 for rootless collectives).
     pub root: usize,
-    /// Protocol cutpoints explored.
+    /// Protocol cutpoints checked.
     pub cutpoints: usize,
-    /// Interleaving states explored beyond the deterministic pass.
-    pub states: usize,
     /// Total scheduler actions executed.
     pub actions: usize,
     /// Rendered findings (must be empty for a healthy build).
     pub findings: Vec<String>,
-    /// Whether any cutpoint hit the state budget (treated as a failure).
-    pub truncated: bool,
 }
 
 /// Aggregate of one sweep run.
@@ -68,8 +64,6 @@ pub struct McSweepSummary {
     pub supports_checked: usize,
     /// Total findings across all cells (0 for a healthy build).
     pub findings: usize,
-    /// Total states explored.
-    pub states: usize,
     /// Wall-clock seconds for the whole sweep.
     pub seconds: f64,
 }
@@ -101,10 +95,8 @@ fn record(
         n,
         root,
         cutpoints: rep.cutpoints.len(),
-        states: rep.states,
         actions: rep.actions,
         findings: rep.findings.iter().map(|f| f.to_string()).collect(),
-        truncated: rep.truncated,
     }
 }
 
@@ -159,7 +151,6 @@ pub fn mc_sweep(full: bool) -> (Vec<McSweepRecord>, McSweepSummary) {
         composed,
         supports_checked: 0,
         findings: records.iter().map(|r| r.findings.len()).sum(),
-        states: records.iter().map(|r| r.states).sum(),
         seconds: t0.elapsed().as_secs_f64(),
     };
     (records, summary)
@@ -177,11 +168,9 @@ pub fn supports_sweep() -> (Vec<McSweepRecord>, McSweepSummary) {
     let t0 = std::time::Instant::now();
     let cfg = McConfig {
         cut_override: Some(vec![0]),
-        ..McConfig::default()
     };
     let mut records = Vec::new();
     let mut supports_checked = 0usize;
-    let mut states = 0usize;
     for &algo in CollAlgo::all() {
         for p in 1..=256usize {
             if !algo.supports(p) {
@@ -190,7 +179,6 @@ pub fn supports_sweep() -> (Vec<McSweepRecord>, McSweepSummary) {
             let root = root_for(algo, p);
             let plans = plan::build_all(algo.kind(), algo, p, 1024, root);
             let rep = plan::model_check_single(&plans, &cfg);
-            states += rep.states;
             if !rep.clean() {
                 records.push(record(algo, "single", p, 1024, root, &rep));
             }
@@ -202,7 +190,6 @@ pub fn supports_sweep() -> (Vec<McSweepRecord>, McSweepSummary) {
         composed: 0,
         supports_checked,
         findings: records.iter().map(|r| r.findings.len()).sum(),
-        states,
         seconds: t0.elapsed().as_secs_f64(),
     };
     (records, summary)

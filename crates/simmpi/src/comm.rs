@@ -37,13 +37,12 @@ use crate::universe::PlanCache;
 /// fresh plans per verification level `mode`: `Warn` lints and prints
 /// findings, `Strict` additionally model-checks the schedule at every
 /// eager/rendezvous cutpoint and panics on any finding. The check runs at
-/// any `p`: one instance has no contended envelope, so it is one
-/// deterministic pass per cutpoint and never branches. Each shape is
-/// analyzed — and its findings rendered — exactly once per run, at first
-/// compile. Backend-neutral: both the simulator and the `ovcomm-rt`
-/// wall-clock backend compile collectives through this exact path, so the
-/// `CollSelector` and the static-analysis wall behave identically on
-/// either.
+/// any `p`: it is one deterministic pass per cutpoint and never branches.
+/// Each shape is analyzed — and its findings rendered — exactly once per
+/// run, at first compile. Backend-neutral: both the simulator and the
+/// `ovcomm-rt` wall-clock backend compile collectives through this exact
+/// path, so the `CollSelector` and the static-analysis wall behave
+/// identically on either.
 pub fn compile_plans(
     cache: &parking_lot::Mutex<PlanCache>,
     sel: &CollSelector,

@@ -13,10 +13,9 @@
 //!
 //! so two instances can interfere **only** if their wire-tag namespaces
 //! overlap on the same context. [`check_compose`] proves that statically
-//! (tag-namespace disjointness); [`super::mc::model_check`] then explores
-//! the interleavings to prove match-isolation dynamically — and, when the
-//! namespaces do collide, produces the concrete interleaving where one
-//! instance steals another's message.
+//! (tag-namespace disjointness). Disjoint instances share no envelope, so
+//! [`super::mc::model_check`] checks each member on its own; a collision
+//! is reported as `mc-tag-overlap`, the composition's verdict.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -2,13 +2,15 @@
 //!
 //! Both reporters over a plan set — the [linter](super::lint) and the
 //! [model checker](super::mc) — run this machine; neither interprets a
-//! [`StepOp`] itself. It executes the plans of one or more composed
-//! instances with no clocks and no payloads, under the
+//! [`StepOp`] itself. It executes the plans of one instance, one agent
+//! per rank, with no clocks and no payloads, under the
 //! [execution contract](super): steps in program order, `Send`/`Recv`
 //! posting into strictly FIFO wire envelopes, a step waiting on its
 //! explicit `deps` and on the receives that produce the buffers it reads.
 //! A send of fewer than `eager_cut` bytes completes when posted; any other
-//! completes when matched.
+//! completes when matched. Each envelope queue is filled by one rank in
+//! program order, so the machine's one deterministic pass reaches the
+//! state every interleaving of the ranks reaches.
 //!
 //! Buffers carry *provenance segments* in place of bytes: every buffer
 //! byte is tracked as a logical position in the collective's `n`-byte
@@ -24,16 +26,15 @@
 //!
 //! | | linter | model checker |
 //! |---|---|---|
-//! | instances | one | any composition |
+//! | passes | one | one per composed member per protocol cutpoint |
 //! | eager cut | 0 (all rendezvous) | every protocol cutpoint |
-//! | posts held back for branching | none | contended envelope sides |
 //! | on a violation | keep going, collect all | halt, keep the trace |
 //!
 //! [`Machine::settle`] is an event-driven worklist over agent program
 //! counters: an agent re-runs only when one of its pending operations
 //! completes, so one pass is `O(steps + matches)` in time and memory.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::event::CollKind;
@@ -42,7 +43,7 @@ use super::compose::InstRef;
 use super::{chunk_bounds, BufId, CollPlan, StepOp};
 
 /// A set of contributing ranks (bitmask over the communicator).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RankSet(Vec<u64>);
 
 impl RankSet {
@@ -96,7 +97,7 @@ impl fmt::Display for RankSet {
 
 /// One provenance segment: `len` buffer bytes holding logical positions
 /// `lo..lo+len`, reduced over contributor set `mask`.
-#[derive(Debug, Clone, Hash)]
+#[derive(Debug, Clone)]
 pub(crate) struct Seg {
     pub(crate) len: usize,
     pub(crate) lo: usize,
@@ -221,23 +222,9 @@ pub(crate) fn expected_output(
 
 /// Wire envelope: `(ctx, src, dst, wire_tag)`.
 pub(crate) type Key = (u64, usize, usize, u64);
-/// One side of an envelope: its send queue (`false`) or its receive queue
-/// (`true`). Each side is filled by one rank in program order; matching is
-/// head-to-head across the two.
-pub(crate) type Side = (bool, Key);
-
-/// The envelope side rank `r` of `inst` posts `op` into (`None` for a
-/// local step).
-pub(crate) fn side_of(inst: &InstRef<'_>, r: usize, op: &StepOp) -> Option<Side> {
-    match *op {
-        StepOp::Send { peer, tag, .. } => Some((false, (inst.ctx, r, peer, inst.wire_tag(tag)))),
-        StepOp::Recv { peer, tag, .. } => Some((true, (inst.ctx, peer, r, inst.wire_tag(tag)))),
-        _ => None,
-    }
-}
 
 /// A posted, not-yet-matched operation.
-#[derive(Debug, Clone, Copy, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Post {
     pub(crate) agent: usize,
     pub(crate) step: usize,
@@ -248,14 +235,14 @@ pub(crate) struct Post {
 
 /// One executed action of an interleaving (compact; the model checker
 /// renders it to text when it reports a violation).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct TraceStep {
     pub(crate) agent: u32,
     pub(crate) step: u32,
     pub(crate) kind: TraceKind,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) enum TraceKind {
     PostSend {
         eager: bool,
@@ -269,16 +256,14 @@ pub(crate) enum TraceKind {
     Exec,
 }
 
-/// Something the machine found wrong. Agents are indices into
-/// [`Machine::agents`]; `what` is the part of a diagnosis both reporters
+/// Something the machine found wrong. An agent is a rank of the
+/// machine's instance; `what` is the part of a diagnosis both reporters
 /// print verbatim.
 #[derive(Debug)]
 pub(crate) enum Violation {
     /// A step read a buffer nothing produced; its agent is poisoned and
     /// executes no further.
     ReadUnproduced { at: usize, buf: BufId },
-    /// A send was consumed by a receive of another instance.
-    CrossMatch { key: Key, send: Post, recv: Post },
     /// A matched pair disagrees on the byte count.
     LenMismatch { key: Key, send: Post, recv: Post },
     /// Misplaced, missing or wrongly-reduced bytes: at a `Reduce` step, or
@@ -307,9 +292,7 @@ pub(crate) enum Violation {
     MissingOutput { at: usize },
 }
 
-/// Mutable execution state, indexed by agent — cloned at the model
-/// checker's branch points.
-#[derive(Clone)]
+/// Mutable execution state, indexed by agent.
 pub(crate) struct St {
     /// Program counter.
     pub(crate) pcs: Vec<usize>,
@@ -324,20 +307,18 @@ pub(crate) struct St {
     pub(crate) vals: Vec<Vec<Option<BufVal>>>,
     pub(crate) sends: BTreeMap<Key, VecDeque<Post>>,
     pub(crate) recvs: BTreeMap<Key, VecDeque<Post>>,
-    /// The interleaving so far (empty unless the machine explores).
+    /// The actions executed so far (empty unless the machine explores).
     pub(crate) trace: Vec<TraceStep>,
 }
 
-/// The symbolic machine over one composition: what is fixed for a run
+/// The symbolic machine over one instance: what is fixed for a run
 /// (plans, protocol cut, mode) plus what it has found and counted so far.
-/// The evolving [`St`] is passed in, so a caller can fork it.
+/// The evolving [`St`] is passed in, so the reporter can read it after.
 pub(crate) struct Machine<'a> {
-    insts: &'a [InstRef<'a>],
-    /// Per agent, per buffer: the producing step ([`super::structure::admit`]'s
-    /// tables, instances concatenated).
+    inst: InstRef<'a>,
+    /// Per agent, per buffer: the producing step
+    /// ([`super::structure::admit`]'s table).
     producers: &'a [Vec<Option<usize>>],
-    /// `(instance, rank)` of every schedule agent, instance-major.
-    pub(crate) agents: Vec<(usize, usize)>,
     pub(crate) eager_cut: usize,
     /// Model-checking mode: record the interleaving in [`St::trace`] and
     /// halt at the first violation. Off, nothing is recorded and execution
@@ -350,23 +331,17 @@ pub(crate) struct Machine<'a> {
 }
 
 impl<'a> Machine<'a> {
-    /// A machine over admitted plan sets (`producers` must come from
-    /// [`super::structure::admit`] on each instance, in order).
+    /// A machine over an admitted plan set (`producers` must come from
+    /// [`super::structure::admit`] on `inst`).
     pub(crate) fn new(
-        insts: &'a [InstRef<'a>],
+        inst: InstRef<'a>,
         producers: &'a [Vec<Option<usize>>],
         eager_cut: usize,
         explore: bool,
     ) -> Machine<'a> {
-        let agents = insts
-            .iter()
-            .enumerate()
-            .flat_map(|(i, inst)| (0..inst.plans.len()).map(move |r| (i, r)))
-            .collect();
         Machine {
-            insts,
+            inst,
             producers,
-            agents,
             eager_cut,
             explore,
             violations: Vec::new(),
@@ -374,22 +349,18 @@ impl<'a> Machine<'a> {
         }
     }
 
-    pub(crate) fn inst(&self, a: usize) -> &'a InstRef<'a> {
-        &self.insts[self.agents[a].0]
-    }
-
     pub(crate) fn plan(&self, a: usize) -> &'a CollPlan {
-        let (i, r) = self.agents[a];
-        &self.insts[i].plans[r]
+        &self.inst.plans[a]
     }
 
     pub(crate) fn initial(&self) -> St {
-        let plans = || (0..self.agents.len()).map(|a| self.plan(a));
+        let agents = self.inst.plans.len();
+        let plans = || self.inst.plans.iter();
         St {
-            pcs: vec![0; self.agents.len()],
+            pcs: vec![0; agents],
             done: plans().map(|pl| vec![false; pl.steps.len()]).collect(),
-            pending: vec![0; self.agents.len()],
-            poisoned: vec![false; self.agents.len()],
+            pending: vec![0; agents],
+            poisoned: vec![false; agents],
             vals: plans()
                 .map(|pl| {
                     let base = pl.input.map_or(0, |(o, _)| o);
@@ -432,7 +403,7 @@ impl<'a> Machine<'a> {
     /// Can agent `a`'s step `idx` run now? All explicit deps and all
     /// recv-producers of the buffers it reads must be complete (the
     /// executor's implicit drain of producing receives).
-    pub(crate) fn runnable(&self, st: &St, a: usize, idx: usize) -> bool {
+    fn runnable(&self, st: &St, a: usize, idx: usize) -> bool {
         let plan = self.plan(a);
         let step = &plan.steps[idx];
         let produced = |b: BufId| match self.producers[a][b.0 as usize] {
@@ -446,11 +417,6 @@ impl<'a> Machine<'a> {
                 StepOp::Reduce { a, b, .. } => produced(*a) && produced(*b),
                 StepOp::Copy { parts, .. } => parts.iter().all(|c| produced(c.buf)),
             }
-    }
-
-    /// The envelope side agent `a`'s step `idx` posts into.
-    pub(crate) fn side(&self, a: usize, idx: usize) -> Option<Side> {
-        side_of(self.inst(a), self.agents[a].1, &self.plan(a).steps[idx].op)
     }
 
     /// Read a buffer's provenance, poisoning the agent if never produced.
@@ -478,10 +444,6 @@ impl<'a> Machine<'a> {
             step: send.step as u32,
         };
         self.note(st, recv.agent, recv.step, kind);
-        if self.agents[send.agent].0 != self.agents[recv.agent].0 {
-            self.violations
-                .push(Violation::CrossMatch { key, send, recv });
-        }
         if send.bytes != recv.bytes {
             self.violations
                 .push(Violation::LenMismatch { key, send, recv });
@@ -512,18 +474,19 @@ impl<'a> Machine<'a> {
 
     /// Execute step `idx` of agent `a` (runnable, pc already advanced).
     /// Returns the agents a resulting match re-wakes.
-    pub(crate) fn execute(&mut self, st: &mut St, a: usize, idx: usize) -> Option<(usize, usize)> {
+    fn execute(&mut self, st: &mut St, a: usize, idx: usize) -> Option<(usize, usize)> {
         self.actions += 1;
         let plan = self.plan(a);
+        let inst = self.inst;
         match &plan.steps[idx].op {
             StepOp::Slack => self.note(st, a, idx, TraceKind::Exec),
-            &StepOp::Send { buf, .. } => {
+            &StepOp::Send { peer, buf, tag } => {
                 // The value must exist at post time (the runtime clones it
                 // here).
                 self.val(st, a, buf)?;
                 let bytes = plan.buf_len(buf);
                 let eager = bytes < self.eager_cut;
-                let (_, key) = self.side(a, idx)?;
+                let key = (inst.ctx, a, peer, inst.wire_tag(tag));
                 self.note(st, a, idx, TraceKind::PostSend { eager });
                 st.sends.entry(key).or_default().push_back(Post {
                     agent: a,
@@ -538,8 +501,8 @@ impl<'a> Machine<'a> {
                 }
                 return self.try_match(st, key);
             }
-            &StepOp::Recv { into, .. } => {
-                let (_, key) = self.side(a, idx)?;
+            &StepOp::Recv { peer, into, tag } => {
+                let key = (inst.ctx, peer, a, inst.wire_tag(tag));
                 self.note(st, a, idx, TraceKind::PostRecv);
                 st.recvs.entry(key).or_default().push_back(Post {
                     agent: a,
@@ -607,14 +570,13 @@ impl<'a> Machine<'a> {
         None
     }
 
-    /// Run every agent as far as it can go without executing a post into
-    /// one of the `held` envelope sides (the caller's branch points).
-    /// Every other action is confluent — each queue has one producer in
-    /// program order — so this deterministic closure reaches the same
-    /// state as any interleaving.
-    pub(crate) fn settle(&mut self, st: &mut St, held: &BTreeSet<Side>) {
-        let mut queue: VecDeque<usize> = (0..self.agents.len()).collect();
-        let mut queued = vec![true; self.agents.len()];
+    /// Run every agent as far as it can go. Every action is confluent —
+    /// each queue has one producer in program order — so this
+    /// deterministic closure reaches the same state as any interleaving.
+    pub(crate) fn settle(&mut self, st: &mut St) {
+        let agents = self.inst.plans.len();
+        let mut queue: VecDeque<usize> = (0..agents).collect();
+        let mut queued = vec![true; agents];
         while let Some(a) = queue.pop_front() {
             queued[a] = false;
             while !st.poisoned[a] && st.pcs[a] < self.plan(a).steps.len() {
@@ -622,9 +584,7 @@ impl<'a> Machine<'a> {
                     return;
                 }
                 let idx = st.pcs[a];
-                if !self.runnable(st, a, idx)
-                    || self.side(a, idx).is_some_and(|s| held.contains(&s))
-                {
+                if !self.runnable(st, a, idx) {
                     break;
                 }
                 st.pcs[a] = idx + 1;
@@ -645,7 +605,7 @@ impl<'a> Machine<'a> {
     /// wrong — outputs that are not what the collective promises.
     pub(crate) fn terminal(&self, st: &St) -> Vec<Violation> {
         let mut out = Vec::new();
-        let stuck: Vec<usize> = (0..self.agents.len())
+        let stuck: Vec<usize> = (0..self.inst.plans.len())
             .filter(|&a| {
                 !st.poisoned[a] && (st.pcs[a] < self.plan(a).steps.len() || st.pending[a] > 0)
             })
@@ -662,7 +622,7 @@ impl<'a> Machine<'a> {
         if !out.is_empty() || !self.violations.is_empty() {
             return out;
         }
-        for at in 0..self.agents.len() {
+        for at in 0..self.inst.plans.len() {
             let plan = self.plan(at);
             let expect = expected_output(plan.kind, plan.p, plan.n, plan.root, plan.me);
             let (want, got) = match (&expect, plan.output) {

@@ -2,11 +2,10 @@
 //! the plan module's one symbolic executor (private `exec`).
 //!
 //! Given the plans of **all** ranks of one collective instance, the linter
-//! checks them for structure, runs the executor once — one instance,
-//! every send rendezvous, nothing held back for branching, no trace — and
-//! renders **every** violation it collects (the
-//! [model checker](super::mc) drives the same machine over compositions
-//! and protocol cutpoints and stops at the first):
+//! checks them for structure, runs the executor once — every send
+//! rendezvous, no trace — and renders **every** violation it collects
+//! (the [model checker](super::mc) runs the same machine once per
+//! protocol cutpoint and composed member, and stops at the first):
 //!
 //! * structural defects (`plan-bad-structure`): out-of-range buffers,
 //!   peers, deps, reads of never-produced buffers, missing/unexpected
@@ -26,8 +25,6 @@
 //!   contribution summed twice (`plan-double-count`).
 //!
 //! One pass is `O(steps + matches)` at any communicator size.
-
-use std::collections::BTreeSet;
 
 use super::compose::{InstRef, INTERNAL_BIT};
 use super::exec::{Key, Machine, St, Violation};
@@ -49,7 +46,6 @@ fn render(plans: &[CollPlan], st: &St, v: Violation) -> PlanFinding {
             rank: at,
             detail: format!("step reads buffer b{} before it is produced", buf.0),
         },
-        Violation::CrossMatch { .. } => unreachable!("one instance has nothing to cross-match"),
         Violation::LenMismatch { key, send, recv } => PlanFinding::LenMismatch {
             from: key.1,
             to: key.2,
@@ -109,14 +105,14 @@ pub fn lint_plans(plans: &[CollPlan]) -> Vec<PlanFinding> {
         Ok(producers) => producers,
         Err(findings) => return findings,
     };
-    let inst = [InstRef {
+    let inst = InstRef {
         ctx: 0,
         seq: 0,
         plans,
-    }];
-    let mut m = Machine::new(&inst, &producers, 0, false);
+    };
+    let mut m = Machine::new(inst, &producers, 0, false);
     let mut st = m.initial();
-    m.settle(&mut st, &BTreeSet::new());
+    m.settle(&mut st);
     let mut at_end = m.terminal(&st);
     // Unmatched posts read best before the deadlock they cause.
     if matches!(at_end.first(), Some(Violation::Stuck { .. })) {

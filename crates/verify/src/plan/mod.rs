@@ -10,9 +10,10 @@
 //! steps) behind two reporters. The [linter](lint) runs it once over one
 //! instance with every send rendezvous and lists everything wrong:
 //! send/recv matching, chunk-coverage completeness, in-plan deadlock
-//! freedom. The [model checker](mc) drives it over [composed](compose)
-//! instances, every eager/rendezvous cutpoint and every match order,
-//! and reports the first violation of each with its interleaving.
+//! freedom. The [model checker](mc) runs it once per eager/rendezvous
+//! cutpoint for each member of a [composition](compose) whose wire
+//! namespaces it has proven disjoint, and reports the first violation of
+//! each code with its interleaving.
 //!
 //! ## Execution contract
 //!

@@ -344,7 +344,6 @@ const CORPUS: [Golden; 14] = [
 fn lint_output_is_pinned_for_the_planted_bug_corpus() {
     let rendezvous_only = McConfig {
         cut_override: Some(vec![0]),
-        ..Default::default()
     };
     for Golden(name, plans, want) in CORPUS {
         let plans = plans();

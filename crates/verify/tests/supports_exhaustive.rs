@@ -27,7 +27,6 @@ fn root_for(algo: CollAlgo, p: usize) -> usize {
 fn rendezvous_cfg() -> McConfig {
     McConfig {
         cut_override: Some(vec![0]),
-        ..McConfig::default()
     }
 }
 
