@@ -45,7 +45,8 @@ pub struct SweepRecord {
     pub seconds: f64,
     /// Total messages across all ranks' plans.
     pub messages: usize,
-    /// Static plan-lint findings (must be empty for a healthy build).
+    /// Findings of the static plan check at the all-rendezvous cutpoint
+    /// (`plan::lint_plans`; must be empty for a healthy build).
     pub lint_findings: Vec<String>,
 }
 

@@ -16,7 +16,7 @@
 //! | method | why the runtime needs its own |
 //! |---|---|
 //! | `NAME` | `"rt"` |
-//! | `id` / `rank` / `next_op_index` | the agent's identity lives next to its park cell |
+//! | `id` / `rank` | the agent's identity lives next to its park cell |
 //! | `env` | the shared `CommEnv` is embedded in [`RtShared`] |
 //! | `now` | time is the wall: ns since the run's epoch |
 //! | `charge` | a post, a copy, a round's slack, modeled compute: the real cost *is* the code — nothing to model |
@@ -28,7 +28,7 @@
 //! | `rma_transfer` | the bytes are already in shared memory: record the edge, complete |
 //! | `path_latency` | a lock grant is a condvar wake — no α to charge |
 
-use crate::sync::{AtomicU64, Ordering};
+use crate::sync::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,9 +50,6 @@ pub struct RtAgent {
     pub(crate) id: u32,
     pub(crate) rank: u32,
     pub(crate) cell: Arc<ParkCell>,
-    /// Counter of nonblocking operations posted by this rank (mints op
-    /// actor ids). Only rank agents use it.
-    pub(crate) op_counter: Arc<AtomicU64>,
     pub(crate) shared: Arc<RtShared>,
 }
 
@@ -79,7 +76,6 @@ impl RtAgent {
             id,
             rank,
             cell: Arc::new(ParkCell::new()),
-            op_counter: Arc::new(AtomicU64::new(0)),
             shared,
         }
     }
@@ -94,10 +90,6 @@ impl Transport for RtAgent {
 
     fn rank(&self) -> u32 {
         self.rank
-    }
-
-    fn next_op_index(&self) -> u64 {
-        self.op_counter.fetch_add(1, Ordering::Relaxed)
     }
 
     fn env(&self) -> &CommEnv {

@@ -35,9 +35,6 @@ pub struct Agent {
     pub(crate) rank: u32,
     clock: Arc<AtomicU64>,
     seq: Arc<AtomicU64>,
-    /// Counter of nonblocking operations posted by this rank (used to mint
-    /// deterministic operation-actor ids). Only rank agents use it.
-    op_counter: Arc<AtomicU64>,
     pub(crate) cell: Arc<ParkCell>,
     pub(crate) uni: Arc<UniShared>,
 }
@@ -50,7 +47,6 @@ impl Agent {
             rank,
             clock: Arc::new(AtomicU64::new(0)),
             seq: Arc::new(AtomicU64::new(0)),
-            op_counter: Arc::new(AtomicU64::new(0)),
             cell,
             uni,
         }
@@ -69,7 +65,6 @@ impl Agent {
             rank,
             clock: Arc::new(AtomicU64::new(start.as_nanos())),
             seq: Arc::new(AtomicU64::new(0)),
-            op_counter: Arc::new(AtomicU64::new(0)),
             cell,
             uni,
         }
@@ -155,10 +150,6 @@ impl Transport for Agent {
 
     fn rank(&self) -> u32 {
         self.rank
-    }
-
-    fn next_op_index(&self) -> u64 {
-        self.op_counter.fetch_add(1, Ordering::Relaxed)
     }
 
     fn env(&self) -> &CommEnv {

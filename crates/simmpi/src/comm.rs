@@ -33,16 +33,15 @@ use crate::transport::{self, post_recv, post_send, CommEnv, Transport, WORLD_CTX
 use crate::universe::PlanCache;
 
 /// Compile (or fetch from `cache`) the per-rank plans for one collective
-/// shape, selecting the algorithm via `sel` and statically analyzing
-/// fresh plans per verification level `mode`: `Warn` lints and prints
-/// findings, `Strict` additionally model-checks the schedule at every
-/// eager/rendezvous cutpoint and panics on any finding. The check runs at
-/// any `p`: it is one deterministic pass per cutpoint and never branches.
-/// Each shape is analyzed — and its findings rendered — exactly once per
-/// run, at first compile. Backend-neutral: both the simulator and the
-/// `ovcomm-rt` wall-clock backend compile collectives through this exact
-/// path, so the `CollSelector` and the static-analysis wall behave
-/// identically on either.
+/// shape, selecting the algorithm via `sel` and model-checking fresh plans
+/// at every eager/rendezvous cutpoint unless `mode` is `Off`; `mode` picks
+/// only the reaction to a finding: `Warn` prints it, `Strict` panics. The
+/// check runs at any `p`: it is one deterministic pass per cutpoint and
+/// never branches. Each shape is analyzed — and its findings rendered —
+/// exactly once per run, at first compile. Backend-neutral: both the
+/// simulator and the `ovcomm-rt` wall-clock backend compile collectives
+/// through this exact path, so the `CollSelector` and the static-analysis
+/// wall behave identically on either.
 pub fn compile_plans(
     cache: &parking_lot::Mutex<PlanCache>,
     sel: &CollSelector,
@@ -62,15 +61,7 @@ pub fn compile_plans(
     }
     let plans = plan::build_all(kind, algo, p, n, root);
     if mode != VerifyMode::Off {
-        let mut findings: Vec<String> = plan::lint_plans(&plans)
-            .iter()
-            .map(|f| f.to_string())
-            .collect();
-        if mode == VerifyMode::Strict {
-            let report = plan::model_check_single(&plans, &plan::McConfig::default());
-            findings.extend(report.findings.iter().map(|f| f.to_string()));
-        }
-        findings.dedup();
+        let findings = plan::model_check_single(&plans, &plan::McConfig::default()).findings;
         if !findings.is_empty() {
             if mode == VerifyMode::Warn {
                 for f in &findings {
@@ -812,7 +803,7 @@ impl<T: Transport> Comm<T> {
         let plans = self.plans(kind, n, root.unwrap_or(0));
 
         let rank = self.agent.rank();
-        let id = op_actor_id(rank, self.agent.next_op_index());
+        let id = op_actor_id(rank, env.next_op_index(rank));
         let req: Request<R> = env.new_req(|rid| VEvent::Coll {
             rank,
             ctx: self.info.ctx,

@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use ovcomm_simnet::{EdgeKind, SimDur, SimTime};
+use ovcomm_simnet::{Action, EdgeKind, SimDur, SimTime};
 
 use crate::agent::{Agent, CLASS_P2P};
 use crate::mailbox::{RecvPost, SendPost};
@@ -170,32 +170,40 @@ fn deliver_eager(
     uni.complete(recv, payload, done);
 }
 
+/// Start the modeled flow of one `n`-byte transfer from world rank `src`
+/// to `dst`: it enters the network `delay(path)` after `t` and shares the
+/// path's resources max–min fairly with every other transfer; `on_land`
+/// runs when the last byte arrives.
+fn launch_flow(
+    uni: &UniShared,
+    src: u32,
+    dst: u32,
+    n: usize,
+    t: SimTime,
+    delay: impl FnOnce(&Path) -> SimDur,
+    on_land: Action,
+) {
+    let path = path_params(uni, src, dst, n);
+    uni.engine.schedule_engine(
+        t + delay(&path),
+        CLASS_P2P,
+        Box::new(move |e| {
+            e.start_flow(path.resources, path.cap, n as f64, on_land);
+        }),
+    );
+}
+
 /// Launch the network flow of eager message `id` at `ts` (post-injection
 /// time); on arrival, deliver to its matched receive or park the data as
 /// "unexpected".
 fn launch_eager_flow(uni: &Arc<UniShared>, key: Envelope, id: u64, payload: Payload, ts: SimTime) {
-    let n = payload.len();
-    let path = path_params(uni, key.src, key.dst, n);
-    let uni2 = uni.clone();
-    let start_at = ts + path.alpha;
-    uni.engine.schedule_engine(
-        start_at,
-        CLASS_P2P,
-        Box::new(move |e| {
-            let uni3 = uni2.clone();
-            e.start_flow(
-                path.resources,
-                path.cap,
-                n as f64,
-                Box::new(move |e2| {
-                    let ta = e2.now();
-                    if let Some((recv, payload)) = eager_meet(&uni3, id, EagerHalf::Data(payload)) {
-                        deliver_eager(&uni3, key, &recv, payload, ta);
-                    }
-                }),
-            );
-        }),
-    );
+    let (n, uni2) = (payload.len(), uni.clone());
+    let on_land: Action = Box::new(move |e| {
+        if let Some((recv, payload)) = eager_meet(&uni2, id, EagerHalf::Data(payload)) {
+            deliver_eager(&uni2, key, &recv, payload, e.now());
+        }
+    });
+    launch_flow(uni, key.src, key.dst, n, ts, |p| p.alpha, on_land);
 }
 
 /// Both sides of a rendezvous message are present at `tp`: run the
@@ -208,28 +216,15 @@ fn start_rendezvous(
     recv: Request<Payload>,
     tp: SimTime,
 ) {
-    let n = payload.len();
-    let path = path_params(uni, key.src, key.dst, n);
-    let start_at = tp + path.alpha + path.rdv_extra;
-    let uni2 = uni.clone();
-    uni.engine.schedule_engine(
-        start_at,
-        CLASS_P2P,
-        Box::new(move |e| {
-            let uni3 = uni2.clone();
-            e.start_flow(
-                path.resources,
-                path.cap,
-                n as f64,
-                Box::new(move |e2| {
-                    let ta = e2.now();
-                    uni3.env.edge(EdgeKind::SendRecv, key.src, ta, key.dst, ta);
-                    uni3.complete(&sender_req, (), ta);
-                    uni3.complete(&recv, payload, ta);
-                }),
-            );
-        }),
-    );
+    let (n, uni2) = (payload.len(), uni.clone());
+    let on_land: Action = Box::new(move |e| {
+        let ta = e.now();
+        uni2.env.edge(EdgeKind::SendRecv, key.src, ta, key.dst, ta);
+        uni2.complete(&sender_req, (), ta);
+        uni2.complete(&recv, payload, ta);
+    });
+    let handshake = |p: &Path| p.alpha + p.rdv_extra;
+    launch_flow(uni, key.src, key.dst, n, tp, handshake, on_land);
 }
 
 /// Inject an origin-driven one-sided data flow from world rank `src` to
@@ -247,41 +242,25 @@ pub(crate) fn rma_transfer(
     get: Option<(Request<Payload>, Payload)>,
     done: Request<()>,
 ) {
-    let uni = agent.uni.clone();
-    let path = path_params(&uni, src, dst, n);
+    let (uni, uni2) = (agent.uni.clone(), agent.uni.clone());
     let ts = agent.now();
-    let start_at = ts + path.alpha;
+    let on_land: Action = Box::new(move |e| {
+        let landed = e.now();
+        // A put's edge leaves the origin's post; a get's data is usable
+        // one unpack copy after it lands.
+        let (from, ta) = match get {
+            None => (ts, landed),
+            Some(_) => (landed, landed + uni2.env.profile.copy_time(n)),
+        };
+        uni2.env.edge(EdgeKind::SendRecv, src, from, dst, ta);
+        if let Some((req, data)) = get {
+            uni2.complete(&req, data, ta);
+        }
+        uni2.complete(&done, (), ta);
+    });
     agent.schedule(
         ts,
         CLASS_P2P,
-        Box::new(move |_| {
-            let uni2 = uni.clone();
-            uni.engine.schedule_engine(
-                start_at,
-                CLASS_P2P,
-                Box::new(move |e| {
-                    e.start_flow(
-                        path.resources,
-                        path.cap,
-                        n as f64,
-                        Box::new(move |e2| {
-                            let landed = e2.now();
-                            // A put's edge leaves the origin's post; a
-                            // get's data is usable one unpack copy after
-                            // it lands.
-                            let (from, ta) = match get {
-                                None => (ts, landed),
-                                Some(_) => (landed, landed + uni2.env.profile.copy_time(n)),
-                            };
-                            uni2.env.edge(EdgeKind::SendRecv, src, from, dst, ta);
-                            if let Some((req, data)) = get {
-                                uni2.complete(&req, data, ta);
-                            }
-                            uni2.complete(&done, (), ta);
-                        }),
-                    );
-                }),
-            );
-        }),
+        Box::new(move |_| launch_flow(&uni, src, dst, n, ts, |p| p.alpha, on_land)),
     );
 }

@@ -6,7 +6,8 @@
 //! [`RankCtx<T>`](crate::rank::RankCtx) are each written once, against two
 //! things: the [`CommEnv`] both backends embed in their shared state
 //! (metrics, verifier, plan cache, selector, profile, node map, the
-//! communicator-context and window registries, and what a run accumulates
+//! communicator-context and window registries, the per-rank counters that
+//! mint operation-actor ids, and what a run accumulates
 //! for its result: the trace, traffic counters, rank end times, captured
 //! progress-actor panics), and the [`Transport`] trait, which carries only
 //! what the virtual-time simulator and the wall-clock runtime really do
@@ -68,14 +69,14 @@ pub struct CommEnv {
     /// Event recorder for communication-correctness verification (`None`
     /// when `VerifyMode::Off`).
     pub verify: Option<Arc<Verifier>>,
-    /// Verification level, consulted by the static plan linter at plan
+    /// Verification level, consulted by the static plan check at plan
     /// compile time (the dynamic recorder above covers execution).
     pub verify_mode: VerifyMode,
     /// Collective-algorithm selection policy for this run.
     pub coll_select: CollSelector,
     /// Compiled collective schedules, keyed by
     /// `(kind, algo, p, n, root)` — plans depend on nothing else, so one
-    /// compile (plus static lint) serves every instance of a shape.
+    /// compile (plus its static check) serves every instance of a shape.
     pub plan_cache: Mutex<PlanCache>,
     /// The machine profile (protocol switch, modeled software costs).
     pub profile: MachineProfile,
@@ -93,6 +94,9 @@ pub struct CommEnv {
     pub(crate) intra_bytes: AtomicU64,
     /// Messages sent.
     pub(crate) messages: AtomicU64,
+    /// Per rank: nonblocking collectives posted so far (mints
+    /// deterministic operation-actor ids).
+    op_counts: Vec<AtomicU64>,
     /// Final clock of each rank, recorded as its closure returns.
     pub(crate) rank_end_times: Mutex<Vec<SimTime>>,
     /// `(rank, message)` of every panic that unwound a progress actor.
@@ -139,6 +143,7 @@ impl CommEnv {
             inter_bytes: AtomicU64::new(0),
             intra_bytes: AtomicU64::new(0),
             messages: AtomicU64::new(0),
+            op_counts: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
             rank_end_times: Mutex::new(vec![SimTime::ZERO; nranks]),
             op_panics: Mutex::new(Vec::new()),
             trace: trace.then(|| Mutex::new(Trace::new())),
@@ -203,6 +208,11 @@ impl CommEnv {
             &self.inter_bytes
         };
         bytes.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// Index of the next nonblocking collective world rank `rank` posts.
+    pub(crate) fn next_op_index(&self, rank: u32) -> u64 {
+        self.op_counts[rank as usize].fetch_add(1, Ordering::Relaxed)
     }
 
     /// A fresh request, tracked when verification is on. `event` builds
@@ -347,8 +357,8 @@ pub(crate) fn wait<T: Transport, V>(agent: &T, req: &Request<V>) -> V {
 ///
 /// Every method exists because the two backends genuinely differ in it:
 ///
-/// * identity (`id`, `rank`, `next_op_index`) — held by each backend's
-///   agent next to its clock or park cell;
+/// * identity (`id`, `rank`) — held by each backend's agent next to its
+///   clock or park cell;
 /// * `NAME` — `"sim"` or `"rt"`, stamped on every result;
 /// * `now` — a per-agent virtual clock vs. the wall;
 /// * `charge` / `charge_reduce` — modeled costs: clock bumps (and a
@@ -378,9 +388,6 @@ pub trait Transport: Clone + Send + Sync + Sized + 'static {
     fn id(&self) -> u32;
     /// World rank this agent acts on behalf of.
     fn rank(&self) -> u32;
-    /// Index of the next nonblocking operation posted by this rank (mints
-    /// deterministic operation-actor ids). Only rank agents are asked.
-    fn next_op_index(&self) -> u64;
     /// The run's shared front-end environment.
     fn env(&self) -> &CommEnv;
 

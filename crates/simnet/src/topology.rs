@@ -261,20 +261,6 @@ impl ClusterResources {
     pub fn mem(&self, node: usize) -> ResourceId {
         self.mem[node]
     }
-
-    /// Number of fabric link resources (zero for the non-blocking fabric).
-    pub fn num_links(&self) -> usize {
-        match &self.links {
-            LinkTable::None => 0,
-            LinkTable::FatTree {
-                leaf_up,
-                leaf_down,
-                spine_up,
-                spine_down,
-                ..
-            } => leaf_up.len() + leaf_down.len() + spine_up.len() + spine_down.len(),
-        }
-    }
 }
 
 /// How [`NodeMap::grouped`] spreads logical nodes over topology groups
@@ -309,15 +295,6 @@ impl NodeMap {
         let node_of = (0..nranks).map(|r| r / ppn).collect::<Vec<_>>();
         let nodes = nranks.div_ceil(ppn);
         NodeMap { node_of, nodes }
-    }
-
-    /// Round-robin placement across `nodes` nodes (rank r → node r % nodes).
-    pub fn round_robin(nranks: usize, nodes: usize) -> NodeMap {
-        assert!(nranks >= 1 && nodes >= 1);
-        NodeMap {
-            node_of: (0..nranks).map(|r| r % nodes).collect(),
-            nodes,
-        }
     }
 
     /// Explicit placement.
@@ -371,11 +348,6 @@ impl NodeMap {
     pub fn nodes(&self) -> usize {
         self.nodes
     }
-
-    /// Whether two ranks share a node.
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of[a] == self.node_of[b]
-    }
 }
 
 #[cfg(test)]
@@ -390,15 +362,6 @@ mod tests {
         assert_eq!(m.node_of(3), 0);
         assert_eq!(m.node_of(4), 1);
         assert_eq!(m.node_of(9), 2);
-        assert!(m.same_node(4, 7));
-        assert!(!m.same_node(3, 4));
-    }
-
-    #[test]
-    fn round_robin_mapping() {
-        let m = NodeMap::round_robin(6, 4);
-        assert_eq!(m.node_of(5), 1);
-        assert_eq!(m.nodes(), 4);
     }
 
     #[test]
@@ -448,7 +411,6 @@ mod tests {
         let res = spec.build_resources(&mut net);
         // 8 nodes × 3 + links: leaf 2·2·2 per direction = 16, spine 2·2·2
         // per direction = 16.
-        assert_eq!(res.num_links(), 32);
         assert_eq!(net.num_resources(), 24 + 32);
 
         // Same leaf (nodes 0 and 1 under pod 0, leaf 0): NICs only.

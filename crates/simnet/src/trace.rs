@@ -203,11 +203,6 @@ impl Trace {
     pub fn edges(&self) -> &[TraceEdge] {
         &self.edges
     }
-
-    /// Spans of one actor, in recording order.
-    pub fn for_actor(&self, actor: u32) -> impl Iterator<Item = &TraceSpan> {
-        self.spans.iter().filter(move |s| s.actor == actor)
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +210,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_filters_spans() {
+    fn records_spans() {
         let mut t = Trace::new();
         t.push(TraceSpan {
             actor: 0,
@@ -234,7 +229,6 @@ mod tests {
             end: SimTime(3_000),
         });
         assert_eq!(t.spans().len(), 2);
-        assert_eq!(t.for_actor(1).count(), 1);
         assert!((t.spans()[1].micros() - 2.0).abs() < 1e-12);
         assert_eq!(t.spans()[1].chunk, Some(2));
         assert_eq!(t.clamped(), 0);

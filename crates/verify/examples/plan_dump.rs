@@ -5,7 +5,7 @@
 //! cargo run -p ovcomm-verify --example plan_dump
 //! ```
 
-use ovcomm_verify::plan::{build_all, lint_plans, CollAlgo};
+use ovcomm_verify::plan::{build_all, model_check_single, CollAlgo, McConfig};
 use ovcomm_verify::CollKind;
 
 fn main() {
@@ -14,9 +14,13 @@ fn main() {
     for plan in &plans {
         print!("{}", plan.dump());
     }
-    let findings = lint_plans(&plans);
-    println!("lint findings: {}", findings.len());
-    for f in &findings {
+    let report = model_check_single(&plans, &McConfig::default());
+    println!(
+        "model-check findings: {} (cutpoints {:?})",
+        report.findings.len(),
+        report.cutpoints
+    );
+    for f in &report.findings {
         println!("  {f}");
     }
 }

@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::finding::{McCounterexample, PlanFinding};
+use super::finding::PlanFinding;
 use super::{CollPlan, StepOp};
 
 /// Number of low wire-tag bits holding the per-instance step tag.
@@ -101,13 +101,13 @@ pub fn seq_instances(plans: &[CollPlan], copies: usize) -> Vec<PlanInstance> {
         .collect()
 }
 
-fn overlap(code: &'static str, detail: String) -> PlanFinding {
-    PlanFinding::Mc(McCounterexample {
-        code,
+fn overlap(detail: String) -> PlanFinding {
+    PlanFinding {
+        code: "mc-tag-overlap",
         detail,
         eager_cut: None,
         trace: Vec::new(),
-    })
+    }
 }
 
 /// Statically verify that composed instances cannot interfere on the
@@ -129,13 +129,10 @@ pub(crate) fn compose_findings(insts: &[InstRef<'_>]) -> Vec<PlanFinding> {
     let mut by_ctx: BTreeMap<u64, Vec<(usize, EnvSet)>> = BTreeMap::new();
     for (ii, inst) in insts.iter().enumerate() {
         if inst.seq >> STEP_TAG_BITS != 0 {
-            out.push(overlap(
-                "mc-tag-overlap",
-                format!(
-                    "instance #{ii}: sequence number {} overflows its 24-bit wire-tag field",
-                    inst.seq
-                ),
-            ));
+            out.push(overlap(format!(
+                "instance #{ii}: sequence number {} overflows its 24-bit wire-tag field",
+                inst.seq
+            )));
             continue;
         }
         let mut envs = BTreeSet::new();
@@ -147,13 +144,10 @@ pub(crate) fn compose_findings(insts: &[InstRef<'_>]) -> Vec<PlanFinding> {
                     _ => continue,
                 };
                 if u64::from(tag) >> STEP_TAG_BITS != 0 {
-                    out.push(overlap(
-                        "mc-tag-overlap",
-                        format!(
-                            "instance #{ii} rank {r} step s{si}: step tag {tag} overflows the \
-                             24-bit step-tag field and corrupts the sequence namespace"
-                        ),
-                    ));
+                    out.push(overlap(format!(
+                        "instance #{ii} rank {r} step s{si}: step tag {tag} overflows the \
+                         24-bit step-tag field and corrupts the sequence namespace"
+                    )));
                 }
                 envs.insert(env);
             }
@@ -165,18 +159,15 @@ pub(crate) fn compose_findings(insts: &[InstRef<'_>]) -> Vec<PlanFinding> {
             for (ib, eb) in &members[a + 1..] {
                 if let Some(&(src, dst, tag)) = ea.intersection(eb).next() {
                     let shared = ea.intersection(eb).count();
-                    out.push(overlap(
-                        "mc-tag-overlap",
-                        format!(
-                            "instances #{ia} (seq {}) and #{ib} (seq {}) on ctx {ctx} share \
-                             {shared} wire envelope(s), e.g. rank {src} -> rank {dst} tag \
-                             {:#x} (step tag {}): their messages can cross-match",
-                            insts[*ia].seq,
-                            insts[*ib].seq,
-                            tag,
-                            tag & ((1 << STEP_TAG_BITS) - 1),
-                        ),
-                    ));
+                    out.push(overlap(format!(
+                        "instances #{ia} (seq {}) and #{ib} (seq {}) on ctx {ctx} share \
+                         {shared} wire envelope(s), e.g. rank {src} -> rank {dst} tag \
+                         {:#x} (step tag {}): their messages can cross-match",
+                        insts[*ia].seq,
+                        insts[*ib].seq,
+                        tag,
+                        tag & ((1 << STEP_TAG_BITS) - 1),
+                    )));
                 }
             }
         }
@@ -207,7 +198,7 @@ mod tests {
         ];
         let f = check_compose(&insts);
         assert!(
-            f.iter().any(|x| x.code() == "mc-tag-overlap"),
+            f.iter().any(|x| x.code == "mc-tag-overlap"),
             "{:?}",
             f.iter().map(|x| x.to_string()).collect::<Vec<_>>()
         );
@@ -225,7 +216,7 @@ mod tests {
             }
         }
         let f = check_compose(&[PlanInstance::new(0, 0, plans)]);
-        assert!(f.iter().any(|x| x.code() == "mc-tag-overlap"), "{f:?}");
+        assert!(f.iter().any(|x| x.code == "mc-tag-overlap"), "{f:?}");
     }
 
     #[test]

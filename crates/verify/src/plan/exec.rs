@@ -1,7 +1,7 @@
 //! The one symbolic executor for collective plans.
 //!
-//! Both reporters over a plan set — the [linter](super::lint) and the
-//! [model checker](super::mc) — run this machine; neither interprets a
+//! The [model checker](super::mc) runs this machine once per composed
+//! member per eager/rendezvous cutpoint and never interprets a
 //! [`StepOp`] itself. It executes the plans of one instance, one agent
 //! per rank, with no clocks and no payloads, under the
 //! [execution contract](super): steps in program order, `Send`/`Recv`
@@ -20,15 +20,9 @@
 //! finished run's outputs can be checked byte-for-byte against what the
 //! collective promises ([`expected_output`]).
 //!
-//! What the machine finds wrong it reports as [`Violation`] data; each
-//! reporter renders that into its own finding codes and text. The two
-//! differ only in how they drive it:
-//!
-//! | | linter | model checker |
-//! |---|---|---|
-//! | passes | one | one per composed member per protocol cutpoint |
-//! | eager cut | 0 (all rendezvous) | every protocol cutpoint |
-//! | on a violation | keep going, collect all | halt, keep the trace |
+//! A pass records its interleaving and halts at its first violation,
+//! which it reports as [`Violation`] data; the model checker renders that
+//! into an `mc-*` finding with the interleaving as its counterexample.
 //!
 //! [`Machine::settle`] is an event-driven worklist over agent program
 //! counters: an agent re-runs only when one of its pending operations
@@ -234,7 +228,7 @@ pub(crate) struct Post {
 }
 
 /// One executed action of an interleaving (compact; the model checker
-/// renders it to text when it reports a violation).
+/// renders it to text when it reports the violation).
 #[derive(Debug)]
 pub(crate) struct TraceStep {
     pub(crate) agent: u32,
@@ -257,8 +251,8 @@ pub(crate) enum TraceKind {
 }
 
 /// Something the machine found wrong. An agent is a rank of the
-/// machine's instance; `what` is the part of a diagnosis both reporters
-/// print verbatim.
+/// machine's instance; `what` is the part of a diagnosis the finding
+/// prints verbatim.
 #[derive(Debug)]
 pub(crate) enum Violation {
     /// A step read a buffer nothing produced; its agent is poisoned and
@@ -280,12 +274,11 @@ pub(crate) enum Violation {
         what: String,
     },
     /// At quiescence these agents are mid-plan or hold posts that never
-    /// complete.
+    /// complete (a receive nothing matches always leaves its agent here).
     Stuck { agents: Vec<usize> },
-    /// At quiescence a send still sits in its queue.
-    UnmatchedSend { key: Key, post: Post },
-    /// At quiescence a receive still sits in its queue.
-    UnmatchedRecv { key: Key, post: Post },
+    /// At quiescence, with nobody stuck, an eager send still sits in its
+    /// queue.
+    UnmatchedSend { post: Post },
     /// The agent declares an output its collective does not give it.
     UnexpectedOutput { at: usize },
     /// The agent is owed a result but its plan declares none.
@@ -307,25 +300,31 @@ pub(crate) struct St {
     pub(crate) vals: Vec<Vec<Option<BufVal>>>,
     pub(crate) sends: BTreeMap<Key, VecDeque<Post>>,
     pub(crate) recvs: BTreeMap<Key, VecDeque<Post>>,
-    /// The actions executed so far (empty unless the machine explores).
+    /// The actions executed so far, in execution order.
     pub(crate) trace: Vec<TraceStep>,
 }
 
+impl St {
+    fn note(&mut self, a: usize, step: usize, kind: TraceKind) {
+        self.trace.push(TraceStep {
+            agent: a as u32,
+            step: step as u32,
+            kind,
+        });
+    }
+}
+
 /// The symbolic machine over one instance: what is fixed for a run
-/// (plans, protocol cut, mode) plus what it has found and counted so far.
-/// The evolving [`St`] is passed in, so the reporter can read it after.
+/// (plans, protocol cut) plus what it has found and counted so far.
+/// The evolving [`St`] is passed in, so the checker can read it after.
 pub(crate) struct Machine<'a> {
     inst: InstRef<'a>,
     /// Per agent, per buffer: the producing step
     /// ([`super::structure::admit`]'s table).
     producers: &'a [Vec<Option<usize>>],
     pub(crate) eager_cut: usize,
-    /// Model-checking mode: record the interleaving in [`St::trace`] and
-    /// halt at the first violation. Off, nothing is recorded and execution
-    /// continues past violations so that all of them are collected.
-    explore: bool,
-    /// Violations found while executing, in execution order.
-    pub(crate) violations: Vec<Violation>,
+    /// The first violation found while executing; execution halts at it.
+    pub(crate) violation: Option<Violation>,
     /// Steps executed so far.
     pub(crate) actions: usize,
 }
@@ -337,14 +336,12 @@ impl<'a> Machine<'a> {
         inst: InstRef<'a>,
         producers: &'a [Vec<Option<usize>>],
         eager_cut: usize,
-        explore: bool,
     ) -> Machine<'a> {
         Machine {
             inst,
             producers,
             eager_cut,
-            explore,
-            violations: Vec::new(),
+            violation: None,
             actions: 0,
         }
     }
@@ -386,18 +383,9 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn halted(&self) -> bool {
-        self.explore && !self.violations.is_empty()
-    }
-
-    fn note(&self, st: &mut St, a: usize, step: usize, kind: TraceKind) {
-        if self.explore {
-            st.trace.push(TraceStep {
-                agent: a as u32,
-                step: step as u32,
-                kind,
-            });
-        }
+    /// Keep `v` unless an earlier violation already halts the pass.
+    fn flag(&mut self, v: Violation) {
+        self.violation.get_or_insert(v);
     }
 
     /// Can agent `a`'s step `idx` run now? All explicit deps and all
@@ -424,8 +412,7 @@ impl<'a> Machine<'a> {
         let v = st.vals[a][buf.0 as usize].clone();
         if v.is_none() {
             st.poisoned[a] = true;
-            self.violations
-                .push(Violation::ReadUnproduced { at: a, buf });
+            self.flag(Violation::ReadUnproduced { at: a, buf });
         }
         v
     }
@@ -443,10 +430,9 @@ impl<'a> Machine<'a> {
             agent: send.agent as u32,
             step: send.step as u32,
         };
-        self.note(st, recv.agent, recv.step, kind);
+        st.note(recv.agent, recv.step, kind);
         if send.bytes != recv.bytes {
-            self.violations
-                .push(Violation::LenMismatch { key, send, recv });
+            self.flag(Violation::LenMismatch { key, send, recv });
         }
         let sent = match self.plan(send.agent).steps[send.step].op {
             StepOp::Send { buf, .. } => st.vals[send.agent][buf.0 as usize].clone(),
@@ -479,7 +465,7 @@ impl<'a> Machine<'a> {
         let plan = self.plan(a);
         let inst = self.inst;
         match &plan.steps[idx].op {
-            StepOp::Slack => self.note(st, a, idx, TraceKind::Exec),
+            StepOp::Slack => st.note(a, idx, TraceKind::Exec),
             &StepOp::Send { peer, buf, tag } => {
                 // The value must exist at post time (the runtime clones it
                 // here).
@@ -487,7 +473,7 @@ impl<'a> Machine<'a> {
                 let bytes = plan.buf_len(buf);
                 let eager = bytes < self.eager_cut;
                 let key = (inst.ctx, a, peer, inst.wire_tag(tag));
-                self.note(st, a, idx, TraceKind::PostSend { eager });
+                st.note(a, idx, TraceKind::PostSend { eager });
                 st.sends.entry(key).or_default().push_back(Post {
                     agent: a,
                     step: idx,
@@ -503,7 +489,7 @@ impl<'a> Machine<'a> {
             }
             &StepOp::Recv { peer, into, tag } => {
                 let key = (inst.ctx, peer, a, inst.wire_tag(tag));
-                self.note(st, a, idx, TraceKind::PostRecv);
+                st.note(a, idx, TraceKind::PostRecv);
                 st.recvs.entry(key).or_default().push_back(Post {
                     agent: a,
                     step: idx,
@@ -514,7 +500,7 @@ impl<'a> Machine<'a> {
                 return self.try_match(st, key);
             }
             &StepOp::Reduce { a: x, b: y, into } => {
-                self.note(st, a, idx, TraceKind::Exec);
+                st.note(a, idx, TraceKind::Exec);
                 let (Some(vx), Some(vy)) = (self.val(st, a, x), self.val(st, a, y)) else {
                     return None;
                 };
@@ -522,7 +508,7 @@ impl<'a> Machine<'a> {
                 let mut out = Vec::with_capacity(rx.len());
                 for (sx, sy) in rx.iter().zip(ry.iter()) {
                     if sx.lo != sy.lo {
-                        self.violations.push(Violation::ChunkGap {
+                        self.flag(Violation::ChunkGap {
                             at: a,
                             step: Some(idx),
                             what: format!(
@@ -535,7 +521,7 @@ impl<'a> Machine<'a> {
                         });
                     }
                     if sx.mask.intersects(&sy.mask) {
-                        self.violations.push(Violation::DoubleCount {
+                        self.flag(Violation::DoubleCount {
                             at: a,
                             step: idx,
                             what: format!(
@@ -557,7 +543,7 @@ impl<'a> Machine<'a> {
                 st.vals[a][into.0 as usize] = Some(out);
             }
             StepOp::Copy { parts, into } => {
-                self.note(st, a, idx, TraceKind::Exec);
+                st.note(a, idx, TraceKind::Exec);
                 let mut out: BufVal = Vec::new();
                 for part in parts {
                     let v = self.val(st, a, part.buf)?;
@@ -580,7 +566,7 @@ impl<'a> Machine<'a> {
         while let Some(a) = queue.pop_front() {
             queued[a] = false;
             while !st.poisoned[a] && st.pcs[a] < self.plan(a).steps.len() {
-                if self.halted() {
+                if self.violation.is_some() {
                     return;
                 }
                 let idx = st.pcs[a];
@@ -600,70 +586,58 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// What is wrong with a quiescent state: agents that can never finish,
-    /// posts nothing will match and — only when nothing else is or was
-    /// wrong — outputs that are not what the collective promises.
-    pub(crate) fn terminal(&self, st: &St) -> Vec<Violation> {
-        let mut out = Vec::new();
+    /// The first thing wrong with the quiescent state of a pass that
+    /// halted at no violation, in this order: agents that can never
+    /// finish, an eager send nothing will match, outputs that are not what
+    /// the collective promises.
+    pub(crate) fn terminal(&self, st: &St) -> Option<Violation> {
         let stuck: Vec<usize> = (0..self.inst.plans.len())
             .filter(|&a| {
                 !st.poisoned[a] && (st.pcs[a] < self.plan(a).steps.len() || st.pending[a] > 0)
             })
             .collect();
         if !stuck.is_empty() {
-            out.push(Violation::Stuck { agents: stuck });
+            return Some(Violation::Stuck { agents: stuck });
         }
-        for (&key, q) in &st.sends {
-            out.extend(q.iter().map(|&post| Violation::UnmatchedSend { key, post }));
-        }
-        for (&key, q) in &st.recvs {
-            out.extend(q.iter().map(|&post| Violation::UnmatchedRecv { key, post }));
-        }
-        if !out.is_empty() || !self.violations.is_empty() {
-            return out;
+        if let Some(&post) = st.sends.values().flatten().next() {
+            return Some(Violation::UnmatchedSend { post });
         }
         for at in 0..self.inst.plans.len() {
             let plan = self.plan(at);
             let expect = expected_output(plan.kind, plan.p, plan.n, plan.root, plan.me);
             let (want, got) = match (&expect, plan.output) {
                 (None, None) => continue,
-                (None, Some(_)) => {
-                    out.push(Violation::UnexpectedOutput { at });
-                    continue;
-                }
-                (Some(_), None) => {
-                    out.push(Violation::MissingOutput { at });
-                    continue;
-                }
+                (None, Some(_)) => return Some(Violation::UnexpectedOutput { at }),
+                (Some(_), None) => return Some(Violation::MissingOutput { at }),
                 (Some(want), Some(b)) => {
                     (want, st.vals[at][b.0 as usize].as_deref().unwrap_or(&[]))
                 }
             };
-            let mut gap = |what: String| {
-                out.push(Violation::ChunkGap {
+            let gap = |what: String| {
+                Some(Violation::ChunkGap {
                     at,
                     step: None,
                     what,
                 })
             };
             if val_len(got) != val_len(want) {
-                gap(format!(
+                return gap(format!(
                     "output holds {}B but the collective promises {}B",
                     val_len(got),
                     val_len(want)
                 ));
-                continue;
             }
             let (rg, rw) = refine(got, want);
             let mut pos = 0usize;
             for (g, w) in rg.iter().zip(rw.iter()) {
                 if g.lo != w.lo {
-                    gap(format!(
+                    return gap(format!(
                         "output byte {pos} holds logical byte {} but should hold {}",
                         g.lo, w.lo
                     ));
-                } else if g.mask != w.mask {
-                    gap(format!(
+                }
+                if g.mask != w.mask {
+                    return gap(format!(
                         "logical bytes {}..{} reduced over {} but should cover {}",
                         g.lo,
                         g.lo + g.len,
@@ -674,6 +648,6 @@ impl<'a> Machine<'a> {
                 pos += g.len;
             }
         }
-        out
+        None
     }
 }

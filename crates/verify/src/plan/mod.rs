@@ -7,13 +7,13 @@
 //! plain data built without touching the network, all ranks' plans can be
 //! analyzed before a single message is posted — by one symbolic executor
 //! (the private `exec` module, the only other interpreter of the five
-//! steps) behind two reporters. The [linter](lint) runs it once over one
-//! instance with every send rendezvous and lists everything wrong:
-//! send/recv matching, chunk-coverage completeness, in-plan deadlock
-//! freedom. The [model checker](mc) runs it once per eager/rendezvous
-//! cutpoint for each member of a [composition](compose) whose wire
-//! namespaces it has proven disjoint, and reports the first violation of
-//! each code with its interleaving.
+//! steps) behind one reporter, the [model checker](mc). It runs the
+//! executor once per eager/rendezvous cutpoint for each member of a
+//! [composition](compose) whose wire namespaces it has proven disjoint —
+//! checking send/recv matching, chunk-coverage completeness and deadlock
+//! freedom — and reports the first violation of each code with its
+//! interleaving. [`lint_plans`] is that check at the all-rendezvous
+//! cutpoint alone.
 //!
 //! ## Execution contract
 //!
@@ -35,7 +35,6 @@ pub mod builders;
 pub mod compose;
 mod exec;
 mod finding;
-pub mod lint;
 pub mod mc;
 mod structure;
 
@@ -45,8 +44,8 @@ use crate::event::CollKind;
 
 pub use builders::{build_all, build_plan};
 pub use compose::{check_compose, dup_instances, seq_instances, PlanInstance};
-pub use lint::{lint_plans, PlanFinding};
-pub use mc::{cutpoints, model_check, model_check_single, McConfig, McCounterexample, McReport};
+pub use finding::PlanFinding;
+pub use mc::{cutpoints, lint_plans, model_check, model_check_single, McConfig, McReport};
 
 /// Which algorithm a plan encodes. The selector picks one per
 /// (collective, message size, communicator size); benches can force one.

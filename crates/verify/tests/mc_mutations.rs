@@ -8,8 +8,8 @@
 //! *mutation* as the cause rather than an artifact of the hand-built plan.
 
 use ovcomm_verify::plan::{
-    build_all, model_check, model_check_single, CollAlgo, CollPlan, McConfig, McCounterexample,
-    McReport, PlanBuilder, PlanFinding, PlanInstance,
+    build_all, model_check, model_check_single, CollAlgo, CollPlan, McConfig, McReport,
+    PlanBuilder, PlanFinding, PlanInstance,
 };
 use ovcomm_verify::CollKind;
 
@@ -17,29 +17,19 @@ fn mc(plans: &[CollPlan]) -> McReport {
     model_check_single(plans, &McConfig::default())
 }
 
-fn counterexamples(rep: &McReport) -> Vec<&McCounterexample> {
-    rep.findings
-        .iter()
-        .filter_map(|f| match f {
-            PlanFinding::Mc(ce) => Some(ce),
-            _ => None,
-        })
-        .collect()
-}
-
 fn codes(rep: &McReport) -> Vec<&'static str> {
-    rep.findings.iter().map(|f| f.code()).collect()
+    rep.findings.iter().map(|f| f.code).collect()
 }
 
 /// The counterexample with `code`, asserting it exists.
-fn expect_ce<'a>(rep: &'a McReport, code: &str) -> &'a McCounterexample {
-    match counterexamples(rep).into_iter().find(|ce| ce.code == code) {
+fn expect_ce<'a>(rep: &'a McReport, code: &str) -> &'a PlanFinding {
+    match rep.findings.iter().find(|ce| ce.code == code) {
         Some(ce) => ce,
         None => panic!("expected a {code} counterexample, got {:?}", codes(rep)),
     }
 }
 
-fn trace_mentions(ce: &McCounterexample, needle: &str) -> bool {
+fn trace_mentions(ce: &PlanFinding, needle: &str) -> bool {
     ce.trace.iter().any(|l| l.contains(needle)) || ce.detail.contains(needle)
 }
 

@@ -1,5 +1,5 @@
-//! Property tests for the plan static-analysis stack: lint, composition,
-//! and the model checker. These run under Miri in CI (the job covers
+//! Property tests for the plan static-analysis stack: composition and the
+//! model checker. These run under Miri in CI (the job covers
 //! `-p ovcomm-verify`), so case counts drop sharply there — the point
 //! under Miri is UB detection on the symbolic executor, not coverage.
 
@@ -8,8 +8,8 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use ovcomm_verify::plan::{
-    build_all, check_compose, cutpoints, dup_instances, lint_plans, model_check,
-    model_check_single, seq_instances, CollAlgo, CollPlan, McConfig, PlanInstance, StepOp,
+    build_all, check_compose, cutpoints, dup_instances, model_check, model_check_single,
+    seq_instances, CollAlgo, CollPlan, McConfig, PlanInstance, StepOp,
 };
 
 fn algo_strategy() -> impl Strategy<Value = CollAlgo> {
@@ -36,8 +36,8 @@ fn envelopes(plans: &[CollPlan]) -> BTreeSet<(usize, usize, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// Every shipped builder, on a random shape, is lint-clean and
-    /// model-check-clean at every protocol cutpoint.
+    /// Every shipped builder, on a random shape, is model-check-clean at
+    /// every protocol cutpoint.
     #[test]
     fn builders_are_clean_on_random_shapes(
         algo in algo_strategy(),
@@ -54,16 +54,8 @@ proptest! {
             _ => root_pick % p,
         };
         let plans = build_all(algo.kind(), algo, p, n, root);
-        prop_assert!(lint_plans(&plans).is_empty(), "{algo} p={p} n={n} root={root} lint");
         let rep = model_check_single(&plans, &McConfig::default());
         prop_assert!(rep.clean(), "{algo} p={p} n={n} root={root}: {:?}", rep.findings);
-        // The linter is the checker's all-rendezvous pass.
-        let rendezvous_only = McConfig { cut_override: Some(vec![0]) };
-        prop_assert_eq!(
-            lint_plans(&plans).is_empty(),
-            model_check_single(&plans, &rendezvous_only).clean(),
-            "{algo} p={p} n={n} root={root}: lint vs model check at cut 0"
-        );
     }
 
     /// Cutpoints are always sorted, deduplicated, and start at 0 (the
@@ -133,7 +125,7 @@ proptest! {
         let shared = !envelopes(&insts[0].plans).is_disjoint(&envelopes(&insts[1].plans));
         if placement == 2 && shared {
             prop_assert!(
-                rep.findings.iter().any(|f| f.code() == "mc-tag-overlap"),
+                rep.findings.iter().any(|f| f.code == "mc-tag-overlap"),
                 "{} + {} p={}: colliding namespaces must be flagged", a, b, p
             );
         }
