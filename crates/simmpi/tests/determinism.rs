@@ -1,6 +1,7 @@
 //! Determinism tests: every program runs twice and must equal itself bit
 //! for bit — per-rank results, virtual end times, message and byte counts,
-//! verification findings — and must equal its pinned [`Golden`] values.
+//! verification findings, metric counters and histograms — and must equal
+//! its pinned [`Golden`] values.
 //!
 //! The literals are the last verdict of the retired thread-per-rank
 //! executor: they were recorded from its run of each program at commit
@@ -49,6 +50,14 @@ where
         o.verify.findings.iter().map(|f| f.to_string()).collect()
     };
     assert_eq!(render(&a), render(&b), "verify findings diverge");
+    assert_eq!(
+        a.metrics.counters, b.metrics.counters,
+        "metric counters diverge"
+    );
+    assert_eq!(
+        a.metrics.histograms, b.metrics.histograms,
+        "metric histograms diverge"
+    );
     let observed = |o: &SimOutput<(u64, SimTime)>| {
         let fold = o.results.iter().fold(0u64, |h, &(bits, t)| {
             (h.rotate_left(7) ^ bits).wrapping_add(t.as_nanos())
@@ -363,4 +372,13 @@ fn ten_thousand_rank_bcast_allreduce_strict_smoke() {
     // anything and no counter says one was skipped.
     assert_eq!(out.verify.warnings(), 0, "{:?}", out.verify.findings);
     assert!(!out.metrics.counters.keys().any(|k| k.contains("skipped")));
+    // Every rank has its 31 `simmpi.*` counters (15 op kinds × calls and
+    // bytes, plus `tests`) and 3 histograms; this run makes no on-demand
+    // key (no dup, no window, no clamped span).
+    let (counters, histograms) = (&out.metrics.counters, &out.metrics.histograms);
+    assert!(counters
+        .keys()
+        .chain(histograms.keys())
+        .all(|k| k.starts_with("simmpi.")));
+    assert_eq!((counters.len(), histograms.len()), (p * 31, p * 3));
 }

@@ -15,7 +15,9 @@
 //! call order only, so a planted race is the same warning on both and its
 //! clean twin is clean on both. With tracing on, the one trace sink
 //! records the same spans and edges for either backend, and a failed run
-//! still writes its Perfetto file.
+//! still writes its Perfetto file. At p = 12 the simulator's metrics
+//! snapshot is pinned (key counts, first and last keys, a digest of its
+//! JSON) and both backends render the same `simmpi.*` keys.
 
 use std::collections::BTreeMap;
 
@@ -281,6 +283,59 @@ fn one_program_agrees_across_backends() {
             assert!(!m.counters.keys().any(|k| k.contains("skipped")));
         }
     }
+}
+
+/// FNV-1a over `bytes`: a digest to pin a long rendering with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `simmpi.*` keys of every instrument class.
+fn simmpi_keys(m: &MetricsSnapshot) -> Vec<&str> {
+    m.counters
+        .keys()
+        .chain(m.gauges.keys())
+        .chain(m.histograms.keys())
+        .map(String::as_str)
+        .filter(|k| k.starts_with("simmpi."))
+        .collect()
+}
+
+#[test]
+fn the_metrics_snapshot_is_pinned_at_two_digit_ranks() {
+    // p = 12: rank labels sort as strings, so `rank=10` precedes `rank=2`.
+    let p = 12;
+    let (sim, rt) = (on_sim(p, program), on_rt(p, program));
+    let m = &sim.metrics;
+    let first_last = |keys: Vec<&str>| (keys[0].to_string(), keys[keys.len() - 1].to_string());
+    // 31 counters and 3 histograms per rank, plus one `simmpi.comm_dup`
+    // per rank and parent context.
+    assert_eq!(m.counters.len(), p * 31 + p);
+    assert_eq!(m.histograms.len(), p * 3);
+    assert_eq!(
+        first_last(m.counters.keys().map(String::as_str).collect()),
+        (
+            "simmpi.bytes_posted{op=allgather,rank=0}".to_string(),
+            "simmpi.tests{rank=9}".to_string()
+        )
+    );
+    assert_eq!(
+        first_last(m.histograms.keys().map(String::as_str).collect()),
+        (
+            "simmpi.blocking_ns{rank=0}".to_string(),
+            "simmpi.wait_ns{rank=9}".to_string()
+        )
+    );
+    let keys: Vec<&str> = m.counters.keys().map(String::as_str).collect();
+    let at = |k: &str| keys.iter().position(|x| *x == k).expect(k);
+    assert!(at("simmpi.tests{rank=10}") < at("simmpi.tests{rank=2}"));
+    // Every value and the order of every key, on the simulator's
+    // deterministic snapshot.
+    let json = serde_json::to_string(m).expect("snapshot serializes");
+    assert_eq!(fnv1a(json.as_bytes()), 0x289f_3099_9412_0219);
+    assert_eq!(simmpi_keys(m), simmpi_keys(&rt.metrics));
 }
 
 /// Rank 0 sends rank 1 two messages on one envelope — in flight together,
