@@ -32,5 +32,6 @@ pub use perfetto::{
     validate_trace_events, write_trace, write_trace_annotated,
 };
 pub use registry::{
-    Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
+    Counter, CounterFamily, Gauge, GaugeSnapshot, Histogram, HistogramFamily, HistogramSnapshot,
+    MetricsRegistry, MetricsSnapshot,
 };

@@ -35,7 +35,7 @@ use crate::mailbox::{Mailbox, RecvPost, RtKey, SendPost};
 use crate::progress::Pool;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
-use ovcomm_obs::Histogram;
+use ovcomm_obs::HistogramFamily;
 use ovcomm_simmpi::payload::Payload;
 use ovcomm_simmpi::request::Request;
 use ovcomm_simmpi::transport::CommEnv;
@@ -50,33 +50,30 @@ pub(crate) const PARK_SLICE: Duration = Duration::from_millis(25);
 /// completions skip the park/unpark round trip entirely. 50 µs.
 const SPIN_BUDGET: SimDur = SimDur(50_000);
 
-/// Pre-registered wall-clock-only profiling handles (`rt.*` metrics),
-/// feeding the same registry as the backend's `simmpi.*` handles. The
-/// blame layer (`ovcomm-obs`) reads these sums to split rt wait time into
-/// named causes — spin vs. park vs. rendezvous stall.
+/// Wall-clock-only profiling families (`rt.*` metrics), one histogram
+/// per rank each, registered into the same registry as the backend's
+/// `simmpi.*` families. The blame layer (`ovcomm-obs`) reads these sums to
+/// split rt wait time into named causes — spin vs. park vs. rendezvous
+/// stall.
 pub(crate) struct RtProf {
     /// Per rank: wait time spent spinning (not parked), ns.
-    pub wait_spin_ns: Vec<Histogram>,
+    pub wait_spin_ns: HistogramFamily,
     /// Per rank: wait time spent parked on the condvar, ns.
-    pub wait_park_ns: Vec<Histogram>,
+    pub wait_park_ns: HistogramFamily,
     /// Per rank: time the first-posted side of a rendezvous pair waited
     /// for its partner to post, ns. Attributed to the late-matched rank's
     /// peer (the side that stalled).
-    pub rendezvous_stall_ns: Vec<Histogram>,
+    pub rendezvous_stall_ns: HistogramFamily,
 }
 
 impl RtProf {
     pub fn new(metrics: &SimMetrics, nranks: usize) -> RtProf {
         let reg = metrics.registry();
-        let per_rank = |name: &str| -> Vec<Histogram> {
-            (0..nranks)
-                .map(|r| reg.histogram(name, &[("rank", r.to_string())]))
-                .collect()
-        };
+        let by_rank = [("rank", (0..nranks).map(|r| r.to_string()).collect())];
         RtProf {
-            wait_spin_ns: per_rank("rt.wait_spin_ns"),
-            wait_park_ns: per_rank("rt.wait_park_ns"),
-            rendezvous_stall_ns: per_rank("rt.rendezvous_stall_ns"),
+            wait_spin_ns: reg.histogram_family("rt.wait_spin_ns", &by_rank),
+            wait_park_ns: reg.histogram_family("rt.wait_park_ns", &by_rank),
+            rendezvous_stall_ns: reg.histogram_family("rt.rendezvous_stall_ns", &by_rank),
         }
     }
 }
@@ -195,9 +192,11 @@ impl RtShared {
         };
         let total_ns = self.now().saturating_since(t0).as_nanos();
         let r = rank as usize;
-        if r < self.prof.wait_spin_ns.len() {
-            self.prof.wait_spin_ns[r].record(total_ns.saturating_sub(park_ns));
-            self.prof.wait_park_ns[r].record(park_ns);
+        if r < self.prof.wait_spin_ns.rows() {
+            self.prof
+                .wait_spin_ns
+                .record(r, total_ns.saturating_sub(park_ns));
+            self.prof.wait_park_ns.record(r, park_ns);
         }
         out
     }
@@ -242,8 +241,9 @@ impl RtShared {
             } else {
                 (now.saturating_since(recv_posted_at).as_nanos(), key.dst)
             };
-            if let Some(h) = self.prof.rendezvous_stall_ns.get(blamed as usize) {
-                h.record(stall);
+            let stalls = &self.prof.rendezvous_stall_ns;
+            if (blamed as usize) < stalls.rows() {
+                stalls.record(blamed as usize, stall);
             }
         }
         let edge_from = if send_first { send.posted_at } else { now };
