@@ -91,18 +91,15 @@ impl Payload {
 
     /// A real payload holding `f64` values in native byte order.
     pub fn from_f64s(v: &[f64]) -> Payload {
-        let mut bytes = Vec::with_capacity(v.len() * 8);
-        for x in v {
-            bytes.extend_from_slice(&x.to_ne_bytes());
+        let mut bytes = vec![0u8; v.len() * 8];
+        for (dst, x) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(v) {
+            *dst = x.to_ne_bytes();
         }
         Payload::from_vec(bytes)
     }
 
     /// Interpret a real payload as `f64` values. Panics on phantom payloads
     /// or lengths that are not a multiple of 8.
-    // `chunks_exact(8)` yields exactly-8-byte slices; the conversion
-    // cannot fail.
-    #[allow(clippy::unwrap_used)]
     pub fn to_f64s(&self) -> Vec<f64> {
         match self {
             Payload::Real(b) => {
@@ -111,9 +108,11 @@ impl Payload {
                     "payload length {} not f64-aligned",
                     b.len()
                 );
-                b.chunks_exact(8)
-                    .map(|c| f64::from_ne_bytes(c.try_into().unwrap()))
-                    .collect()
+                let mut out = vec![0.0; b.len() / 8];
+                for (x, c) in out.iter_mut().zip(b.as_chunks::<8>().0) {
+                    *x = f64::from_ne_bytes(*c);
+                }
+                out
             }
             Payload::Phantom(_) => panic!("cannot read data out of a phantom payload"),
         }
