@@ -389,3 +389,88 @@ fn symm25d_unbalanced_blocks() {
     // n = 23 over q = 4: blocks of 6,6,6,5.
     check_symm25d(23, 4, 2, 2);
 }
+
+/// Every collective call shape one Strict Algorithm 5 run logs on a
+/// 4×4×4 mesh (N_DUP = 2), with its count summed over ranks: the
+/// verifier's `coll_calls` multiset, pinned whole.
+#[test]
+fn optimized_coll_calls_are_pinned_on_a_4x4x4_mesh() {
+    let out = run(
+        SimConfig::natural(64, 4, MachineProfile::test_profile()),
+        |rc: RankCtx| {
+            let mesh = Mesh3D::new(&rc, 4);
+            let grid = BlockGrid::new(32, 4);
+            let d_block = (mesh.k == 0).then(|| {
+                let (r, c) = grid.block_dims(mesh.i, mesh.j);
+                BlockBuf::Phantom(r, c)
+            });
+            let bundles = mesh.dup_bundles(2);
+            let input = SymmInput { n: 32, d_block };
+            let _ = symm_square_cube_optimized(&rc, &mesh, &bundles, &input);
+        },
+    )
+    .expect("a clean Strict run");
+    let calls: Vec<String> = out
+        .verify
+        .coll_calls
+        .iter()
+        .map(|(&(ctx, kind, root, len, blocking), n)| {
+            let root = root.map_or("-".to_string(), |r| r.to_string());
+            let form = if blocking { "b" } else { "nb" };
+            format!("{ctx} {kind:?} {root} {len} {form} x{n}")
+        })
+        .collect();
+    assert_eq!(calls.join("; "), OPTIMIZED_COLL_CALLS);
+}
+
+/// `ctx kind root len blocking-form xcount`, in `coll_calls` key order.
+const OPTIMIZED_COLL_CALLS: &str =
+    "0 Dup - 0 nb x128; 0 Split - 0 b x192; 1 Dup - 0 nb x8; 2 Dup - 0 nb x8; 3 Dup - 0 nb \
+    x8; 4 Dup - 0 nb x8; 5 Dup - 0 nb x8; 6 Dup - 0 nb x8; 7 Dup - 0 nb x8; 8 Dup - 0 nb x8; \
+    9 Dup - 0 nb x8; 10 Dup - 0 nb x8; 11 Dup - 0 nb x8; 12 Dup - 0 nb x8; 13 Dup - 0 nb x8; \
+    14 Dup - 0 nb x8; 15 Dup - 0 nb x8; 16 Dup - 0 nb x8; 17 Dup - 0 nb x8; 18 Dup - 0 nb \
+    x8; 19 Dup - 0 nb x8; 20 Dup - 0 nb x8; 21 Dup - 0 nb x8; 22 Dup - 0 nb x8; 23 Dup - 0 \
+    nb x8; 24 Dup - 0 nb x8; 25 Dup - 0 nb x8; 26 Dup - 0 nb x8; 27 Dup - 0 nb x8; 28 Dup - \
+    0 nb x8; 29 Dup - 0 nb x8; 30 Dup - 0 nb x8; 31 Dup - 0 nb x8; 32 Dup - 0 nb x8; 33 Dup \
+    - 0 nb x8; 34 Dup - 0 nb x8; 35 Dup - 0 nb x8; 36 Dup - 0 nb x8; 37 Dup - 0 nb x8; 38 \
+    Dup - 0 nb x8; 39 Dup - 0 nb x8; 40 Dup - 0 nb x8; 41 Dup - 0 nb x8; 42 Dup - 0 nb x8; \
+    43 Dup - 0 nb x8; 44 Dup - 0 nb x8; 45 Dup - 0 nb x8; 46 Dup - 0 nb x8; 47 Dup - 0 nb \
+    x8; 48 Dup - 0 nb x8; 49 Bcast 3 256 nb x8; 50 Bcast 3 256 nb x8; 51 Reduce 3 256 nb x8; \
+    52 Reduce 3 256 nb x8; 53 Bcast 0 256 nb x4; 54 Bcast 0 256 nb x4; 57 Bcast 0 256 nb x8; \
+    58 Bcast 0 256 nb x8; 59 Reduce 0 256 nb x8; 60 Reduce 0 256 nb x8; 61 Bcast 0 256 nb \
+    x4; 62 Bcast 0 256 nb x4; 63 Bcast 0 256 nb x4; 63 Bcast 1 256 nb x4; 64 Bcast 0 256 nb \
+    x4; 64 Bcast 1 256 nb x4; 65 Bcast 0 256 nb x4; 66 Bcast 0 256 nb x4; 67 Bcast 0 256 nb \
+    x4; 67 Bcast 2 256 nb x4; 68 Bcast 0 256 nb x4; 68 Bcast 2 256 nb x4; 69 Bcast 0 256 nb \
+    x4; 70 Bcast 0 256 nb x4; 71 Bcast 0 256 nb x4; 71 Bcast 3 256 nb x4; 72 Bcast 0 256 nb \
+    x4; 72 Bcast 3 256 nb x4; 73 Bcast 0 256 nb x4; 74 Bcast 0 256 nb x4; 75 Reduce 0 256 nb \
+    x4; 75 Reduce 1 256 nb x4; 76 Reduce 0 256 nb x4; 76 Reduce 1 256 nb x4; 77 Bcast 0 256 \
+    nb x4; 78 Bcast 0 256 nb x4; 79 Bcast 0 256 nb x4; 80 Bcast 0 256 nb x4; 81 Bcast 0 256 \
+    nb x4; 82 Bcast 0 256 nb x4; 83 Bcast 0 256 nb x4; 84 Bcast 0 256 nb x4; 85 Reduce 0 256 \
+    nb x4; 85 Reduce 2 256 nb x4; 86 Reduce 0 256 nb x4; 86 Reduce 2 256 nb x4; 87 Bcast 0 \
+    256 nb x4; 88 Bcast 0 256 nb x4; 89 Bcast 0 256 nb x4; 90 Bcast 0 256 nb x4; 91 Bcast 0 \
+    256 nb x4; 92 Bcast 0 256 nb x4; 93 Bcast 0 256 nb x4; 94 Bcast 0 256 nb x4; 95 Reduce 0 \
+    256 nb x4; 95 Reduce 3 256 nb x4; 96 Reduce 0 256 nb x4; 96 Reduce 3 256 nb x4; 97 Bcast \
+    0 256 nb x4; 98 Bcast 0 256 nb x4; 99 Bcast 0 256 nb x4; 100 Bcast 0 256 nb x4; 101 \
+    Bcast 0 256 nb x4; 102 Bcast 0 256 nb x4; 103 Bcast 0 256 nb x4; 103 Bcast 1 256 nb x4; \
+    104 Bcast 0 256 nb x4; 104 Bcast 1 256 nb x4; 105 Reduce 0 256 nb x4; 105 Reduce 1 256 \
+    nb x4; 106 Reduce 0 256 nb x4; 106 Reduce 1 256 nb x4; 107 Bcast 1 256 nb x8; 108 Bcast \
+    1 256 nb x8; 109 Bcast 1 256 nb x4; 109 Bcast 2 256 nb x4; 110 Bcast 1 256 nb x4; 110 \
+    Bcast 2 256 nb x4; 111 Bcast 1 256 nb x4; 111 Bcast 3 256 nb x4; 112 Bcast 1 256 nb x4; \
+    112 Bcast 3 256 nb x4; 113 Reduce 1 256 nb x8; 114 Reduce 1 256 nb x8; 115 Reduce 1 256 \
+    nb x4; 115 Reduce 2 256 nb x4; 116 Reduce 1 256 nb x4; 116 Reduce 2 256 nb x4; 117 \
+    Reduce 1 256 nb x4; 117 Reduce 3 256 nb x4; 118 Reduce 1 256 nb x4; 118 Reduce 3 256 nb \
+    x4; 119 Bcast 0 256 nb x4; 119 Bcast 2 256 nb x4; 120 Bcast 0 256 nb x4; 120 Bcast 2 256 \
+    nb x4; 121 Reduce 0 256 nb x4; 121 Reduce 2 256 nb x4; 122 Reduce 0 256 nb x4; 122 \
+    Reduce 2 256 nb x4; 123 Bcast 1 256 nb x4; 123 Bcast 2 256 nb x4; 124 Bcast 1 256 nb x4; \
+    124 Bcast 2 256 nb x4; 125 Bcast 2 256 nb x8; 126 Bcast 2 256 nb x8; 127 Bcast 2 256 nb \
+    x4; 127 Bcast 3 256 nb x4; 128 Bcast 2 256 nb x4; 128 Bcast 3 256 nb x4; 129 Reduce 1 \
+    256 nb x4; 129 Reduce 2 256 nb x4; 130 Reduce 1 256 nb x4; 130 Reduce 2 256 nb x4; 131 \
+    Reduce 2 256 nb x8; 132 Reduce 2 256 nb x8; 133 Reduce 2 256 nb x4; 133 Reduce 3 256 nb \
+    x4; 134 Reduce 2 256 nb x4; 134 Reduce 3 256 nb x4; 135 Bcast 0 256 nb x4; 135 Bcast 3 \
+    256 nb x4; 136 Bcast 0 256 nb x4; 136 Bcast 3 256 nb x4; 137 Reduce 0 256 nb x4; 137 \
+    Reduce 3 256 nb x4; 138 Reduce 0 256 nb x4; 138 Reduce 3 256 nb x4; 139 Bcast 1 256 nb \
+    x4; 139 Bcast 3 256 nb x4; 140 Bcast 1 256 nb x4; 140 Bcast 3 256 nb x4; 141 Bcast 2 256 \
+    nb x4; 141 Bcast 3 256 nb x4; 142 Bcast 2 256 nb x4; 142 Bcast 3 256 nb x4; 143 Reduce 1 \
+    256 nb x4; 143 Reduce 3 256 nb x4; 144 Reduce 1 256 nb x4; 144 Reduce 3 256 nb x4; 145 \
+    Reduce 2 256 nb x4; 145 Reduce 3 256 nb x4; 146 Reduce 2 256 nb x4; 146 Reduce 3 256 nb \
+    x4";

@@ -84,6 +84,7 @@ fn mutation_put_outside_epoch_is_flagged() {
     assert!(msg.contains("rank 1"), "{msg}");
     assert!(msg.contains("MPI_Rput"), "{msg}");
     assert!(msg.contains("outside any epoch"), "{msg}");
+    assert_eq!(msg, pins::OUTSIDE_EPOCH);
 }
 
 // ---------------------------------------------------------------------
@@ -107,6 +108,7 @@ fn mutation_missing_closing_fence_is_flagged() {
     assert!(msg.contains("rma-unclosed-epoch"), "{msg}");
     assert!(msg.contains("rank 1"), "{msg}");
     assert!(msg.contains("unsynchronized operation"), "{msg}");
+    assert_eq!(msg, pins::MISSING_FENCE);
 }
 
 // ---------------------------------------------------------------------
@@ -138,6 +140,7 @@ fn mutation_conflicting_put_and_accumulate_is_flagged() {
         msg.contains("MPI_Rput") && msg.contains("MPI_Raccumulate"),
         "{msg}"
     );
+    assert_eq!(msg, pins::CONFLICT);
 }
 
 // ---------------------------------------------------------------------
@@ -166,6 +169,7 @@ fn mutation_double_unlock_is_flagged() {
     let msg = expect_findings(result);
     assert!(msg.contains("rma-double-unlock"), "{msg}");
     assert!(msg.contains("rank 1"), "{msg}");
+    assert_eq!(msg, pins::DOUBLE_UNLOCK);
 }
 
 // ---------------------------------------------------------------------
@@ -189,4 +193,17 @@ fn mutation_dropped_window_is_flagged_with_creation_site() {
     assert!(msg.contains("without freeing it"), "{msg}");
     // The diagnostic carries the `win_create` call site of this file.
     assert!(msg.contains("rma_mutations.rs"), "{msg}");
+    assert_eq!(msg, pins::WIN_LEAK);
+}
+
+/// The exact text of every report above, as the analyzer renders it.
+mod pins {
+    pub const OUTSIDE_EPOCH: &str = "error[rma-outside-epoch]: rank 1 posted MPI_Rput(8B, rank 0 at offset 0) on win 0 outside any epoch (no fence opened an access epoch and no lock is held on the target), posted at crates/simmpi/tests/rma_mutations.rs:76";
+    pub const MISSING_FENCE: &str = "error[rma-unclosed-epoch]: rank 1 left an epoch open on win 0 at finalize: 1 unsynchronized operation(s) posted after the last fence, posted at crates/simmpi/tests/rma_mutations.rs:101";
+    pub const CONFLICT: &str = "error[rma-conflict]: conflicting one-sided accesses to rank 0's segment of win 0 in the same epoch: rank 2 MPI_Raccumulate(16B at offset 8..24) overlaps rank 1 MPI_Rput(16B at offset 0..16), posted at crates/simmpi/tests/rma_mutations.rs:129";
+    pub const DOUBLE_UNLOCK: &str = "error[rma-double-unlock]: rank 1 unlocked rank 0 on win 0 without holding the lock (double unlock), posted at crates/simmpi/tests/rma_mutations.rs:162";
+    pub const WIN_LEAK: &str = concat!(
+        "error[win-leak]: rank 0 dropped win 0 without freeing it, created at crates/simmpi/tests/rma_mutations.rs:186\n",
+        "error[win-leak]: rank 1 dropped win 0 without freeing it, created at crates/simmpi/tests/rma_mutations.rs:186",
+    );
 }

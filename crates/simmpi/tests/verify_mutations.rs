@@ -46,6 +46,7 @@ fn mutation_root_mismatch_is_flagged() {
     assert!(msg.contains("root=0") && msg.contains("root=1"), "{msg}");
     assert!(msg.contains("rank 0") && msg.contains("rank 1"), "{msg}");
     assert!(msg.contains("comm 0"), "{msg}");
+    assert_eq!(msg, pins::ROOT_MISMATCH);
 }
 
 // ---------------------------------------------------------------------
@@ -74,6 +75,7 @@ fn mutation_leaked_recv_request_is_flagged() {
         msg.contains("MPI_Irecv(from rank 0, tag=5) on comm 0"),
         "{msg}"
     );
+    assert_eq!(msg, pins::LEAKED_RECV);
 }
 
 // ---------------------------------------------------------------------
@@ -102,6 +104,7 @@ fn mutation_reordered_collectives_on_dup_comms() {
     assert!(msg.contains("cross-comm-order"), "{msg}");
     assert!(msg.contains("rank 0") && msg.contains("rank 1"), "{msg}");
     assert!(msg.contains("MPI_Bcast"), "{msg}");
+    assert_eq!(msg, pins::REORDERED);
 }
 
 // ---------------------------------------------------------------------
@@ -126,6 +129,7 @@ fn mutation_tag_mismatch_yields_deadlock_report() {
             assert!(msg.contains("rank 1"), "{msg}");
             assert!(msg.contains("tag=8"), "{msg}");
             assert!(msg.contains("comm 0"), "{msg}");
+            assert_eq!(msg, pins::TAG_MISMATCH);
         }
         Ok(_) => panic!("tag mismatch must deadlock"),
         Err(other) => panic!("expected a deadlock report, got: {other}"),
@@ -157,6 +161,7 @@ fn mutation_dropped_send_request_is_flagged() {
         msg.contains("MPI_Isend(64B to rank 1, tag=3) on comm 0"),
         "{msg}"
     );
+    assert_eq!(msg, pins::DROPPED_SEND);
 }
 
 // ---------------------------------------------------------------------
@@ -181,6 +186,7 @@ fn mutation_rank_skipping_collective_is_flagged() {
     assert!(msg.contains("coll-count"), "{msg}");
     assert!(msg.contains("rank 2"), "{msg}");
     assert!(msg.contains("comm 0"), "{msg}");
+    assert_eq!(msg, pins::SKIPPED_COLLECTIVE);
 }
 
 // ---------------------------------------------------------------------
@@ -225,6 +231,7 @@ fn mutation_one_envelope_two_sends_in_flight_warns_at_any_scale() {
     );
     let site = format!("posted at {}:{second_post}", file!());
     assert!(msg.contains(&site), "{msg}\nwant: {site}");
+    assert_eq!(msg, format!("{}{site}", pins::ONE_ENVELOPE));
 }
 
 // ---------------------------------------------------------------------
@@ -243,12 +250,8 @@ fn forced_deadlock_reports_wait_for_cycle() {
         Err(SimError::Deadlock { report }) => {
             let msg = report.to_string();
             assert!(msg.contains("wait-for cycle"), "{msg}");
-            assert!(
-                msg.contains("rank 0 -> rank 1 -> rank 0")
-                    || msg.contains("rank 1 -> rank 0 -> rank 1"),
-                "{msg}"
-            );
             assert!(msg.contains("MPI_Irecv"), "{msg}");
+            assert_eq!(msg, pins::HEAD_TO_HEAD);
         }
         Ok(_) => panic!("mutual receives must deadlock"),
         Err(other) => panic!("expected a deadlock report, got: {other}"),
@@ -271,6 +274,7 @@ fn warn_mode_reports_but_does_not_fail() {
         out.verify.errors() > 0,
         "the root mismatch must still be reported in the output"
     );
+    assert_eq!(render(&out.verify.findings), pins::WARN_ROOT_MISMATCH);
 }
 
 #[test]
@@ -282,4 +286,36 @@ fn off_mode_records_nothing() {
     });
     let out = result.expect("Off mode must not fail the run");
     assert!(out.verify.findings.is_empty());
+}
+
+/// The exact text of every report above, as the analyzer renders it.
+mod pins {
+    pub const ROOT_MISMATCH: &str = concat!(
+        "error[coll-mismatch]: mismatched collective #0 on comm 0: rank 0 called MPI_Bcast(root=0, len=64) at crates/simmpi/tests/verify_mutations.rs:42, but rank 1 called MPI_Bcast(root=1, len=64) at crates/simmpi/tests/verify_mutations.rs:42\n",
+        "warning[unmatched-send]: send of 64B from rank 0 to rank 1 (internal tag 0x8000000000000000) on comm 0 was never matched by a receive, posted at crates/simmpi/src/coll/mod.rs:67\n",
+        "warning[unmatched-send]: send of 64B from rank 1 to rank 0 (internal tag 0x8000000000000000) on comm 0 was never matched by a receive, posted at crates/simmpi/src/coll/mod.rs:67",
+    );
+    pub const WARN_ROOT_MISMATCH: &str = concat!(
+        "error[coll-mismatch]: mismatched collective #0 on comm 0: rank 0 called MPI_Bcast(root=0, len=64) at crates/simmpi/tests/verify_mutations.rs:270, but rank 1 called MPI_Bcast(root=1, len=64) at crates/simmpi/tests/verify_mutations.rs:270\n",
+        "warning[unmatched-send]: send of 64B from rank 0 to rank 1 (internal tag 0x8000000000000000) on comm 0 was never matched by a receive, posted at crates/simmpi/src/coll/mod.rs:67\n",
+        "warning[unmatched-send]: send of 64B from rank 1 to rank 0 (internal tag 0x8000000000000000) on comm 0 was never matched by a receive, posted at crates/simmpi/src/coll/mod.rs:67",
+    );
+    pub const LEAKED_RECV: &str = "error[request-leak]: rank 1 leaked MPI_Irecv(from rank 0, tag=5) on comm 0: never waited on or tested to completion, posted at crates/simmpi/tests/verify_mutations.rs:67";
+    pub const REORDERED: &str = "error[cross-comm-order]: blocking collectives on comms [0, 1, 2] (same member set) are interleaved differently: at position 0, rank 0 ran MPI_Bcast on comm 1 at crates/simmpi/tests/verify_mutations.rs:93 but rank 1 ran MPI_Bcast on comm 2 at crates/simmpi/tests/verify_mutations.rs:99";
+    pub const TAG_MISMATCH: &str = concat!(
+        "simulation deadlocked: 1 agent(s) blocked on 1 rank(s)\n",
+        "  rank 1: blocked in MPI_Irecv(from rank 0, tag=8) on comm 0, posted at crates/simmpi/tests/verify_mutations.rs:123",
+    );
+    pub const DROPPED_SEND: &str = "error[request-leak]: rank 0 leaked MPI_Isend(64B to rank 1, tag=3) on comm 0: never waited on or tested to completion, posted at crates/simmpi/tests/verify_mutations.rs:151";
+    pub const SKIPPED_COLLECTIVE: &str = concat!(
+        "error[coll-count]: comm 0: rank 2 issued 0 collective(s) but rank 0 issued 1 — some member skipped a collective\n",
+        "warning[unmatched-send]: send of 64B from rank 0 to rank 2 (internal tag 0x8000000000000001) on comm 0 was never matched by a receive, posted at crates/simmpi/src/coll/mod.rs:67",
+    );
+    pub const ONE_ENVELOPE: &str = "warning[order-dependent-match]: concurrent same-envelope sends (comm 0, rank 0 -> rank 1, tag=9): matching depends on arrival order, ";
+    pub const HEAD_TO_HEAD: &str = concat!(
+        "simulation deadlocked: 2 agent(s) blocked on 2 rank(s)\n",
+        "  wait-for cycle: rank 0 -> rank 1 -> rank 0\n",
+        "  rank 0: blocked in MPI_Irecv(from rank 1, tag=0) on comm 0, posted at crates/simmpi/tests/verify_mutations.rs:247\n",
+        "  rank 1: blocked in MPI_Irecv(from rank 0, tag=0) on comm 0, posted at crates/simmpi/tests/verify_mutations.rs:247",
+    );
 }

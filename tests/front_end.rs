@@ -392,6 +392,8 @@ fn a_planted_race_is_the_same_warning_on_both_backends() {
     );
     assert!(sim[0].contains("rank 0 -> rank 1, tag=4"), "{sim:?}");
     assert_eq!(sim, rt);
+    assert_eq!(sim, [PLANTED_RACE], "sim");
+    assert_eq!(rt, [PLANTED_RACE], "rt");
 }
 
 #[test]
@@ -681,3 +683,8 @@ fn rank_identity_agrees_across_backends() {
     assert_eq!((sim.backend, sim.net.is_some()), ("sim", true));
     assert_eq!((rt.backend, rt.net.is_some()), ("rt", false));
 }
+
+/// The exact text of the planted race's one finding, on either backend.
+const PLANTED_RACE: &str = "warning[order-dependent-match]: concurrent same-envelope sends \
+    (comm 0, rank 0 -> rank 1, tag=4): matching depends on arrival order, \
+    posted at crates/core/src/backend.rs:290";
