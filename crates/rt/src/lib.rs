@@ -38,7 +38,7 @@
 //! * eager/rendezvous point-to-point protocols and FIFO envelope matching
 //!   (one `Mailbox`, which this crate holds behind a mutex);
 //! * the verification event model (`ovcomm-verify`) — the runtime records
-//!   the same per-rank event log, so the same analyzer checks both
+//!   the same per-rank events, so the same analyzer checks both
 //!   backends;
 //! * metric names and the trace span model, so sim-vs-rt comparisons join
 //!   records directly.

@@ -11,7 +11,7 @@
 //! end — argument checks, tag namespacing, plan lookup, verify events,
 //! metrics, trace spans, op-actor ids, the split rendezvous — serves both
 //! the virtual-time simulator (`ovcomm_simmpi::Comm`) and the wall-clock
-//! runtime (`ovcomm_rt::RtComm`), so kernel results, verify logs and
+//! runtime (`ovcomm_rt::RtComm`), so kernel results, verify findings and
 //! per-rank counters agree across backends by construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -493,9 +493,9 @@ impl<T: Transport> Comm<T> {
         self.env().metrics.test_probe(self.agent.rank());
         let done = req.completed_at().is_some_and(|t| t <= self.agent.now());
         if done {
-            // Only successful probes are logged: they prove the rank
+            // Only successful probes are recorded: they prove the rank
             // observed completion (a request retired via `test` is not a
-            // leak), and recording failed polls would flood the log.
+            // leak); a failed poll would only take the verifier lock.
             if let (Some(v), Some(id)) = (self.env().verify.as_ref(), req.verify_id()) {
                 v.record(VEvent::TestObserved {
                     agent: self.agent.id(),

@@ -32,7 +32,7 @@ struct ReqInner<T> {
 impl<T> Drop for ReqInner<T> {
     fn drop(&mut self) {
         // Drop-time leak check: the last handle to this request is gone.
-        // Feed the verifier's counters (and the event log) so requests
+        // Feed the verifier's counters (and its live state) so requests
         // that were never completed, or completed but never taken, don't
         // silently vanish.
         if let Some(m) = &self.meta {

@@ -203,7 +203,7 @@ fn split_grid_traffic_is_bit_identical_across_modes() {
 
 #[test]
 fn mixed_p2p_and_nonblocking_under_warn_mode_matches() {
-    // Warn mode exercises the verifier event log without aborting;
+    // Warn mode exercises the verifier without aborting;
     // findings (if any) must render identically on both runs.
     assert_deterministic(
         || cfg(6, 3).with_verify(VerifyMode::Warn),
@@ -342,7 +342,7 @@ fn contended_transfers_pin_the_flow_solver() {
 
 /// The scale target: 10,000 ranks in one process, broadcast + allreduce
 /// under strict verification (static lint, the per-shape model check and
-/// the dynamic recorder, every analysis of the log included).
+/// the dynamic recorder, every online analysis included).
 #[test]
 fn ten_thousand_rank_bcast_allreduce_strict_smoke() {
     let p = 10_000;

@@ -28,7 +28,7 @@
 //! wins a time tie against an event. Because actors may only schedule events
 //! at or after their own local clocks and wakes never target the past, the
 //! executed sequence — and therefore every virtual timestamp, trace span
-//! order, and verify log — is identical across runs.
+//! order, and verify report — is identical across runs.
 //!
 //! # Actor protocol
 //!

@@ -1,4 +1,5 @@
-//! Offline analyses over the event log.
+//! The live verification state: every analysis runs online, as events
+//! arrive, over the state the checks read — no event log is kept.
 //!
 //! Three families:
 //!
@@ -13,108 +14,282 @@
 //!    two are in flight together, so which message meets which receive
 //!    depends on arrival order.
 //!
-//! All passes are deterministic given per-agent program order: per-agent
-//! event subsequences are program-ordered by construction (each agent
-//! appends its own events), and the final finding list is sorted.
+//! [`Live::apply`] folds each event in under the verifier's one lock, so
+//! per-agent order is program order. An entry is **retired** once it can
+//! no longer produce a finding; [`Live::findings`] renders what is left
+//! and sorts it. What stays live:
+//!
+//! * **Requests**, until observed (`WaitDone`/`TestObserved`) and, for
+//!   point-to-point, matched. `Match` is always recorded before
+//!   completion, so an observed p2p request is matched; one dropped
+//!   incomplete is unobserved and stays, to be reported as a leak; one an
+//!   agent is blocked on is unobserved, so a deadlock report finds it.
+//! * **Envelopes**: the last user post, its poster, and the first agent
+//!   that observed it. The next post is ordered iff that observer is its
+//!   poster. Unordered pairs wait for the report, which keeps those whose
+//!   requests both matched and reports an envelope's first. An envelope
+//!   whose poster observed its last post, with no pair waiting, is retired:
+//!   user posts on an envelope come from its rank's own agent.
+//! * **Collectives**, per context and per member-set group (blocking,
+//!   non-`Dup`): each member's count, and only the records a comparison
+//!   still needs. Member record `i` is compared with the first member's
+//!   record `i` once both exist, each member's first divergence is kept,
+//!   and records every member has passed are dropped. A context joins its
+//!   group at its declaration, which each member records before calling on
+//!   it; an undeclared context keeps its records per rank until the
+//!   report, with the ranks that called as its members.
+//! * **RMA**: the per-(window, rank) epoch machine. A lock epoch is swept
+//!   for conflicts at its unlock, a fence epoch once every window member
+//!   has fenced past it or freed; epochs still open at the report are
+//!   swept then.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
+use crate::deadlock::PendingOp;
 use crate::event::{AgentId, CollKind, Event, ReqId, RmaKind, Site};
 use crate::finding::{CollCallDesc, Finding, FindingKind, LeakKind, SeqEntry, Severity};
 use crate::CollCallKey;
 
-#[derive(Clone)]
-struct CollRec {
-    kind: CollKind,
-    blocking: bool,
-    root: Option<u32>,
-    len: usize,
-    site: Option<Site>,
+/// A record members must agree on, index by index.
+trait Step: Clone {
+    fn differs(&self, other: &Self) -> bool;
 }
 
-enum Post {
-    Send {
-        rank: u32,
-        ctx: u32,
-        dst: u32,
-        tag: u64,
-        bytes: usize,
-        internal: bool,
-        site: Option<Site>,
-    },
-    Recv {
-        rank: u32,
-        ctx: u32,
-        src: u32,
-        tag: u64,
-        internal: bool,
-        site: Option<Site>,
-    },
-    Coll {
-        rank: u32,
-        ctx: u32,
-        kind: CollKind,
-        site: Option<Site>,
-    },
-    Rma {
-        rank: u32,
-        win: u64,
-        kind: RmaKind,
-        target: u32,
-        bytes: usize,
-        site: Option<Site>,
-    },
+impl Step for CollCallDesc {
+    fn differs(&self, o: &CollCallDesc) -> bool {
+        (self.kind, self.root, self.blocking, self.len) != (o.kind, o.root, o.blocking, o.len)
+    }
 }
 
-impl Post {
-    /// Human-readable operation description for leak reports.
-    pub(crate) fn describe(&self) -> String {
-        match self {
-            Post::Send {
+impl Step for SeqEntry {
+    fn differs(&self, o: &SeqEntry) -> bool {
+        self.ctx != o.ctx
+    }
+}
+
+/// One member's records in a [`Lockstep`].
+struct Lane<R> {
+    rank: u32,
+    count: usize,
+    /// Records a comparison still needs: the first lane keeps indices
+    /// `base..count`, every other lane the ones the first has not reached.
+    held: VecDeque<R>,
+    /// First index where this member differs from the first member, with
+    /// the first member's record and this one's.
+    diff: Option<Box<(usize, R, R)>>,
+}
+
+impl<R: Step> Lane<R> {
+    fn compare(&mut self, i: usize, first: &R, mine: R) {
+        if self.diff.is_none() && first.differs(&mine) {
+            self.diff = Some(Box::new((i, first.clone(), mine)));
+        }
+    }
+}
+
+/// The members of one communicator (or one member-set group), each
+/// compared record by record with the first member.
+struct Lockstep<R> {
+    lane_of: HashMap<u32, usize>,
+    lanes: Vec<Lane<R>>,
+    /// Every member has passed the records below `base`.
+    base: usize,
+    /// Members whose count is exactly `base`.
+    at_base: usize,
+}
+
+impl<R: Step> Lockstep<R> {
+    fn new(members: &[u32]) -> Lockstep<R> {
+        let lane = |&rank: &u32| Lane {
+            rank,
+            count: 0,
+            held: VecDeque::new(),
+            diff: None,
+        };
+        Lockstep {
+            lane_of: members.iter().enumerate().map(|(i, &r)| (r, i)).collect(),
+            lanes: members.iter().map(lane).collect(),
+            base: 0,
+            at_base: members.len(),
+        }
+    }
+
+    /// Append `rank`'s next record (ignored for a non-member).
+    fn push(&mut self, rank: u32, rec: R) {
+        let Some(&k) = self.lane_of.get(&rank) else {
+            return;
+        };
+        let i = self.lanes[k].count;
+        self.lanes[k].count += 1;
+        let (first, rest) = self.lanes.split_at_mut(1);
+        let first = &mut first[0];
+        if k == 0 {
+            // Every lane already past `i` holds its record `i` in front.
+            for lane in rest.iter_mut().filter(|l| l.count > i) {
+                if let Some(theirs) = lane.held.pop_front() {
+                    lane.compare(i, &rec, theirs);
+                }
+            }
+            first.held.push_back(rec);
+        } else if first.count > i {
+            rest[k - 1].compare(i, &first.held[i - self.base], rec);
+        } else {
+            rest[k - 1].held.push_back(rec);
+        }
+        if i == self.base {
+            self.at_base -= 1;
+            while self.at_base == 0 {
+                self.base += 1;
+                self.lanes[0].held.pop_front();
+                self.at_base = self.lanes.iter().filter(|l| l.count == self.base).count();
+            }
+        }
+    }
+
+    /// The first member after the first, in member order, that diverged.
+    fn first_diff(&self) -> Option<(u32, &(usize, R, R))> {
+        let mut diffs = self.lanes.iter().skip(1);
+        diffs.find_map(|l| Some((l.rank, &**l.diff.as_ref()?)))
+    }
+}
+
+/// Collective state of one context.
+#[derive(Default)]
+struct CtxColls {
+    /// Set at the context's first `CommDecl`, with its member-set group.
+    steps: Option<(Lockstep<CollCallDesc>, usize)>,
+    /// Records of a context not declared yet, per rank.
+    early: BTreeMap<u32, Vec<CollCallDesc>>,
+}
+
+fn replay(members: &[u32], early: &BTreeMap<u32, Vec<CollCallDesc>>) -> Lockstep<CollCallDesc> {
+    let mut steps = Lockstep::new(members);
+    for r in members {
+        for rec in early.get(r).into_iter().flatten() {
+            steps.push(*r, rec.clone());
+        }
+    }
+    steps
+}
+
+/// Contexts sharing one member set, and their members' merged orders of
+/// blocking collectives over them.
+struct Group {
+    ctxs: BTreeSet<u32>,
+    steps: Lockstep<SeqEntry>,
+}
+
+/// A tracked request: its post event (`SendPost`, `RecvPost`, a
+/// nonblocking `Coll` or a `get`'s `RmaOp`) and what has happened since.
+struct ReqLive {
+    post: Event,
+    observed: bool,
+    matched: bool,
+    dropped_incomplete: bool,
+}
+
+/// `(is_recv, ctx, src, dst, tag)`.
+type EnvKey = (bool, u32, u32, u32, u64);
+
+struct EnvLive {
+    last: ReqId,
+    poster: AgentId,
+    /// First agent that observed `last` complete.
+    observer: Option<AgentId>,
+    /// Same-envelope pairs `(prev, cur, cur's site)` in flight together.
+    races: Vec<(ReqId, ReqId, Option<Site>)>,
+}
+
+/// A blocked request with no post on record.
+const UNTRACKED: &str = "an untracked operation";
+
+impl Event {
+    /// The posted operation as a leak report (`blocked == false`) or a
+    /// deadlock report names it; only a collective's wording differs.
+    fn describe(&self, blocked: bool) -> String {
+        match *self {
+            Event::SendPost {
                 ctx,
                 dst,
                 tag,
                 bytes,
+                internal,
                 ..
-            } => {
-                format!("MPI_Isend({bytes}B to rank {dst}, tag={tag}) on comm {ctx}")
-            }
-            Post::Recv { ctx, src, tag, .. } => {
-                format!("MPI_Irecv(from rank {src}, tag={tag}) on comm {ctx}")
-            }
-            Post::Coll { ctx, kind, .. } => {
-                format!("{} on comm {ctx}", kind.name(false))
-            }
-            Post::Rma {
+            } => match internal {
+                true => format!(
+                    "internal collective send ({bytes}B to rank {dst}, tag {tag:#x}) on comm {ctx}"
+                ),
+                false => format!("MPI_Isend({bytes}B to rank {dst}, tag={tag}) on comm {ctx}"),
+            },
+            Event::RecvPost {
+                ctx,
+                src,
+                tag,
+                internal,
+                ..
+            } => match internal {
+                true => format!(
+                    "internal collective receive (from rank {src}, tag {tag:#x}) on comm {ctx}"
+                ),
+                false => format!("MPI_Irecv(from rank {src}, tag={tag}) on comm {ctx}"),
+            },
+            Event::Coll {
+                ctx, kind, root, ..
+            } => match (blocked, root) {
+                (false, _) => format!("{} on comm {ctx}", kind.name(false)),
+                (true, Some(r)) => format!("{}(root={r}, on comm {ctx})", kind.name(false)),
+                (true, None) => format!("{}(on comm {ctx})", kind.name(false)),
+            },
+            Event::RmaOp {
                 win,
                 kind,
                 target,
-                bytes,
+                len,
                 ..
-            } => {
-                format!("{}({bytes}B, rank {target}) on win {win}", kind.name())
-            }
+            } => format!("{}({len}B, rank {target}) on win {win}", kind.name()),
+            _ => UNTRACKED.to_string(),
         }
     }
 
-    fn rank(&self) -> u32 {
-        match self {
-            Post::Send { rank, .. }
-            | Post::Recv { rank, .. }
-            | Post::Coll { rank, .. }
-            | Post::Rma { rank, .. } => *rank,
+    /// The posting rank and call site.
+    fn poster(&self) -> (u32, Option<Site>) {
+        match *self {
+            Event::SendPost { rank, site, .. }
+            | Event::RecvPost { rank, site, .. }
+            | Event::Coll { rank, site, .. }
+            | Event::RmaOp { rank, site, .. } => (rank, site),
+            _ => (0, None),
         }
     }
 
-    fn site(&self) -> Option<Site> {
-        match self {
-            Post::Send { site, .. }
-            | Post::Recv { site, .. }
-            | Post::Coll { site, .. }
-            | Post::Rma { site, .. } => *site,
+    /// The race-check envelope of a user send or receive.
+    fn envelope(&self) -> Option<EnvKey> {
+        match *self {
+            Event::SendPost {
+                rank,
+                ctx,
+                dst,
+                tag,
+                internal: false,
+                ..
+            } => Some((false, ctx, rank, dst, tag)),
+            Event::RecvPost {
+                rank,
+                ctx,
+                src,
+                tag,
+                internal: false,
+                ..
+            } => Some((true, ctx, src, rank, tag)),
+            _ => None,
         }
     }
+}
+
+/// Retired requests were matched (p2p retires only once matched).
+fn matched(reqs: &HashMap<ReqId, ReqLive>, req: ReqId) -> bool {
+    reqs.get(&req).is_none_or(|r| r.matched)
 }
 
 /// One one-sided operation inside an epoch group, for conflict detection.
@@ -160,9 +335,34 @@ fn rma_conflict_severity(a: RmaKind, b: RmaKind) -> Option<Severity> {
     }
 }
 
-/// Per-(rank, window) epoch state machine, driven in program order.
+/// Overlap sweep of one epoch group, reporting its first conflicting
+/// `(i, j)` pair. Groups are per (window, target, epoch[, origin]), so
+/// they stay small; one finding per group keeps a single buggy loop from
+/// flooding the report.
+fn sweep(win: u64, target: u32, ops: &[RmaOpRec], findings: &mut Vec<Finding>) {
+    let mut conflicts = ops.iter().enumerate().flat_map(|(i, a)| {
+        let later = ops[i + 1..].iter().filter(move |b| a.overlaps(b));
+        later.filter_map(move |b| Some((rma_conflict_severity(a.kind, b.kind)?, a, b)))
+    });
+    if let Some((severity, a, b)) = conflicts.next() {
+        findings.push(Finding {
+            severity,
+            kind: FindingKind::RmaConflict {
+                win,
+                target,
+                a: a.describe(),
+                b: b.describe(),
+                site: b.site,
+            },
+        });
+    }
+}
+
+/// Per-(window, rank) epoch state machine, driven in program order.
 #[derive(Default)]
 struct WinRankState {
+    /// `win_create` call site.
+    site: Option<Site>,
     /// Completed fences (0 = no access epoch has been opened yet).
     fence_count: u64,
     /// Ops posted since the last fence (outside lock epochs).
@@ -178,10 +378,10 @@ struct WinRankState {
 }
 
 impl WinRankState {
-    /// Close `rank`'s epochs on `win` (at its `free`, or at the end of the
-    /// log): report, then clear, any op posted since the last fence and
-    /// every lock still held.
-    fn close(&mut self, rank: u32, win: u64, findings: &mut Vec<Finding>) {
+    /// Report `rank`'s epochs still open on `win` (at its `free`, or at
+    /// the report): any op posted since the last fence and every lock
+    /// still held.
+    fn unclosed(&self, rank: u32, win: u64, findings: &mut Vec<Finding>) {
         let unclosed = |what: String, site: Option<Site>| Finding {
             severity: Severity::Error,
             kind: FindingKind::RmaUnclosedEpoch {
@@ -199,63 +399,64 @@ impl WinRankState {
                 ),
                 self.last_op_site,
             ));
-            self.ops_since_fence = 0;
         }
-        for target in std::mem::take(&mut self.locks).into_keys() {
+        for target in self.locks.keys() {
             findings.push(unclosed(format!("lock on rank {target} still held"), None));
         }
     }
 }
 
-#[derive(Default)]
-struct ReqState {
-    /// The first `WaitDone`/`TestObserved` of the request: who observed it
-    /// complete, and at which log index.
-    observed: Option<(AgentId, usize)>,
-    matched: Option<ReqId>,
-    dropped_incomplete: bool,
+/// What one agent is currently blocked on (for deadlock diagnosis).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Waiting {
+    /// Blocked in a wait on a tracked request.
+    Req(ReqId),
+    /// Blocked in the `MPI_Comm_split` gather on a parent context.
+    Split { ctx: u32 },
 }
 
-/// User send/recv requests on one `(ctx, src, dst, tag)` envelope, each
-/// with its poster and the log index of its post. All from one rank, so
-/// this order is program order.
-type Envelopes = BTreeMap<(u32, u32, u32, u64), Vec<(ReqId, AgentId, usize)>>;
-
-/// Run every analysis over the log; findings are sorted errors-first, then
-/// by rendered text, so output is stable across thread schedules. Returned
-/// beside them: how many times each collective call shape was logged
-/// ([`VerifyReport::coll_calls`](crate::VerifyReport::coll_calls)).
-pub fn analyze(events: &[Event]) -> (Vec<Finding>, BTreeMap<CollCallKey, u64>) {
-    let mut findings = Vec::new();
-    let mut coll_calls = BTreeMap::new();
-
-    // ---- pass 1: index the log -------------------------------------
-    let mut ctx_members: BTreeMap<u32, Arc<Vec<u32>>> = BTreeMap::new();
-    // ctx -> rank -> per-rank collective sequence (program order).
-    let mut coll_seqs: BTreeMap<u32, BTreeMap<u32, Vec<CollRec>>> = BTreeMap::new();
-    // rank -> merged order of its blocking collectives across all comms.
-    let mut rank_blocking: BTreeMap<u32, Vec<SeqEntry>> = BTreeMap::new();
-    let mut posts: HashMap<ReqId, Post> = HashMap::new();
-    let mut post_order: Vec<ReqId> = Vec::new();
-    let mut states: HashMap<ReqId, ReqState> = HashMap::new();
-    let mut send_envelopes = Envelopes::new();
-    let mut recv_envelopes = Envelopes::new();
-    // RMA: per-(rank, win) epoch state, creation sites, and epoch op
-    // groups for conflict detection. Fence epochs are numbered by the
-    // per-rank fence count — consistent across ranks because fence is
+/// Everything the analyses still need of a run so far.
+#[derive(Default)]
+pub(crate) struct Live {
+    /// Findings final when their event arrived.
+    found: Vec<Finding>,
+    pub(crate) coll_calls: BTreeMap<CollCallKey, u64>,
+    reqs: HashMap<ReqId, ReqLive>,
+    envelopes: HashMap<EnvKey, EnvLive>,
+    ctxs: HashMap<u32, CtxColls>,
+    groups: Vec<Group>,
+    group_of: HashMap<Arc<Vec<u32>>, usize>,
+    wins: BTreeMap<(u64, u32), WinRankState>,
+    // Epoch op groups for conflict detection. Fence epochs are numbered by
+    // the per-rank fence count — consistent across ranks because fence is
     // collective on the window — so ops from all origins targeting one
     // segment in the same global epoch share a group. Lock epochs key on
     // the origin too: the lock serializes different origins, so only
     // same-origin overlaps are races there.
-    let mut win_sites: HashMap<(u32, u64), Option<Site>> = HashMap::new();
-    let mut win_states: BTreeMap<(u32, u64), WinRankState> = BTreeMap::new();
-    let mut fence_groups: BTreeMap<(u64, u32, u64), Vec<RmaOpRec>> = BTreeMap::new();
-    let mut lock_groups: BTreeMap<(u64, u32, u32, u64), Vec<RmaOpRec>> = BTreeMap::new();
+    fence_groups: BTreeMap<(u64, u32, u64), Vec<RmaOpRec>>,
+    lock_groups: BTreeMap<(u64, u32, u32, u64), Vec<RmaOpRec>>,
+    pub(crate) waiting: HashMap<AgentId, Waiting>,
+}
 
-    for (at, ev) in events.iter().enumerate() {
+impl Live {
+    /// Fold one event into the state.
+    pub(crate) fn apply(&mut self, ev: Event) {
         match ev {
             Event::CommDecl { ctx, members } => {
-                ctx_members.entry(*ctx).or_insert_with(|| members.clone());
+                let c = self.ctxs.entry(ctx).or_default();
+                if c.steps.is_none() {
+                    let groups = &mut self.groups;
+                    let g = *self.group_of.entry(members.clone()).or_insert_with(|| {
+                        let steps = Lockstep::new(&members);
+                        groups.push(Group {
+                            ctxs: BTreeSet::new(),
+                            steps,
+                        });
+                        groups.len() - 1
+                    });
+                    groups[g].ctxs.insert(ctx);
+                    c.steps = Some((replay(&members, &std::mem::take(&mut c.early)), g));
+                }
             }
             Event::Coll {
                 rank,
@@ -267,139 +468,82 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, BTreeMap<CollCallKey, u64>) {
                 req,
                 site,
             } => {
-                *coll_calls
-                    .entry((*ctx, *kind, *root, *len, *blocking))
+                *self
+                    .coll_calls
+                    .entry((ctx, kind, root, len, blocking))
                     .or_insert(0) += 1;
-                coll_seqs
-                    .entry(*ctx)
-                    .or_default()
-                    .entry(*rank)
-                    .or_default()
-                    .push(CollRec {
-                        kind: *kind,
-                        blocking: *blocking,
-                        root: *root,
-                        len: *len,
-                        site: *site,
-                    });
-                if *blocking && *kind != CollKind::Dup {
-                    rank_blocking.entry(*rank).or_default().push(SeqEntry {
-                        ctx: *ctx,
-                        kind: *kind,
-                        site: *site,
-                    });
+                let rec = CollCallDesc {
+                    rank,
+                    kind,
+                    blocking,
+                    root,
+                    len,
+                    site,
+                };
+                let c = self.ctxs.entry(ctx).or_default();
+                match &mut c.steps {
+                    Some((steps, g)) => {
+                        steps.push(rank, rec);
+                        if blocking && kind != CollKind::Dup {
+                            self.groups[*g]
+                                .steps
+                                .push(rank, SeqEntry { ctx, kind, site });
+                        }
+                    }
+                    None => c.early.entry(rank).or_default().push(rec),
                 }
                 if let Some(r) = req {
-                    posts.insert(
-                        *r,
-                        Post::Coll {
-                            rank: *rank,
-                            ctx: *ctx,
-                            kind: *kind,
-                            site: *site,
-                        },
-                    );
-                    post_order.push(*r);
-                    states.entry(*r).or_default();
+                    self.post(r, rank, ev);
                 }
             }
-            Event::SendPost {
-                agent,
-                rank,
-                ctx,
-                dst,
-                tag,
-                bytes,
-                internal,
-                req,
-                site,
-            } => {
-                posts.insert(
-                    *req,
-                    Post::Send {
-                        rank: *rank,
-                        ctx: *ctx,
-                        dst: *dst,
-                        tag: *tag,
-                        bytes: *bytes,
-                        internal: *internal,
-                        site: *site,
-                    },
-                );
-                post_order.push(*req);
-                states.entry(*req).or_default();
-                if !internal {
-                    send_envelopes
-                        .entry((*ctx, *rank, *dst, *tag))
-                        .or_default()
-                        .push((*req, *agent, at));
-                }
-            }
-            Event::RecvPost {
-                agent,
-                rank,
-                ctx,
-                src,
-                tag,
-                internal,
-                req,
-                site,
-            } => {
-                posts.insert(
-                    *req,
-                    Post::Recv {
-                        rank: *rank,
-                        ctx: *ctx,
-                        src: *src,
-                        tag: *tag,
-                        internal: *internal,
-                        site: *site,
-                    },
-                );
-                post_order.push(*req);
-                states.entry(*req).or_default();
-                if !internal {
-                    recv_envelopes
-                        .entry((*ctx, *src, *rank, *tag))
-                        .or_default()
-                        .push((*req, *agent, at));
-                }
+            Event::SendPost { agent, req, .. } | Event::RecvPost { agent, req, .. } => {
+                self.post(req, agent, ev)
             }
             Event::Match { send, recv } => {
-                states.entry(*send).or_default().matched = Some(*recv);
-                states.entry(*recv).or_default().matched = Some(*send);
-            }
-            Event::WaitDone { agent, req } | Event::TestObserved { agent, req } => {
-                states
-                    .entry(*req)
-                    .or_default()
-                    .observed
-                    .get_or_insert((*agent, at));
-            }
-            Event::ReqDropped { req, completed, .. } => {
-                if !completed {
-                    states.entry(*req).or_default().dropped_incomplete = true;
+                for req in [send, recv] {
+                    if let Some(r) = self.reqs.get_mut(&req) {
+                        r.matched = true;
+                        self.retire(req);
+                    }
                 }
             }
-            Event::WinDecl {
-                rank, win, site, ..
-            } => {
-                win_sites.insert((*rank, *win), *site);
-                win_states.entry((*rank, *win)).or_default();
+            Event::WaitDone { agent, req } | Event::TestObserved { agent, req } => {
+                // A retired request was observed before.
+                let Some(r) = self.reqs.get_mut(&req).filter(|r| !r.observed) else {
+                    return;
+                };
+                r.observed = true;
+                if let Some(key) = r.post.envelope() {
+                    if let Some(env) = self.envelopes.get_mut(&key).filter(|e| e.last == req) {
+                        env.observer = Some(agent);
+                        if agent == env.poster && env.races.is_empty() {
+                            self.envelopes.remove(&key);
+                        }
+                    }
+                }
+                self.retire(req);
+            }
+            Event::ReqDropped { req, completed } => {
+                if let Some(r) = self.reqs.get_mut(&req) {
+                    r.dropped_incomplete |= !completed;
+                }
+            }
+            Event::WinDecl { rank, win, site } => {
+                self.wins.entry((win, rank)).or_default().site = site;
             }
             Event::WinFence { rank, win, .. } => {
-                let st = win_states.entry((*rank, *win)).or_default();
+                let st = self.wins.entry((win, rank)).or_default();
                 st.fence_count += 1;
                 st.ops_since_fence = 0;
                 st.last_op_site = None;
+                self.sweep_fenced(win);
             }
             Event::WinLock {
                 rank, win, target, ..
             } => {
-                let st = win_states.entry((*rank, *win)).or_default();
+                let st = self.wins.entry((win, rank)).or_default();
                 st.lock_seq += 1;
-                let seq = st.lock_seq;
-                st.locks.insert(*target, seq);
+                st.locks.insert(target, st.lock_seq);
             }
             Event::WinUnlock {
                 rank,
@@ -407,17 +551,22 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, BTreeMap<CollCallKey, u64>) {
                 target,
                 site,
             } => {
-                let st = win_states.entry((*rank, *win)).or_default();
-                if st.locks.remove(target).is_none() {
-                    findings.push(Finding {
+                let st = self.wins.entry((win, rank)).or_default();
+                match st.locks.remove(&target) {
+                    Some(lock) => {
+                        if let Some(ops) = self.lock_groups.remove(&(win, target, rank, lock)) {
+                            sweep(win, target, &ops, &mut self.found);
+                        }
+                    }
+                    None => self.found.push(Finding {
                         severity: Severity::Error,
                         kind: FindingKind::RmaDoubleUnlock {
-                            rank: *rank,
-                            win: *win,
-                            target: *target,
-                            site: *site,
+                            rank,
+                            win,
+                            target,
+                            site,
                         },
-                    });
+                    }),
                 }
             }
             Event::RmaOp {
@@ -431,429 +580,405 @@ pub fn analyze(events: &[Event]) -> (Vec<Finding>, BTreeMap<CollCallKey, u64>) {
                 site,
             } => {
                 if let Some(r) = req {
-                    posts.insert(
-                        *r,
-                        Post::Rma {
-                            rank: *rank,
-                            win: *win,
-                            kind: *kind,
-                            target: *target,
-                            bytes: *len,
-                            site: *site,
-                        },
-                    );
-                    post_order.push(*r);
-                    states.entry(*r).or_default();
+                    self.post(r, rank, ev);
                 }
                 let rec = RmaOpRec {
-                    rank: *rank,
-                    kind: *kind,
-                    offset: *offset,
-                    len: *len,
-                    site: *site,
+                    rank,
+                    kind,
+                    offset,
+                    len,
+                    site,
                 };
-                let st = win_states.entry((*rank, *win)).or_default();
-                if let Some(&lock_inst) = st.locks.get(target) {
-                    lock_groups
-                        .entry((*win, *target, *rank, lock_inst))
-                        .or_default()
-                        .push(rec);
+                let st = self.wins.entry((win, rank)).or_default();
+                if let Some(&lock) = st.locks.get(&target) {
+                    let group = (win, target, rank, lock);
+                    self.lock_groups.entry(group).or_default().push(rec);
                 } else if st.fence_count >= 1 {
                     st.ops_since_fence += 1;
-                    st.last_op_site = *site;
-                    fence_groups
-                        .entry((*win, *target, st.fence_count))
-                        .or_default()
-                        .push(rec);
+                    st.last_op_site = site;
+                    let group = (win, target, st.fence_count);
+                    self.fence_groups.entry(group).or_default().push(rec);
                 } else {
-                    findings.push(Finding {
+                    let op = format!("{}({len}B, rank {target} at offset {offset})", kind.name());
+                    self.found.push(Finding {
                         severity: Severity::Error,
                         kind: FindingKind::RmaOutsideEpoch {
-                            rank: *rank,
-                            win: *win,
-                            op: format!(
-                                "{}({len}B, rank {target} at offset {offset})",
-                                kind.name()
-                            ),
-                            site: *site,
+                            rank,
+                            win,
+                            op,
+                            site,
                         },
                     });
                 }
             }
             Event::WinFree { rank, win, .. } => {
-                let st = win_states.entry((*rank, *win)).or_default();
+                let st = self.wins.entry((win, rank)).or_default();
                 st.freed = true;
-                st.close(*rank, *win, &mut findings);
+                st.unclosed(rank, win, &mut self.found);
+                st.ops_since_fence = 0;
+                st.locks.clear();
+                self.sweep_fenced(win);
             }
             Event::WinDropped { rank, win, freed } => {
                 if !freed {
-                    findings.push(Finding {
+                    let site = self.wins.get(&(win, rank)).and_then(|s| s.site);
+                    self.found.push(Finding {
                         severity: Severity::Error,
-                        kind: FindingKind::WinLeak {
-                            rank: *rank,
-                            win: *win,
-                            site: win_sites.get(&(*rank, *win)).copied().flatten(),
-                        },
+                        kind: FindingKind::WinLeak { rank, win, site },
                     });
                 }
             }
         }
     }
 
-    // ---- analysis 0: RMA epoch closure and conflicts ----------------
-    // Windows never freed: anything still open at end-of-log is
-    // unsynchronized (the leak itself is reported via `WinDropped`).
-    for ((rank, win), st) in &mut win_states {
-        if !st.freed {
-            st.close(*rank, *win, &mut findings);
-        }
-    }
-    // Overlap sweep inside each epoch group. Groups are per (window,
-    // target, epoch[, origin]), so they stay small; one finding per group
-    // keeps a single buggy loop from flooding the report.
-    let sweep = |win: u64, target: u32, ops: &[RmaOpRec], findings: &mut Vec<Finding>| {
-        'outer: for i in 0..ops.len() {
-            for j in (i + 1)..ops.len() {
-                let (a, b) = (&ops[i], &ops[j]);
-                if !a.overlaps(b) {
-                    continue;
-                }
-                if let Some(severity) = rma_conflict_severity(a.kind, b.kind) {
-                    findings.push(Finding {
-                        severity,
-                        kind: FindingKind::RmaConflict {
-                            win,
-                            target,
-                            a: a.describe(),
-                            b: b.describe(),
-                            site: b.site,
-                        },
-                    });
-                    break 'outer;
-                }
-            }
-        }
-    };
-    for ((win, target, _epoch), ops) in &fence_groups {
-        sweep(*win, *target, ops, &mut findings);
-    }
-    for ((win, target, _origin, _lock), ops) in &lock_groups {
-        sweep(*win, *target, ops, &mut findings);
-    }
-
-    // ---- analysis 1a: per-communicator collective matching ---------
-    let empty: Vec<CollRec> = Vec::new();
-    for (ctx, per_rank) in &coll_seqs {
-        let members: Vec<u32> = match ctx_members.get(ctx) {
-            Some(m) => (**m).clone(),
-            None => per_rank.keys().copied().collect(),
-        };
-        if members.is_empty() {
-            continue;
-        }
-        let seq_of = |r: u32| per_rank.get(&r).unwrap_or(&empty);
-        let r0 = members[0];
-        let s0 = seq_of(r0);
-        'content: for &r in &members[1..] {
-            let s = seq_of(r);
-            for i in 0..s0.len().min(s.len()) {
-                let (a, b) = (&s0[i], &s[i]);
-                let desc = |rank: u32, c: &CollRec| CollCallDesc {
-                    rank,
-                    kind: c.kind,
-                    blocking: c.blocking,
-                    root: c.root,
-                    len: c.len,
-                    site: c.site,
-                };
-                if a.kind != b.kind || a.root != b.root || a.blocking != b.blocking {
-                    findings.push(Finding {
-                        severity: Severity::Error,
-                        kind: FindingKind::CollectiveMismatch {
-                            ctx: *ctx,
-                            index: i,
-                            a: desc(r0, a),
-                            b: desc(r, b),
-                        },
-                    });
-                    break 'content;
-                }
-                if a.len != b.len {
-                    findings.push(Finding {
-                        severity: Severity::Warning,
-                        kind: FindingKind::CollectiveLengthMismatch {
-                            ctx: *ctx,
-                            index: i,
-                            a: desc(r0, a),
-                            b: desc(r, b),
-                        },
-                    });
-                    break 'content;
-                }
-            }
-        }
-        let (mut min_rank, mut min_count) = (r0, s0.len());
-        let (mut max_rank, mut max_count) = (r0, s0.len());
-        for &r in &members {
-            let c = seq_of(r).len();
-            if c < min_count {
-                min_rank = r;
-                min_count = c;
-            }
-            if c > max_count {
-                max_rank = r;
-                max_count = c;
-            }
-        }
-        if min_count != max_count {
-            findings.push(Finding {
-                severity: Severity::Error,
-                kind: FindingKind::CollectiveCountDivergence {
-                    ctx: *ctx,
-                    min_rank,
-                    min_count,
-                    max_rank,
-                    max_count,
-                },
+    /// Track request `req` posted by `agent` and, for a user send or
+    /// receive, check its order against the previous post on its envelope.
+    fn post(&mut self, req: ReqId, agent: AgentId, post: Event) {
+        if let Some(key) = post.envelope() {
+            // A fresh envelope has no earlier post to order against.
+            let env = self.envelopes.entry(key).or_insert(EnvLive {
+                last: req,
+                poster: agent,
+                observer: Some(agent),
+                races: Vec::new(),
             });
+            // Once a pair both matched is waiting, later pairs cannot be
+            // the envelope's first race.
+            let decided = env
+                .races
+                .last()
+                .is_some_and(|&(a, b, _)| matched(&self.reqs, a) && matched(&self.reqs, b));
+            if env.observer != Some(agent) && !decided {
+                env.races.push((env.last, req, post.poster().1));
+            }
+            (env.last, env.poster, env.observer) = (req, agent, None);
+        }
+        let r = ReqLive {
+            post,
+            observed: false,
+            matched: false,
+            dropped_incomplete: false,
+        };
+        self.reqs.insert(req, r);
+    }
+
+    /// Drop `req` once it was observed and, if p2p, matched.
+    fn retire(&mut self, req: ReqId) {
+        let p2p = |e: &Event| matches!(e, Event::SendPost { .. } | Event::RecvPost { .. });
+        if self
+            .reqs
+            .get(&req)
+            .is_some_and(|r| r.observed && (r.matched || !p2p(&r.post)))
+        {
+            self.reqs.remove(&req);
         }
     }
 
-    // ---- analysis 1b: cross-communicator interleaving --------------
-    let mut groups: BTreeMap<Vec<u32>, Vec<u32>> = BTreeMap::new();
-    for (ctx, members) in &ctx_members {
-        groups.entry((**members).clone()).or_default().push(*ctx);
-    }
-    for (members, ctxs) in &groups {
-        if ctxs.len() < 2 || members.len() < 2 {
-            continue;
-        }
-        let ctxset: BTreeSet<u32> = ctxs.iter().copied().collect();
-        let proj = |r: u32| -> Vec<SeqEntry> {
-            rank_blocking
-                .get(&r)
-                .map(|v| {
-                    v.iter()
-                        .filter(|e| ctxset.contains(&e.ctx))
-                        .cloned()
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let r0 = members[0];
-        let p0 = proj(r0);
-        'group: for &r in &members[1..] {
-            let p = proj(r);
-            for i in 0..p0.len().min(p.len()) {
-                // A kind divergence on the same ctx is already reported by
-                // the per-communicator pass; only flag interleave changes.
-                if p0[i].ctx != p[i].ctx {
-                    findings.push(Finding {
-                        severity: Severity::Error,
-                        kind: FindingKind::CrossCommReorder {
-                            ctxs: ctxs.clone(),
-                            rank_a: r0,
-                            rank_b: r,
-                            index: i,
-                            a: Some(p0[i].clone()),
-                            b: Some(p[i].clone()),
-                        },
-                    });
-                    break 'group;
-                }
+    /// Sweep `win`'s fence groups every member has fenced past (or freed).
+    fn sweep_fenced(&mut self, win: u64) {
+        let members = self.wins.range((win, 0)..=(win, u32::MAX));
+        let passed = members
+            .map(|(_, st)| if st.freed { u64::MAX } else { st.fence_count })
+            .min()
+            .unwrap_or(0);
+        let groups = self
+            .fence_groups
+            .range((win, 0, 0)..=(win, u32::MAX, u64::MAX));
+        let done: Vec<_> = groups.map(|(k, _)| *k).filter(|k| k.2 < passed).collect();
+        for key in done {
+            if let Some(ops) = self.fence_groups.remove(&key) {
+                sweep(win, key.1, &ops, &mut self.found);
             }
         }
     }
 
-    // ---- analysis 2: request leaks and unmatched messages ----------
-    for req in &post_order {
-        let (Some(post), Some(st)) = (posts.get(req), states.get(req)) else {
-            continue;
-        };
-        let internal = match post {
-            Post::Send { internal, .. } | Post::Recv { internal, .. } => *internal,
-            Post::Coll { .. } | Post::Rma { .. } => false,
-        };
-        if !internal && st.observed.is_none() {
-            findings.push(Finding {
-                severity: Severity::Error,
-                kind: FindingKind::RequestLeak {
-                    rank: post.rank(),
-                    op: post.describe(),
-                    site: post.site(),
-                    leak: if st.dropped_incomplete {
-                        LeakKind::DroppedIncomplete
-                    } else {
-                        LeakKind::NeverWaited
+    /// Every finding of the run so far, sorted errors-first, then by
+    /// rendered text, so output is stable across thread schedules.
+    pub(crate) fn findings(&self) -> Vec<Finding> {
+        let mut findings = self.found.clone();
+
+        // RMA: anything still open is unsynchronized (a window never freed
+        // is itself reported via `WinDropped`).
+        for (&(win, rank), st) in self.wins.iter().filter(|(_, st)| !st.freed) {
+            st.unclosed(rank, win, &mut findings);
+        }
+        for (&(win, target, _epoch), ops) in &self.fence_groups {
+            sweep(win, target, ops, &mut findings);
+        }
+        for (&(win, target, _origin, _lock), ops) in &self.lock_groups {
+            sweep(win, target, ops, &mut findings);
+        }
+        let mut push = |severity, kind| findings.push(Finding { severity, kind });
+
+        // Per-communicator collective matching.
+        for (&ctx, c) in &self.ctxs {
+            let undeclared;
+            let steps = match &c.steps {
+                Some((steps, _)) => steps,
+                None => {
+                    let members: Vec<u32> = c.early.keys().copied().collect();
+                    undeclared = replay(&members, &c.early);
+                    &undeclared
+                }
+            };
+            if let Some((_, (index, a, b))) = steps.first_diff() {
+                let (index, a, b) = (*index, a.clone(), b.clone());
+                if (a.kind, a.root, a.blocking) != (b.kind, b.root, b.blocking) {
+                    push(
+                        Severity::Error,
+                        FindingKind::CollectiveMismatch { ctx, index, a, b },
+                    );
+                } else {
+                    push(
+                        Severity::Warning,
+                        FindingKind::CollectiveLengthMismatch { ctx, index, a, b },
+                    );
+                }
+            }
+            // The first member at the least count and at the most.
+            let min = steps.lanes.iter().min_by_key(|l| l.count);
+            let max = steps.lanes.iter().rev().max_by_key(|l| l.count);
+            if let (Some(min), Some(max)) = (min, max) {
+                if min.count != max.count {
+                    push(
+                        Severity::Error,
+                        FindingKind::CollectiveCountDivergence {
+                            ctx,
+                            min_rank: min.rank,
+                            min_count: min.count,
+                            max_rank: max.rank,
+                            max_count: max.count,
+                        },
+                    );
+                }
+            }
+        }
+
+        // Cross-communicator interleaving. A kind divergence on the same
+        // ctx is reported by the per-communicator pass; only interleave
+        // changes show here.
+        for g in &self.groups {
+            if let Some((rank_b, (index, a, b))) = g.steps.first_diff() {
+                push(
+                    Severity::Error,
+                    FindingKind::CrossCommReorder {
+                        ctxs: g.ctxs.iter().copied().collect(),
+                        rank_a: g.steps.lanes[0].rank,
+                        rank_b,
+                        index: *index,
+                        a: Some(a.clone()),
+                        b: Some(b.clone()),
                     },
-                },
-            });
+                );
+            }
         }
-        if st.matched.is_none() {
-            match post {
-                Post::Send {
+
+        // Request leaks and unmatched messages.
+        for r in self.reqs.values() {
+            let internal = matches!(
+                r.post,
+                Event::SendPost { internal: true, .. } | Event::RecvPost { internal: true, .. }
+            );
+            let (rank, site) = r.post.poster();
+            if !internal && !r.observed {
+                let leak = match r.dropped_incomplete {
+                    true => LeakKind::DroppedIncomplete,
+                    false => LeakKind::NeverWaited,
+                };
+                let op = r.post.describe(false);
+                push(
+                    Severity::Error,
+                    FindingKind::RequestLeak {
+                        rank,
+                        op,
+                        site,
+                        leak,
+                    },
+                );
+            }
+            let kind = match r.post {
+                _ if r.matched => continue,
+                Event::SendPost {
                     ctx,
-                    rank,
+                    dst,
+                    tag,
+                    bytes,
+                    ..
+                } => FindingKind::UnmatchedSend {
+                    ctx,
+                    src: rank,
                     dst,
                     tag,
                     bytes,
                     internal,
                     site,
-                } => findings.push(Finding {
-                    severity: if *internal {
-                        Severity::Warning
-                    } else {
-                        Severity::Error
-                    },
-                    kind: FindingKind::UnmatchedSend {
-                        ctx: *ctx,
-                        src: *rank,
-                        dst: *dst,
-                        tag: *tag,
-                        bytes: *bytes,
-                        internal: *internal,
-                        site: *site,
-                    },
-                }),
-                Post::Recv {
+                },
+                Event::RecvPost { ctx, src, tag, .. } => FindingKind::UnmatchedRecv {
                     ctx,
-                    rank,
                     src,
+                    dst: rank,
                     tag,
                     internal,
                     site,
-                } => findings.push(Finding {
-                    severity: if *internal {
-                        Severity::Warning
-                    } else {
-                        Severity::Error
+                },
+                _ => continue,
+            };
+            let severity = if internal {
+                Severity::Warning
+            } else {
+                Severity::Error
+            };
+            push(severity, kind);
+        }
+
+        // Order-dependent matching: an envelope's first unordered pair
+        // whose requests both matched (pure leaks are reported above).
+        for (&(recv, ctx, src, dst, tag), env) in &self.envelopes {
+            let mut races = env.races.iter();
+            let race = races.find(|&&(a, b, _)| matched(&self.reqs, a) && matched(&self.reqs, b));
+            if let Some(&(_, _, site)) = race {
+                let what = if recv { "receives" } else { "sends" };
+                push(
+                    Severity::Warning,
+                    FindingKind::OrderDependentMatch {
+                        ctx,
+                        src,
+                        dst,
+                        tag,
+                        what,
+                        site,
                     },
-                    kind: FindingKind::UnmatchedRecv {
-                        ctx: *ctx,
-                        src: *src,
-                        dst: *rank,
-                        tag: *tag,
-                        internal: *internal,
-                        site: *site,
-                    },
-                }),
-                Post::Coll { .. } | Post::Rma { .. } => {}
+                );
             }
         }
+
+        findings.sort_by_key(|x| (x.severity, x.to_string()));
+        findings
     }
 
-    // ---- analysis 3: order-dependent matching ----------------------
-    // Both requests of a pair are posted by one agent, and a completion is
-    // only ever observed by whoever waits or tests, so `prev` is out of
-    // flight before `cur` iff `cur`'s poster itself observed `prev`
-    // complete earlier in its own event order (per-agent log order is
-    // program order). An observation by any other agent does not order.
-    let mut race_check = |envelopes: &Envelopes, what: &'static str| {
-        let matched = |req: &ReqId| states.get(req).is_some_and(|s| s.matched.is_some());
-        for ((ctx, src, dst, tag), reqs) in envelopes {
-            for pair in reqs.windows(2) {
-                let ((prev, ..), (cur, poster, posted_at)) = (pair[0], pair[1]);
-                if !(matched(&prev) && matched(&cur)) {
-                    continue; // pure leaks are reported above
-                }
-                let ordered = states
-                    .get(&prev)
-                    .and_then(|s| s.observed)
-                    .is_some_and(|(observer, at)| observer == poster && at < posted_at);
-                if !ordered {
-                    findings.push(Finding {
-                        severity: Severity::Warning,
-                        kind: FindingKind::OrderDependentMatch {
-                            ctx: *ctx,
-                            src: *src,
-                            dst: *dst,
-                            tag: *tag,
-                            what,
-                            site: posts.get(&cur).and_then(Post::site),
-                        },
-                    });
-                    break; // one finding per envelope
+    /// What `agent` is blocked on, for the deadlock report.
+    pub(crate) fn pending(&self, agent: AgentId) -> Option<PendingOp> {
+        Some(match *self.waiting.get(&agent)? {
+            Waiting::Req(req) => {
+                let post = self.reqs.get(&req).map(|r| &r.post);
+                let peers = match post {
+                    Some(&Event::SendPost { dst, .. }) => vec![dst],
+                    Some(&Event::RecvPost { src, .. }) => vec![src],
+                    _ => Vec::new(),
+                };
+                PendingOp {
+                    op: post.map_or(UNTRACKED.to_string(), |p| p.describe(true)),
+                    peers,
+                    site: post.and_then(|p| p.poster().1),
                 }
             }
-        }
-    };
-    race_check(&send_envelopes, "sends");
-    race_check(&recv_envelopes, "receives");
-
-    findings.sort_by_key(|x| (x.severity, x.to_string()));
-    (findings, coll_calls)
+            Waiting::Split { ctx } => PendingOp {
+                op: format!("MPI_Comm_split on comm {ctx} (some member never called it)"),
+                peers: Vec::new(),
+                site: None,
+            },
+        })
+    }
 }
 
-/// Look up the post descriptor of a request, for deadlock reporting.
-pub(crate) fn describe_req(events: &[Event], req: ReqId) -> Option<(String, Option<Site>)> {
-    for ev in events {
-        match ev {
-            Event::SendPost {
-                req: r,
-                ctx,
-                dst,
-                tag,
-                bytes,
-                internal,
-                site,
-                ..
-            } if *r == req => {
-                let op = if *internal {
-                    format!(
-                        "internal collective send ({bytes}B to rank {dst}, tag {tag:#x}) on comm {ctx}"
-                    )
-                } else {
-                    format!("MPI_Isend({bytes}B to rank {dst}, tag={tag}) on comm {ctx}")
-                };
-                return Some((op, *site));
-            }
-            Event::RecvPost {
-                req: r,
-                ctx,
-                src,
-                tag,
-                internal,
-                site,
-                ..
-            } if *r == req => {
-                let op = if *internal {
-                    format!(
-                        "internal collective receive (from rank {src}, tag {tag:#x}) on comm {ctx}"
-                    )
-                } else {
-                    format!("MPI_Irecv(from rank {src}, tag={tag}) on comm {ctx}")
-                };
-                return Some((op, *site));
-            }
-            Event::Coll {
-                req: Some(r),
-                ctx,
-                kind,
-                root,
-                site,
-                ..
-            } if *r == req => {
-                let root_s = root.map_or(String::new(), |x| format!("root={x}, "));
-                return Some((
-                    format!("{}({root_s}on comm {ctx})", kind.name(false)),
-                    *site,
-                ));
-            }
-            _ => {}
-        }
-    }
-    None
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Peer world ranks whose action is needed to complete `req` (for the
-/// deadlock wait-for graph).
-pub(crate) fn req_peers(events: &[Event], req: ReqId) -> Vec<u32> {
-    for ev in events {
-        match ev {
-            Event::SendPost { req: r, dst, .. } if *r == req => return vec![*dst],
-            Event::RecvPost { req: r, src, .. } if *r == req => return vec![*src],
-            _ => {}
+    /// 10,000 rounds of three agents: rank 0 sends to rank 1 on one
+    /// envelope, the two match and wait, then all three call a barrier on
+    /// the one context, rank 2 first. In round `leak_at` the pair uses
+    /// tag 8 and rank 1 drops its completed receive unwaited.
+    fn rounds(leak_at: Option<u64>) -> Live {
+        let mut live = Live::default();
+        live.apply(Event::CommDecl {
+            ctx: 0,
+            members: Arc::new(vec![0, 1, 2]),
+        });
+        for round in 0..10_000 {
+            let (s, r, leak) = (2 * round, 2 * round + 1, leak_at == Some(round));
+            let tag = if leak { 8 } else { 7 };
+            live.apply(Event::SendPost {
+                agent: 0,
+                rank: 0,
+                ctx: 0,
+                dst: 1,
+                tag,
+                bytes: 64,
+                internal: false,
+                req: s,
+                site: None,
+            });
+            live.apply(Event::RecvPost {
+                agent: 1,
+                rank: 1,
+                ctx: 0,
+                src: 0,
+                tag,
+                internal: false,
+                req: r,
+                site: None,
+            });
+            live.apply(Event::Match { send: s, recv: r });
+            live.apply(Event::WaitDone { agent: 0, req: s });
+            if leak {
+                live.apply(Event::ReqDropped {
+                    req: r,
+                    completed: true,
+                });
+            } else {
+                live.apply(Event::WaitDone { agent: 1, req: r });
+            }
+            for rank in [2, 0, 1] {
+                live.apply(Event::Coll {
+                    rank,
+                    ctx: 0,
+                    kind: CollKind::Barrier,
+                    root: None,
+                    len: 0,
+                    blocking: true,
+                    req: None,
+                    site: None,
+                });
+            }
         }
+        live
     }
-    Vec::new()
+
+    /// Collective records still held, over every context and group.
+    fn held(live: &Live) -> usize {
+        let ctxs = live.ctxs.values().filter_map(|c| c.steps.as_ref());
+        let coll = ctxs.flat_map(|(s, _)| &s.lanes).map(|l| l.held.len());
+        let seq = live.groups.iter().flat_map(|g| &g.steps.lanes);
+        coll.sum::<usize>() + seq.map(|l| l.held.len()).sum::<usize>()
+    }
+
+    #[test]
+    fn a_long_clean_run_keeps_bounded_state() {
+        let live = rounds(None);
+        assert_eq!(live.reqs.len(), 0);
+        assert!(live.envelopes.len() <= 1, "{}", live.envelopes.len());
+        assert!(held(&live) <= 3, "{}", held(&live));
+        assert_eq!(
+            live.coll_calls[&(0, CollKind::Barrier, None, 0, true)],
+            30_000
+        );
+        assert!(live.findings().is_empty());
+    }
+
+    #[test]
+    fn a_leak_in_a_long_run_is_the_one_finding() {
+        let live = rounds(Some(5_000));
+        assert_eq!(live.reqs.len(), 1);
+        assert!(live.envelopes.len() <= 2, "{}", live.envelopes.len());
+        assert!(held(&live) <= 3, "{}", held(&live));
+        let text: Vec<String> = live.findings().iter().map(Finding::to_string).collect();
+        assert_eq!(
+            text,
+            [
+                "error[request-leak]: rank 1 leaked MPI_Irecv(from rank 0, tag=8) on comm 0: \
+              never waited on or tested to completion"
+            ]
+        );
+    }
 }

@@ -1,10 +1,11 @@
 //! The verification event model.
 //!
-//! The simulator (ovcomm-simmpi) appends one [`Event`] per interesting
+//! The simulator (ovcomm-simmpi) records one [`Event`] per interesting
 //! action — communicator creation, collective calls, point-to-point posts,
-//! matches, waits, tests, request drops — into a shared log owned by the
-//! [`crate::Verifier`]. All analyses run offline over this log after the
-//! run completes, so recording never perturbs virtual time.
+//! matches, waits, tests, request drops — with the shared
+//! [`crate::Verifier`], which folds it at once into the live state its
+//! analyses read; no log is kept. Recording is wall-clock bookkeeping
+//! only, so it never perturbs virtual time.
 //!
 //! Event identities:
 //!

@@ -2,13 +2,16 @@
 //!
 //! MPI communication-correctness analyzer for the ovcomm simulator.
 //!
-//! The simulator records an [`Event`] log through a shared [`Verifier`]
-//! while a run executes; after a successful run the log is analyzed for
+//! The simulator reports each [`Event`] to a shared [`Verifier`] while a
+//! run executes, and the verifier folds it at once into live state: the
+//! collective sequences, requests, envelopes and RMA epochs the checks
+//! still need, each retired as soon as it can no longer produce a finding.
+//! After a successful run the state yields the findings —
 //! collective-matching violations, leaked requests, unmatched messages and
 //! order-dependent matching (same-envelope sends or receives in flight
-//! together), and on deadlock the verifier's blocked-agent table turns the
-//! engine's bare "deadlock" verdict into a [`DeadlockReport`] with per-rank
-//! pending operations and the wait-for cycle.
+//! together) — and on deadlock the verifier's blocked-agent table turns
+//! the engine's bare "deadlock" verdict into a [`DeadlockReport`] with
+//! per-rank pending operations and the wait-for cycle.
 //!
 //! Recording is wall-clock-only bookkeeping: it never advances virtual
 //! clocks or schedules events, so enabling verification cannot change the
@@ -28,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use analyze::{Live, Waiting};
 pub use deadlock::{BlockedAgent, DeadlockReport, PendingOp};
 pub use event::{AgentId, CollKind, Event, ReqId, RmaKind, Site, INTERNAL_TAG_BIT};
 pub use finding::{CollCallDesc, Finding, FindingKind, LeakKind, SeqEntry, Severity};
@@ -45,16 +49,7 @@ pub enum VerifyMode {
     Strict,
 }
 
-/// What one agent is currently blocked on (for deadlock diagnosis).
-#[derive(Debug, Clone, Copy)]
-enum Waiting {
-    /// Blocked in a wait on a tracked request.
-    Req(ReqId),
-    /// Blocked in the `MPI_Comm_split` gather on a parent context.
-    Split { ctx: u32 },
-}
-
-/// Shape of one logged collective call: `(ctx, kind, root, len, blocking)`.
+/// Shape of one recorded collective call: `(ctx, kind, root, len, blocking)`.
 pub type CollCallKey = (u32, CollKind, Option<u32>, usize, bool);
 
 /// Verification output attached to a successful run.
@@ -66,9 +61,9 @@ pub struct VerifyReport {
     pub dropped_incomplete: u64,
     /// Tracked requests that completed but whose result was never taken.
     pub dropped_untaken: u64,
-    /// How many times each collective call shape was logged, summed over
-    /// ranks — the multiset of `Coll` events per communicator, which must
-    /// agree between backends running the same program.
+    /// How many times each collective call shape was recorded, summed
+    /// over ranks — the multiset of `Coll` events per communicator, which
+    /// must agree between backends running the same program.
     pub coll_calls: BTreeMap<CollCallKey, u64>,
 }
 
@@ -90,12 +85,11 @@ impl VerifyReport {
 /// The event recorder shared by every agent of one simulated run.
 ///
 /// All methods are callable from any thread; per-agent event order is
-/// program order because each agent appends its own events.
+/// program order because each agent records its own events.
 #[derive(Default)]
 pub struct Verifier {
-    events: Mutex<Vec<Event>>,
+    live: Mutex<Live>,
     next_req: AtomicU64,
-    waiting: Mutex<BTreeMap<AgentId, Waiting>>,
     dropped_incomplete: AtomicU64,
     dropped_untaken: AtomicU64,
 }
@@ -111,26 +105,29 @@ impl Verifier {
         self.next_req.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Append an event to the log.
+    /// Fold an event into the live state.
     pub fn record(&self, ev: Event) {
-        self.events.lock().push(ev);
+        self.live.lock().apply(ev);
     }
 
     /// Mark `agent` as blocked waiting on `req` (cleared by
     /// [`Verifier::wait_end`]). Entries that are never cleared — because a
     /// deadlock unwound the agent — are exactly the deadlock diagnosis.
     pub fn wait_begin(&self, agent: AgentId, req: ReqId) {
-        self.waiting.lock().insert(agent, Waiting::Req(req));
+        self.live.lock().waiting.insert(agent, Waiting::Req(req));
     }
 
     /// Mark `agent` as blocked in a split on parent context `ctx`.
     pub fn wait_begin_split(&self, agent: AgentId, ctx: u32) {
-        self.waiting.lock().insert(agent, Waiting::Split { ctx });
+        self.live
+            .lock()
+            .waiting
+            .insert(agent, Waiting::Split { ctx });
     }
 
     /// Clear `agent`'s blocked marker.
     pub fn wait_end(&self, agent: AgentId) {
-        self.waiting.lock().remove(&agent);
+        self.live.lock().waiting.remove(&agent);
     }
 
     /// Record the drop of a tracked request's last handle and bump the
@@ -152,16 +149,19 @@ impl Verifier {
         )
     }
 
-    /// Run all analyses over the log.
+    /// Every finding of the events recorded so far, errors first.
     pub fn analyze(&self) -> Vec<Finding> {
-        analyze::analyze(&self.events.lock()).0
+        self.live.lock().findings()
     }
 
-    /// Analyze the log and build a completed run's report. Under `Warn`
-    /// the findings are printed; under `Strict` any error-severity finding
-    /// fails the run with the full list instead.
+    /// Build a completed run's report. Under `Warn` the findings are
+    /// printed; under `Strict` any error-severity finding fails the run
+    /// with the full list instead.
     pub fn report(&self, mode: VerifyMode) -> Result<VerifyReport, Vec<Finding>> {
-        let (findings, coll_calls) = analyze::analyze(&self.events.lock());
+        let (findings, coll_calls) = {
+            let live = self.live.lock();
+            (live.findings(), live.coll_calls.clone())
+        };
         match mode {
             VerifyMode::Warn => {
                 for x in &findings {
@@ -188,29 +188,10 @@ impl Verifier {
     /// `blocked` is the engine's `(actor id, world rank)` list of agents
     /// that were parked when deadlock was declared.
     pub fn deadlock_report(&self, blocked: &[(AgentId, u32)]) -> DeadlockReport {
-        let events = self.events.lock();
-        let waiting = self.waiting.lock();
+        let live = self.live.lock();
         let mut entries: Vec<BlockedAgent> = blocked
             .iter()
-            .map(|&(agent, rank)| {
-                let pending = waiting.get(&agent).map(|w| match w {
-                    Waiting::Req(req) => {
-                        let (op, site) = analyze::describe_req(&events, *req)
-                            .unwrap_or_else(|| ("an untracked operation".to_string(), None));
-                        PendingOp {
-                            op,
-                            peers: analyze::req_peers(&events, *req),
-                            site,
-                        }
-                    }
-                    Waiting::Split { ctx } => PendingOp {
-                        op: format!("MPI_Comm_split on comm {ctx} (some member never called it)"),
-                        peers: Vec::new(),
-                        site: None,
-                    },
-                });
-                BlockedAgent::new(agent, rank, pending)
-            })
+            .map(|&(agent, rank)| BlockedAgent::new(agent, rank, live.pending(agent)))
             .collect();
         entries.sort_by_key(|b| (b.rank, b.agent));
         let mut report = DeadlockReport {
@@ -219,16 +200,6 @@ impl Verifier {
         };
         report.find_cycle();
         report
-    }
-
-    /// Number of recorded events (diagnostics).
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
     }
 }
 
