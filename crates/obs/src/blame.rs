@@ -15,7 +15,7 @@
 //! |                    | is the modeled flow; plan `recv` step bodies)    |
 //! | `spin-poll`/`park` | rt only: wait time busy-polling for completion   |
 //! |                    | (yield-poll or pure spin, per the configured     |
-//! |                    | wait strategy) vs. parked on the condvar (split  |
+//! |                    | wait strategy) vs. with the thread parked (split |
 //! |                    | by the `rt.wait_*_ns` sums)                      |
 //! | `rendezvous-stall` | rt only: first-posted side waiting for its peer  |
 //! | `progress-delay`   | enabling completion with no traced work behind   |

@@ -16,17 +16,17 @@
 //! | method | why the runtime needs its own |
 //! |---|---|
 //! | `NAME` | `"rt"` |
-//! | `id` / `rank` | the agent's identity lives next to its park cell |
+//! | `id` / `rank` | the agent's identity; a wait is published and woken under its id |
 //! | `env` | the shared `CommEnv` is embedded in [`RtShared`] |
 //! | `now` | time is the wall: ns since the run's epoch |
 //! | `charge` | a post, a copy, a round's slack, modeled compute: the real cost *is* the code — nothing to model |
 //! | `charge_reduce` | the executor's `reduce_sum_f64` *is* the work on this thread |
 //! | `sleep` | a real `thread::sleep`, capped at 1 ms so poll loops stay live |
 //! | `inject_send` / `inject_recv` | the posted envelope goes through the shared-memory mailbox, under its lock |
-//! | `wait` / `complete` | spin-then-park an OS thread in watchdog-visible slices; wake by condvar |
+//! | `wait` / `complete` | spin-then-park the agent's OS thread in watchdog-visible slices; wake by unparking it |
 //! | `spawn_op` | a progress-pool job with a worker of its own, counted live from post time |
 //! | `rma_transfer` | the bytes are already in shared memory: record the edge, complete |
-//! | `path_latency` | a lock grant is a condvar wake — no α to charge |
+//! | `path_latency` | a lock grant is a thread unpark — no α to charge |
 
 use crate::sync::Ordering;
 use std::sync::Arc;
@@ -38,18 +38,18 @@ use ovcomm_simmpi::rank::RankCtx;
 use ovcomm_simmpi::rma::Win;
 use ovcomm_simmpi::transport::{CommEnv, Envelope, Transport};
 use ovcomm_simmpi::Request;
-use ovcomm_simnet::{EdgeKind, ParkCell, SimDur, SimTime};
+use ovcomm_simnet::{EdgeKind, SimDur, SimTime};
 
 use crate::shared::{RtShared, Slot};
 
 /// An execution identity on the runtime: actor id, the world rank it acts
-/// for, its park cell, and the shared runtime. The analogue of the
-/// simulator's `Agent`, minus the virtual clock (time is the wall).
+/// for, and the shared runtime. The analogue of the simulator's `Agent`,
+/// minus the virtual clock (time is the wall). A waiting agent parks
+/// whatever OS thread runs it.
 #[derive(Clone)]
 pub struct RtAgent {
     pub(crate) id: u32,
     pub(crate) rank: u32,
-    pub(crate) cell: Arc<ParkCell>,
     pub(crate) shared: Arc<RtShared>,
 }
 
@@ -72,12 +72,7 @@ impl RtAgent {
     /// The agent of actor `id` (a rank thread's own, `id == rank`, or an
     /// operation actor's) acting for world rank `rank`.
     pub(crate) fn new(id: u32, rank: u32, shared: Arc<RtShared>) -> RtAgent {
-        RtAgent {
-            id,
-            rank,
-            cell: Arc::new(ParkCell::new()),
-            shared,
-        }
+        RtAgent { id, rank, shared }
     }
 }
 
@@ -135,7 +130,7 @@ impl Transport for RtAgent {
     }
 
     fn wait<V>(&self, req: &Request<V>) -> V {
-        self.shared.wait_req(self.id, self.rank, &self.cell, req)
+        self.shared.wait_req(self.id, self.rank, req)
     }
 
     fn complete<V>(&self, req: &Request<V>, value: V, _at: SimTime) {

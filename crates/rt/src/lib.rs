@@ -266,7 +266,7 @@ where
                                     .blocked_agents
                                     .lock()
                                     .iter()
-                                    .map(|(&a, &r)| (a, r))
+                                    .map(|(&a, &(r, _))| (a, r))
                                     .collect();
                                 *shared.deadlock_blocked.lock() = snapshot;
                                 shared.aborted.store(true, Ordering::SeqCst);

@@ -19,9 +19,9 @@
 #[cfg(loom)]
 pub use loom::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 #[cfg(loom)]
-pub use loom::sync::{Condvar, Mutex, MutexGuard};
+pub use loom::sync::Mutex;
 
 #[cfg(not(loom))]
-pub use parking_lot::{Condvar, Mutex, MutexGuard};
+pub use parking_lot::Mutex;
 #[cfg(not(loom))]
 pub use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};

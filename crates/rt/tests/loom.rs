@@ -42,8 +42,9 @@ fn key(tag: u64) -> RtKey {
     }
 }
 
-/// A completion cell: the distilled `Request` + `ParkCell` pair. `wait`
-/// parks on the condvar until `complete` delivers a value.
+/// A completion cell: the distilled `Request` and its parked waiter, with a
+/// condvar standing in for the waiter's thread park. `wait` parks on the
+/// condvar until `complete` delivers a value.
 struct CompletionCell<T> {
     slot: Mutex<Option<T>>,
     cv: Condvar,

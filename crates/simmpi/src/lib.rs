@@ -57,7 +57,8 @@ pub mod universe;
 pub use collsel::CollSelector;
 
 /// The simulator's side of the [`transport::Transport`] seam: a rank's (or
-/// progress actor's) agent, with its virtual clock and park cell.
+/// progress actor's) agent, with its virtual clock; the engine keeps its
+/// wake state under its id.
 pub type SimTransport = agent::Agent;
 
 /// A communicator handle for one rank of the simulator — the generic

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ovcomm_simnet::{ParkCell, SimTime};
+use ovcomm_simnet::SimTime;
 use ovcomm_verify::{ReqId, Verifier};
 
 /// Verification bookkeeping attached to a tracked request: the shared
@@ -25,7 +25,8 @@ struct ReqInner<T> {
     result: Option<T>,
     completed_at: Option<SimTime>,
     taken: bool,
-    waiters: Vec<Arc<ParkCell>>,
+    /// Agent ids to wake on completion.
+    waiters: Vec<u32>,
     meta: Option<ReqMeta>,
 }
 
@@ -114,11 +115,11 @@ impl<T> Request<T> {
         self.inner.lock().meta.as_ref().map(|m| m.id)
     }
 
-    /// Mark complete with `value` at virtual time `at`, returning the park
-    /// cells of any waiters (the caller must wake them via the engine).
-    /// Panics if completed twice.
+    /// Mark complete with `value` at virtual time `at`, returning the agent
+    /// ids of any waiters (the caller wakes them its own way). Panics if
+    /// completed twice.
     #[doc(hidden)]
-    pub fn complete(&self, value: T, at: SimTime) -> Vec<Arc<ParkCell>> {
+    pub fn complete(&self, value: T, at: SimTime) -> Vec<u32> {
         let mut inner = self.inner.lock();
         assert!(inner.completed_at.is_none(), "request completed twice");
         inner.result = Some(value);
@@ -155,16 +156,16 @@ impl<T> Request<T> {
         self.inner.lock().completed_at
     }
 
-    /// Register a waiter cell to be woken on completion. Returns `false`
+    /// Register agent `id` to be woken on completion. Returns `false`
     /// (and does not register) if the request is already complete.
     #[doc(hidden)]
-    pub fn add_waiter(&self, cell: &Arc<ParkCell>) -> bool {
+    pub fn add_waiter(&self, id: u32) -> bool {
         let mut inner = self.inner.lock();
         if inner.completed_at.is_some() {
             return false;
         }
-        if !inner.waiters.iter().any(|w| Arc::ptr_eq(w, cell)) {
-            inner.waiters.push(cell.clone());
+        if !inner.waiters.contains(&id) {
+            inner.waiters.push(id);
         }
         true
     }
@@ -207,12 +208,11 @@ mod tests {
     #[test]
     fn waiters_returned_on_complete_and_rejected_after() {
         let r: Request<()> = Request::new();
-        let cell = Arc::new(ParkCell::new());
-        assert!(r.add_waiter(&cell));
-        assert!(r.add_waiter(&cell), "re-arming same cell is idempotent");
+        assert!(r.add_waiter(3));
+        assert!(r.add_waiter(3), "re-arming same id is idempotent");
         let waiters = r.complete((), SimTime(5));
         assert_eq!(waiters.len(), 1, "duplicate waiter must not be stored");
-        assert!(!r.add_waiter(&cell), "late waiter sees completion");
+        assert!(!r.add_waiter(3), "late waiter sees completion");
     }
 
     #[test]

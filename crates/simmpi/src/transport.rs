@@ -357,8 +357,9 @@ pub(crate) fn wait<T: Transport, V>(agent: &T, req: &Request<V>) -> V {
 ///
 /// Every method exists because the two backends genuinely differ in it:
 ///
-/// * identity (`id`, `rank`) — held by each backend's agent next to its
-///   clock or park cell;
+/// * identity (`id`, `rank`) — held by each backend's agent; a waiter is
+///   registered on a request by id, and each backend wakes the id its own
+///   way (the engine's ready queue, or unparking the waiter's thread);
 /// * `NAME` — `"sim"` or `"rt"`, stamped on every result;
 /// * `now` — a per-agent virtual clock vs. the wall;
 /// * `charge` / `charge_reduce` — modeled costs: clock bumps (and a

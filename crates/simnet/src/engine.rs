@@ -32,28 +32,22 @@
 //!
 //! # Actor protocol
 //!
-//! An actor is registered with [`Engine::register_fiber_at`] together with
-//! its [`ParkCell`]. The actor's body must call [`Engine::await_release`]
-//! on that cell before touching anything else, park only via
-//! [`Engine::park`] **on its own registered cell**, and call
-//! [`Engine::actor_finished`] when done (normally via a drop guard). Wakes
-//! directed at a registered cell are routed through the scheduler's ready
-//! queue. Calling `await_release` or `park` from outside a fiber is a bug
-//! and panics.
-//!
-//! # Lock ordering
-//!
-//! `Engine`'s core mutex and each [`ParkCell`]'s mutex are never held
-//! simultaneously. Higher layers (simmpi) take their own state lock *before*
-//! calling into the engine; engine callbacks and fiber bodies run with the
-//! core lock released.
+//! An actor is registered by id with [`Engine::register_fiber_at`]. Its
+//! slot holds its suspended fiber and its one pending wake, under the
+//! engine's one lock. The actor's body must call [`Engine::await_release`]
+//! before touching anything else, block only via [`Engine::park`], and
+//! call [`Engine::actor_finished`] when done (normally via a drop guard).
+//! [`Engine::wake`] names its target by id and merges to the latest time:
+//! a parked actor's release is queued at `(time, id)`; the running
+//! actor's own wake (a self-wake) waits in its slot for its next `park`
+//! to return at once; a wake for an id that is not registered (already
+//! finished, or never registered) is ignored. Calling `await_release` or
+//! `park` from outside a fiber is a bug and panics.
 
 use std::cmp;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::fiber::{self, Fiber};
 use crate::flow::{FlowId, FlowNet, FlowSpec, ResourceId, ResourceKind, ResourceStats};
@@ -68,9 +62,6 @@ pub const ENGINE_ORIGIN: u32 = u32::MAX;
 /// events so that, e.g., a wake posted "at" a flow's completion instant is
 /// handled deterministically).
 pub const CLASS_FLOW: u8 = 200;
-
-/// Cell id meaning "not registered with the engine".
-const ACTOR_NONE: u32 = u32::MAX;
 
 /// A callback run by the event loop at its scheduled virtual time, with the
 /// core lock released.
@@ -259,86 +250,16 @@ pub struct NetStats {
     pub rekeys: u64,
 }
 
-#[derive(Default)]
-struct CellState {
-    pending: Option<SimTime>,
-    deadlock: bool,
-}
-
-/// Per-actor parking spot. An actor parks on its cell inside blocking
-/// calls; the scheduler releases it at its turn in `(time, id)` order.
-pub struct ParkCell {
-    state: Mutex<CellState>,
-    /// Only the engine-free `_direct` methods sleep on this (wall-clock
-    /// runtimes parking real threads); engine actors are fibers and yield.
-    cv: Condvar,
-    /// The actor id this cell was registered under ([`ACTOR_NONE`] while
-    /// unregistered). Lets [`Engine::wake`] route wakes to the ready queue.
-    id: AtomicU32,
-}
-
-impl Default for ParkCell {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ParkCell {
-    /// Fresh, unarmed cell.
-    pub fn new() -> ParkCell {
-        ParkCell {
-            state: Mutex::new(CellState::default()),
-            cv: Condvar::new(),
-            id: AtomicU32::new(ACTOR_NONE),
-        }
-    }
-
-    /// Deposit a pending wake at `t` (repeated wakes merge to the latest
-    /// time) and notify any parked thread. No scheduler involvement.
-    fn deposit(&self, t: SimTime) {
-        let mut st = self.state.lock();
-        st.pending = Some(st.pending.map_or(t, |p| p.max(t)));
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Engine-free wake: deposit a pending wake at `t` (repeated wakes merge
-    /// to the latest time) and notify any parked thread. For wall-clock
-    /// runtimes that reuse the cell as a plain parking spot without the
-    /// virtual-time engine's scheduling. Never mix the `_direct` methods
-    /// with [`Engine::park`]/[`Engine::wake`] on the same cell.
-    pub fn wake_direct(&self, t: SimTime) {
-        self.deposit(t);
-    }
-
-    /// Engine-free park with a timeout: block until a pending wake arrives
-    /// or `timeout` elapses. Returns the wake time, or `None` on timeout —
-    /// wall-clock runtimes use the timeout to poll an abort flag so a real
-    /// deadlock does not hang the process forever.
-    pub fn park_timeout_direct(&self, timeout: std::time::Duration) -> Option<SimTime> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(t) = st.pending.take() {
-                return Some(t);
-            }
-            if self.cv.wait_for(&mut st, timeout).timed_out() {
-                return st.pending.take();
-            }
-        }
-    }
-
-    /// Engine-free: consume a pending wake without sleeping, if one exists.
-    pub fn take_pending_direct(&self) -> Option<SimTime> {
-        self.state.lock().pending.take()
-    }
-}
-
-/// A registered actor: its suspended continuation and its cell.
+/// A registered actor: its suspended continuation and its pending wake.
 struct ActorSlot {
     /// `None` while the fiber is running (the scheduler takes it out to
     /// resume it outside the core lock).
     fiber: Option<Fiber>,
-    cell: Arc<ParkCell>,
+    /// The release time waiting for this actor; wakes merge to the max.
+    /// While the actor is not running, `Some(t)` means it is in `ready`
+    /// at `(t, id)`. While it runs, this holds the scheduler's release
+    /// time until `await_release` / `park` takes it, then any self-wake.
+    wake: Option<SimTime>,
 }
 
 struct Core {
@@ -356,8 +277,6 @@ struct Core {
     actors: BTreeMap<u32, ActorSlot>,
     /// Actors awaiting release, ordered by `(wake time, id)`.
     ready: BTreeSet<(SimTime, u32)>,
-    /// Pending release time per ready actor (wakes merge to the max).
-    ready_time: BTreeMap<u32, SimTime>,
     /// The actor currently running, if any (set across one `resume`).
     current: Option<u32>,
     completed_flows: u64,
@@ -394,7 +313,6 @@ impl Engine {
                 flows_settled_at: SimTime::ZERO,
                 actors: BTreeMap::new(),
                 ready: BTreeSet::new(),
-                ready_time: BTreeMap::new(),
                 current: None,
                 completed_flows: 0,
                 total_queue_delay_secs: 0.0,
@@ -474,15 +392,12 @@ impl Engine {
     /// Register an actor that becomes ready at `ready_at` (time zero for a
     /// rank, the post time for a collective-op actor). The scheduler resumes
     /// the fiber at its turns; the fiber's body must call
-    /// [`Engine::await_release`] on `cell` first, park only via
-    /// [`Engine::park`] on `cell`, and call [`Engine::actor_finished`]
-    /// before returning.
-    pub fn register_fiber_at(&self, id: u32, fiber: Fiber, cell: Arc<ParkCell>, ready_at: SimTime) {
-        assert!(id != ACTOR_NONE, "actor id {id} is reserved");
-        cell.id.store(id, Ordering::Relaxed);
+    /// [`Engine::await_release`] first, block only via [`Engine::park`],
+    /// and call [`Engine::actor_finished`] before returning.
+    pub fn register_fiber_at(&self, id: u32, fiber: Fiber, ready_at: SimTime) {
         let slot = ActorSlot {
             fiber: Some(fiber),
-            cell,
+            wake: Some(ready_at),
         };
         let mut core = self.core.lock();
         debug_assert!(ready_at >= core.now, "actor {id} registered in the past");
@@ -492,7 +407,6 @@ impl Engine {
         );
         core.live += 1;
         core.ready.insert((ready_at, id));
-        core.ready_time.insert(id, ready_at);
     }
 
     /// Mark an actor finished (called from the actor's body, including on
@@ -501,9 +415,9 @@ impl Engine {
     #[allow(clippy::expect_used)]
     pub fn actor_finished(&self, id: u32) {
         let mut core = self.core.lock();
-        core.actors.remove(&id).expect("finishing unknown actor");
+        let slot = core.actors.remove(&id).expect("finishing unknown actor");
         core.live -= 1;
-        if let Some(t) = core.ready_time.remove(&id) {
+        if let Some(t) = slot.wake {
             core.ready.remove(&(t, id));
         }
         if core.current == Some(id) {
@@ -514,12 +428,12 @@ impl Engine {
     /// Consume the release time the scheduler deposited before resuming the
     /// calling actor for the first time. Must be the first engine call an
     /// actor's body makes; panics outside a fiber.
-    pub fn await_release(&self, cell: &ParkCell) -> SimTime {
+    pub fn await_release(&self) -> SimTime {
         assert!(
             fiber::in_fiber(),
             "Engine::await_release called outside a fiber actor"
         );
-        cell.state.lock().pending.take().unwrap_or(SimTime::ZERO)
+        self.core.lock().take_wake().unwrap_or(SimTime::ZERO)
     }
 
     /// Schedule an action at an explicit key. Callers must use unique
@@ -596,84 +510,68 @@ impl Engine {
         id
     }
 
-    /// Release a parked actor at virtual time `t`. May be called before the
-    /// actor has actually gone to sleep (the wake is then consumed
-    /// immediately); repeated wakes merge to the latest time. The cell must
-    /// belong to a registered actor.
-    pub fn wake(&self, cell: &ParkCell, t: SimTime) {
-        let id = cell.id.load(Ordering::Relaxed);
+    /// Release actor `id` at virtual time `t`. May be called before the
+    /// actor has actually gone to sleep (the wake is then consumed by its
+    /// next `park`); repeated wakes merge to the latest time. A wake for an
+    /// id that is not registered is ignored.
+    pub fn wake(&self, id: u32, t: SimTime) {
         let mut core = self.core.lock();
-        let routed = id != ACTOR_NONE && core.current != Some(id) && core.actors.contains_key(&id);
-        if routed {
-            // The target is parked (or walking toward its park): queue the
-            // release; the scheduler will deposit the wake at its turn.
-            let c = &mut *core;
-            match c.ready_time.entry(id) {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let old = *e.get();
-                    if t > old {
-                        c.ready.remove(&(old, id));
-                        c.ready.insert((t, id));
-                        *e.get_mut() = t;
-                    }
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(t);
-                    c.ready.insert((t, id));
-                }
+        let c = &mut *core;
+        let Some(slot) = c.actors.get_mut(&id) else {
+            return;
+        };
+        let old = slot.wake;
+        if old.is_some_and(|o| o >= t) {
+            return;
+        }
+        slot.wake = Some(t);
+        // The running actor's wake waits in its slot; any other actor's
+        // release is queued (or moved later) in `(time, id)` order.
+        if c.current != Some(id) {
+            if let Some(o) = old {
+                c.ready.remove(&(o, id));
             }
-        } else {
-            // Self-wake of the running actor (or an unregistered cell):
-            // deposit directly; `park`/`consume_pending` picks it up without
-            // a scheduler round-trip.
-            drop(core);
-            cell.deposit(t);
+            c.ready.insert((t, id));
         }
     }
 
-    /// Consume a pending wake on `cell` without sleeping. Waiters that find
-    /// their condition satisfied *without* parking call this to clear a
-    /// self-wake deposited while they were running.
-    pub fn consume_pending(&self, cell: &ParkCell) -> Option<SimTime> {
-        cell.state.lock().pending.take()
+    /// Consume the running actor's pending wake without sleeping. Waiters
+    /// that find their condition satisfied *without* parking call this to
+    /// clear a self-wake deposited while they were running.
+    pub fn consume_pending(&self) -> Option<SimTime> {
+        self.core.lock().take_wake()
     }
 
-    /// Declare the calling actor blocked and yield until the scheduler
+    /// Declare the running actor blocked and yield until the scheduler
     /// releases it. Returns the wake time; panics with a diagnostic if the
-    /// simulation deadlocked. Must be called on the actor's own registered
-    /// cell; panics outside a fiber.
-    pub fn park(&self, cell: &ParkCell) -> SimTime {
+    /// simulation deadlocked. Panics outside a fiber.
+    pub fn park(&self) -> SimTime {
         assert!(
             fiber::in_fiber(),
             "Engine::park called outside a fiber actor"
         );
-        // A wake deposited while we were running (self-wake): consume it
-        // without a scheduler round-trip — the actor just keeps running.
-        if let Some(t) = cell.state.lock().pending.take() {
-            return t;
-        }
         {
             let mut core = self.core.lock();
-            debug_assert_eq!(
-                core.current,
-                Some(cell.id.load(Ordering::Relaxed)),
-                "fiber parking on a cell it is not registered under"
-            );
+            // A wake deposited while we were running (self-wake): consume
+            // it without a scheduler round-trip — the actor keeps running.
+            if let Some(t) = core.take_wake() {
+                return t;
+            }
             core.current = None;
         }
         // The scheduler is blocked inside `Fiber::resume`; yielding returns
-        // control to it. It resumes us with a deposited wake (or the
-        // deadlock flag).
+        // control to it. It resumes us with our release time in our slot
+        // (or after declaring deadlock).
         fiber::fiber_yield();
-        let mut st = cell.state.lock();
-        if st.deadlock {
-            drop(st);
+        let mut core = self.core.lock();
+        if core.deadlocked {
+            drop(core);
             panic!("{DEADLOCK_MSG}");
         }
-        match st.pending.take() {
+        match core.take_wake() {
             Some(t) => t,
             None => {
-                drop(st);
+                drop(core);
                 panic!("fiber resumed without a pending wake");
             }
         }
@@ -687,8 +585,8 @@ impl Engine {
     pub fn run_loop(&self) {
         enum Work {
             Event(Action),
-            RunFiber(u32, Fiber, Arc<ParkCell>, SimTime),
-            Deadlock(Vec<Arc<ParkCell>>, Vec<Fiber>),
+            RunFiber(u32, Fiber),
+            Deadlock(Vec<Fiber>),
             Return,
         }
         loop {
@@ -712,26 +610,26 @@ impl Engine {
                             core.deadlocked = true;
                             core.deadlock_actors = core.actors.keys().copied().collect();
                             core.stopped = true;
-                            let mut cells = Vec::new();
-                            let mut fibers = Vec::new();
-                            for slot in core.actors.values_mut() {
-                                cells.push(slot.cell.clone());
-                                fibers.extend(slot.fiber.take());
-                            }
-                            Work::Deadlock(cells, fibers)
+                            let fibers = core
+                                .actors
+                                .values_mut()
+                                .filter_map(|slot| slot.fiber.take())
+                                .collect();
+                            Work::Deadlock(fibers)
                         }
                         (Some((ta, id)), ev) if ev.is_none_or(|k| ta <= k.time) => {
                             // Release the earliest ready actor; actors win
-                            // ties against same-time events.
+                            // ties against same-time events. The release
+                            // time stays in the slot for the actor to take.
                             core.ready.remove(&(ta, id));
-                            core.ready_time.remove(&id);
                             if ta > core.now {
                                 core.now = ta;
                             }
                             core.current = Some(id);
                             let slot = core.actors.get_mut(&id).expect("ready actor missing");
+                            debug_assert_eq!(slot.wake, Some(ta));
                             let fiber = slot.fiber.take().expect("fiber already running");
-                            Work::RunFiber(id, fiber, slot.cell.clone(), ta)
+                            Work::RunFiber(id, fiber)
                         }
                         // The guard above always passes when there is no
                         // event, so this arm only ever sees `Some` events.
@@ -758,8 +656,7 @@ impl Engine {
             match work {
                 Work::Return => return,
                 Work::Event(a) => a(self),
-                Work::RunFiber(id, mut fiber, cell, t) => {
-                    cell.deposit(t);
+                Work::RunFiber(id, mut fiber) => {
                     fiber.resume();
                     // The fiber parked (put it back) or finished (its
                     // `actor_finished` removed the map entry; drop it).
@@ -771,10 +668,7 @@ impl Engine {
                         debug_assert!(fiber.done());
                     }
                 }
-                Work::Deadlock(cells, fibers) => {
-                    for cell in cells {
-                        cell.state.lock().deadlock = true;
-                    }
+                Work::Deadlock(fibers) => {
                     // Resume each suspended fiber once: its `park` sees the
                     // deadlock flag and panics, unwinding the fiber stack
                     // through the actor's own panic handling.
@@ -811,6 +705,12 @@ impl Default for Engine {
 }
 
 impl Core {
+    /// Take the running actor's pending wake, if any.
+    fn take_wake(&mut self) -> Option<SimTime> {
+        let id = self.current?;
+        self.actors.get_mut(&id)?.wake.take()
+    }
+
     /// The smaller of the two event heaps' tops.
     fn next_event(&self) -> Option<EventKey> {
         let call = self.calls.peek().map(|c| c.key);
@@ -876,21 +776,21 @@ impl Core {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// Drive a single-actor simulation: the actor body gets (engine, its
-    /// registered cell) after the scheduler releases it.
+    /// id) after the scheduler releases it.
     fn run_one_actor<F>(engine: Arc<Engine>, body: F)
     where
-        F: FnOnce(&Engine, &Arc<ParkCell>) + Send + 'static,
+        F: FnOnce(&Engine, u32) + Send + 'static,
     {
-        let cell = Arc::new(ParkCell::new());
-        let (eng2, cell2) = (engine.clone(), cell.clone());
+        let eng2 = engine.clone();
         let fiber = Fiber::new(128 * 1024, move || {
-            eng2.await_release(&cell2);
-            body(&eng2, &cell2);
+            eng2.await_release();
+            body(&eng2, 0);
             eng2.actor_finished(0);
         });
-        engine.register_fiber_at(0, fiber, cell, SimTime::ZERO);
+        engine.register_fiber_at(0, fiber, SimTime::ZERO);
         engine.run_loop();
     }
 
@@ -899,9 +799,8 @@ mod tests {
         let engine = Arc::new(Engine::new());
         let woke_at = Arc::new(AtomicU64::new(0));
         let woke_at2 = woke_at.clone();
-        run_one_actor(engine, move |eng, cell| {
+        run_one_actor(engine, move |eng, id| {
             // Schedule a wake at t = 5us, then park.
-            let cell_for_event = cell.clone();
             eng.schedule(
                 EventKey {
                     time: SimTime(5_000),
@@ -910,10 +809,10 @@ mod tests {
                     seq: 0,
                 },
                 Box::new(move |e| {
-                    e.wake(&cell_for_event, SimTime(5_000));
+                    e.wake(id, SimTime(5_000));
                 }),
             );
-            let t = eng.park(cell);
+            let t = eng.park();
             woke_at2.store(t.as_nanos(), Ordering::SeqCst);
         });
         assert_eq!(woke_at.load(Ordering::SeqCst), 5_000);
@@ -924,10 +823,9 @@ mod tests {
         let engine = Arc::new(Engine::new());
         let order = Arc::new(Mutex::new(Vec::<u32>::new()));
         let order2 = order.clone();
-        run_one_actor(engine, move |eng, cell| {
+        run_one_actor(engine, move |eng, id| {
             for (i, t) in [(0u32, 9_000u64), (1, 3_000), (2, 3_000)] {
                 let order3 = order2.clone();
-                let cell2 = cell.clone();
                 eng.schedule(
                     EventKey {
                         time: SimTime(t),
@@ -939,12 +837,12 @@ mod tests {
                         order3.lock().push(i);
                         if i == 0 {
                             // Last event by time: release the actor.
-                            e.wake(&cell2, SimTime(9_000));
+                            e.wake(id, SimTime(9_000));
                         }
                     }),
                 );
             }
-            eng.park(cell);
+            eng.park();
         });
         // Same-time events (1, 2) fire in seq order, then the later one (0).
         assert_eq!(*order.lock(), vec![1, 2, 0]);
@@ -954,7 +852,7 @@ mod tests {
     #[should_panic(expected = "event key collision")]
     fn scheduling_one_key_twice_panics() {
         let engine = Arc::new(Engine::new());
-        run_one_actor(engine, |eng, cell| {
+        run_one_actor(engine, |eng, id| {
             let key = EventKey {
                 time: SimTime(7),
                 class: 0,
@@ -962,10 +860,9 @@ mod tests {
                 seq: 0,
             };
             for _ in 0..2 {
-                let cell2 = cell.clone();
-                eng.schedule(key, Box::new(move |e| e.wake(&cell2, SimTime(7))));
+                eng.schedule(key, Box::new(move |e| e.wake(id, SimTime(7))));
             }
-            eng.park(cell);
+            eng.park();
         });
     }
 
@@ -975,8 +872,7 @@ mod tests {
         let nic = engine.add_resource(1e9); // 1 GB/s
         let done_at = Arc::new(AtomicU64::new(0));
         let done_at2 = done_at.clone();
-        run_one_actor(engine, move |eng, cell| {
-            let cell2 = cell.clone();
+        run_one_actor(engine, move |eng, id| {
             // Kick off the flow from an event so it starts at t=0 exactly.
             eng.schedule(
                 EventKey {
@@ -986,18 +882,17 @@ mod tests {
                     seq: 0,
                 },
                 Box::new(move |e| {
-                    let cell3 = cell2.clone();
                     e.start_flow(
                         vec![nic],
                         1e9,
                         1_000_000.0, // 1 MB at 1 GB/s = 1 ms
                         Box::new(move |e2| {
-                            e2.wake(&cell3, e2.now());
+                            e2.wake(id, e2.now());
                         }),
                     );
                 }),
             );
-            let t = eng.park(cell);
+            let t = eng.park();
             done_at2.store(t.as_nanos(), Ordering::SeqCst);
         });
         let t = done_at.load(Ordering::SeqCst);
@@ -1012,8 +907,7 @@ mod tests {
         let nic = engine.add_resource(1e9);
         let done = Arc::new(Mutex::new(Vec::<u64>::new()));
         let done2 = done.clone();
-        run_one_actor(engine, move |eng, cell| {
-            let cell2 = cell.clone();
+        run_one_actor(engine, move |eng, id| {
             let done3 = done2.clone();
             eng.schedule(
                 EventKey {
@@ -1026,7 +920,6 @@ mod tests {
                     let remaining = Arc::new(AtomicU64::new(2));
                     for _ in 0..2 {
                         let done4 = done3.clone();
-                        let cell3 = cell2.clone();
                         let rem = remaining.clone();
                         e.start_flow(
                             vec![nic],
@@ -1035,14 +928,14 @@ mod tests {
                             Box::new(move |e2| {
                                 done4.lock().push(e2.now().as_nanos());
                                 if rem.fetch_sub(1, Ordering::SeqCst) == 1 {
-                                    e2.wake(&cell3, e2.now());
+                                    e2.wake(id, e2.now());
                                 }
                             }),
                         );
                     }
                 }),
             );
-            eng.park(cell);
+            eng.park();
         });
         let times = done.lock().clone();
         assert_eq!(times.len(), 2);
@@ -1054,10 +947,10 @@ mod tests {
     #[test]
     fn deadlock_is_detected_and_panics_parked_actor() {
         let engine = Arc::new(Engine::new());
-        run_one_actor(engine.clone(), |eng, cell| {
+        run_one_actor(engine.clone(), |eng, _| {
             // Park with nothing scheduled: guaranteed deadlock.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eng.park(cell);
+                eng.park();
             }));
             assert!(result.is_err(), "park should panic on deadlock");
         });
@@ -1068,22 +961,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "Engine::park called outside a fiber actor")]
     fn park_outside_a_fiber_panics() {
-        Engine::new().park(&ParkCell::new());
+        Engine::new().park();
     }
 
     #[test]
     #[should_panic(expected = "Engine::await_release called outside a fiber actor")]
     fn await_release_outside_a_fiber_panics() {
-        Engine::new().await_release(&ParkCell::new());
+        Engine::new().await_release();
     }
 
     #[test]
     fn wake_before_park_is_not_lost() {
         let engine = Arc::new(Engine::new());
-        run_one_actor(engine, move |eng, cell| {
+        run_one_actor(engine, move |eng, id| {
             // Self-wake (e.g. a request completed before the waiter looked).
-            eng.wake(cell, SimTime(42));
-            let t = eng.park(cell);
+            eng.wake(id, SimTime(42));
+            let t = eng.park();
             assert_eq!(t.as_nanos(), 42);
         });
     }
@@ -1091,35 +984,96 @@ mod tests {
     #[test]
     fn merged_wakes_keep_latest_time() {
         let engine = Arc::new(Engine::new());
-        run_one_actor(engine, move |eng, cell| {
-            eng.wake(cell, SimTime(10));
-            eng.wake(cell, SimTime(30));
-            eng.wake(cell, SimTime(20));
-            assert_eq!(eng.park(cell).as_nanos(), 30);
+        run_one_actor(engine, move |eng, id| {
+            eng.wake(id, SimTime(10));
+            eng.wake(id, SimTime(30));
+            eng.wake(id, SimTime(20));
+            assert_eq!(eng.park().as_nanos(), 30);
         });
     }
 
+    #[test]
+    fn routed_wakes_to_a_parked_actor_merge_into_one_release() {
+        // Both orders: the earlier wake must neither release the actor nor
+        // leave a second entry in the ready queue.
+        for times in [[30, 20], [20, 30]] {
+            let engine = Arc::new(Engine::new());
+            let released = Arc::new(Mutex::new(Vec::<u64>::new()));
+            let released2 = released.clone();
+            run_one_actor(engine, move |eng, id| {
+                eng.schedule(
+                    EventKey {
+                        time: SimTime(10),
+                        class: 0,
+                        origin: 0,
+                        seq: 0,
+                    },
+                    Box::new(move |e| {
+                        for t in times {
+                            e.wake(id, SimTime(t));
+                        }
+                        e.schedule_engine(
+                            SimTime(50),
+                            0,
+                            Box::new(move |e2| e2.wake(id, SimTime(50))),
+                        );
+                    }),
+                );
+                released2.lock().push(eng.park().as_nanos());
+                released2.lock().push(eng.park().as_nanos());
+            });
+            assert_eq!(*released.lock(), vec![30, 50], "wakes at {times:?}");
+        }
+    }
+
+    #[test]
+    fn waking_a_finished_actor_is_a_no_op() {
+        let engine = Arc::new(Engine::new());
+        let woke = Arc::new(AtomicU64::new(0));
+        let woke2 = woke.clone();
+        run_fiber_actors(&engine, 2, move |i, eng, id| {
+            if i == 0 {
+                return; // finishes before actor 1 first runs
+            }
+            eng.wake(0, SimTime(5));
+            eng.schedule(
+                EventKey {
+                    time: SimTime(10),
+                    class: 1,
+                    origin: id,
+                    seq: 0,
+                },
+                Box::new(move |e| {
+                    e.wake(0, SimTime(10));
+                    e.wake(id, SimTime(10));
+                }),
+            );
+            woke2.store(eng.park().as_nanos(), Ordering::SeqCst);
+        });
+        assert_eq!(woke.load(Ordering::SeqCst), 10);
+        assert!(!engine.deadlocked());
+        assert!(engine.deadlocked_actors().is_empty());
+    }
+
     /// Run `n` fiber actors under the scheduler; each body gets its index,
-    /// the engine, and its registered cell.
+    /// the engine, and its id.
     fn run_fiber_actors<F>(engine: &Arc<Engine>, n: usize, body: F)
     where
-        F: Fn(usize, Arc<Engine>, Arc<ParkCell>) + Send + Sync + 'static,
+        F: Fn(usize, Arc<Engine>, u32) + Send + Sync + 'static,
     {
         let body = Arc::new(body);
         for i in 0..n {
-            let cell = Arc::new(ParkCell::new());
             let eng2 = engine.clone();
-            let cell2 = cell.clone();
             let body2 = body.clone();
             let fiber = Fiber::new(
                 128 * 1024,
                 Box::new(move || {
-                    eng2.await_release(&cell2);
-                    body2(i, eng2.clone(), cell2.clone());
+                    eng2.await_release();
+                    body2(i, eng2.clone(), i as u32);
                     eng2.actor_finished(i as u32);
                 }),
             );
-            engine.register_fiber_at(i as u32, fiber, cell, SimTime::ZERO);
+            engine.register_fiber_at(i as u32, fiber, SimTime::ZERO);
         }
         engine.run_loop();
     }
@@ -1129,13 +1083,12 @@ mod tests {
         let engine = Arc::new(Engine::new());
         let order = Arc::new(Mutex::new(Vec::<(u64, usize)>::new()));
         let order2 = order.clone();
-        run_fiber_actors(&engine, 8, move |i, eng, cell| {
+        run_fiber_actors(&engine, 8, move |i, eng, id| {
             let seq = AtomicU64::new(0);
             // Staggered virtual sleeps; lower i sleeps longer.
             let mut t = 0u64;
             for round in 0..5u64 {
                 let at = t + 1_000 * (8 - i as u64) + round;
-                let cell2 = cell.clone();
                 eng.schedule(
                     EventKey {
                         time: SimTime(at),
@@ -1143,9 +1096,9 @@ mod tests {
                         origin: i as u32,
                         seq: seq.fetch_add(1, Ordering::Relaxed),
                     },
-                    Box::new(move |e| e.wake(&cell2, SimTime(at))),
+                    Box::new(move |e| e.wake(id, SimTime(at))),
                 );
-                t = eng.park(&cell).as_nanos();
+                t = eng.park().as_nanos();
                 assert_eq!(t, at);
             }
             order2.lock().push((t, i));
@@ -1163,11 +1116,11 @@ mod tests {
         let engine = Arc::new(Engine::new());
         let unwound = Arc::new(AtomicU64::new(0));
         let u2 = unwound.clone();
-        run_fiber_actors(&engine, 4, move |i, eng, cell| {
+        run_fiber_actors(&engine, 4, move |i, eng, _| {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 // Everyone parks with nothing scheduled after actor 0's
                 // startup event: guaranteed deadlock.
-                eng.park(&cell);
+                eng.park();
             }));
             if let Err(p) = result {
                 let msg = p.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -1188,8 +1141,7 @@ mod tests {
             let engine = Arc::new(Engine::new());
             let order = Arc::new(Mutex::new(Vec::<usize>::new()));
             let order2 = order.clone();
-            run_fiber_actors(&engine, 16, move |i, eng, cell| {
-                let cell2 = cell.clone();
+            run_fiber_actors(&engine, 16, move |i, eng, id| {
                 eng.schedule(
                     EventKey {
                         time: SimTime(500),
@@ -1197,9 +1149,9 @@ mod tests {
                         origin: i as u32,
                         seq: 0,
                     },
-                    Box::new(move |e| e.wake(&cell2, SimTime(500))),
+                    Box::new(move |e| e.wake(id, SimTime(500))),
                 );
-                eng.park(&cell);
+                eng.park();
                 order2.lock().push(i);
             });
             Arc::try_unwrap(order).unwrap().into_inner()
@@ -1216,14 +1168,13 @@ mod tests {
         let engine = Arc::new(Engine::new());
         let survived = Arc::new(AtomicU64::new(0));
         let s2 = survived.clone();
-        run_fiber_actors(&engine, 2, move |i, eng, cell| {
+        run_fiber_actors(&engine, 2, move |i, eng, id| {
             if i == 0 {
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     panic!("rank 0 exploded");
                 }));
                 assert!(r.is_err());
             } else {
-                let cell2 = cell.clone();
                 eng.schedule(
                     EventKey {
                         time: SimTime(100),
@@ -1231,9 +1182,9 @@ mod tests {
                         origin: i as u32,
                         seq: 0,
                     },
-                    Box::new(move |e| e.wake(&cell2, SimTime(100))),
+                    Box::new(move |e| e.wake(id, SimTime(100))),
                 );
-                eng.park(&cell);
+                eng.park();
                 s2.fetch_add(1, Ordering::SeqCst);
             }
         });

@@ -39,9 +39,7 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use engine::{
-    Action, Engine, EventKey, NetStats, ParkCell, ResourceEntry, CLASS_FLOW, ENGINE_ORIGIN,
-};
+pub use engine::{Action, Engine, EventKey, NetStats, ResourceEntry, CLASS_FLOW, ENGINE_ORIGIN};
 pub use fiber::{fiber_yield, in_fiber, Fiber, ForcedUnwind, DEFAULT_STACK_SIZE};
 pub use flow::{FlowId, FlowNet, FlowSpec, ResourceId, ResourceKind, ResourceStats};
 pub use profile::MachineProfile;

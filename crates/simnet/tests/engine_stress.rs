@@ -6,61 +6,59 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ovcomm_simnet::{Engine, EventKey, Fiber, ParkCell, SimTime};
+use ovcomm_simnet::{Engine, EventKey, Fiber, SimTime};
 
 /// Register `n` fiber actors on `engine` and run its loop on this thread.
 /// Returns what each actor's body returned (its final wake time).
 fn run_actors<F>(engine: &Arc<Engine>, n: usize, body: F) -> Vec<u64>
 where
-    F: Fn(usize, &Engine, &Arc<ParkCell>) -> u64 + Send + Sync + 'static,
+    F: Fn(usize, &Engine) -> u64 + Send + Sync + 'static,
 {
     let body = Arc::new(body);
     let results = Arc::new(Mutex::new(vec![0u64; n]));
     for i in 0..n {
-        let cell = Arc::new(ParkCell::new());
-        let (engine2, cell2) = (engine.clone(), cell.clone());
+        let engine2 = engine.clone();
         let body2 = body.clone();
         let results2 = results.clone();
         let fiber = Fiber::new(128 * 1024, move || {
-            engine2.await_release(&cell2);
-            let out = body2(i, &engine2, &cell2);
+            engine2.await_release();
+            let out = body2(i, &engine2);
             results2.lock()[i] = out;
             engine2.actor_finished(i as u32);
         });
-        engine.register_fiber_at(i as u32, fiber, cell, SimTime::ZERO);
+        engine.register_fiber_at(i as u32, fiber, SimTime::ZERO);
     }
     engine.run_loop();
     Arc::try_unwrap(results).unwrap().into_inner()
 }
 
 /// A virtual sleep implemented directly on the engine primitives.
-fn vsleep(engine: &Engine, cell: &Arc<ParkCell>, id: usize, seq: &AtomicU64, at: u64) -> u64 {
+fn vsleep(engine: &Engine, id: usize, seq: &AtomicU64, at: u64) -> u64 {
     let key = EventKey {
         time: SimTime(at),
         class: 1,
         origin: id as u32,
         seq: seq.fetch_add(1, Ordering::Relaxed),
     };
-    let cell2 = cell.clone();
     engine.schedule(
         key,
         Box::new(move |e| {
-            e.wake(&cell2, SimTime(at));
+            e.wake(id as u32, SimTime(at));
         }),
     );
-    engine.park(cell).as_nanos()
+    engine.park().as_nanos()
 }
 
 #[test]
 fn hundred_actors_with_interleaved_timers_are_deterministic() {
     let go = || {
-        run_actors(&Arc::new(Engine::new()), 100, |i, engine, cell| {
+        run_actors(&Arc::new(Engine::new()), 100, |i, engine| {
             let seq = AtomicU64::new(0);
             let mut t = 0u64;
             // Deterministic but irregular per-actor schedule.
             for round in 0..20 {
                 let delay = 100 + ((i * 37 + round * 13) % 50) as u64 * 10;
-                t = vsleep(engine, cell, i, &seq, t + delay);
+                t = vsleep(engine, i, &seq, t + delay);
             }
             t
         })
@@ -82,7 +80,7 @@ fn flows_and_timers_interleave_correctly() {
     let nic = engine.add_resource(1e9);
     let completions = Arc::new(Mutex::new(Vec::<u64>::new()));
     let completions2 = completions.clone();
-    run_actors(&engine, 1, move |_, engine2, cell| {
+    run_actors(&engine, 1, move |id, engine2| {
         let seq = AtomicU64::new(0);
         // Start flow A (2 MB) at t=0 via an event.
         let c2 = completions2.clone();
@@ -128,7 +126,6 @@ fn flows_and_timers_interleave_correctly() {
         );
         // Sleep long enough for both flows to finish.
         let wake = 10_000_000u64;
-        let cellw = cell.clone();
         engine2.schedule(
             EventKey {
                 time: SimTime(wake),
@@ -136,9 +133,9 @@ fn flows_and_timers_interleave_correctly() {
                 origin: 0,
                 seq: seq.fetch_add(1, Ordering::Relaxed),
             },
-            Box::new(move |e| e.wake(&cellw, SimTime(wake))),
+            Box::new(move |e| e.wake(id as u32, SimTime(wake))),
         );
-        engine2.park(cell);
+        engine2.park();
         0
     });
     let times = completions.lock().clone();
