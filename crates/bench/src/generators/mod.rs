@@ -40,7 +40,7 @@ pub enum Set {
     Fast,
     /// Deterministic, minutes: added by `regen --all` (nightly).
     Slow,
-    /// Not regenerated: wall-clock rows, sweeps, ablations.
+    /// Not regenerated: wall-clock rows and host-scaled sweeps.
     None,
 }
 
@@ -82,13 +82,13 @@ table! {
     staged_ppn           Slow  []                            staged_ppn::main;
     blockcg_overlap      Slow  []                            blockcg_overlap::main;
     table5_25d           Slow  ["--coll-select"]             table5_25d::main;
-    ablation_meshes      None  ["--coll-select"]             ablation_meshes::main;
-    ablation_model       None  ["--coll-select"]             ablation_model::main;
-    ablation_network     None  ["--coll-select"]             ablation_network::main;
-    algo_sweep           None  ["--smoke", "--fail-on-lint"] algo_sweep::main;
+    ablation_meshes      Fast  ["--coll-select"]             ablation_meshes::main;
+    ablation_model       Fast  ["--coll-select"]             ablation_model::main;
+    ablation_network     Fast  ["--coll-select"]             ablation_network::main;
+    algo_sweep           Fast  ["--smoke", "--fail-on-lint"] algo_sweep::main;
     mc_sweep             Fast  ["--smoke", "--fail-on-lint"] algo_sweep::mc_sweep;
     mc_supports          None  ["--fail-on-lint"]            algo_sweep::mc_supports;
-    multi_tenant         None  ["--smoke"]                   multi_tenant::main;
+    multi_tenant         Slow  ["--smoke"]                   multi_tenant::main;
     rma_sweep            None  ["--smoke", "--backend"]      rma_sweep::main;
     scale_sweep          None  ["--smoke", "--budget"]       scale_sweep::main;
     sim_vs_rt            None  ["--backend"]                 sim_vs_rt::main;

@@ -63,7 +63,7 @@ fn table_names_are_unique_and_regen_sets_are_documented() {
         }
     }
     let count = |s: &str| rows.iter().filter(|(_, set)| set == s).count();
-    assert_eq!((count("fast"), count("slow")), (9, 5));
+    assert_eq!((count("fast"), count("slow")), (13, 6));
 }
 
 #[test]
