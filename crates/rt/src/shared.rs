@@ -27,7 +27,6 @@
 //! the lock only for the table update; the matched pair is completed after
 //! it is released.
 
-use std::collections::HashMap;
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
@@ -41,6 +40,7 @@ use ovcomm_simmpi::request::Request;
 use ovcomm_simmpi::transport::CommEnv;
 use ovcomm_simmpi::SimMetrics;
 use ovcomm_simnet::{EdgeKind, SimDur, SimTime};
+use rustc_hash::FxHashMap;
 
 /// How long a parked thread waits before re-checking the abort flag. Also
 /// bounds how quickly a deadlock abort propagates to blocked threads.
@@ -125,7 +125,7 @@ pub(crate) struct RtShared {
     /// Agent id → `(world rank, thread)` of every agent between publishing
     /// itself as a waiter and leaving its park: whom a completion unparks,
     /// and the deadlock diagnosis.
-    pub blocked_agents: Mutex<HashMap<u32, (u32, Thread)>>,
+    pub blocked_agents: Mutex<FxHashMap<u32, (u32, Thread)>>,
     /// Snapshot of `blocked_agents` taken by the watchdog at abort time.
     pub deadlock_blocked: Mutex<Vec<(u32, u32)>>,
 }

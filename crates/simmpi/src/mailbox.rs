@@ -16,7 +16,9 @@
 //! Exposed (hidden) for `ovcomm-rt`, which re-exports it as
 //! `ovcomm_rt::mailbox`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use rustc_hash::FxHashMap;
 
 use crate::transport::Envelope;
 
@@ -62,20 +64,20 @@ pub enum RecvPost<S, R> {
 /// harness asserts it holds under every explored schedule.
 pub struct Mailbox<S, R> {
     /// FIFO of unmatched send slot ids per envelope.
-    send_q: HashMap<Envelope, VecDeque<SlotId>>,
+    send_q: FxHashMap<Envelope, VecDeque<SlotId>>,
     /// FIFO of unmatched receives per envelope.
-    recv_q: HashMap<Envelope, VecDeque<R>>,
+    recv_q: FxHashMap<Envelope, VecDeque<R>>,
     /// All live send slots.
-    slots: HashMap<SlotId, S>,
+    slots: FxHashMap<SlotId, S>,
     next_slot_id: u64,
 }
 
 impl<S, R> Default for Mailbox<S, R> {
     fn default() -> Self {
         Mailbox {
-            send_q: HashMap::new(),
-            recv_q: HashMap::new(),
-            slots: HashMap::new(),
+            send_q: FxHashMap::default(),
+            recv_q: FxHashMap::default(),
+            slots: FxHashMap::default(),
             next_slot_id: 0,
         }
     }

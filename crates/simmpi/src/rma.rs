@@ -38,11 +38,12 @@
 //! keeps the *same type* under `loom::sync::Mutex` and schedule-checks
 //! lock hand-off, apply determinism and snapshot atomicity.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rustc_hash::FxHashMap;
 
 use ovcomm_simnet::{SimDur, SpanKind};
 use ovcomm_verify::{Event as VEvent, RmaKind, Site};
@@ -269,7 +270,7 @@ type SharedCore = Arc<Mutex<WinCore<Request<()>>>>;
 /// Live one-sided windows of a run, keyed by (creating ctx, per-comm
 /// window seq). All members call `win_create` in the same order, so the
 /// key is rank-independent; the last `free` removes the entry.
-pub(crate) type Windows = HashMap<(u32, u64), SharedCore>;
+pub(crate) type Windows = FxHashMap<(u32, u64), SharedCore>;
 
 /// A one-sided window handle for one rank (the analogue of `MPI_Win`),
 /// over backend transport `T`.

@@ -11,11 +11,11 @@
 //! an eager message's data travels in its flow, and whichever of the
 //! landed data and the matched receive comes second delivers it.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ovcomm_simnet::SimTime;
 use ovcomm_verify::ReqId;
+use rustc_hash::FxHashMap;
 
 use crate::mailbox::Mailbox;
 use crate::payload::Payload;
@@ -48,7 +48,7 @@ pub(crate) struct MpiState {
     /// Unmatched sends and receives, FIFO per envelope.
     pub mailbox: Mailbox<SimSend, Request<Payload>>,
     /// Eager messages with exactly one of their two halves here.
-    pub eager: HashMap<u64, EagerHalf>,
+    pub eager: FxHashMap<u64, EagerHalf>,
     pub next_eager: u64,
 }
 
@@ -59,10 +59,10 @@ pub(crate) struct CommRegistry {
     /// Communicator context allocation: (parent ctx, per-rank dup/split
     /// sequence) → child ctx. All ranks of a communicator call dup/split in
     /// the same order, so the key is rank-independent.
-    ctx_registry: HashMap<(u32, u64), u32>,
+    ctx_registry: FxHashMap<(u32, u64), u32>,
     next_ctx: u32,
     /// In-progress `split` rendezvous, keyed by (parent ctx, split seq).
-    pub splits: HashMap<(u32, u64), SplitGather>,
+    pub splits: FxHashMap<(u32, u64), SplitGather>,
 }
 
 /// Accumulates `split` participants until the whole communicator has called.
@@ -90,9 +90,9 @@ impl CommRegistry {
     /// An empty registry whose first allocated context is `first_ctx`.
     pub fn new(first_ctx: u32) -> CommRegistry {
         CommRegistry {
-            ctx_registry: HashMap::new(),
+            ctx_registry: FxHashMap::default(),
             next_ctx: first_ctx,
-            splits: HashMap::new(),
+            splits: FxHashMap::default(),
         }
     }
 

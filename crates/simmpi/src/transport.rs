@@ -139,7 +139,7 @@ impl CommEnv {
             profile,
             nodemap,
             comms: Mutex::new(CommRegistry::new(WORLD_CTX + 1)),
-            windows: Mutex::new(Windows::new()),
+            windows: Mutex::new(Windows::default()),
             inter_bytes: AtomicU64::new(0),
             intra_bytes: AtomicU64::new(0),
             messages: AtomicU64::new(0),

@@ -43,8 +43,10 @@
 //!   has fenced past it or freed; epochs still open at the report are
 //!   swept then.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
+
+use rustc_hash::FxHashMap;
 
 use crate::deadlock::PendingOp;
 use crate::event::{AgentId, CollKind, Event, ReqId, RmaKind, Site};
@@ -91,7 +93,7 @@ impl<R: Step> Lane<R> {
 /// The members of one communicator (or one member-set group), each
 /// compared record by record with the first member.
 struct Lockstep<R> {
-    lane_of: HashMap<u32, usize>,
+    lane_of: FxHashMap<u32, usize>,
     lanes: Vec<Lane<R>>,
     /// Every member has passed the records below `base`.
     base: usize,
@@ -288,7 +290,7 @@ impl Event {
 }
 
 /// Retired requests were matched (p2p retires only once matched).
-fn matched(reqs: &HashMap<ReqId, ReqLive>, req: ReqId) -> bool {
+fn matched(reqs: &FxHashMap<ReqId, ReqLive>, req: ReqId) -> bool {
     reqs.get(&req).is_none_or(|r| r.matched)
 }
 
@@ -421,11 +423,11 @@ pub(crate) struct Live {
     /// Findings final when their event arrived.
     found: Vec<Finding>,
     pub(crate) coll_calls: BTreeMap<CollCallKey, u64>,
-    reqs: HashMap<ReqId, ReqLive>,
-    envelopes: HashMap<EnvKey, EnvLive>,
-    ctxs: HashMap<u32, CtxColls>,
+    reqs: FxHashMap<ReqId, ReqLive>,
+    envelopes: FxHashMap<EnvKey, EnvLive>,
+    ctxs: FxHashMap<u32, CtxColls>,
     groups: Vec<Group>,
-    group_of: HashMap<Arc<Vec<u32>>, usize>,
+    group_of: FxHashMap<Arc<Vec<u32>>, usize>,
     wins: BTreeMap<(u64, u32), WinRankState>,
     // Epoch op groups for conflict detection. Fence epochs are numbered by
     // the per-rank fence count — consistent across ranks because fence is
@@ -435,7 +437,7 @@ pub(crate) struct Live {
     // same-origin overlaps are races there.
     fence_groups: BTreeMap<(u64, u32, u64), Vec<RmaOpRec>>,
     lock_groups: BTreeMap<(u64, u32, u32, u64), Vec<RmaOpRec>>,
-    pub(crate) waiting: HashMap<AgentId, Waiting>,
+    pub(crate) waiting: FxHashMap<AgentId, Waiting>,
 }
 
 impl Live {
