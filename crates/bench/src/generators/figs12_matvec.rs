@@ -8,12 +8,12 @@
 //! (modeled seconds, 16 nodes).
 
 use ovcomm_bench::{metrics_block, profile_block, write_json, Backend, MetricsBlock, Opts, Table};
-use ovcomm_core::{pipelined_reduce_bcast, Communicator, NDupComms, RankHandle};
+use ovcomm_core::{pipelined_reduce_bcast, NDupComms};
 use ovcomm_densemat::Partition1D;
 use ovcomm_kernels::Mesh2D;
 use ovcomm_obs::ProfileBlock;
 use ovcomm_rt::{RtConfig, RtRankCtx};
-use ovcomm_simmpi::{run, Payload, RankCtx, SimConfig};
+use ovcomm_simmpi::{run, Payload, RankCtx, SimConfig, Transport};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
 
@@ -32,7 +32,7 @@ struct Row {
 
 /// The reduce+broadcast phase (the part Figs. 1–2 illustrate), generic
 /// over the backend: virtual seconds on sim, wall-clock seconds on rt.
-fn phase<R: RankHandle>(rc: &R, n: usize, n_dup: Option<usize>) -> f64 {
+fn phase<T: Transport>(rc: &RankCtx<T>, n: usize, n_dup: Option<usize>) -> f64 {
     let mesh = Mesh2D::new(rc, P);
     let part = Partition1D::new(n, P);
     let contrib = Payload::Phantom(part.len(mesh.i) * 8);

@@ -18,19 +18,18 @@
 
 use super::test_matrix;
 use ovcomm_bench::{metrics_block, write_json, Backend, MetricsBlock, Opts, Table};
-use ovcomm_core::{Communicator, RankHandle};
 use ovcomm_densemat::{BlockBuf, BlockGrid};
 use ovcomm_kernels::{
     symm_square_cube_cosma, symm_square_cube_summa, Mesh2D, SummaBundles, SymmInput,
 };
 use ovcomm_rt::{RtConfig, RtRankCtx};
-use ovcomm_simmpi::{RankCtx, SimConfig};
+use ovcomm_simmpi::{RankCtx, SimConfig, Transport};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
 
 /// One barrier-delimited SymmSquareCube call of the chosen paradigm;
 /// returns the phase time in (virtual or wall-clock) seconds.
-fn workload<R: RankHandle>(rc: &R, variant: &str, n: usize, p: usize, real: bool) -> f64 {
+fn workload<T: Transport>(rc: &RankCtx<T>, variant: &str, n: usize, p: usize, real: bool) -> f64 {
     let mesh = Mesh2D::new(rc, p);
     let grid = BlockGrid::new(n, p);
     let d_block = if real {

@@ -13,7 +13,7 @@
 
 use super::test_matrix;
 use ovcomm_bench::{metrics_block, profile_block, write_json, Backend, MetricsBlock, Opts, Table};
-use ovcomm_core::{NDupComms, RankHandle};
+use ovcomm_core::NDupComms;
 use ovcomm_densemat::{BlockBuf, BlockGrid, Partition1D};
 use ovcomm_kernels::{
     matvec_blocking, matvec_pipelined, symm_square_cube_25d, symm_square_cube_baseline,
@@ -22,13 +22,13 @@ use ovcomm_kernels::{
 };
 use ovcomm_obs::ProfileBlock;
 use ovcomm_rt::{RtConfig, RtRankCtx};
-use ovcomm_simmpi::{RankCtx, SimConfig};
+use ovcomm_simmpi::{RankCtx, SimConfig, Transport};
 use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
 
-/// One kernel workload: generic over the backend's rank handle, returning
+/// One kernel workload: generic over the backend's transport, returning
 /// the flattened local result so the report can check bit-identity.
-fn workload<R: RankHandle>(rc: &R, kernel: &str, n: usize) -> Vec<f64> {
+fn workload<T: Transport>(rc: &RankCtx<T>, kernel: &str, n: usize) -> Vec<f64> {
     match kernel {
         "matvec-blocking" | "matvec-pipelined" => {
             let p = 2;

@@ -17,9 +17,13 @@
 //!   algorithm-sweep measurements (the same empirical tuning applied to
 //!   the collective algorithm choice itself);
 //! * [`model`] — the α–β cost models of §V-A;
-//! * [`backend`] — the [`Communicator`]/[`RankHandle`] traits that make
-//!   all of the above generic over the runtime backend (virtual-time
-//!   simulator or the `ovcomm-rt` wall-clock runtime).
+//! * [`backend`] — the old trait names, kept for the `benchmark/` package.
+//!
+//! The communicating modules (`ndup`, `pipeline`, `ppn`) are generic over
+//! the backend's `Transport`: they take the front-end types `Comm<T>` and
+//! `RankCtx<T>` of `ovcomm-simmpi`, which run on the virtual-time simulator
+//! (`T = SimTransport`) and on the `ovcomm-rt` wall-clock runtime
+//! (`T = RtTransport`).
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -4,21 +4,19 @@
 //! each communicator so that the pipelined nonblocking collectives of
 //! different chunks progress independently (§III-A).
 
-use ovcomm_simmpi::Comm;
-
-use crate::backend::Communicator;
+use ovcomm_simmpi::{Comm, SimTransport, Transport};
 
 /// `N_DUP` duplicated communicators over one group. Generic over the
-/// runtime backend; defaults to the simulator's [`Comm`].
+/// runtime backend's transport; defaults to the simulator's.
 #[derive(Clone)]
-pub struct NDupComms<C: Communicator = Comm> {
-    comms: Vec<C>,
+pub struct NDupComms<T: Transport = SimTransport> {
+    comms: Vec<Comm<T>>,
 }
 
-impl<C: Communicator> NDupComms<C> {
+impl<T: Transport> NDupComms<T> {
     /// Duplicate `base` `n_dup` times. All member ranks must call this in
     /// the same order (it performs collective `dup`s).
-    pub fn new(base: &C, n_dup: usize) -> NDupComms<C> {
+    pub fn new(base: &Comm<T>, n_dup: usize) -> NDupComms<T> {
         assert!(n_dup >= 1, "N_DUP must be at least 1");
         NDupComms {
             comms: base.dup_n(n_dup),
@@ -31,12 +29,12 @@ impl<C: Communicator> NDupComms<C> {
     }
 
     /// The communicator for chunk `c`.
-    pub fn comm(&self, c: usize) -> &C {
+    pub fn comm(&self, c: usize) -> &Comm<T> {
         &self.comms[c]
     }
 
     /// Iterate over (chunk index, communicator).
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &C)> {
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &Comm<T>)> {
         self.comms.iter().enumerate()
     }
 

@@ -7,9 +7,8 @@
 //! soon as it completes, so the data transfer of one chunk overlaps the
 //! synchronization/posting/processing phases of the others.
 
-use ovcomm_simmpi::{Payload, Request};
+use ovcomm_simmpi::{Payload, Request, Transport};
 
-use crate::backend::Communicator;
 use crate::chunk::ChunkPlan;
 use crate::ndup::NDupComms;
 
@@ -35,8 +34,8 @@ use crate::ndup::NDupComms;
 ///     assert_eq!(out.results[r], vec![1.0, 2.0, 3.0]);
 /// }
 /// ```
-pub fn overlapped_bcast<C: Communicator>(
-    comms: &NDupComms<C>,
+pub fn overlapped_bcast<T: Transport>(
+    comms: &NDupComms<T>,
     root: usize,
     data: Option<&Payload>,
     len: usize,
@@ -55,8 +54,8 @@ pub fn overlapped_bcast<C: Communicator>(
 
 /// Sum-reduce `contrib` to `root`, overlapped with itself: N_DUP chunked
 /// `ireduce`s. Returns the assembled result on the root.
-pub fn overlapped_reduce<C: Communicator>(
-    comms: &NDupComms<C>,
+pub fn overlapped_reduce<T: Transport>(
+    comms: &NDupComms<T>,
     root: usize,
     contrib: &Payload,
 ) -> Option<Payload> {
@@ -99,10 +98,10 @@ pub fn overlapped_reduce<C: Communicator>(
 // The `expect` asserts a protocol invariant: the reduce root always
 // receives the reduced chunk from its own ireduce.
 #[allow(clippy::expect_used)]
-pub fn pipelined_reduce_bcast<C: Communicator>(
-    reduce_comms: &NDupComms<C>,
+pub fn pipelined_reduce_bcast<T: Transport>(
+    reduce_comms: &NDupComms<T>,
     reduce_root: usize,
-    bcast_comms: &NDupComms<C>,
+    bcast_comms: &NDupComms<T>,
     bcast_root: usize,
     contrib: &Payload,
     bcast_len: usize,
@@ -174,7 +173,7 @@ pub fn pipelined_reduce_bcast<C: Communicator>(
 
 /// Sum-allreduce overlapped with itself: N_DUP chunked `iallreduce`s (used
 /// by the 2.5D SymmSquareCube, Algorithm 6 step 3).
-pub fn overlapped_allreduce<C: Communicator>(comms: &NDupComms<C>, contrib: &Payload) -> Payload {
+pub fn overlapped_allreduce<T: Transport>(comms: &NDupComms<T>, contrib: &Payload) -> Payload {
     let plan = ChunkPlan::new(contrib.len(), comms.n_dup());
     let reqs: Vec<Request<Payload>> = comms
         .iter()
@@ -190,8 +189,8 @@ pub fn overlapped_allreduce<C: Communicator>(comms: &NDupComms<C>, contrib: &Pay
 /// chunks them itself, so that a rank posts all its D² sends and receives
 /// and all its D³ receives before its first wait, and sends each D³ chunk
 /// as soon as that chunk's `ireduce` completes.
-pub fn overlapped_isend<C: Communicator>(
-    comms: &NDupComms<C>,
+pub fn overlapped_isend<T: Transport>(
+    comms: &NDupComms<T>,
     dst: usize,
     tag: u32,
     payload: &Payload,
@@ -205,8 +204,8 @@ pub fn overlapped_isend<C: Communicator>(
 
 /// Matching chunked receive: post all N_DUP `irecv`s, wait in order,
 /// reassemble.
-pub fn overlapped_recv<C: Communicator>(
-    comms: &NDupComms<C>,
+pub fn overlapped_recv<T: Transport>(
+    comms: &NDupComms<T>,
     src: usize,
     tag: u32,
     len: usize,

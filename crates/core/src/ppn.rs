@@ -8,9 +8,8 @@
 //! active perform the work ... and then call `MPI_Ibarrier` when they are
 //! finished, in order to release the inactive processes."
 
+use ovcomm_simmpi::{Comm, RankCtx, Transport};
 use ovcomm_simnet::SimDur;
-
-use crate::backend::{Communicator, RankHandle};
 
 /// Which ranks participate in a kernel stage.
 #[derive(Debug, Clone)]
@@ -73,12 +72,12 @@ impl StagePlan {
 /// inactive ranks sleep-poll an `MPI_Ibarrier` with the profile's poll
 /// period until the active ranks finish. Returns `Some(f's result)` on
 /// active ranks, `None` on sleepers, plus the number of polls performed.
-pub fn run_stage<R: RankHandle, T>(
-    rc: &R,
-    world: &R::Comm,
+pub fn run_stage<T: Transport, V>(
+    rc: &RankCtx<T>,
+    world: &Comm<T>,
     plan: &StagePlan,
-    f: impl FnOnce() -> T,
-) -> (Option<T>, usize) {
+    f: impl FnOnce() -> V,
+) -> (Option<V>, usize) {
     let poll: SimDur = rc.profile().sleep_poll;
     if plan.is_active(rc.rank()) {
         let out = f();

@@ -19,9 +19,9 @@
 // surrounding collective protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 use ovcomm_densemat::{gemm_flops, solve, BlockBuf, BlockGrid, Matrix, Partition1D};
-use ovcomm_simmpi::{Comm, Payload, Request};
+use ovcomm_simmpi::{Payload, RankCtx, Request, SimTransport, Transport};
 
-use ovcomm_core::{pipelined_reduce_bcast, Communicator, NDupComms, RankHandle};
+use ovcomm_core::{pipelined_reduce_bcast, NDupComms};
 
 use crate::convert::{block_to_payload, payload_to_block};
 use crate::mesh::Mesh2D;
@@ -55,17 +55,17 @@ pub struct BlockCgResult {
 }
 
 /// Per-mesh communicators for the solver.
-pub struct CgComms<C: Communicator = Comm> {
-    row_ndup: NDupComms<C>,
-    col_ndup: NDupComms<C>,
+pub struct CgComms<T: Transport = SimTransport> {
+    row_ndup: NDupComms<T>,
+    col_ndup: NDupComms<T>,
     /// Two independent duplicated bundles for the concurrent Gram pairs.
-    gram_row: [NDupComms<C>; 2],
-    gram_col: [NDupComms<C>; 2],
+    gram_row: [NDupComms<T>; 2],
+    gram_col: [NDupComms<T>; 2],
 }
 
-impl<C: Communicator> CgComms<C> {
+impl<T: Transport> CgComms<T> {
     /// Build from a mesh (collective over all mesh ranks).
-    pub fn new(mesh: &Mesh2D<C>, n_dup: usize) -> CgComms<C> {
+    pub fn new(mesh: &Mesh2D<T>, n_dup: usize) -> CgComms<T> {
         CgComms {
             row_ndup: NDupComms::new(&mesh.row, n_dup),
             col_ndup: NDupComms::new(&mesh.col, n_dup),
@@ -76,7 +76,7 @@ impl<C: Communicator> CgComms<C> {
 }
 
 /// Multivector segment ops (real or phantom), charging modeled time.
-fn mv_gemm<R: RankHandle>(rc: &R, a: &BlockBuf, b: &BlockBuf, rate: f64) -> BlockBuf {
+fn mv_gemm<T: Transport>(rc: &RankCtx<T>, a: &BlockBuf, b: &BlockBuf, rate: f64) -> BlockBuf {
     let (m, k) = a.dims();
     let (k2, n) = b.dims();
     assert_eq!(k, k2);
@@ -100,7 +100,7 @@ fn mv_add_scaled(x: &BlockBuf, y: &BlockBuf, scale: f64) -> BlockBuf {
 }
 
 /// Local Gram contribution `VᵀW` for the segments (s×s payload).
-fn local_gram<R: RankHandle>(rc: &R, v: &BlockBuf, w: &BlockBuf, rate: f64) -> Payload {
+fn local_gram<T: Transport>(rc: &RankCtx<T>, v: &BlockBuf, w: &BlockBuf, rate: f64) -> Payload {
     let (l, s) = v.dims();
     assert_eq!(w.dims(), (l, s));
     rc.compute_flops(gemm_flops(s, l, s), rate);
@@ -118,10 +118,10 @@ fn local_gram<R: RankHandle>(rc: &R, v: &BlockBuf, w: &BlockBuf, rate: f64) -> P
 /// Distributed matvec `Y = A·V` (multivector form of Algorithm 2's
 /// pipelined reduce→broadcast).
 #[allow(clippy::too_many_arguments)]
-fn apply_a<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
-    comms: &CgComms<R::Comm>,
+fn apply_a<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
+    comms: &CgComms<T>,
     a: &BlockBuf,
     v: &BlockBuf,
     rate: f64,
@@ -145,10 +145,10 @@ fn apply_a<R: RankHandle>(
 /// (nonblocking reduce → row broadcast → column broadcast, pipelined);
 /// otherwise each Gram runs as sequential blocking collectives. At most
 /// two pairs (one per independent communicator set).
-fn grams<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
-    comms: &CgComms<R::Comm>,
+fn grams<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
+    comms: &CgComms<T>,
     pairs: &[(&BlockBuf, &BlockBuf)],
     rate: f64,
     s: usize,
@@ -218,10 +218,10 @@ fn payload_to_small(p: &Payload, s: usize) -> Matrix {
 
 /// Run block CG on this rank. `a_block` is A(i,j); `b_segment` is B_j
 /// (lj × s). Returns the converged X_j.
-pub fn block_cg<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
-    comms: &CgComms<R::Comm>,
+pub fn block_cg<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
+    comms: &CgComms<T>,
     cfg: &BlockCgConfig,
     a_block: &BlockBuf,
     b_segment: &BlockBuf,

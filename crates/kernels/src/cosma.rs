@@ -25,8 +25,8 @@
 // pipeline-priming and mesh bookkeeping guaranteed by the surrounding
 // protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
-use ovcomm_core::{Communicator, RankHandle, Window};
 use ovcomm_densemat::{BlockBuf, BlockGrid};
+use ovcomm_simmpi::{RankCtx, Transport};
 
 use crate::convert::{block_to_payload, payload_to_block};
 use crate::mesh::Mesh2D;
@@ -40,9 +40,9 @@ use crate::symm3d::{local_multiply, SymmInput, SymmOutput};
 /// (collective), runs a single fence-delimited access epoch of p
 /// get/compute steps with one step of prefetch lookahead, and frees the
 /// windows before returning.
-pub fn cosma_multiply<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
+pub fn cosma_multiply<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
     grid: &BlockGrid,
     a: &BlockBuf,
     b: &BlockBuf,
@@ -102,9 +102,9 @@ pub fn cosma_multiply<R: RankHandle>(
 /// SymmSquareCube over the one-sided multiply: D² = D·D then D³ = D·D² on
 /// a p×p mesh — the one-sided counterpart of `symm_square_cube_summa`,
 /// for like-for-like comparison in the figs12/table5 harnesses.
-pub fn symm_square_cube_cosma<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
+pub fn symm_square_cube_cosma<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
     input: &SymmInput,
 ) -> SymmOutput {
     let grid = BlockGrid::new(input.n, mesh.p);

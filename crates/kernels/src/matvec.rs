@@ -12,9 +12,9 @@
 // root-only payload delivery and mesh/split bookkeeping guaranteed by the
 // surrounding collective protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
-use ovcomm_core::{pipelined_reduce_bcast, Communicator, NDupComms, RankHandle};
+use ovcomm_core::{pipelined_reduce_bcast, NDupComms};
 use ovcomm_densemat::{BlockBuf, Partition1D};
-use ovcomm_simmpi::Payload;
+use ovcomm_simmpi::{Payload, RankCtx, Transport};
 
 use crate::mesh::Mesh2D;
 
@@ -69,7 +69,7 @@ pub struct MatvecInput {
 }
 
 /// Local partial product `y_i^{(j)} = A(i,j) · x_j`, with modeled time.
-fn local_matvec<R: RankHandle>(rc: &R, a: &BlockBuf, x: &VecBuf) -> VecBuf {
+fn local_matvec<T: Transport>(rc: &RankCtx<T>, a: &BlockBuf, x: &VecBuf) -> VecBuf {
     let (rows, cols) = a.dims();
     assert_eq!(x.len(), cols, "x segment does not match A block");
     let flops = 2.0 * rows as f64 * cols as f64;
@@ -85,9 +85,9 @@ fn local_matvec<R: RankHandle>(rc: &R, a: &BlockBuf, x: &VecBuf) -> VecBuf {
 
 /// **Algorithm 1**: blocking reduce along rows to the diagonal, blocking
 /// broadcast down columns. Returns y_j (distributed as x).
-pub fn matvec_blocking<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
+pub fn matvec_blocking<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
     input: &MatvecInput,
 ) -> VecBuf {
     let part = Partition1D::new(input.n, mesh.p);
@@ -107,11 +107,11 @@ pub fn matvec_blocking<R: RankHandle>(
 /// **Algorithm 2**: the same computation with pipelined and overlapped
 /// communications — N_DUP chunked `MPI_Ireduce`s whose completions feed
 /// `MPI_Ibcast`s on duplicated communicators.
-pub fn matvec_pipelined<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
-    row_ndup: &NDupComms<R::Comm>,
-    col_ndup: &NDupComms<R::Comm>,
+pub fn matvec_pipelined<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
+    row_ndup: &NDupComms<T>,
+    col_ndup: &NDupComms<T>,
     input: &MatvecInput,
 ) -> VecBuf {
     let part = Partition1D::new(input.n, mesh.p);

@@ -5,21 +5,20 @@
 //! row in one plane and then plane by plane", with consecutive ranks on a
 //! node. Concretely `rank = k·p² + i·p + j` for coordinates (i, j, k).
 //!
-//! The meshes are generic over the backend [`Communicator`]; the default
-//! type parameter keeps simulator call sites (`Mesh2D`, `Mesh3D`)
+//! The meshes are generic over the backend's transport; the default type
+//! parameter keeps simulator call sites (`Mesh2D`, `Mesh3D`)
 //! source-compatible.
 
 // Kernel algorithms are invariant-dense: `expect`/`unwrap` here assert
 // root-only payload delivery and mesh/split bookkeeping guaranteed by the
 // surrounding collective protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
-use ovcomm_simmpi::Comm;
-
-use ovcomm_core::{Communicator, NDupComms, RankHandle};
+use ovcomm_core::{NDupComms, RankHandle};
+use ovcomm_simmpi::{Comm, RankCtx, SimTransport, Transport};
 
 /// A p×p 2-D process mesh with row and column communicators (for the
 /// matrix–vector example, Algorithms 1–2).
-pub struct Mesh2D<C: Communicator = Comm> {
+pub struct Mesh2D<T: Transport = SimTransport> {
     /// Mesh dimension.
     pub p: usize,
     /// My row index i (rank = i·p + j).
@@ -27,22 +26,22 @@ pub struct Mesh2D<C: Communicator = Comm> {
     /// My column index j.
     pub j: usize,
     /// Communicator over `P(i, :)` — my index within it is `j`.
-    pub row: C,
+    pub row: Comm<T>,
     /// Communicator over `P(:, j)` — my index within it is `i`.
-    pub col: C,
+    pub col: Comm<T>,
     /// The world communicator.
-    pub world: C,
+    pub world: Comm<T>,
 }
 
-impl<C: Communicator> Mesh2D<C> {
+impl<T: Transport> Mesh2D<T> {
     /// Build from the world communicator; requires `nranks == p²`.
-    pub fn new<R: RankHandle<Comm = C>>(rc: &R, p: usize) -> Mesh2D<C> {
+    pub fn new(rc: &RankCtx<T>, p: usize) -> Mesh2D<T> {
         Mesh2D::new_on(rc.world(), p)
     }
 
     /// Build over an arbitrary base communicator (e.g. the active subset of
     /// a per-kernel-PPN stage); requires `base.size() == p²`.
-    pub fn new_on(world: C, p: usize) -> Mesh2D<C> {
+    pub fn new_on(world: Comm<T>, p: usize) -> Mesh2D<T> {
         assert_eq!(world.size(), p * p, "need exactly p^2 ranks");
         let rank = world.rank();
         let (i, j) = (rank / p, rank % p);
@@ -64,7 +63,7 @@ impl<C: Communicator> Mesh2D<C> {
 /// A p×p×p 3-D process mesh with the paper's three communicators (§IV):
 /// `row_comm` over `P(:, j, k)`, `col_comm` over `P(i, :, k)`, `grd_comm`
 /// over `P(i, j, :)`.
-pub struct Mesh3D<C: Communicator = Comm> {
+pub struct Mesh3D<T: Transport = SimTransport> {
     /// Mesh dimension p (p³ ranks).
     pub p: usize,
     /// My coordinates (i, j, k); `rank = k·p² + i·p + j`.
@@ -74,13 +73,13 @@ pub struct Mesh3D<C: Communicator = Comm> {
     /// Plane coordinate.
     pub k: usize,
     /// Over `P(:, j, k)`, varying i — my index is `i`.
-    pub row: C,
+    pub row: Comm<T>,
     /// Over `P(i, :, k)`, varying j — my index is `j`.
-    pub col: C,
+    pub col: Comm<T>,
     /// Over `P(i, j, :)`, varying k — my index is `k`.
-    pub grd: C,
+    pub grd: Comm<T>,
     /// All p³ ranks.
-    pub world: C,
+    pub world: Comm<T>,
 }
 
 /// Coordinates of a world rank on a p-mesh (`rank = k·p² + i·p + j`).
@@ -95,15 +94,17 @@ pub fn mesh3d_rank_of(i: usize, j: usize, k: usize, p: usize) -> usize {
     k * p * p + i * p + j
 }
 
-impl<C: Communicator> Mesh3D<C> {
+impl<T: Transport> Mesh3D<T> {
     /// Build from the world communicator; requires `nranks == p³`.
-    pub fn new<R: RankHandle<Comm = C>>(rc: &R, p: usize) -> Mesh3D<C> {
-        Mesh3D::new_on(rc.world(), p)
+    /// Takes any [`RankHandle`] so the `benchmark/` package's generic
+    /// workloads still build; that is the handle's only use.
+    pub fn new<R: RankHandle<T = T>>(rc: &R, p: usize) -> Mesh3D<T> {
+        Mesh3D::new_on(rc.ctx().world(), p)
     }
 
     /// Build over an arbitrary base communicator (e.g. the active subset of
     /// a per-kernel-PPN stage); requires `base.size() == p³`.
-    pub fn new_on(world: C, p: usize) -> Mesh3D<C> {
+    pub fn new_on(world: Comm<T>, p: usize) -> Mesh3D<T> {
         assert_eq!(world.size(), p * p * p, "need exactly p^3 ranks");
         let rank = world.rank();
         let (i, j, k) = mesh3d_coords_of(rank, p);
@@ -134,7 +135,7 @@ impl<C: Communicator> Mesh3D<C> {
     /// Duplicate the mesh communicators into N_DUP bundles for the
     /// nonblocking-overlap technique (Algorithm 5's input: "N_DUP copies
     /// of: row_comm, col_comm and grd_comm").
-    pub fn dup_bundles(&self, n_dup: usize) -> Mesh3DBundles<C> {
+    pub fn dup_bundles(&self, n_dup: usize) -> Mesh3DBundles<T> {
         Mesh3DBundles {
             row: NDupComms::new(&self.row, n_dup),
             col: NDupComms::new(&self.col, n_dup),
@@ -145,16 +146,16 @@ impl<C: Communicator> Mesh3D<C> {
 }
 
 /// N_DUP-duplicated communicators of a [`Mesh3D`].
-pub struct Mesh3DBundles<C: Communicator = Comm> {
+pub struct Mesh3DBundles<T: Transport = SimTransport> {
     /// Duplicates of `row_comm`.
-    pub row: NDupComms<C>,
+    pub row: NDupComms<T>,
     /// Duplicates of `col_comm`.
-    pub col: NDupComms<C>,
+    pub col: NDupComms<T>,
     /// Duplicates of `grd_comm`.
-    pub grd: NDupComms<C>,
+    pub grd: NDupComms<T>,
     /// Duplicates of the world communicator (for the D² hand-back sends,
     /// Algorithm 5 line 23 uses `global_comm`).
-    pub world: NDupComms<C>,
+    pub world: NDupComms<T>,
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@
 // root-only payload delivery and mesh/split bookkeeping guaranteed by the
 // surrounding collective protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
-use ovcomm_core::{pipelined_reduce_bcast, Communicator, NDupComms, RankHandle};
-use ovcomm_simmpi::Payload;
+use ovcomm_core::{pipelined_reduce_bcast, NDupComms};
+use ovcomm_simmpi::{Payload, RankCtx, Transport};
 
 use crate::matvec::VecBuf;
 use crate::mesh::Mesh2D;
@@ -70,9 +70,9 @@ fn pair_force(a: f64, b: f64) -> f64 {
 }
 
 /// Initialize the distributed system: rank (i, j) gets group j's positions.
-pub fn md_init<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
+pub fn md_init<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
     cfg: &MdConfig,
     phantom: bool,
 ) -> MdState {
@@ -94,9 +94,9 @@ pub fn md_init<R: RankHandle>(
 }
 
 /// Run `cfg.steps` force-decomposition steps; returns the final state.
-pub fn md_run<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
+pub fn md_run<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
     cfg: &MdConfig,
     mut state: MdState,
 ) -> MdState {
@@ -194,11 +194,11 @@ fn integrate(state: &mut MdState, force: &VecBuf, dt: f64) -> VecBuf {
 /// force chunks as they land and immediately broadcasts the corresponding
 /// position chunk. Non-diagonal ranks run the plain pipelined pattern.
 #[allow(clippy::too_many_arguments)]
-fn pipelined_reduce_bcast_with_integrate<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
-    row_ndup: &NDupComms<R::Comm>,
-    col_ndup: &NDupComms<R::Comm>,
+fn pipelined_reduce_bcast_with_integrate<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
+    row_ndup: &NDupComms<T>,
+    col_ndup: &NDupComms<T>,
     partial: &VecBuf,
     state: &mut MdState,
     dt: f64,

@@ -16,25 +16,25 @@
 // root-only payload delivery and mesh/split bookkeeping guaranteed by the
 // surrounding collective protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
-use ovcomm_core::{overlapped_bcast, Communicator, NDupComms, RankHandle};
+use ovcomm_core::{overlapped_bcast, NDupComms};
 use ovcomm_densemat::{BlockBuf, BlockGrid};
-use ovcomm_simmpi::Comm;
+use ovcomm_simmpi::{RankCtx, SimTransport, Transport};
 
 use crate::convert::{block_to_payload, payload_to_block};
 use crate::mesh::Mesh2D;
 use crate::symm3d::{local_multiply, SymmInput, SymmOutput};
 
 /// N_DUP bundles for SUMMA's row and column panel broadcasts.
-pub struct SummaBundles<C: Communicator = Comm> {
+pub struct SummaBundles<T: Transport = SimTransport> {
     /// Duplicates of the row communicator.
-    pub row: NDupComms<C>,
+    pub row: NDupComms<T>,
     /// Duplicates of the column communicator.
-    pub col: NDupComms<C>,
+    pub col: NDupComms<T>,
 }
 
-impl<C: Communicator> SummaBundles<C> {
+impl<T: Transport> SummaBundles<T> {
     /// Build from a mesh with the given N_DUP.
-    pub fn new(mesh: &Mesh2D<C>, n_dup: usize) -> SummaBundles<C> {
+    pub fn new(mesh: &Mesh2D<T>, n_dup: usize) -> SummaBundles<T> {
         SummaBundles {
             row: NDupComms::new(&mesh.row, n_dup),
             col: NDupComms::new(&mesh.col, n_dup),
@@ -45,11 +45,11 @@ impl<C: Communicator> SummaBundles<C> {
 /// Distributed `C = A·B` with SUMMA. `a` and `b` are this rank's blocks
 /// (the (i,j) blocks of the operands); returns this rank's block of C.
 /// Panel broadcasts are overlapped with themselves via the bundles.
-pub fn summa_multiply<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
+pub fn summa_multiply<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
     grid: &BlockGrid,
-    bundles: &SummaBundles<R::Comm>,
+    bundles: &SummaBundles<T>,
     a: &BlockBuf,
     b: &BlockBuf,
     rate: f64,
@@ -89,11 +89,11 @@ pub fn summa_multiply<R: RankHandle>(
 /// Communication-wise each panel uses a single ibcast per communicator of
 /// the bundle round-robin, so successive panels travel on different
 /// contexts and genuinely overlap.
-pub fn summa_multiply_pipelined<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
+pub fn summa_multiply_pipelined<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
     grid: &BlockGrid,
-    bundles: &SummaBundles<R::Comm>,
+    bundles: &SummaBundles<T>,
     a: &BlockBuf,
     b: &BlockBuf,
     rate: f64,
@@ -146,10 +146,10 @@ pub fn summa_multiply_pipelined<R: RankHandle>(
 
 /// SymmSquareCube over SUMMA: two multiplications on a p×p mesh (p² ranks —
 /// the 2-D point of the mesh-dimensionality ablation).
-pub fn symm_square_cube_summa<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh2D<R::Comm>,
-    bundles: &SummaBundles<R::Comm>,
+pub fn symm_square_cube_summa<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh2D<T>,
+    bundles: &SummaBundles<T>,
     input: &SymmInput,
 ) -> SymmOutput {
     let grid = BlockGrid::new(input.n, mesh.p);

@@ -16,17 +16,15 @@
 // root-only payload delivery and mesh/split bookkeeping guaranteed by the
 // surrounding collective protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
-use ovcomm_core::{
-    overlapped_allreduce, overlapped_bcast, overlapped_reduce, Communicator, NDupComms, RankHandle,
-};
+use ovcomm_core::{overlapped_allreduce, overlapped_bcast, overlapped_reduce, NDupComms};
 use ovcomm_densemat::{BlockBuf, BlockGrid};
-use ovcomm_simmpi::{Comm, Payload};
+use ovcomm_simmpi::{Comm, Payload, RankCtx, SimTransport, Transport};
 
 use crate::convert::{block_to_payload, payload_to_block};
 use crate::symm3d::{local_multiply, SymmInput, SymmOutput};
 
 /// A q×q×c process grid with row/column/grid-fibre communicators.
-pub struct Mesh25D<C: Communicator = Comm> {
+pub struct Mesh25D<T: Transport = SimTransport> {
     /// Square grid dimension q.
     pub q: usize,
     /// Replication factor c (must divide q).
@@ -38,25 +36,25 @@ pub struct Mesh25D<C: Communicator = Comm> {
     /// Plane coordinate.
     pub k: usize,
     /// Over `P(i, :, k)` (A travels along rows) — my index is `j`.
-    pub row: C,
+    pub row: Comm<T>,
     /// Over `P(:, j, k)` (B travels along columns) — my index is `i`.
-    pub col: C,
+    pub col: Comm<T>,
     /// Over `P(i, j, :)` — my index is `k`.
-    pub grd: C,
+    pub grd: Comm<T>,
     /// All ranks.
-    pub world: C,
+    pub world: Comm<T>,
 }
 
-impl<C: Communicator> Mesh25D<C> {
+impl<T: Transport> Mesh25D<T> {
     /// Build from the world communicator; requires `nranks == q²·c` and
     /// `c | q`.
-    pub fn new<R: RankHandle<Comm = C>>(rc: &R, q: usize, c: usize) -> Mesh25D<C> {
+    pub fn new(rc: &RankCtx<T>, q: usize, c: usize) -> Mesh25D<T> {
         Mesh25D::new_on(rc.world(), q, c)
     }
 
     /// Build over an arbitrary base communicator (e.g. the active subset of
     /// a per-kernel-PPN stage).
-    pub fn new_on(world: C, q: usize, c: usize) -> Mesh25D<C> {
+    pub fn new_on(world: Comm<T>, q: usize, c: usize) -> Mesh25D<T> {
         assert_eq!(world.size(), q * q * c, "need exactly q^2*c ranks");
         assert!(
             c >= 1 && q.is_multiple_of(c),
@@ -95,7 +93,7 @@ impl<C: Communicator> Mesh25D<C> {
 /// Circular shift within `comm`: send my payload `dist` positions forward
 /// (negative = backward), receive from the opposite neighbour. Returns the
 /// incoming payload. A zero-distance (mod p) shift is the identity.
-fn roll<C: Communicator>(comm: &C, dist: isize, tag: u32, payload: Payload) -> Payload {
+fn roll<T: Transport>(comm: &Comm<T>, dist: isize, tag: u32, payload: Payload) -> Payload {
     let p = comm.size() as isize;
     let me = comm.rank() as isize;
     let dst = (me + dist).rem_euclid(p) as usize;
@@ -111,9 +109,9 @@ fn roll<C: Communicator>(comm: &C, dist: isize, tag: u32, payload: Payload) -> P
 /// blocks A(i,j)/B(i,j); alignment and step shifts are circular
 /// sendrecv-style exchanges in the row/column communicators.
 #[allow(clippy::too_many_arguments)]
-fn cannon_phase<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh25D<R::Comm>,
+fn cannon_phase<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh25D<T>,
     grid: &BlockGrid,
     a0: &BlockBuf,
     b0: &BlockBuf,
@@ -176,10 +174,10 @@ fn cannon_phase<R: RankHandle>(
 /// carries the N_DUP duplicated grid-fibre communicators used to overlap
 /// the three collectives with themselves (pass `N_DUP = 1` for the
 /// non-overlapped variant).
-pub fn symm_square_cube_25d<R: RankHandle>(
-    rc: &R,
-    mesh: &Mesh25D<R::Comm>,
-    grd_ndup: &NDupComms<R::Comm>,
+pub fn symm_square_cube_25d<T: Transport>(
+    rc: &RankCtx<T>,
+    mesh: &Mesh25D<T>,
+    grd_ndup: &NDupComms<T>,
     input: &SymmInput,
 ) -> SymmOutput {
     let grid = BlockGrid::new(input.n, mesh.q);

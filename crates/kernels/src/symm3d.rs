@@ -12,9 +12,9 @@
 // root-only payload delivery and mesh/split bookkeeping guaranteed by the
 // surrounding collective protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
-use ovcomm_core::{pipelined_reduce_bcast, ChunkPlan, Communicator, RankHandle};
+use ovcomm_core::{pipelined_reduce_bcast, ChunkPlan, NDupComms, RankHandle};
 use ovcomm_densemat::{gemm_flops, BlockBuf, BlockGrid};
-use ovcomm_simmpi::{Payload, Request};
+use ovcomm_simmpi::{Comm, Payload, RankCtx, Request, Transport};
 
 use crate::convert::{block_to_payload, payload_to_block};
 use crate::mesh::{mesh3d_rank_of, Mesh3D, Mesh3DBundles};
@@ -46,7 +46,7 @@ pub fn symm_square_cube_flops(n: usize) -> f64 {
     2.0 * 2.0 * (n as f64).powi(3)
 }
 
-fn check_input<C: Communicator>(mesh: &Mesh3D<C>, grid: &BlockGrid, input: &SymmInput) {
+fn check_input<T: Transport>(mesh: &Mesh3D<T>, grid: &BlockGrid, input: &SymmInput) {
     if mesh.k == 0 {
         let d = input
             .d_block
@@ -63,8 +63,8 @@ fn check_input<C: Communicator>(mesh: &Mesh3D<C>, grid: &BlockGrid, input: &Symm
 }
 
 /// Local GEMM: real arithmetic when blocks are real, modeled time always.
-pub(crate) fn local_multiply<R: RankHandle>(
-    rc: &R,
+pub(crate) fn local_multiply<T: Transport>(
+    rc: &RankCtx<T>,
     c: &mut BlockBuf,
     a: &BlockBuf,
     b: &BlockBuf,
@@ -78,7 +78,7 @@ pub(crate) fn local_multiply<R: RankHandle>(
 
 /// GEMM rate for this run: the node's rate divided among its processes,
 /// with the local block dimension's efficiency factor.
-fn gemm_rate<R: RankHandle>(rc: &R, grid: &BlockGrid) -> f64 {
+fn gemm_rate<T: Transport>(rc: &RankCtx<T>, grid: &BlockGrid) -> f64 {
     let block_dim = grid.n().div_ceil(grid.p()).max(1);
     rc.profile().process_flops(rc.compute_ppn(), block_dim)
 }
@@ -86,8 +86,8 @@ fn gemm_rate<R: RankHandle>(rc: &R, grid: &BlockGrid) -> f64 {
 /// Hand a block from `src_rank` to `dst_rank` on `comm` (blocking), keeping
 /// it local when they coincide (a blocking self-send would deadlock in the
 /// rendezvous protocol, exactly as in MPI).
-fn hand_back<C: Communicator>(
-    comm: &C,
+fn hand_back<T: Transport>(
+    comm: &Comm<T>,
     my_index: usize,
     src: usize,
     dst: usize,
@@ -111,9 +111,10 @@ fn hand_back<C: Communicator>(
 /// explicit D² transpose (line 6).
 pub fn symm_square_cube_original<R: RankHandle>(
     rc: &R,
-    mesh: &Mesh3D<R::Comm>,
+    mesh: &Mesh3D<R::T>,
     input: &SymmInput,
 ) -> SymmOutput {
+    let rc = rc.ctx();
     let grid = BlockGrid::new(input.n, mesh.p);
     check_input(mesh, &grid, input);
     let rate = gemm_rate(rc, &grid);
@@ -204,9 +205,10 @@ pub fn symm_square_cube_original<R: RankHandle>(
 /// hand-backs move to the end.
 pub fn symm_square_cube_baseline<R: RankHandle>(
     rc: &R,
-    mesh: &Mesh3D<R::Comm>,
+    mesh: &Mesh3D<R::T>,
     input: &SymmInput,
 ) -> SymmOutput {
+    let rc = rc.ctx();
     let grid = BlockGrid::new(input.n, mesh.p);
     check_input(mesh, &grid, input);
     let rate = gemm_rate(rc, &grid);
@@ -285,10 +287,11 @@ pub fn symm_square_cube_baseline<R: RankHandle>(
 /// nonblocking path).
 pub fn symm_square_cube_optimized<R: RankHandle>(
     rc: &R,
-    mesh: &Mesh3D<R::Comm>,
-    bundles: &Mesh3DBundles<R::Comm>,
+    mesh: &Mesh3D<R::T>,
+    bundles: &Mesh3DBundles<R::T>,
     input: &SymmInput,
 ) -> SymmOutput {
+    let rc = rc.ctx();
     let grid = BlockGrid::new(input.n, mesh.p);
     check_input(mesh, &grid, input);
     let rate = gemm_rate(rc, &grid);
@@ -454,25 +457,14 @@ pub fn symm_square_cube_optimized<R: RankHandle>(
     bundles.world.comm(0).wait_all(&d2_send_reqs);
     bundles.grd.comm(0).wait_all(&d3_send_reqs);
 
-    // Assemble the hand-backs on plane 0.
+    // Assemble the hand-backs on plane 0: all D² chunks, then all D³.
+    let plan_home = ChunkPlan::new(grid.block_bytes(i, j), n_dup);
     let d2_home: Option<Payload> = if k == 0 {
         if d2_self {
             d2_mine
         } else {
-            let plan = ChunkPlan::new(grid.block_bytes(i, j), n_dup);
-            let chunks: Vec<Payload> = d2_recv_reqs
-                .iter()
-                .enumerate()
-                .map(|(c, r)| {
-                    let got = bundles
-                        .world
-                        .comm(c)
-                        .wait_traced_chunk(r, "wait Irecv D2", c as u32);
-                    assert_eq!(got.len(), plan.len(c), "D² chunk size mismatch");
-                    got
-                })
-                .collect();
-            Some(plan.concat(&chunks))
+            let (comms, reqs) = (&bundles.world, &d2_recv_reqs);
+            Some(recv_chunks(comms, reqs, &plan_home, "wait Irecv D2"))
         }
     } else {
         None
@@ -480,24 +472,11 @@ pub fn symm_square_cube_optimized<R: RankHandle>(
     let d3_home: Option<Payload> = if k == 0 {
         if j == 0 {
             // j == k == 0: reduced locally above.
-            let plan = ChunkPlan::new(grid.block_bytes(i, j), n_dup);
             let chunks: Vec<Payload> = d3_local.into_iter().map(Option::unwrap).collect();
-            Some(plan.concat(&chunks))
+            Some(plan_home.concat(&chunks))
         } else {
-            let plan = ChunkPlan::new(grid.block_bytes(i, j), n_dup);
-            let chunks: Vec<Payload> = d3_recv_reqs
-                .iter()
-                .enumerate()
-                .map(|(c, r)| {
-                    let got = bundles
-                        .grd
-                        .comm(c)
-                        .wait_traced_chunk(r, "wait Irecv D3", c as u32);
-                    assert_eq!(got.len(), plan.len(c), "D³ chunk size mismatch");
-                    got
-                })
-                .collect();
-            Some(plan.concat(&chunks))
+            let (comms, reqs) = (&bundles.grd, &d3_recv_reqs);
+            Some(recv_chunks(comms, reqs, &plan_home, "wait Irecv D3"))
         }
     } else {
         None
@@ -507,9 +486,30 @@ pub fn symm_square_cube_optimized<R: RankHandle>(
     finish(mesh, &grid, d2_home, d3_home)
 }
 
+/// Wait each chunked hand-back receive in chunk order on its duplicate of
+/// `comms`, tracing it under `label`, check its length against `plan` and
+/// reassemble the block.
+fn recv_chunks<T: Transport>(
+    comms: &NDupComms<T>,
+    reqs: &[Request<Payload>],
+    plan: &ChunkPlan,
+    label: &str,
+) -> Payload {
+    let chunks: Vec<Payload> = reqs
+        .iter()
+        .enumerate()
+        .map(|(c, r)| {
+            let got = comms.comm(c).wait_traced_chunk(r, label, c as u32);
+            assert_eq!(got.len(), plan.len(c), "{label}: chunk size mismatch");
+            got
+        })
+        .collect();
+    plan.concat(&chunks)
+}
+
 /// Convert the homed payloads into output blocks on plane 0.
-fn finish<C: Communicator>(
-    mesh: &Mesh3D<C>,
+fn finish<T: Transport>(
+    mesh: &Mesh3D<T>,
     grid: &BlockGrid,
     d2_home: Option<Payload>,
     d3_home: Option<Payload>,

@@ -23,13 +23,13 @@
 // plane/root-only payload delivery and staged-communicator membership
 // guaranteed by the surrounding protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
-use ovcomm_core::{Communicator, NDupComms, RankHandle};
+use ovcomm_core::NDupComms;
 use ovcomm_densemat::{BlockBuf, BlockGrid, Matrix};
 use ovcomm_kernels::{
     symm_square_cube_25d, symm_square_cube_baseline, symm_square_cube_optimized,
     symm_square_cube_original, Mesh25D, Mesh3D, Mesh3DBundles, SymmInput,
 };
-use ovcomm_simmpi::Payload;
+use ovcomm_simmpi::{Comm, Payload, RankCtx, Transport};
 use ovcomm_simnet::{SimDur, SimTime};
 
 /// Which SymmSquareCube variant drives the iteration.
@@ -100,19 +100,19 @@ impl PurifyResult {
 }
 
 /// Mesh + communicators built once per run.
-enum KernelState<C: Communicator> {
+enum KernelState<T: Transport> {
     ThreeD {
-        mesh: Mesh3D<C>,
-        bundles: Option<Mesh3DBundles<C>>,
+        mesh: Mesh3D<T>,
+        bundles: Option<Mesh3DBundles<T>>,
         choice: KernelChoice,
     },
     TwoFiveD {
-        mesh: Mesh25D<C>,
-        grd_ndup: NDupComms<C>,
+        mesh: Mesh25D<T>,
+        grd_ndup: NDupComms<T>,
     },
 }
 
-impl<C: Communicator> KernelState<C> {
+impl<T: Transport> KernelState<T> {
     fn grid_p(&self) -> usize {
         match self {
             KernelState::ThreeD { mesh, .. } => mesh.p,
@@ -134,11 +134,7 @@ impl<C: Communicator> KernelState<C> {
         }
     }
 
-    fn call<R: RankHandle<Comm = C>>(
-        &self,
-        rc: &R,
-        input: &SymmInput,
-    ) -> ovcomm_kernels::SymmOutput {
+    fn call(&self, rc: &RankCtx<T>, input: &SymmInput) -> ovcomm_kernels::SymmOutput {
         match self {
             KernelState::ThreeD {
                 mesh,
@@ -178,8 +174,8 @@ pub fn initial_iterate(h: &Matrix, nocc: usize) -> Matrix {
 /// The per-rank purification driver. Call from inside a simulation rank
 /// closure; every rank of the universe participates (the mesh shape is
 /// inferred from the kernel choice and the rank count).
-pub fn purify_rank<R: RankHandle>(
-    rc: &R,
+pub fn purify_rank<T: Transport>(
+    rc: &RankCtx<T>,
     cfg: &PurifyConfig,
     choice: KernelChoice,
 ) -> PurifyResult {
@@ -189,9 +185,9 @@ pub fn purify_rank<R: RankHandle>(
 /// Purification over an arbitrary base communicator — the building block of
 /// per-kernel PPN selection (§III-B): the caller hands in just the active
 /// subset of processes. Every member of `base` must call.
-pub fn purify_rank_on<R: RankHandle>(
-    rc: &R,
-    base: &R::Comm,
+pub fn purify_rank_on<T: Transport>(
+    rc: &RankCtx<T>,
+    base: &Comm<T>,
     cfg: &PurifyConfig,
     choice: KernelChoice,
 ) -> PurifyResult {
@@ -228,8 +224,8 @@ fn canonical_update(dm: &Matrix, d2m: &Matrix, d3m: &Matrix, sums: [f64; 2]) -> 
 
 /// The generic purification loop over the world communicator (used by the
 /// McWeeny variant too).
-pub(crate) fn purify_loop<R: RankHandle>(
-    rc: &R,
+pub(crate) fn purify_loop<T: Transport>(
+    rc: &RankCtx<T>,
     cfg: &PurifyConfig,
     choice: KernelChoice,
     init: impl Fn(&Matrix, &PurifyConfig) -> Matrix,
@@ -240,9 +236,9 @@ pub(crate) fn purify_loop<R: RankHandle>(
 
 /// The generic purification loop: one SymmSquareCube call per iteration,
 /// global trace reduction, a pluggable polynomial update.
-pub(crate) fn purify_loop_on<R: RankHandle>(
-    rc: &R,
-    base: &R::Comm,
+pub(crate) fn purify_loop_on<T: Transport>(
+    rc: &RankCtx<T>,
+    base: &Comm<T>,
     cfg: &PurifyConfig,
     choice: KernelChoice,
     init: impl Fn(&Matrix, &PurifyConfig) -> Matrix,
@@ -279,7 +275,7 @@ pub(crate) fn purify_loop_on<R: RankHandle>(
     let (bi, bj) = state.coords();
     let plane0 = state.on_plane0();
     // Communicator over plane 0 for the trace reductions.
-    let plane0_comm: Option<R::Comm> =
+    let plane0_comm: Option<Comm<T>> =
         world.split(if plane0 { 0 } else { -1 }, world.rank() as u64);
 
     // Initial iterate.
@@ -382,7 +378,7 @@ pub(crate) fn purify_loop_on<R: RankHandle>(
 
 /// Virtual-time cost of the three-operand canonical update (memory-bound
 /// streaming over D, D², D³ and the output).
-fn charge_update<R: RankHandle>(rc: &R, grid: &BlockGrid, i: usize, j: usize) {
+fn charge_update<T: Transport>(rc: &RankCtx<T>, grid: &BlockGrid, i: usize, j: usize) {
     let bytes = grid.block_bytes(i, j) as f64 * 4.0;
     // Stream at the node's memory bandwidth share.
     let bw = rc.profile().node_mem_bw / rc.compute_ppn() as f64;

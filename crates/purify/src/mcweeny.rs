@@ -9,8 +9,8 @@
 //! [0, 1]. Every iteration is one SymmSquareCube call — the same kernel,
 //! the same overlap techniques.
 
-use ovcomm_core::RankHandle;
 use ovcomm_densemat::Matrix;
+use ovcomm_simmpi::{RankCtx, Transport};
 
 use crate::canonical::{KernelChoice, PurifyConfig, PurifyResult};
 
@@ -33,8 +33,8 @@ pub fn mcweeny_initial(h: &Matrix, mu: f64) -> Matrix {
 /// falls below tolerance. Same calling convention as
 /// [`crate::purify_rank`], plus the chemical potential. Phantom runs
 /// execute exactly `max_iter` iterations.
-pub fn mcweeny_rank<R: RankHandle>(
-    rc: &R,
+pub fn mcweeny_rank<T: Transport>(
+    rc: &RankCtx<T>,
     cfg: &PurifyConfig,
     mu: f64,
     choice: KernelChoice,

@@ -10,7 +10,8 @@
 // plane/root-only payload delivery and staged-communicator membership
 // guaranteed by the surrounding protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
-use ovcomm_core::{run_stage, Communicator, RankHandle, StagePlan};
+use ovcomm_core::{run_stage, StagePlan};
+use ovcomm_simmpi::{RankCtx, Transport};
 use ovcomm_simnet::{SimDur, SimTime};
 
 use crate::canonical::{purify_rank_on, KernelChoice, PurifyConfig};
@@ -45,7 +46,11 @@ pub struct ScfResult {
 
 /// Run `scf_iterations` of (Fock stage on all ranks → purification on the
 /// planned subset). Every rank of the universe must call this.
-pub fn scf_staged<R: RankHandle>(rc: &R, cfg: &ScfConfig, choice: KernelChoice) -> ScfResult {
+pub fn scf_staged<T: Transport>(
+    rc: &RankCtx<T>,
+    cfg: &ScfConfig,
+    choice: KernelChoice,
+) -> ScfResult {
     let world = rc.world();
     let t0: SimTime = rc.now();
     // The active subset's communicator is created once, collectively.

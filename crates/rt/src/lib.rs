@@ -4,9 +4,8 @@
 //! is an OS thread, payloads move through in-process shared memory, and
 //! time is the wall clock. It executes the **same** `Comm` API surface and
 //! the **same** compiled `CollPlan` collective schedules as the
-//! virtual-time simulator (`ovcomm-simmpi`), through the backend traits of
-//! `ovcomm-core` — so any kernel written against `ovcomm_core`'s
-//! `Communicator`/`RankHandle` traits runs bit-identically on either
+//! virtual-time simulator (`ovcomm-simmpi`) — so any kernel written as
+//! `fn f<T: Transport>(rc: &RankCtx<T>, …)` runs bit-identically on either
 //! backend, and wall-clock measurements from this crate validate the
 //! simulator's modeled timings.
 //!

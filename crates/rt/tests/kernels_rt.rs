@@ -1,14 +1,14 @@
 //! Every distributed kernel, executed on the real shared-memory backend and
 //! compared against the simulator **bit for bit**.
 //!
-//! Each workload is a single generic function over [`RankHandle`], so the
-//! exact same code runs under `ovcomm_simmpi::run` (virtual time, one
-//! engine thread) and `ovcomm_rt::run` (wall-clock time, one OS thread per
-//! rank). Both backends execute the same CollPlan IR, so reductions apply
+//! Each workload is a single function generic over the backend's
+//! `Transport` (it takes `&RankCtx<T>`), so the exact same code runs under
+//! `ovcomm_simmpi::run` (virtual time, one engine thread) and
+//! `ovcomm_rt::run` (wall-clock time, one OS thread per rank). Both backends execute the same CollPlan IR, so reductions apply
 //! in the same order and the floating-point results must be identical —
 //! not merely close.
 
-use ovcomm_core::{NDupComms, RankHandle, StagePlan};
+use ovcomm_core::{NDupComms, StagePlan};
 use ovcomm_densemat::{BlockBuf, BlockGrid, Matrix, Partition1D};
 use ovcomm_kernels::{
     block_cg, matvec_blocking, matvec_pipelined, md_init, md_run, symm_square_cube_25d,
@@ -18,7 +18,7 @@ use ovcomm_kernels::{
 };
 use ovcomm_purify::{purify_rank, scf_staged, KernelChoice, PurifyConfig, ScfConfig};
 use ovcomm_rt::{RtConfig, RtRankCtx};
-use ovcomm_simmpi::{RankCtx, SimConfig};
+use ovcomm_simmpi::{RankCtx, SimConfig, Transport};
 use ovcomm_simnet::{MachineProfile, SimDur};
 
 fn test_matrix(n: usize) -> Matrix {
@@ -51,8 +51,8 @@ where
 }
 
 /// Object-safe shim so one closure can accept either concrete rank context.
-/// Kernels are generic over `RankHandle` (not object safe), so the closure
-/// downcasts to the concrete context and calls a generic worker.
+/// A closure cannot be generic over the transport, so it downcasts to the
+/// concrete context and calls a generic worker.
 trait WorkloadDispatch {
     fn as_sim(&self) -> Option<&RankCtx>;
     fn as_rt(&self) -> Option<&RtRankCtx>;
@@ -93,7 +93,12 @@ macro_rules! dispatch {
 // Matrix–vector.
 // ---------------------------------------------------------------------
 
-fn matvec_worker<R: RankHandle>(rc: &R, n: usize, p: usize, n_dup: Option<usize>) -> Vec<f64> {
+fn matvec_worker<T: Transport>(
+    rc: &RankCtx<T>,
+    n: usize,
+    p: usize,
+    n_dup: Option<usize>,
+) -> Vec<f64> {
     let mesh = Mesh2D::new(rc, p);
     let part = Partition1D::new(n, p);
     let grid = BlockGrid::new(n, p);
@@ -135,8 +140,8 @@ fn matvec_pipelined_identical_on_both_backends() {
 // 3-D SymmSquareCube, all three algorithm variants.
 // ---------------------------------------------------------------------
 
-fn symm3d_worker<R: RankHandle>(
-    rc: &R,
+fn symm3d_worker<T: Transport>(
+    rc: &RankCtx<T>,
     n: usize,
     p: usize,
     variant: usize,
@@ -175,7 +180,12 @@ fn symm3d_all_variants_identical_on_both_backends() {
 // SUMMA.
 // ---------------------------------------------------------------------
 
-fn summa_worker<R: RankHandle>(rc: &R, n: usize, p: usize, n_dup: usize) -> (Vec<f64>, Vec<f64>) {
+fn summa_worker<T: Transport>(
+    rc: &RankCtx<T>,
+    n: usize,
+    p: usize,
+    n_dup: usize,
+) -> (Vec<f64>, Vec<f64>) {
     let mesh = Mesh2D::new(rc, p);
     let grid = BlockGrid::new(n, p);
     let bundles = SummaBundles::new(&mesh, n_dup);
@@ -202,7 +212,7 @@ fn summa_identical_on_both_backends() {
 // epochs, prefetch overlap) — the rma-smoke cross-backend gate.
 // ---------------------------------------------------------------------
 
-fn cosma_worker<R: RankHandle>(rc: &R, n: usize, p: usize) -> (Vec<f64>, Vec<f64>) {
+fn cosma_worker<T: Transport>(rc: &RankCtx<T>, n: usize, p: usize) -> (Vec<f64>, Vec<f64>) {
     let mesh = Mesh2D::new(rc, p);
     let grid = BlockGrid::new(n, p);
     let d_block = BlockBuf::Real(grid.extract(&test_matrix(n), mesh.i, mesh.j));
@@ -237,8 +247,8 @@ fn cosma_matches_summa_across_backends() {
 // 2.5-D SymmSquareCube.
 // ---------------------------------------------------------------------
 
-fn symm25d_worker<R: RankHandle>(
-    rc: &R,
+fn symm25d_worker<T: Transport>(
+    rc: &RankCtx<T>,
     n: usize,
     q: usize,
     c: usize,
@@ -269,7 +279,12 @@ fn symm25d_identical_on_both_backends() {
 // Block CG (overlapped Gram reductions).
 // ---------------------------------------------------------------------
 
-fn blockcg_worker<R: RankHandle>(rc: &R, n: usize, p: usize, s: usize) -> (usize, bool, Vec<f64>) {
+fn blockcg_worker<T: Transport>(
+    rc: &RankCtx<T>,
+    n: usize,
+    p: usize,
+    s: usize,
+) -> (usize, bool, Vec<f64>) {
     let mesh = Mesh2D::new(rc, p);
     let grid = BlockGrid::new(n, p);
     let part = Partition1D::new(n, p);
@@ -310,7 +325,12 @@ fn block_cg_identical_on_both_backends() {
 // Force-decomposition MD.
 // ---------------------------------------------------------------------
 
-fn md_worker<R: RankHandle>(rc: &R, n: usize, p: usize, overlap: Option<usize>) -> Vec<f64> {
+fn md_worker<T: Transport>(
+    rc: &RankCtx<T>,
+    n: usize,
+    p: usize,
+    overlap: Option<usize>,
+) -> Vec<f64> {
     let mesh = Mesh2D::new(rc, p);
     let cfg = MdConfig {
         n_particles: n,
@@ -339,7 +359,10 @@ fn md_identical_on_both_backends() {
 // Purification — the full application loop, to convergence.
 // ---------------------------------------------------------------------
 
-fn purify_worker<R: RankHandle>(rc: &R, choice: KernelChoice) -> (usize, bool, Option<Vec<f64>>) {
+fn purify_worker<T: Transport>(
+    rc: &RankCtx<T>,
+    choice: KernelChoice,
+) -> (usize, bool, Option<Vec<f64>>) {
     let cfg = PurifyConfig {
         n: 24,
         nocc: 8,
@@ -375,7 +398,7 @@ fn purification_identical_on_both_backends() {
 // threads.
 // ---------------------------------------------------------------------
 
-fn scf_worker<R: RankHandle>(rc: &R) -> (usize, usize) {
+fn scf_worker<T: Transport>(rc: &RankCtx<T>) -> (usize, usize) {
     let cfg = ScfConfig {
         purify: PurifyConfig {
             n: 16,

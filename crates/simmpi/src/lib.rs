@@ -61,13 +61,15 @@ pub use collsel::CollSelector;
 /// wake state under its id.
 pub type SimTransport = agent::Agent;
 
-/// A communicator handle for one rank of the simulator — the generic
-/// front end [`comm::Comm`] over the virtual-time transport.
-pub type Comm = comm::Comm<SimTransport>;
+/// A communicator handle for one rank — the generic front end
+/// [`comm::Comm`], over the virtual-time transport unless `T` names
+/// another backend's (generic code writes `Comm<T>`).
+pub type Comm<T = SimTransport> = comm::Comm<T>;
 
-/// The handle passed to each simulated rank's closure — the generic
-/// [`rank::RankCtx`] over the virtual-time transport.
-pub type RankCtx = rank::RankCtx<SimTransport>;
+/// The handle passed to each rank's closure — the generic
+/// [`rank::RankCtx`], over the virtual-time transport unless `T` names
+/// another backend's (generic code writes `RankCtx<T>`).
+pub type RankCtx<T = SimTransport> = rank::RankCtx<T>;
 
 /// Why a simulated run failed.
 pub type SimError = RunError;
@@ -90,4 +92,5 @@ pub use payload::Payload;
 pub use rank::{RunError, RunOutput};
 pub use request::Request;
 pub use rma::SimWin;
+pub use transport::Transport;
 pub use universe::{run, SimConfig};

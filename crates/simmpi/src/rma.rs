@@ -275,10 +275,27 @@ pub(crate) type Windows = FxHashMap<(u32, u64), SharedCore>;
 /// A one-sided window handle for one rank (the analogue of `MPI_Win`),
 /// over backend transport `T`.
 ///
-/// Created collectively by [`Comm::win_create`]. See
-/// `ovcomm_core::backend::Window` for the epoch/consistency contract.
-/// Dropping a handle without [`Win::free`] is reported by the verifier as
-/// a `win-leak` with the creation site.
+/// Created collectively by [`Comm::win_create`]: every member exposes a
+/// byte segment; any member reads (`get`), writes (`put`) or
+/// sum-accumulates (`accumulate`) any segment without the target posting
+/// anything. Synchronization is epoch-based and identical on both
+/// backends:
+///
+/// * **Active target:** [`Win::fence`] is collective; it closes the
+///   current epoch (all puts/accumulates staged during it are applied to
+///   the target segments, in deterministic `(origin rank, post order)`
+///   order) and opens the next. Gets read the *committed* segment state,
+///   which is stable within an epoch — so results are bit-identical
+///   across backends.
+/// * **Passive target:** [`Win::lock`]/[`Win::unlock`] bracket an epoch
+///   against a single target; staged operations apply at unlock, and the
+///   lock serializes origins.
+///
+/// Overlapping conflicting accesses inside one epoch (put/put, put/get,
+/// put/accumulate) are flagged by the verifier (`rma-conflict`);
+/// accumulate/accumulate commutes and is allowed. Dropping a handle
+/// without [`Win::free`] is reported by the verifier as a `win-leak` with
+/// the creation site.
 pub struct Win<T: Transport> {
     /// Private dup of the creating communicator (fence barriers).
     comm: Comm<T>,

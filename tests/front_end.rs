@@ -2,7 +2,7 @@
 //!
 //! `ovcomm_simmpi::Comm` and `ovcomm_rt::RtComm` are the same generic
 //! `Comm<T>` over a narrow `Transport` seam. This suite runs one program,
-//! written against `RankHandle`/`Communicator` only, on the virtual-time
+//! generic over the transport (`&RankCtx<T>`), on the virtual-time
 //! simulator and on the wall-clock runtime, and requires everything the
 //! front end produces to agree: results to the bit, per-rank operation
 //! counters, the multiset of verify `Coll` events per communicator, and a
@@ -17,15 +17,19 @@
 //! records the same spans and edges for either backend, and a failed run
 //! still writes its Perfetto file. At p = 12 the simulator's metrics
 //! snapshot is pinned (key counts, first and last keys, a digest of its
-//! JSON) and both backends render the same `simmpi.*` keys.
+//! JSON) and both backends render the same `simmpi.*` keys. One program is
+//! bound on `R: RankHandle` instead and does what the `benchmark/` package
+//! does through `ovcomm_core::backend`, so a break there fails here too.
 
 use std::collections::BTreeMap;
 
 use std::time::Duration;
 
-use ovcomm::core::{Communicator, RankHandle, Window};
+use ovcomm::core::RankHandle;
+use ovcomm::densemat::{BlockBuf, BlockGrid, Matrix};
+use ovcomm::kernels::{symm_square_cube_optimized, Mesh3D, SymmInput};
 use ovcomm::prelude::*;
-use ovcomm::simmpi::{RunError, RunOutput, VerifyMode, VerifyReport};
+use ovcomm::simmpi::{RunError, RunOutput, Transport, VerifyMode, VerifyReport};
 use ovcomm_obs::MetricsSnapshot;
 use ovcomm_rt::{RtConfig, RtRankCtx};
 
@@ -42,7 +46,7 @@ fn vals(n: usize, seed: usize) -> Vec<f64> {
 /// The program: every family of front-end call, on the world
 /// communicator, `N_DUP` duplicates of it, and a row split. Returns the
 /// bit patterns of every value the rank received.
-fn program<R: RankHandle>(rc: &R) -> Vec<u64> {
+fn program<T: Transport>(rc: &RankCtx<T>) -> Vec<u64> {
     let world = rc.world();
     let (me, p) = (world.rank(), world.size());
     let mut seen: Vec<u64> = Vec::new();
@@ -135,7 +139,7 @@ fn program<R: RankHandle>(rc: &R) -> Vec<u64> {
 /// lock to accumulate into it, then a get of what landed. Returns the
 /// bits of the fetched range followed by the rank's whole committed
 /// segment.
-fn window_program<R: RankHandle>(rc: &R) -> Vec<u64> {
+fn window_program<T: Transport>(rc: &RankCtx<T>) -> Vec<u64> {
     let world = rc.world();
     let (me, p) = (world.rank(), world.size());
     let init = Payload::from_f64s(&vec![me as f64; 512]);
@@ -340,7 +344,7 @@ fn the_metrics_snapshot_is_pinned_at_two_digit_ranks() {
 
 /// Rank 0 sends rank 1 two messages on one envelope — in flight together,
 /// or the second posted only after the first was waited.
-fn same_envelope_sends<R: RankHandle>(rc: &R, wait_between: bool) -> Vec<u64> {
+fn same_envelope_sends<T: Transport>(rc: &RankCtx<T>, wait_between: bool) -> Vec<u64> {
     let world = rc.world();
     match world.rank() {
         0 => {
@@ -363,11 +367,11 @@ fn same_envelope_sends<R: RankHandle>(rc: &R, wait_between: bool) -> Vec<u64> {
     }
 }
 
-fn two_sends_in_flight<R: RankHandle>(rc: &R) -> Vec<u64> {
+fn two_sends_in_flight<T: Transport>(rc: &RankCtx<T>) -> Vec<u64> {
     same_envelope_sends(rc, false)
 }
 
-fn second_send_after_wait<R: RankHandle>(rc: &R) -> Vec<u64> {
+fn second_send_after_wait<T: Transport>(rc: &RankCtx<T>) -> Vec<u64> {
     same_envelope_sends(rc, true)
 }
 
@@ -438,6 +442,54 @@ fn one_window_program_agrees_across_backends() {
         assert_clean("sim", &sim.verify);
         assert_clean("rt", &rt.verify);
     }
+}
+
+/// What the `benchmark/` package does through `ovcomm_core::backend`, the
+/// compatibility shim, bound on `R: RankHandle` exactly as its workloads
+/// are: a 2×2×2 `Mesh3D` and its N_DUP bundles, one Algorithm 5 call, and
+/// a fence epoch on a world window, timed on `rc.now()`. Returns the bits
+/// of D² and D³ (plane 0 only) and of the fetched window range.
+fn shim_program<R: RankHandle>(rc: &R) -> Vec<u64> {
+    let (n, p) = (10, 2);
+    let mesh = Mesh3D::new(rc, p);
+    let bundles = mesh.dup_bundles(N_DUP);
+    let grid = BlockGrid::new(n, p);
+    let d = Matrix::from_fn(n, n, |i, j| {
+        1.0 / (1.0 + i.abs_diff(j) as f64) + (i + j) as f64 * 0.1
+    });
+    let d_block = (mesh.k == 0).then(|| BlockBuf::Real(grid.extract(&d, mesh.i, mesh.j)));
+    let t0 = rc.now();
+    let out = symm_square_cube_optimized(rc, &mesh, &bundles, &SymmInput { n, d_block });
+    let mut seen: Vec<u64> = [out.d2, out.d3]
+        .into_iter()
+        .flatten()
+        .flat_map(|b| b.unwrap_real().clone().into_vec())
+        .map(f64::to_bits)
+        .collect();
+
+    let me = rc.rank();
+    let win = rc
+        .world()
+        .win_create(Payload::from_f64s(&[me as f64, 0.5 * me as f64]));
+    win.fence();
+    let r = win.get((me + 1) % 8, 8, 8);
+    seen.extend(win.wait(&r).to_f64s().iter().map(|v| v.to_bits()));
+    win.fence();
+    win.free();
+    assert!(rc.now() > t0);
+    seen
+}
+
+#[test]
+fn the_benchmark_shim_runs_one_program_on_both_backends() {
+    let (sim, rt) = (on_sim(8, shim_program), on_rt(8, shim_program));
+    assert_eq!(sim.results, rt.results, "results differ");
+    // Plane 0 holds a 5×5 block of D² and of D³ plus the fetched value;
+    // the other plane only the fetched value.
+    let lens: Vec<usize> = sim.results.iter().map(Vec::len).collect();
+    assert_eq!(lens, [51, 51, 51, 51, 1, 1, 1, 1]);
+    assert_clean("sim", &sim.verify);
+    assert_clean("rt", &rt.verify);
 }
 
 /// What a trace records that no clock decides: the sorted
@@ -570,7 +622,7 @@ fn failures(
     ]
 }
 
-fn both_recv_first<R: RankHandle>(rc: &R) {
+fn both_recv_first<T: Transport>(rc: &RankCtx<T>) {
     let world = rc.world();
     let peer = 1 - world.rank();
     let _ = world.recv(peer, 0);
@@ -590,7 +642,7 @@ fn deadlock_is_the_same_error_on_both_backends() {
     }
 }
 
-fn barrier_then_both_recv<R: RankHandle>(rc: &R) {
+fn barrier_then_both_recv<T: Transport>(rc: &RankCtx<T>) {
     let world = rc.world();
     world.barrier();
     let _ = world.recv(1 - world.rank(), 0);
@@ -636,7 +688,7 @@ const GIVE_UP: &str = "rank one gives up";
 
 /// Ranks 0 and 2 wait on a rank that panics: they end in the backend's
 /// deadlock unwind, which must not win the triage over its cause.
-fn rank_one_panics<R: RankHandle>(rc: &R) {
+fn rank_one_panics<T: Transport>(rc: &RankCtx<T>) {
     if rc.rank() == 1 {
         panic!("{GIVE_UP}");
     }
@@ -655,7 +707,7 @@ fn a_rank_panic_wins_over_the_deadlock_it_induces() {
     }
 }
 
-fn identity<R: RankHandle>(rc: &R) -> (Vec<usize>, &'static str) {
+fn identity<T: Transport>(rc: &RankCtx<T>) -> (Vec<usize>, &'static str) {
     let mut seen = vec![
         rc.rank(),
         rc.nranks(),
@@ -685,6 +737,7 @@ fn rank_identity_agrees_across_backends() {
 }
 
 /// The exact text of the planted race's one finding, on either backend.
+/// The site is the second `isend` in `same_envelope_sends`.
 const PLANTED_RACE: &str = "warning[order-dependent-match]: concurrent same-envelope sends \
     (comm 0, rank 0 -> rank 1, tag=4): matching depends on arrival order, \
-    posted at crates/core/src/backend.rs:290";
+    posted at tests/front_end.rs:355";
