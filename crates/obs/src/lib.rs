@@ -9,8 +9,7 @@
 //! DAG from spans plus send→recv / post→wait edges and attributes the
 //! makespan into a wait-blame tree (the `ProfileBlock` bench records
 //! embed), and a [`perfetto`] exporter that writes Chrome trace-event
-//! JSON loadable in `ui.perfetto.dev` — optionally with an annotated
-//! critical-path track.
+//! JSON loadable in `ui.perfetto.dev`.
 //!
 //! The crate depends only on `ovcomm-simnet` types; `ovcomm-simmpi` feeds
 //! it and the kernel/bench layers consume the reports.
@@ -28,8 +27,7 @@ pub use analyze::{analyze, OverlapReport};
 pub use blame::{profile, BlameNode, ProfileBlock, ProfileSegment, PROFILE_SCHEMA};
 pub use critpath::{critical_path_dag, PathSegment, GAP_ACTOR};
 pub use perfetto::{
-    read_trace, trace_to_json, trace_to_json_annotated, trace_to_json_with_names,
-    validate_trace_events, write_trace, write_trace_annotated,
+    read_trace, trace_to_json, trace_to_json_with_names, validate_trace_events, write_trace,
 };
 pub use registry::{
     Counter, CounterFamily, Gauge, GaugeSnapshot, Histogram, HistogramFamily, HistogramSnapshot,

@@ -94,73 +94,6 @@ pub fn write_trace(
     write_json_file(path, &trace_to_json_with_names(spans, name_of))
 }
 
-/// Synthetic `tid` of the annotated critical-path track (no real actor id
-/// reaches `u32::MAX`).
-const CRITPATH_TID: u64 = u32::MAX as u64;
-
-/// Build trace-event JSON for `spans` plus one synthetic **critical
-/// path** track: each [`PathSegment`](crate::critpath::PathSegment)
-/// becomes a complete event on its own thread row, so loading the file in
-/// `ui.perfetto.dev` shows the blame chain directly above the per-actor
-/// timelines. Segment events carry the owning actor and segment kind in
-/// `args`.
-pub fn trace_to_json_annotated(
-    spans: &[TraceSpan],
-    name_of: impl Fn(u32) -> String,
-    critpath: &[crate::critpath::PathSegment],
-) -> Value {
-    let mut v = trace_to_json_with_names(spans, name_of);
-    let Value::Object(fields) = &mut v else {
-        return v;
-    };
-    let Some((_, Value::Array(events))) = fields.iter_mut().find(|(k, _)| k == "traceEvents")
-    else {
-        return v;
-    };
-    events.push(Value::Object(vec![
-        ("name".to_string(), Value::Str("thread_name".to_string())),
-        ("ph".to_string(), Value::Str("M".to_string())),
-        ("pid".to_string(), Value::UInt(0)),
-        ("tid".to_string(), Value::UInt(CRITPATH_TID)),
-        (
-            "args".to_string(),
-            Value::Object(vec![(
-                "name".to_string(),
-                Value::Str("critical path".to_string()),
-            )]),
-        ),
-    ]));
-    for seg in critpath {
-        events.push(Value::Object(vec![
-            ("name".to_string(), Value::Str(seg.label.clone())),
-            ("cat".to_string(), Value::Str("critpath".to_string())),
-            ("ph".to_string(), Value::Str("X".to_string())),
-            ("ts".to_string(), Value::Float(seg.start_us())),
-            ("dur".to_string(), Value::Float(seg.dur_us())),
-            ("pid".to_string(), Value::UInt(0)),
-            ("tid".to_string(), Value::UInt(CRITPATH_TID)),
-            (
-                "args".to_string(),
-                Value::Object(vec![
-                    ("actor".to_string(), Value::UInt(seg.actor as u64)),
-                    ("kind".to_string(), Value::Str(seg.kind.clone())),
-                ]),
-            ),
-        ]));
-    }
-    v
-}
-
-/// Write the annotated (critical-path-track) trace-event JSON to `path`.
-pub fn write_trace_annotated(
-    path: &Path,
-    spans: &[TraceSpan],
-    name_of: impl Fn(u32) -> String,
-    critpath: &[crate::critpath::PathSegment],
-) -> std::io::Result<()> {
-    write_json_file(path, &trace_to_json_annotated(spans, name_of, critpath))
-}
-
 fn write_json_file(path: &Path, v: &Value) -> std::io::Result<()> {
     let json = serde_json::to_string(v)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))?;
