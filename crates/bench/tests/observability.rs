@@ -5,7 +5,7 @@
 use ovcomm_bench::metrics_block;
 use ovcomm_densemat::{BlockBuf, BlockGrid};
 use ovcomm_kernels::{symm_square_cube_optimized, Mesh3D, SymmInput};
-use ovcomm_simmpi::{actor_name, run, Payload, RankCtx, SimConfig, SimOutput};
+use ovcomm_simmpi::{run, Payload, RankCtx, SimConfig, SimOutput};
 use ovcomm_simnet::MachineProfile;
 
 /// One phantom SymmSquareCube (Algorithm 5) on a p×p×p mesh with tracing.
@@ -31,8 +31,7 @@ fn run_symm3d(n: usize, p: usize, n_dup: usize, profile: MachineProfile) -> SimO
 
 fn trace_json<T>(out: &SimOutput<T>) -> String {
     let spans = out.trace.as_ref().expect("tracing enabled").spans();
-    serde_json::to_string(&ovcomm_obs::trace_to_json_with_names(spans, actor_name))
-        .expect("trace serializes")
+    serde_json::to_string(&ovcomm_obs::trace_to_json(spans)).expect("trace serializes")
 }
 
 /// Two identically-configured runs must agree bit-for-bit on every

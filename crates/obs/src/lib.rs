@@ -26,9 +26,7 @@ pub mod registry;
 pub use analyze::{analyze, OverlapReport};
 pub use blame::{profile, BlameNode, ProfileBlock, ProfileSegment, PROFILE_SCHEMA};
 pub use critpath::{critical_path_dag, PathSegment, GAP_ACTOR};
-pub use perfetto::{
-    read_trace, trace_to_json, trace_to_json_with_names, validate_trace_events, write_trace,
-};
+pub use perfetto::{read_trace, trace_to_json, validate_trace_events, write_trace};
 pub use registry::{
     Counter, CounterFamily, Gauge, GaugeSnapshot, Histogram, HistogramFamily, HistogramSnapshot,
     MetricsRegistry, MetricsSnapshot,

@@ -14,15 +14,10 @@ use serde_json::Value;
 
 use ovcomm_simnet::{actor_name, TraceSpan};
 
-/// Build the trace-event JSON object for `spans` with the default track
-/// names: [`actor_name`] — `rank R`, or `rank R op K` for operation actors.
+/// Build the trace-event JSON object for `spans`, naming each actor's
+/// track by [`actor_name`] — `rank R`, or `rank R op K` for operation
+/// actors.
 pub fn trace_to_json(spans: &[TraceSpan]) -> Value {
-    trace_to_json_with_names(spans, actor_name)
-}
-
-/// Build the trace-event JSON object for `spans`, naming each actor's track
-/// via `name_of`.
-pub fn trace_to_json_with_names(spans: &[TraceSpan], name_of: impl Fn(u32) -> String) -> Value {
     let mut events: Vec<Value> = Vec::with_capacity(spans.len() + 16);
 
     // Rank threads record spans under a lock, so the recording order can
@@ -54,7 +49,7 @@ pub fn trace_to_json_with_names(spans: &[TraceSpan], name_of: impl Fn(u32) -> St
             ("tid".to_string(), Value::UInt(actor as u64)),
             (
                 "args".to_string(),
-                Value::Object(vec![("name".to_string(), Value::Str(name_of(actor)))]),
+                Value::Object(vec![("name".to_string(), Value::Str(actor_name(actor)))]),
             ),
         ]));
     }
@@ -86,12 +81,8 @@ pub fn trace_to_json_with_names(spans: &[TraceSpan], name_of: impl Fn(u32) -> St
 }
 
 /// Write the trace-event JSON for `spans` to `path`.
-pub fn write_trace(
-    path: &Path,
-    spans: &[TraceSpan],
-    name_of: impl Fn(u32) -> String,
-) -> std::io::Result<()> {
-    write_json_file(path, &trace_to_json_with_names(spans, name_of))
+pub fn write_trace(path: &Path, spans: &[TraceSpan]) -> std::io::Result<()> {
+    write_json_file(path, &trace_to_json(spans))
 }
 
 fn write_json_file(path: &Path, v: &Value) -> std::io::Result<()> {

@@ -13,9 +13,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ovcomm_obs::MetricsSnapshot;
-use ovcomm_simnet::{
-    actor_name, MachineProfile, NetStats, NodeMap, SimDur, SimTime, SpanKind, Trace,
-};
+use ovcomm_simnet::{MachineProfile, NetStats, NodeMap, SimDur, SimTime, SpanKind, Trace};
 use ovcomm_verify::{DeadlockReport, Finding, Severity, VerifyReport};
 
 use crate::comm::Comm;
@@ -139,21 +137,6 @@ impl<T: Transport> RankCtx<T> {
         agent
             .env()
             .span(agent.id(), kind, None, start, end, move || label);
-    }
-
-    /// Record a custom trace span tagged with a pipeline chunk index.
-    pub fn trace_span_chunk(
-        &self,
-        kind: SpanKind,
-        chunk: u32,
-        start: SimTime,
-        end: SimTime,
-        label: String,
-    ) {
-        let agent = &self.agent;
-        agent
-            .env()
-            .span(agent.id(), kind, Some(chunk), start, end, move || label);
     }
 
     /// Record a `Phase` span from `start` to now — kernels bracket their
@@ -288,7 +271,7 @@ impl CommEnv {
         let trace = self.trace.as_ref().map(|t| std::mem::take(&mut *t.lock()));
         if let Some(path) = trace_out {
             let spans = trace.as_ref().map_or(&[][..], |t| t.spans());
-            if let Err(e) = ovcomm_obs::write_trace(path, spans, actor_name) {
+            if let Err(e) = ovcomm_obs::write_trace(path, spans) {
                 eprintln!("warning: failed to write trace to {}: {e}", path.display());
             }
         }

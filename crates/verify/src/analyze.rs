@@ -15,9 +15,10 @@
 //!    depends on arrival order.
 //!
 //! [`Live::apply`] folds each event in under the verifier's one lock, so
-//! per-agent order is program order. An entry is **retired** once it can
-//! no longer produce a finding; [`Live::findings`] renders what is left
-//! and sorts it. What stays live:
+//! per-agent order is program order. Each finding is rendered once, where
+//! it is found: a check formats its message from the state it reads. An
+//! entry is **retired** once it can no longer produce a finding;
+//! [`Live::findings`] renders what is left and sorts it. What stays live:
 //!
 //! * **Requests**, until observed (`WaitDone`/`TestObserved`) and, for
 //!   point-to-point, matched. `Match` is always recorded before
@@ -44,18 +45,37 @@
 //!   swept then.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
 
 use crate::deadlock::PendingOp;
 use crate::event::{AgentId, CollKind, Event, ReqId, RmaKind, Site};
-use crate::finding::{CollCallDesc, Finding, FindingKind, LeakKind, SeqEntry, Severity};
+use crate::finding::{Finding, Severity};
 use crate::CollCallKey;
+
+/// `"{lead} file:line"`, or nothing without a call site.
+fn at(lead: &str, site: Option<Site>) -> String {
+    site.map_or(String::new(), |s| {
+        format!("{lead} {}:{}", s.file(), s.line())
+    })
+}
 
 /// A record members must agree on, index by index.
 trait Step: Clone {
     fn differs(&self, other: &Self) -> bool;
+}
+
+/// One rank's collective call, compared across a communicator's members.
+#[derive(Clone)]
+struct CollCallDesc {
+    rank: u32,
+    kind: CollKind,
+    blocking: bool,
+    root: Option<u32>,
+    len: usize,
+    site: Option<Site>,
 }
 
 impl Step for CollCallDesc {
@@ -64,9 +84,35 @@ impl Step for CollCallDesc {
     }
 }
 
+impl fmt::Display for CollCallDesc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.kind.name(self.blocking);
+        write!(f, "rank {} called {name}(", self.rank)?;
+        if let Some(r) = self.root {
+            write!(f, "root={r}, ")?;
+        }
+        write!(f, "len={}){}", self.len, at(" at", self.site))
+    }
+}
+
+/// A blocking collective in a rank's cross-communicator call order.
+#[derive(Clone)]
+struct SeqEntry {
+    ctx: u32,
+    kind: CollKind,
+    site: Option<Site>,
+}
+
 impl Step for SeqEntry {
     fn differs(&self, o: &SeqEntry) -> bool {
         self.ctx != o.ctx
+    }
+}
+
+impl fmt::Display for SeqEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.kind.name(true);
+        write!(f, "{name} on comm {}{}", self.ctx, at(" at", self.site))
     }
 }
 
@@ -347,15 +393,17 @@ fn sweep(win: u64, target: u32, ops: &[RmaOpRec], findings: &mut Vec<Finding>) {
         later.filter_map(move |b| Some((rma_conflict_severity(a.kind, b.kind)?, a, b)))
     });
     if let Some((severity, a, b)) = conflicts.next() {
+        let message = format!(
+            "conflicting one-sided accesses to rank {target}'s segment of win {win} in the \
+             same epoch: {} overlaps {}{}",
+            a.describe(),
+            b.describe(),
+            at(", posted at", b.site)
+        );
         findings.push(Finding {
             severity,
-            kind: FindingKind::RmaConflict {
-                win,
-                target,
-                a: a.describe(),
-                b: b.describe(),
-                site: b.site,
-            },
+            code: "rma-conflict",
+            message,
         });
     }
 }
@@ -384,26 +432,23 @@ impl WinRankState {
     /// the report): any op posted since the last fence and every lock
     /// still held.
     fn unclosed(&self, rank: u32, win: u64, findings: &mut Vec<Finding>) {
-        let unclosed = |what: String, site: Option<Site>| Finding {
-            severity: Severity::Error,
-            kind: FindingKind::RmaUnclosedEpoch {
-                rank,
-                win,
-                what,
-                site,
-            },
+        let mut unclosed = |what: String, site: Option<Site>| {
+            findings.push(Finding {
+                severity: Severity::Error,
+                code: "rma-unclosed-epoch",
+                message: format!(
+                    "rank {rank} left an epoch open on win {win} at finalize: {what}{}",
+                    at(", posted at", site)
+                ),
+            })
         };
         if self.ops_since_fence > 0 {
-            findings.push(unclosed(
-                format!(
-                    "{} unsynchronized operation(s) posted after the last fence",
-                    self.ops_since_fence
-                ),
-                self.last_op_site,
-            ));
+            let n = self.ops_since_fence;
+            let what = format!("{n} unsynchronized operation(s) posted after the last fence");
+            unclosed(what, self.last_op_site);
         }
         for target in self.locks.keys() {
-            findings.push(unclosed(format!("lock on rank {target} still held"), None));
+            unclosed(format!("lock on rank {target} still held"), None);
         }
     }
 }
@@ -562,12 +607,12 @@ impl Live {
                     }
                     None => self.found.push(Finding {
                         severity: Severity::Error,
-                        kind: FindingKind::RmaDoubleUnlock {
-                            rank,
-                            win,
-                            target,
-                            site,
-                        },
+                        code: "rma-double-unlock",
+                        message: format!(
+                            "rank {rank} unlocked rank {target} on win {win} without holding \
+                             the lock (double unlock){}",
+                            at(", posted at", site)
+                        ),
                     }),
                 }
             }
@@ -604,12 +649,12 @@ impl Live {
                     let op = format!("{}({len}B, rank {target} at offset {offset})", kind.name());
                     self.found.push(Finding {
                         severity: Severity::Error,
-                        kind: FindingKind::RmaOutsideEpoch {
-                            rank,
-                            win,
-                            op,
-                            site,
-                        },
+                        code: "rma-outside-epoch",
+                        message: format!(
+                            "rank {rank} posted {op} on win {win} outside any epoch (no fence \
+                             opened an access epoch and no lock is held on the target){}",
+                            at(", posted at", site)
+                        ),
                     });
                 }
             }
@@ -624,9 +669,13 @@ impl Live {
             Event::WinDropped { rank, win, freed } => {
                 if !freed {
                     let site = self.wins.get(&(win, rank)).and_then(|s| s.site);
+                    let created = at(", created at", site);
                     self.found.push(Finding {
                         severity: Severity::Error,
-                        kind: FindingKind::WinLeak { rank, win, site },
+                        code: "win-leak",
+                        message: format!(
+                            "rank {rank} dropped win {win} without freeing it{created}"
+                        ),
                     });
                 }
             }
@@ -710,7 +759,13 @@ impl Live {
         for (&(win, target, _origin, _lock), ops) in &self.lock_groups {
             sweep(win, target, ops, &mut findings);
         }
-        let mut push = |severity, kind| findings.push(Finding { severity, kind });
+        let mut push = |severity, code, message| {
+            findings.push(Finding {
+                severity,
+                code,
+                message,
+            })
+        };
 
         // Per-communicator collective matching.
         for (&ctx, c) in &self.ctxs {
@@ -724,34 +779,30 @@ impl Live {
                 }
             };
             if let Some((_, (index, a, b))) = steps.first_diff() {
-                let (index, a, b) = (*index, a.clone(), b.clone());
-                if (a.kind, a.root, a.blocking) != (b.kind, b.root, b.blocking) {
-                    push(
-                        Severity::Error,
-                        FindingKind::CollectiveMismatch { ctx, index, a, b },
-                    );
-                } else {
-                    push(
-                        Severity::Warning,
-                        FindingKind::CollectiveLengthMismatch { ctx, index, a, b },
-                    );
-                }
+                let (severity, code, what) =
+                    if (a.kind, a.root, a.blocking) != (b.kind, b.root, b.blocking) {
+                        (Severity::Error, "coll-mismatch", "mismatched collective")
+                    } else {
+                        (
+                            Severity::Warning,
+                            "coll-len-mismatch",
+                            "length differs at collective",
+                        )
+                    };
+                let message = format!("{what} #{index} on comm {ctx}: {a}, but {b}");
+                push(severity, code, message);
             }
             // The first member at the least count and at the most.
             let min = steps.lanes.iter().min_by_key(|l| l.count);
             let max = steps.lanes.iter().rev().max_by_key(|l| l.count);
             if let (Some(min), Some(max)) = (min, max) {
                 if min.count != max.count {
-                    push(
-                        Severity::Error,
-                        FindingKind::CollectiveCountDivergence {
-                            ctx,
-                            min_rank: min.rank,
-                            min_count: min.count,
-                            max_rank: max.rank,
-                            max_count: max.count,
-                        },
+                    let message = format!(
+                        "comm {ctx}: rank {} issued {} collective(s) but rank {} issued {} — \
+                         some member skipped a collective",
+                        min.rank, min.count, max.rank, max.count
                     );
+                    push(Severity::Error, "coll-count", message);
                 }
             }
         }
@@ -761,17 +812,13 @@ impl Live {
         // changes show here.
         for g in &self.groups {
             if let Some((rank_b, (index, a, b))) = g.steps.first_diff() {
-                push(
-                    Severity::Error,
-                    FindingKind::CrossCommReorder {
-                        ctxs: g.ctxs.iter().copied().collect(),
-                        rank_a: g.steps.lanes[0].rank,
-                        rank_b,
-                        index: *index,
-                        a: Some(a.clone()),
-                        b: Some(b.clone()),
-                    },
+                let ctxs: Vec<u32> = g.ctxs.iter().copied().collect();
+                let message = format!(
+                    "blocking collectives on comms {ctxs:?} (same member set) are interleaved \
+                     differently: at position {index}, rank {} ran {a} but rank {rank_b} ran {b}",
+                    g.steps.lanes[0].rank
                 );
+                push(Severity::Error, "cross-comm-order", message);
             }
         }
 
@@ -783,22 +830,19 @@ impl Live {
             );
             let (rank, site) = r.post.poster();
             if !internal && !r.observed {
-                let leak = match r.dropped_incomplete {
-                    true => LeakKind::DroppedIncomplete,
-                    false => LeakKind::NeverWaited,
+                let how = match r.dropped_incomplete {
+                    true => "dropped before the operation completed",
+                    false => "never waited on or tested to completion",
                 };
                 let op = r.post.describe(false);
-                push(
-                    Severity::Error,
-                    FindingKind::RequestLeak {
-                        rank,
-                        op,
-                        site,
-                        leak,
-                    },
-                );
+                let message = format!("rank {rank} leaked {op}: {how}{}", at(", posted at", site));
+                push(Severity::Error, "request-leak", message);
             }
-            let kind = match r.post {
+            let tag_of = |tag: u64| match internal {
+                true => format!("internal tag {tag:#x}"),
+                false => format!("tag={tag}"),
+            };
+            let (code, message) = match r.post {
                 _ if r.matched => continue,
                 Event::SendPost {
                     ctx,
@@ -806,23 +850,24 @@ impl Live {
                     tag,
                     bytes,
                     ..
-                } => FindingKind::UnmatchedSend {
-                    ctx,
-                    src: rank,
-                    dst,
-                    tag,
-                    bytes,
-                    internal,
-                    site,
-                },
-                Event::RecvPost { ctx, src, tag, .. } => FindingKind::UnmatchedRecv {
-                    ctx,
-                    src,
-                    dst: rank,
-                    tag,
-                    internal,
-                    site,
-                },
+                } => (
+                    "unmatched-send",
+                    format!(
+                        "send of {bytes}B from rank {rank} to rank {dst} ({}) on comm {ctx} was \
+                         never matched by a receive{}",
+                        tag_of(tag),
+                        at(", posted at", site)
+                    ),
+                ),
+                Event::RecvPost { ctx, src, tag, .. } => (
+                    "unmatched-recv",
+                    format!(
+                        "receive at rank {rank} from rank {src} ({}) on comm {ctx} was never \
+                         matched by a send{}",
+                        tag_of(tag),
+                        at(", posted at", site)
+                    ),
+                ),
                 _ => continue,
             };
             let severity = if internal {
@@ -830,7 +875,7 @@ impl Live {
             } else {
                 Severity::Error
             };
-            push(severity, kind);
+            push(severity, code, message);
         }
 
         // Order-dependent matching: an envelope's first unordered pair
@@ -840,21 +885,20 @@ impl Live {
             let race = races.find(|&&(a, b, _)| matched(&self.reqs, a) && matched(&self.reqs, b));
             if let Some(&(_, _, site)) = race {
                 let what = if recv { "receives" } else { "sends" };
-                push(
-                    Severity::Warning,
-                    FindingKind::OrderDependentMatch {
-                        ctx,
-                        src,
-                        dst,
-                        tag,
-                        what,
-                        site,
-                    },
+                let message = format!(
+                    "concurrent same-envelope {what} (comm {ctx}, rank {src} -> rank {dst}, \
+                     tag={tag}): matching depends on arrival order{}",
+                    at(", posted at", site)
                 );
+                push(Severity::Warning, "order-dependent-match", message);
             }
         }
 
-        findings.sort_by_key(|x| (x.severity, x.to_string()));
+        // No code is a prefix of another, so this is the order of the
+        // rendered lines.
+        findings.sort_by(|x, y| {
+            (x.severity, x.code, &x.message).cmp(&(y.severity, y.code, &y.message))
+        });
         findings
     }
 

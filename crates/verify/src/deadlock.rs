@@ -20,29 +20,13 @@ pub struct PendingOp {
 /// One agent that was parked when the engine declared deadlock.
 #[derive(Debug, Clone)]
 pub struct BlockedAgent {
-    /// Engine actor id.
+    /// Engine actor id: the rank itself for the rank's own actor, any
+    /// other id for a nonblocking operation's progress actor.
     pub agent: AgentId,
     /// World rank the agent acts for.
     pub rank: u32,
-    /// Is this a nonblocking-collective progress actor (vs. the rank's own
-    /// thread)?
-    pub is_op_agent: bool,
     /// What it was waiting for, when known.
     pub pending: Option<PendingOp>,
-}
-
-impl BlockedAgent {
-    /// Bit 31 of the actor id tags an operation actor —
-    /// `ovcomm_simnet::trace::op_actor_id` owns the layout; this crate has
-    /// no simnet dependency to call it.
-    pub(crate) fn new(agent: AgentId, rank: u32, pending: Option<PendingOp>) -> BlockedAgent {
-        BlockedAgent {
-            agent,
-            rank,
-            is_op_agent: agent & 0x8000_0000 != 0,
-            pending,
-        }
-    }
 }
 
 /// The full diagnosis attached to `RunError::Deadlock` (either backend).
@@ -58,15 +42,30 @@ pub struct DeadlockReport {
 impl DeadlockReport {
     /// Report with no per-operation detail (verification was off).
     pub fn unknown(blocked: &[(AgentId, u32)]) -> DeadlockReport {
-        let mut b: Vec<BlockedAgent> = blocked
+        DeadlockReport::new(blocked, |_| None)
+    }
+
+    /// Report on the `(actor id, world rank)` agents in `blocked`, each
+    /// waiting on `pending(agent)`, with the wait-for cycle they form.
+    pub(crate) fn new(
+        blocked: &[(AgentId, u32)],
+        pending: impl Fn(AgentId) -> Option<PendingOp>,
+    ) -> DeadlockReport {
+        let mut blocked: Vec<BlockedAgent> = blocked
             .iter()
-            .map(|&(agent, rank)| BlockedAgent::new(agent, rank, None))
+            .map(|&(agent, rank)| BlockedAgent {
+                agent,
+                rank,
+                pending: pending(agent),
+            })
             .collect();
-        b.sort_by_key(|x| (x.rank, x.agent));
-        DeadlockReport {
-            blocked: b,
+        blocked.sort_by_key(|b| (b.rank, b.agent));
+        let mut report = DeadlockReport {
+            blocked,
             cycle: Vec::new(),
-        }
+        };
+        report.find_cycle();
+        report
     }
 
     /// Ranks appearing in the blocked set (sorted, deduplicated).
@@ -77,7 +76,7 @@ impl DeadlockReport {
 
     /// Extract a wait-for cycle from the rank-level graph implied by the
     /// blocked agents' pending peers, and store it in `self.cycle`.
-    pub(crate) fn find_cycle(&mut self) {
+    fn find_cycle(&mut self) {
         let blocked_ranks: BTreeSet<u32> = self.blocked.iter().map(|b| b.rank).collect();
         let mut succ: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
         for b in &self.blocked {
@@ -162,7 +161,7 @@ impl fmt::Display for DeadlockReport {
             }
         }
         for b in &self.blocked {
-            let who = if b.is_op_agent {
+            let who = if b.agent != b.rank {
                 format!("rank {} (progress actor {:#x})", b.rank, b.agent)
             } else {
                 format!("rank {}", b.rank)
