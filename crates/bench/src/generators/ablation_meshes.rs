@@ -25,15 +25,9 @@ struct Row {
 }
 
 /// SUMMA runner (the shared harness covers the 3-D/2.5D cases).
-fn summa_stats(
-    opts: &Opts,
-    profile: &MachineProfile,
-    n: usize,
-    p: usize,
-    n_dup: usize,
-) -> (f64, f64) {
+fn summa_stats(profile: &MachineProfile, n: usize, p: usize, n_dup: usize) -> (f64, f64) {
     let out = run(
-        opts.sim_config(SimConfig::natural(p * p, 1, profile.clone())),
+        SimConfig::natural(p * p, 1, profile.clone()),
         move |rc: RankCtx| {
             let mesh = Mesh2D::new(&rc, p);
             let grid = BlockGrid::new(n, p);
@@ -68,7 +62,7 @@ pub fn main(opts: &Opts) {
     let mut rows = Vec::new();
 
     for n_dup in [1usize, 4] {
-        let (tf, gb) = summa_stats(opts, &profile, n, 8, n_dup);
+        let (tf, gb) = summa_stats(&profile, n, 8, n_dup);
         table.row(vec![
             "SUMMA (2-D)".into(),
             "8x8".into(),
@@ -85,7 +79,6 @@ pub fn main(opts: &Opts) {
         });
 
         let s25 = symm_run(
-            opts,
             &profile,
             n,
             MeshSpec::TwoFiveD { q: 8, c: 1 },
@@ -109,7 +102,6 @@ pub fn main(opts: &Opts) {
         });
 
         let s25b = symm_run(
-            opts,
             &profile,
             n,
             MeshSpec::TwoFiveD { q: 4, c: 4 },
@@ -133,7 +125,6 @@ pub fn main(opts: &Opts) {
         });
 
         let s3 = symm_run(
-            opts,
             &profile,
             n,
             MeshSpec::Cube { p: 4 },

@@ -18,11 +18,11 @@ struct Row {
     speedup: f64,
 }
 
-fn measure(opts: &Opts, profile: &MachineProfile, n: usize) -> (f64, f64, f64) {
+fn measure(profile: &MachineProfile, n: usize) -> (f64, f64, f64) {
     let mesh = MeshSpec::Cube { p: 4 };
     let run = |n_dup| {
         let choice = KernelChoice::Optimized { n_dup };
-        symm_run(opts, profile, n, mesh, choice, 1, 2)
+        symm_run(profile, n, mesh, choice, 1, 2)
     };
     let (s1, s4) = (run(1), run(4));
     (s1.tflops, s4.tflops, s1.time_per_call / s4.time_per_call)
@@ -70,7 +70,7 @@ pub fn main(opts: &Opts) {
     let mut table = Table::new(&["variant", "N_DUP=1 TF", "N_DUP=4 TF", "speedup"]);
     let mut rows = Vec::new();
     for (name, profile) in variants {
-        let (t1, t4, s) = measure(opts, &profile, n);
+        let (t1, t4, s) = measure(&profile, n);
         table.row(vec![
             name.to_string(),
             format!("{t1:.2}"),

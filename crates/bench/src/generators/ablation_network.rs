@@ -36,9 +36,8 @@ pub fn main(opts: &Opts) {
     ]);
     let mut rows = Vec::new();
     for profile in profiles {
-        let s1 = symm_run(opts, &profile, n, mesh, KernelChoice::Baseline, 1, 2);
+        let s1 = symm_run(&profile, n, mesh, KernelChoice::Baseline, 1, 2);
         let s4 = symm_run(
-            opts,
             &profile,
             n,
             mesh,

@@ -38,7 +38,7 @@ pub fn main(opts: &Opts) {
     for &msg in &sizes {
         let mut cells = vec![fmt_bytes(msg)];
         for &ppn in &ppns {
-            let (bw, metrics) = p2p_bandwidth_metrics(opts, &profile, ppn, msg);
+            let (bw, metrics) = p2p_bandwidth_metrics(&profile, ppn, msg);
             rows.push(Row {
                 msg_bytes: msg,
                 ppn,

@@ -53,7 +53,7 @@ pub fn main(opts: &Opts) {
         let mut cells = vec![fmt_bytes(msg)];
         for kind in [CollKind::Bcast, CollKind::Reduce] {
             for (name, case) in cases {
-                let (bw, metrics) = coll_bandwidth_metrics(opts, &profile, kind, case, 4, msg);
+                let (bw, metrics) = coll_bandwidth_metrics(&profile, kind, case, 4, msg);
                 rows.push(Row {
                     msg_bytes: msg,
                     kind: format!("{kind:?}"),

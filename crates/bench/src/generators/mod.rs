@@ -66,25 +66,24 @@ macro_rules! table {
 }
 
 // The generator table — the one place a generator's name, set membership
-// and flags are written down. `regen` runs a set in this order. A row takes
-// `--coll-select` when its simulated runs all go through `Opts::sim_config`.
+// and flags are written down. `regen` runs a set in this order.
 table! {
     fig6_time_diagram    Fast  ["--trace-out"]               fig6_time_diagram::main;
-    fig3_p2p_bandwidth   Fast  ["--coll-select"]             fig3_p2p_bandwidth::main;
-    fig5_coll_bandwidth  Fast  ["--coll-select"]             fig5_coll_bandwidth::main;
-    sec5a_alpha_beta     Fast  ["--coll-select"]             sec5a_alpha_beta::main;
+    fig3_p2p_bandwidth   Fast  []                            fig3_p2p_bandwidth::main;
+    fig5_coll_bandwidth  Fast  []                            fig5_coll_bandwidth::main;
+    sec5a_alpha_beta     Fast  []                            sec5a_alpha_beta::main;
     figs12_matvec        Fast  ["--backend"]                 figs12_matvec::main;
     particles_overlap    Fast  []                            particles_overlap::main;
-    table1_algorithms    Fast  ["--coll-select"]             table1_algorithms::main;
-    table2_ndup_sweep    Fast  ["--coll-select"]             table2_ndup_sweep::main;
-    table3_ppn_sweep     Slow  ["--coll-select"]             table3_ppn_sweep::main;
-    table4_comm_volume   Slow  ["--coll-select"]             table4_comm_volume::main;
+    table1_algorithms    Fast  []                            table1_algorithms::main;
+    table2_ndup_sweep    Fast  []                            table2_ndup_sweep::main;
+    table3_ppn_sweep     Slow  []                            table3_ppn_sweep::main;
+    table4_comm_volume   Slow  []                            table4_comm_volume::main;
     staged_ppn           Slow  []                            staged_ppn::main;
     blockcg_overlap      Slow  []                            blockcg_overlap::main;
-    table5_25d           Slow  ["--coll-select"]             table5_25d::main;
-    ablation_meshes      Fast  ["--coll-select"]             ablation_meshes::main;
-    ablation_model       Fast  ["--coll-select"]             ablation_model::main;
-    ablation_network     Fast  ["--coll-select"]             ablation_network::main;
+    table5_25d           Slow  []                            table5_25d::main;
+    ablation_meshes      Fast  []                            ablation_meshes::main;
+    ablation_model       Fast  []                            ablation_model::main;
+    ablation_network     Fast  []                            ablation_network::main;
     algo_sweep           Fast  ["--smoke", "--fail-on-lint"] algo_sweep::main;
     mc_sweep             Fast  ["--smoke", "--fail-on-lint"] algo_sweep::mc_sweep;
     mc_supports          None  ["--fail-on-lint"]            algo_sweep::mc_supports;

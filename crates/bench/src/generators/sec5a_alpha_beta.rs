@@ -32,7 +32,6 @@ pub fn main(opts: &Opts) {
     let t_model = ab.t_baseline_symm_square_cube(p, n);
 
     let stats = symm_run(
-        opts,
         &profile,
         sys.dimension,
         MeshSpec::Cube { p },

@@ -27,7 +27,7 @@ pub fn main(opts: &Opts) {
     let mut table = Table::new(&["System", "Dim", "Alg3 TF", "Alg4 TF", "Alg5 TF", "5/4"]);
     let mut rows = Vec::new();
     for sys in PAPER_SYSTEMS {
-        let measure = |choice| symm_run(opts, &profile, sys.dimension, mesh, choice, 1, iters);
+        let measure = |choice| symm_run(&profile, sys.dimension, mesh, choice, 1, iters);
         let s3 = measure(KernelChoice::Original);
         let s4 = measure(KernelChoice::Baseline);
         let s5 = measure(KernelChoice::Optimized { n_dup: 4 });

@@ -29,7 +29,6 @@ pub fn main(opts: &Opts) {
         let mut cells = vec![sys.name.to_string()];
         for &n_dup in &ndups {
             let s = symm_run(
-                opts,
                 &profile,
                 sys.dimension,
                 mesh,

@@ -29,7 +29,7 @@ pub fn main(opts: &Opts) {
     let mut rows = Vec::new();
     let measure = |p, choice, ppn| {
         let mesh = MeshSpec::Cube { p };
-        symm_run(opts, &profile, sys.dimension, mesh, choice, ppn, iters)
+        symm_run(&profile, sys.dimension, mesh, choice, ppn, iters)
     };
     // The paper's 91.2% headline is relative to the Algorithm-4 baseline
     // (PPN=1, no overlap at all).

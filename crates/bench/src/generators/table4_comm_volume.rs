@@ -46,7 +46,6 @@ pub fn main(opts: &Opts) {
     for (ppn, p) in configs {
         let mesh = MeshSpec::Cube { p };
         let stats = symm_run(
-            opts,
             &profile,
             sys.dimension,
             mesh,
@@ -63,8 +62,8 @@ pub fn main(opts: &Opts) {
         } else {
             CollCase::PpnOverlap(ppn)
         };
-        let reduce_bw = coll_bandwidth(opts, &profile, CollKind::Reduce, case, p, block_bytes);
-        let bcast_bw = coll_bandwidth(opts, &profile, CollKind::Bcast, case, p, block_bytes);
+        let reduce_bw = coll_bandwidth(&profile, CollKind::Reduce, case, p, block_bytes);
+        let bcast_bw = coll_bandwidth(&profile, CollKind::Bcast, case, p, block_bytes);
         // Apportion the measured volume to op types by their algorithmic
         // shares (3 bcasts + 2 reduces of 2(p−1)n/p, 2 p2p hand-backs).
         let coll_unit = 2.0 * (p as f64 - 1.0) / p as f64;

@@ -51,10 +51,10 @@ pub fn main(opts: &Opts) {
         let mesh = MeshSpec::TwoFiveD { q, c };
         let measure = |n_dup| {
             let choice = KernelChoice::TwoFiveD { c, n_dup };
-            symm_run(opts, &profile, sys.dimension, mesh, choice, ppn, 2)
+            symm_run(&profile, sys.dimension, mesh, choice, ppn, 2)
         };
         let (s1, s4) = (measure(1), measure(4));
-        let sc = cosma_run(opts, &profile, sys.dimension, q, ppn, 2);
+        let sc = cosma_run(&profile, sys.dimension, q, ppn, 2);
         table.row(vec![
             ppn.to_string(),
             mesh.label(),

@@ -11,7 +11,6 @@ use std::process::ExitCode;
 
 use generators::{Generator, Set, GENERATORS};
 use ovcomm_bench::{Backend, Opts};
-use ovcomm_simmpi::CollSelector;
 
 const USAGE: &str = "\
 usage: ovcomm-bench list                      every generator, its regen set and flags
@@ -79,12 +78,6 @@ fn parse_flags(g: &Generator, args: &[String]) -> Result<Opts, String> {
                     "rt" => Backend::Rt,
                     other => return Err(format!("bad --backend `{other}`: expected sim or rt")),
                 })
-            }
-            "--coll-select" => {
-                let spec = value()?;
-                let sel = CollSelector::parse(spec)
-                    .map_err(|e| format!("bad --coll-select spec `{spec}`: {e}"))?;
-                opts.coll_select = Some(sel);
             }
             "--trace-out" => opts.trace_out = Some(PathBuf::from(value()?)),
             "--budget" => {

@@ -18,7 +18,6 @@ use ovcomm_simnet::MachineProfile;
 use serde::Serialize;
 
 use crate::metrics::{metrics_block, MetricsBlock};
-use crate::opts::Opts;
 
 /// The process-mesh geometry of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +84,6 @@ pub struct SymmStats {
 /// the purification loop) with phantom paper-scale data and return averaged
 /// statistics.
 pub fn symm_run(
-    opts: &Opts,
     profile: &MachineProfile,
     n: usize,
     mesh: MeshSpec,
@@ -95,7 +93,7 @@ pub fn symm_run(
 ) -> SymmStats {
     assert!(iters >= 1);
     let nranks = mesh.nranks();
-    let cfg = opts.sim_config(SimConfig::natural(nranks, ppn, profile.clone()));
+    let cfg = SimConfig::natural(nranks, ppn, profile.clone());
     let out = run(cfg, move |rc: RankCtx| match mesh {
         MeshSpec::Cube { p } => {
             let m3 = Mesh3D::new(&rc, p);
@@ -201,7 +199,6 @@ fn stats(
 /// return averaged statistics — the one-sided counterpart of [`symm_run`]
 /// for the Table V / `rma_sweep` comparisons.
 pub fn cosma_run(
-    opts: &Opts,
     profile: &MachineProfile,
     n: usize,
     p: usize,
@@ -210,7 +207,7 @@ pub fn cosma_run(
 ) -> SymmStats {
     assert!(iters >= 1);
     let nranks = p * p;
-    let cfg = opts.sim_config(SimConfig::natural(nranks, ppn, profile.clone()));
+    let cfg = SimConfig::natural(nranks, ppn, profile.clone());
     let out = run(cfg, move |rc: RankCtx| {
         let mesh = Mesh2D::new(&rc, p);
         let grid = BlockGrid::new(n, p);

@@ -73,6 +73,7 @@ fn usage_errors_exit_2() {
         &["no_such_generator"][..],
         &["table1_algorithms", "--somke"],
         &["table1_algorithms", "--smoke"],
+        &["table1_algorithms", "--coll-select", "allreduce=64k"],
         &["scale_sweep", "--budget"],
         &["regen"],
         &["regen", "--check", "some_dir"],
@@ -82,6 +83,12 @@ fn usage_errors_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("usage: ovcomm-bench"), "{args:?}: {err}");
+        if args.contains(&"--coll-select") {
+            assert!(
+                err.contains("unknown flag `--coll-select`"),
+                "{args:?}: {err}"
+            );
+        }
     }
     // A rejected command line runs nothing and writes nothing.
     assert!(!cwd.join("results").exists());

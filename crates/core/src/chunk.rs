@@ -5,6 +5,7 @@
 //! contiguous (the paper warns that repacking costs can cancel the benefit
 //! of overlap) and 8-byte aligned so `f64` elements never split.
 
+use ovcomm_simmpi::plan::chunk_bounds;
 use ovcomm_simmpi::Payload;
 
 /// A contiguous, aligned partition of `n` bytes into `n_dup` chunks.
@@ -29,23 +30,9 @@ impl ChunkPlan {
     /// aligned (except possibly the last), and cover `n` exactly.
     pub fn new(n: usize, n_dup: usize) -> ChunkPlan {
         assert!(n_dup >= 1, "N_DUP must be at least 1");
-        let quantum = 8usize;
-        let elems = n / quantum;
-        let rem = n - elems * quantum;
-        let base = elems / n_dup;
-        let extra = elems % n_dup;
-        let mut bounds = Vec::with_capacity(n_dup + 1);
-        bounds.push(0);
-        let mut off = 0;
-        for i in 0..n_dup {
-            off += (base + usize::from(i < extra)) * quantum;
-            bounds.push(off);
+        ChunkPlan {
+            bounds: chunk_bounds(n, n_dup),
         }
-        if let Some(last) = bounds.last_mut() {
-            *last += rem;
-        }
-        debug_assert_eq!(bounds.last().copied(), Some(n));
-        ChunkPlan { bounds }
     }
 
     /// Number of chunks.
@@ -76,7 +63,6 @@ impl ChunkPlan {
     /// Zero-copy view of chunk `c` of `payload` (which must have exactly
     /// `total()` bytes).
     pub fn slice(&self, payload: &Payload, c: usize) -> Payload {
-        let _ = &payload; // lifetimes: Payload slicing is by value (refcount)
         assert_eq!(payload.len(), self.total(), "payload does not match plan");
         let (s, e) = self.range(c);
         payload.slice(s, e)

@@ -28,7 +28,7 @@
 //! | `rma_transfer` | the bytes are already in shared memory: record the edge, complete |
 //! | `path_latency` | a lock grant is a thread unpark — no α to charge |
 
-use crate::sync::Ordering;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -59,18 +59,17 @@ mod progress;
 pub mod queue;
 mod sampler;
 mod shared;
-pub mod sync;
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
 use ovcomm_simmpi::transport::{panic_message, CommEnv};
 use ovcomm_simmpi::{CollSelector, RunError, RunOutput};
 use ovcomm_simnet::{MachineProfile, NodeMap};
 use ovcomm_verify::VerifyMode;
+use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
 pub use comm::{RtComm, RtRankCtx, RtTransport, RtWin};

@@ -4,11 +4,13 @@
 //! tag)` envelope, no wildcards, non-overtaking — is [`Mailbox`], the
 //! sequential state machine the simulator matches through too (defined in
 //! `ovcomm_simmpi::mailbox`, re-exported here). The runtime holds one
-//! behind a [`crate::sync::Mutex`] (`RtShared::mailbox`): a post takes the
+//! behind a `parking_lot::Mutex` (`RtShared::mailbox`): a post takes the
 //! lock, posts, releases it, and completes any matched pair outside the
 //! critical section. The loom harness (`tests/loom.rs`, built with
-//! `RUSTFLAGS="--cfg loom"`) drives the same lock-post-release-complete
-//! shape from concurrent model threads under randomized schedules.
+//! `RUSTFLAGS="--cfg loom"`) drives this `Mailbox` from concurrent model
+//! threads under randomized schedules, inside its own miniature copy of
+//! the lock-post-release-complete path; the runtime's post path itself is
+//! not under the model.
 
 /// Envelope key used for matching sends with receives — the front end's
 /// [`Envelope`](ovcomm_simmpi::transport::Envelope), the same type the

@@ -31,7 +31,7 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread;
 
-use crate::sync::Mutex;
+use parking_lot::Mutex;
 
 /// A unit of work handed to one progress worker.
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -130,7 +130,7 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     #[test]

@@ -9,11 +9,11 @@
 //! * [`MpscQueue`] — an unbounded multi-producer queue (Vyukov's
 //!   intrusive MPSC design).
 //!
-//! Both import their atomics from [`crate::sync`], so a build with
-//! `RUSTFLAGS="--cfg loom"` swaps in the loom shim's model-checked
-//! atomics: every load/store/swap/CAS becomes a schedule point and the
-//! queue protocols are exercised under randomized interleavings
-//! (`tests/loom.rs`).
+//! A build with `RUSTFLAGS="--cfg loom"` swaps in the loom shim's
+//! model-checked atomics for both: every load/store/swap/CAS becomes a
+//! schedule point and the queue protocols are exercised under randomized
+//! interleavings (`tests/loom.rs`). This is the only module of the crate
+//! that build changes.
 //!
 //! Consumer-side exclusivity is a *caller* contract, so the consumer-side
 //! and producer-side methods are `unsafe fn`s with documented contracts
@@ -23,7 +23,10 @@
 use std::cell::UnsafeCell;
 use std::ptr;
 
-use crate::sync::{AtomicPtr, AtomicUsize, Ordering};
+#[cfg(loom)]
+use loom::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+#[cfg(not(loom))]
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
 /// A bounded single-producer/single-consumer ring buffer.
 ///

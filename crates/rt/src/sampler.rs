@@ -21,7 +21,7 @@
 //! rank threads is bounded by the sampling frequency, which the
 //! `rt_sampler_overhead` test pins.
 
-use crate::sync::Ordering;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;

@@ -27,12 +27,12 @@
 //! the lock only for the table update; the matched pair is completed after
 //! it is released.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use crate::mailbox::{Mailbox, RecvPost, RtKey, SendPost};
 use crate::progress::Pool;
-use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
 use ovcomm_obs::HistogramFamily;
 use ovcomm_simmpi::payload::Payload;
@@ -40,6 +40,7 @@ use ovcomm_simmpi::request::Request;
 use ovcomm_simmpi::transport::CommEnv;
 use ovcomm_simmpi::SimMetrics;
 use ovcomm_simnet::{EdgeKind, SimDur, SimTime};
+use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
 /// How long a parked thread waits before re-checking the abort flag. Also

@@ -1,7 +1,7 @@
 //! Loom schedule tests for the runtime's concurrency core.
 //!
-//! Built (and the whole crate's `crate::sync` switched to loom primitives)
-//! only under `RUSTFLAGS="--cfg loom"`:
+//! Built (and `ovcomm_rt::queue` switched to loom atomics) only under
+//! `RUSTFLAGS="--cfg loom"`:
 //!
 //! ```sh
 //! RUSTFLAGS="--cfg loom" cargo test -p ovcomm-rt --test loom

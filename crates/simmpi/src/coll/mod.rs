@@ -45,7 +45,7 @@ impl<T: Transport> CollCtx<'_, T> {
             self.seq < (1 << 24),
             "too many collectives on one communicator"
         );
-        (1 << 63) | (self.seq << 24) | step as u64
+        ovcomm_verify::plan::wire_tag(self.seq, step)
     }
 
     /// Communicator size (must equal the plan's `p`).

@@ -2,13 +2,13 @@
 //!
 //! Replaces the old hardcoded `COLL_LARGE = 32 KiB` constant: a
 //! [`CollSelector`] is a per-(collective, message size, communicator size)
-//! decision table carried by `SimConfig`, sweepable by the bench harness
-//! (`--coll-select`) and fittable by the auto-tuner alongside N_DUP. The
+//! decision table carried by `SimConfig`, forced per algorithm by the
+//! bench sweeps and fittable by the auto-tuner alongside N_DUP. The
 //! default reproduces the legacy behavior exactly — 32 KiB short/long
 //! thresholds, power-of-two gating for the recursive-halving long
 //! algorithms, binomial-only gather.
 
-use ovcomm_verify::plan::{kind_short, parse_kind, CollAlgo};
+use ovcomm_verify::plan::CollAlgo;
 use ovcomm_verify::CollKind;
 
 /// Message-size threshold between short- and long-message algorithms
@@ -109,69 +109,6 @@ impl CollSelector {
         self.forced.push((algo.kind(), algo));
         self
     }
-
-    /// Parse a selector spec: comma-separated clauses, each either
-    /// `<coll>=<bytes>` (short/long threshold; `k`/`m` suffixes accepted)
-    /// or `<coll>:<algo>` (force an algorithm). Examples:
-    /// `allreduce=64k`, `bcast:scatter-allgather,gather=1m`, `reduce:ring`.
-    /// An empty spec yields the default policy.
-    pub fn parse(spec: &str) -> Result<CollSelector, String> {
-        let mut sel = CollSelector::default();
-        for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-            if let Some((coll, algo_name)) = clause.split_once(':') {
-                let kind = parse_kind(coll.trim())
-                    .ok_or_else(|| format!("unknown collective `{}`", coll.trim()))?;
-                let algo = CollAlgo::parse_for(kind, algo_name.trim()).ok_or_else(|| {
-                    let known: Vec<&str> = CollAlgo::for_kind(kind)
-                        .into_iter()
-                        .map(|a| a.short())
-                        .collect();
-                    format!(
-                        "unknown algorithm `{}` for {} (known: {})",
-                        algo_name.trim(),
-                        kind_short(kind),
-                        known.join(", ")
-                    )
-                })?;
-                sel = sel.force(algo);
-            } else if let Some((coll, bytes)) = clause.split_once('=') {
-                let kind = parse_kind(coll.trim())
-                    .ok_or_else(|| format!("unknown collective `{}`", coll.trim()))?;
-                let threshold = parse_bytes(bytes.trim())?;
-                match kind {
-                    CollKind::Bcast => sel.bcast_large = threshold,
-                    CollKind::Reduce => sel.reduce_large = threshold,
-                    CollKind::Allreduce => sel.allreduce_large = threshold,
-                    CollKind::Gather => sel.gather_large = threshold,
-                    _ => {
-                        return Err(format!(
-                            "{} has a single algorithm; no threshold to set",
-                            kind_short(kind)
-                        ))
-                    }
-                }
-            } else {
-                return Err(format!(
-                    "bad clause `{clause}` (want <coll>=<bytes> or <coll>:<algo>)"
-                ));
-            }
-        }
-        Ok(sel)
-    }
-}
-
-/// Parse a byte count with optional `k`/`m` (KiB/MiB) suffix.
-fn parse_bytes(s: &str) -> Result<usize, String> {
-    let lower = s.to_ascii_lowercase();
-    let (digits, mult) = match lower.strip_suffix(['k', 'm']) {
-        Some(d) if lower.ends_with('k') => (d, 1024usize),
-        Some(d) => (d, 1024 * 1024),
-        None => (lower.as_str(), 1),
-    };
-    digits
-        .parse::<usize>()
-        .map(|v| v * mult)
-        .map_err(|_| format!("bad byte count `{s}`"))
 }
 
 #[cfg(test)]
@@ -222,13 +159,18 @@ mod tests {
     }
 
     #[test]
-    fn parse_thresholds_and_forcings() {
-        let sel = match CollSelector::parse("allreduce=64k, bcast:vdg, gather=1m") {
-            Ok(s) => s,
-            Err(e) => panic!("parse failed: {e}"),
-        };
-        assert_eq!(sel.allreduce_large, 64 * 1024);
-        assert_eq!(sel.gather_large, 1024 * 1024);
+    fn thresholds_and_forcings() {
+        let sel = CollSelector {
+            allreduce_large: 64 * 1024,
+            gather_large: 1024 * 1024,
+            ..CollSelector::default()
+        }
+        .force(CollAlgo::BcastScatterAllgather);
+        // A threshold overrides the default.
+        assert_eq!(
+            sel.select(CollKind::Allreduce, 64 * 1024, 4),
+            CollAlgo::AllreduceRecursiveDoubling
+        );
         assert_eq!(
             sel.select(CollKind::Bcast, 1, 4),
             CollAlgo::BcastScatterAllgather
@@ -238,23 +180,12 @@ mod tests {
             CollAlgo::GatherLinear
         );
         // Later forcing wins.
-        let sel = match CollSelector::parse("reduce:ring,reduce:binomial") {
-            Ok(s) => s,
-            Err(e) => panic!("parse failed: {e}"),
-        };
+        let sel = CollSelector::default()
+            .force(CollAlgo::ReduceRing)
+            .force(CollAlgo::ReduceBinomial);
         assert_eq!(
             sel.select(CollKind::Reduce, 1 << 20, 4),
             CollAlgo::ReduceBinomial
         );
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(CollSelector::parse("frobnicate=1").is_err());
-        assert!(CollSelector::parse("bcast:warp-speed").is_err());
-        assert!(CollSelector::parse("barrier=12").is_err());
-        assert!(CollSelector::parse("allreduce=12q").is_err());
-        assert!(CollSelector::parse("nonsense").is_err());
-        assert!(CollSelector::parse("").is_ok());
     }
 }

@@ -34,14 +34,13 @@ use crate::universe::PlanCache;
 
 /// Compile (or fetch from `cache`) the per-rank plans for one collective
 /// shape, selecting the algorithm via `sel` and model-checking fresh plans
-/// at every eager/rendezvous cutpoint unless `mode` is `Off`; `mode` picks
-/// only the reaction to a finding: `Warn` prints it, `Strict` panics. The
-/// check runs at any `p`: it is one deterministic pass per cutpoint and
-/// never branches. Each shape is analyzed — and its findings rendered —
-/// exactly once per run, at first compile. Backend-neutral: both the
-/// simulator and the `ovcomm-rt` wall-clock backend compile collectives
-/// through this exact path, so the `CollSelector` and the static-analysis
-/// wall behave identically on either.
+/// at every eager/rendezvous cutpoint unless `mode` is `Off`; a finding
+/// panics. The check runs at any `p`: it is one deterministic pass per
+/// cutpoint and never branches. Each shape is analyzed exactly once per
+/// run, at first compile. Backend-neutral: both the simulator and the
+/// `ovcomm-rt` wall-clock backend compile collectives through this exact
+/// path, so the `CollSelector` and the static-analysis wall behave
+/// identically on either.
 pub fn compile_plans(
     cache: &parking_lot::Mutex<PlanCache>,
     sel: &CollSelector,
@@ -55,30 +54,23 @@ pub fn compile_plans(
     let key = (kind, algo, p, n, root);
     let mut cache = cache.lock();
     if let Some(plans) = cache.get(&key) {
-        // Memoized: findings (if any) were already rendered at first
-        // compile — never re-print on a hit.
+        // Memoized: the shape was checked at first compile.
         return plans.clone();
     }
     let plans = plan::build_all(kind, algo, p, n, root);
     if mode != VerifyMode::Off {
         let findings = plan::model_check_single(&plans, &plan::McConfig::default()).findings;
         if !findings.is_empty() {
-            if mode == VerifyMode::Warn {
-                for f in &findings {
-                    eprintln!("ovcomm-verify(plan): {f}");
-                }
-            } else {
-                use std::fmt::Write as _;
-                let mut msg =
-                    format!("static plan analysis failed for {algo} p={p} n={n} root={root}:");
-                for f in findings.iter().take(8) {
-                    let _ = write!(msg, "\n  {f}");
-                }
-                if findings.len() > 8 {
-                    let _ = write!(msg, "\n  ... and {} more finding(s)", findings.len() - 8);
-                }
-                panic!("{msg}");
+            use std::fmt::Write as _;
+            let mut msg =
+                format!("static plan analysis failed for {algo} p={p} n={n} root={root}:");
+            for f in findings.iter().take(8) {
+                let _ = write!(msg, "\n  {f}");
             }
+            if findings.len() > 8 {
+                let _ = write!(msg, "\n  ... and {} more finding(s)", findings.len() - 8);
+            }
+            panic!("{msg}");
         }
     }
     let plans = Arc::new(plans);

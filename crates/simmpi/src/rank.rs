@@ -302,12 +302,11 @@ impl CommEnv {
             return Err(RunError::RankPanic { rank, message });
         }
 
-        // Analyze the communication log. Under Strict, error-severity
-        // findings fail the run; under Warn they are printed; warnings
-        // always travel in the output.
+        // Analyze the communication log: error-severity findings fail the
+        // run; warnings travel in the output.
         let verify = match self.verify.as_ref() {
             Some(v) => v
-                .report(self.verify_mode)
+                .report()
                 .map_err(|findings| RunError::Verification { findings })?,
             None => VerifyReport::default(),
         };

@@ -131,7 +131,7 @@ impl CommEnv {
             metrics: SimMetrics::new(nranks),
             verify: match verify_mode {
                 VerifyMode::Off => None,
-                VerifyMode::Warn | VerifyMode::Strict => Some(Arc::new(Verifier::new())),
+                VerifyMode::Strict => Some(Arc::new(Verifier::new())),
             },
             verify_mode,
             coll_select,

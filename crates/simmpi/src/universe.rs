@@ -52,17 +52,7 @@ impl SimConfig {
     /// `nranks` ranks placed `ppn`-per-node ("natural" placement, the
     /// paper's §V-D mapping) on a cluster with the given profile.
     pub fn natural(nranks: usize, ppn: usize, profile: MachineProfile) -> SimConfig {
-        let nodemap = NodeMap::natural(nranks, ppn);
-        let cluster = ClusterSpec::new(nodemap.nodes(), profile);
-        SimConfig {
-            cluster,
-            nodemap,
-            trace: false,
-            trace_out: None,
-            verify: VerifyMode::Strict,
-            coll_select: CollSelector::default(),
-            fiber_stack: ovcomm_simnet::DEFAULT_STACK_SIZE,
-        }
+        SimConfig::with_map(NodeMap::natural(nranks, ppn), profile)
     }
 
     /// Explicit node map.
@@ -140,8 +130,7 @@ pub(crate) struct UniShared {
 
 /// Cache of compiled per-rank collective schedules, keyed by plan shape.
 /// Static analysis runs once, at first compile; a hit returns the plans
-/// without re-rendering findings, so `Warn`-mode diagnostics print once
-/// per shape.
+/// unchecked.
 pub type PlanCache = std::collections::BTreeMap<
     (ovcomm_verify::CollKind, CollAlgo, usize, usize, usize),
     Arc<Vec<CollPlan>>,

@@ -202,11 +202,11 @@ fn split_grid_traffic_is_bit_identical_across_modes() {
 }
 
 #[test]
-fn mixed_p2p_and_nonblocking_under_warn_mode_matches() {
-    // Warn mode exercises the verifier without aborting;
-    // findings (if any) must render identically on both runs.
+fn mixed_p2p_and_nonblocking_under_strict_mode_matches() {
+    // Strict mode records every event; the verifier must not change the
+    // timings, and the program must come out clean.
     assert_deterministic(
-        || cfg(6, 3).with_verify(VerifyMode::Warn),
+        || cfg(6, 3).with_verify(VerifyMode::Strict),
         Golden(12915, 11, 2304, 3584, 0x5b1f942e101f9107),
         |rc: RankCtx| {
             let w = rc.world();

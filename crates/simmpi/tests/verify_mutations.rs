@@ -263,21 +263,6 @@ fn forced_deadlock_reports_wait_for_cycle() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn warn_mode_reports_but_does_not_fail() {
-    let result = run(cfg(2, 1).with_verify(VerifyMode::Warn), |rc: RankCtx| {
-        let w = rc.world();
-        let root = rc.rank();
-        let _ = w.bcast(root, Some(Payload::Phantom(64)), 64);
-    });
-    let out = result.expect("Warn mode must not fail the run");
-    assert!(
-        out.verify.errors() > 0,
-        "the root mismatch must still be reported in the output"
-    );
-    assert_eq!(render(&out.verify.findings), pins::WARN_ROOT_MISMATCH);
-}
-
-#[test]
 fn off_mode_records_nothing() {
     let result = run(cfg(2, 1).with_verify(VerifyMode::Off), |rc: RankCtx| {
         let w = rc.world();
@@ -292,11 +277,6 @@ fn off_mode_records_nothing() {
 mod pins {
     pub const ROOT_MISMATCH: &str = concat!(
         "error[coll-mismatch]: mismatched collective #0 on comm 0: rank 0 called MPI_Bcast(root=0, len=64) at crates/simmpi/tests/verify_mutations.rs:42, but rank 1 called MPI_Bcast(root=1, len=64) at crates/simmpi/tests/verify_mutations.rs:42\n",
-        "warning[unmatched-send]: send of 64B from rank 0 to rank 1 (internal tag 0x8000000000000000) on comm 0 was never matched by a receive, posted at crates/simmpi/src/coll/mod.rs:67\n",
-        "warning[unmatched-send]: send of 64B from rank 1 to rank 0 (internal tag 0x8000000000000000) on comm 0 was never matched by a receive, posted at crates/simmpi/src/coll/mod.rs:67",
-    );
-    pub const WARN_ROOT_MISMATCH: &str = concat!(
-        "error[coll-mismatch]: mismatched collective #0 on comm 0: rank 0 called MPI_Bcast(root=0, len=64) at crates/simmpi/tests/verify_mutations.rs:270, but rank 1 called MPI_Bcast(root=1, len=64) at crates/simmpi/tests/verify_mutations.rs:270\n",
         "warning[unmatched-send]: send of 64B from rank 0 to rank 1 (internal tag 0x8000000000000000) on comm 0 was never matched by a receive, posted at crates/simmpi/src/coll/mod.rs:67\n",
         "warning[unmatched-send]: send of 64B from rank 1 to rank 0 (internal tag 0x8000000000000000) on comm 0 was never matched by a receive, posted at crates/simmpi/src/coll/mod.rs:67",
     );

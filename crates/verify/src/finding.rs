@@ -6,9 +6,9 @@ use std::fmt;
 /// How serious a finding is.
 ///
 /// `Error` findings fail the run under `VerifyMode::Strict`; `Warning`
-/// findings are surfaced (stderr under `Warn`, and always in the run
-/// output) but never fail a run — they mark patterns that are legal under
-/// MPI's non-overtaking rule or benign in the simulator but worth a look.
+/// findings travel in the run output but never fail a run — they mark
+/// patterns that are legal under MPI's non-overtaking rule or benign in
+/// the simulator but worth a look.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Definite misuse of the MPI-like API.

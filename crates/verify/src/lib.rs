@@ -46,8 +46,6 @@ pub use finding::{Finding, Severity};
 pub enum VerifyMode {
     /// No event recording, no analysis; deadlocks report blocked ranks only.
     Off,
-    /// Record and analyze; print findings to stderr but never fail the run.
-    Warn,
     /// Record and analyze; error-severity findings fail the run. The
     /// default, so every test and bench doubles as a correctness check.
     #[default]
@@ -159,26 +157,15 @@ impl Verifier {
         self.live.lock().findings()
     }
 
-    /// Build a completed run's report. Under `Warn` the findings are
-    /// printed; under `Strict` any error-severity finding fails the run
-    /// with the full list instead.
-    pub fn report(&self, mode: VerifyMode) -> Result<VerifyReport, Vec<Finding>> {
+    /// Build a completed run's report. Any error-severity finding fails
+    /// the run with the full list instead.
+    pub fn report(&self) -> Result<VerifyReport, Vec<Finding>> {
         let (findings, coll_calls) = {
             let live = self.live.lock();
             (live.findings(), live.coll_calls.clone())
         };
-        match mode {
-            VerifyMode::Warn => {
-                for x in &findings {
-                    eprintln!("ovcomm-verify: {x}");
-                }
-            }
-            VerifyMode::Strict => {
-                if findings.iter().any(|x| x.severity == Severity::Error) {
-                    return Err(findings);
-                }
-            }
-            VerifyMode::Off => {}
+        if findings.iter().any(|x| x.severity == Severity::Error) {
+            return Err(findings);
         }
         let (dropped_incomplete, dropped_untaken) = self.drop_counters();
         Ok(VerifyReport {

@@ -5,7 +5,7 @@
 //! and lets their schedules interleave. A [`PlanInstance`] is one such
 //! in-flight collective: the per-rank [`CollPlan`]s plus the communicator
 //! context and per-communicator sequence number that scope its messages on
-//! the wire. Both backends tag every plan message as
+//! the wire. Both backends tag every plan message with [`wire_tag`]:
 //!
 //! ```text
 //! wire_tag = INTERNAL_BIT | (seq << STEP_TAG_BITS) | step_tag
@@ -21,12 +21,21 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use super::finding::PlanFinding;
 use super::{CollPlan, StepOp};
+use crate::event::INTERNAL_TAG_BIT;
 
 /// Number of low wire-tag bits holding the per-instance step tag.
 pub const STEP_TAG_BITS: u32 = 24;
 /// High bit marking internal (collective) traffic in both backends' tag
-/// namespaces (mirrors `ovcomm_verify::INTERNAL_TAG_BIT`).
-pub const INTERNAL_BIT: u64 = 1 << 63;
+/// namespaces.
+pub const INTERNAL_BIT: u64 = INTERNAL_TAG_BIT;
+
+/// The wire tag of step tag `step_tag` of the `seq`-th collective on one
+/// communicator: the tag both backends post plan messages under, and the
+/// one [`check_compose`] proves disjoint.
+#[inline]
+pub fn wire_tag(seq: u64, step_tag: u32) -> u64 {
+    INTERNAL_BIT | (seq << STEP_TAG_BITS) | u64::from(step_tag)
+}
 
 /// One in-flight collective: the plans of all ranks plus the wire
 /// namespace (communicator context, collective sequence number) they run
@@ -75,7 +84,7 @@ pub(crate) struct InstRef<'a> {
 
 impl InstRef<'_> {
     pub(crate) fn wire_tag(&self, step_tag: u32) -> u64 {
-        INTERNAL_BIT | (self.seq << STEP_TAG_BITS) | u64::from(step_tag)
+        wire_tag(self.seq, step_tag)
     }
 }
 

@@ -43,7 +43,7 @@ use std::fmt;
 use crate::event::CollKind;
 
 pub use builders::{build_all, build_plan};
-pub use compose::{check_compose, dup_instances, seq_instances, PlanInstance};
+pub use compose::{check_compose, dup_instances, seq_instances, wire_tag, PlanInstance};
 pub use finding::PlanFinding;
 pub use mc::{cutpoints, lint_plans, model_check, model_check_single, McConfig, McReport};
 
@@ -134,8 +134,8 @@ impl CollAlgo {
         p >= 1
     }
 
-    /// Short algorithm name, unique within one collective (the
-    /// `--coll-select <coll>:<algo>` spelling).
+    /// Short algorithm name, unique within one collective (the `algo`
+    /// field of sweep records).
     pub fn short(&self) -> &'static str {
         match self {
             CollAlgo::BcastBinomial | CollAlgo::ReduceBinomial | CollAlgo::GatherBinomial => {
@@ -155,16 +155,13 @@ impl CollAlgo {
     /// Resolve an algorithm from its [`CollAlgo::short`] name within a
     /// collective.
     pub fn parse_for(kind: CollKind, name: &str) -> Option<CollAlgo> {
-        CollAlgo::for_kind(kind).into_iter().find(|a| {
-            a.short() == name
-                // `rdbl` and `vdg` are accepted shorthands.
-                || (name == "rdbl" && *a == CollAlgo::AllreduceRecursiveDoubling)
-                || (name == "vdg" && *a == CollAlgo::BcastScatterAllgather)
-        })
+        CollAlgo::for_kind(kind)
+            .into_iter()
+            .find(|a| a.short() == name)
     }
 }
 
-/// Lowercase collective name used in selector specs and plan dumps
+/// Lowercase collective name used in sweep records and plan dumps
 /// (`bcast`, `reduce`, …).
 pub fn kind_short(kind: CollKind) -> &'static str {
     match kind {
@@ -737,10 +734,6 @@ mod tests {
         for &a in CollAlgo::all() {
             assert_eq!(CollAlgo::parse_for(a.kind(), a.short()), Some(a));
         }
-        assert_eq!(
-            CollAlgo::parse_for(CollKind::Allreduce, "rdbl"),
-            Some(CollAlgo::AllreduceRecursiveDoubling)
-        );
         assert_eq!(CollAlgo::parse_for(CollKind::Bcast, "ring"), None);
     }
 
