@@ -228,8 +228,8 @@ struct Family {
 impl Family {
     /// Call `f` with every key the family renders and its row. `name` is
     /// the family's name, or a lone instrument's whole key. Keys come in
-    /// the snapshot map's order while label values hold no `,` or `}`,
-    /// which keeps its inserts at the end of the map.
+    /// the snapshot map's order while label values hold no `,` or `}`, so
+    /// the bulk build mostly finds them sorted already.
     fn for_each_key(&self, name: &str, mut f: impl FnMut(String, usize)) {
         // Each dimension's row stride, then the dimensions in label-key
         // order, which is the order keys render them in.
@@ -406,24 +406,24 @@ impl MetricsRegistry {
     }
 
     /// Snapshot every instrument into a plain, ordered, serializable value.
+    /// Each kind's rows are gathered in a `Vec` and its map is built in one
+    /// bulk `collect`, not one insert per row.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let m = self.table();
-        let mut snap = MetricsSnapshot::default();
+        let (mut counters, mut gauges, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
         for (name, f) in m.iter() {
             let cells = f.kind.cells();
             f.for_each_key(name, |key, row| {
                 let row = &f.slab[row * cells..(row + 1) * cells];
                 let load = |i: usize| row[i].load(Ordering::Relaxed);
                 match f.kind {
-                    Kind::Counter => {
-                        snap.counters.insert(key, load(0));
-                    }
+                    Kind::Counter => counters.push((key, load(0))),
                     Kind::Gauge => {
                         let gauge = GaugeSnapshot {
                             value: load(0),
                             high_water: load(1),
                         };
-                        snap.gauges.insert(key, gauge);
+                        gauges.push((key, gauge));
                     }
                     Kind::Histogram => {
                         let count = load(COUNT);
@@ -434,12 +434,16 @@ impl MetricsRegistry {
                             max: load(MAX),
                             buckets: (BUCKET0..HIST_CELLS).map(load).collect(),
                         };
-                        snap.histograms.insert(key, histogram);
+                        histograms.push((key, histogram));
                     }
                 }
             });
         }
-        snap
+        MetricsSnapshot {
+            counters: counters.into_iter().collect(),
+            gauges: gauges.into_iter().collect(),
+            histograms: histograms.into_iter().collect(),
+        }
     }
 }
 

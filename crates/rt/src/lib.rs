@@ -32,7 +32,8 @@
 //!   this crate's `run` owns only the threads, the watchdog and the sampler;
 //! * the [`Request`](ovcomm_simmpi::Request) type and wait/test semantics;
 //! * collective compilation — `compile_plans` (selector, lint, and under
-//!   `Strict` the model check at any communicator size) and the plan
+//!   `Strict` the model check at any communicator size), through the one
+//!   process-wide plan cache that simulated runs use too, and the plan
 //!   interpreter;
 //! * eager/rendezvous point-to-point protocols and FIFO envelope matching
 //!   (one `Mailbox`, which this crate holds behind a mutex);

@@ -102,7 +102,7 @@ pub(crate) struct RtShared {
     /// Wall-clock epoch; `now()` is nanoseconds since this instant.
     pub epoch: Instant,
     /// What the front end reads and the run's result is built from:
-    /// metrics, verifier, plan cache, selector, profile, node map,
+    /// metrics, verifier, selector, profile, node map,
     /// registries, trace, traffic counters, rank end times.
     pub env: CommEnv,
     /// The envelope matcher (see [`crate::mailbox`]), locked for each

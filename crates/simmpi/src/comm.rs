@@ -14,11 +14,14 @@
 //! runtime (`ovcomm_rt::RtComm`), so kernel results, verify findings and
 //! per-rank counters agree across backends by construction.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use ovcomm_simnet::{op_actor_id, EdgeKind, SimTime, SpanKind};
-use ovcomm_verify::plan::{self, CollPlan};
+use ovcomm_verify::plan::{self, CollAlgo, CollPlan};
 use ovcomm_verify::{CollKind, Event as VEvent, Site, VerifyMode};
 
 use crate::coll::CollCtx;
@@ -30,19 +33,112 @@ use crate::request::Request;
 use crate::rma::Win;
 use crate::state::SplitResult;
 use crate::transport::{self, post_recv, post_send, CommEnv, Transport, WORLD_CTX};
-use crate::universe::PlanCache;
+
+/// A collective shape: `(kind, algo, p, n, root)`. Plans depend on nothing
+/// else.
+type Shape = (CollKind, CollAlgo, usize, usize, usize);
+
+/// Total plan steps [`PlanCache`] holds; a shape that would pass this
+/// empties the cache first. A p = 4,096 recursive-doubling allreduce is
+/// 196,608 steps.
+const PLAN_CACHE_MAX_STEPS: usize = 1 << 22;
+
+/// Compiled per-rank collective schedules, keyed by shape, with whether
+/// each shape has been model-checked. Every run of the process — sim or
+/// rt — compiles through one ([`plan_cache_stats`] reports on it); tests
+/// may build their own.
+#[derive(Default)]
+pub struct PlanCache {
+    shapes: BTreeMap<Shape, CachedPlans>,
+    steps: usize,
+    hits: u64,
+    misses: u64,
+    checks: u64,
+}
+
+struct CachedPlans {
+    plans: Arc<Vec<CollPlan>>,
+    checked: bool,
+}
+
+/// What a [`PlanCache`] has done so far. For the process-wide cache
+/// ([`plan_cache_stats`]) these describe the process, not a run: every
+/// count depends on what ran earlier in it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Lookups served from the cache: no plan built.
+    pub hits: u64,
+    /// Lookups that built their shape's plans.
+    pub misses: u64,
+    /// Shapes model-checked (at most once per shape while it is cached).
+    pub checks: u64,
+    /// Shapes cached now.
+    pub shapes: usize,
+    /// Plan steps cached now, summed over every rank's plan.
+    pub steps: usize,
+}
+
+impl PlanCache {
+    /// An empty cache.
+    pub const fn new() -> PlanCache {
+        PlanCache {
+            shapes: BTreeMap::new(),
+            steps: 0,
+            hits: 0,
+            misses: 0,
+            checks: 0,
+        }
+    }
+
+    /// Counts so far; see [`PlanCacheStats`].
+    pub fn stats(&self) -> PlanCacheStats {
+        PlanCacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            checks: self.checks,
+            shapes: self.shapes.len(),
+            steps: self.steps,
+        }
+    }
+}
+
+/// The process-wide plan cache every communicator compiles through.
+static PLAN_CACHE: Mutex<PlanCache> = Mutex::new(PlanCache::new());
+
+/// Snapshot of the process-wide plan cache. See [`PlanCacheStats`].
+pub fn plan_cache_stats() -> PlanCacheStats {
+    PLAN_CACHE.lock().stats()
+}
+
+/// Model-check one shape's plans at every eager/rendezvous cutpoint;
+/// panics with the findings, if any.
+fn check_plans(plans: &[CollPlan], (_, algo, p, n, root): Shape) {
+    let findings = plan::model_check_single(plans, &plan::McConfig::default()).findings;
+    if !findings.is_empty() {
+        use std::fmt::Write as _;
+        let mut msg = format!("static plan analysis failed for {algo} p={p} n={n} root={root}:");
+        for f in findings.iter().take(8) {
+            let _ = write!(msg, "\n  {f}");
+        }
+        if findings.len() > 8 {
+            let _ = write!(msg, "\n  ... and {} more finding(s)", findings.len() - 8);
+        }
+        panic!("{msg}");
+    }
+}
 
 /// Compile (or fetch from `cache`) the per-rank plans for one collective
-/// shape, selecting the algorithm via `sel` and model-checking fresh plans
+/// shape, selecting the algorithm via `sel` and model-checking the shape
 /// at every eager/rendezvous cutpoint unless `mode` is `Off`; a finding
 /// panics. The check runs at any `p`: it is one deterministic pass per
-/// cutpoint and never branches. Each shape is analyzed exactly once per
-/// run, at first compile. Backend-neutral: both the simulator and the
-/// `ovcomm-rt` wall-clock backend compile collectives through this exact
-/// path, so the `CollSelector` and the static-analysis wall behave
-/// identically on either.
+/// cutpoint and never branches. A shape is built once and checked once
+/// while it stays cached; one built under `Off` is checked the first time
+/// a checking run asks for it. Backend-neutral: both the simulator and
+/// the `ovcomm-rt` wall-clock backend compile collectives through this
+/// exact path (and through one process-wide cache), so the `CollSelector`
+/// and the static-analysis wall behave identically on either.
 pub fn compile_plans(
-    cache: &parking_lot::Mutex<PlanCache>,
+    cache: &Mutex<PlanCache>,
     sel: &CollSelector,
     mode: VerifyMode,
     p: usize,
@@ -50,31 +146,42 @@ pub fn compile_plans(
     n: usize,
     root: usize,
 ) -> Arc<Vec<CollPlan>> {
-    let algo = sel.select(kind, n, p);
-    let key = (kind, algo, p, n, root);
-    let mut cache = cache.lock();
-    if let Some(plans) = cache.get(&key) {
-        // Memoized: the shape was checked at first compile.
-        return plans.clone();
-    }
-    let plans = plan::build_all(kind, algo, p, n, root);
-    if mode != VerifyMode::Off {
-        let findings = plan::model_check_single(&plans, &plan::McConfig::default()).findings;
-        if !findings.is_empty() {
-            use std::fmt::Write as _;
-            let mut msg =
-                format!("static plan analysis failed for {algo} p={p} n={n} root={root}:");
-            for f in findings.iter().take(8) {
-                let _ = write!(msg, "\n  {f}");
-            }
-            if findings.len() > 8 {
-                let _ = write!(msg, "\n  ... and {} more finding(s)", findings.len() - 8);
-            }
-            panic!("{msg}");
+    let shape = (kind, sel.select(kind, n, p), p, n, root);
+    let check = mode != VerifyMode::Off;
+    let mut guard = cache.lock();
+    let cache = &mut *guard;
+    if let Some(cached) = cache.shapes.get_mut(&shape) {
+        cache.hits += 1;
+        if check && !cached.checked {
+            check_plans(&cached.plans, shape);
+            cache.checks += 1;
+            cached.checked = true;
         }
+        return cached.plans.clone();
     }
+    cache.misses += 1;
+    let mut plans = plan::build_all(kind, shape.1, p, n, root);
+    // Cached plans outlive their run: drop the builder's spare capacity.
+    for plan in &mut plans {
+        plan.steps.shrink_to_fit();
+        plan.bufs.shrink_to_fit();
+    }
+    if check {
+        check_plans(&plans, shape);
+        cache.checks += 1;
+    }
+    let steps: usize = plans.iter().map(|plan| plan.steps.len()).sum();
+    if cache.steps + steps > PLAN_CACHE_MAX_STEPS {
+        cache.shapes.clear();
+        cache.steps = 0;
+    }
+    cache.steps += steps;
     let plans = Arc::new(plans);
-    cache.insert(key, plans.clone());
+    let cached = CachedPlans {
+        plans: plans.clone(),
+        checked: check,
+    };
+    cache.shapes.insert(shape, cached);
     plans
 }
 
@@ -225,7 +332,7 @@ impl<T: Transport> Comm<T> {
     fn plans(&self, kind: CollKind, n: usize, root: usize) -> Arc<Vec<CollPlan>> {
         let env = self.env();
         compile_plans(
-            &env.plan_cache,
+            &PLAN_CACHE,
             &env.coll_select,
             env.verify_mode,
             self.size(),

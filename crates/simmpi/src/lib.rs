@@ -82,6 +82,7 @@ pub type SimOutput<T> = RunOutput<T>;
 // and metric shapes so both backends present one surface.
 #[doc(hidden)]
 pub use comm::compile_plans;
+pub use comm::{plan_cache_stats, PlanCache, PlanCacheStats};
 #[doc(hidden)]
 pub use metrics::{OpKind, SimMetrics};
 pub use ovcomm_simnet::actor_name;

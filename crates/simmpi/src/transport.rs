@@ -5,7 +5,7 @@
 //! [`Win<T>`](crate::rma::Win) and the per-rank context
 //! [`RankCtx<T>`](crate::rank::RankCtx) are each written once, against two
 //! things: the [`CommEnv`] both backends embed in their shared state
-//! (metrics, verifier, plan cache, selector, profile, node map, the
+//! (metrics, verifier, selector, profile, node map, the
 //! communicator-context and window registries, the per-rank counters that
 //! mint operation-actor ids, and what a run accumulates
 //! for its result: the trace, traffic counters, rank end times, captured
@@ -35,7 +35,6 @@ use crate::payload::Payload;
 use crate::request::{ReqMeta, Request};
 use crate::rma::Windows;
 use crate::state::CommRegistry;
-use crate::universe::PlanCache;
 
 /// World communicator context id.
 #[doc(hidden)]
@@ -74,10 +73,6 @@ pub struct CommEnv {
     pub verify_mode: VerifyMode,
     /// Collective-algorithm selection policy for this run.
     pub coll_select: CollSelector,
-    /// Compiled collective schedules, keyed by
-    /// `(kind, algo, p, n, root)` — plans depend on nothing else, so one
-    /// compile (plus its static check) serves every instance of a shape.
-    pub plan_cache: Mutex<PlanCache>,
     /// The machine profile (protocol switch, modeled software costs).
     pub profile: MachineProfile,
     /// Rank → node placement. On the runtime everything is physically one
@@ -135,7 +130,6 @@ impl CommEnv {
             },
             verify_mode,
             coll_select,
-            plan_cache: Mutex::new(PlanCache::new()),
             profile,
             nodemap,
             comms: Mutex::new(CommRegistry::new(WORLD_CTX + 1)),

@@ -13,7 +13,6 @@ use ovcomm_simnet::{
     rank_of_actor, ClusterResources, ClusterSpec, Engine, Fabric, Fiber, ForcedUnwind,
     MachineProfile, NodeMap, ResourceKind, SimTime,
 };
-use ovcomm_verify::plan::{CollAlgo, CollPlan};
 use ovcomm_verify::VerifyMode;
 
 use crate::agent::Agent;
@@ -115,7 +114,7 @@ pub(crate) struct UniShared {
     pub engine: Engine,
     pub state: Mutex<MpiState>,
     /// What the front end reads and the run's result is built from:
-    /// metrics, verifier, plan cache, selector, profile, node map,
+    /// metrics, verifier, selector, profile, node map,
     /// registries, trace, traffic counters, rank end times.
     pub env: CommEnv,
     pub resources: ClusterResources,
@@ -127,14 +126,6 @@ pub(crate) struct UniShared {
     /// Stack size for op fibers.
     pub fiber_stack: usize,
 }
-
-/// Cache of compiled per-rank collective schedules, keyed by plan shape.
-/// Static analysis runs once, at first compile; a hit returns the plans
-/// unchecked.
-pub type PlanCache = std::collections::BTreeMap<
-    (ovcomm_verify::CollKind, CollAlgo, usize, usize, usize),
-    Arc<Vec<CollPlan>>,
->;
 
 impl UniShared {
     /// Complete a request at virtual time `at` and wake its waiters.

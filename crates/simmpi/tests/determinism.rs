@@ -335,7 +335,7 @@ fn contended_transfers_pin_the_flow_solver() {
     assert_eq!(net_golden(a), net_golden(b), "net stats diverge");
     assert_eq!(
         net_golden(a),
-        NetGolden(1677, 244948, 9581, 0xc02f459c63c9e62a),
+        NetGolden(1677, 244948, 8600, 0xc02f459c63c9e62a),
         "flow solver diverges from the pinned values"
     );
 }

@@ -34,6 +34,19 @@
 //! At each step the scheduler picks the earlier of the two; an actor release
 //! wins a time tie against an event.
 //!
+//! Flow starts and completions change other flows' rates but do not move
+//! their completion events: the changed flows wait in the flow model's
+//! dirty set, one entry per flow. The scheduler drains that set before it
+//! compares or pops a flow event and before it advances time, re-keying
+//! each changed flow once, from its final rate, at the instant the
+//! changes happened. It leaves the set pending only while the next step is
+//! an actor release no later than now, or a callback at now in a class
+//! below [`CLASS_FLOW`]; both come before every flow completion whatever
+//! its key. So every flow event pops with the key an eager re-key after
+//! each change would have given it, and [`NetStats::rekeys`] counts
+//! events moved per drain, not per change. Re-solves of the rates stay
+//! eager: deferring them changes float accumulation order.
+//!
 //! That is three queues — callbacks, flow completions, releases — on
 //! purpose. One lazily pruned heap ordered `(time, Release(id) <
 //! Event(class, origin, seq))`, with a flow rate change pushed as a new
@@ -267,7 +280,8 @@ pub struct NetStats {
     pub resolves: u64,
     /// Σ over those re-solves of the component size, in flows.
     pub resolved_flows: u64,
-    /// Flow-completion events moved to a new time by a rate change.
+    /// Flow-completion events moved to a new time by a drain of rate
+    /// changes: once per flow per drain, however often its rate changed.
     pub rekeys: u64,
 }
 
@@ -293,7 +307,7 @@ struct Core {
     live: usize,
     engine_seq: u64,
     flows: FlowNet,
-    /// Reused buffer for the flows whose rates a flow event changed.
+    /// Reused buffer for the flows a drain of rate changes re-keys.
     changed: Vec<FlowId>,
     flows_settled_at: SimTime,
     actors: FxHashMap<u32, ActorSlot>,
@@ -527,7 +541,6 @@ impl Engine {
                 ideal_secs: if cap > 0.0 { bytes / cap } else { 0.0 },
             },
         );
-        core.apply_rate_changes(Some(id));
         id
     }
 
@@ -621,6 +634,9 @@ impl Engine {
                     Work::Return
                 } else {
                     let next_actor = core.next_ready();
+                    if core.flows.has_rate_changes() && !core.precedes_every_flow(next_actor) {
+                        core.apply_rate_changes();
+                    }
                     let next_event = core.next_event();
                     match (next_actor, next_event) {
                         (None, None) => {
@@ -763,16 +779,28 @@ impl Core {
         }
     }
 
+    /// Whether the next step is known to come before every flow
+    /// completion, re-keyed or not: an actor release no later than `now`,
+    /// or a callback at `now` in a class below [`CLASS_FLOW`]. Only then
+    /// may pending rate changes wait, because no flow key is compared.
+    fn precedes_every_flow(&self, next_actor: Option<(SimTime, u32)>) -> bool {
+        next_actor.is_some_and(|(t, _)| t <= self.now)
+            || self
+                .calls
+                .peek()
+                .is_some_and(|c| c.key.time == self.now && c.key.class < CLASS_FLOW)
+    }
+
     /// Retire a flow whose completion event just popped at `self.now`:
-    /// remove it from the flow model, re-key the flows it slowed, account
-    /// its queueing delay, and hand back its callback.
+    /// remove it from the flow model, account its queueing delay, and hand
+    /// back its callback. The flows it sped up are re-keyed by the next
+    /// drain.
     // A popped completion carries its callback by construction.
     #[allow(clippy::expect_used)]
     fn finish_flow(&mut self, mut meta: FlowMeta) -> Action {
         let now = self.now;
         self.settle_flows(now);
         self.flows.remove(meta.id);
-        self.apply_rate_changes(None);
         let actual = now.saturating_since(meta.started).as_secs_f64();
         let delay = (actual - meta.ideal_secs).max(0.0);
         self.completed_flows += 1;
@@ -789,17 +817,16 @@ impl Core {
         self.flows_settled_at = now;
     }
 
-    /// Re-key the completion events of flows whose rates changed in the
-    /// last add/remove. `skip` is a just-added flow whose event was created
-    /// directly by the caller.
-    fn apply_rate_changes(&mut self, skip: Option<FlowId>) {
+    /// Re-key the completion events of flows whose rates changed since the
+    /// last drain, each once, from its final rate. Every add and remove
+    /// since then happened at `flows_settled_at`, which is still `now`:
+    /// time never advances past pending changes.
+    fn apply_rate_changes(&mut self) {
         let now = self.flows_settled_at;
+        debug_assert_eq!(now, self.now, "rate changes pending across a time step");
         let mut changed = std::mem::take(&mut self.changed);
         self.flows.drain_rate_changes(&mut changed);
         for &id in &changed {
-            if Some(id) == skip {
-                continue;
-            }
             let eta = self.flows.eta_secs(id);
             assert!(
                 eta.is_finite(),
@@ -985,6 +1012,70 @@ mod tests {
         for t in times {
             assert!((t as i64 - 2_000_000).abs() < 10, "finished at {t}ns");
         }
+    }
+
+    #[test]
+    fn a_same_instant_flow_burst_keeps_its_completion_times_and_order() {
+        // Six flows start in one callback at t = 0 on one 1 GB/s NIC,
+        // which the second flow already saturates: every start re-solves
+        // the component and changes the earlier flows' rates at the same
+        // instant. Flow 5 is capped below the fair share. Flows 0 and 3,
+        // then 1 and 2, complete in bursts at one instant each; each
+        // callback records `(index, ns)` and the last one releases the
+        // actor.
+        let engine = Arc::new(Engine::new());
+        let nic = engine.add_resource(1e9);
+        let done = Arc::new(Mutex::new(Vec::<(usize, u64)>::new()));
+        let done2 = done.clone();
+        run_one_actor(engine, move |eng, id| {
+            let done3 = done2.clone();
+            eng.schedule(
+                EventKey {
+                    time: SimTime(0),
+                    class: 0,
+                    origin: 0,
+                    seq: 0,
+                },
+                Box::new(move |e| {
+                    let flows = [
+                        (1e9, 1e6),
+                        (1e9, 2e6),
+                        (1e9, 2e6),
+                        (1e9, 1e6),
+                        (1e9, 3e6),
+                        (5e7, 5e5),
+                    ];
+                    let remaining = Arc::new(AtomicU64::new(flows.len() as u64));
+                    for (i, (cap, bytes)) in flows.into_iter().enumerate() {
+                        let done4 = done3.clone();
+                        let rem = remaining.clone();
+                        e.start_flow(
+                            vec![nic],
+                            cap,
+                            bytes,
+                            Box::new(move |e2| {
+                                done4.lock().push((i, e2.now().as_nanos()));
+                                if rem.fetch_sub(1, Ordering::SeqCst) == 1 {
+                                    e2.wake(id, e2.now());
+                                }
+                            }),
+                        );
+                    }
+                }),
+            );
+            eng.park();
+        });
+        assert_eq!(
+            *done.lock(),
+            vec![
+                (0, 5_263_158),
+                (3, 5_263_158),
+                (1, 8_421_053),
+                (2, 8_421_053),
+                (4, 9_473_685),
+                (5, 10_000_000),
+            ]
+        );
     }
 
     #[test]

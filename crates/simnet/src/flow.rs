@@ -43,7 +43,8 @@
 //!   filling pass.
 //! * Rate changes are recorded in a dirty set the caller drains with
 //!   [`FlowNet::take_rate_changes`] to re-key completion events, instead of
-//!   re-deriving every flow's ETA after every change.
+//!   re-deriving every flow's ETA after every change. The set holds each
+//!   flow at most once however often its rate changes before the drain.
 //!
 //! Per-resource busy/overlap integrals are maintained incrementally from
 //! activity transition counts, so they are exact (not sampled) while still
@@ -159,6 +160,8 @@ struct Flow {
     stamp: u64,
     /// Epoch of the last re-solve that put this flow in its component.
     mark: u64,
+    /// Whether the flow has an entry in [`FlowNet`]'s dirty set.
+    dirty: bool,
 }
 
 /// One slab slot: its generation and the flow it holds, if any.
@@ -227,8 +230,9 @@ pub struct FlowNet {
     free: Vec<u32>,
     next_stamp: u64,
     now: f64,
-    /// `(stamp, id)` of flows whose rate changed since the last drain. May
-    /// contain duplicates and ids that have since been removed.
+    /// `(stamp, id)` of flows whose rate changed since the last drain, one
+    /// entry per flow (a flow's `dirty` bit says it has one). May contain
+    /// ids that have since been removed.
     dirty: Vec<(u64, FlowId)>,
     scratch: Scratch,
     /// Contended re-solves run (see [`FlowNet::solver_counts`]).
@@ -379,6 +383,7 @@ impl FlowNet {
             active: false,
             stamp,
             mark: 0,
+            dirty: fits,
         };
         for r in &flow.resources {
             let res = &mut self.res[r.0 as usize];
@@ -433,6 +438,13 @@ impl FlowNet {
             .get(id.slot())
             .filter(|e| e.gen == id.gen)
             .and_then(|e| e.flow.as_ref())
+    }
+
+    fn get_mut(&mut self, id: FlowId) -> Option<&mut Flow> {
+        self.slab
+            .get_mut(id.slot())
+            .filter(|e| e.gen == id.gen)
+            .and_then(|e| e.flow.as_mut())
     }
 
     // A stale or foreign id is caller-side corruption.
@@ -522,7 +534,7 @@ impl FlowNet {
     }
 
     /// Drain the set of flows whose rate changed since the last call,
-    /// deduplicated, in creation order, restricted to flows still present.
+    /// each once, in creation order, restricted to flows still present.
     /// The caller uses this to re-key completion events after an
     /// add/remove.
     pub fn take_rate_changes(&mut self) -> Vec<FlowId> {
@@ -534,14 +546,21 @@ impl FlowNet {
     /// [`FlowNet::take_rate_changes`] into a buffer the caller reuses
     /// (appended to, not cleared).
     pub(crate) fn drain_rate_changes(&mut self, out: &mut Vec<FlowId>) {
-        self.dirty.sort_unstable_by_key(|&(stamp, _)| stamp);
-        self.dirty.dedup();
-        for &(_, id) in &self.dirty {
-            if self.get(id).is_some() {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable_by_key(|&(stamp, _)| stamp);
+        for &(_, id) in &dirty {
+            if let Some(f) = self.get_mut(id) {
+                f.dirty = false;
                 out.push(id);
             }
         }
-        self.dirty.clear();
+        dirty.clear();
+        self.dirty = dirty;
+    }
+
+    /// Whether any flow's rate changed since the last drain.
+    pub(crate) fn has_rate_changes(&self) -> bool {
+        !self.dirty.is_empty()
     }
 
     /// `(re-solves, Σ component sizes)`: how many contended adds/removes
@@ -753,7 +772,10 @@ impl FlowNet {
             let f = live_mut(slab, s);
             if f.rate != rate {
                 f.rate = rate;
-                dirty.push((f.stamp, FlowId { slot: s, gen }));
+                if !f.dirty {
+                    f.dirty = true;
+                    dirty.push((f.stamp, FlowId { slot: s, gen }));
+                }
             }
             let want = f.rate > 0.0 && f.remaining > 0.0;
             if want != f.active {
