@@ -196,6 +196,53 @@ fn mutation_dropped_window_is_flagged_with_creation_site() {
     assert_eq!(msg, pins::WIN_LEAK);
 }
 
+// ---------------------------------------------------------------------
+// Window data is bytes: a put at an odd offset, then an f64 accumulate
+// ---------------------------------------------------------------------
+
+#[test]
+fn an_unaligned_put_then_an_f64_accumulate_land_byte_for_byte() {
+    let out = run(cfg(2, 1), |rc: RankCtx| {
+        let w = rc.world();
+        let win = w.win_create(Payload::from_f64s(&[1.0, 2.0, 3.0, 4.0]));
+        win.fence();
+        if rc.rank() == 1 {
+            // Bytes 3..10 straddle the first two f64s.
+            win.put(0, 3, Payload::from_vec(vec![0xa5; 7]));
+        }
+        win.fence();
+        if rc.rank() == 1 {
+            win.accumulate(0, 0, Payload::from_f64s(&[0.5, 0.25, 0.125, 1.0]));
+        }
+        win.fence();
+        let local = win.local();
+        win.free();
+        match local {
+            Payload::Real(b) => b.to_vec(),
+            Payload::Phantom(_) => unreachable!("the segment is real"),
+        }
+    })
+    .expect("separate epochs do not conflict");
+    assert!(out.verify.findings.is_empty(), "{:?}", out.verify.findings);
+    let mut want: Vec<u8> = [1.0f64, 2.0, 3.0, 4.0]
+        .iter()
+        .flat_map(|x| x.to_ne_bytes())
+        .collect();
+    want[3..10].fill(0xa5);
+    for (word, add) in want.chunks_exact_mut(8).zip([0.5f64, 0.25, 0.125, 1.0]) {
+        let sum = f64::from_ne_bytes(word.try_into().unwrap()) + add;
+        word.copy_from_slice(&sum.to_ne_bytes());
+    }
+    assert_eq!(out.results[0], want);
+    assert_eq!(
+        out.results[1],
+        [1.0f64, 2.0, 3.0, 4.0]
+            .iter()
+            .flat_map(|x| x.to_ne_bytes())
+            .collect::<Vec<u8>>()
+    );
+}
+
 /// The exact text of every report above, as the analyzer renders it.
 mod pins {
     pub const OUTSIDE_EPOCH: &str = "error[rma-outside-epoch]: rank 1 posted MPI_Rput(8B, rank 0 at offset 0) on win 0 outside any epoch (no fence opened an access epoch and no lock is held on the target), posted at crates/simmpi/tests/rma_mutations.rs:76";
