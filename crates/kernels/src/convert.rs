@@ -13,15 +13,30 @@ pub fn block_to_payload(b: &BlockBuf) -> Payload {
     }
 }
 
+/// [`block_to_payload`] by value: the payload adopts a real block's
+/// storage.
+pub fn block_into_payload(b: BlockBuf) -> Payload {
+    match b {
+        BlockBuf::Real(m) => Payload::from_f64_vec(m.into_vec()),
+        BlockBuf::Phantom(..) => Payload::Phantom(b.byte_len()),
+    }
+}
+
 /// Deserialize a received block with known dimensions.
 pub fn payload_to_block(p: &Payload, rows: usize, cols: usize) -> BlockBuf {
+    payload_into_block(p.clone(), rows, cols)
+}
+
+/// [`payload_to_block`] by value: the block adopts the payload's storage
+/// when the payload is the only view of its whole buffer.
+pub fn payload_into_block(p: Payload, rows: usize, cols: usize) -> BlockBuf {
     match p {
-        Payload::Real(b) => {
-            assert_eq!(b.len(), rows * cols * 8, "payload size mismatch");
-            BlockBuf::Real(Matrix::from_vec(rows, cols, p.to_f64s()))
+        Payload::Real(_) => {
+            assert_eq!(p.len(), rows * cols * 8, "payload size mismatch");
+            BlockBuf::Real(Matrix::from_vec(rows, cols, p.into_f64s()))
         }
         Payload::Phantom(n) => {
-            assert_eq!(*n, rows * cols * 8, "phantom size mismatch");
+            assert_eq!(n, rows * cols * 8, "phantom size mismatch");
             BlockBuf::Phantom(rows, cols)
         }
     }
@@ -39,6 +54,21 @@ mod tests {
         assert_eq!(p.len(), 96);
         let back = payload_to_block(&p, 3, 4);
         assert_eq!(back.unwrap_real().max_abs_diff(&m), 0.0);
+    }
+
+    #[test]
+    fn by_value_roundtrip_keeps_the_matrix_allocation() {
+        let m = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64);
+        let b = BlockBuf::Real(m.clone());
+        let addr = b.unwrap_real().data().as_ptr();
+        let p = block_into_payload(b);
+        assert_eq!(p, block_to_payload(&BlockBuf::Real(m.clone())));
+        let back = payload_into_block(p, 3, 4);
+        assert_eq!(back.unwrap_real().max_abs_diff(&m), 0.0);
+        assert_eq!(back.unwrap_real().data().as_ptr(), addr);
+        let phantom = block_into_payload(BlockBuf::Phantom(5, 2));
+        assert_eq!(phantom, Payload::Phantom(80));
+        assert_eq!(payload_into_block(phantom, 5, 2).dims(), (5, 2));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use ovcomm_core::{pipelined_reduce_bcast, ChunkPlan, NDupComms, RankHandle};
 use ovcomm_densemat::{gemm_flops, BlockBuf, BlockGrid};
 use ovcomm_simmpi::{Comm, Payload, RankCtx, Request, Transport};
 
-use crate::convert::{block_to_payload, payload_to_block};
+use crate::convert::{block_into_payload, block_to_payload, payload_into_block, payload_to_block};
 use crate::mesh::{mesh3d_rank_of, Mesh3D, Mesh3DBundles};
 
 /// User tag for the D² hand-back sends.
@@ -125,7 +125,7 @@ pub fn symm_square_cube_original<R: RankHandle>(
     // 1: A(i,j) := D(i,j), broadcast along the grid fibre from plane 0.
     let a_payload = input.d_block.as_ref().map(block_to_payload);
     let a_recv = mesh.grd.bcast(0, a_payload, grid.block_bytes(i, j));
-    let a = payload_to_block(&a_recv, li, lj);
+    let a = payload_into_block(a_recv, li, lj);
     let phantom = a.is_phantom();
 
     // 2: row broadcast of D(k,j) from P(k,j,k); B(j,k) := D(k,j)ᵀ by
@@ -135,14 +135,14 @@ pub fn symm_square_cube_original<R: RankHandle>(
         (i == k).then(|| block_to_payload(&a)),
         grid.block_bytes(k, j),
     );
-    let b = payload_to_block(&dkj, grid.block_dims(k, j).0, lj).transpose();
+    let b = payload_into_block(dkj, grid.block_dims(k, j).0, lj).transpose();
 
     // 3: C := A·B.
     let mut c = BlockBuf::zeros(li, lk, phantom);
     local_multiply(rc, &mut c, &a, &b, rate);
 
     // 4: reduce C(i,:,k) to D²(i,k) on P(i,k,k).
-    let d2_red = mesh.col.reduce(k, block_to_payload(&c));
+    let d2_red = mesh.col.reduce(k, block_into_payload(c));
 
     // 5: P(i,k,k) hands D²(i,k) to P(i,k,0) along the grid fibre.
     let d2_home = if j == k {
@@ -179,14 +179,14 @@ pub fn symm_square_cube_original<R: RankHandle>(
 
     // 7: row broadcast of D²(j,k) from P(k,j,k).
     let b2 = mesh.row.bcast(k, d2_for_bcast, grid.block_bytes(j, k));
-    let b2 = payload_to_block(&b2, lj, lk);
+    let b2 = payload_into_block(b2, lj, lk);
 
     // 8: C := A·B².
     let mut c2 = BlockBuf::zeros(li, lk, phantom);
     local_multiply(rc, &mut c2, &a, &b2, rate);
 
     // 9: reduce to D³(i,k) on P(i,k,k).
-    let d3_red = mesh.col.reduce(k, block_to_payload(&c2));
+    let d3_red = mesh.col.reduce(k, block_into_payload(c2));
 
     // 10: hand D³ back to plane 0.
     let d3_home = if j == k {
@@ -219,19 +219,19 @@ pub fn symm_square_cube_baseline<R: RankHandle>(
     // 1–3 as in Algorithm 3.
     let a_payload = input.d_block.as_ref().map(block_to_payload);
     let a_recv = mesh.grd.bcast(0, a_payload, grid.block_bytes(i, j));
-    let a = payload_to_block(&a_recv, li, lj);
+    let a = payload_into_block(a_recv, li, lj);
     let phantom = a.is_phantom();
     let dkj = mesh.row.bcast(
         k,
         (i == k).then(|| block_to_payload(&a)),
         grid.block_bytes(k, j),
     );
-    let b = payload_to_block(&dkj, grid.block_dims(k, j).0, lj).transpose();
+    let b = payload_into_block(dkj, grid.block_dims(k, j).0, lj).transpose();
     let mut c = BlockBuf::zeros(li, lk, phantom);
     local_multiply(rc, &mut c, &a, &b, rate);
 
     // 4: reduce C(i,:,k) to D²(i,k) on P(i,i,k) — root j = i.
-    let d2_red = mesh.col.reduce(i, block_to_payload(&c));
+    let d2_red = mesh.col.reduce(i, block_into_payload(c));
 
     // 5: row broadcast of D²(j,k) straight from P(j,j,k) — no transpose.
     let b2 = mesh.row.bcast(
@@ -239,14 +239,14 @@ pub fn symm_square_cube_baseline<R: RankHandle>(
         (i == j).then(|| d2_red.clone().unwrap()),
         grid.block_bytes(j, k),
     );
-    let b2_block = payload_to_block(&b2, lj, lk);
+    let b2_block = payload_into_block(b2, lj, lk);
 
     // 6: C := A·B².
     let mut c2 = BlockBuf::zeros(li, lk, phantom);
     local_multiply(rc, &mut c2, &a, &b2_block, rate);
 
     // 7: reduce to D³(i,k) on P(i,k,k).
-    let d3_red = mesh.col.reduce(k, block_to_payload(&c2));
+    let d3_red = mesh.col.reduce(k, block_into_payload(c2));
 
     // 8: P(i,i,k) sends D²(i,k) to P(i,k,0) in the world communicator.
     let my = mesh.world.rank();
@@ -348,7 +348,7 @@ pub fn symm_square_cube_optimized<R: RankHandle>(
         }
     }
     let a_full = plan_a.concat(&a_chunks.into_iter().map(Option::unwrap).collect::<Vec<_>>());
-    let a = payload_to_block(&a_full, li, lj);
+    let a = payload_into_block(a_full, li, lj);
     let phantom = a.is_phantom();
     let b_chunks: Vec<Payload> = row_reqs
         .iter()
@@ -360,7 +360,7 @@ pub fn symm_square_cube_optimized<R: RankHandle>(
                 .wait_traced_chunk(r, "wait Ibcast row", c as u32)
         })
         .collect();
-    let b = payload_to_block(&plan_b.concat(&b_chunks), grid.block_dims(k, j).0, lj).transpose();
+    let b = payload_into_block(plan_b.concat(&b_chunks), grid.block_dims(k, j).0, lj).transpose();
     rc.phase_span(t_bcast, "symm3d bcast D".to_string());
 
     // Line 9: C := A·B.
@@ -375,7 +375,7 @@ pub fn symm_square_cube_optimized<R: RankHandle>(
         i,
         &bundles.row,
         j,
-        &block_to_payload(&c_blk),
+        &block_into_payload(c_blk),
         grid.block_bytes(j, k),
     );
     let b2 = payload_to_block(&b2_payload, lj, lk);
@@ -390,7 +390,7 @@ pub fn symm_square_cube_optimized<R: RankHandle>(
     // ---- Lines 19–27: col-ireduce of D³ overlapped with both hand-backs.
     let t_d3 = rc.now();
     let plan_c = ChunkPlan::new(grid.block_bytes(i, k), n_dup);
-    let c2_payload = block_to_payload(&c2);
+    let c2_payload = block_into_payload(c2);
     let d3_reqs: Vec<Request<Option<Payload>>> = bundles
         .col
         .iter()
@@ -519,8 +519,8 @@ fn finish<T: Transport>(
         let d2 = d2_home.expect("plane 0 must receive D²");
         let d3 = d3_home.expect("plane 0 must receive D³");
         SymmOutput {
-            d2: Some(payload_to_block(&d2, li, lj)),
-            d3: Some(payload_to_block(&d3, li, lj)),
+            d2: Some(payload_into_block(d2, li, lj)),
+            d3: Some(payload_into_block(d3, li, lj)),
         }
     } else {
         debug_assert!(d2_home.is_none() && d3_home.is_none());

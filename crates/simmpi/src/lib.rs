@@ -33,6 +33,7 @@
 //! return owned payloads instead of writing into caller buffers.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod agent;

@@ -64,12 +64,17 @@ pub enum RecvPost<S, R> {
 /// parking. This is exactly MPI's non-overtaking guarantee, and the loom
 /// harness asserts it holds under every explored schedule.
 ///
-/// An envelope's queues stay in the tables once empty (removing drained
-/// entries measured a higher peak RSS on the rt benchmark, not a lower
-/// one), and collective wire tags carry a sequence number, so the tables
-/// only grow. The gauges therefore read two running counts instead of
-/// walking them, and a drained send queue gives back its buffer: it holds
-/// whole sends, and most envelopes carry one message.
+/// An envelope's entry leaves its table when a pop empties its queue, so
+/// the tables hold only parked work. Collective wire tags carry a sequence
+/// number and most envelopes carry one message, so entries kept once
+/// empty grew by one per message for the whole run. Removing them alone
+/// took the benchmark's peak RSS from 20.4–23.4 to 13.6–13.9 MiB on
+/// `rt_symm3d_n128` and from 16.9–17.1 to 15.0–15.1 MiB on
+/// `sim_symm25d_256`, but raised `rt_symm3d_n512` from 107.5–109.4 to
+/// 117.4–121.8 MiB (three runs each, 2 vCPUs) while real payloads were
+/// still copied in and out of `f64` vectors; with payloads handed over by
+/// ownership it reads 95.5–101.2 MiB. The gauges read two running counts
+/// instead of walking the tables.
 pub struct Mailbox<S, R> {
     /// FIFO of unmatched sends per envelope.
     send_q: FxHashMap<Envelope, VecDeque<S>>,
@@ -103,7 +108,7 @@ impl<S, R> Mailbox<S, R> {
     /// Post a send: match the oldest waiting receive on `key`, or park
     /// `slot` in FIFO order.
     pub fn post_send(&mut self, key: Envelope, slot: S) -> SendPost<S, R> {
-        if let Some(recv) = self.recv_q.get_mut(&key).and_then(|q| q.pop_front()) {
+        if let Some(recv) = pop_front(&mut self.recv_q, &key) {
             self.parked_recvs -= 1;
             return SendPost::Matched { send: slot, recv };
         }
@@ -117,14 +122,9 @@ impl<S, R> Mailbox<S, R> {
     /// Post a receive: match the oldest parked send on `key`, or queue
     /// `entry` in FIFO order.
     pub fn post_recv(&mut self, key: Envelope, entry: R) -> RecvPost<S, R> {
-        if let Some(q) = self.send_q.get_mut(&key) {
-            if let Some(send) = q.pop_front() {
-                self.parked_sends -= 1;
-                if q.is_empty() {
-                    *q = VecDeque::new();
-                }
-                return RecvPost::Matched { send, recv: entry };
-            }
+        if let Some(send) = pop_front(&mut self.send_q, &key) {
+            self.parked_sends -= 1;
+            return RecvPost::Matched { send, recv: entry };
         }
         self.recv_q.entry(key).or_default().push_back(entry);
         self.parked_recvs += 1;
@@ -148,6 +148,23 @@ impl<S, R> Mailbox<S, R> {
     pub fn is_drained(&self) -> bool {
         self.parked_sends == 0 && self.parked_recvs == 0
     }
+
+    /// Envelopes with an entry in either table.
+    #[cfg(test)]
+    fn envelopes(&self) -> usize {
+        self.send_q.len() + self.recv_q.len()
+    }
+}
+
+/// Pop the head of `key`'s queue, removing the entry once it is empty.
+// Not `entry`: its miss path reserves room for an insert that never comes.
+fn pop_front<T>(table: &mut FxHashMap<Envelope, VecDeque<T>>, key: &Envelope) -> Option<T> {
+    let q = table.get_mut(key)?;
+    let head = q.pop_front();
+    if q.is_empty() {
+        table.remove(key);
+    }
+    head
 }
 
 #[cfg(test)]
@@ -223,6 +240,10 @@ mod tests {
             let recvs: usize = mb.recv_q.values().map(VecDeque::len).sum();
             assert_eq!((mb.unmatched_sends(), mb.posted_recvs()), (sends, recvs));
             assert_eq!(mb.is_drained(), sends + recvs == 0);
+            // Only envelopes with parked work keep an entry.
+            let parked = mb.send_q.values().chain(mb.recv_q.values());
+            assert!(parked.clone().all(|q| !q.is_empty()));
+            assert_eq!(mb.envelopes(), parked.count());
         };
         let post = |mb: &mut Mailbox<u64, u64>, tag: u64, send: bool| {
             let matched = if send {
@@ -244,6 +265,9 @@ mod tests {
                 for _ in 0..2 {
                     assert!(post(&mut mb, tag, tag % 2 == 1));
                 }
+                // Drained envelopes leave no entry behind.
+                let touched = if round == 1 { tag + 1 } else { 40 };
+                assert_eq!(mb.envelopes(), (0..touched).filter(|t| t % 3 == 0).count());
             }
             assert_eq!(
                 (mb.unmatched_sends(), mb.posted_recvs()),
@@ -256,5 +280,6 @@ mod tests {
             }
         }
         assert!(mb.is_drained());
+        assert_eq!(mb.envelopes(), 0);
     }
 }
