@@ -22,6 +22,7 @@
 //! runtime. `sim_vs_rt` runs both and writes the divergence report.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chart;

@@ -3,6 +3,8 @@
 //! an [`Opts`] that is passed down; an unknown subcommand, an unknown flag,
 //! or a flag the chosen subcommand does not take is a usage error (exit 2).
 
+#![deny(unsafe_code)]
+
 mod generators;
 
 use std::fs;

@@ -26,6 +26,7 @@
 //! (`T = RtTransport`).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod autotune;

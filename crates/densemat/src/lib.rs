@@ -8,6 +8,7 @@
 //! purification).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod blockbuf;

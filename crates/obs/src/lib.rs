@@ -15,6 +15,7 @@
 //! it and the kernel/bench layers consume the reports.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analyze;

@@ -7,6 +7,7 @@
 //! dimensions.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod canonical;

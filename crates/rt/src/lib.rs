@@ -25,6 +25,9 @@
 //!   the `comm` module's docs list each method and why the runtime needs
 //!   its own); the request mint, the eager/rendezvous decision and the
 //!   trace sink are the front end's, not this crate's;
+//! * the run configuration: [`RtConfig`] is `ovcomm_simmpi::RunConfig`
+//!   over this crate's [`RtOpts`], so node map, profile, verification,
+//!   selector and tracing are set by the same builders as on the simulator;
 //! * the run harness: [`RtRankCtx`] is `ovcomm_simmpi::rank::RankCtx<T>`,
 //!   [`RtOutput`] and [`RtError`] are the simulator's `RunOutput` and
 //!   `RunError`, and [`run`] ends in the same `CommEnv::finish` epilogue
@@ -46,7 +49,7 @@
 //! What necessarily differs: completion times are wall-clock nanoseconds
 //! since the run's epoch; deadlock detection is a watchdog (all live
 //! threads blocked with no completions for
-//! [`RtConfig::deadlock_timeout`]) instead of the simulator's exact
+//! [`RtOpts::deadlock_timeout`]) instead of the simulator's exact
 //! quiescence test.
 
 #![warn(missing_docs)]
@@ -61,116 +64,24 @@ pub mod queue;
 mod sampler;
 mod shared;
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ovcomm_simmpi::transport::{panic_message, CommEnv};
-use ovcomm_simmpi::{CollSelector, RunError, RunOutput};
-use ovcomm_simnet::{MachineProfile, NodeMap};
-use ovcomm_verify::VerifyMode;
+use ovcomm_simmpi::{RunConfig, RunError, RunOutput};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
 pub use comm::{RtComm, RtRankCtx, RtTransport, RtWin};
+pub use ovcomm_simmpi::rank::RtOpts;
 
 use crate::comm::RtAgent;
 use crate::shared::RtShared;
 
-/// Configuration of a runtime run — the analogue of the simulator's
-/// `SimConfig`.
-#[derive(Clone)]
-pub struct RtConfig {
-    /// Rank→(logical) node placement. Everything is physically one
-    /// process; the map scopes PPN logic and inter/intra traffic
-    /// accounting so outputs compare against simulator runs.
-    pub nodemap: NodeMap,
-    /// Machine profile: the runtime reads `eager_limit` (protocol switch)
-    /// and the compute rates kernels consult; its modeled costs are charged
-    /// by the shared front end and cost nothing here.
-    pub profile: MachineProfile,
-    /// Verification level (default [`VerifyMode::Strict`], like the
-    /// simulator — every test doubles as a correctness check).
-    pub verify: VerifyMode,
-    /// Collective-algorithm selection policy.
-    pub coll_select: CollSelector,
-    /// Record trace spans.
-    pub trace: bool,
-    /// Write a Perfetto trace to this path after the run.
-    pub trace_out: Option<PathBuf>,
-    /// How long every live thread must stay blocked, with no request
-    /// completing, before the watchdog declares deadlock.
-    pub deadlock_timeout: Duration,
-    /// Telemetry-sampler period ([`None`] disables the sampler thread).
-    /// Defaults to 1 ms — coarse enough to stay out of the ranks' way,
-    /// fine enough to populate occupancy histograms on millisecond runs.
-    pub sample_interval: Option<Duration>,
-}
-
-impl RtConfig {
-    /// `nranks` ranks packed `ppn`-per-logical-node.
-    pub fn natural(nranks: usize, ppn: usize, profile: MachineProfile) -> RtConfig {
-        RtConfig::with_map(NodeMap::natural(nranks, ppn), profile)
-    }
-
-    /// Explicit rank→node map.
-    pub fn with_map(nodemap: NodeMap, profile: MachineProfile) -> RtConfig {
-        RtConfig {
-            nodemap,
-            profile,
-            verify: VerifyMode::default(),
-            coll_select: CollSelector::default(),
-            trace: false,
-            trace_out: None,
-            deadlock_timeout: Duration::from_secs(2),
-            sample_interval: Some(Duration::from_millis(1)),
-        }
-    }
-
-    /// Set the verification level.
-    pub fn with_verify(mut self, mode: VerifyMode) -> RtConfig {
-        self.verify = mode;
-        self
-    }
-
-    /// Set the collective-algorithm selector.
-    pub fn with_coll_select(mut self, sel: CollSelector) -> RtConfig {
-        self.coll_select = sel;
-        self
-    }
-
-    /// Enable span tracing.
-    pub fn with_trace(mut self) -> RtConfig {
-        self.trace = true;
-        self
-    }
-
-    /// Enable tracing and write a Perfetto trace to `path` after the run.
-    pub fn with_trace_out(mut self, path: impl Into<PathBuf>) -> RtConfig {
-        self.trace = true;
-        self.trace_out = Some(path.into());
-        self
-    }
-
-    /// Set the watchdog's deadlock timeout.
-    pub fn with_deadlock_timeout(mut self, d: Duration) -> RtConfig {
-        self.deadlock_timeout = d;
-        self
-    }
-
-    /// Set the telemetry-sampler period.
-    pub fn with_sample_interval(mut self, d: Duration) -> RtConfig {
-        self.sample_interval = Some(d);
-        self
-    }
-
-    /// Disable the telemetry-sampler thread.
-    pub fn without_sampler(mut self) -> RtConfig {
-        self.sample_interval = None;
-        self
-    }
-}
+/// Configuration of a runtime run: the shared [`RunConfig`] with the
+/// runtime's own settings ([`RtOpts`]: watchdog timeout, sampler period).
+pub type RtConfig = RunConfig<RtOpts>;
 
 /// Why a runtime run failed — the same [`RunError`] the simulator returns.
 pub type RtError = RunError;
@@ -214,13 +125,7 @@ where
     F: Fn(RtRankCtx) -> T + Send + Sync + 'static,
 {
     let nranks = cfg.nodemap.nranks();
-    let env = CommEnv::new(
-        cfg.nodemap.clone(),
-        cfg.verify,
-        cfg.coll_select.clone(),
-        cfg.profile.clone(),
-        cfg.trace,
-    );
+    let env = CommEnv::new(&cfg);
     let prof = crate::shared::RtProf::new(&env.metrics, nranks);
     let shared = Arc::new(RtShared {
         epoch: Instant::now(),
@@ -243,7 +148,7 @@ where
     let watchdog = {
         let shared = shared.clone();
         let done = done.clone();
-        let timeout = cfg.deadlock_timeout;
+        let timeout = cfg.backend.deadlock_timeout;
         std::thread::Builder::new()
             .name("rt-watchdog".into())
             .spawn(move || {
@@ -281,6 +186,7 @@ where
     };
 
     let telemetry = cfg
+        .backend
         .sample_interval
         .and_then(|d| sampler::start(shared.clone(), d));
 
@@ -342,5 +248,5 @@ where
         .then(|| shared.deadlock_blocked.lock().clone());
     shared
         .env
-        .finish::<RtAgent, T>(results, panics, deadlock, None, cfg.trace_out.as_deref())
+        .finish::<RtAgent, T>(results, panics, deadlock, None)
 }

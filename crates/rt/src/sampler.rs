@@ -1,8 +1,9 @@
 //! Live runtime telemetry: a low-overhead sampler thread.
 //!
 //! While a run executes, one background thread wakes every
-//! [`RtConfig::sample_interval`](crate::RtConfig) and records a snapshot
-//! of the runtime's load indicators into the shared obs registry:
+//! [`RtOpts::sample_interval`](crate::RtOpts::sample_interval) and records
+//! a snapshot of the runtime's load indicators into the shared obs
+//! registry:
 //!
 //! * `rt.sampler.pool_queue_depth` — nonblocking-collective jobs posted
 //!   and not yet finished, each on a progress worker of its own (nothing

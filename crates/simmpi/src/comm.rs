@@ -331,10 +331,14 @@ impl<T: Transport> Comm<T> {
     /// This communicator's compiled plans for one collective shape.
     fn plans(&self, kind: CollKind, n: usize, root: usize) -> Arc<Vec<CollPlan>> {
         let env = self.env();
+        let mode = match env.verify {
+            Some(_) => VerifyMode::Strict,
+            None => VerifyMode::Off,
+        };
         compile_plans(
             &PLAN_CACHE,
             &env.coll_select,
-            env.verify_mode,
+            mode,
             self.size(),
             kind,
             n,

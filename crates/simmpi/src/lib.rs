@@ -91,8 +91,8 @@ pub use ovcomm_verify::plan;
 pub use ovcomm_verify::plan::CollAlgo;
 pub use ovcomm_verify::{CollKind, DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
 pub use payload::Payload;
-pub use rank::{RunError, RunOutput};
+pub use rank::{RunConfig, RunError, RunOutput};
 pub use request::Request;
 pub use rma::SimWin;
 pub use transport::Transport;
-pub use universe::{run, SimConfig};
+pub use universe::{run, SimConfig, SimOpts};

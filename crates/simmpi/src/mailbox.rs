@@ -67,14 +67,8 @@ pub enum RecvPost<S, R> {
 /// An envelope's entry leaves its table when a pop empties its queue, so
 /// the tables hold only parked work. Collective wire tags carry a sequence
 /// number and most envelopes carry one message, so entries kept once
-/// empty grew by one per message for the whole run. Removing them alone
-/// took the benchmark's peak RSS from 20.4–23.4 to 13.6–13.9 MiB on
-/// `rt_symm3d_n128` and from 16.9–17.1 to 15.0–15.1 MiB on
-/// `sim_symm25d_256`, but raised `rt_symm3d_n512` from 107.5–109.4 to
-/// 117.4–121.8 MiB (three runs each, 2 vCPUs) while real payloads were
-/// still copied in and out of `f64` vectors; with payloads handed over by
-/// ownership it reads 95.5–101.2 MiB. The gauges read two running counts
-/// instead of walking the tables.
+/// empty would grow by one per message for the whole run. The gauges read
+/// two running counts instead of walking the tables.
 pub struct Mailbox<S, R> {
     /// FIFO of unmatched sends per envelope.
     send_q: FxHashMap<Envelope, VecDeque<S>>,

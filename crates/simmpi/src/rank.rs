@@ -1,5 +1,6 @@
-//! The run harness both backends share: the per-rank context handed to the
-//! rank closure ([`RankCtx<T>`]), the result types of a run ([`RunOutput`],
+//! The run harness both backends share: the configuration that starts a
+//! run ([`RunConfig<B>`]), the per-rank context handed to the rank closure
+//! ([`RankCtx<T>`]), the result types of a run ([`RunOutput`],
 //! [`RunError`]) and the post-run epilogue that builds them
 //! ([`CommEnv::finish`]).
 //!
@@ -8,16 +9,134 @@
 //! and sampler — and ends by handing what it observed to `finish`.
 
 use std::cell::Cell;
-use std::path::Path;
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use ovcomm_obs::MetricsSnapshot;
 use ovcomm_simnet::{MachineProfile, NetStats, NodeMap, SimDur, SimTime, SpanKind, Trace};
-use ovcomm_verify::{DeadlockReport, Finding, Severity, VerifyReport};
+use ovcomm_verify::{DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
 
+use crate::collsel::CollSelector;
 use crate::comm::Comm;
 use crate::transport::{CommEnv, Transport};
+
+/// Configuration of one run, on either backend: what the communicator
+/// front end reads, plus the backend's own settings in `backend` —
+/// [`SimConfig`](crate::SimConfig) is `RunConfig<SimOpts>`,
+/// `ovcomm_rt::RtConfig` is `RunConfig<RtOpts>`.
+#[derive(Clone)]
+pub struct RunConfig<B> {
+    /// Rank → node placement; `nodemap.nranks()` ranks are spawned. On the
+    /// runtime everything is physically one process; the map scopes PPN
+    /// logic and inter/intra traffic accounting.
+    pub nodemap: NodeMap,
+    /// Machine profile: protocol switch, modeled costs and compute rates.
+    pub profile: MachineProfile,
+    /// Communication-correctness verification level. Defaults to
+    /// [`VerifyMode::Strict`], so every run doubles as a correctness check.
+    pub verify: VerifyMode,
+    /// Collective-algorithm selection policy.
+    pub coll_select: CollSelector,
+    /// Record trace spans and edges (needed for Fig-6-style timelines).
+    pub trace: bool,
+    /// Write the recorded trace as Perfetto/Chrome trace-event JSON to this
+    /// path after the run, failed or not (implies `trace`).
+    pub trace_out: Option<PathBuf>,
+    /// The backend's own settings.
+    pub backend: B,
+}
+
+impl<B: Default> RunConfig<B> {
+    /// `nranks` ranks placed `ppn`-per-node ("natural" placement, the
+    /// paper's §V-D mapping) with the given profile.
+    pub fn natural(nranks: usize, ppn: usize, profile: MachineProfile) -> RunConfig<B> {
+        RunConfig::with_map(NodeMap::natural(nranks, ppn), profile)
+    }
+
+    /// Explicit rank → node map.
+    pub fn with_map(nodemap: NodeMap, profile: MachineProfile) -> RunConfig<B> {
+        RunConfig {
+            nodemap,
+            profile,
+            verify: VerifyMode::Strict,
+            coll_select: CollSelector::default(),
+            trace: false,
+            trace_out: None,
+            backend: B::default(),
+        }
+    }
+
+    /// Set the verification level.
+    pub fn with_verify(mut self, mode: VerifyMode) -> RunConfig<B> {
+        self.verify = mode;
+        self
+    }
+
+    /// Set the collective-algorithm selection policy.
+    pub fn with_coll_select(mut self, sel: CollSelector) -> RunConfig<B> {
+        self.coll_select = sel;
+        self
+    }
+
+    /// Enable span tracing.
+    pub fn with_trace(mut self) -> RunConfig<B> {
+        self.trace = true;
+        self
+    }
+
+    /// Enable tracing and write the trace as Perfetto/Chrome trace-event
+    /// JSON to `path` when the run ends (load it in `ui.perfetto.dev`).
+    pub fn with_trace_out(mut self, path: impl Into<PathBuf>) -> RunConfig<B> {
+        self.trace = true;
+        self.trace_out = Some(path.into());
+        self
+    }
+}
+
+/// The wall-clock runtime's own run settings (`ovcomm_rt::RtConfig` is
+/// `RunConfig<RtOpts>`). Declared in this crate, beside [`RunConfig`],
+/// because a type's inherent builders must live in the type's crate.
+#[derive(Clone)]
+pub struct RtOpts {
+    /// How long every live thread must stay blocked, with no request
+    /// completing, before the watchdog declares deadlock.
+    pub deadlock_timeout: Duration,
+    /// Telemetry-sampler period ([`None`] disables the sampler thread).
+    /// Defaults to 1 ms — coarse enough to stay out of the ranks' way,
+    /// fine enough to populate occupancy histograms on millisecond runs.
+    pub sample_interval: Option<Duration>,
+}
+
+impl Default for RtOpts {
+    fn default() -> RtOpts {
+        RtOpts {
+            deadlock_timeout: Duration::from_secs(2),
+            sample_interval: Some(Duration::from_millis(1)),
+        }
+    }
+}
+
+impl RunConfig<RtOpts> {
+    /// Set the watchdog's deadlock timeout.
+    pub fn with_deadlock_timeout(mut self, d: Duration) -> RunConfig<RtOpts> {
+        self.backend.deadlock_timeout = d;
+        self
+    }
+
+    /// Set the telemetry-sampler period.
+    pub fn with_sample_interval(mut self, d: Duration) -> RunConfig<RtOpts> {
+        self.backend.sample_interval = Some(d);
+        self
+    }
+
+    /// Disable the telemetry-sampler thread.
+    pub fn without_sampler(mut self) -> RunConfig<RtOpts> {
+        self.backend.sample_interval = None;
+        self
+    }
+}
 
 /// Handle passed to each rank's closure: identity, clock, and the world
 /// communicator — `ovcomm_simmpi::RankCtx` on the simulator,
@@ -157,7 +276,7 @@ impl<T: Transport> RankCtx<T> {
 pub enum RunError {
     /// Every rank blocked with nothing left that could wake one
     /// (mismatched communication): no event pending on the simulator; on
-    /// the runtime, no request completing for `RtConfig::deadlock_timeout`.
+    /// the runtime, no request completing for `RtOpts::deadlock_timeout`.
     /// The report names each blocked rank's pending operation and, when one
     /// exists, the wait-for cycle among ranks.
     Deadlock {
@@ -256,9 +375,9 @@ impl CommEnv {
     /// `results[r]` is rank `r`'s return value (`None` if it unwound),
     /// `panics` the `(rank, message)` of every rank that panicked, and
     /// `deadlock` the `(agent, rank)` of everyone blocked if the backend
-    /// declared the run deadlocked. `trace_out` is where to write the
-    /// Perfetto trace — written whether the run succeeded or not: a failed
-    /// run's trace is the one somebody needs.
+    /// declared the run deadlocked. The configured `trace_out` is written
+    /// whether the run succeeded or not: a failed run's trace is the one
+    /// somebody needs.
     #[allow(clippy::expect_used)]
     pub fn finish<T: Transport, R>(
         &self,
@@ -266,10 +385,9 @@ impl CommEnv {
         mut panics: Vec<(usize, String)>,
         deadlock: Option<Vec<(u32, u32)>>,
         net: Option<NetStats>,
-        trace_out: Option<&Path>,
     ) -> Result<RunOutput<R>, RunError> {
         let trace = self.trace.as_ref().map(|t| std::mem::take(&mut *t.lock()));
-        if let Some(path) = trace_out {
+        if let Some(path) = &self.trace_out {
             let spans = trace.as_ref().map_or(&[][..], |t| t.spans());
             if let Err(e) = ovcomm_obs::write_trace(path, spans) {
                 eprintln!("warning: failed to write trace to {}: {e}", path.display());

@@ -21,10 +21,19 @@ pub struct ReqMeta {
     pub id: ReqId,
 }
 
+/// Where a request is in its life. It only moves forward: pending, then
+/// done, then taken by a wait or a successful test.
+enum State<T> {
+    /// Not complete yet.
+    Pending,
+    /// Complete at this time, its value not yet consumed.
+    Done(T, SimTime),
+    /// Complete at this time, its value consumed.
+    Taken(SimTime),
+}
+
 struct ReqInner<T> {
-    result: Option<T>,
-    completed_at: Option<SimTime>,
-    taken: bool,
+    state: State<T>,
     /// Agent ids to wake on completion.
     waiters: Vec<u32>,
     meta: Option<ReqMeta>,
@@ -37,8 +46,9 @@ impl<T> Drop for ReqInner<T> {
         // that were never completed, or completed but never taken, don't
         // silently vanish.
         if let Some(m) = &self.meta {
-            m.verifier
-                .req_dropped(m.id, self.completed_at.is_some(), self.taken);
+            let completed = !matches!(self.state, State::Pending);
+            let taken = matches!(self.state, State::Taken(_));
+            m.verifier.req_dropped(m.id, completed, taken);
         }
     }
 }
@@ -68,45 +78,31 @@ impl<T> Default for Request<T> {
 }
 
 impl<T> Request<T> {
-    /// A fresh, incomplete request.
-    pub fn new() -> Request<T> {
+    fn with(state: State<T>, meta: Option<ReqMeta>) -> Request<T> {
         Request {
             inner: Arc::new(Mutex::new(ReqInner {
-                result: None,
-                completed_at: None,
-                taken: false,
+                state,
                 waiters: Vec::new(),
-                meta: None,
+                meta,
             })),
         }
+    }
+
+    /// A fresh, incomplete request.
+    pub fn new() -> Request<T> {
+        Request::with(State::Pending, None)
     }
 
     /// A fresh, incomplete request tracked by the verifier.
     #[doc(hidden)]
     pub fn new_tracked(meta: ReqMeta) -> Request<T> {
-        Request {
-            inner: Arc::new(Mutex::new(ReqInner {
-                result: None,
-                completed_at: None,
-                taken: false,
-                waiters: Vec::new(),
-                meta: Some(meta),
-            })),
-        }
+        Request::with(State::Pending, Some(meta))
     }
 
     /// An already-completed request (for degenerate cases, e.g. self-sends
     /// of zero ranks or single-rank collectives).
     pub fn ready(value: T, at: SimTime) -> Request<T> {
-        Request {
-            inner: Arc::new(Mutex::new(ReqInner {
-                result: Some(value),
-                completed_at: Some(at),
-                taken: false,
-                waiters: Vec::new(),
-                meta: None,
-            })),
-        }
+        Request::with(State::Done(value, at), None)
     }
 
     /// The verifier log id, if this request is tracked.
@@ -121,39 +117,42 @@ impl<T> Request<T> {
     #[doc(hidden)]
     pub fn complete(&self, value: T, at: SimTime) -> Vec<u32> {
         let mut inner = self.inner.lock();
-        assert!(inner.completed_at.is_none(), "request completed twice");
-        inner.result = Some(value);
-        inner.completed_at = Some(at);
+        assert!(
+            matches!(inner.state, State::Pending),
+            "request completed twice"
+        );
+        inner.state = State::Done(value, at);
         std::mem::take(&mut inner.waiters)
     }
 
     /// Nonblocking completion check (the analogue of `MPI_Test`). Under the
     /// engine's quiescence rule, every completion event with a virtual time
     /// at or before the caller's clock has already been processed whenever a
-    /// rank actor is running, so a plain flag check is exact.
+    /// rank actor is running, so a plain state check is exact.
     pub fn is_complete(&self) -> bool {
-        self.inner.lock().completed_at.is_some()
+        self.completed_at().is_some()
     }
 
     /// If complete and not yet consumed, take `(value, completion_time)`.
     #[doc(hidden)]
     pub fn try_take(&self) -> Option<(T, SimTime)> {
         let mut inner = self.inner.lock();
-        if inner.taken {
+        if let State::Taken(_) = inner.state {
             panic!("request waited on twice");
         }
-        match (inner.result.take(), inner.completed_at) {
-            (Some(v), Some(t)) => {
-                inner.taken = true;
-                Some((v, t))
-            }
-            _ => None,
-        }
+        let State::Done(v, t) = std::mem::replace(&mut inner.state, State::Pending) else {
+            return None;
+        };
+        inner.state = State::Taken(t);
+        Some((v, t))
     }
 
     /// Completion time, if complete (does not consume the result).
     pub fn completed_at(&self) -> Option<SimTime> {
-        self.inner.lock().completed_at
+        match self.inner.lock().state {
+            State::Pending => None,
+            State::Done(_, t) | State::Taken(t) => Some(t),
+        }
     }
 
     /// Register agent `id` to be woken on completion. Returns `false`
@@ -161,7 +160,7 @@ impl<T> Request<T> {
     #[doc(hidden)]
     pub fn add_waiter(&self, id: u32) -> bool {
         let mut inner = self.inner.lock();
-        if inner.completed_at.is_some() {
+        if !matches!(inner.state, State::Pending) {
             return false;
         }
         if !inner.waiters.contains(&id) {

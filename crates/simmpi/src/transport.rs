@@ -19,6 +19,7 @@
 //! backend only *injects* the posted envelope into its matcher.
 
 use std::any::Any;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,6 +33,7 @@ use ovcomm_verify::{Event, ReqId, Site, Verifier, VerifyMode, INTERNAL_TAG_BIT};
 use crate::collsel::CollSelector;
 use crate::metrics::SimMetrics;
 use crate::payload::Payload;
+use crate::rank::RunConfig;
 use crate::request::{ReqMeta, Request};
 use crate::rma::Windows;
 use crate::state::CommRegistry;
@@ -66,11 +68,9 @@ pub struct CommEnv {
     /// backends, so sim-vs-rt reports join per-rank records directly).
     pub metrics: SimMetrics,
     /// Event recorder for communication-correctness verification (`None`
-    /// when `VerifyMode::Off`).
+    /// when `VerifyMode::Off`). `Some` also asks plan compilation for the
+    /// static plan check.
     pub verify: Option<Arc<Verifier>>,
-    /// Verification level, consulted by the static plan check at plan
-    /// compile time (the dynamic recorder above covers execution).
-    pub verify_mode: VerifyMode,
     /// Collective-algorithm selection policy for this run.
     pub coll_select: CollSelector,
     /// The machine profile (protocol switch, modeled software costs).
@@ -99,6 +99,8 @@ pub struct CommEnv {
     /// Spans and happens-before edges recorded so far; `Some` iff the run
     /// traces.
     pub(crate) trace: Option<Mutex<Trace>>,
+    /// Where `finish` writes the trace as Perfetto JSON.
+    pub(crate) trace_out: Option<PathBuf>,
 }
 
 /// Render a caught panic payload as the message `panic!` was given.
@@ -112,26 +114,18 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 impl CommEnv {
-    /// A fresh environment for a run of `nodemap.nranks()` ranks, recording
-    /// spans and edges iff `trace`.
-    pub fn new(
-        nodemap: NodeMap,
-        verify_mode: VerifyMode,
-        coll_select: CollSelector,
-        profile: MachineProfile,
-        trace: bool,
-    ) -> CommEnv {
-        let nranks = nodemap.nranks();
+    /// A fresh environment for a run configured by `cfg`.
+    pub fn new<B>(cfg: &RunConfig<B>) -> CommEnv {
+        let nranks = cfg.nodemap.nranks();
         CommEnv {
             metrics: SimMetrics::new(nranks),
-            verify: match verify_mode {
+            verify: match cfg.verify {
                 VerifyMode::Off => None,
                 VerifyMode::Strict => Some(Arc::new(Verifier::new())),
             },
-            verify_mode,
-            coll_select,
-            profile,
-            nodemap,
+            coll_select: cfg.coll_select.clone(),
+            profile: cfg.profile.clone(),
+            nodemap: cfg.nodemap.clone(),
             comms: Mutex::new(CommRegistry::new(WORLD_CTX + 1)),
             windows: Mutex::new(Windows::default()),
             inter_bytes: AtomicU64::new(0),
@@ -140,7 +134,8 @@ impl CommEnv {
             op_counts: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
             rank_end_times: Mutex::new(vec![SimTime::ZERO; nranks]),
             op_panics: Mutex::new(Vec::new()),
-            trace: trace.then(|| Mutex::new(Trace::new())),
+            trace: cfg.trace.then(|| Mutex::new(Trace::new())),
+            trace_out: cfg.trace_out.clone(),
         }
     }
 

@@ -4,106 +4,60 @@
 //! and edges go straight to `CommEnv` — and the actor-id layout is
 //! `ovcomm_simnet::trace`'s.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use ovcomm_simnet::{
     rank_of_actor, ClusterResources, ClusterSpec, Engine, Fabric, Fiber, ForcedUnwind,
-    MachineProfile, NodeMap, ResourceKind, SimTime,
+    ResourceKind, SimTime,
 };
-use ovcomm_verify::VerifyMode;
 
 use crate::agent::Agent;
-use crate::collsel::CollSelector;
-use crate::rank::{RunError, RunOutput};
+use crate::rank::{RunConfig, RunError, RunOutput};
 use crate::request::Request;
 use crate::state::MpiState;
 use crate::transport::{panic_message, CommEnv};
 use crate::RankCtx;
 
-/// Configuration for one simulated run.
-pub struct SimConfig {
-    /// The cluster (nodes + machine profile).
-    pub cluster: ClusterSpec,
-    /// Rank → node placement; `nodemap.nranks()` ranks are spawned.
-    pub nodemap: NodeMap,
-    /// Record `TraceSpan`s (needed for Fig-6-style timelines).
-    pub trace: bool,
-    /// Write the recorded trace as Perfetto/Chrome trace-event JSON to this
-    /// path after the run (implies `trace`). Load it in `ui.perfetto.dev`.
-    pub trace_out: Option<PathBuf>,
-    /// Communication-correctness verification level. Defaults to
-    /// [`VerifyMode::Strict`], so every run doubles as a correctness check;
-    /// use [`SimConfig::with_verify`] to relax it.
-    pub verify: VerifyMode,
-    /// Collective-algorithm selection policy. The default reproduces the
-    /// legacy hardcoded 32 KiB short/long thresholds exactly.
-    pub coll_select: CollSelector,
+/// Configuration for one simulated run: the shared [`RunConfig`] with the
+/// simulator's own settings.
+pub type SimConfig = RunConfig<SimOpts>;
+
+/// The simulator's own run settings.
+#[derive(Clone)]
+pub struct SimOpts {
+    /// The switching fabric between nodes. Defaults to
+    /// [`Fabric::FullBisection`].
+    pub fabric: Fabric,
     /// Stack size of each rank/op fiber. A stack costs address space and
     /// the pages a fiber touches, not this size, so the default is
     /// generous; raise it for a rank body that needs more.
     pub fiber_stack: usize,
 }
 
-impl SimConfig {
-    /// `nranks` ranks placed `ppn`-per-node ("natural" placement, the
-    /// paper's §V-D mapping) on a cluster with the given profile.
-    pub fn natural(nranks: usize, ppn: usize, profile: MachineProfile) -> SimConfig {
-        SimConfig::with_map(NodeMap::natural(nranks, ppn), profile)
-    }
-
-    /// Explicit node map.
-    pub fn with_map(nodemap: NodeMap, profile: MachineProfile) -> SimConfig {
-        let cluster = ClusterSpec::new(nodemap.nodes(), profile);
-        SimConfig {
-            cluster,
-            nodemap,
-            trace: false,
-            trace_out: None,
-            verify: VerifyMode::Strict,
-            coll_select: CollSelector::default(),
+impl Default for SimOpts {
+    fn default() -> SimOpts {
+        SimOpts {
+            fabric: Fabric::FullBisection,
             fiber_stack: ovcomm_simnet::DEFAULT_STACK_SIZE,
         }
     }
+}
 
+impl SimConfig {
     /// Replace the default full-bisection fabric with an explicit cluster
-    /// topology (a fat tree) whose links contend.
+    /// topology (a fat tree) whose links contend. The fabric must provide
+    /// a host slot for every node of the node map.
     pub fn with_fabric(mut self, fabric: Fabric) -> SimConfig {
-        self.cluster = self.cluster.with_fabric(fabric);
+        fabric.assert_fits(self.nodemap.nodes());
+        self.backend.fabric = fabric;
         self
     }
 
     /// Set the per-fiber stack size.
     pub fn with_fiber_stack(mut self, bytes: usize) -> SimConfig {
-        self.fiber_stack = bytes;
-        self
-    }
-
-    /// Set the verification level.
-    pub fn with_verify(mut self, mode: VerifyMode) -> SimConfig {
-        self.verify = mode;
-        self
-    }
-
-    /// Set the collective-algorithm selection policy.
-    pub fn with_coll_select(mut self, sel: CollSelector) -> SimConfig {
-        self.coll_select = sel;
-        self
-    }
-
-    /// Enable span tracing.
-    pub fn with_trace(mut self) -> SimConfig {
-        self.trace = true;
-        self
-    }
-
-    /// Enable tracing and write the trace as Perfetto/Chrome trace-event
-    /// JSON to `path` when the run completes.
-    pub fn with_trace_out(mut self, path: impl Into<PathBuf>) -> SimConfig {
-        self.trace = true;
-        self.trace_out = Some(path.into());
+        self.backend.fiber_stack = bytes;
         self
     }
 }
@@ -169,11 +123,13 @@ where
     let engine = Engine::new();
     // Register cluster resources: per-node NIC/memory in the canonical
     // (tx, rx, mem per node) order, then any fabric link resources.
-    let resources = engine.build_cluster(&cfg.cluster);
+    let cluster = ClusterSpec::new(cfg.nodemap.nodes(), cfg.profile.clone())
+        .with_fabric(cfg.backend.fabric.clone());
+    let resources = engine.build_cluster(&cluster);
     let cpu: Vec<ovcomm_simnet::ResourceId> = (0..nranks)
         .map(|r| {
             engine.add_resource_kind(
-                cfg.cluster.profile.gamma_reduce_bw * cfg.cluster.profile.reduce_parallel,
+                cfg.profile.gamma_reduce_bw * cfg.profile.reduce_parallel,
                 ResourceKind::Cpu(r as u32),
             )
         })
@@ -182,16 +138,10 @@ where
     let uni = Arc::new(UniShared {
         engine,
         state: Mutex::new(MpiState::default()),
-        env: CommEnv::new(
-            cfg.nodemap.clone(),
-            cfg.verify,
-            cfg.coll_select.clone(),
-            cfg.cluster.profile.clone(),
-            cfg.trace,
-        ),
+        env: CommEnv::new(&cfg),
         resources,
         cpu,
-        fiber_stack: cfg.fiber_stack,
+        fiber_stack: cfg.backend.fiber_stack,
     });
 
     let f = Arc::new(f);
@@ -247,7 +197,7 @@ where
     // Register all rank actors before the loop starts so the engine cannot
     // advance early.
     for r in 0..nranks {
-        let fiber = Fiber::new(cfg.fiber_stack, body_for(r));
+        let fiber = Fiber::new(cfg.backend.fiber_stack, body_for(r));
         uni.engine.register_fiber_at(r as u32, fiber, SimTime::ZERO);
     }
 
@@ -261,11 +211,6 @@ where
         let blocked = uni.engine.deadlocked_actors().into_iter();
         blocked.map(|id| (id, rank_of_actor(id))).collect()
     });
-    uni.env.finish::<Agent, T>(
-        results,
-        panics,
-        deadlock,
-        Some(uni.engine.net_stats()),
-        cfg.trace_out.as_deref(),
-    )
+    uni.env
+        .finish::<Agent, T>(results, panics, deadlock, Some(uni.engine.net_stats()))
 }

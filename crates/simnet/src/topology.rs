@@ -62,6 +62,16 @@ impl Fabric {
             } => Some(pods * leaves_per_pod * hosts_per_leaf),
         }
     }
+
+    /// Panic unless this fabric has a host slot for each of `nodes` nodes.
+    pub fn assert_fits(&self, nodes: usize) {
+        if let Some(slots) = self.host_slots() {
+            assert!(
+                nodes <= slots,
+                "fabric has {slots} host slots but the cluster has {nodes} nodes"
+            );
+        }
+    }
 }
 
 /// Static description of the simulated cluster.
@@ -91,13 +101,7 @@ impl ClusterSpec {
     /// host slots; nodes are assigned to slots in order (host `n` sits under
     /// leaf `n / hosts_per_leaf`).
     pub fn with_fabric(mut self, fabric: Fabric) -> ClusterSpec {
-        if let Some(slots) = fabric.host_slots() {
-            assert!(
-                self.nodes <= slots,
-                "fabric has {slots} host slots but the cluster has {} nodes",
-                self.nodes
-            );
-        }
+        fabric.assert_fits(self.nodes);
         self.fabric = fabric;
         self
     }

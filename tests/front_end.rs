@@ -741,3 +741,59 @@ fn rank_identity_agrees_across_backends() {
 const PLANTED_RACE: &str = "warning[order-dependent-match]: concurrent same-envelope sends \
     (comm 0, rank 0 -> rank 1, tag=4): matching depends on arrival order, \
     posted at tests/front_end.rs:355";
+
+// ---------------------------------------------------------------------
+// The run configuration both backends share
+// ---------------------------------------------------------------------
+
+/// One 64-element allreduce on the world communicator.
+fn one_allreduce<T: Transport>(rc: &RankCtx<T>) -> Vec<u64> {
+    let sum = rc
+        .world()
+        .allreduce(Payload::from_f64s(&vals(64, rc.rank())));
+    sum.to_f64s().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The shared builders set the same run on either backend: a forced
+/// collective algorithm sends the same messages on both, tracing records
+/// on both, and the simulator still checks a fabric against the node map.
+#[test]
+fn the_shared_builders_configure_both_backends_alike() {
+    use ovcomm::simmpi::{CollAlgo, CollSelector};
+    use ovcomm::simnet::Fabric;
+
+    let ring = || CollSelector::default().force(CollAlgo::AllreduceRing);
+    let sim = try_sim(
+        sim_cfg(4, 1).with_coll_select(ring()).with_trace(),
+        one_allreduce,
+    )
+    .expect("sim run");
+    let rt = try_rt(
+        rt_cfg(4, 1).with_coll_select(ring()).with_trace(),
+        one_allreduce,
+    )
+    .expect("rt run");
+    let default = try_sim(sim_cfg(4, 1), one_allreduce).expect("sim run");
+    assert_eq!(sim.results, rt.results);
+    assert_eq!(sim.messages, rt.messages, "forced ring: sim vs rt");
+    assert_ne!(sim.messages, default.messages, "ring vs default selector");
+    assert!(sim.trace.is_some() && rt.trace.is_some());
+
+    // 9 nodes do not fit the 8 host slots of a 2×2×2 fat tree.
+    let fat_tree = Fabric::FatTree {
+        pods: 2,
+        leaves_per_pod: 2,
+        hosts_per_leaf: 2,
+        spines_per_pod: 2,
+        cores_per_spine: 2,
+        link_bw: 10e9,
+    };
+    let overfull = std::panic::catch_unwind(|| {
+        SimConfig::natural(9, 1, MachineProfile::test_profile()).with_fabric(fat_tree)
+    });
+    let message = match overfull {
+        Err(e) => ovcomm::simmpi::transport::panic_message(&*e),
+        Ok(_) => panic!("an 8-slot fabric must reject 9 nodes"),
+    };
+    assert!(message.contains("host slots"), "{message}");
+}
