@@ -98,7 +98,7 @@ impl Counter {
     }
 }
 
-/// An instantaneous level with a high-water mark (e.g. progress-pool
+/// An instantaneous level with a high-water mark (e.g. posted-collective
 /// occupancy, in-flight operations).
 #[derive(Clone)]
 pub struct Gauge {

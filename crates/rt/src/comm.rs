@@ -21,14 +21,13 @@
 //! | `now` | time is the wall: ns since the run's epoch |
 //! | `charge` | a post, a copy, a round's slack, modeled compute: the real cost *is* the code — nothing to model |
 //! | `charge_reduce` | the executor's `reduce_sum_f64` *is* the work on this thread |
-//! | `sleep` | a real `thread::sleep`, capped at 1 ms so poll loops stay live |
+//! | `sleep` | advance the rank's posted collectives, then a real `thread::sleep`, capped at 1 ms so poll loops stay live |
 //! | `inject_send` / `inject_recv` | the posted envelope goes through the shared-memory mailbox, under its lock |
-//! | `wait` / `complete` | spin-then-park the agent's OS thread in watchdog-visible slices; wake by unparking it |
-//! | `spawn_op` | a progress-pool job with a worker of its own, counted live from post time |
+//! | `wait` / `complete` | advance the rank's posted collectives, then spin-then-park the rank's OS thread in watchdog-visible slices; wake by unparking it |
+//! | `spawn_op` / `progress` | the run joins the rank's posted list and advances once at post; the rank's own thread advances the list without blocking in every wait, test and sleep, and drives it to its end before exiting |
 //! | `rma_transfer` | the bytes are already in shared memory: record the edge, complete |
 //! | `path_latency` | a lock grant is a thread unpark — no α to charge |
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,15 +36,16 @@ use ovcomm_simmpi::payload::Payload;
 use ovcomm_simmpi::rank::RankCtx;
 use ovcomm_simmpi::rma::Win;
 use ovcomm_simmpi::transport::{CommEnv, Envelope, Transport};
-use ovcomm_simmpi::Request;
+use ovcomm_simmpi::{PlanRun, Request};
 use ovcomm_simnet::{EdgeKind, SimDur, SimTime};
 
 use crate::shared::{RtShared, Slot};
 
 /// An execution identity on the runtime: actor id, the world rank it acts
 /// for, and the shared runtime. The analogue of the simulator's `Agent`,
-/// minus the virtual clock (time is the wall). A waiting agent parks
-/// whatever OS thread runs it.
+/// minus the virtual clock (time is the wall). Every agent of a rank —
+/// its own and its collectives' operation agents — runs on the rank's OS
+/// thread, and only the rank's own agent waits.
 #[derive(Clone)]
 pub struct RtAgent {
     pub(crate) id: u32,
@@ -107,6 +107,7 @@ impl Transport for RtAgent {
     /// long modeled naps are capped so poll loops stay responsive in wall
     /// time.
     fn sleep(&self, d: SimDur) {
+        self.shared.progress(self.rank);
         let capped = Duration::from_nanos(d.as_nanos()).min(Duration::from_millis(1));
         if !capped.is_zero() {
             std::thread::sleep(capped);
@@ -130,40 +131,28 @@ impl Transport for RtAgent {
     }
 
     fn wait<V>(&self, req: &Request<V>) -> V {
-        self.shared.wait_req(self.id, self.rank, req)
+        let arm = |id| req.add_waiter(id);
+        let take = || req.try_take().map(|(v, _)| v);
+        self.shared
+            .wait_until(self.rank, Some((self.id, &arm)), take)
     }
 
     fn complete<V>(&self, req: &Request<V>, value: V, _at: SimTime) {
         self.shared.complete(req, value);
     }
 
-    /// Run `body` on a progress worker under its own operation agent.
-    fn spawn_op(&self, id: u32, body: impl FnOnce(&RtAgent) + Send + 'static) {
-        let sh = self.shared.clone();
-        let rank = self.rank;
-        // The job counts as a live thread from post time, so the watchdog
-        // never mistakes "everyone blocked waiting on a job that has not
-        // started" for a deadlock.
-        sh.live.fetch_add(1, Ordering::SeqCst);
-        sh.env.metrics.pool_occupancy.inc();
-        self.shared.progress.submit(Box::new(move || {
-            struct Finish(Arc<RtShared>);
-            impl Drop for Finish {
-                fn drop(&mut self) {
-                    self.0.env.metrics.pool_occupancy.dec();
-                    self.0.live.fetch_sub(1, Ordering::SeqCst);
-                    self.0.progress_epoch.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            let _guard = Finish(sh.clone());
-            let agent = RtAgent::new(id, rank, sh.clone());
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&agent)));
-            if let Err(e) = out {
-                // Deadlock-abort unwinds land here too; the epilogue
-                // tells them from root causes.
-                sh.env.record_op_panic(rank, &*e);
-            }
-        }));
+    /// Add `run` to the rank's posted list and advance the list once, so
+    /// the run's first sends go out at post time.
+    fn spawn_op(&self, id: u32, run: PlanRun<RtAgent>) {
+        self.shared.env.metrics.pool_occupancy.inc();
+        self.shared.posted[self.rank as usize]
+            .lock()
+            .push((id, run));
+        self.shared.progress(self.rank);
+    }
+
+    fn progress(&self) {
+        self.shared.progress(self.rank);
     }
 
     fn rma_transfer(

@@ -21,7 +21,8 @@
 //!   (`WinCore`) and registry. The backend plugs in behind the narrow
 //!   `ovcomm_simmpi::transport::Transport` seam (clock, the modeled
 //!   charge, sleep, injecting a posted envelope into the mailbox,
-//!   wait/complete, op-agent spawn, one-sided transfer and path latency —
+//!   wait/complete, posted-collective progress, one-sided transfer and
+//!   path latency —
 //!   the `comm` module's docs list each method and why the runtime needs
 //!   its own); the request mint, the eager/rendezvous decision and the
 //!   trace sink are the front end's, not this crate's;
@@ -34,10 +35,10 @@
 //!   (trace write, panic triage, deadlock report, verify report, output) —
 //!   this crate's `run` owns only the threads, the watchdog and the sampler;
 //! * the [`Request`](ovcomm_simmpi::Request) type and wait/test semantics;
-//! * collective compilation — `compile_plans` (selector, lint, and under
+//! * collective compilation — `compile_plans` (selector, and under
 //!   `Strict` the model check at any communicator size), through the one
 //!   process-wide plan cache that simulated runs use too, and the plan
-//!   interpreter;
+//!   interpreter, `PlanRun`;
 //! * eager/rendezvous point-to-point protocols and FIFO envelope matching
 //!   (one `Mailbox`, which this crate holds behind a mutex);
 //! * the verification event model (`ovcomm-verify`) — the runtime records
@@ -50,7 +51,10 @@
 //! since the run's epoch; deadlock detection is a watchdog (all live
 //! threads blocked with no completions for
 //! [`RtOpts::deadlock_timeout`]) instead of the simulator's exact
-//! quiescence test.
+//! quiescence test; and progress is caller-driven: a nonblocking
+//! collective advances only on its posting rank's thread, inside that
+//! rank's own calls, so `run` starts no thread but the ranks', the
+//! watchdog and the sampler.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -58,7 +62,6 @@
 
 mod comm;
 pub mod mailbox;
-mod progress;
 #[allow(unsafe_code)]
 pub mod queue;
 mod sampler;
@@ -131,7 +134,7 @@ where
         epoch: Instant::now(),
         env,
         mailbox: Mutex::new(crate::mailbox::Mailbox::new()),
-        progress: crate::progress::Pool::new(),
+        posted: (0..nranks).map(|_| Mutex::new(Vec::new())).collect(),
         prof,
         live: AtomicUsize::new(nranks),
         blocked: AtomicUsize::new(0),
@@ -141,9 +144,9 @@ where
         deadlock_blocked: Mutex::new(Vec::new()),
     });
 
-    // The watchdog: declare deadlock only when every live thread has been
-    // blocked, with the completion counter frozen, continuously for the
-    // configured timeout.
+    // The watchdog: declare deadlock only when every live rank thread has
+    // been blocked, with the completion counter frozen, continuously for
+    // the configured timeout.
     let done = Arc::new(AtomicBool::new(false));
     let watchdog = {
         let shared = shared.clone();
@@ -211,8 +214,10 @@ where
                     }
                 }
                 let _guard = Finish(shared2.clone());
-                let agent = RtAgent::new(r as u32, r as u32, shared2);
-                RtRankCtx::run(agent, world_ranks2, &*f2)
+                let agent = RtAgent::new(r as u32, r as u32, shared2.clone());
+                let out = RtRankCtx::run(agent, world_ranks2, &*f2);
+                shared2.finalize(r as u32);
+                out
             })
             .expect("failed to spawn rank thread");
         handles.push(h);
@@ -235,13 +240,6 @@ where
     if let Some(s) = telemetry {
         s.stop();
     }
-    shared.progress.shutdown();
-
-    shared
-        .env
-        .metrics
-        .pool_spawned
-        .set(shared.progress.spawned() as u64);
     let deadlock = shared
         .aborted
         .load(Ordering::SeqCst)

@@ -5,9 +5,9 @@
 //! a snapshot of the runtime's load indicators into the shared obs
 //! registry:
 //!
-//! * `rt.sampler.pool_queue_depth` — nonblocking-collective jobs posted
-//!   and not yet finished, each on a progress worker of its own (nothing
-//!   queues; the name is historical);
+//! * `rt.sampler.pool_queue_depth` — nonblocking collectives posted and
+//!   not yet finished (the `simmpi.pool_occupancy` gauge; there is no pool
+//!   and nothing queues, the name is historical);
 //! * `rt.sampler.mailbox_slots` — unmatched sends parked in the mailbox;
 //! * `rt.sampler.posted_recvs` — unmatched posted receives;
 //! * `rt.sampler.blocked_ranks` — threads parked inside a wait;

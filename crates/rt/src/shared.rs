@@ -1,12 +1,16 @@
-//! Shared runtime state: the wall clock, the envelope matcher, and the
-//! blocking-wait protocol.
+//! Shared runtime state: the wall clock, the envelope matcher, each rank's
+//! posted nonblocking collectives, and the blocking-wait protocol.
 //!
 //! Unlike the simulator — where a virtual-time engine owns the clock and
 //! message transport is modeled by network flows — here everything is
 //! real: the clock is `Instant::elapsed` since the run's epoch, payloads
-//! move by reference through the locked mailbox, and a blocked agent
+//! move by reference through the locked mailbox, and a blocked rank
 //! yield-polls, then parks its own OS thread until the completer unparks
 //! it by agent id.
+//!
+//! Progress is caller-driven: a posted nonblocking collective is a
+//! [`PlanRun`] that its rank's own thread advances (see [`RtShared::posted`]).
+//!
 //! The post itself — the request, its verify event, the eager/rendezvous
 //! decision — is the shared front end's (`transport::post_send` /
 //! `post_recv`), as are the trace and the traffic counters (`CommEnv`);
@@ -27,18 +31,20 @@
 //! the lock only for the table update; the matched pair is completed after
 //! it is released.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
+use crate::comm::RtAgent;
 use crate::mailbox::{Mailbox, RecvPost, RtKey, SendPost};
-use crate::progress::Pool;
 
 use ovcomm_obs::HistogramFamily;
 use ovcomm_simmpi::payload::Payload;
 use ovcomm_simmpi::request::Request;
 use ovcomm_simmpi::transport::CommEnv;
-use ovcomm_simmpi::SimMetrics;
+use ovcomm_simmpi::{PlanRun, SimMetrics};
 use ovcomm_simnet::{EdgeKind, SimDur, SimTime};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
@@ -96,8 +102,10 @@ pub(crate) struct Slot {
 /// time, for rendezvous-stall accounting.
 pub(crate) type RecvEntry = (Request<Payload>, SimTime);
 
-/// Everything shared between rank threads, progress workers, and the
-/// watchdog.
+/// A posted nonblocking collective: its operation agent's id and its run.
+pub(crate) type PostedRun = (u32, PlanRun<RtAgent>);
+
+/// Everything shared between rank threads, the watchdog and the sampler.
 pub(crate) struct RtShared {
     /// Wall-clock epoch; `now()` is nanoseconds since this instant.
     pub epoch: Instant,
@@ -108,12 +116,13 @@ pub(crate) struct RtShared {
     /// The envelope matcher (see [`crate::mailbox`]), locked for each
     /// post and each sampler tick.
     pub mailbox: Mutex<Mailbox<Slot, RecvEntry>>,
-    /// The progress engine: the worker pool nonblocking-collective jobs
-    /// run on.
-    pub progress: Pool,
+    /// Per rank: the nonblocking collectives it posted that have not
+    /// finished. Only the rank's own thread touches its list: it advances
+    /// them without blocking at post, in every wait, test and sleep, and
+    /// to their end before it exits (the `MPI_Finalize` rule).
+    pub posted: Vec<Mutex<Vec<PostedRun>>>,
     pub prof: RtProf,
-    /// Threads currently executing user or collective code: rank threads
-    /// plus outstanding nonblocking-collective jobs.
+    /// Rank threads that have not exited.
     pub live: AtomicUsize,
     /// Of those, how many are parked inside a wait right now.
     pub blocked: AtomicUsize,
@@ -150,16 +159,53 @@ impl RtShared {
         self.progress_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Block `agent` until `req` completes; returns the value. This is the
-    /// runtime's `MPI_Wait`: publish the thread, register as a waiter,
-    /// park in bounded slices, re-check, and panic out if the watchdog
-    /// declared the run deadlocked.
+    /// Advance every collective `rank` has posted, each as its operation
+    /// agent and without blocking, and drop those that are over: finished,
+    /// or unwound by a panic, which is recorded for the epilogue (the
+    /// request it would have completed never completes). Runs on the
+    /// rank's own thread.
+    pub fn progress(self: &Arc<Self>, rank: u32) {
+        self.posted[rank as usize].lock().retain_mut(|(id, run)| {
+            let agent = RtAgent::new(*id, rank, self.clone());
+            let advanced = catch_unwind(AssertUnwindSafe(|| run.advance(&agent, false)));
+            let over = advanced.unwrap_or_else(|e| {
+                self.env.record_op_panic(rank, &*e);
+                true
+            });
+            if over {
+                self.env.metrics.pool_occupancy.dec();
+            }
+            !over
+        });
+    }
+
+    /// The `MPI_Finalize` rule: before `rank`'s thread exits, drive every
+    /// collective it posted to its end.
+    pub fn finalize(self: &Arc<Self>, rank: u32) {
+        let idle = || self.posted[rank as usize].lock().is_empty();
+        if !idle() {
+            self.wait_until(rank, None, || idle().then_some(()));
+        }
+    }
+
+    /// Block `rank`'s thread until `poll` yields a value — the runtime's
+    /// `MPI_Wait` — advancing its posted collectives before each check.
+    /// `waiter` is the waiting agent's id and how to register it on what it
+    /// waits for (false: already there); `None` to wait for the runs alone.
+    /// Spin first; then publish the thread under that id and every posted
+    /// run's agent id, register each on what it waits for, park in bounded
+    /// slices, and panic out if the watchdog declared a deadlock.
     ///
-    /// The thread is in `blocked_agents` before `add_waiter` can hand the
-    /// id to a completer, so a completer always finds it and no wake is
-    /// lost; an unpark that lands after the waiter moved on leaves a token
-    /// that costs one extra loop at its next park.
-    pub fn wait_req<T>(&self, agent: u32, rank: u32, req: &Request<T>) -> T {
+    /// Publishing before registering means a completer always finds the
+    /// thread, so no wake is lost; a late unpark costs one extra loop. The
+    /// watchdog's snapshot then lists a stopped run's agent as the
+    /// simulator lists a blocked op fiber.
+    pub fn wait_until<V>(
+        self: &Arc<Self>,
+        rank: u32,
+        waiter: Option<(u32, &dyn Fn(u32) -> bool)>,
+        mut poll: impl FnMut() -> Option<V>,
+    ) -> V {
         // Spin-vs-park accounting: total wait time minus time spent parked
         // is "spin" (busy checking and bookkeeping). The blame layer uses
         // the two per-rank sums to split rt wait time into named causes.
@@ -167,8 +213,15 @@ impl RtShared {
         let spin_until = t0 + SPIN_BUDGET;
         let mut park_ns: u64 = 0;
         let out = loop {
-            if let Some((v, _at)) = req.try_take() {
+            self.progress(rank);
+            if let Some(v) = poll() {
                 break v;
+            }
+            if self.aborted.load(Ordering::SeqCst) {
+                panic!(
+                    "rt deadlock: every thread is blocked and no request completed \
+                     (mismatched send/recv or collective call order?)"
+                );
             }
             // Burn a short busy-poll budget before the first park: fast
             // completions then skip the park/unpark round trip entirely.
@@ -179,22 +232,26 @@ impl RtShared {
                 std::thread::yield_now();
                 continue;
             }
-            self.blocked_agents
-                .lock()
-                .insert(agent, (rank, thread::current()));
-            if req.add_waiter(agent) {
+            let posted = self.posted[rank as usize].lock();
+            let agents: Vec<u32> = (waiter.iter().map(|&(id, _)| id))
+                .chain(posted.iter().map(|&(id, _)| id))
+                .collect();
+            let me = thread::current();
+            let entries = agents.iter().map(|&id| (id, (rank, me.clone())));
+            self.blocked_agents.lock().extend(entries);
+            let armed = waiter.is_none_or(|(id, arm)| arm(id))
+                && posted.iter().all(|(id, run)| run.add_waiter(*id));
+            drop(posted);
+            if armed {
                 self.blocked.fetch_add(1, Ordering::SeqCst);
                 let parked_at = self.now();
                 thread::park_timeout(PARK_SLICE);
                 park_ns += self.now().saturating_since(parked_at).as_nanos();
                 self.blocked.fetch_sub(1, Ordering::SeqCst);
             }
-            self.blocked_agents.lock().remove(&agent);
-            if self.aborted.load(Ordering::SeqCst) && !req.is_complete() {
-                panic!(
-                    "rt deadlock: every thread is blocked and no request completed \
-                     (mismatched send/recv or collective call order?)"
-                );
+            let mut blocked = self.blocked_agents.lock();
+            for id in &agents {
+                blocked.remove(id);
             }
         };
         let total_ns = self.now().saturating_since(t0).as_nanos();

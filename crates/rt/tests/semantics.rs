@@ -228,6 +228,37 @@ fn blocking_collectives_deliver_exact_data() {
     }
 }
 
+/// Collectives on different communicators may be posted in any order per
+/// rank: rank 0 posts on dups 0..4, rank 1 on dups 3..=0, and each waits
+/// in the reverse of its own post order. Whatever advances them must not
+/// finish one before the next is posted.
+#[test]
+fn dup_collectives_posted_in_opposite_orders_complete() {
+    let out = run(cfg(2, 1), |rc: RtRankCtx| {
+        let comms = rc.world().dup_n(4);
+        let mut order: Vec<usize> = (0..comms.len()).collect();
+        if rc.rank() == 1 {
+            order.reverse();
+        }
+        let reqs: Vec<_> = order
+            .iter()
+            .map(|&c| {
+                let contrib = Payload::from_f64s(&[(rc.rank() * 10 + c) as f64]);
+                (c, comms[c].iallreduce(contrib))
+            })
+            .collect();
+        let mut sums = vec![0.0; comms.len()];
+        for (c, req) in reqs.iter().rev() {
+            sums[*c] = comms[*c].wait(req).to_f64s()[0];
+        }
+        sums
+    })
+    .unwrap();
+    for sums in &out.results {
+        assert_eq!(sums, &[10.0, 12.0, 14.0, 16.0]);
+    }
+}
+
 #[test]
 fn nonblocking_collectives_complete_via_wait_and_test() {
     let p = 4;

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use ovcomm_simnet::{Action, EventKey, Fiber, ForcedUnwind, SimDur, SimTime};
 
 use crate::payload::Payload;
+use crate::planexec::PlanRun;
 use crate::request::Request;
 use crate::transport::{CommEnv, Envelope, Transport};
 use crate::universe::UniShared;
@@ -199,9 +200,9 @@ impl Transport for Agent {
         self.uni.complete(req, value, at);
     }
 
-    /// Run `body` on a fresh progress actor whose clock starts at this
-    /// rank's current time.
-    fn spawn_op(&self, id: u32, body: impl FnOnce(&Agent) + Send + 'static) {
+    /// Run `run` to its end on a fresh progress actor whose clock starts at
+    /// this rank's current time.
+    fn spawn_op(&self, id: u32, mut run: PlanRun<Agent>) {
         let uni = self.uni.clone();
         let rank = self.rank;
         let start = self.now();
@@ -231,7 +232,7 @@ impl Transport for Agent {
             let _occupied = Occupied(uni2.clone());
             let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 uni2.engine.await_release();
-                body(&Agent::new(id, rank, start, uni2.clone()));
+                run.advance(&Agent::new(id, rank, start, uni2.clone()), true);
             }));
             if let Err(e) = out {
                 // Fiber cancellation keeps unwinding; deadlock unwinds
@@ -248,6 +249,9 @@ impl Transport for Agent {
         let fiber = Fiber::new(uni.fiber_stack, job);
         uni.engine.register_fiber_at(id, fiber, start);
     }
+
+    /// Each posted collective advances on its own fiber.
+    fn progress(&self) {}
 
     fn rma_transfer(
         &self,

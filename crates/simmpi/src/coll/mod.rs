@@ -4,14 +4,15 @@
 //! instance is compiled (and cached) as a per-rank [`CollPlan`]
 //! (`ovcomm_verify::plan`) by a pure algorithm builder chosen by the
 //! run's [`CollSelector`](crate::collsel::CollSelector), statically
-//! linted, then interpreted by the backend-neutral
-//! [plan executor](crate::planexec). Blocking
-//! collectives run the executor inline on the rank thread; nonblocking
-//! collectives run it on a progress actor whose clock starts at the post
+//! checked, then interpreted by the backend-neutral
+//! [plan executor](crate::planexec). Blocking collectives run it inline on
+//! the rank thread; a nonblocking one's resumable run goes to the backend.
+//! The simulator runs it on a progress actor whose clock starts at the post
 //! time — this is how the simulation gives MPI-3 nonblocking collectives
 //! genuine asynchronous progress, and it is what makes the paper's
 //! "nonblocking overlap" technique (N_DUP pipelined collectives on
-//! duplicated communicators) actually overlap.
+//! duplicated communicators) actually overlap. The wall-clock runtime
+//! advances it on the posting rank's own thread, in its MPI calls.
 //!
 //! Every communication round charges `coll_round_slack` of software
 //! overhead and local reductions charge `n / gamma_reduce_bw`; those are
@@ -48,15 +49,14 @@ impl<T: Transport> CollCtx<'_, T> {
         ovcomm_verify::plan::wire_tag(self.seq, step)
     }
 
-    /// Communicator size (must equal the plan's `p`).
-    pub fn p(&self) -> usize {
-        self.info.ranks.len()
-    }
-
-    /// This rank's index within the communicator (must equal the plan's
-    /// `me`).
-    pub fn me(&self) -> usize {
-        self.info.me
+    /// Take a posted step's value: wait for it when `block`, else only if
+    /// it has completed (`stopped`: the run already stopped at it).
+    pub fn take<V>(&self, r: &Request<V>, block: bool, stopped: bool) -> Option<V> {
+        if block {
+            Some(transport::wait(self.agent, r))
+        } else {
+            transport::try_wait(self.agent, r, stopped)
+        }
     }
 
     /// Nonblocking internal send of `payload` to communicator index `dst`
@@ -82,11 +82,6 @@ impl<T: Transport> CollCtx<'_, T> {
             self.info.ranks[src],
             self.tag(tag),
         )
-    }
-
-    /// Block until a posted step completes; returns its value.
-    pub fn wait<V>(&self, r: &Request<V>) -> V {
-        transport::wait(self.agent, r)
     }
 
     /// Charge one communication round of software slack.

@@ -22,13 +22,12 @@ use parking_lot::Mutex;
 
 use ovcomm_simnet::{op_actor_id, EdgeKind, SimTime, SpanKind};
 use ovcomm_verify::plan::{self, CollAlgo, CollPlan};
-use ovcomm_verify::{CollKind, Event as VEvent, Site, VerifyMode};
+use ovcomm_verify::{CollKind, Event as VEvent, Site};
 
-use crate::coll::CollCtx;
 use crate::collsel::CollSelector;
 use crate::metrics::OpKind;
 use crate::payload::Payload;
-use crate::planexec::execute_plan;
+use crate::planexec::{execute_plan, PlanRun};
 use crate::request::Request;
 use crate::rma::Win;
 use crate::state::SplitResult;
@@ -128,26 +127,25 @@ fn check_plans(plans: &[CollPlan], (_, algo, p, n, root): Shape) {
 }
 
 /// Compile (or fetch from `cache`) the per-rank plans for one collective
-/// shape, selecting the algorithm via `sel` and model-checking the shape
-/// at every eager/rendezvous cutpoint unless `mode` is `Off`; a finding
+/// shape, selecting the algorithm via `sel` and, when `check` is set,
+/// model-checking the shape at every eager/rendezvous cutpoint; a finding
 /// panics. The check runs at any `p`: it is one deterministic pass per
 /// cutpoint and never branches. A shape is built once and checked once
-/// while it stays cached; one built under `Off` is checked the first time
-/// a checking run asks for it. Backend-neutral: both the simulator and
+/// while it stays cached; one built unchecked is checked the first time a
+/// checking run asks for it. Backend-neutral: both the simulator and
 /// the `ovcomm-rt` wall-clock backend compile collectives through this
 /// exact path (and through one process-wide cache), so the `CollSelector`
 /// and the static-analysis wall behave identically on either.
 pub fn compile_plans(
     cache: &Mutex<PlanCache>,
     sel: &CollSelector,
-    mode: VerifyMode,
+    check: bool,
     p: usize,
     kind: CollKind,
     n: usize,
     root: usize,
 ) -> Arc<Vec<CollPlan>> {
     let shape = (kind, sel.select(kind, n, p), p, n, root);
-    let check = mode != VerifyMode::Off;
     let mut guard = cache.lock();
     let cache = &mut *guard;
     if let Some(cached) = cache.shapes.get_mut(&shape) {
@@ -320,25 +318,13 @@ impl<T: Transport> Comm<T> {
         self.coll_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn cctx(&self, seq: u64) -> CollCtx<'_, T> {
-        CollCtx {
-            agent: &self.agent,
-            info: &self.info,
-            seq,
-        }
-    }
-
     /// This communicator's compiled plans for one collective shape.
     fn plans(&self, kind: CollKind, n: usize, root: usize) -> Arc<Vec<CollPlan>> {
         let env = self.env();
-        let mode = match env.verify {
-            Some(_) => VerifyMode::Strict,
-            None => VerifyMode::Off,
-        };
         compile_plans(
             &PLAN_CACHE,
             &env.coll_select,
-            mode,
+            env.verify.is_some(),
             self.size(),
             kind,
             n,
@@ -588,11 +574,14 @@ impl<T: Transport> Comm<T> {
         v
     }
 
-    /// Nonblocking completion probe (`MPI_Test`). True only once the
-    /// completion time is at or before this rank's clock: a virtual-time
-    /// agent cannot observe the future, and on the wall clock every
-    /// completion stamp is already in the past.
+    /// Nonblocking completion probe (`MPI_Test`). It first advances the
+    /// rank's posted collectives (on the runtime, where they progress only
+    /// inside the rank's calls). True only once the completion time is at
+    /// or before this rank's clock: a virtual-time agent cannot observe the
+    /// future, and on the wall clock every completion stamp is already in
+    /// the past.
     pub fn test<V>(&self, req: &Request<V>) -> bool {
+        self.agent.progress();
         self.env().metrics.test_probe(self.agent.rank());
         let done = req.completed_at().is_some_and(|t| t <= self.agent.now());
         if done {
@@ -665,7 +654,7 @@ impl<T: Transport> Comm<T> {
         let t0 = self.agent.now();
         self.env().metrics.op(self.agent.rank(), op, n);
         let plans = self.plans(kind, n, root);
-        let out = execute_plan(&self.cctx(seq), &plans[self.info.me], input);
+        let out = execute_plan(&self.agent, plans, self.info.clone(), seq, input);
         (out, t0)
     }
 
@@ -784,7 +773,8 @@ impl<T: Transport> Comm<T> {
     }
 
     // ---------------------------------------------------------------
-    // Nonblocking collectives (run on a progress actor)
+    // Nonblocking collectives (one resumable plan run each, advanced by
+    // the backend)
     // ---------------------------------------------------------------
 
     /// Nonblocking broadcast (`MPI_Ibcast`). Posting costs `post_base` only:
@@ -874,10 +864,10 @@ impl<T: Transport> Comm<T> {
 
     /// Post one nonblocking collective instance: charge the modeled post
     /// cost (`post_base`, plus the buffer copy when `copies`), compile (or
-    /// fetch) its plan, hand it to a fresh progress actor whose clock
-    /// starts at this rank's current time, and record the op counters and
-    /// the post-duration histogram. The returned request completes with
-    /// `finish(plan output)` at the actor's final time; also returns the
+    /// fetch) its plan, hand its resumable run to the backend as a fresh
+    /// operation agent (`spawn_op`), and record the op counters and the
+    /// post-duration histogram. The returned request completes with
+    /// `finish(plan output)` at the time the run ends; also returns the
     /// post's start time.
     // One parameter per fact of the call; bundling them into a struct
     // built at four call sites would only move the list.
@@ -918,18 +908,14 @@ impl<T: Transport> Comm<T> {
             site: Some(site),
         });
         let req2 = req.clone();
-        let info = self.info.clone();
-        self.agent.spawn_op(id, move |agent: &T| {
-            let cctx = CollCtx {
-                agent,
-                info: &info,
-                seq,
-            };
-            let v = finish(execute_plan(&cctx, &plans[info.me], input));
-            let done = agent.now();
-            agent.env().edge(EdgeKind::PostWait, id, done, rank, done);
-            agent.complete(&req2, v, done);
-        });
+        let done = move |agent: &T, out| {
+            let v = finish(out);
+            let at = agent.now();
+            agent.env().edge(EdgeKind::PostWait, id, at, rank, at);
+            agent.complete(&req2, v, at);
+        };
+        let run = PlanRun::new(plans, self.info.clone(), seq, input, Some(Box::new(done)));
+        self.agent.spawn_op(id, run);
 
         env.metrics.op(rank, op, n);
         env.metrics

@@ -91,6 +91,8 @@ pub use ovcomm_verify::plan;
 pub use ovcomm_verify::plan::CollAlgo;
 pub use ovcomm_verify::{CollKind, DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
 pub use payload::Payload;
+#[doc(hidden)]
+pub use planexec::PlanRun;
 pub use rank::{RunConfig, RunError, RunOutput};
 pub use request::Request;
 pub use rma::SimWin;

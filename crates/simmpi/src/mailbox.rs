@@ -5,8 +5,8 @@
 //! tag)` [`Envelope`], no wildcards, non-overtaking — is a data structure
 //! here, so it can be model-checked in isolation. Only who drives it
 //! differs per backend: the simulator posts into it from engine callbacks
-//! under its state lock (`p2p`), and `ovcomm-rt` posts into it from rank
-//! and progress threads under a mutex of its own, whose loom harness
+//! under its state lock (`p2p`), and `ovcomm-rt` posts into it from its
+//! rank threads under a mutex of its own, whose loom harness
 //! drives it from concurrent model threads under randomized schedules.
 //!
 //! The mailbox is generic over what a parked send (`S`) and a parked

@@ -6,7 +6,7 @@
 //! and no key is formatted until a snapshot renders them.
 //! Virtual-time durations go into histograms in nanoseconds; byte counts
 //! and call counts into counters. OS-scheduling-dependent quantities (the
-//! rt backend's progress-job occupancy, workers spawned) are *gauges* so that
+//! rt backend's posted-collective occupancy) are *gauges* so that
 //! deterministic and nondeterministic metrics never share a metric class:
 //! counters and histograms are bit-reproducible across runs, gauges are
 //! diagnostics.
@@ -103,10 +103,9 @@ pub struct SimMetrics {
     post_ns: HistogramFamily,
     wait_ns: HistogramFamily,
     blocking_ns: HistogramFamily,
-    /// Op actors in flight: fibers on sim, progress-pool jobs on rt.
+    /// Nonblocking collectives posted and not yet finished: op fibers on
+    /// sim, runs in their rank's posted list on rt.
     pub pool_occupancy: Gauge,
-    /// rt only: progress workers ever spawned (stays 0 on sim).
-    pub pool_spawned: Gauge,
 }
 
 impl SimMetrics {
@@ -128,7 +127,6 @@ impl SimMetrics {
             wait_ns: registry.histogram_family("simmpi.wait_ns", &by_rank),
             blocking_ns: registry.histogram_family("simmpi.blocking_ns", &by_rank),
             pool_occupancy: registry.gauge("simmpi.pool_occupancy", &[]),
-            pool_spawned: registry.gauge("simmpi.pool_spawned", &[]),
             registry,
         }
     }

@@ -1,24 +1,28 @@
 //! The backend-neutral collective plan executor.
 //!
-//! Interprets a [`CollPlan`] on behalf of one rank: posts the plan's
-//! sends and receives through the backend's p2p layer, charges per-round
-//! slack and reduction compute, materializes buffers (zero-copy slices of
-//! the rank's input or received payloads), and drains completions in the
-//! order the builder recorded — reproducing the blocking-wait behavior of
-//! the hand-written algorithms this replaced. Local payload manipulation
-//! (slice / concat / reduce arithmetic) costs no modeled time; only
-//! `Slack`, `Reduce` charging, and message transport do.
+//! A [`PlanRun`] interprets one rank's [`CollPlan`] as a resumable state
+//! machine: it posts the plan's sends and receives through the backend's
+//! p2p layer, charges per-round slack and reduction compute, materializes
+//! buffers (zero-copy slices of the rank's input or received payloads),
+//! and takes completions in the order the builder recorded — the
+//! blocking-wait order of the hand-written algorithms this replaced. Only
+//! `Slack`, `Reduce` charging and message transport cost modeled time.
 //!
-//! The executor's whole I/O surface is [`CollCtx`], generic over the
-//! backend's [`Transport`]: the virtual-time simulator runs it on
-//! progress-actor clocks over the flow network, the `ovcomm-rt` wall-clock
-//! backend on real shared-memory mailboxes. Both run this exact code, so
-//! all 13 plan builders, the static linter, and the `CollSelector` behave
-//! identically on either backend.
+//! [`PlanRun::advance`] meets each dependency (a step's recorded ones, then
+//! the receive producing a buffer the step reads) one of two ways:
+//! *blocking*, it waits (blocking collectives, and the simulator's op
+//! fibers, which so make the same waits in the same order); or it stops at
+//! the first one still incomplete (the wall-clock runtime, inside the
+//! rank's own calls), which the verifier sees as it sees a wait. Its whole
+//! I/O surface is [`CollCtx`], generic over the backend's [`Transport`].
 
+use std::sync::Arc;
+
+use ovcomm_simnet::SimTime;
 use ovcomm_verify::plan::{BufId, CollPlan, StepOp};
 
 use crate::coll::CollCtx;
+use crate::comm::CommInfo;
 use crate::payload::Payload;
 use crate::request::Request;
 use crate::transport::Transport;
@@ -29,55 +33,84 @@ enum Pending {
     Recv(Request<Payload>, BufId),
 }
 
-/// Wait for step `idx` if it is still outstanding, storing a receive's
-/// payload into its destination buffer.
-fn drain<T: Transport>(
-    ctx: &CollCtx<'_, T>,
-    pending: &mut [Option<Pending>],
-    vals: &mut [Option<Payload>],
-    idx: usize,
-) {
-    match pending[idx].take() {
-        Some(Pending::Send(r)) => ctx.wait(&r),
-        Some(Pending::Recv(r, into)) => {
-            let v = ctx.wait(&r);
-            vals[into.0 as usize] = Some(v);
+impl Pending {
+    fn add_waiter(&self, id: u32) -> bool {
+        match self {
+            Pending::Send(r) => r.add_waiter(id),
+            Pending::Recv(r, _) => r.add_waiter(id),
         }
-        None => {}
     }
 }
 
-/// Materialize buffer `b`: an already-produced value, a still-pending
-/// receive (drained here — only reachable when the builder fenced it for
-/// an earlier reader, so no extra wait is introduced), a slice of the
-/// rank's input contribution, or the zero-length literal.
-fn ensure<T: Transport>(
-    ctx: &CollCtx<'_, T>,
-    plan: &CollPlan,
-    vals: &mut [Option<Payload>],
-    pending: &mut [Option<Pending>],
-    producer: &[Option<usize>],
-    input: Option<&Payload>,
-    b: BufId,
-) -> Payload {
-    if let Some(v) = &vals[b.0 as usize] {
-        return v.clone();
+/// What to do with a finished run's output: the nonblocking collective's
+/// completion, run by the agent that finished it.
+type Finish<T> = Box<dyn FnOnce(&T, Option<Payload>) + Send>;
+
+/// Where a run is: its buffers, its outstanding steps and its position.
+struct RunState {
+    vals: Vec<Option<Payload>>,
+    pending: Vec<Option<Pending>>,
+    /// Which step receives into each buffer, for the fallback drain.
+    producer: Vec<Option<usize>>,
+    /// The step to run next. Past the last step, `steps.len() + i` is the
+    /// trailing fence's drain of step `i`.
+    step: usize,
+    /// When the current step started: its `CollStep` span's start.
+    t0: Option<SimTime>,
+    /// The step whose request the run last stopped at.
+    stopped: Option<usize>,
+}
+
+impl RunState {
+    /// Take step `idx`'s request if it is still outstanding — waiting for
+    /// it when `block`, else only if it has completed — and store a
+    /// receive's payload into its destination buffer. `None` if the run
+    /// stopped at it.
+    fn drain<T: Transport>(&mut self, ctx: &CollCtx<'_, T>, idx: usize, block: bool) -> Option<()> {
+        let stopped = self.stopped == Some(idx);
+        let taken = match &self.pending[idx] {
+            None => true,
+            Some(Pending::Send(r)) => ctx.take(r, block, stopped).is_some(),
+            Some(Pending::Recv(r, into)) => {
+                let v = ctx.take(r, block, stopped);
+                v.map(|v| self.vals[into.0 as usize] = Some(v)).is_some()
+            }
+        };
+        if !taken {
+            self.stopped = Some(idx);
+            return None;
+        }
+        self.pending[idx] = None;
+        Some(())
     }
-    if let Some(idx) = producer[b.0 as usize] {
-        drain(ctx, pending, vals, idx);
-        if let Some(v) = &vals[b.0 as usize] {
+
+    /// Make buffer `b` readable: drain the receive that produces it if it
+    /// is still outstanding (only reachable when the builder fenced it for
+    /// an earlier reader, so no extra wait is introduced). `None` if the
+    /// run stopped.
+    fn ready<T: Transport>(&mut self, ctx: &CollCtx<'_, T>, b: BufId, block: bool) -> Option<()> {
+        match self.producer[b.0 as usize] {
+            Some(idx) if self.vals[b.0 as usize].is_none() => self.drain(ctx, idx, block),
+            _ => Some(()),
+        }
+    }
+
+    /// Buffer `b` once [`RunState::ready`]: an already-produced value, a
+    /// slice of the rank's input contribution, or the zero-length literal.
+    fn read(&self, plan: &CollPlan, input: Option<&Payload>, b: BufId) -> Payload {
+        if let Some(v) = &self.vals[b.0 as usize] {
             return v.clone();
         }
-    }
-    let buf = &plan.bufs[b.0 as usize];
-    if let Some(off) = buf.input_off {
-        match input {
-            Some(p) => return p.slice(off, off + buf.len),
-            None => panic!("plan reads input buffer b{} but rank has no input", b.0),
+        let buf = &plan.bufs[b.0 as usize];
+        if let Some(off) = buf.input_off {
+            match input {
+                Some(p) => return p.slice(off, off + buf.len),
+                None => panic!("plan reads input buffer b{} but rank has no input", b.0),
+            }
         }
+        assert_eq!(buf.len, 0, "buffer b{} read before being produced", b.0);
+        Payload::from_vec(Vec::new())
     }
-    assert_eq!(buf.len, 0, "buffer b{} read before being produced", b.0);
-    Payload::from_vec(Vec::new())
 }
 
 /// One-line label for the `CollStep` trace span of step `i`.
@@ -100,123 +133,174 @@ fn step_label(plan: &CollPlan, i: usize) -> String {
     }
 }
 
-/// Execute `plan` for this rank on backend `ctx`. `input` is the rank's
-/// local contribution (present iff `plan.input` is) and the return value is
-/// the rank's result (present iff `plan.output` is).
+/// One rank's execution of one collective instance, resumable between
+/// dependencies. See the [module docs](self).
+#[doc(hidden)]
+pub struct PlanRun<T> {
+    plans: Arc<Vec<CollPlan>>,
+    info: CommInfo,
+    seq: u64,
+    /// The rank's local contribution (present iff `plan.input` is).
+    input: Option<Payload>,
+    state: RunState,
+    finish: Option<Finish<T>>,
+}
+
+impl<T: Transport> PlanRun<T> {
+    /// A run of `plans[info.me]`, instance `seq` on communicator `info`,
+    /// not yet started. `finish` gets the output once the run ends.
+    pub(crate) fn new(
+        plans: Arc<Vec<CollPlan>>,
+        info: CommInfo,
+        seq: u64,
+        input: Option<Payload>,
+        finish: Option<Finish<T>>,
+    ) -> PlanRun<T> {
+        let plan = &plans[info.me];
+        debug_assert_eq!(plan.p, info.ranks.len());
+        debug_assert_eq!(plan.me, info.me);
+        if let (Some((_, len)), Some(p)) = (plan.input, input.as_ref()) {
+            assert_eq!(
+                p.len(),
+                len,
+                "input payload length does not match the plan's input range"
+            );
+        }
+        let mut producer: Vec<Option<usize>> = vec![None; plan.bufs.len()];
+        for (i, s) in plan.steps.iter().enumerate() {
+            if let StepOp::Recv { into, .. } = &s.op {
+                producer[into.0 as usize] = Some(i);
+            }
+        }
+        let state = RunState {
+            vals: vec![None; plan.bufs.len()],
+            pending: (0..plan.steps.len()).map(|_| None).collect(),
+            producer,
+            step: 0,
+            t0: None,
+            stopped: None,
+        };
+        PlanRun {
+            plans,
+            info,
+            seq,
+            input,
+            state,
+            finish,
+        }
+    }
+
+    /// Run as far as the plan goes on `agent`: to the end when `block`,
+    /// else up to the first dependency still incomplete. True once the run
+    /// has ended and its finish has run.
+    pub fn advance(&mut self, agent: &T, block: bool) -> bool {
+        let Some(out) = self.resume(agent, block) else {
+            return false;
+        };
+        if let Some(finish) = self.finish.take() {
+            finish(agent, out);
+        }
+        true
+    }
+
+    /// Register agent `id` to be woken when the request this run stopped
+    /// at completes. False if there is none left to wait for: advance the
+    /// run again instead of parking.
+    pub fn add_waiter(&self, id: u32) -> bool {
+        let st = &self.state;
+        let stopped = st.stopped.and_then(|i| st.pending[i].as_ref());
+        stopped.is_some_and(|p| p.add_waiter(id))
+    }
+
+    /// The state machine behind [`PlanRun::advance`]: `Some(output)` once
+    /// the run has ended, `None` if it stopped at an incomplete dependency.
+    fn resume(&mut self, agent: &T, block: bool) -> Option<Option<Payload>> {
+        let ctx = CollCtx {
+            agent,
+            info: &self.info,
+            seq: self.seq,
+        };
+        let plan = &self.plans[self.info.me];
+        let input = self.input.as_ref();
+        let st = &mut self.state;
+        let n = plan.steps.len();
+        while st.step < n {
+            let i = st.step;
+            let step = &plan.steps[i];
+            let t0 = *st.t0.get_or_insert_with(|| ctx.now());
+            // Complete dependencies in the order the builder recorded them
+            // — the blocking-wait order of the original algorithm — then
+            // the receives that produce the buffers the step reads.
+            for d in &step.deps {
+                st.drain(&ctx, d.0 as usize, block)?;
+            }
+            match &step.op {
+                StepOp::Slack => ctx.slack(),
+                StepOp::Send { peer, buf, tag } => {
+                    st.ready(&ctx, *buf, block)?;
+                    let payload = st.read(plan, input, *buf);
+                    st.pending[i] = Some(Pending::Send(ctx.isend(*peer, *tag, payload)));
+                }
+                StepOp::Recv { peer, into, tag } => {
+                    st.pending[i] = Some(Pending::Recv(ctx.irecv(*peer, *tag), *into));
+                }
+                StepOp::Reduce { a, b, into } => {
+                    st.ready(&ctx, *a, block)?;
+                    st.ready(&ctx, *b, block)?;
+                    let (pa, pb) = (st.read(plan, input, *a), st.read(plan, input, *b));
+                    ctx.reduce_charge(pa.len());
+                    st.vals[into.0 as usize] = Some(pa.reduce_sum_f64(&pb));
+                }
+                StepOp::Copy { parts, into } => {
+                    for part in parts {
+                        st.ready(&ctx, part.buf, block)?;
+                    }
+                    let views: Vec<Payload> = parts
+                        .iter()
+                        .map(|part| {
+                            st.read(plan, input, part.buf)
+                                .slice(part.off, part.off + part.len)
+                        })
+                        .collect();
+                    let out = match <[Payload; 1]>::try_from(views) {
+                        Ok([single]) => single, // zero-copy view
+                        Err(views) => Payload::concat(&views),
+                    };
+                    st.vals[into.0 as usize] = Some(out);
+                }
+            }
+            ctx.step_span(t0, || step_label(plan, i));
+            st.t0 = None;
+            st.step += 1;
+        }
+
+        // Drain everything still outstanding, in post order — the
+        // builder's trailing fence.
+        while st.step < 2 * n {
+            st.drain(&ctx, st.step - n, block)?;
+            st.step += 1;
+        }
+
+        // Through `read` rather than a direct lookup: single-rank trivial
+        // plans set the output to the untouched input buffer.
+        Some(plan.output.map(|b| st.read(plan, input, b)))
+    }
+}
+
+/// Run `plans[info.me]` to the end on the calling agent, blocking on
+/// every dependency: a blocking collective. `input` is the rank's local
+/// contribution (present iff the plan's input is) and the return value the
+/// rank's result (present iff the plan's output is).
 pub(crate) fn execute_plan<T: Transport>(
-    ctx: &CollCtx<'_, T>,
-    plan: &CollPlan,
+    agent: &T,
+    plans: Arc<Vec<CollPlan>>,
+    info: CommInfo,
+    seq: u64,
     input: Option<Payload>,
 ) -> Option<Payload> {
-    debug_assert_eq!(plan.p, ctx.p());
-    debug_assert_eq!(plan.me, ctx.me());
-    if let (Some((_, len)), Some(p)) = (plan.input, input.as_ref()) {
-        assert_eq!(
-            p.len(),
-            len,
-            "input payload length does not match the plan's input range"
-        );
+    let mut run = PlanRun::new(plans, info, seq, input, None);
+    match run.resume(agent, true) {
+        Some(out) => out,
+        None => unreachable!("a blocking run stops only at its end"),
     }
-
-    let mut vals: Vec<Option<Payload>> = vec![None; plan.bufs.len()];
-    let mut pending: Vec<Option<Pending>> = (0..plan.steps.len()).map(|_| None).collect();
-    // Which step receives into each buffer, for `ensure`'s fallback drain.
-    let mut producer: Vec<Option<usize>> = vec![None; plan.bufs.len()];
-    for (i, s) in plan.steps.iter().enumerate() {
-        if let StepOp::Recv { into, .. } = &s.op {
-            producer[into.0 as usize] = Some(i);
-        }
-    }
-
-    for (i, step) in plan.steps.iter().enumerate() {
-        let t0 = ctx.now();
-        // Complete dependencies in the order the builder recorded them —
-        // the blocking-wait order of the original algorithm.
-        for d in &step.deps {
-            drain(ctx, &mut pending, &mut vals, d.0 as usize);
-        }
-        match &step.op {
-            StepOp::Slack => ctx.slack(),
-            StepOp::Send { peer, buf, tag } => {
-                let payload = ensure(
-                    ctx,
-                    plan,
-                    &mut vals,
-                    &mut pending,
-                    &producer,
-                    input.as_ref(),
-                    *buf,
-                );
-                pending[i] = Some(Pending::Send(ctx.isend(*peer, *tag, payload)));
-            }
-            StepOp::Recv { peer, into, tag } => {
-                pending[i] = Some(Pending::Recv(ctx.irecv(*peer, *tag), *into));
-            }
-            StepOp::Reduce { a, b, into } => {
-                let pa = ensure(
-                    ctx,
-                    plan,
-                    &mut vals,
-                    &mut pending,
-                    &producer,
-                    input.as_ref(),
-                    *a,
-                );
-                let pb = ensure(
-                    ctx,
-                    plan,
-                    &mut vals,
-                    &mut pending,
-                    &producer,
-                    input.as_ref(),
-                    *b,
-                );
-                ctx.reduce_charge(pa.len());
-                vals[into.0 as usize] = Some(pa.reduce_sum_f64(&pb));
-            }
-            StepOp::Copy { parts, into } => {
-                let views: Vec<Payload> = parts
-                    .iter()
-                    .map(|part| {
-                        ensure(
-                            ctx,
-                            plan,
-                            &mut vals,
-                            &mut pending,
-                            &producer,
-                            input.as_ref(),
-                            part.buf,
-                        )
-                        .slice(part.off, part.off + part.len)
-                    })
-                    .collect();
-                let out = match <[Payload; 1]>::try_from(views) {
-                    Ok([single]) => single, // zero-copy view
-                    Err(views) => Payload::concat(&views),
-                };
-                vals[into.0 as usize] = Some(out);
-            }
-        }
-        ctx.step_span(t0, || step_label(plan, i));
-    }
-
-    // Drain everything still outstanding, in post order — the builder's
-    // trailing fence.
-    for i in 0..plan.steps.len() {
-        drain(ctx, &mut pending, &mut vals, i);
-    }
-
-    // `ensure` rather than a direct lookup: single-rank trivial plans set
-    // the output to the untouched input buffer.
-    plan.output.map(|b| {
-        ensure(
-            ctx,
-            plan,
-            &mut vals,
-            &mut pending,
-            &producer,
-            input.as_ref(),
-            b,
-        )
-    })
 }

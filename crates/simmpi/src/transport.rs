@@ -33,6 +33,7 @@ use ovcomm_verify::{Event, ReqId, Site, Verifier, VerifyMode, INTERNAL_TAG_BIT};
 use crate::collsel::CollSelector;
 use crate::metrics::SimMetrics;
 use crate::payload::Payload;
+use crate::planexec::PlanRun;
 use crate::rank::RunConfig;
 use crate::request::{ReqMeta, Request};
 use crate::rma::Windows;
@@ -340,9 +341,41 @@ pub(crate) fn wait<T: Transport, V>(agent: &T, req: &Request<V>) -> V {
     out
 }
 
+/// The caller-driven twin of [`wait`]: take `req`'s value if it has
+/// completed, without blocking. The verifier sees what a wait shows it:
+/// the first miss (`stopped` is false until then) marks `agent` blocked on
+/// `req` for the deadlock diagnosis, and the take clears that and records
+/// `WaitDone`.
+pub(crate) fn try_wait<T: Transport, V>(agent: &T, req: &Request<V>, stopped: bool) -> Option<V> {
+    let out = req.try_take().map(|(v, _)| v);
+    if out.is_none() && stopped {
+        return None;
+    }
+    let tracked = agent
+        .env()
+        .verify
+        .as_ref()
+        .and_then(|v| Some((v, req.verify_id()?)));
+    if let Some((v, id)) = tracked {
+        if out.is_none() {
+            v.wait_begin(agent.id(), id);
+        } else {
+            if stopped {
+                v.wait_end(agent.id());
+            }
+            v.record(Event::WaitDone {
+                agent: agent.id(),
+                req: id,
+            });
+        }
+    }
+    out
+}
+
 /// What a backend provides to the communicator front end. One value is one
 /// *execution identity* (an agent): a rank's own thread/fiber, or the
-/// progress actor running one nonblocking collective on a rank's behalf.
+/// operation agent running one nonblocking collective on a rank's behalf
+/// (a fiber of its own on the simulator, the rank's thread on the runtime).
 ///
 /// Every method exists because the two backends genuinely differ in it:
 ///
@@ -361,9 +394,11 @@ pub(crate) fn wait<T: Transport, V>(agent: &T, req: &Request<V>) -> V {
 ///   the runtime's mailbox lock;
 /// * `wait` / `complete` — park under the event engine and wake at a
 ///   virtual time, vs. spin-then-park an OS thread under the watchdog;
-/// * `spawn_op` — a fiber registered with the engine at post time vs. a
-///   progress-pool job, each with its own live/occupancy bookkeeping and
-///   panic capture;
+/// * `spawn_op` / `progress` — a nonblocking collective's [`PlanRun`]
+///   runs to its end on a fiber registered with the engine at post time,
+///   vs. joins its rank's posted runs, which the rank's thread advances
+///   without blocking at post and in every wait, test and sleep
+///   (`progress` is that advance, and a no-op on the simulator);
 /// * `rma_transfer` / `path_latency` — a one-sided transfer is a modeled
 ///   flow and a lock hand-off costs α on the simulator; on the runtime the
 ///   bytes are already in shared memory and a notification is free.
@@ -404,18 +439,26 @@ pub trait Transport: Clone + Send + Sync + Sized + 'static {
     /// completes `req` with the matched payload.
     fn inject_recv(&self, key: Envelope, req: Request<Payload>);
 
-    /// Block until `req` completes and take its value. Only blocks: the
-    /// verifier's bookkeeping for a tracked request is `transport::wait`'s.
+    /// Block until `req` completes and take its value. The verifier's
+    /// bookkeeping for a tracked request is `transport::wait`'s. On the
+    /// runtime the wait also advances the rank's posted collectives.
     fn wait<V>(&self, req: &Request<V>) -> V;
     /// Complete `req` with `value` and wake its waiters. `at` is the
     /// completion time on the completing agent's clock; the wall-clock
     /// runtime stamps its own.
     fn complete<V>(&self, req: &Request<V>, value: V, at: SimTime);
 
-    /// Run `body` as operation agent `id` of this rank: asynchronously,
-    /// under a fresh agent whose clock starts at this agent's current
-    /// time. A panic unwinding `body` is captured for the run to surface.
-    fn spawn_op(&self, id: u32, body: impl FnOnce(&Self) + Send + 'static);
+    /// Take over `run`, a nonblocking collective this rank just posted, to
+    /// advance as operation agent `id` of this rank. The simulator runs it
+    /// to its end on a fresh fiber whose clock starts at this agent's
+    /// current time; the runtime advances it once now, and then from this
+    /// rank's waits, tests and sleeps and before the rank's thread exits.
+    /// A panic unwinding the run is captured for the run to surface.
+    fn spawn_op(&self, id: u32, run: PlanRun<Self>);
+    /// Advance this rank's posted collectives as far as they go without
+    /// blocking (what `test` calls first). A no-op on the simulator, where
+    /// each runs on a fiber of its own.
+    fn progress(&self);
 
     /// Move the `n > 0` bytes of a one-sided operation from world rank
     /// `src` to world rank `dst`, driven by this (origin) agent alone — no

@@ -16,24 +16,8 @@ use std::sync::Arc;
 fn cache_hit_returns_memoized_plans_and_findings() {
     let cache = Mutex::new(PlanCache::new());
     let sel = CollSelector::default();
-    let a = compile_plans(
-        &cache,
-        &sel,
-        VerifyMode::Strict,
-        4,
-        CollKind::Allreduce,
-        256,
-        0,
-    );
-    let b = compile_plans(
-        &cache,
-        &sel,
-        VerifyMode::Strict,
-        4,
-        CollKind::Allreduce,
-        256,
-        0,
-    );
+    let a = compile_plans(&cache, &sel, true, 4, CollKind::Allreduce, 256, 0);
+    let b = compile_plans(&cache, &sel, true, 4, CollKind::Allreduce, 256, 0);
     // Same Arc: the second call is a pure cache hit (no rebuild, no
     // re-analysis).
     assert!(Arc::ptr_eq(&a, &b));
@@ -56,7 +40,7 @@ fn distinct_shapes_get_distinct_entries() {
     let cache = Mutex::new(PlanCache::new());
     let sel = CollSelector::default();
     for n in [64usize, 256, 4096] {
-        let _ = compile_plans(&cache, &sel, VerifyMode::Strict, 5, CollKind::Bcast, n, 2);
+        let _ = compile_plans(&cache, &sel, true, 5, CollKind::Bcast, n, 2);
     }
     // Shapes may share an algorithm but differ in n: one entry each.
     assert_eq!(cache.lock().stats().shapes, 3);
@@ -80,7 +64,7 @@ fn strict_mode_model_checks_every_kind() {
             CollKind::Bcast | CollKind::Reduce | CollKind::Gather | CollKind::Scatter => 1,
             _ => 0,
         };
-        let plans = compile_plans(&cache, &sel, VerifyMode::Strict, 6, kind, 512, root);
+        let plans = compile_plans(&cache, &sel, true, 6, kind, 512, root);
         assert_eq!(plans.len(), 6);
     }
     let stats = cache.lock().stats();
@@ -91,16 +75,16 @@ fn strict_mode_model_checks_every_kind() {
 fn a_shape_compiled_under_off_is_checked_the_first_time_strict_asks() {
     let cache = Mutex::new(PlanCache::new());
     let sel = CollSelector::default();
-    let compile = |mode| compile_plans(&cache, &sel, mode, 12, CollKind::Allreduce, 4096, 0);
-    let off = compile(VerifyMode::Off);
+    let compile = |check| compile_plans(&cache, &sel, check, 12, CollKind::Allreduce, 4096, 0);
+    let off = compile(false);
     assert_eq!(cache.lock().stats().checks, 0, "Off checks nothing");
-    let strict = compile(VerifyMode::Strict);
+    let strict = compile(true);
     assert!(Arc::ptr_eq(&off, &strict), "Strict reuses the Off build");
     let stats = cache.lock().stats();
     assert_eq!((stats.misses, stats.hits, stats.checks), (1, 1, 1));
     // Checked once: later lookups in either mode check nothing more.
-    compile(VerifyMode::Strict);
-    compile(VerifyMode::Off);
+    compile(true);
+    compile(false);
     let stats = cache.lock().stats();
     assert_eq!((stats.misses, stats.hits, stats.checks), (1, 3, 1));
 }

@@ -22,7 +22,7 @@
 //! does through `ovcomm_core::backend`, so a break there fails here too.
 
 use std::collections::BTreeMap;
-
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use ovcomm::core::RankHandle;
@@ -336,9 +336,10 @@ fn the_metrics_snapshot_is_pinned_at_two_digit_ranks() {
     let at = |k: &str| keys.iter().position(|x| *x == k).expect(k);
     assert!(at("simmpi.tests{rank=10}") < at("simmpi.tests{rank=2}"));
     // Every value and the order of every key, on the simulator's
-    // deterministic snapshot.
+    // deterministic snapshot. Its one gauge is `simmpi.pool_occupancy`.
+    assert_eq!(m.gauges.len(), 1);
     let json = serde_json::to_string(m).expect("snapshot serializes");
-    assert_eq!(fnv1a(json.as_bytes()), 0x289f_3099_9412_0219);
+    assert_eq!(fnv1a(json.as_bytes()), 0x7b52_bfec_4c2e_db4c);
     assert_eq!(simmpi_keys(m), simmpi_keys(&rt.metrics));
 }
 
@@ -352,7 +353,8 @@ fn same_envelope_sends<T: Transport>(rc: &RankCtx<T>, wait_between: bool) -> Vec
             if wait_between {
                 world.wait(&first);
             }
-            let second = world.isend(1, 4, Payload::from_f64s(&[2.0]));
+            let (second, line) = (world.isend(1, 4, Payload::from_f64s(&[2.0])), line!());
+            SECOND_SEND_LINE.store(line, Ordering::Relaxed);
             if !wait_between {
                 world.wait(&first);
             }
@@ -396,8 +398,8 @@ fn a_planted_race_is_the_same_warning_on_both_backends() {
     );
     assert!(sim[0].contains("rank 0 -> rank 1, tag=4"), "{sim:?}");
     assert_eq!(sim, rt);
-    assert_eq!(sim, [PLANTED_RACE], "sim");
-    assert_eq!(rt, [PLANTED_RACE], "rt");
+    assert_eq!(sim, [planted_race()], "sim");
+    assert_eq!(rt, [planted_race()], "rt");
 }
 
 #[test]
@@ -642,6 +644,33 @@ fn deadlock_is_the_same_error_on_both_backends() {
     }
 }
 
+/// Rank 0 waits on an allreduce rank 1 never joins; rank 1 waits for a
+/// message rank 0 never sends.
+fn allreduce_nobody_joins<T: Transport>(rc: &RankCtx<T>) {
+    let world = rc.world();
+    if world.rank() == 0 {
+        let sum = world.iallreduce(Payload::from_f64s(&[1.0]));
+        world.wait(&sum);
+    } else {
+        let _ = world.recv(0, 9);
+    }
+}
+
+/// The collective's own agent — a fiber on sim, a stopped plan run on rt —
+/// is blocked on its internal receive, and the report says so on both.
+#[test]
+fn a_stranded_nonblocking_collective_is_the_same_deadlock_on_both_backends() {
+    let [(_, sim), (_, rt)] = failures(2, allreduce_nobody_joins, allreduce_nobody_joins);
+    match (sim, rt) {
+        (RunError::Deadlock { report: sim }, RunError::Deadlock { report: rt }) => {
+            assert_eq!(sim.cycle, [0, 1]);
+            assert!(sim.to_string().contains("progress actor"), "{sim}");
+            assert_eq!(sim.to_string(), rt.to_string());
+        }
+        (sim, rt) => panic!("expected two deadlocks, got {sim} and {rt}"),
+    }
+}
+
 fn barrier_then_both_recv<T: Transport>(rc: &RankCtx<T>) {
     let world = rc.world();
     world.barrier();
@@ -736,11 +765,20 @@ fn rank_identity_agrees_across_backends() {
     assert_eq!((rt.backend, rt.net.is_some()), ("rt", false));
 }
 
+/// Line of the second `isend` in `same_envelope_sends`, recorded as rank 0
+/// posts it.
+static SECOND_SEND_LINE: AtomicU32 = AtomicU32::new(0);
+
 /// The exact text of the planted race's one finding, on either backend.
 /// The site is the second `isend` in `same_envelope_sends`.
-const PLANTED_RACE: &str = "warning[order-dependent-match]: concurrent same-envelope sends \
-    (comm 0, rank 0 -> rank 1, tag=4): matching depends on arrival order, \
-    posted at tests/front_end.rs:355";
+fn planted_race() -> String {
+    let line = SECOND_SEND_LINE.load(Ordering::Relaxed);
+    format!(
+        "warning[order-dependent-match]: concurrent same-envelope sends \
+         (comm 0, rank 0 -> rank 1, tag=4): matching depends on arrival order, \
+         posted at tests/front_end.rs:{line}"
+    )
+}
 
 // ---------------------------------------------------------------------
 // The run configuration both backends share
