@@ -50,12 +50,7 @@ impl CollSelector {
     /// Pick the algorithm for a `kind` collective moving `n` logical bytes
     /// on a `p`-rank communicator.
     pub fn select(&self, kind: CollKind, n: usize, p: usize) -> CollAlgo {
-        if let Some(&(_, algo)) = self
-            .forced
-            .iter()
-            .rev()
-            .find(|(k, a)| *k == kind && a.supports(p))
-        {
+        if let Some(&(_, algo)) = self.forced.iter().rev().find(|(k, _)| *k == kind) {
             return algo;
         }
         match kind {

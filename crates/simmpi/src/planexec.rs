@@ -8,13 +8,15 @@
 //! blocking-wait order of the hand-written algorithms this replaced. Only
 //! `Slack`, `Reduce` charging and message transport cost modeled time.
 //!
-//! [`PlanRun::advance`] meets each dependency (a step's recorded ones, then
-//! the receive producing a buffer the step reads) one of two ways:
-//! *blocking*, it waits (blocking collectives, and the simulator's op
-//! fibers, which so make the same waits in the same order); or it stops at
-//! the first one still incomplete (the wall-clock runtime, inside the
-//! rank's own calls), which the verifier sees as it sees a wait. Its whole
-//! I/O surface is [`CollCtx`], generic over the backend's [`Transport`].
+//! A step waits on its recorded `deps` and nothing else: the plan checker's
+//! admission rules out a read of a buffer a dep has not made ready, and
+//! `RunState::read`'s assert is the guard for plans run unchecked.
+//! [`PlanRun::advance`] meets each dep one of two ways: *blocking*, it
+//! waits (blocking collectives, and the simulator's op fibers, which so
+//! make the same waits in the same order); or it stops at the first one
+//! still incomplete (the wall-clock runtime, inside the rank's own calls),
+//! which the verifier sees as it sees a wait. Its whole I/O surface is
+//! [`CollCtx`], generic over the backend's [`Transport`].
 
 use std::sync::Arc;
 
@@ -50,8 +52,6 @@ type Finish<T> = Box<dyn FnOnce(&T, Option<Payload>) + Send>;
 struct RunState {
     vals: Vec<Option<Payload>>,
     pending: Vec<Option<Pending>>,
-    /// Which step receives into each buffer, for the fallback drain.
-    producer: Vec<Option<usize>>,
     /// The step to run next. Past the last step, `steps.len() + i` is the
     /// trailing fence's drain of step `i`.
     step: usize,
@@ -84,19 +84,8 @@ impl RunState {
         Some(())
     }
 
-    /// Make buffer `b` readable: drain the receive that produces it if it
-    /// is still outstanding (only reachable when the builder fenced it for
-    /// an earlier reader, so no extra wait is introduced). `None` if the
-    /// run stopped.
-    fn ready<T: Transport>(&mut self, ctx: &CollCtx<'_, T>, b: BufId, block: bool) -> Option<()> {
-        match self.producer[b.0 as usize] {
-            Some(idx) if self.vals[b.0 as usize].is_none() => self.drain(ctx, idx, block),
-            _ => Some(()),
-        }
-    }
-
-    /// Buffer `b` once [`RunState::ready`]: an already-produced value, a
-    /// slice of the rank's input contribution, or the zero-length literal.
+    /// Buffer `b`: an already-produced value, a slice of the rank's input
+    /// contribution, or the zero-length literal.
     fn read(&self, plan: &CollPlan, input: Option<&Payload>, b: BufId) -> Payload {
         if let Some(v) = &self.vals[b.0 as usize] {
             return v.clone();
@@ -166,16 +155,9 @@ impl<T: Transport> PlanRun<T> {
                 "input payload length does not match the plan's input range"
             );
         }
-        let mut producer: Vec<Option<usize>> = vec![None; plan.bufs.len()];
-        for (i, s) in plan.steps.iter().enumerate() {
-            if let StepOp::Recv { into, .. } = &s.op {
-                producer[into.0 as usize] = Some(i);
-            }
-        }
         let state = RunState {
             vals: vec![None; plan.bufs.len()],
             pending: (0..plan.steps.len()).map(|_| None).collect(),
-            producer,
             step: 0,
             t0: None,
             stopped: None,
@@ -229,15 +211,13 @@ impl<T: Transport> PlanRun<T> {
             let step = &plan.steps[i];
             let t0 = *st.t0.get_or_insert_with(|| ctx.now());
             // Complete dependencies in the order the builder recorded them
-            // — the blocking-wait order of the original algorithm — then
-            // the receives that produce the buffers the step reads.
+            // — the blocking-wait order of the original algorithm.
             for d in &step.deps {
                 st.drain(&ctx, d.0 as usize, block)?;
             }
             match &step.op {
                 StepOp::Slack => ctx.slack(),
                 StepOp::Send { peer, buf, tag } => {
-                    st.ready(&ctx, *buf, block)?;
                     let payload = st.read(plan, input, *buf);
                     st.pending[i] = Some(Pending::Send(ctx.isend(*peer, *tag, payload)));
                 }
@@ -245,16 +225,11 @@ impl<T: Transport> PlanRun<T> {
                     st.pending[i] = Some(Pending::Recv(ctx.irecv(*peer, *tag), *into));
                 }
                 StepOp::Reduce { a, b, into } => {
-                    st.ready(&ctx, *a, block)?;
-                    st.ready(&ctx, *b, block)?;
                     let (pa, pb) = (st.read(plan, input, *a), st.read(plan, input, *b));
                     ctx.reduce_charge(pa.len());
                     st.vals[into.0 as usize] = Some(pa.reduce_sum_f64(&pb));
                 }
                 StepOp::Copy { parts, into } => {
-                    for part in parts {
-                        st.ready(&ctx, part.buf, block)?;
-                    }
                     let views: Vec<Payload> = parts
                         .iter()
                         .map(|part| {

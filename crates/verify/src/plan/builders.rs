@@ -575,7 +575,7 @@ fn gather_linear(pb: &mut PlanBuilder, root: usize) -> Option<BufId> {
 ///
 /// `root` is the communicator-relative root (pass 0 for rootless
 /// collectives); `n` is the total logical payload in bytes. Panics if
-/// `algo` does not implement `kind` or cannot run on `p` ranks.
+/// `algo` does not implement `kind` or the ranks are out of range.
 pub fn build_plan(
     kind: CollKind,
     algo: CollAlgo,
@@ -585,7 +585,6 @@ pub fn build_plan(
     root: usize,
 ) -> CollPlan {
     assert_eq!(algo.kind(), kind, "{algo} does not implement {kind:?}");
-    assert!(algo.supports(p), "{algo} cannot run on {p} ranks");
     assert!(me < p && root < p, "bad rank/root for p={p}");
     let vrank = to_v(p, root, me);
     let bounds = chunk_bounds(n, p);

@@ -6,7 +6,9 @@
 //! per rank, with no clocks and no payloads, under the
 //! [execution contract](super): steps in program order, `Send`/`Recv`
 //! posting into strictly FIFO wire envelopes, a step waiting on its
-//! explicit `deps` and on the receives that produce the buffers it reads.
+//! `deps` alone. [Admission](super::structure::admit) has checked that
+//! those deps cover every buffer the step reads, so a read never finds a
+//! buffer missing.
 //! A send of fewer than `eager_cut` bytes completes when posted; any other
 //! completes when matched. Each envelope queue is filled by one rank in
 //! program order, so the machine's one deterministic pass reaches the
@@ -255,9 +257,6 @@ pub(crate) enum TraceKind {
 /// prints verbatim.
 #[derive(Debug)]
 pub(crate) enum Violation {
-    /// A step read a buffer nothing produced; its agent is poisoned and
-    /// executes no further.
-    ReadUnproduced { at: usize, buf: BufId },
     /// A matched pair disagrees on the byte count.
     LenMismatch { key: Key, send: Post, recv: Post },
     /// Misplaced, missing or wrongly-reduced bytes: at a `Reduce` step, or
@@ -294,8 +293,6 @@ pub(crate) struct St {
     pub(crate) done: Vec<Vec<bool>>,
     /// Outstanding posted operations (what the end-of-plan drain waits on).
     pub(crate) pending: Vec<usize>,
-    /// Hit a [`Violation::ReadUnproduced`].
-    pub(crate) poisoned: Vec<bool>,
     /// Per buffer: provenance (`None` until produced).
     pub(crate) vals: Vec<Vec<Option<BufVal>>>,
     pub(crate) sends: BTreeMap<Key, VecDeque<Post>>,
@@ -319,9 +316,6 @@ impl St {
 /// The evolving [`St`] is passed in, so the checker can read it after.
 pub(crate) struct Machine<'a> {
     inst: InstRef<'a>,
-    /// Per agent, per buffer: the producing step
-    /// ([`super::structure::admit`]'s table).
-    producers: &'a [Vec<Option<usize>>],
     pub(crate) eager_cut: usize,
     /// The first violation found while executing; execution halts at it.
     pub(crate) violation: Option<Violation>,
@@ -330,16 +324,10 @@ pub(crate) struct Machine<'a> {
 }
 
 impl<'a> Machine<'a> {
-    /// A machine over an admitted plan set (`producers` must come from
-    /// [`super::structure::admit`] on `inst`).
-    pub(crate) fn new(
-        inst: InstRef<'a>,
-        producers: &'a [Vec<Option<usize>>],
-        eager_cut: usize,
-    ) -> Machine<'a> {
+    /// A machine over a plan set [`super::structure::admit`] accepted.
+    pub(crate) fn new(inst: InstRef<'a>, eager_cut: usize) -> Machine<'a> {
         Machine {
             inst,
-            producers,
             eager_cut,
             violation: None,
             actions: 0,
@@ -357,7 +345,6 @@ impl<'a> Machine<'a> {
             pcs: vec![0; agents],
             done: plans().map(|pl| vec![false; pl.steps.len()]).collect(),
             pending: vec![0; agents],
-            poisoned: vec![false; agents],
             vals: plans()
                 .map(|pl| {
                     let base = pl.input.map_or(0, |(o, _)| o);
@@ -388,33 +375,16 @@ impl<'a> Machine<'a> {
         self.violation.get_or_insert(v);
     }
 
-    /// Can agent `a`'s step `idx` run now? All explicit deps and all
-    /// recv-producers of the buffers it reads must be complete (the
-    /// executor's implicit drain of producing receives).
+    /// Can agent `a`'s step `idx` run now? All its deps must be complete.
     fn runnable(&self, st: &St, a: usize, idx: usize) -> bool {
-        let plan = self.plan(a);
-        let step = &plan.steps[idx];
-        let produced = |b: BufId| match self.producers[a][b.0 as usize] {
-            Some(ps) if matches!(plan.steps[ps].op, StepOp::Recv { .. }) => st.done[a][ps],
-            _ => true,
-        };
-        step.deps.iter().all(|d| st.done[a][d.0 as usize])
-            && match &step.op {
-                StepOp::Slack | StepOp::Recv { .. } => true,
-                StepOp::Send { buf, .. } => produced(*buf),
-                StepOp::Reduce { a, b, .. } => produced(*a) && produced(*b),
-                StepOp::Copy { parts, .. } => parts.iter().all(|c| produced(c.buf)),
-            }
+        let deps = &self.plan(a).steps[idx].deps;
+        deps.iter().all(|d| st.done[a][d.0 as usize])
     }
 
-    /// Read a buffer's provenance, poisoning the agent if never produced.
-    fn val(&mut self, st: &mut St, a: usize, buf: BufId) -> Option<BufVal> {
-        let v = st.vals[a][buf.0 as usize].clone();
-        if v.is_none() {
-            st.poisoned[a] = true;
-            self.flag(Violation::ReadUnproduced { at: a, buf });
-        }
-        v
+    /// Agent `a`'s buffer `buf`. Admission guarantees a runnable step
+    /// reads only produced buffers.
+    fn val(st: &St, a: usize, buf: BufId) -> &[Seg] {
+        st.vals[a][buf.0 as usize].as_deref().unwrap_or(&[])
     }
 
     /// Match the heads of both queues of one envelope, if both are
@@ -435,10 +405,9 @@ impl<'a> Machine<'a> {
             self.flag(Violation::LenMismatch { key, send, recv });
         }
         let sent = match self.plan(send.agent).steps[send.step].op {
-            StepOp::Send { buf, .. } => st.vals[send.agent][buf.0 as usize].clone(),
-            _ => None,
-        }
-        .unwrap_or_default();
+            StepOp::Send { buf, .. } => Self::val(st, send.agent, buf).to_vec(),
+            _ => Vec::new(),
+        };
         if let StepOp::Recv { into, .. } = self.plan(recv.agent).steps[recv.step].op {
             // A length mismatch is already flagged; keep going with what
             // arrived, truncated to the declared buffer size.
@@ -467,9 +436,6 @@ impl<'a> Machine<'a> {
         match &plan.steps[idx].op {
             StepOp::Slack => st.note(a, idx, TraceKind::Exec),
             &StepOp::Send { peer, buf, tag } => {
-                // The value must exist at post time (the runtime clones it
-                // here).
-                self.val(st, a, buf)?;
                 let bytes = plan.buf_len(buf);
                 let eager = bytes < self.eager_cut;
                 let key = (inst.ctx, a, peer, inst.wire_tag(tag));
@@ -501,10 +467,7 @@ impl<'a> Machine<'a> {
             }
             &StepOp::Reduce { a: x, b: y, into } => {
                 st.note(a, idx, TraceKind::Exec);
-                let (Some(vx), Some(vy)) = (self.val(st, a, x), self.val(st, a, y)) else {
-                    return None;
-                };
-                let (rx, ry) = refine(&vx, &vy);
+                let (rx, ry) = refine(Self::val(st, a, x), Self::val(st, a, y));
                 let mut out = Vec::with_capacity(rx.len());
                 for (sx, sy) in rx.iter().zip(ry.iter()) {
                     if sx.lo != sy.lo {
@@ -546,8 +509,8 @@ impl<'a> Machine<'a> {
                 st.note(a, idx, TraceKind::Exec);
                 let mut out: BufVal = Vec::new();
                 for part in parts {
-                    let v = self.val(st, a, part.buf)?;
-                    out.extend(slice_val(&v, part.off, part.len));
+                    let v = Self::val(st, a, part.buf);
+                    out.extend(slice_val(v, part.off, part.len));
                 }
                 st.vals[a][into.0 as usize] = Some(out);
             }
@@ -565,7 +528,7 @@ impl<'a> Machine<'a> {
         let mut queued = vec![true; agents];
         while let Some(a) = queue.pop_front() {
             queued[a] = false;
-            while !st.poisoned[a] && st.pcs[a] < self.plan(a).steps.len() {
+            while st.pcs[a] < self.plan(a).steps.len() {
                 if self.violation.is_some() {
                     return;
                 }
@@ -592,9 +555,7 @@ impl<'a> Machine<'a> {
     /// the collective promises.
     pub(crate) fn terminal(&self, st: &St) -> Option<Violation> {
         let stuck: Vec<usize> = (0..self.inst.plans.len())
-            .filter(|&a| {
-                !st.poisoned[a] && (st.pcs[a] < self.plan(a).steps.len() || st.pending[a] > 0)
-            })
+            .filter(|&a| st.pcs[a] < self.plan(a).steps.len() || st.pending[a] > 0)
             .collect();
         if !stuck.is_empty() {
             return Some(Violation::Stuck { agents: stuck });
@@ -609,9 +570,7 @@ impl<'a> Machine<'a> {
                 (None, None) => continue,
                 (None, Some(_)) => return Some(Violation::UnexpectedOutput { at }),
                 (Some(_), None) => return Some(Violation::MissingOutput { at }),
-                (Some(want), Some(b)) => {
-                    (want, st.vals[at][b.0 as usize].as_deref().unwrap_or(&[]))
-                }
+                (Some(want), Some(b)) => (want, Self::val(st, at, b)),
             };
             let gap = |what: String| {
                 Some(Violation::ChunkGap {

@@ -51,9 +51,11 @@
 //!   misaligned reduction, on some interleaving;
 //! * `mc-double-count` — a contribution reduced twice;
 //! * `mc-unmatched` — an eager send no receive ever consumes;
-//! * `mc-bad-structure` — a malformed plan set (ids out of range,
-//!   inconsistent shapes, a buffer produced twice; static, reported
-//!   without a trace), or a read of a never-produced buffer mid-schedule;
+//! * `mc-bad-structure` — a malformed plan set, found at admission before
+//!   any pass and reported without a trace: ids out of range, inconsistent
+//!   shapes, a buffer produced twice, a read of a buffer no earlier step
+//!   produced, or a read of a received buffer before a dep waits for its
+//!   `Recv`;
 //! * `mc-tag-overlap` — static wire-namespace collision (from
 //!   [`check_compose`](super::check_compose), reported without a trace):
 //!   the composition's verdict when its instances are not isolated.
@@ -149,10 +151,6 @@ fn short_op(plan: &CollPlan, idx: usize) -> String {
 fn counterexample(m: &Machine<'_>, k: usize, st: &St, v: &Violation) -> PlanFinding {
     let who = |a: usize| format!("instance #{k} rank {a}");
     let (code, detail) = match v {
-        Violation::ReadUnproduced { at, buf } => (
-            "mc-bad-structure",
-            format!("{} reads buffer b{} before it is produced", who(*at), buf.0),
-        ),
         Violation::LenMismatch { key, send, recv } => (
             "mc-len-mismatch",
             format!(
@@ -284,22 +282,21 @@ fn check(insts: &[InstRef<'_>], cfg: &McConfig) -> McReport {
         actions: 0,
         cutpoints: Vec::new(),
     };
-    // Per member, per rank, per buffer: the producing step.
-    let mut producers = Vec::new();
+    let mut admitted = true;
     for (k, inst) in insts.iter().enumerate() {
-        match admit(inst.plans) {
-            Ok(p) => producers.push(p),
-            Err(defects) => report
+        if let Err(defects) = admit(inst.plans) {
+            admitted = false;
+            report
                 .findings
                 .extend(defects.into_iter().map(|(rank, detail)| PlanFinding {
                     code: "mc-bad-structure",
                     detail: format!("instance #{k} rank {rank}: {detail}"),
                     eager_cut: None,
                     trace: Vec::new(),
-                })),
+                }));
         }
     }
-    if producers.len() < insts.len() {
+    if !admitted {
         return report;
     }
     report.cutpoints = match &cfg.cut_override {
@@ -308,8 +305,8 @@ fn check(insts: &[InstRef<'_>], cfg: &McConfig) -> McReport {
     };
     let mut seen: BTreeSet<&'static str> = report.findings.iter().map(|f| f.code).collect();
     for &cut in &report.cutpoints {
-        for (k, (&inst, producers)) in insts.iter().zip(&producers).enumerate() {
-            let mut m = Machine::new(inst, producers, cut);
+        for (k, &inst) in insts.iter().enumerate() {
+            let mut m = Machine::new(inst, cut);
             let mut st = m.initial();
             m.settle(&mut st);
             let found = m.violation.take().or_else(|| m.terminal(&st));
@@ -490,8 +487,8 @@ mod tests {
 
     #[test]
     fn malformed_ids_are_findings_not_a_panic() {
-        // A receive into a buffer the plan does not have: the producer
-        // table must not be built over ids the structure check rejected.
+        // A receive into a buffer the plan does not have: the dataflow
+        // walk must not index by ids the structure check rejected.
         let mut plans = build_all(CollKind::Bcast, CollAlgo::BcastBinomial, 2, 64, 0);
         for step in &mut plans[1].steps {
             if let StepOp::Recv { into, .. } = &mut step.op {

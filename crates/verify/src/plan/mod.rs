@@ -24,10 +24,13 @@
 //! — this is how builders express the blocking structure of the classical
 //! algorithms (a blocking send is `Send` + a dep on it from the next
 //! step). Steps still outstanding when the plan ends are drained in post
-//! order.
+//! order. A step waits on nothing but its `deps`.
 //!
 //! Buffers are immutable byte strings: produced once (by the local input,
-//! a `Recv`, a `Reduce` or a `Copy`), then read any number of times.
+//! a `Recv`, a `Reduce` or a `Copy`), then read any number of times by
+//! later steps — a received one only once the reading step's `deps`, or
+//! an earlier step's, include its `Recv`. The model checker's admission
+//! checks both before any pass (`mc-bad-structure`).
 //! Offsets follow `chunk_bounds`, the 8-byte-aligned contiguous partition
 //! used by every chunked algorithm.
 
@@ -124,14 +127,6 @@ impl CollAlgo {
             .copied()
             .filter(|a| a.kind() == kind)
             .collect()
-    }
-
-    /// Whether the algorithm can run on a `p`-rank communicator. All
-    /// current algorithms handle any `p ≥ 1` (the recursive-halving cores
-    /// fold non-power-of-two surplus ranks in and out); the hook exists so
-    /// selectors never have to special-case future restricted algorithms.
-    pub fn supports(&self, p: usize) -> bool {
-        p >= 1
     }
 
     /// Short algorithm name, unique within one collective (the `algo`

@@ -1,5 +1,8 @@
-//! Static well-formedness of one plan set: what must hold before the
-//! [symbolic executor](super::exec) may index into it. The
+//! Static well-formedness of one plan set: what must hold before either
+//! interpreter runs it. Ids, ranges and shapes must be valid, so the
+//! [symbolic executor](super::exec) may index by them; and every read must
+//! be of a buffer already produced and, if received, already waited for by
+//! a dep, so both interpreters wait on `deps` alone. The
 //! [model checker](super::mc) reports each defect as `mc-bad-structure`.
 
 use super::{BufId, CollPlan, StepOp};
@@ -115,47 +118,86 @@ fn check_structure(plans: &[CollPlan]) -> Vec<Defect> {
     out
 }
 
-/// Producer step of every buffer (`[rank][buffer]`), validating that each
-/// buffer is produced at most once.
-fn producers_of(plans: &[CollPlan]) -> Result<Vec<Vec<Option<usize>>>, Vec<Defect>> {
-    let mut producer: Vec<Vec<Option<usize>>> =
-        plans.iter().map(|pl| vec![None; pl.bufs.len()]).collect();
-    let mut findings = Vec::new();
+/// Where one buffer stands as the dataflow walk reaches a step.
+#[derive(Clone, Copy)]
+enum Avail {
+    /// No step has produced it yet.
+    Unmade,
+    /// Received by step `s`, whose completion no dep has waited for yet.
+    Posted(usize),
+    /// Readable: a slice of the input, or produced and complete.
+    Ready,
+}
+
+/// Dataflow of each plan, walked once in step order: every buffer is
+/// produced at most once, and a step reads only literals (input slices,
+/// zero-length buffers) and buffers earlier steps produced — a received
+/// one only once a dep at or before the reading step waits for its
+/// `Recv`. Interpreters may then read without waiting on anything but
+/// `deps`.
+fn check_dataflow(plans: &[CollPlan]) -> Vec<Defect> {
+    let mut out = Vec::new();
     for (r, plan) in plans.iter().enumerate() {
+        let mut avail: Vec<Avail> = (plan.bufs.iter())
+            .map(|b| match b.input_off {
+                Some(_) => Avail::Ready,
+                None => Avail::Unmade,
+            })
+            .collect();
         for (i, step) in plan.steps.iter().enumerate() {
-            let into = match &step.op {
-                StepOp::Recv { into, .. }
-                | StepOp::Reduce { into, .. }
-                | StepOp::Copy { into, .. } => *into,
-                StepOp::Slack | StepOp::Send { .. } => continue,
+            for d in &step.deps {
+                if let StepOp::Recv { into, .. } = plan.steps[d.0 as usize].op {
+                    avail[into.0 as usize] = Avail::Ready;
+                }
+            }
+            let (reads, made): (Vec<(BufId, &str)>, _) = match &step.op {
+                StepOp::Slack => (Vec::new(), None),
+                StepOp::Send { buf, .. } => (vec![(*buf, "sends")], None),
+                StepOp::Recv { into, .. } => (Vec::new(), Some((*into, Avail::Posted(i)))),
+                StepOp::Reduce { a, b, into } => {
+                    let reads = vec![(*a, "reduces"), (*b, "reduces")];
+                    (reads, Some((*into, Avail::Ready)))
+                }
+                StepOp::Copy { parts, into } => {
+                    let reads = parts.iter().map(|c| (c.buf, "copies")).collect();
+                    (reads, Some((*into, Avail::Ready)))
+                }
             };
-            let slot = &mut producer[r][into.0 as usize];
-            if slot.is_some() || plan.bufs[into.0 as usize].input_off.is_some() {
-                findings.push((r, format!("buffer b{} produced more than once", into.0)));
-            } else {
-                *slot = Some(i);
+            for (b, what) in reads {
+                let late = match avail[b.0 as usize] {
+                    Avail::Unmade if plan.buf_len(b) > 0 => "before it is produced".to_string(),
+                    Avail::Posted(s) => format!("before a dep waits for its receive s{s}"),
+                    Avail::Unmade | Avail::Ready => continue,
+                };
+                out.push((r, format!("step s{i} {what} buffer b{} {late}", b.0)));
+            }
+            if let Some((into, now)) = made {
+                let slot = &mut avail[into.0 as usize];
+                match slot {
+                    Avail::Unmade => *slot = now,
+                    _ => out.push((r, format!("buffer b{} produced more than once", into.0))),
+                }
             }
         }
     }
-    if findings.is_empty() {
-        Ok(producer)
-    } else {
-        Err(findings)
-    }
+    out
 }
 
 /// Admit one plan set to symbolic execution: non-empty, structurally
-/// valid, every buffer produced at most once. Returns the producer table
-/// the executor's implicit receive dependencies read, or every defect of
-/// the first check that fails (the later checks index by ids the earlier
-/// ones validate).
-pub(crate) fn admit(plans: &[CollPlan]) -> Result<Vec<Vec<Option<usize>>>, Vec<Defect>> {
+/// valid, and its dataflow sound. Returns every defect of the first check
+/// that fails (the dataflow walk indexes by ids the structure check
+/// validates).
+pub(crate) fn admit(plans: &[CollPlan]) -> Result<(), Vec<Defect>> {
     if plans.is_empty() {
         return Err(vec![(0, "empty plan set".to_string())]);
     }
-    let structural = check_structure(plans);
-    if !structural.is_empty() {
-        return Err(structural);
+    let mut defects = check_structure(plans);
+    if defects.is_empty() {
+        defects = check_dataflow(plans);
     }
-    producers_of(plans)
+    if defects.is_empty() {
+        Ok(())
+    } else {
+        Err(defects)
+    }
 }

@@ -8,7 +8,7 @@
 //! *mutation* as the cause rather than an artifact of the hand-built plan.
 
 use ovcomm_verify::plan::{
-    build_all, model_check, model_check_single, CollAlgo, CollPlan, McConfig, McReport,
+    build_all, model_check, model_check_single, BufId, CollAlgo, CollPlan, McConfig, McReport,
     PlanBuilder, PlanFinding, PlanInstance,
 };
 use ovcomm_verify::CollKind;
@@ -379,5 +379,88 @@ fn short_receive_is_a_len_mismatch() {
         ce.trace.iter().any(|l| l.contains("matched send")),
         "trace must include the bad match:\n{}",
         ce.trace.join("\n")
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 9. Reads before production
+// ---------------------------------------------------------------------------
+
+/// Rank 0 of a two-rank bcast that sends a view of its input; `late`
+/// pushes the `Copy` producing the view after the `Send` that reads it.
+fn late_view_bcast(late: bool) -> Vec<CollPlan> {
+    let n = 64;
+    let mut b0 = PlanBuilder::new(
+        CollKind::Bcast,
+        CollAlgo::BcastBinomial,
+        2,
+        0,
+        n,
+        0,
+        Some((0, n)),
+    );
+    let inp = b0.input_buf();
+    if late {
+        // The view is the next buffer the builder hands out.
+        b0.send(1, 0, BufId(1));
+        assert_eq!(b0.slice(inp, 0, n), BufId(1));
+    } else {
+        let view = b0.slice(inp, 0, n);
+        b0.send(1, 0, view);
+    }
+    b0.set_output(inp);
+    let mut b1 = PlanBuilder::new(CollKind::Bcast, CollAlgo::BcastBinomial, 2, 1, n, 0, None);
+    let got = b1.recv(0, 0, n);
+    b1.set_output(got);
+    vec![b0.finish(), b1.finish()]
+}
+
+#[test]
+fn a_send_of_a_later_copy_is_bad_structure() {
+    assert!(mc(&late_view_bcast(false)).clean(), "unmutated bcast");
+    let rep = mc(&late_view_bcast(true));
+    let ce = expect_ce(&rep, "mc-bad-structure");
+    assert!(
+        ce.detail.contains("b1") && ce.detail.contains("before it is produced"),
+        "diagnosis must name the unproduced buffer: {}",
+        ce.detail
+    );
+}
+
+/// Rank 0 of a two-rank exchange that posts its receive nonblocking,
+/// then sends and reduces; `waited` fences the receive before the reduce.
+fn unwaited_recv_exchange(waited: bool) -> Vec<CollPlan> {
+    let n = 64;
+    let mut b0 = PlanBuilder::new(
+        CollKind::Allreduce,
+        CollAlgo::AllreduceRing,
+        2,
+        0,
+        n,
+        0,
+        Some((0, n)),
+    );
+    let inp = b0.input_buf();
+    let (r, got) = b0.irecv(1, 7, n);
+    b0.send(1, 7, inp);
+    if waited {
+        b0.fence_on(r);
+    }
+    let out = b0.reduce(inp, got);
+    b0.set_output(out);
+    vec![b0.finish(), exchange_plan(1, false, n)]
+}
+
+/// A step waits only on its `deps`: reading a received buffer with no dep
+/// on its `Recv` is a malformed plan, not an implicit wait.
+#[test]
+fn a_received_read_with_no_dep_is_bad_structure() {
+    assert!(mc(&unwaited_recv_exchange(true)).clean(), "fenced exchange");
+    let rep = mc(&unwaited_recv_exchange(false));
+    let ce = expect_ce(&rep, "mc-bad-structure");
+    assert!(
+        ce.detail.contains("b1") && ce.detail.contains("receive s0"),
+        "diagnosis must name the unwaited receive: {}",
+        ce.detail
     );
 }
