@@ -37,7 +37,7 @@ pub mod symm;
 pub mod timeline;
 
 pub use chart::{plot_loglog, Series};
-pub use mcsweep::{mc_sweep, supports_sweep, McSweepRecord, McSweepSummary};
+pub use mcsweep::{every_p_sweep, mc_sweep, McSweepRecord, McSweepSummary};
 // The `_rt` names are what `benchmark/` calls on an `ovcomm_rt::run`
 // result; both backends return one output type, so they are the same
 // functions.
