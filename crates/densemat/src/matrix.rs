@@ -78,12 +78,21 @@ impl Matrix {
         self.data
     }
 
-    /// Transposed copy.
+    /// Transposed copy, one square tile at a time so that both the rows
+    /// read and the rows written stay in cache.
     pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
+        const TILE: usize = 16;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut t = Matrix::zeros(cols, rows);
+        for i0 in (0..rows).step_by(TILE) {
+            let i1 = (i0 + TILE).min(rows);
+            for j0 in (0..cols).step_by(TILE) {
+                let j1 = (j0 + TILE).min(cols);
+                for (j, dst) in (j0..j1).zip(t.data[j0 * rows..].chunks_exact_mut(rows)) {
+                    for (i, d) in (i0..i1).zip(&mut dst[i0..i1]) {
+                        *d = self.data[i * cols + j];
+                    }
+                }
             }
         }
         t
@@ -221,6 +230,24 @@ mod tests {
         assert_eq!(t.rows(), 2);
         assert_eq!(t[(0, 2)], m[(2, 0)]);
         assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn blocked_transpose_is_the_elementwise_one() {
+        for (rows, cols) in [(1, 1), (7, 13), (33, 65), (256, 256)] {
+            let m = Matrix::from_fn(rows, cols, |i, j| (i * cols + j) as f64);
+            let t = m.transpose();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            for i in 0..rows {
+                for j in 0..cols {
+                    assert_eq!(
+                        t[(j, i)].to_bits(),
+                        m[(i, j)].to_bits(),
+                        "{rows}x{cols} at ({i}, {j})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
