@@ -237,11 +237,7 @@ impl<T: Transport> PlanRun<T> {
                                 .slice(part.off, part.off + part.len)
                         })
                         .collect();
-                    let out = match <[Payload; 1]>::try_from(views) {
-                        Ok([single]) => single, // zero-copy view
-                        Err(views) => Payload::concat(&views),
-                    };
-                    st.vals[into.0 as usize] = Some(out);
+                    st.vals[into.0 as usize] = Some(Payload::concat(&views));
                 }
             }
             ctx.step_span(t0, || step_label(plan, i));
