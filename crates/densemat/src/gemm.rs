@@ -5,6 +5,16 @@
 //! instead of running it; at test scale, and on the real backend, this is
 //! where the compute goes.
 //!
+//! **Operands.** A and B are borrowed row-major views ([`MatRef`]: a
+//! [`Matrix`], or any `f64` slice such as a received message's payload),
+//! each read as stored or, after [`MatRef::t`], as its transpose. C is the
+//! one owned matrix. So a block is multiplied in the buffer it landed in,
+//! and no caller materialises a transpose just to multiply: the B-panel
+//! pack below reads a transposed B straight down its stored rows, and a
+//! transposed A is gathered MR rows × one KC block at a time into a small
+//! strip. Orientation changes only where the kernel reads an element from,
+//! never which products it forms or in which order.
+//!
 //! **Kernel.** B is packed, one KC×NR panel at a time (16 KiB at NR = 8,
 //! 32 KiB at NR = 16: L1-resident), into a heap buffer — not the stack,
 //! since simulated ranks run this on fiber stacks; only problems whose
@@ -34,8 +44,10 @@
 //! **Bit-identity contract.** Every `c[i][j]` starts from its value in C
 //! and adds `a[i][k]·b[k][j]` for k ascending over the full K, each
 //! product rounded before its add: no `mul_add`, no reassociation. That is
-//! the order of [`gemm_naive`], so the two agree bit for bit, and every
-//! sim↔rt bit-identity oracle and golden stands on it. A K longer than KC
+//! the order of [`gemm_naive`], so the two agree bit for bit — on either
+//! orientation of either operand, against `gemm_naive` of the
+//! materialised transposes — and every sim↔rt bit-identity oracle and
+//! golden stands on it. A K longer than KC
 //! stores the tile after one panel and reloads it for the next, which
 //! keeps the order.
 //!
@@ -56,7 +68,9 @@
 //! skip only costs a branch per element. The kernel runs every k, and
 //! the naive loop, which never skips, is the exact reference.
 
-use crate::matrix::Matrix;
+use std::ops::Range;
+
+use crate::matrix::{MatRef, Matrix};
 
 /// Depth of one packed B panel (KC × NR f64).
 const KC: usize = 256;
@@ -101,56 +115,53 @@ impl Path {
     }
 }
 
-/// `C += A · B`. Shapes: A is m×k, B is k×n, C is m×n.
-pub fn gemm_acc(c: &mut Matrix, a: &Matrix, b: &Matrix) {
-    gemm_acc_on(Path::widest(), c, a, b);
+/// `C += A · B`. Shapes: A is m×k, B is k×n, C is m×n. Each operand is a
+/// [`Matrix`] or a [`MatRef`] view, either one possibly read transposed.
+pub fn gemm_acc<'a, 'b>(c: &mut Matrix, a: impl Into<MatRef<'a>>, b: impl Into<MatRef<'b>>) {
+    gemm_acc_on(Path::widest(), c, a.into(), b.into());
 }
 
 /// [`gemm_acc`] on `path`, which this CPU must run.
 #[allow(unsafe_code)]
-fn gemm_acc_on(path: Path, c: &mut Matrix, a: &Matrix, b: &Matrix) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(b.rows(), k, "inner dimensions disagree");
+fn gemm_acc_on(path: Path, c: &mut Matrix, a: MatRef<'_>, b: MatRef<'_>) {
+    let (m, n) = (a.rows(), b.cols());
+    assert_eq!(b.rows(), a.cols(), "inner dimensions disagree");
     assert_eq!((c.rows(), c.cols()), (m, n), "output shape disagrees");
     assert!(path.runs_here(), "this CPU lacks the {path:?} feature");
-    let (ad, bd, cd) = (a.data(), b.data(), c.data_mut());
+    let cd = c.data_mut();
     match path {
         // SAFETY: the assert above saw the CPU report this path's feature.
         #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Path::Avx512 => unsafe { kernel_avx512(cd, ad, bd, (k, n)) },
+        Path::Avx512 => unsafe { kernel_avx512(cd, a, b) },
         // SAFETY: as above.
         #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Path::Avx2 => unsafe { kernel_avx2(cd, ad, bd, (k, n)) },
-        _ => kernel::<2, 8>(cd, ad, bd, (k, n)),
+        Path::Avx2 => unsafe { kernel_avx2(cd, a, b) },
+        _ => kernel::<2, 8>(cd, a, b),
     }
 }
 
 /// The kernel body compiled with AVX-512F: 4×16 tiles.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f")]
-fn kernel_avx512(cd: &mut [f64], ad: &[f64], bd: &[f64], kn: (usize, usize)) {
-    kernel::<4, 16>(cd, ad, bd, kn);
+fn kernel_avx512(cd: &mut [f64], a: MatRef<'_>, b: MatRef<'_>) {
+    kernel::<4, 16>(cd, a, b);
 }
 
 /// The kernel body compiled with AVX2: 4×8 tiles.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
-fn kernel_avx2(cd: &mut [f64], ad: &[f64], bd: &[f64], kn: (usize, usize)) {
-    kernel::<4, 8>(cd, ad, bd, kn);
+fn kernel_avx2(cd: &mut [f64], a: MatRef<'_>, b: MatRef<'_>) {
+    kernel::<4, 8>(cd, a, b);
 }
 
-/// `C += A · B` for row-major A (m×k), B (k×n) and C (m×n) in MR×NR
-/// tiles. Everything below it is `#[inline(always)]`, so each caller
-/// compiles the whole body under its own target features.
+/// `C += A · B` for row-major C (m×n) in MR×NR tiles. Everything below it
+/// is `#[inline(always)]`, so each caller compiles the whole body under
+/// its own target features.
 #[inline(always)]
-fn kernel<const MR: usize, const NR: usize>(
-    cd: &mut [f64],
-    ad: &[f64],
-    bd: &[f64],
-    (k, n): (usize, usize),
-) {
+fn kernel<const MR: usize, const NR: usize>(cd: &mut [f64], a: MatRef<'_>, b: MatRef<'_>) {
     // The ragged split below covers widths up to 15.
     const { assert!(NR.is_power_of_two() && NR <= 16) };
+    let (k, n) = (a.cols(), b.cols());
     // Small problems pack into a stack buffer, the rest into the heap.
     let len = k.min(KC) * n.min(NR);
     let (mut small, mut large) = ([0.0; SMALL], Vec::new());
@@ -160,26 +171,28 @@ fn kernel<const MR: usize, const NR: usize>(
         large.resize(len, 0.0);
         &mut large
     };
+    // A transposed A is gathered MR rows at a time.
+    let mut strip = vec![0.0; if a.transposed { MR * k.min(KC) } else { 0 }];
     let rest = n % NR;
     for j0 in (0..n - rest).step_by(NR) {
-        column_panel::<MR, NR>(cd, ad, bd, (k, n), j0, panel);
+        column_panel::<MR, NR>(cd, a, b, j0, panel, &mut strip);
     }
     // A ragged last panel runs one panel per set bit of its width.
     let mut j0 = n - rest;
     if rest & 8 != 0 {
-        column_panel::<MR, 8>(cd, ad, bd, (k, n), j0, panel);
+        column_panel::<MR, 8>(cd, a, b, j0, panel, &mut strip);
         j0 += 8;
     }
     if rest & 4 != 0 {
-        column_panel::<MR, 4>(cd, ad, bd, (k, n), j0, panel);
+        column_panel::<MR, 4>(cd, a, b, j0, panel, &mut strip);
         j0 += 4;
     }
     if rest & 2 != 0 {
-        column_panel::<MR, 2>(cd, ad, bd, (k, n), j0, panel);
+        column_panel::<MR, 2>(cd, a, b, j0, panel, &mut strip);
         j0 += 2;
     }
     if rest & 1 != 0 {
-        column_panel::<MR, 1>(cd, ad, bd, (k, n), j0, panel);
+        column_panel::<MR, 1>(cd, a, b, j0, panel, &mut strip);
     }
 }
 
@@ -189,28 +202,77 @@ fn kernel<const MR: usize, const NR: usize>(
 #[inline(always)]
 fn column_panel<const MR: usize, const W: usize>(
     cd: &mut [f64],
-    ad: &[f64],
-    bd: &[f64],
-    (k, n): (usize, usize),
+    a: MatRef<'_>,
+    b: MatRef<'_>,
     j0: usize,
     panel: &mut [f64],
+    strip: &mut [f64],
 ) {
+    let (k, n) = (a.cols(), b.cols());
     for k0 in (0..k).step_by(KC) {
         let depth = k0..(k0 + KC).min(k);
         let (panel, _) = panel[..depth.len() * W].as_chunks_mut::<W>();
-        for (row, kk) in panel.iter_mut().zip(depth.clone()) {
-            row.copy_from_slice(&bd[kk * n + j0..kk * n + j0 + W]);
-        }
+        pack_panel(panel, b, depth.clone(), j0);
         let mut c_rows = cd.chunks_exact_mut(MR * n);
-        let mut a_rows = ad.chunks_exact(MR * k);
-        for (c, a) in (&mut c_rows).zip(&mut a_rows) {
-            tile::<MR, W>(c, a, (k, n), (j0, k0), panel);
+        let mut i0 = 0;
+        for c in &mut c_rows {
+            let (rows, lda, at) = a_rows::<MR>(a, i0, depth.clone(), strip);
+            tile::<MR, W>(c, rows, (lda, n), (j0, at), panel);
+            i0 += MR;
         }
-        let c_last = c_rows.into_remainder().chunks_exact_mut(n);
-        for (c, a) in c_last.zip(a_rows.remainder().chunks_exact(k)) {
-            tile::<1, W>(c, a, (k, n), (j0, k0), panel);
+        for c in c_rows.into_remainder().chunks_exact_mut(n) {
+            let (rows, lda, at) = a_rows::<1>(a, i0, depth.clone(), strip);
+            tile::<1, W>(c, rows, (lda, n), (j0, at), panel);
+            i0 += 1;
         }
     }
+}
+
+/// Pack `B[depth, j0..j0+W]` into `panel`, one row per k. A transposed B
+/// is read down its stored rows, each one contiguous over `depth`.
+#[inline(always)]
+fn pack_panel<const W: usize>(
+    panel: &mut [[f64; W]],
+    b: MatRef<'_>,
+    depth: Range<usize>,
+    j0: usize,
+) {
+    if b.transposed {
+        for w in 0..W {
+            let src = &b.data[(j0 + w) * b.cols + depth.start..][..depth.len()];
+            for (row, &x) in panel.iter_mut().zip(src) {
+                row[w] = x;
+            }
+        }
+    } else {
+        for (row, kk) in panel.iter_mut().zip(depth) {
+            row.copy_from_slice(&b.data[kk * b.cols + j0..][..W]);
+        }
+    }
+}
+
+/// Rows `i0..i0+R` of A over `depth`, with their row stride and the
+/// offset of `depth` in a row: A's own rows when A is read as stored, or
+/// gathered into `strip` (R rows of `depth.len()`) when it is read
+/// transposed.
+#[inline(always)]
+fn a_rows<'s, const R: usize>(
+    a: MatRef<'s>,
+    i0: usize,
+    depth: Range<usize>,
+    strip: &'s mut [f64],
+) -> (&'s [f64], usize, usize) {
+    if !a.transposed {
+        return (&a.data[i0 * a.cols..(i0 + R) * a.cols], a.cols, depth.start);
+    }
+    let d = depth.len();
+    for (t, kk) in depth.enumerate() {
+        let src = &a.data[kk * a.cols + i0..][..R];
+        for r in 0..R {
+            strip[r * d + t] = src[r];
+        }
+    }
+    (&strip[..R * d], d, 0)
 }
 
 /// One register tile: for each of the R rows `c` (R×n, of C) and `a`
@@ -245,8 +307,9 @@ fn tile<const R: usize, const W: usize>(
     }
 }
 
-/// `A · B` into a fresh matrix.
-pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
+/// `A · B` into a fresh matrix; operands as in [`gemm_acc`].
+pub fn gemm<'a, 'b>(a: impl Into<MatRef<'a>>, b: impl Into<MatRef<'b>>) -> Matrix {
+    let (a, b) = (a.into(), b.into());
     let mut c = Matrix::zeros(a.rows(), b.cols());
     gemm_acc(&mut c, a, b);
     c
@@ -382,17 +445,30 @@ mod tests {
 
     #[test]
     fn gemm_is_bitwise_naive_on_the_pin_grid() {
-        for path in host_paths() {
-            for (idx, &(m, k, n)) in PIN_SHAPES.iter().enumerate() {
-                if too_big_for_miri(m, k, n) {
-                    continue;
+        let paths = host_paths();
+        for (idx, &(m, k, n)) in PIN_SHAPES.iter().enumerate() {
+            if too_big_for_miri(m, k, n) {
+                continue;
+            }
+            let seed = 2 * idx as u64 + 1;
+            let a = planted(m, k, seed, Some(m / 2));
+            let b = planted(k, n, seed + 100, None);
+            // Each shape is fed as stored, with B given transposed, and
+            // with both given transposed; the reference multiplies the
+            // materialised transposes.
+            let (at, bt) = (a.transpose(), b.transpose());
+            let want = gemm_naive(&at.transpose(), &bt.transpose());
+            let inputs = [
+                ("A·B", MatRef::from(&a), MatRef::from(&b)),
+                ("A·Bᵀᵀ", MatRef::from(&a), MatRef::from(&bt).t()),
+                ("Aᵀᵀ·Bᵀᵀ", MatRef::from(&at).t(), MatRef::from(&bt).t()),
+            ];
+            for &path in &paths {
+                for (how, av, bv) in inputs {
+                    let mut c = Matrix::zeros(m, n);
+                    gemm_acc_on(path, &mut c, av, bv);
+                    assert_bitwise_eq(&c, &want, &format!("{path:?} {how} {m}x{k}x{n}"));
                 }
-                let seed = 2 * idx as u64 + 1;
-                let a = planted(m, k, seed, Some(m / 2));
-                let b = planted(k, n, seed + 100, None);
-                let mut c = Matrix::zeros(m, n);
-                gemm_acc_on(path, &mut c, &a, &b);
-                assert_bitwise_eq(&c, &gemm_naive(&a, &b), &format!("{path:?} {m}x{k}x{n}"));
             }
         }
     }
@@ -409,8 +485,8 @@ mod tests {
                 let (a1, b1) = (planted(m, k1, 3, Some(0)), planted(k1, n, 5, None));
                 let (a2, b2) = (planted(m, k2, 7, None), planted(k2, n, 9, None));
                 let mut c = Matrix::zeros(m, n);
-                gemm_acc_on(path, &mut c, &a1, &b1);
-                gemm_acc_on(path, &mut c, &a2, &b2);
+                gemm_acc_on(path, &mut c, (&a1).into(), (&b1).into());
+                gemm_acc_on(path, &mut c, (&a2).into(), (&b2).into());
                 let mut want = Matrix::zeros(m, n);
                 for (a, b) in [(&a1, &b1), (&a2, &b2)] {
                     for i in 0..m {

@@ -18,9 +18,9 @@ pub mod partition;
 pub mod solve;
 pub mod spectrum;
 
-pub use blockbuf::BlockBuf;
+pub use blockbuf::{BlockBuf, BlockRef};
 pub use gemm::{gemm, gemm_acc, gemm_flops, gemm_naive};
-pub use matrix::Matrix;
+pub use matrix::{MatRef, Matrix};
 pub use partition::{BlockGrid, Partition1D};
 pub use solve::solve;
 pub use spectrum::{exact_density, fock_like_spectrum, gershgorin_bounds, symmetric_with_spectrum};

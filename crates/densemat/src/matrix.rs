@@ -196,6 +196,66 @@ impl Matrix {
     }
 }
 
+/// A borrowed row-major matrix, read as stored or as its transpose: the
+/// operand type of [`gemm_acc`](crate::gemm_acc), so a block is multiplied
+/// in the buffer it lives in, a received message among them.
+#[derive(Clone, Copy, Debug)]
+pub struct MatRef<'a> {
+    /// Row-major storage of the stored shape.
+    pub(crate) data: &'a [f64],
+    /// Stored rows.
+    pub(crate) rows: usize,
+    /// Stored columns.
+    pub(crate) cols: usize,
+    /// Whether the matrix read is the transpose of the one stored.
+    pub(crate) transposed: bool,
+}
+
+impl<'a> MatRef<'a> {
+    /// The `rows` × `cols` matrix stored row-major in `data`.
+    pub fn new(data: &'a [f64], rows: usize, cols: usize) -> MatRef<'a> {
+        assert_eq!(data.len(), rows * cols, "buffer does not match dimensions");
+        MatRef {
+            data,
+            rows,
+            cols,
+            transposed: false,
+        }
+    }
+
+    /// The same storage read as the transpose.
+    pub fn t(self) -> MatRef<'a> {
+        MatRef {
+            transposed: !self.transposed,
+            ..self
+        }
+    }
+
+    /// Rows of the matrix read.
+    pub fn rows(&self) -> usize {
+        if self.transposed {
+            self.cols
+        } else {
+            self.rows
+        }
+    }
+
+    /// Columns of the matrix read.
+    pub fn cols(&self) -> usize {
+        if self.transposed {
+            self.rows
+        } else {
+            self.cols
+        }
+    }
+}
+
+impl<'a> From<&'a Matrix> for MatRef<'a> {
+    fn from(m: &'a Matrix) -> MatRef<'a> {
+        MatRef::new(&m.data, m.rows, m.cols)
+    }
+}
+
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]

@@ -18,12 +18,12 @@
 // root-only payload delivery and mesh/split bookkeeping guaranteed by the
 // surrounding collective protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
-use ovcomm_densemat::{gemm_flops, solve, BlockBuf, BlockGrid, Matrix, Partition1D};
+use ovcomm_densemat::{gemm, gemm_flops, solve, BlockBuf, BlockGrid, MatRef, Matrix, Partition1D};
 use ovcomm_simmpi::{Payload, RankCtx, Request, SimTransport, Transport};
 
 use ovcomm_core::{pipelined_reduce_bcast, NDupComms};
 
-use crate::convert::{block_to_payload, payload_to_block};
+use crate::convert::{block_into_payload, payload_into_block};
 use crate::mesh::Mesh2D;
 
 /// Configuration of a block-CG solve.
@@ -106,9 +106,8 @@ fn local_gram<T: Transport>(rc: &RankCtx<T>, v: &BlockBuf, w: &BlockBuf, rate: f
     rc.compute_flops(gemm_flops(s, l, s), rate);
     match (v, w) {
         (BlockBuf::Real(vm), BlockBuf::Real(wm)) => {
-            let vt = vm.transpose();
-            let g = ovcomm_densemat::gemm(&vt, wm);
-            Payload::from_f64s(g.data())
+            let g = gemm(MatRef::from(vm).t(), wm);
+            Payload::from_f64_vec(g.into_vec())
         }
         (BlockBuf::Phantom(..), BlockBuf::Phantom(..)) => Payload::Phantom(s * s * 8),
         _ => panic!("cannot mix real and phantom multivectors"),
@@ -134,10 +133,10 @@ fn apply_a<T: Transport>(
         mesh.i,
         &comms.col_ndup,
         mesh.j,
-        &block_to_payload(&y_part),
+        &block_into_payload(y_part),
         part.len(mesh.j) * s * 8,
     );
-    payload_to_block(&out, part.len(mesh.j), s)
+    payload_into_block(out, part.len(mesh.j), s)
 }
 
 /// Gram matrices `VᵀW`, reduced over row 0 and broadcast down the columns.

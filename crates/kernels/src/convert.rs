@@ -1,8 +1,12 @@
 //! Conversions between [`ovcomm_densemat::BlockBuf`] blocks and
 //! [`ovcomm_simmpi::Payload`] messages: row-major `f64`s in native byte
 //! order for real blocks, the byte count alone for phantoms.
+//!
+//! A received block that is only read by a multiply stays in its payload
+//! and is viewed in place with [`payload_view`]; [`payload_into_block`]
+//! is for blocks a kernel returns or mutates.
 
-use ovcomm_densemat::{BlockBuf, Matrix};
+use ovcomm_densemat::{BlockBuf, BlockRef, MatRef, Matrix};
 use ovcomm_simmpi::Payload;
 
 /// Serialize a block for sending.
@@ -22,13 +26,9 @@ pub fn block_into_payload(b: BlockBuf) -> Payload {
     }
 }
 
-/// Deserialize a received block with known dimensions.
-pub fn payload_to_block(p: &Payload, rows: usize, cols: usize) -> BlockBuf {
-    payload_into_block(p.clone(), rows, cols)
-}
-
-/// [`payload_to_block`] by value: the block adopts the payload's storage
-/// when the payload is the only view of its whole buffer.
+/// Deserialize a received block with known dimensions; the block adopts
+/// the payload's storage when the payload is the only view of its whole
+/// buffer.
 pub fn payload_into_block(p: Payload, rows: usize, cols: usize) -> BlockBuf {
     match p {
         Payload::Real(_) => {
@@ -38,6 +38,27 @@ pub fn payload_into_block(p: Payload, rows: usize, cols: usize) -> BlockBuf {
         Payload::Phantom(n) => {
             assert_eq!(n, rows * cols * 8, "phantom size mismatch");
             BlockBuf::Phantom(rows, cols)
+        }
+    }
+}
+
+/// A received `rows` × `cols` block, read where it landed: a view of the
+/// payload's `f64`s, or a phantom's shape. Nothing is copied. Every block
+/// the kernels send is whole words of its buffer (blocks serialise
+/// word-aligned and chunk plans cut at 8-byte bounds), so a real payload
+/// off its buffer's words panics.
+pub fn payload_view(p: &Payload, rows: usize, cols: usize) -> BlockRef<'_> {
+    match p {
+        Payload::Real(_) => {
+            assert_eq!(p.len(), rows * cols * 8, "payload size mismatch");
+            let Some(data) = p.as_f64s() else {
+                panic!("received block is not whole words of its buffer")
+            };
+            BlockRef::Real(MatRef::new(data, rows, cols))
+        }
+        Payload::Phantom(n) => {
+            assert_eq!(*n, rows * cols * 8, "phantom size mismatch");
+            BlockRef::Phantom(rows, cols)
         }
     }
 }
@@ -52,8 +73,17 @@ mod tests {
         let b = BlockBuf::Real(m.clone());
         let p = block_to_payload(&b);
         assert_eq!(p.len(), 96);
-        let back = payload_to_block(&p, 3, 4);
+        let back = payload_into_block(p.clone(), 3, 4);
         assert_eq!(back.unwrap_real().max_abs_diff(&m), 0.0);
+        let view = payload_view(&p, 3, 4);
+        assert!(matches!(view, BlockRef::Real(_)));
+        assert_eq!(view.dims(), (3, 4));
+        let mut c = BlockBuf::zeros(3, 3, false);
+        c.gemm_acc(view, view.t());
+        assert_eq!(
+            c.unwrap_real(),
+            &ovcomm_densemat::gemm_naive(&m, &m.transpose())
+        );
     }
 
     #[test]
@@ -63,6 +93,7 @@ mod tests {
         let addr = b.unwrap_real().data().as_ptr();
         let p = block_into_payload(b);
         assert_eq!(p, block_to_payload(&BlockBuf::Real(m.clone())));
+        assert_eq!(payload_view(&p, 3, 4).t().dims(), (4, 3));
         let back = payload_into_block(p, 3, 4);
         assert_eq!(back.unwrap_real().max_abs_diff(&m), 0.0);
         assert_eq!(back.unwrap_real().data().as_ptr(), addr);
@@ -76,7 +107,8 @@ mod tests {
         let b = BlockBuf::Phantom(5, 2);
         let p = block_to_payload(&b);
         assert_eq!(p, Payload::Phantom(80));
-        let back = payload_to_block(&p, 5, 2);
+        assert_eq!(payload_view(&p, 5, 2).t().dims(), (2, 5));
+        let back = payload_into_block(p, 5, 2);
         assert!(back.is_phantom());
         assert_eq!(back.dims(), (5, 2));
     }
@@ -85,12 +117,12 @@ mod tests {
     #[should_panic(expected = "payload size mismatch")]
     fn real_length_mismatch_panics() {
         let p = block_to_payload(&BlockBuf::Real(Matrix::zeros(3, 4)));
-        payload_to_block(&p, 4, 4);
+        payload_view(&p, 4, 4);
     }
 
     #[test]
     #[should_panic(expected = "phantom size mismatch")]
     fn phantom_length_mismatch_panics() {
-        payload_to_block(&Payload::Phantom(80), 5, 3);
+        payload_into_block(Payload::Phantom(80), 5, 3);
     }
 }

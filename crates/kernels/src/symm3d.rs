@@ -13,10 +13,10 @@
 // surrounding collective protocol, not recoverable error paths.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 use ovcomm_core::{pipelined_reduce_bcast, ChunkPlan, NDupComms, RankHandle};
-use ovcomm_densemat::{gemm_flops, BlockBuf, BlockGrid};
+use ovcomm_densemat::{gemm_flops, BlockBuf, BlockGrid, BlockRef};
 use ovcomm_simmpi::{Comm, Payload, RankCtx, Request, Transport};
 
-use crate::convert::{block_into_payload, block_to_payload, payload_into_block, payload_to_block};
+use crate::convert::{block_into_payload, block_to_payload, payload_into_block, payload_view};
 use crate::mesh::{mesh3d_rank_of, Mesh3D, Mesh3DBundles};
 
 /// User tag for the D² hand-back sends.
@@ -63,13 +63,15 @@ fn check_input<T: Transport>(mesh: &Mesh3D<T>, grid: &BlockGrid, input: &SymmInp
 }
 
 /// Local GEMM: real arithmetic when blocks are real, modeled time always.
-pub(crate) fn local_multiply<T: Transport>(
+/// The operands are views, so a received block is multiplied in place.
+pub(crate) fn local_multiply<'a, 'b, T: Transport>(
     rc: &RankCtx<T>,
     c: &mut BlockBuf,
-    a: &BlockBuf,
-    b: &BlockBuf,
+    a: impl Into<BlockRef<'a>>,
+    b: impl Into<BlockRef<'b>>,
     rate: f64,
 ) {
+    let (a, b) = (a.into(), b.into());
     c.gemm_acc(a, b);
     let (m, kk) = a.dims();
     let (_, n2) = b.dims();
@@ -125,21 +127,19 @@ pub fn symm_square_cube_original<R: RankHandle>(
     // 1: A(i,j) := D(i,j), broadcast along the grid fibre from plane 0.
     let a_payload = input.d_block.as_ref().map(block_to_payload);
     let a_recv = mesh.grd.bcast(0, a_payload, grid.block_bytes(i, j));
-    let a = payload_into_block(a_recv, li, lj);
-    let phantom = a.is_phantom();
+    let a = payload_view(&a_recv, li, lj);
+    let phantom = a_recv.is_phantom();
 
     // 2: row broadcast of D(k,j) from P(k,j,k); B(j,k) := D(k,j)ᵀ by
     // symmetry of D.
-    let dkj = mesh.row.bcast(
-        k,
-        (i == k).then(|| block_to_payload(&a)),
-        grid.block_bytes(k, j),
-    );
-    let b = payload_into_block(dkj, grid.block_dims(k, j).0, lj).transpose();
+    let dkj = mesh
+        .row
+        .bcast(k, (i == k).then(|| a_recv.clone()), grid.block_bytes(k, j));
+    let b = payload_view(&dkj, grid.block_dims(k, j).0, lj).t();
 
     // 3: C := A·B.
     let mut c = BlockBuf::zeros(li, lk, phantom);
-    local_multiply(rc, &mut c, &a, &b, rate);
+    local_multiply(rc, &mut c, a, b, rate);
 
     // 4: reduce C(i,:,k) to D²(i,k) on P(i,k,k).
     let d2_red = mesh.col.reduce(k, block_into_payload(c));
@@ -179,11 +179,10 @@ pub fn symm_square_cube_original<R: RankHandle>(
 
     // 7: row broadcast of D²(j,k) from P(k,j,k).
     let b2 = mesh.row.bcast(k, d2_for_bcast, grid.block_bytes(j, k));
-    let b2 = payload_into_block(b2, lj, lk);
 
     // 8: C := A·B².
     let mut c2 = BlockBuf::zeros(li, lk, phantom);
-    local_multiply(rc, &mut c2, &a, &b2, rate);
+    local_multiply(rc, &mut c2, a, payload_view(&b2, lj, lk), rate);
 
     // 9: reduce to D³(i,k) on P(i,k,k).
     let d3_red = mesh.col.reduce(k, block_into_payload(c2));
@@ -219,16 +218,14 @@ pub fn symm_square_cube_baseline<R: RankHandle>(
     // 1–3 as in Algorithm 3.
     let a_payload = input.d_block.as_ref().map(block_to_payload);
     let a_recv = mesh.grd.bcast(0, a_payload, grid.block_bytes(i, j));
-    let a = payload_into_block(a_recv, li, lj);
-    let phantom = a.is_phantom();
-    let dkj = mesh.row.bcast(
-        k,
-        (i == k).then(|| block_to_payload(&a)),
-        grid.block_bytes(k, j),
-    );
-    let b = payload_into_block(dkj, grid.block_dims(k, j).0, lj).transpose();
+    let a = payload_view(&a_recv, li, lj);
+    let phantom = a_recv.is_phantom();
+    let dkj = mesh
+        .row
+        .bcast(k, (i == k).then(|| a_recv.clone()), grid.block_bytes(k, j));
+    let b = payload_view(&dkj, grid.block_dims(k, j).0, lj).t();
     let mut c = BlockBuf::zeros(li, lk, phantom);
-    local_multiply(rc, &mut c, &a, &b, rate);
+    local_multiply(rc, &mut c, a, b, rate);
 
     // 4: reduce C(i,:,k) to D²(i,k) on P(i,i,k) — root j = i.
     let d2_red = mesh.col.reduce(i, block_into_payload(c));
@@ -239,11 +236,10 @@ pub fn symm_square_cube_baseline<R: RankHandle>(
         (i == j).then(|| d2_red.clone().unwrap()),
         grid.block_bytes(j, k),
     );
-    let b2_block = payload_into_block(b2, lj, lk);
 
     // 6: C := A·B².
     let mut c2 = BlockBuf::zeros(li, lk, phantom);
-    local_multiply(rc, &mut c2, &a, &b2_block, rate);
+    local_multiply(rc, &mut c2, a, payload_view(&b2, lj, lk), rate);
 
     // 7: reduce to D³(i,k) on P(i,k,k).
     let d3_red = mesh.col.reduce(k, block_into_payload(c2));
@@ -348,8 +344,8 @@ pub fn symm_square_cube_optimized<R: RankHandle>(
         }
     }
     let a_full = plan_a.concat(&a_chunks.into_iter().map(Option::unwrap).collect::<Vec<_>>());
-    let a = payload_into_block(a_full, li, lj);
-    let phantom = a.is_phantom();
+    let a = payload_view(&a_full, li, lj);
+    let phantom = a_full.is_phantom();
     let b_chunks: Vec<Payload> = row_reqs
         .iter()
         .enumerate()
@@ -360,12 +356,13 @@ pub fn symm_square_cube_optimized<R: RankHandle>(
                 .wait_traced_chunk(r, "wait Ibcast row", c as u32)
         })
         .collect();
-    let b = payload_into_block(plan_b.concat(&b_chunks), grid.block_dims(k, j).0, lj).transpose();
+    let b_full = plan_b.concat(&b_chunks);
+    let b = payload_view(&b_full, grid.block_dims(k, j).0, lj).t();
     rc.phase_span(t_bcast, "symm3d bcast D".to_string());
 
     // Line 9: C := A·B.
     let mut c_blk = BlockBuf::zeros(li, lk, phantom);
-    local_multiply(rc, &mut c_blk, &a, &b, rate);
+    local_multiply(rc, &mut c_blk, a, b, rate);
 
     // ---- Lines 10–17: pipelined col-ireduce → row-ibcast of D². ----
     let t_d2 = rc.now();
@@ -378,14 +375,13 @@ pub fn symm_square_cube_optimized<R: RankHandle>(
         &block_into_payload(c_blk),
         grid.block_bytes(j, k),
     );
-    let b2 = payload_to_block(&b2_payload, lj, lk);
     rc.phase_span(t_d2, "symm3d reduce-bcast D2".to_string());
     // P(i,i,k)'s own D²(i,k) is the payload it just pipelined (i == j).
     let d2_mine = (i == j).then(|| b2_payload.clone());
 
     // Line 18: C := A·B².
     let mut c2 = BlockBuf::zeros(li, lk, phantom);
-    local_multiply(rc, &mut c2, &a, &b2, rate);
+    local_multiply(rc, &mut c2, a, payload_view(&b2_payload, lj, lk), rate);
 
     // ---- Lines 19–27: col-ireduce of D³ overlapped with both hand-backs.
     let t_d3 = rc.now();

@@ -169,7 +169,10 @@ fn symm3d_worker<T: Transport>(
 
 #[test]
 fn symm3d_all_variants_identical_on_both_backends() {
-    for variant in [0usize, 1, 2] {
+    // Variants 2 and 4 are Algorithm 5 at N_DUP 2 and 4; at N_DUP 4 the
+    // 9×9 blocks' chunk bounds fall mid-row, and each block reassembles
+    // from its chunks in place on both backends.
+    for variant in [0usize, 1, 2, 4] {
         let (sim, rt) = run_both(8, 2, dispatch!(move |rc| symm3d_worker(rc, 18, 2, variant)));
         assert_eq!(sim, rt, "symm3d variant {variant} must be bit-identical");
         assert!(sim.iter().filter(|r| r.is_some()).count() == 4);
